@@ -2,7 +2,7 @@
 execution.
 
 E12 proved the cooperative scheduler overlaps crowd waits for in-process
-sessions; E20 pushes the same engine behind a real socket.  Three
+sessions; E20 pushes the same engine behind a real socket.  Four
 measurements:
 
 * ``tcp``      — hundreds of concurrent TCP clients (mixed crowd +
@@ -11,6 +11,14 @@ measurements:
   ``net_statement_seconds`` histogram (p50/p99 reported).  Answers must
   be identical to the same scripts run through the in-process
   ``Server.run_scripts`` path — the wire adds transport, not semantics.
+* ``round_trip`` — what one *client* sees: 50 sequential trivial
+  statements on one connection, directly and through an unarmed
+  ``ChaosProxy``, median wall time per ``execute``.  The server-side
+  histogram above starts its clock when the statement frame has already
+  arrived, so it cannot see a send stall: a socket left on Nagle's
+  algorithm cost every statement but the first a ~40 ms wait for the
+  peer's delayed ACK and every ``tcp`` number stayed green.  Stalled is
+  ~45 ms, healthy ~1 ms; the gate is 15 ms.
 * ``fairness`` — a small active-session cap with a deep waitlist: every
   client still completes, and the latency spread (slowest/fastest
   client) stays bounded because admission promotes FIFO instead of
@@ -30,9 +38,11 @@ measurements:
 Fast-mode numbers never clobber the committed BENCH_e20.json artifact.
 """
 
+import contextlib
 import json
 import os
 import random
+import statistics
 import threading
 import time
 
@@ -49,6 +59,7 @@ from crowdbench import (
 
 from repro.api import serve
 from repro.net import connect_tcp, serve_tcp
+from repro.net.chaos import ChaosProxy
 from repro.server import Server
 
 SESSIONS = 24 if FAST else 200
@@ -58,6 +69,8 @@ ORDER_ROWS = 20_000 if FAST else 100_000
 MULTICORE_SESSIONS = 4
 MULTICORE_REPEATS = 3
 SPEEDUP_FLOOR = 2.0
+ROUND_TRIPS = 50
+ROUND_TRIP_CEILING_MS = 15.0
 SEED = 11
 
 BENCH_JSON = os.path.join(
@@ -166,6 +179,26 @@ def _run_tcp(sessions: int, max_active: int, max_waiting: int):
         server.close()
 
 
+def _client_round_trip_ms(through_proxy: bool) -> float:
+    """Median client-observed milliseconds per trivial statement."""
+    net = serve_tcp(with_crowd=False)
+    try:
+        with contextlib.ExitStack() as stack:
+            host, port = net.host, net.port
+            if through_proxy:
+                proxy = stack.enter_context(ChaosProxy(host, port))
+                host, port = proxy.host, proxy.port
+            client = stack.enter_context(connect_tcp(host, port))
+            samples = []
+            for index in range(ROUND_TRIPS):
+                started = time.perf_counter()
+                client.execute(f"SELECT {index} + 1;")
+                samples.append(time.perf_counter() - started)
+        return statistics.median(samples) * 1e3
+    finally:
+        net.close()
+
+
 def _run_in_process(sessions: int):
     """The same per-client scripts through Server.run_scripts — the
     equivalence baseline for the wire."""
@@ -258,6 +291,10 @@ def measurements():
             ),
             "in_process": _run_in_process(SESSIONS),
             "fairness": _run_tcp(24, max_active=6, max_waiting=24),
+            "round_trip_ms": _client_round_trip_ms(through_proxy=False),
+            "proxied_round_trip_ms": _client_round_trip_ms(
+                through_proxy=True
+            ),
             "inline": _run_multicore(0),
             "pool1": _run_multicore(1),
             "pooled": _run_multicore(4),
@@ -288,6 +325,10 @@ def test_report(measurements):
              f"{tcp['hits']} HITs posted", ""),
             ("stmt p50 s", tcp["p50"], "net_statement_seconds", ""),
             ("stmt p99 s", tcp["p99"], "net_statement_seconds", ""),
+            ("client round trip ms", measurements["round_trip_ms"],
+             f"median of {ROUND_TRIPS} sequential statements", ""),
+            ("proxied round trip ms", measurements["proxied_round_trip_ms"],
+             "same, through an unarmed ChaosProxy", ""),
             ("fairness spread", spread,
              f"{len(fairness['client_latencies'])} clients, 6 active", ""),
             ("inline wall s", inline["wall_seconds"],
@@ -313,6 +354,10 @@ def test_report(measurements):
         "statement_p50_seconds": round(tcp["p50"], 4),
         "statement_p99_seconds": round(tcp["p99"], 4),
         "hits_posted": tcp["hits"],
+        "client_round_trip_ms": round(measurements["round_trip_ms"], 3),
+        "client_round_trip_via_proxy_ms": round(
+            measurements["proxied_round_trip_ms"], 3
+        ),
         "fairness_clients": len(fairness["client_latencies"]),
         "fairness_active_cap": 6,
         "fairness_latency_spread": round(spread, 2),
@@ -346,6 +391,13 @@ def test_latency_histogram_is_populated(measurements):
     tcp = measurements["tcp"]
     assert tcp["statements"] >= 2 * tcp["sessions"]
     assert tcp["p99"] >= tcp["p50"] > 0.0
+
+
+def test_client_observed_round_trip_has_no_send_stall(measurements):
+    """The gate the server-side histogram cannot give: a write-write-
+    read stall on either leg shows here and nowhere else."""
+    assert measurements["round_trip_ms"] < ROUND_TRIP_CEILING_MS
+    assert measurements["proxied_round_trip_ms"] < ROUND_TRIP_CEILING_MS
 
 
 def test_pooled_results_identical_to_inline(measurements):

@@ -237,6 +237,16 @@ class Connection:
             self._parse_cache.store((sql,), statement)
         return statement
 
+    def parsed_script(self, sql: str) -> list[ast.Statement]:
+        """A ;-separated script's statements, through the same memo —
+        how every server session parses what it is sent, so text any
+        session has submitted before parses once."""
+        statements = self._parse_cache.lookup((sql, "script"))
+        if statements is None:
+            statements = parse_script(sql)
+            self._parse_cache.store((sql, "script"), statements)
+        return statements
+
     def execute(self, sql: str, parameters: Sequence[Any] = ()) -> ResultSet:
         """Parse and execute one CrowdSQL statement."""
         statement = self._parse_cached(sql)

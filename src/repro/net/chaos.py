@@ -163,6 +163,10 @@ class ChaosProxy:
             except OSError:
                 downstream.close()
                 continue
+            # a proxy that forwards frame by frame must not add Nagle's
+            # wait for the peer's delayed ACK to either leg
+            for leg in (downstream, upstream):
+                leg.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             plan = self._armed or _FaultPlan()
             self._armed = None  # one-shot
             self.stats["connections"] += 1

@@ -216,9 +216,8 @@ class NetClient:
                 return None  # duplicate page (reconnect overlap)
             state.pages.add(seq)
             state.columns = list(frame.get("columns", state.columns))
-            state.rows.extend(
-                protocol.decode_row(row) for row in frame["rows"]
-            )
+            # values were untagged while the payload was parsed
+            state.rows.extend(map(tuple, frame["rows"]))
             if len(state.pages) % _ACK_EVERY_PAGES == 0:
                 self._ack()
             return None
@@ -348,6 +347,10 @@ def connect_tcp(
     """
     sock = socket.create_connection((host, port), timeout=timeout)
     try:
+        # every reply is answered with an ``ack`` frame and then the next
+        # ``statement``: two small writes before a read.  Under Nagle the
+        # second waits for the server's delayed ACK (~40 ms a statement)
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         sock.sendall(
             protocol.pack_frame(
                 protocol.hello_frame(resume=resume, have=have)

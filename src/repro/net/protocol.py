@@ -38,6 +38,10 @@ failing operator.
 The value codec maps the SQL domain onto JSON: int/float/str/bool pass
 through (non-finite floats via a tag), and the in-band NULL/CNULL
 singletons travel as tagged objects — byte-identical rows on both ends.
+The JSON encoder and decoder do the tagging themselves (``default=`` /
+``object_hook=``), so a page of plain scalars costs no Python call per
+value; :func:`encode_value`/:func:`decode_value` handle only what the
+encoder cannot (non-finite floats, nested sequences, foreign objects).
 """
 
 from __future__ import annotations
@@ -45,9 +49,11 @@ from __future__ import annotations
 import json
 import math
 import struct
+import traceback
+from itertools import chain
 from typing import Any, Optional
 
-from repro.errors import NetworkProtocolError
+from repro.errors import NetworkProtocolError, StatementCancelled
 from repro.sqltypes import CNULL, NULL
 
 PROTOCOL_VERSION = 1
@@ -109,12 +115,52 @@ def decode_row(row: list) -> tuple:
     return tuple(decode_value(value) for value in row)
 
 
+#: value types the JSON encoder writes exactly as :func:`encode_value`
+#: would (floats only when finite; NULL/CNULL through ``default=``)
+_PLAIN = frozenset(
+    {int, float, str, bool, type(None), type(NULL), type(CNULL)}
+)
+
+
+def _all_plain(rows: list) -> bool:
+    """Whether a page can ride in its frame as it is, leaving NULL/CNULL
+    to the JSON encoder — decided by one C-speed scan of the value
+    types, not a Python call per value.  A page that cannot takes
+    :func:`encode_row`; both produce the same bytes."""
+    kinds = set(map(type, chain.from_iterable(rows)))
+    if not kinds <= _PLAIN:
+        return False
+    if float not in kinds:
+        return True
+    floats = [v for v in chain.from_iterable(rows) if type(v) is float]
+    return all(map(math.isfinite, floats))
+
+
+def _tag_singleton(value: Any) -> dict:
+    """``json`` ``default=``: the two values it cannot write itself."""
+    if value is NULL or value is CNULL:
+        return encode_value(value)
+    raise TypeError(
+        f"{type(value).__name__} is not a wire value: {value!r}"
+    )
+
+
+def _untag(obj: dict) -> Any:
+    """``json`` ``object_hook=``: tagged objects become their values
+    (innermost first, so a ``seq`` sees its items already decoded)."""
+    return decode_value(obj) if _TAG in obj else obj
+
+
+_ENCODER = json.JSONEncoder(separators=(",", ":"), default=_tag_singleton)
+_DECODER = json.JSONDecoder(object_hook=_untag)
+
+
 # -- framing ------------------------------------------------------------------
 
 
 def pack_frame(frame: dict) -> bytes:
     """One frame → length-prefixed bytes (raises on oversize)."""
-    payload = json.dumps(frame, separators=(",", ":")).encode("utf-8")
+    payload = _ENCODER.encode(frame).encode("utf-8")
     if len(payload) > MAX_FRAME_BYTES:
         raise NetworkProtocolError(
             f"frame of {len(payload)} bytes exceeds the "
@@ -125,8 +171,9 @@ def pack_frame(frame: dict) -> bytes:
 
 def decode_payload(payload: bytes) -> dict:
     try:
-        frame = json.loads(payload.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as error:
+        frame = _DECODER.decode(payload.decode("utf-8"))
+    except (ValueError, KeyError, TypeError) as error:
+        # bad UTF-8, bad JSON, or a tagged value missing its payload
         raise NetworkProtocolError(f"undecodable frame: {error}") from error
     if not isinstance(frame, dict) or "type" not in frame:
         raise NetworkProtocolError("frame is not an object with a 'type'")
@@ -148,28 +195,27 @@ def parse_length(prefix: bytes) -> int:
 
 def read_frame_blocking(sock) -> Optional[dict]:
     """Read one frame from a blocking socket; None on clean EOF."""
-    prefix = _recv_exact(sock, _LENGTH.size, eof_ok=True)
-    if prefix is None:
+    prefix = bytearray(_LENGTH.size)
+    if not _recv_into(sock, prefix, eof_ok=True):
         return None
-    length = parse_length(prefix)
-    payload = _recv_exact(sock, length)
+    payload = bytearray(parse_length(prefix))
+    _recv_into(sock, payload)
     return decode_payload(payload)
 
 
-def _recv_exact(sock, count: int, eof_ok: bool = False) -> Optional[bytes]:
-    """Exactly ``count`` bytes.  EOF at a frame boundary returns None
-    when ``eof_ok``; EOF anywhere else is a protocol error."""
-    chunks = []
-    remaining = count
-    while remaining:
-        chunk = sock.recv(remaining)
-        if not chunk:
-            if eof_ok and remaining == count:
-                return None
+def _recv_into(sock, buffer: bytearray, eof_ok: bool = False) -> bool:
+    """Fill ``buffer`` from the socket.  EOF at a frame boundary returns
+    False when ``eof_ok``; EOF anywhere else is a protocol error."""
+    view = memoryview(buffer)
+    filled = 0
+    while filled < len(buffer):
+        received = sock.recv_into(view[filled:])
+        if not received:
+            if eof_ok and not filled:
+                return False
             raise NetworkProtocolError("connection closed mid-frame")
-        chunks.append(chunk)
-        remaining -= len(chunk)
-    return b"".join(chunks)
+        filled += received
+    return True
 
 
 # -- frame builders -----------------------------------------------------------
@@ -235,7 +281,11 @@ def result_pages(statement_id: int, result: Any) -> list[dict]:
                 "id": statement_id,
                 "seq": seq,
                 "columns": columns,
-                "rows": [encode_row(row) for row in chunk],
+                "rows": (
+                    chunk
+                    if _all_plain(chunk)
+                    else [encode_row(row) for row in chunk]
+                ),
                 "last": start + PAGE_ROWS >= len(rows),
             }
         )
@@ -260,17 +310,13 @@ def result_pages(statement_id: int, result: Any) -> list[dict]:
 
 
 def error_frame(statement_id: Optional[int], error: BaseException) -> dict:
-    import traceback as _traceback
-
-    from repro.errors import StatementCancelled
-
     return {
         "type": "error",
         "id": statement_id,
         "message": str(error),
         "error_type": type(error).__name__,
         "traceback": "".join(
-            _traceback.format_exception(
+            traceback.format_exception(
                 type(error), error, error.__traceback__
             )
         ),

@@ -12,7 +12,9 @@ Architecture: sockets and the engine never share a thread.
   through a command queue and get replies pushed back through
   ``loop.call_soon_threadsafe`` — so the engine's single-threaded
   discipline (exactly one session thread or the scheduler running at a
-  time) is preserved no matter how many sockets are live.
+  time) is preserved no matter how many sockets are live.  A statement's
+  whole reply (its ``result_page`` frames and ``done``) crosses in one
+  hop and leaves in one socket write.
 
 Per-connection metrics (statements, rows, cancels) and a server-wide
 statement latency histogram land in the connection's metrics registry.
@@ -23,6 +25,7 @@ from __future__ import annotations
 import asyncio
 import queue
 import secrets
+import socket
 import threading
 from collections import deque
 from time import monotonic, perf_counter
@@ -69,7 +72,7 @@ class _Connection:
 
     def __init__(self, conn_id: int, send: Any) -> None:
         self.conn_id = conn_id
-        self.send = send  # thread-safe: frame dict -> None
+        self.send = send  # thread-safe: (*frames) -> None, one write
         self.token = secrets.token_hex(16)
         self.session: Optional[Any] = None
         self.active: Optional[_Job] = None
@@ -89,14 +92,16 @@ class _Connection:
         self.highest_statement = 0
         self.throttled = False
 
-    def push(self, frame: dict) -> None:
-        """Send a result-stream frame exactly-once: stamp, buffer until
-        acknowledged, deliver now only if a socket is attached."""
-        frame["fseq"] = self.fseq
-        self.fseq += 1
-        self.buffer.append(frame)
+    def push(self, *frames: dict) -> None:
+        """Send result-stream frames exactly-once: stamp each, buffer
+        until acknowledged, deliver now — as one write — only if a
+        socket is attached."""
+        for frame in frames:
+            frame["fseq"] = self.fseq
+            self.fseq += 1
+        self.buffer.extend(frames)
         if not self.detached:
-            self.send(frame)
+            self.send(*frames)
 
     def control(self, frame: dict) -> None:
         """Best-effort frame outside the exactly-once stream."""
@@ -268,8 +273,9 @@ class EnginePump:
             try:
                 conn.session = self.server.open_session()
             except AdmissionError as error:
-                conn.send(protocol.error_frame(None, error))
-                conn.send({"type": "goodbye"})
+                conn.send(
+                    protocol.error_frame(None, error), {"type": "goodbye"}
+                )
                 conn.closing = True
                 return
             self.connections[conn.conn_id] = conn
@@ -361,10 +367,9 @@ class EnginePump:
                 conn.session.session_id,
                 token=conn.token,
                 replayed=len(conn.buffer),
-            )
+            ),
+            *conn.buffer,
         )
-        for frame in conn.buffer:
-            conn.send(frame)
         self._replayed.inc(len(conn.buffer))
         self._maybe_unthrottle(conn)
 
@@ -451,8 +456,7 @@ class EnginePump:
                 last = outcome[-1]
                 frames = protocol.result_pages(job.statement_id, last)
                 frames[-1]["results"] = len(outcome)
-                for frame in frames:
-                    conn.push(frame)
+                conn.push(*frames)
                 conn.rows_sent += len(last.rows)
                 conn.statements += len(outcome)
                 self._statements.inc(len(outcome))
@@ -607,17 +611,23 @@ class NetworkServer:
         task = asyncio.current_task()
         if task is not None:
             self._conn_tasks.add(task)
-        outbox: "asyncio.Queue[Optional[dict]]" = asyncio.Queue()
+        outbox: "asyncio.Queue[Optional[tuple]]" = asyncio.Queue()
 
-        def send(frame: Optional[dict]) -> None:
-            # called from the pump thread; hop onto the loop
-            loop.call_soon_threadsafe(outbox.put_nowait, frame)
+        def send(*frames: dict) -> None:
+            # called from the pump thread; one hop onto the loop for
+            # however many frames the reply has
+            loop.call_soon_threadsafe(outbox.put_nowait, frames)
 
         conn: Optional[_Connection] = None
         binding = 0
         clean = False
         writer_task = asyncio.ensure_future(self._writer(outbox, writer))
         try:
+            # asyncio's selector transport turns Nagle off on accepted
+            # sockets but does not document it; small writes depend on it
+            writer.get_extra_info("socket").setsockopt(
+                socket.IPPROTO_TCP, socket.TCP_NODELAY, 1
+            )
             frame = await self._read_frame(reader)
             if frame is None or frame.get("type") != "hello":
                 raise NetworkProtocolError("expected a hello frame first")
@@ -653,9 +663,9 @@ class NetworkServer:
                             NetworkProtocolError(
                                 "unknown or expired session token"
                             ),
-                        )
+                        ),
+                        {"type": "goodbye"},
                     )
-                    send({"type": "goodbye"})
                     clean = True
                     return
                 binding = conn.binding
@@ -701,8 +711,6 @@ class NetworkServer:
             # the stream protocol's done-callback sees no exception
             clean = True
         finally:
-            if task is not None:
-                self._conn_tasks.discard(task)
             if conn is not None:
                 if clean:
                     self.pump.post(("close", conn))
@@ -710,7 +718,9 @@ class NetworkServer:
                     # the socket died mid-conversation: keep the session
                     # (and its crowd spend) alive for a reattach
                     self.pump.post(("hangup", conn, binding))
-            send(None)  # writer sentinel: flush and exit
+            # writer sentinel: flush and exit.  Queued behind every send
+            # above, which reached the loop the same way
+            loop.call_soon(outbox.put_nowait, None)
             try:
                 await asyncio.shield(writer_task)
             except asyncio.CancelledError:  # pragma: no cover
@@ -720,6 +730,11 @@ class NetworkServer:
                 await writer.wait_closed()
             except (ConnectionError, OSError, asyncio.CancelledError):
                 pass
+            # last: close() drains the tasks still in this set, and a
+            # handler that left it before wait_closed() was destroyed
+            # pending when the loop stopped under it
+            if task is not None:
+                self._conn_tasks.discard(task)
 
     @staticmethod
     async def _read_frame(reader: asyncio.StreamReader) -> Optional[dict]:
@@ -738,14 +753,14 @@ class NetworkServer:
 
     @staticmethod
     async def _writer(
-        outbox: "asyncio.Queue[Optional[dict]]", writer: asyncio.StreamWriter
+        outbox: "asyncio.Queue[Optional[tuple]]", writer: asyncio.StreamWriter
     ) -> None:
         while True:
-            frame = await outbox.get()
-            if frame is None:
+            frames = await outbox.get()
+            if frames is None:
                 break
             try:
-                writer.write(protocol.pack_frame(frame))
+                writer.write(b"".join(map(protocol.pack_frame, frames)))
                 await writer.drain()
             except (ConnectionError, OSError):
                 break

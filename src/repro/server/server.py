@@ -137,7 +137,9 @@ class Server:
             # regions from different sessions overlap on real cores
             electronic_pool=getattr(shared, "electronic_pool", None),
         )
-        session = Session(session_id, executor)
+        session = Session(
+            session_id, executor, parse=self.connection.parsed_script
+        )
         self.admission.request(session)  # may raise before registration
         self.sessions[session_id] = session
         return session

@@ -23,7 +23,7 @@ import enum
 import threading
 from collections import deque
 from time import perf_counter
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 from repro.engine.executor import Executor, ResultSet
 from repro.errors import ExecutionError, StatementCancelled
@@ -45,9 +45,17 @@ _SLICE_TIMEOUT_SECONDS = 60.0
 class Session:
     """A suspendable CrowdSQL client multiplexed by the scheduler."""
 
-    def __init__(self, session_id: int, executor: Executor) -> None:
+    def __init__(
+        self,
+        session_id: int,
+        executor: Executor,
+        parse: Callable[[str], list] = parse_script,
+    ) -> None:
         self.session_id = session_id
         self.executor = executor
+        # script text -> statements; the server passes its connection's
+        # memoizing parser, shared by all sessions like the plan cache
+        self._parse = parse
         executor.crowd_waiter = self._crowd_wait
         self.state = SessionState.IDLE
         # CrowdFuture — or a list of them, for a batch-issuing operator —
@@ -243,7 +251,7 @@ class Session:
     def _run_one(self, sql: str, caps: tuple = (None, None)) -> None:
         self.state = SessionState.RUNNING
         try:
-            statements = parse_script(sql)
+            statements = self._parse(sql)
         except Exception as error:
             self.errors.append(error)
             self.results.append(error)

@@ -368,3 +368,43 @@ class TestServeFactory:
         server.run()
         assert session.last_result().scalar() == 42
         server.shutdown()
+
+
+class TestSharedParseMemo:
+    def test_identical_text_parses_once_across_sessions(self, monkeypatch):
+        import repro.api as api
+
+        parsed = []
+        parse_script = api.parse_script
+        monkeypatch.setattr(
+            api, "parse_script",
+            lambda sql: parsed.append(sql) or parse_script(sql),
+        )
+        server = serve(with_crowd=False)
+        server.connection.execute("CREATE TABLE t (a INTEGER)")
+        server.connection.execute("INSERT INTO t VALUES (1), (2), (3)")
+        before = dict(server.connection.parse_cache_stats)
+        script = "SELECT a FROM t ORDER BY a; SELECT COUNT(*) FROM t;"
+        first = server.open_session().submit(script)
+        second = server.open_session().submit(script)
+        server.run()
+        assert parsed == [script]
+        after = server.connection.parse_cache_stats
+        assert after["misses"] == before["misses"] + 1
+        assert after["hits"] == before["hits"] + 1
+        assert len(first.results) == len(second.results) == 2
+        for ours, theirs in zip(first.results, second.results):
+            assert repr((ours.columns, ours.rows, ours.rowcount)) == repr(
+                (theirs.columns, theirs.rows, theirs.rowcount)
+            )
+        assert first.results[0].rows == [(1,), (2,), (3,)]
+        server.shutdown()
+
+    def test_a_script_that_fails_to_parse_is_not_remembered(self):
+        server = serve(with_crowd=False)
+        for _ in range(2):
+            session = server.open_session().submit("SELEC nothing;")
+            server.run()
+            assert isinstance(session.results[-1], Exception)
+        assert server.connection.parse_cache_stats["hits"] == 0
+        server.shutdown()
