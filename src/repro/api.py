@@ -79,7 +79,6 @@ class Connection:
         wal_sync: str = "commit",
         checkpoint_interval: Optional[int] = 1024,
         electronic_workers: int = 0,
-        electronic_pool_kind: str = "thread",
     ) -> None:
         # durable storage: with a path (and durability="wal") the engine
         # is recovered from disk — checkpoint plus WAL tail — and every
@@ -166,9 +165,7 @@ class Connection:
         if electronic_workers and vectorized and compile_expressions:
             from repro.exec.pool import ElectronicPool
 
-            self.electronic_pool = ElectronicPool(
-                electronic_workers, kind=electronic_pool_kind
-            )
+            self.electronic_pool = ElectronicPool(electronic_workers)
             self.metrics.register_collector(
                 "electronic_pool", self.electronic_pool.snapshot
             )
@@ -480,7 +477,6 @@ def connect(
     platform_retries: Optional[int] = None,
     platform_timeout: Optional[float] = None,
     electronic_workers: int = 0,
-    electronic_pool_kind: str = "thread",
     statement_deadline_ms: Optional[int] = None,
     statement_budget_cents: Optional[int] = None,
     breaker_enabled: Optional[bool] = None,
@@ -557,12 +553,11 @@ def connect(
     :class:`CrowdConfig`).
 
     ``electronic_workers=N`` dispatches binder-approved pure-electronic
-    plan regions to a pool of N workers, so vectorized pipelines from
-    concurrent server sessions run on different cores while crowd waits
-    stay on the discrete-event scheduler.  ``electronic_pool_kind``
-    picks ``"thread"`` (default, safe everywhere) or ``"process"``
-    (fork-snapshot workers; true multi-core for picklable column
-    batches).  0 keeps the single-core in-place execution.
+    plan regions to a pool of N fork-snapshot worker processes, so
+    vectorized pipelines from concurrent server sessions run on
+    different cores while crowd waits stay on the discrete-event
+    scheduler; a region the pool cannot ship (unpicklable, no ``fork``)
+    runs in place.  0 keeps the single-core in-place execution.
     """
     overrides = {
         key: value
@@ -609,7 +604,6 @@ def connect(
         wal_sync=wal_sync,
         checkpoint_interval=checkpoint_interval,
         electronic_workers=electronic_workers,
-        electronic_pool_kind=electronic_pool_kind,
     )
     if not with_crowd:
         return Connection(

@@ -20,9 +20,9 @@ write a final checkpoint.
 ``--listen HOST:PORT`` serves the engine over TCP (the wire protocol in
 :mod:`repro.net.protocol`) until interrupted; ``--connect HOST:PORT``
 opens a remote shell on such a server instead of an in-process engine.
-``--electronic-workers N`` (with optional ``--electronic-pool
-thread|process``) dispatches pure-electronic plan regions to a worker
-pool so crowd waits and electronic scans overlap across cores.
+``--electronic-workers N`` dispatches pure-electronic plan regions to a
+pool of N worker processes so crowd waits and electronic scans overlap
+across cores.
 
 Dot-commands:
 
@@ -577,7 +577,6 @@ _DURABILITY_FLAGS = {
 #: regions to a worker pool (see ``connect(electronic_workers=...)``).
 _POOL_FLAGS = {
     "--electronic-workers": ("electronic_workers", int),
-    "--electronic-pool": ("electronic_pool_kind", str),
 }
 
 

@@ -126,10 +126,6 @@ class GroundTruthOracle:
             return None
         return rng.choice(pool)
 
-    def all_new_tuples(self, table: str) -> list[dict[str, Any]]:
-        groups = self._new_tuples.get(table.lower(), {})
-        return [row for rows in groups.values() for row in rows]
-
     def equal(self, left: Any, right: Any) -> bool:
         """Ground truth for CROWDEQUAL."""
         left_key, right_key = _norm(left), _norm(right)

@@ -50,6 +50,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
 from repro.catalog.table import TableSchema
+from repro.codec import decode_value, encode_value
 from repro.crowd.breaker import CircuitBreaker, RetryQueue
 from repro.crowd.model import (
     HIT,
@@ -70,7 +71,7 @@ from repro.errors import (
     TransientPlatformError,
     TypeError_,
 )
-from repro.sqltypes import CNULL, NULL, parse_literal
+from repro.sqltypes import NULL, parse_literal
 from repro.ui.manager import UITemplateManager
 
 
@@ -611,7 +612,7 @@ class TaskManager:
                     "primary_key": _encode_parked_row(primary_key),
                     "columns": list(columns),
                     "known_values": {
-                        column: _encode_parked(value)
+                        column: encode_value(value)
                         for column, value in known_values.items()
                     },
                     "platform": platform,
@@ -1154,7 +1155,7 @@ class TaskManager:
                     "table": schema.name,
                     "count": count,
                     "fixed_values": {
-                        column: _encode_parked(value)
+                        column: encode_value(value)
                         for column, value in fixed.items()
                     },
                     "known_keys": [
@@ -1303,8 +1304,8 @@ class TaskManager:
             self._park_entry(
                 {
                     "kind": "eq",
-                    "left": _encode_parked(left),
-                    "right": _encode_parked(right),
+                    "left": encode_value(left),
+                    "right": encode_value(right),
                     "question": question,
                     "platform": platform,
                 },
@@ -1401,8 +1402,8 @@ class TaskManager:
             self._park_entry(
                 {
                     "kind": "ord",
-                    "left": _encode_parked(left),
-                    "right": _encode_parked(right),
+                    "left": encode_value(left),
+                    "right": encode_value(right),
                     "question": question,
                     "platform": platform,
                 },
@@ -1962,28 +1963,11 @@ def _is_near_duplicate(key: tuple, known: set) -> bool:
 # -- retry-queue value codec ---------------------------------------------------
 #
 # Parked issue descriptors must be JSON lines (the queue is durable), but
-# crowd values include the NULL/CNULL singletons.  Same tagged-dict scheme
-# as the WAL codec; duplicated here so crowd/ stays import-independent of
-# storage/.
-
-
-def _encode_parked(value: Any) -> Any:
-    """JSON-safe encoding of one parked crowd value."""
-    if value is NULL or value is None:
-        return {"$": "null"}
-    if value is CNULL:
-        return {"$": "cnull"}
-    return value
+# crowd values include the NULL/CNULL singletons.
 
 
 def _decode_parked(value: Any) -> Any:
-    if isinstance(value, dict):
-        tag = value.get("$")
-        if tag == "null":
-            return NULL
-        if tag == "cnull":
-            return CNULL
-    return value
+    return decode_value(value, ExecutionError)
 
 
 def _key_signature(key: tuple) -> str:
@@ -1996,13 +1980,13 @@ def _key_signature(key: tuple) -> str:
             if isinstance(value, (frozenset, set)):
                 items.sort(key=repr)
             return items
-        return _encode_parked(value)
+        return encode_value(value)
 
     return json.dumps(encode(key), sort_keys=True, default=repr)
 
 
 def _encode_parked_row(values: Any) -> list:
-    return [_encode_parked(v) for v in values]
+    return [encode_value(v) for v in values]
 
 
 def _decode_parked_row(values: Any) -> tuple:

@@ -4,20 +4,15 @@ The cooperative scheduler interleaves sessions on one thread, which is
 exactly right for *crowd* waits (simulated marketplaces settle on a
 discrete-event clock) but leaves electronic work single-core.  This
 module fans binder-approved pure-electronic plan regions out to a
-:mod:`concurrent.futures` pool, so vectorized pipelines from different
-sessions run on different cores while their sessions are parked:
-
-* ``kind="thread"`` (default) submits a closure that materializes the
-  already-built vector region against the shared engine.  Safe for any
-  workload (regions are read-only by construction); real parallelism to
-  the extent kernels run in C/NumPy lanes that release the GIL.
-* ``kind="process"`` ships the *logical region* (picklable plan subtree
-  plus parameters) to forked worker processes that inherit the engine
-  by copy-on-write — no table data ever crosses the pipe, only the plan
-  out and the result rows back.  Workers re-bind and re-plan the region
-  against their inherited snapshot, so results are identical to
-  in-process execution.  Any engine mutation invalidates the snapshot
-  (a version token covering every heap) and the pool re-forks lazily.
+:mod:`concurrent.futures` process pool, so vectorized pipelines from
+different sessions run on different cores while their sessions are
+parked.  The pool ships the *logical region* (picklable plan subtree
+plus parameters) to forked worker processes that inherit the engine by
+copy-on-write — no table data ever crosses the pipe, only the plan out
+and the result rows back.  Workers re-bind and re-plan the region
+against their inherited snapshot, so results are identical to
+in-process execution.  Any engine mutation invalidates the snapshot (a
+version token covering every heap) and the pool re-forks lazily.
 
 Integration: :class:`~repro.exec.vectorized.BatchToRowsOp` — the cap of
 every vectorized region — calls :meth:`ElectronicPool.run_region`.  Under
@@ -26,9 +21,9 @@ handed to the session's ``crowd_waiter`` exactly like a crowd future, so
 the session suspends and the scheduler overlaps other sessions with the
 pool work.  Standalone connections block in place.
 
-Every dispatch path falls back to in-process execution on trouble
-(pickling failure, no fork support, stale snapshot mid-refork), never
-changing results — the pool is purely a placement decision.
+A region the pool cannot ship (pickling failure, no fork support, a
+broken pool) is counted in ``fallbacks`` and run in place by the caller,
+never changing results — the pool is purely a placement decision.
 """
 
 from __future__ import annotations
@@ -121,17 +116,6 @@ def _run_region_payload(payload: bytes) -> tuple[list, int]:
 # -- parent side --------------------------------------------------------------
 
 
-def _materialize_rows(op: Any) -> tuple[list, int]:
-    """Thread-mode work unit: pivot the region's batches to rows.
-
-    The vector operators bump the shared context's counters themselves
-    (same context, different thread), so the scanned delta is zero here.
-    """
-    from repro.exec.vectorized import _pivot_rows
-
-    return [row for batch in op.child for row in _pivot_rows(batch)], 0
-
-
 def _engine_token(engine: Any) -> tuple:
     """Freshness token over everything a region can read: catalog/stats
     epoch plus every heap's mutation counter."""
@@ -147,26 +131,15 @@ def _engine_token(engine: Any) -> tuple:
 class ElectronicPool:
     """A bounded worker pool for binder-approved electronic regions."""
 
-    def __init__(self, workers: int, kind: str = "thread") -> None:
-        if kind not in ("thread", "process"):
-            raise ValueError(
-                f"electronic pool kind must be 'thread' or 'process', "
-                f"got {kind!r}"
-            )
+    def __init__(self, workers: int) -> None:
         self.workers = max(1, int(workers))
-        self.kind = kind
         self._lock = threading.Lock()
-        self._threads = concurrent.futures.ThreadPoolExecutor(
-            max_workers=self.workers,
-            thread_name_prefix="crowddb-electronic",
-        )
         self._processes: Optional[concurrent.futures.ProcessPoolExecutor] = None
         self._fork_token: Optional[tuple] = None
         self._closed = False
         self.stats = {
             "dispatched": 0,
             "process_dispatched": 0,
-            "thread_dispatched": 0,
             "reforks": 0,
             "fallbacks": 0,
         }
@@ -180,7 +153,6 @@ class ElectronicPool:
                 return
             self._closed = True
             processes, self._processes = self._processes, None
-        self._threads.shutdown(wait=True, cancel_futures=True)
         if processes is not None:
             processes.shutdown(wait=True, cancel_futures=True)
 
@@ -192,38 +164,36 @@ class ElectronicPool:
 
     # -- dispatch -----------------------------------------------------------
 
-    def run_region(self, context: Any, op: Any) -> tuple[list, int]:
-        """Execute ``op``'s region on the pool; returns (rows, scanned).
+    def run_region(
+        self, context: Any, op: Any
+    ) -> Optional[tuple[list, int]]:
+        """Execute ``op``'s region on the pool; returns (rows, scanned),
+        or None when the region could not be shipped and the caller must
+        run it in place.
 
         Under the concurrent query server the session parks on the
         dispatch (``crowd_waiter``) so other sessions run meanwhile; a
         cancel or close raises :class:`~repro.errors.StatementCancelled`
         out of the park and the abandoned future finishes in background.
         """
-        future = self._submit(context, op)
-        electronic = ElectronicFuture(future, label=type(op.child).__name__)
-        self.stats["dispatched"] += 1
-        if context.crowd_waiter is not None:
-            context.crowd_waiter(electronic)  # may raise StatementCancelled
-        rows, scanned = electronic.result()
-        return rows, scanned
-
-    def _submit(self, context: Any, op: Any) -> concurrent.futures.Future:
         if self._closed:
             raise RuntimeError("electronic pool is shut down")
-        if self.kind == "process" and op.region is not None:
-            future = self._submit_process(context, op)
-            if future is not None:
-                self.stats["process_dispatched"] += 1
-                return future
+        self.stats["dispatched"] += 1
+        future = self._submit(context, op)
+        if future is None:
             self.stats["fallbacks"] += 1
-        self.stats["thread_dispatched"] += 1
-        return self._threads.submit(_materialize_rows, op)
+            return None
+        self.stats["process_dispatched"] += 1
+        electronic = ElectronicFuture(future, label=type(op.child).__name__)
+        if context.crowd_waiter is not None:
+            context.crowd_waiter(electronic)  # may raise StatementCancelled
+        return electronic.result()
 
-    def _submit_process(
+    def _submit(
         self, context: Any, op: Any
     ) -> Optional[concurrent.futures.Future]:
-        """Try the fork-snapshot process path; None means fall back."""
+        """Ship the region to a fork-snapshot worker; None means the
+        caller falls back to in-place execution."""
         try:
             payload = pickle.dumps(
                 (op.region, context.parameters, context.compile_expressions)
@@ -246,7 +216,7 @@ class ElectronicPool:
         """The live process pool, re-forked when the engine moved on.
 
         Caller holds ``self._lock``.  Returns None when fork is
-        unavailable (non-POSIX) — the thread pool serves instead.
+        unavailable (non-POSIX) — regions then run in place.
         """
         try:
             mp_context = multiprocessing.get_context("fork")

@@ -158,12 +158,13 @@ class BatchToRowsOp(PhysicalOperator):
     above it observe bit-identical rows.
 
     When the context carries an electronic pool, the whole region below
-    this cap is dispatched to it instead of iterating in place: worker
-    threads/processes materialize the rows while the session (under the
+    this cap is dispatched to it instead of iterating in place: a
+    forked worker materializes the rows while the session (under the
     concurrent query server) is parked, so electronic work from
     different sessions overlaps on different cores.  ``region`` is the
-    logical plan node this cap was planned from — the process pool ships
-    it to forked workers; ``None`` restricts dispatch to thread mode.
+    logical plan node this cap was planned from — the pool ships it to
+    its workers; ``None`` (or a region the pool cannot ship) runs in
+    place.
     """
 
     def __init__(
@@ -185,11 +186,13 @@ class BatchToRowsOp(PhysicalOperator):
 
     def __iter__(self) -> Iterator[tuple]:
         pool = self.context.electronic_pool
-        if pool is not None:
-            rows, scanned = pool.run_region(self.context, self)
-            self.context.rows_scanned += scanned
-            yield from rows
-            return
+        if pool is not None and self.region is not None:
+            shipped = pool.run_region(self.context, self)
+            if shipped is not None:
+                rows, scanned = shipped
+                self.context.rows_scanned += scanned
+                yield from rows
+                return
         for batch in self.child:
             yield from _pivot_rows(batch)
 

@@ -14,6 +14,7 @@ import io
 import json
 from typing import TYPE_CHECKING, Any, Optional
 
+from repro.codec import decode_value, encode_value
 from repro.errors import StorageError
 from repro.sqltypes import CNULL, NULL, SQLType, parse_literal
 
@@ -145,7 +146,7 @@ def save_snapshot(connection: "Connection", target: str | io.TextIOBase) -> None
                 "name": schema.name,
                 "columns": list(schema.column_names),
                 "rows": [
-                    [_encode(value) for value in row.values]
+                    [encode_value(value) for value in row.values]
                     for row in heap.scan()
                 ],
             }
@@ -178,7 +179,7 @@ def load_snapshot(connection: "Connection", source: str | io.TextIOBase) -> list
         for row in table["rows"]:
             connection.engine.insert(
                 table["name"],
-                [_decode(value) for value in row],
+                [decode_value(value, StorageError) for value in row],
                 tuple(table["columns"]),
             )
         created.append(table["name"])
@@ -210,22 +211,3 @@ def _schema_to_ddl(schema) -> str:
         )
     crowd = "CROWD " if schema.crowd else ""
     return f"CREATE {crowd}TABLE {schema.name} ({', '.join(parts)})"
-
-
-def _encode(value: Any) -> Any:
-    if value is NULL:
-        return {"$": "null"}
-    if value is CNULL:
-        return {"$": "cnull"}
-    return value
-
-
-def _decode(value: Any) -> Any:
-    if isinstance(value, dict):
-        marker = value.get("$")
-        if marker == "null":
-            return NULL
-        if marker == "cnull":
-            return CNULL
-        raise StorageError(f"unknown snapshot marker {value!r}")
-    return value

@@ -56,19 +56,6 @@ def conjoin(conjuncts: list[ast.Expression]) -> Optional[ast.Expression]:
     return result
 
 
-def referenced_bindings(expr: ast.Expression) -> set[str]:
-    """Lowercased table bindings a predicate explicitly references.
-
-    Unqualified column references return the empty string marker, meaning
-    "needs scope to decide" — such conjuncts are only pushed when a target
-    provides the column unambiguously.
-    """
-    bindings: set[str] = set()
-    for ref in ast.expression_columns(expr):
-        bindings.add(ref.table.lower() if ref.table else "")
-    return bindings
-
-
 def plan_bindings(plan: logical.LogicalPlan) -> set[str]:
     """All scan/alias bindings provided by a subplan (lowercased)."""
     provided: set[str] = set()

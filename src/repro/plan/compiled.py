@@ -225,16 +225,6 @@ class _Compiler:
         self.context = context
         self.parameters = parameters
 
-    # -- fallbacks -------------------------------------------------------------
-
-    def _fallback_value(self, expr: ast.Expression) -> tuple[ValueFn, bool]:
-        """Interpreted closure for a subtree outside the compiled subset;
-        reproduces the interpreter's lazy error behaviour exactly."""
-        return (
-            _interpreted_value(expr, self.scope, self.context, self.parameters),
-            False,
-        )
-
     def _fold(self, fn: ValueFn, const: bool) -> tuple[ValueFn, bool]:
         """Evaluate a pure constant subtree once at compile time.  If the
         evaluation raises, keep the closure so the error still surfaces

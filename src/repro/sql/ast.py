@@ -446,10 +446,3 @@ def contains_crowd_builtin(expr: Expression) -> bool:
         isinstance(e, (CrowdEqual, CrowdOrder)) for e in walk_expression(expr)
     )
 
-
-def contains_aggregate(expr: Expression) -> bool:
-    """True when ``expr`` contains an aggregate function call."""
-    return any(
-        isinstance(e, FunctionCall) and e.is_aggregate
-        for e in walk_expression(expr)
-    )

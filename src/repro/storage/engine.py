@@ -225,13 +225,12 @@ class StorageEngine:
     # -- replay / recovery -------------------------------------------------------
 
     def apply_entry(self, entry) -> None:
-        """Re-apply one committed log entry (replay and recovery path).
+        """Re-apply one committed log entry (the recovery path).
 
-        Rows land under their *original* rowids, constraint probes are
-        skipped (the data was valid when it committed), and the applied
-        entry is re-logged into this engine's own transaction log — so a
-        replayed engine is byte-for-byte the engine that wrote the log,
-        including rowids, indexes, and the statistics epoch.
+        Rows land under their *original* rowids and constraint probes are
+        skipped (the data was valid when it committed) — so a recovered
+        engine is byte-for-byte the engine that wrote the log, including
+        rowids, indexes, and the statistics epoch.
 
         ``UPDATE`` payloads may be either the full in-memory shape
         ``(rowid, old_values, new_values)`` or the redo-only WAL shape
@@ -243,21 +242,12 @@ class StorageEngine:
             self.drop_table(entry.table)
         elif entry.op is LogOp.INSERT:
             rowid, values = entry.payload
-            heap = self.table(entry.table)
-            heap.restore_row(rowid, values)
-            self.log.append(
-                LogOp.INSERT, heap.name, (rowid, values), entry.origin
-            )
+            self.table(entry.table).restore_row(rowid, values)
         elif entry.op is LogOp.DELETE:
             self.delete(entry.table, entry.payload[0], origin=entry.origin)
         elif entry.op is LogOp.UPDATE:
             rowid, new = entry.payload[0], entry.payload[-1]
-            heap = self.table(entry.table)
-            old = heap.get(rowid)
-            heap.update(rowid, new)
-            self.log.append(
-                LogOp.UPDATE, heap.name, (rowid, old.values, new), entry.origin
-            )
+            self.table(entry.table).update(rowid, new)
         elif entry.op is LogOp.CREATE_INDEX:
             name, columns, unique, ordered = entry.payload
             self.create_index(
@@ -265,14 +255,6 @@ class StorageEngine:
             )
         elif entry.op is LogOp.ANALYZE:
             self.analyze(None if entry.table == "*" else entry.table)
-
-    @staticmethod
-    def replay(log: TransactionLog) -> "StorageEngine":
-        """Rebuild an engine from a log (durability check used in tests)."""
-        engine = StorageEngine()
-        for entry in log:
-            engine.apply_entry(entry)
-        return engine
 
     @staticmethod
     def recover(path: str, **kwargs: Any) -> "StorageEngine":

@@ -136,9 +136,6 @@ class HeapTable:
                 f"table {self.name!r} has no row id {rowid}"
             ) from None
 
-    def has_rowid(self, rowid: int) -> bool:
-        return rowid in self._rows
-
     def analyze(self) -> TableStatistics:
         """Rebuild histograms/MCVs for every column (``ANALYZE`` path)."""
         self.statistics.analyze()
@@ -148,11 +145,6 @@ class HeapTable:
 
     def _key_for(self, values: tuple[Any, ...], columns: tuple[str, ...]) -> tuple:
         return tuple(values[self.schema.column_index(c)] for c in columns)
-
-    def primary_key_of(self, values: tuple[Any, ...]) -> tuple:
-        if not self.schema.primary_key:
-            raise StorageError(f"table {self.name!r} has no primary key")
-        return self._key_for(values, tuple(self.schema.primary_key))
 
     def lookup_primary_key(self, key: tuple[Any, ...]) -> Optional[Row]:
         """Find the row with the given primary-key tuple, if present."""

@@ -91,7 +91,7 @@ def _entry_from_record(record: dict) -> LogEntry:
         )
     else:  # DROP_TABLE / ANALYZE
         payload = ()
-    return LogEntry(lsn=0, op=op, table=table, payload=payload, origin=origin)
+    return LogEntry(op=op, table=table, payload=payload, origin=origin)
 
 
 def recover_storage(
@@ -143,9 +143,6 @@ def recover_storage(
             engine.apply_entry(_entry_from_record(record))
             report.records_replayed += 1
         last_lsn = lsn
-    # the replayed entries duplicated history into the fresh in-memory
-    # log; drop them so it only carries this process's writes
-    engine.log.truncate()
     report.next_lsn = max(last_lsn + 1, scan.last_lsn + 1, 0)
     return RecoveredState(engine=engine, crowd=crowd, report=report)
 
@@ -252,7 +249,6 @@ class DurableStorage:
         write_checkpoint(self.directory, state)
         # only now is the old WAL redundant
         self.wal.truncate()
-        self.engine.log.truncate()
         self.checkpoints_written += 1
         return last_lsn
 

@@ -1,21 +1,19 @@
-"""Append-only operation log for the storage substrate.
+"""Operation log for the storage substrate.
 
-A lightweight stand-in for H2's transaction log: every mutation is recorded
-as a structured entry.  Supports replay onto an empty engine — used by the
-durability tests and by the Task Manager's audit trail of crowd-sourced
-writes (crowd answers are always memorized; the log shows when and why).
-
-When a :class:`~repro.storage.wal.WriteAheadLog` is attached, every entry
-is additionally framed and written through to disk before ``append``
-returns, which is what makes the in-memory engine crash-recoverable (see
-``repro.storage.recovery``).
+A lightweight stand-in for H2's transaction log: every mutation is
+described by one structured entry.  When a
+:class:`~repro.storage.wal.WriteAheadLog` is attached, the entry is framed
+and written through to disk before ``append`` returns, which is what makes
+the in-memory engine crash-recoverable (see ``repro.storage.recovery``);
+crowd-sourced writes carry ``origin="crowd"`` into their records.  Nothing
+is retained in memory: an instance without a WAL keeps no history.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator, Optional
+from dataclasses import dataclass
+from typing import Any, Optional
 
 
 class LogOp(enum.Enum):
@@ -40,7 +38,6 @@ class LogEntry:
     the crowd subsystem ("crowd") when memorizing worker answers.
     """
 
-    lsn: int
     op: LogOp
     table: str
     payload: tuple[Any, ...] = ()
@@ -48,19 +45,12 @@ class LogEntry:
 
 
 class TransactionLog:
-    """In-memory append-only log, optionally written through to a WAL."""
+    """Write-through of engine mutations to the attached WAL, if any."""
 
     def __init__(self, wal: Optional[Any] = None) -> None:
-        self._entries: list[LogEntry] = []
         #: attached :class:`~repro.storage.wal.WriteAheadLog` (or None for
-        #: the classic in-memory-only behaviour)
+        #: an in-memory instance, which logs nothing)
         self.wal = wal
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __iter__(self) -> Iterator[LogEntry]:
-        return iter(self._entries)
 
     def append(
         self,
@@ -68,30 +58,11 @@ class TransactionLog:
         table: str,
         payload: tuple[Any, ...] = (),
         origin: str = "client",
-    ) -> LogEntry:
-        entry = LogEntry(
-            lsn=len(self._entries),
-            op=op,
-            table=table,
-            payload=payload,
-            origin=origin,
-        )
-        if self.wal is not None:
-            # write-ahead: the record must be durable (per the sync
-            # policy) before the mutation is acknowledged to the caller
-            from repro.storage.wal import wal_record_for
+    ) -> None:
+        if self.wal is None:
+            return
+        # write-ahead: the record must be durable (per the sync policy)
+        # before the mutation is acknowledged to the caller
+        from repro.storage.wal import wal_record_for
 
-            self.wal.append(wal_record_for(entry))
-        self._entries.append(entry)
-        return entry
-
-    def entries_for_table(self, table: str) -> list[LogEntry]:
-        lowered = table.lower()
-        return [e for e in self._entries if e.table.lower() == lowered]
-
-    def crowd_entries(self) -> list[LogEntry]:
-        """All mutations performed by the crowd subsystem."""
-        return [e for e in self._entries if e.origin == "crowd"]
-
-    def truncate(self) -> None:
-        self._entries.clear()
+        self.wal.append(wal_record_for(LogEntry(op, table, payload, origin)))

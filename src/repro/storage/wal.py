@@ -36,10 +36,11 @@ import zlib
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping, Optional
 
+from repro import codec
 from repro.catalog.column import Column
 from repro.catalog.table import ForeignKey, TableSchema
 from repro.errors import WALError
-from repro.sqltypes import CNULL, NULL, SQLType
+from repro.sqltypes import SQLType
 
 #: records between fsyncs under the "batch" sync policy
 BATCH_RECORDS = 64
@@ -48,43 +49,25 @@ SYNC_POLICIES = ("commit", "batch", "off")
 
 
 # -- value / schema serialization ---------------------------------------------
-#
-# Storage tuples hold JSON-native scalars plus the NULL/CNULL singletons;
-# the singletons are encoded as one-key tagged dicts (a scalar column can
-# never legitimately store a dict, so the tag is unambiguous).
-
-_NULL_TAG = {"$": "null"}
-_CNULL_TAG = {"$": "cnull"}
 
 
 def encode_value(value: Any) -> Any:
-    """JSON-safe encoding of one storage value."""
-    if value is NULL or value is None:
-        return _NULL_TAG
-    if value is CNULL:
-        return _CNULL_TAG
-    if isinstance(value, (str, int, float, bool)):
-        return value
-    raise WALError(f"cannot serialize storage value {value!r}")
+    """JSON-safe encoding of one storage value (see :mod:`repro.codec`)."""
+    return codec.encode_value(value, WALError)
 
 
 def decode_value(value: Any) -> Any:
-    if isinstance(value, dict):
-        tag = value.get("$")
-        if tag == "null":
-            return NULL
-        if tag == "cnull":
-            return CNULL
-        raise WALError(f"unknown value tag {value!r}")
-    return value
+    return codec.decode_value(value, WALError)
 
 
 def encode_row(values: Iterable[Any]) -> list:
-    return [encode_value(v) for v in values]
+    encode = codec.encode_value  # one call a value: rows are the hot path
+    return [encode(v, WALError) for v in values]
 
 
 def decode_row(values: Iterable[Any]) -> tuple:
-    return tuple(decode_value(v) for v in values)
+    decode = codec.decode_value
+    return tuple(decode(v, WALError) for v in values)
 
 
 def schema_to_dict(schema: TableSchema) -> dict:

@@ -40,7 +40,3 @@ class FormEditor:
         edited = template.with_html(html)
         self.manager.replace(edited)
         return edited
-
-    def reset_tracking(self, template_id: str) -> bool:
-        """Whether a template still carries developer edits."""
-        return self.manager.get(template_id).edited

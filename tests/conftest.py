@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 import warnings
 
 import pytest
@@ -35,6 +36,104 @@ ATTENDEE_DDL = """CREATE CROWD TABLE NotableAttendee (
     title STRING,
     FOREIGN KEY (title) REF Talk(title)
 )"""
+
+
+#: Scan-filter-join-aggregate-order over the order book: BETWEEN, LIKE and
+#: arithmetic conjuncts, computed aggregate arguments.  The statement the
+#: execution-path differential tests and the observability overhead
+#: ceiling run on; ``perf/workloads/olap_scan.py`` times the same shape at
+#: 100k rows.
+ORDER_BOOK_QUERY = """
+SELECT c.region,
+       COUNT(*),
+       SUM(o.amount),
+       AVG(o.amount * (1 + o.priority * 0.05)),
+       MAX(o.amount - o.priority * 2.5)
+FROM orders o JOIN customers c ON o.customer_id = c.id
+WHERE o.amount BETWEEN 20 AND 450
+  AND o.status LIKE 'ship%'
+  AND o.priority >= 1
+  AND o.amount * 1.08 < 470
+GROUP BY c.region
+ORDER BY SUM(o.amount) DESC
+"""
+
+
+def load_order_book(db: Connection, orders: int = 5_000,
+                    customers: int = 100) -> None:
+    """Create and fill ``customers`` and ``orders`` from a fixed seed.
+
+    Rows go through ``engine.insert`` (typed, indexed, statistics
+    maintained) rather than INSERT statements, which would spend the
+    load parsing."""
+    db.execute(
+        "CREATE TABLE customers (id INTEGER PRIMARY KEY, "
+        "name STRING, region STRING)"
+    )
+    db.execute(
+        "CREATE TABLE orders (id INTEGER PRIMARY KEY, customer_id INTEGER, "
+        "amount FLOAT, status STRING, priority INTEGER)"
+    )
+    rng = random.Random(14)
+    regions = ["west", "east", "north", "south", "central"]
+    statuses = ["shipped", "shipping", "pending", "cancelled", "returned"]
+    for i in range(customers):
+        db.engine.insert(
+            "customers", [i, f"cust{i:04d}", regions[i % len(regions)]]
+        )
+    for i in range(orders):
+        db.engine.insert(
+            "orders",
+            [
+                i,
+                rng.randrange(customers),
+                round(rng.uniform(1, 500), 2),
+                statuses[rng.randrange(len(statuses))],
+                rng.randrange(5),
+            ],
+        )
+
+
+@pytest.fixture
+def order_book():
+    """``(load, query)``: :func:`load_order_book` and the statement to
+    run over what it loads."""
+    return load_order_book, ORDER_BOOK_QUERY
+
+
+@pytest.fixture
+def near_perfect_crowd():
+    """Factory ``(oracle, seed=11, **connect_keywords) -> Connection`` over
+    a simulated AMT whose workers are pinned near-perfect.
+
+    For tests that compare *schedules* (serial against concurrent, TCP
+    against in-process): the runs interleave marketplace events
+    differently under one seed, so only a crowd that does not err makes
+    their answers identical.  Noisy crowds are the quality tests' job."""
+    from repro.crowd.model import reset_id_counters
+    from repro.crowd.sim.amt import SimulatedAMT
+    from repro.crowd.sim.behavior import BehaviorConfig
+    from repro.crowd.sim.population import generate_population
+
+    def build(oracle: GroundTruthOracle, seed: int = 11, **kwargs) -> Connection:
+        reset_id_counters()
+        platform = SimulatedAMT(
+            oracle,
+            workers=generate_population(
+                200, seed=seed, skill_range=(0.995, 1.0), id_prefix="amt-"
+            ),
+            seed=seed,
+            config=BehaviorConfig(base_accuracy=0.999),
+        )
+        return connect(
+            oracle=oracle,
+            seed=seed,
+            platforms=(platform,),
+            default_platform="amt",
+            **kwargs,
+        )
+
+    return build
 
 
 @pytest.fixture(autouse=True)

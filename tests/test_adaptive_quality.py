@@ -24,7 +24,10 @@ from repro.crowd.model import (
 )
 from repro.crowd.platform import PlatformRegistry
 from repro.crowd.reputation import ReputationStore
+from repro.crowd.quality import normalize_answer
 from repro.crowd.scripted import ScriptedPlatform, oracle_answer_fn
+from repro.crowd.sim.amt import SimulatedAMT
+from repro.crowd.sim.behavior import BehaviorConfig
 from repro.crowd.sim.population import generate_skew_population
 from repro.crowd.sim.traces import GroundTruthOracle
 from repro.crowd.task_manager import TaskManager
@@ -464,3 +467,141 @@ class TestCompiledExpressionInterplay:
         assert compiled_stats["assignments_received"] == interpreted_stats[
             "assignments_received"
         ]
+
+
+# -- the whole subsystem against the paper's fixed replication ----------------------
+
+
+class TestAdaptiveAgainstFixedReplication:
+    """A 400-professor fill scan (department and email are CROWD columns)
+    on a skew-skill crowd — 75% diligent experts, 25% careless spammers —
+    under ``replication=3`` majority voting and under the adaptive knobs:
+    two assignments up front, extension while confidence is low, gold
+    probes, and blocking through the WRM."""
+
+    ROWS = 400
+    SEED = 42
+    KNOBS = dict(
+        target_confidence=0.8,
+        min_replication=2,
+        max_replication=7,
+        gold_rate=0.05,
+        block_below=0.6,
+    )
+    DEPARTMENTS = ["EECS", "Statistics", "Biology", "Chemistry", "History"]
+
+    def _names(self, count):
+        return [f"Prof. {chr(65 + i % 26)}{i:03d}" for i in range(count)]
+
+    def _oracle(self):
+        oracle = GroundTruthOracle()
+        for i, name in enumerate(self._names(self.ROWS)):
+            oracle.load_fill(
+                "Professor",
+                (name,),
+                {
+                    "department": self.DEPARTMENTS[i % 5],
+                    "email": f"prof{i:03d}@univ.edu",
+                },
+            )
+        return oracle
+
+    def _scan(self, db):
+        db.execute(
+            "CREATE TABLE Professor (name STRING PRIMARY KEY, "
+            "department CROWD STRING, email CROWD STRING)"
+        )
+        for name in self._names(self.ROWS):
+            db.execute("INSERT INTO Professor (name) VALUES (?)", (name,))
+        return db.execute("SELECT name, department, email FROM Professor")
+
+    def _run_skew(self, config):
+        reset_id_counters()
+        oracle = self._oracle()
+        platform = SimulatedAMT(
+            oracle,
+            workers=generate_skew_population(
+                80,
+                seed=self.SEED,
+                spammer_fraction=0.25,
+                expert_skill_range=(0.95, 1.0),
+                id_prefix="amt-",
+            ),
+            seed=self.SEED,
+            config=BehaviorConfig(base_accuracy=0.97),
+        )
+        db = connect(
+            oracle=oracle,
+            seed=self.SEED,
+            platforms=(platform,),
+            default_platform="amt",
+            crowd_config=config,
+        )
+        db.reputation.block_after_observations = 4.0
+        # a requester starts with a few verified facts in the gold bank
+        for name in self._names(8):
+            db.reputation.add_gold(
+                FillTask(
+                    "Professor", (name,), ("department", "email"),
+                    {"name": name},
+                ),
+                {
+                    column: str(oracle.fill_value("Professor", (name,), column))
+                    for column in ("department", "email")
+                },
+            )
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", CrowdDBWarning)
+            result = self._scan(db)
+        cells = [
+            (value, oracle.fill_value("Professor", (name,), column))
+            for name, department, email in result.rows
+            for column, value in (("department", department), ("email", email))
+        ]
+        return {
+            # platform-side counters include the gold probes: every paid
+            # assignment counts against the saving
+            "assignments": platform.assignments_submitted,
+            "cost_cents": platform.total_cost_cents,
+            "accuracy": sum(
+                normalize_answer(str(got)) == normalize_answer(str(truth))
+                for got, truth in cells
+            ) / len(cells),
+            "extensions": int(db.crowd_stats["hit_extensions"]),
+            "gold_hits": int(db.crowd_stats["gold_hits_posted"]),
+            "blocked": sum(a.blocked for a in db.wrm.accounts.values()),
+        }
+
+    def _run_perfect(self, config):
+        reset_id_counters()
+        oracle = self._oracle()
+        db = connect(
+            oracle=oracle,
+            platforms=(ScriptedPlatform(oracle_answer_fn(oracle)),),
+            default_platform="scripted",
+            crowd_config=config,
+        )
+        result = self._scan(db)
+        return sorted(result.rows), db.crowd_stats["assignments_received"]
+
+    def test_cheaper_and_no_less_accurate_on_a_skewed_crowd(self):
+        fixed = self._run_skew(CrowdConfig(replication=3))
+        adaptive = self._run_skew(CrowdConfig(**self.KNOBS))
+        # at least a quarter fewer paid assignments, gold probes included
+        assert adaptive["assignments"] <= 0.75 * fixed["assignments"]
+        assert adaptive["cost_cents"] < fixed["cost_cents"]
+        # cheaper must never mean worse
+        assert adaptive["accuracy"] >= fixed["accuracy"]
+        # and the saving comes from the mechanisms under test
+        assert adaptive["extensions"] > 0
+        assert adaptive["gold_hits"] > 0
+        assert adaptive["blocked"] > 0
+        assert fixed["extensions"] == 0
+
+    def test_knobs_change_cost_not_answers_on_a_perfect_crowd(self):
+        fixed_rows, fixed_paid = self._run_perfect(CrowdConfig(replication=3))
+        adaptive_rows, adaptive_paid = self._run_perfect(
+            CrowdConfig(**self.KNOBS)
+        )
+        assert adaptive_rows == fixed_rows
+        assert adaptive_paid < fixed_paid

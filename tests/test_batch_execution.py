@@ -105,6 +105,7 @@ class TestBatchFillEquivalence:
                     "rows": sorted(result.rows),
                     "heap": heap_state(db, "City"),
                     "stats": db.crowd_stats,
+                    "seconds": db.platforms.get("amt").clock.now,
                 }
             )
         return results
@@ -124,6 +125,18 @@ class TestBatchFillEquivalence:
         assert batched["stats"]["hits_posted"] == per_row["stats"]["hits_posted"]
         assert grouped["stats"]["hits_posted"] < per_row["stats"]["hits_posted"]
         assert grouped["stats"]["cost_cents"] == per_row["stats"]["cost_cents"]
+        # four tasks a HIT: at most a quarter of the HITs, rounded up
+        assert grouped["stats"]["hits_posted"] <= (
+            per_row["stats"]["hits_posted"] + 3
+        ) // 4
+
+    def test_batching_cuts_simulated_makespan(self, runs):
+        """Issuing the window up front overlaps the marketplace latency
+        that tuple-at-a-time execution pays once per row."""
+        per_row, batched, grouped = runs
+        assert per_row["seconds"] >= 3.0 * batched["seconds"]
+        # HIT groups trade some overlap for fewer HITs, and still win
+        assert per_row["seconds"] >= 2.0 * grouped["seconds"]
 
 
 class TestCrowdEqualBatchEquivalence:

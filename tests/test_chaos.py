@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import re
 import socket
+import statistics
 import threading
 import time
 
@@ -71,6 +72,26 @@ class TestChaosProxy:
         assert proxy.stats["connections"] == 1
         assert proxy.stats["frames_down"] > 0
         assert proxy.stats["kills"] == 0
+
+    @pytest.mark.parametrize("through_proxy", [False, True])
+    def test_client_observed_round_trip_has_no_send_stall(
+        self, net, proxy, through_proxy
+    ):
+        """What one client sees, which the server-side histogram cannot:
+        its clock starts once the statement frame has arrived, so a
+        socket left on Nagle's algorithm — the client's, the accepted
+        one, or either leg of the proxy — reads healthy there while every
+        statement but a connection's first waits ~40 ms for the peer's
+        delayed ACK.  Stalled is ~45 ms, healthy under 1 ms; the line is
+        drawn at 15."""
+        target = proxy if through_proxy else net
+        samples = []
+        with connect_tcp(target.host, target.port) as client:
+            for index in range(50):
+                started = time.perf_counter()
+                client.execute(f"SELECT {index} + 1;")
+                samples.append(time.perf_counter() - started)
+        assert statistics.median(samples) * 1e3 < 15.0
 
     def test_kill_mid_stream_resume_exactly_once(self, net, proxy):
         with connect_tcp(net.host, net.port) as seeder:

@@ -379,6 +379,31 @@ class TestEndToEndEquivalence:
     def test_compiled_matches_interpreted(self):
         assert self._run_all(True) == self._run_all(False)
 
+    def test_order_book_pipeline_matches_interpreted(self, order_book):
+        """5,000 rows through every electronic operator at once, on the
+        default path (compiled, and vectorized where the binder allows)
+        and on the compiled row closures alone, against the interpreter.
+        ``repr`` equality catches type drift (1 vs 1.0 vs True) that
+        plain ``==`` would wave through."""
+        load, query = order_book
+        runs = []
+        for mode in (
+            dict(compile_expressions=False),
+            dict(vectorized=False),
+            dict(),
+        ):
+            db = connect(with_crowd=False, **mode)
+            load(db)
+            runs.append((db.execute(query), db.explain(query)))
+        (interpreted, interpreted_plan), *compiled_runs = runs
+        assert len(interpreted.rows) == 5  # one group per region
+        assert "-- expressions: interpreted" in interpreted_plan
+        for compiled, compiled_plan in compiled_runs:
+            assert compiled.columns == interpreted.columns
+            assert compiled.rows == interpreted.rows
+            assert repr(compiled.rows) == repr(interpreted.rows)
+            assert "-- expressions: compiled" in compiled_plan
+
     def test_explain_marks_compilation_mode(self):
         compiled = connect(with_crowd=False)
         interpreted = connect(with_crowd=False, compile_expressions=False)

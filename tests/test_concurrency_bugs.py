@@ -249,17 +249,33 @@ def test_electronic_pool_matches_inline_execution():
     expected = baseline.execute(POOL_QUERY)
     baseline.close()
 
-    for kind in ("thread", "process"):
-        conn = connect(electronic_workers=2, electronic_pool_kind=kind)
-        conn.executescript(POOL_SETUP)
-        result = conn.execute(POOL_QUERY)
-        assert result.rows == expected.rows, kind
-        stats = conn.electronic_pool.snapshot()
-        assert stats["dispatched"] >= 1, kind
-        if kind == "process":
-            # actually crossed the process boundary (no silent fallback)
-            assert stats["process_dispatched"] >= 1
-        conn.close()
+    conn = connect(electronic_workers=2)
+    conn.executescript(POOL_SETUP)
+    result = conn.execute(POOL_QUERY)
+    assert result.rows == expected.rows
+    assert repr(result.rows) == repr(expected.rows)
+    stats = conn.electronic_pool.snapshot()
+    assert stats["dispatched"] >= 1
+    # actually crossed the process boundary (no silent fallback)
+    assert stats["process_dispatched"] >= 1
+    assert stats["fallbacks"] == 0
+    conn.close()
+
+
+def test_unshippable_region_runs_in_place_and_counts_as_fallback():
+    class Threshold(int):  # a local class: pickle cannot find it by name
+        pass
+
+    conn = connect(electronic_workers=2)
+    conn.executescript(POOL_SETUP)
+    result = conn.execute(
+        "SELECT COUNT(*) AS c FROM p WHERE n < ?", (Threshold(150),)
+    )
+    assert result.rows == [(150,)]
+    stats = conn.electronic_pool.snapshot()
+    assert stats["fallbacks"] == 1
+    assert stats["process_dispatched"] == 0
+    conn.close()
 
 
 def test_electronic_pool_shutdown_is_idempotent():
@@ -283,5 +299,9 @@ def test_concurrent_sessions_share_one_electronic_pool():
     server.run()
     for session in sessions:
         assert session.last_result().rows == [(40,)]
-    assert server.connection.electronic_pool.snapshot()["dispatched"] >= 4
+    stats = server.connection.electronic_pool.snapshot()
+    assert stats["dispatched"] >= 4
+    # every parked session's region crossed the process boundary
+    assert stats["process_dispatched"] >= 4
+    assert stats["fallbacks"] == 0
     server.close()

@@ -3,27 +3,36 @@
 Covers the robustness layer below the network: the ``WITH
 DEADLINE/BUDGET`` statement syntax, partial results with structured
 reasons, the per-platform circuit breaker with its durable retry queue,
-and deterministic platform fault injection.
+and deterministic platform fault injection — and, at the end, all of it
+at once under a seeded sweep of network and platform faults.
 """
 
 from __future__ import annotations
 
+import random
 import threading
+import time
+import warnings
 
 import pytest
 
 from repro.api import connect
 from repro.crowd.breaker import CLOSED, HALF_OPEN, OPEN, CircuitBreaker, RetryQueue
-from repro.crowd.model import HIT, FillTask
+from repro.crowd.model import HIT, FillTask, reset_id_counters
 from repro.crowd.sim.amt import SimulatedAMT
 from repro.crowd.sim.traces import GroundTruthOracle
 from repro.engine.guard import StatementGuard
 from repro.errors import (
     CircuitOpenError,
+    ConnectionLostError,
+    CrowdDBWarning,
     ParseError,
     PartialResultStop,
     TransientPlatformError,
 )
+from repro.net import connect_tcp, protocol, serve_tcp
+from repro.net.chaos import ChaosProxy
+from repro.server import Server
 from repro.sql import ast
 from repro.sql.parser import parse
 from repro.sql.pretty import format_statement
@@ -539,3 +548,217 @@ class TestBreakerIntegration:
         fresh = connect(oracle=person_oracle(1), seed=11, path=path)
         assert len(fresh.task_manager.retry_queue) == parked
         fresh.close()
+
+
+# -- the layers together: a seeded chaos sweep --------------------------------
+
+
+@pytest.mark.concurrency
+class TestChaosSweep:
+    """Eight seeded fault schedules, each one client session through a
+    :class:`ChaosProxy` against a TCP-served crowd instance: a connection
+    fault (kill, torn frame, stall, duplicated frames, duplicated
+    statements — the first six seeds cover every kind, later ones draw),
+    maybe a platform outage, maybe a statement cap.  The session runs a
+    multi-page electronic SELECT and a keyed crowd probe, reattaching
+    once if the connection dies."""
+
+    SEEDS = 8
+    CITIES = 6
+    ITEM_ROWS = protocol.PAGE_ROWS
+    FAULTS = ("none", "kill", "tear", "stall", "dup_frames", "dup_statements")
+
+    @staticmethod
+    def _task_key(hit) -> tuple:
+        """Identity of the crowd work a HIT purchases: two HITs sharing a
+        key mean the same answer was bought twice."""
+        task = hit.task
+        return (
+            type(task).__name__,
+            getattr(task, "table", None),
+            tuple(getattr(task, "primary_key", ()) or ()),
+            tuple(getattr(task, "columns", ()) or ()),
+            getattr(task, "question", None),
+        )
+
+    @staticmethod
+    def _metric(text: str, name: str) -> int:
+        for line in text.splitlines():
+            if line.startswith(f"crowddb_{name} "):
+                return int(float(line.split()[-1]))
+        return 0
+
+    def _run_seed(self, seed: int) -> dict:
+        reset_id_counters()
+        rng = random.Random(1000 + seed)
+        oracle = GroundTruthOracle()
+        for i in range(self.CITIES):
+            oracle.load_fill(
+                "City", (f"city{i}",), {"population": 10_000 + 137 * i}
+            )
+        # the breaker trips within one call's retry loop, so a sustained
+        # outage degrades the statement to partial("breaker") instead of
+        # escaping as a transient platform error
+        db = connect(oracle=oracle, seed=11, breaker_failure_threshold=3)
+        server = Server(connection=db)
+        net = serve_tcp(server=server)
+        proxy = ChaosProxy(net.host, net.port).start()
+        record = {
+            "seed": seed, "resumes": 0, "statuses": [], "reasons": [],
+            "duplicate_rows": 0,
+        }
+        try:
+            with connect_tcp(net.host, net.port) as admin:
+                admin.execute(
+                    "CREATE TABLE City (name STRING PRIMARY KEY, "
+                    "population CROWD INTEGER);"
+                    "CREATE TABLE items (n INTEGER);"
+                    + "".join(
+                        f"INSERT INTO items VALUES ({i});"
+                        for i in range(self.ITEM_ROWS)
+                    )
+                    + "".join(
+                        f"INSERT INTO City (name) VALUES ('city{i}');"
+                        for i in range(self.CITIES)
+                    )
+                )
+            fault = (
+                self.FAULTS[seed]
+                if seed < len(self.FAULTS)
+                else rng.choice(self.FAULTS)
+            )
+            record["fault"] = fault
+            if fault == "kill":
+                proxy.arm(kill_after_frames=rng.randint(2, 6))
+            elif fault == "tear":
+                proxy.arm(kill_after_frames=rng.randint(2, 6), tear=True)
+            elif fault == "stall":
+                proxy.arm(
+                    stall_seconds=rng.uniform(0.1, 0.4),
+                    stall_before_frame=rng.randint(1, 4),
+                )
+            elif fault == "dup_frames":
+                proxy.arm(duplicate_frames=True)
+            elif fault == "dup_statements":
+                proxy.arm(duplicate_statements=True)
+            outage = rng.choice((0, 0, 0, 2, 25))
+            if outage:
+                db.platforms.get("amt").inject_outage(outage)
+            caps = {}
+            if rng.random() < 0.2:
+                caps["deadline_ms"] = 1  # guaranteed deadline partial
+            elif rng.random() < 0.2:
+                caps["budget_cents"] = 0  # guaranteed budget partial
+
+            client = connect_tcp(proxy.host, proxy.port, timeout=60)
+            for sql, statement_caps in (
+                ("SELECT n FROM items;", {}),
+                (
+                    "SELECT population FROM City "
+                    f"WHERE name = 'city{rng.randrange(self.CITIES)}';",
+                    caps,
+                ),
+            ):
+                try:
+                    result = client.execute(sql, **statement_caps)
+                except ConnectionLostError as lost:
+                    # reattach direct to the server: the proxy's fault
+                    # plan is one-shot
+                    client = connect_tcp(
+                        net.host, net.port, resume=lost.token,
+                        have=lost.have, timeout=60,
+                    )
+                    result = client.resume_execute(lost)
+                    record["resumes"] += 1
+                record["statuses"].append(result.status)
+                record["reasons"].append(result.partial_reason)
+                record["duplicate_rows"] += len(result.rows) - len(
+                    set(result.rows)
+                )
+                if sql.startswith("SELECT n"):
+                    record["electronic_rows"] = sorted(
+                        row[0] for row in result.rows
+                    )
+            client.close()
+
+            record["task_keys"] = [
+                self._task_key(hit)
+                for hit in db.platforms.get("amt")._hits.values()
+            ]
+            text = net.server.metrics_text()
+            for name in (
+                "net_resumes_total",
+                "net_replayed_frames_total",
+                "net_duplicate_statements_total",
+            ):
+                record[name] = self._metric(text, name)
+        finally:
+            proxy.close()
+            net.close()
+            server.close()
+        record["leaked_sessions"] = len(server.sessions)
+        return record
+
+    @pytest.fixture(scope="class")
+    def sweep(self):
+        baseline = threading.active_count()
+        records = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", CrowdDBWarning)
+            for seed in range(self.SEEDS):
+                record = self._run_seed(seed)
+                deadline = time.monotonic() + 10.0
+                while (
+                    threading.active_count() > baseline
+                    and time.monotonic() < deadline
+                ):
+                    time.sleep(0.05)
+                record["leaked_threads"] = max(
+                    0, threading.active_count() - baseline
+                )
+                records.append(record)
+        return records
+
+    def test_every_statement_completes_or_degrades_explicitly(self, sweep):
+        for record in sweep:
+            assert len(record["statuses"]) == 2, record
+            for status, reason in zip(record["statuses"], record["reasons"]):
+                assert status in ("complete", "partial"), record
+                if status == "partial":
+                    assert reason in ("deadline", "budget", "breaker"), record
+                else:
+                    assert reason is None, record
+
+    def test_zero_duplicate_result_rows(self, sweep):
+        # exactly-once across detach, resume and replay: the multi-page
+        # electronic result is complete with no repeats
+        for record in sweep:
+            assert record["duplicate_rows"] == 0, record
+            assert record["electronic_rows"] == list(
+                range(self.ITEM_ROWS)
+            ), record["seed"]
+
+    def test_zero_repurchased_crowd_assignments(self, sweep):
+        # at most one HIT per unique crowd task, however often the
+        # connection died or a statement frame was duplicated in flight
+        for record in sweep:
+            keys = record["task_keys"]
+            assert len(keys) == len(set(keys)), record
+
+    def test_no_leaked_sessions_or_threads(self, sweep):
+        for record in sweep:
+            assert record["leaked_sessions"] == 0, record
+            assert record["leaked_threads"] == 0, record
+
+    def test_faults_actually_landed(self, sweep):
+        """The sweep must exercise the machinery, not dodge it: real
+        detaches healed by resume, duplicate submissions dropped, and at
+        least one partial degradation."""
+        assert sum(r["net_resumes_total"] for r in sweep) >= 1
+        assert sum(r["net_replayed_frames_total"] for r in sweep) >= 1
+        assert sum(r["resumes"] for r in sweep) >= 1
+        assert sum(r["net_duplicate_statements_total"] for r in sweep) >= 1
+        assert any("partial" in r["statuses"] for r in sweep)
+        assert {"kill", "tear", "dup_frames", "dup_statements"} <= {
+            r["fault"] for r in sweep
+        }

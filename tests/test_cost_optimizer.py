@@ -409,6 +409,69 @@ CROWD_SQL = (
 )
 
 
+def _star_join_db(cost_based):
+    """6,000 publications joined to four dimensions, plus a curation side
+    table kept outside the reorderable core by a LEFT JOIN.  Two traps
+    make a greedy rows-only planner over textbook selectivities pay:
+    ``h_index < 1`` keeps 2% of professors where the constant guess says
+    30%, and ``status = 'approved'`` cannot sink below the LEFT JOIN, so
+    it shares the top filter with the CROWDEQUAL — evaluated whole, that
+    filter ballots every distinct venue instead of the approved rows'."""
+    oracle = GroundTruthOracle()
+    oracle.declare_same_entity("VLDB", "Proc. of the VLDB Endowment", "PVLDB")
+    db = connect(
+        oracle=oracle,
+        platforms=(ScriptedPlatform(oracle_answer_fn(oracle)),),
+        default_platform="scripted",
+        cost_based_optimizer=cost_based,
+    )
+    db.executescript(
+        """
+        CREATE TABLE topic (id INTEGER PRIMARY KEY, name STRING);
+        CREATE TABLE inst (id INTEGER PRIMARY KEY, name STRING);
+        CREATE TABLE venue (id INTEGER PRIMARY KEY, name STRING);
+        CREATE TABLE prof (id INTEGER PRIMARY KEY, name STRING,
+                           inst_id INTEGER, h_index INTEGER);
+        CREATE TABLE pub (id INTEGER PRIMARY KEY, prof_id INTEGER,
+                          venue_id INTEGER, topic_id INTEGER);
+        CREATE TABLE curation (pub_id INTEGER PRIMARY KEY, status STRING);
+        """
+    )
+    insert = db.engine.insert
+    for i in range(40):
+        insert("topic", [i, f"topic{i:02d}"])
+    for i in range(50):
+        insert("inst", [i, f"inst{i:02d}"])
+    variants = {0: "Proc. of the VLDB Endowment", 1: "PVLDB"}
+    for i in range(200):
+        insert("venue", [i, variants.get(i, f"venue{i:03d}")])
+    for i in range(400):
+        insert("prof", [i, f"prof{i:04d}", i % 50, i % 50])
+    for i in range(6_000):
+        # the 199-cycle is coprime to the professor filter's 50-cycle, so
+        # the filtered publications still spread over ~199 venues
+        insert("pub", [i, i % 400, i % 199, i % 40])
+    for i in range(0, 6_000, 200):
+        insert("curation", [i, "approved" if i % 1000 == 0 else "pending"])
+    db.execute("ANALYZE")
+    return db
+
+
+STAR_SQL = """
+SELECT pr.name, v.name, pb.id
+FROM pub pb
+JOIN prof pr ON pb.prof_id = pr.id
+JOIN venue v ON pb.venue_id = v.id
+JOIN topic t ON pb.topic_id = t.id
+JOIN inst i ON pr.inst_id = i.id
+LEFT JOIN curation c ON c.pub_id = pb.id
+WHERE pr.h_index < 1
+  AND c.status = 'approved'
+  AND CROWDEQUAL(v.name, 'VLDB', 'Is this the same venue?')
+ORDER BY pr.name, v.name, pb.id
+"""
+
+
 class TestConjunctOrdering:
     def test_crowd_conjunct_ordered_last(self):
         db = _crowdequal_db()
@@ -429,6 +492,28 @@ class TestConjunctOrdering:
             ordered.crowd_stats["assignments_received"]
             < baseline.crowd_stats["assignments_received"]
         )
+
+    def test_star_join_same_rows_for_fewer_assignments(self):
+        """The two plans against each other on a star join with both
+        traps set (see :func:`_star_join_db`): identical rows, strictly
+        less paid for them, and the repeat served from the plan cache."""
+        runs = {}
+        for cost_based in (False, True):
+            db = _star_join_db(cost_based)
+            first = db.execute(STAR_SQL)
+            hits_before = db.executor.plan_cache.stats["hits"]
+            repeat = db.execute(STAR_SQL)
+            assert db.executor.plan_cache.stats["hits"] > hits_before
+            assert repeat.rows == first.rows
+            runs[cost_based] = (first.rows, db.crowd_stats)
+        (baseline_rows, baseline), (rows, cost_based) = runs[False], runs[True]
+        assert rows == baseline_rows
+        assert len(rows) > 0
+        assert (
+            cost_based["assignments_received"]
+            < baseline["assignments_received"]
+        )
+        assert cost_based["cost_cents"] < baseline["cost_cents"]
 
     def test_interpreted_path_matches_compiled(self):
         compiled_db = _crowdequal_db(compile_expressions=True)

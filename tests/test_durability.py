@@ -11,17 +11,21 @@ crash and never silent loss.  Paid crowd answers live in the same log
 from __future__ import annotations
 
 import io
+import os
 import signal
+import tempfile
 import warnings
 
 import pytest
 
 from repro import cli, connect, serve
 from repro.api import Connection
+from repro.crowd.platform import PlatformRegistry
 from repro.crowd.scripted import ScriptedPlatform, oracle_answer_fn
 from repro.crowd.sim.amt import SimulatedAMT
 from repro.crowd.task_manager import CrowdConfig
 from repro.errors import (
+    CrowdDBError,
     ExecutionError,
     RecoveryWarning,
     TransientPlatformError,
@@ -55,6 +59,46 @@ WORKLOAD = [
     "INSERT INTO t VALUES (3, 'I.B.M.')",
     "ANALYZE t",
 ]
+
+
+GOLDEN_WAL = os.path.join(os.path.dirname(__file__), "golden", "wal_v1.jsonl")
+
+
+def golden_wal_bytes(directory) -> bytes:
+    """The WAL a fixed history writes: every value shape the storage
+    codec has (NULL, CNULL, bools, ints, floats, non-ASCII strings), every
+    record kind the engine logs, and the crowd ledger's three."""
+    storage = DurableStorage(
+        str(directory), wal_sync="off", checkpoint_interval=None
+    )
+    run_statements(
+        Connection(engine=storage.engine),
+        [
+            "CREATE TABLE g (id INTEGER PRIMARY KEY, s STRING, f FLOAT, "
+            "b BOOLEAN, c CROWD STRING, n CROWD INTEGER)",
+            "INSERT INTO g (id, s, f, b) VALUES "
+            "(1, 'naïve — 日本語 ✓ 𝄞', 0.25, TRUE), "
+            "(2, NULL, -1.5e-7, FALSE), "
+            "(-3, '', 1e300, NULL), "
+            "(4, 'quote\" back\\slash', 0.30000000000000004, TRUE)",
+            "INSERT INTO g VALUES (1180591620717411303424, 'big', 5e-324, "
+            "FALSE, 'answered', 7)",
+            "CREATE INDEX g_s ON g (s)",
+            "UPDATE g SET f = -0.0, s = 'ü' WHERE id = 2",
+            "DELETE FROM g WHERE id = -3",
+            "ANALYZE g",
+            "CREATE TABLE gone (a INTEGER)",
+            "DROP TABLE gone",
+        ],
+    )
+    row = next(iter(storage.engine.table("g").scan()))
+    storage.engine.set_value("g", row.rowid, "c", "crowd said", origin="crowd")
+    storage.ledger.record_equal("i.b.m.", "ibm", True)
+    storage.ledger.record_order("best?", "a", "b", "left")
+    storage.ledger.record_reputation("amt-7", 3.0, 2.5)
+    storage.wal.close()
+    with open(wal_path(str(directory)), "rb") as handle:
+        return handle.read()
 
 
 def run_statements(connection, statements):
@@ -103,6 +147,28 @@ class TestWalFraming:
     def test_unencodable_value_raises(self):
         with pytest.raises(WALError):
             encode_value(object())
+
+    def test_wal_bytes_equal_the_parent_commits(self, tmp_path):
+        """``tests/golden/wal_v1.jsonl`` was captured from the commit
+        before the three ``{"$": ...}`` codecs became ``repro.codec``
+        (``python tests/test_durability.py`` rewrites it — only ever do
+        that on purpose, with a WAL format change)."""
+        with open(GOLDEN_WAL, "rb") as handle:
+            golden = handle.read().splitlines()
+        ours = golden_wal_bytes(tmp_path).splitlines()
+        # record by record first, so a failure names the record that moved
+        for index, (got, want) in enumerate(zip(ours, golden)):
+            assert got == want, f"WAL record {index} changed on disk"
+        assert ours == golden
+        scan = read_wal(GOLDEN_WAL)
+        assert not scan.corrupt_tail
+        values = [
+            decode_value(value)
+            for _, record in scan.records
+            for value in record.get("values", ())
+        ]
+        assert any(value is NULL for value in values)
+        assert any(value is CNULL for value in values)
 
     def test_append_read_round_trip(self, tmp_path):
         path = str(tmp_path / "wal.jsonl")
@@ -369,7 +435,81 @@ class TestCrowdLedger:
         )
         assert recovered.crowd_stats["hits_posted"] == 0
         assert recovered.crowd_stats["fill_requests"] == 0
+        # the paid answers travelled through the WAL, as crowd records
+        assert db.storage.ledger.records > 0
+        assert recovered.recovery_report.crowd_records > 0
         recovered.close()
+
+    CROWD_SETUP = [
+        "CREATE TABLE Talk (title STRING PRIMARY KEY, "
+        "abstract CROWD STRING, nb_attendees CROWD INTEGER)",
+        "INSERT INTO Talk (title) VALUES ('CrowdDB')",
+        "INSERT INTO Talk (title) VALUES ('Qurk')",
+        "INSERT INTO Talk (title) VALUES ('PIQL')",
+        "CREATE TABLE Company (name STRING PRIMARY KEY)",
+        "INSERT INTO Company VALUES ('I.B.M.')",
+        "INSERT INTO Company VALUES ('Microsoft')",
+    ]
+    CROWD_QUERIES = [
+        "SELECT abstract FROM Talk WHERE title = 'CrowdDB'",
+        "SELECT nb_attendees FROM Talk WHERE title = 'Qurk'",
+        "SELECT abstract, nb_attendees FROM Talk WHERE title = 'PIQL'",
+        "SELECT name FROM Company WHERE CROWDEQUAL(name, 'IBM')",
+    ]
+
+    def test_crash_mid_workload_converges_without_overpaying(
+        self, tmp_path, demo_oracle
+    ):
+        """Kill the write stream at every record boundary of a crowd
+        workload: recovery plus a re-run reaches the reference answers,
+        never pays more than the from-scratch price, and — crash and
+        re-run together — pays twice only for the one HIT whose answer
+        was in flight when the log died."""
+
+        def answers(db):
+            return [sorted(db.execute(q).rows) for q in self.CROWD_QUERIES]
+
+        reference_db = self._durable_crowd(tmp_path / "reference", demo_oracle)
+        run_statements(reference_db, self.CROWD_SETUP)
+        reference = answers(reference_db)
+        full_price = reference_db.crowd_stats["assignments_received"]
+        records = reference_db.storage.wal.stats.records
+        in_flight = reference_db.task_manager.config.replication
+        assert full_price > 0
+        for cut in range(records):
+            directory = tmp_path / f"cut-{cut}"
+            storage = DurableStorage(
+                str(directory),
+                checkpoint_interval=None,
+                wal_factory=lambda path, **kw: FaultingWAL(
+                    path, fail_after_records=cut, **kw
+                ),
+            )
+            registry = PlatformRegistry()
+            registry.register(
+                ScriptedPlatform(oracle_answer_fn(demo_oracle)), default=True
+            )
+            crashed = Connection(engine=storage.engine, platforms=registry)
+            storage.bind_crowd(crashed.task_manager, crashed.reputation)
+            with pytest.raises(WalCrash):
+                run_statements(crashed, self.CROWD_SETUP)
+                answers(crashed)
+            retry = self._durable_crowd(directory, demo_oracle)
+            # recovery may land mid-set-up: make schema and seed rows whole
+            for statement in self.CROWD_SETUP:
+                try:
+                    retry.execute(statement)
+                except CrowdDBError:
+                    pass  # already recovered from the WAL
+            assert answers(retry) == reference, f"diverged at cut {cut}"
+            paid_before_crash = crashed.crowd_stats.get(
+                "assignments_received", 0
+            )
+            repurchased = retry.crowd_stats["assignments_received"]
+            retry.close()
+            assert repurchased <= full_price, cut
+            twice = paid_before_crash + repurchased - full_price
+            assert 0 <= twice <= in_flight, cut
 
     def test_comparison_cache_recovers(self, tmp_path, demo_oracle):
         db = self._durable_crowd(tmp_path, demo_oracle)
@@ -529,3 +669,12 @@ class TestCliDurability:
         reopened = connect(path=str(db_dir), with_crowd=False)
         assert reopened.execute("SELECT * FROM t").rows == [(1,)]
         reopened.close()
+
+
+if __name__ == "__main__":
+    os.makedirs(os.path.dirname(GOLDEN_WAL), exist_ok=True)
+    with tempfile.TemporaryDirectory() as scratch:
+        data = golden_wal_bytes(scratch)
+    with open(GOLDEN_WAL, "wb") as out:
+        out.write(data)
+    print(f"wrote {len(data)} bytes to {GOLDEN_WAL}")

@@ -282,6 +282,104 @@ def test_admission_rejection_travels_as_an_error_frame():
         server.close()
 
 
+def test_clients_over_the_active_cap_all_finish_with_in_process_answers(
+    near_perfect_crowd,
+):
+    """24 concurrent TCP clients, each an electronic aggregate plus a
+    keyed crowd probe (windows overlap, so in-flight HITs are shared),
+    against a listener that admits 6 at a time: every client completes,
+    and its answers are those of the same scripts through
+    ``Server.run_scripts`` — the wire adds transport, not semantics."""
+    from repro.crowd.sim.traces import GroundTruthOracle
+    from repro.server import Server
+
+    clients, cities = 24, 24
+    setup = (
+        [
+            "CREATE TABLE City (name STRING PRIMARY KEY, "
+            "population CROWD INTEGER)",
+            "CREATE TABLE items (n INTEGER, k STRING)",
+        ]
+        + [f"INSERT INTO City (name) VALUES ('city{i:02d}')"
+           for i in range(cities)]
+        + [f"INSERT INTO items VALUES ({i}, 'k{i % 5}')" for i in range(400)]
+    )
+
+    def statements(index):
+        return [
+            "SELECT k, COUNT(*) AS c FROM items "
+            f"WHERE n < {100 + index % 50} GROUP BY k ORDER BY k",
+            "SELECT population FROM City "
+            f"WHERE name = 'city{index % cities:02d}'",
+        ]
+
+    def fresh_server():
+        oracle = GroundTruthOracle()
+        for i in range(cities):
+            oracle.load_fill(
+                "City", (f"city{i:02d}",), {"population": 10_000 + 137 * i}
+            )
+        server = Server(connection=near_perfect_crowd(oracle))
+        server.admission.config.max_waiting_sessions = clients
+        return server
+
+    server = fresh_server()
+    for statement in setup:
+        server.connection.execute(statement)
+    in_process = {
+        index: [sorted(result.rows) for result in results]
+        for index, results in enumerate(
+            server.run_scripts(
+                ["; ".join(statements(i)) for i in range(clients)]
+            )
+        )
+    }
+    server.shutdown()
+
+    server = fresh_server()
+    server.admission.config.max_active_sessions = 6
+    net = serve_tcp(server=server)
+    answers: dict[int, list] = {}
+    errors: list = []
+    lock = threading.Lock()
+
+    def client(index: int) -> None:
+        try:
+            with connect_tcp(net.host, net.port, timeout=120) as conn:
+                mine = [
+                    sorted(conn.execute(sql + ";").rows)
+                    for sql in statements(index)
+                ]
+            with lock:
+                answers[index] = mine
+        except Exception as error:  # pragma: no cover - failure path
+            with lock:
+                errors.append((index, error))
+
+    try:
+        with connect_tcp(net.host, net.port) as admin:
+            admin.execute(";".join(setup) + ";")
+        threads = [
+            threading.Thread(target=client, args=(i,)) for i in range(clients)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert answers == in_process
+        admission = server.admission.stats
+        assert admission.rejected == 0
+        assert admission.promoted == admission.waitlisted > 0  # cap engaged
+        latency = server.connection.metrics.histogram("net_statement_seconds")
+        assert latency.count >= 2 * clients
+        assert latency.percentile(0.99) >= latency.percentile(0.50) > 0.0
+    finally:
+        net.close()
+        server.close()
+
+
 # -- lifecycle ----------------------------------------------------------------
 
 

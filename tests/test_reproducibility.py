@@ -1,21 +1,17 @@
-"""Determinism and durability guarantees.
+"""Determinism guarantees.
 
 The benchmarks' credibility rests on the simulation being a pure
-function of its seed, and the storage engine being reconstructible from
-its log — both are pinned down here.
+function of its seed, pinned down here.  (That the storage engine is
+reconstructible from its log is checked from disk, at every record
+boundary, in ``test_durability.py``.)
 """
 
-import hypothesis.strategies as st
 import pytest
-from hypothesis import HealthCheck, given, settings
 
 from repro import connect
 from repro.crowd.model import reset_id_counters
 from repro.crowd.scripted import ScriptedPlatform
 from repro.crowd.sim.traces import GroundTruthOracle
-from repro.storage.engine import StorageEngine
-from repro.catalog.ddl import build_table_schema
-from repro.sql.parser import parse
 
 
 def run_demo(seed: int):
@@ -234,50 +230,6 @@ class TestAdaptiveDeterminism:
             < fixed_stats["assignments_received"]
         )
         assert adaptive_stats["cost_cents"] < fixed_stats["cost_cents"]
-
-
-class TestLogReplayProperty:
-    _ops = st.lists(
-        st.tuples(
-            st.sampled_from(["insert", "delete", "update"]),
-            st.integers(min_value=0, max_value=15),
-            st.integers(min_value=-50, max_value=50),
-        ),
-        max_size=40,
-    )
-
-    @given(_ops)
-    @settings(
-        max_examples=50,
-        deadline=None,
-        suppress_health_check=[HealthCheck.too_slow],
-    )
-    def test_replay_reconstructs_any_history(self, operations):
-        """Whatever sequence of DML ran, replaying the log yields an
-        identical table."""
-        engine = StorageEngine()
-        engine.create_table(
-            build_table_schema(
-                parse("CREATE TABLE t (k INTEGER PRIMARY KEY, v INTEGER)")
-            )
-        )
-        live_rowids: dict[int, int] = {}
-        for op, key, value in operations:
-            if op == "insert" and key not in live_rowids:
-                row = engine.insert("t", [key, value])
-                live_rowids[key] = row.rowid
-            elif op == "delete" and key in live_rowids:
-                engine.delete("t", live_rowids.pop(key))
-            elif op == "update" and key in live_rowids:
-                engine.update("t", live_rowids[key], (key, value))
-        rebuilt = StorageEngine.replay(engine.log)
-        original = sorted(r.values for r in engine.table("t").scan())
-        replayed = sorted(r.values for r in rebuilt.table("t").scan())
-        assert original == replayed
-        assert (
-            rebuilt.table("t").statistics.row_count
-            == engine.table("t").statistics.row_count
-        )
 
 
 class TestScriptedPlatform:

@@ -23,6 +23,7 @@ from repro.server import (
     SessionState,
     TaskPool,
 )
+from repro.sql.parser import parse_script
 from repro.storage.engine import StorageEngine
 from repro.ui.manager import UITemplateManager
 
@@ -184,6 +185,117 @@ class TestTaskPoolDedup:
             == posted_after_first
         )
         server.shutdown()
+
+
+class TestSharedServerAgainstSerial:
+    """One mixed workload — four users probing overlapping windows of 24
+    cities and repeating CROWDEQUAL targets — run three ways under one
+    seed: a fresh instance per user one after another (every user pays
+    in full), one shared instance back to back (memorization reuses
+    *settled* answers), and four concurrent sessions on the server."""
+
+    SESSIONS = 4
+    CITIES = 24
+    COMPANIES = [
+        "I.B.M.", "International Business Machines", "ibm corp", "MSFT",
+        "Microsoft Corporation", "Oracle Corp", "ORCL", "S.A.P.",
+    ]
+    TARGETS = ["IBM", "Microsoft", "Oracle", "HP"]
+
+    def _oracle(self):
+        oracle = GroundTruthOracle()
+        oracle.declare_same_entity("IBM", *self.COMPANIES[:3])
+        oracle.declare_same_entity("Microsoft", *self.COMPANIES[3:5])
+        oracle.declare_same_entity("Oracle", *self.COMPANIES[5:7])
+        oracle.declare_same_entity("SAP", self.COMPANIES[7])
+        oracle.declare_same_entity("HP", "Hewlett-Packard")
+        for i in range(self.CITIES):
+            oracle.load_fill(
+                "City",
+                (f"city{i:02d}",),
+                {"population": 10_000 + 137 * i, "elevation": 5 * i},
+            )
+        return oracle
+
+    def _scripts(self):
+        scripts = []
+        for index in range(self.SESSIONS):
+            statements = []
+            for offset in range(4):  # windows overlap the neighbour's by 2
+                city = f"city{(2 * index + offset) % self.CITIES:02d}"
+                column = "population" if offset % 2 == 0 else "elevation"
+                statements.append(
+                    f"SELECT {column} FROM City WHERE name = '{city}'"
+                )
+            statements.append(
+                "SELECT name FROM Company WHERE CROWDEQUAL(name, "
+                f"'{self.TARGETS[index % len(self.TARGETS)]}')"
+            )
+            scripts.append("; ".join(statements))
+        return scripts
+
+    def _instance(self, near_perfect_crowd):
+        db = near_perfect_crowd(self._oracle())
+        db.execute(
+            "CREATE TABLE City (name STRING PRIMARY KEY, "
+            "population CROWD INTEGER, elevation CROWD INTEGER)"
+        )
+        db.execute("CREATE TABLE Company (name STRING PRIMARY KEY)")
+        for i in range(self.CITIES):
+            db.execute(f"INSERT INTO City (name) VALUES ('city{i:02d}')")
+        for name in self.COMPANIES:
+            db.execute("INSERT INTO Company (name) VALUES (?)", (name,))
+        return db
+
+    @staticmethod
+    def _serial(db, script):
+        return [
+            sorted(db.executor.execute(statement).rows)
+            for statement in parse_script(script)
+        ]
+
+    @pytest.fixture
+    def runs(self, near_perfect_crowd):
+        scripts = self._scripts()
+        isolated = {"hits": 0, "seconds": 0.0}
+        for script in scripts:
+            db = self._instance(near_perfect_crowd)
+            self._serial(db, script)
+            isolated["hits"] += db.crowd_stats["hits_posted"]
+            isolated["seconds"] += db.platforms.get("amt").clock.now
+        db = self._instance(near_perfect_crowd)
+        shared = {
+            "answers": [self._serial(db, script) for script in scripts],
+            "hits": db.crowd_stats["hits_posted"],
+            "seconds": db.platforms.get("amt").clock.now,
+        }
+        server = Server(connection=self._instance(near_perfect_crowd))
+        answers = [
+            [sorted(result.rows) for result in results]
+            for results in server.run_scripts(scripts)
+        ]
+        stats = server.stats()
+        server.shutdown()
+        concurrent = {
+            "answers": answers,
+            "hits": stats["task_manager"]["hits_posted"],
+            "seconds": stats["simulated_seconds"],
+            "hits_saved": stats["task_pool"]["hits_saved"],
+        }
+        return isolated, shared, concurrent
+
+    def test_dedup_overlap_and_identical_answers(self, runs):
+        isolated, shared, concurrent = runs
+        # cross-session dedup: fewer HITs than the users would pay apart,
+        # and in-flight sharing is no worse than store-then-reuse
+        assert concurrent["hits"] < isolated["hits"]
+        assert concurrent["hits"] <= shared["hits"]
+        assert concurrent["hits_saved"] > 0
+        # crowd waits overlap: under half the simulated wall clock
+        assert shared["seconds"] >= 2.0 * concurrent["seconds"]
+        assert isolated["seconds"] >= 2.0 * concurrent["seconds"]
+        # concurrency changes the schedule, not the answers
+        assert concurrent["answers"] == shared["answers"]
 
 
 class TestTaskPoolUnit:

@@ -10,7 +10,6 @@ from repro.storage.engine import StorageEngine
 from repro.storage.heap import HeapTable
 from repro.storage.index import HashIndex, OrderedIndex
 from repro.storage.row import Scope
-from repro.storage.transaction_log import LogOp
 
 
 def schema_of(sql):
@@ -285,35 +284,41 @@ class TestStorageEngine:
         assert created is False
 
 
+class _RecordingWal:
+    """Stands in for the attached WAL: keeps the records it is handed."""
+
+    def __init__(self):
+        self.records = []
+
+    def append(self, record):
+        self.records.append(record)
+
+
 class TestTransactionLog:
-    def test_operations_logged(self, talk_engine):
+    @pytest.fixture
+    def wal(self, talk_engine):
+        talk_engine.log.wal = _RecordingWal()
+        return talk_engine.log.wal
+
+    def test_operations_logged(self, talk_engine, wal):
         talk_engine.insert("Talk", ["X"], ("title",))
         row = talk_engine.insert("Talk", ["Y"], ("title",))
         talk_engine.set_value("Talk", row.rowid, "abstract", "abs", origin="crowd")
         talk_engine.delete("Talk", row.rowid)
-        ops = [entry.op for entry in talk_engine.log]
-        assert ops == [
-            LogOp.CREATE_TABLE,
-            LogOp.INSERT,
-            LogOp.INSERT,
-            LogOp.UPDATE,
-            LogOp.DELETE,
+        assert [record["op"] for record in wal.records] == [
+            "insert", "insert", "update", "delete",
         ]
 
-    def test_crowd_entries_tracked(self, talk_engine):
+    def test_crowd_entries_tracked(self, talk_engine, wal):
         row = talk_engine.insert("Talk", ["X"], ("title",))
         talk_engine.set_value("Talk", row.rowid, "abstract", "a", origin="crowd")
-        crowd = talk_engine.log.crowd_entries()
-        assert len(crowd) == 1 and crowd[0].op is LogOp.UPDATE
+        crowd = [r for r in wal.records if r.get("origin") == "crowd"]
+        assert len(crowd) == 1 and crowd[0]["op"] == "update"
 
-    def test_replay_rebuilds_state(self, talk_engine):
-        talk_engine.insert("Talk", ["X"], ("title",))
-        row = talk_engine.insert("Talk", ["Y"], ("title",))
-        talk_engine.set_value("Talk", row.rowid, "nb_attendees", 9)
-        talk_engine.delete("Talk", 0)
-        rebuilt = StorageEngine.replay(talk_engine.log)
-        values = [r.values for r in rebuilt.table("Talk").scan()]
-        assert values == [("Y", CNULL, 9)]
+    def test_in_memory_engine_retains_no_history(self, talk_engine):
+        for i in range(100):
+            talk_engine.insert("Talk", [f"T{i}"], ("title",))
+        assert vars(talk_engine.log) == {"wal": None}
 
 
 class TestScope:

@@ -8,6 +8,11 @@ ndarray scalars), not just equality.  Crowd-touching plans must issue
 the exact same HIT sequence, because vector regions are pure-electronic
 by construction and the batch→row cap must leave crowd batching windows
 untouched.
+
+``exec/kernels.py`` and ``exec/vectorized.py`` take ndarray lanes when
+``numpy`` imports and list lanes when it does not.  With numpy present,
+``TestDifferentialStatementsWithoutNumpy`` repeats the differential
+suite with the import undone, so both sides meet the row engine.
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ import pytest
 from repro import connect
 from repro.crowd.model import reset_id_counters
 from repro.crowd.sim.traces import GroundTruthOracle
+from repro.exec import kernels, vectorized as vectorized_ops
 from repro.exec.vector import ColumnBatch
 from repro.exec.vectorized import (
     _pivot_columns,
@@ -120,6 +126,24 @@ class TestDifferentialStatements:
             assert got == want, query
             assert repr(got) == repr(want), query
 
+    def test_order_book_pipeline_matches_row_engine(self, order_book):
+        """5,000 rows through scan, filter, hash join, aggregate and sort
+        at once.  ``repr`` equality catches type drift (1 vs 1.0 vs True,
+        leaked ndarray scalars) that plain ``==`` would wave through."""
+        load, query = order_book
+        runs = {}
+        for vectorized in (True, False):
+            db = connect(with_crowd=False, vectorized=vectorized)
+            load(db)
+            runs[vectorized] = (db.execute(query), db.explain(query))
+        (vector, vector_plan), (row, row_plan) = runs[True], runs[False]
+        assert len(vector.rows) == 5  # one group per region
+        assert vector.columns == row.columns
+        assert vector.rows == row.rows
+        assert repr(vector.rows) == repr(row.rows)
+        assert "execution: vectorized" in vector_plan
+        assert "execution: vectorized" not in row_plan
+
     def test_nan_parity(self):
         # NaN breaks min/max and comparison fast paths unless the
         # kernels reproduce compare_values semantics exactly
@@ -168,6 +192,17 @@ class TestDifferentialStatements:
                 assert value is NULL or type(value) in (
                     str, int, float
                 ), repr(value)
+
+
+class TestDifferentialStatementsWithoutNumpy(TestDifferentialStatements):
+    """The suite above over the list lanes, as on a box without numpy."""
+
+    @pytest.fixture(autouse=True)
+    def _list_lanes(self, monkeypatch):
+        if kernels._np is None:
+            pytest.skip("numpy is not installed: the suite above ran these")
+        monkeypatch.setattr(kernels, "_np", None)
+        monkeypatch.setattr(vectorized_ops, "_np", None)
 
 
 class TestCrowdParity:
