@@ -35,7 +35,7 @@ from repro.crowd.reputation import ReputationStore
 from repro.crowd.sim.traces import GroundTruthOracle
 from repro.crowd.task_manager import CrowdConfig, TaskManager
 from repro.crowd.wrm import WorkerRelationshipManager
-from repro.engine.executor import Executor, PlanCache, ResultSet
+from repro.engine.executor import Executor, ResultSet
 from repro.errors import ExecutionError
 from repro.obs import (
     MetricsRegistry,
@@ -48,10 +48,18 @@ from repro.optimizer.optimizer import OptimizationResult, Optimizer
 from repro.server.task_pool import TaskPool
 from repro.sql import ast
 from repro.sql.parser import parse, parse_script
+from repro.statement import Statement, StatementRunner
 from repro.storage.engine import StorageEngine
 from repro.storage.recovery import DurableStorage
 from repro.ui.form_editor import FormEditor
 from repro.ui.manager import UITemplateManager
+
+
+def _parse_text(sql: str, single: bool = False) -> list[ast.Statement]:
+    """What this instance's statement runner parses with: exactly one
+    statement for ``execute`` (``"a; b"`` stays a parse error there), a
+    ;-separated script for everything else."""
+    return [parse(sql)] if single else parse_script(sql)
 
 
 class Connection:
@@ -185,10 +193,13 @@ class Connection:
         from repro.exec import kernels as _kernels
 
         _kernels.set_metrics_registry(self.metrics)
-        # parse memo: SQL text -> statement AST (ASTs are immutable, so
-        # reuse is safe); with the executor's plan cache behind it, a
-        # repeated query skips parsing *and* optimization entirely
-        self._parse_cache = PlanCache(size=max(0, plan_cache_size) * 4)
+        # the one statement pipeline: execute()/executescript() here and
+        # every server session (in-process or over TCP) run through it
+        self.runner = StatementRunner(
+            _parse_text,
+            storage=self.storage,
+            memo_size=max(0, plan_cache_size) * 4,
+        )
         self._register_collectors()
 
     def _register_collectors(self) -> None:
@@ -211,7 +222,7 @@ class Connection:
                 "breaker", self.task_manager.breaker_snapshot
             )
         self.metrics.register_collector(
-            "parse_cache", lambda: dict(self._parse_cache.stats)
+            "parse_cache", lambda: dict(self.parse_cache_stats)
         )
         self.metrics.register_collector(
             "plan_cache", lambda: dict(self.executor.plan_cache.stats)
@@ -223,41 +234,32 @@ class Connection:
 
     @property
     def parse_cache_stats(self) -> dict[str, int]:
-        return self._parse_cache.stats
+        return self.runner.parse_memo.stats
 
     # -- statement execution ------------------------------------------------------
 
-    def _parse_cached(self, sql: str) -> ast.Statement:
-        statement = self._parse_cache.lookup((sql,))
-        if statement is None:
-            statement = parse(sql)
-            self._parse_cache.store((sql,), statement)
-        return statement
-
-    def parsed_script(self, sql: str) -> list[ast.Statement]:
-        """A ;-separated script's statements, through the same memo —
-        how every server session parses what it is sent, so text any
-        session has submitted before parses once."""
-        statements = self._parse_cache.lookup((sql, "script"))
-        if statements is None:
-            statements = parse_script(sql)
-            self._parse_cache.store((sql, "script"), statements)
-        return statements
-
     def execute(self, sql: str, parameters: Sequence[Any] = ()) -> ResultSet:
         """Parse and execute one CrowdSQL statement."""
-        statement = self._parse_cached(sql)
-        result = self.executor.execute(statement, parameters)
-        if self.storage is not None:
-            self.storage.maybe_checkpoint()
-        return result
+        statement = Statement(sql, parameters)
+        return self.runner.run(statement, self.executor, single=True).results[0]
 
     def executescript(self, sql: str) -> list[ResultSet]:
         """Execute a semicolon-separated script; returns all results."""
-        return [
-            self.executor.execute(statement)
-            for statement in parse_script(sql)
-        ]
+        return self.runner.run(Statement(sql), self.executor).results
+
+    def _parse_select(self, sql: str, caller: str) -> ast.Statement:
+        """The SELECT inside ``sql`` (``EXPLAIN`` / ``WITH DEADLINE``
+        wrappers peeled off) for the plan-inspection helpers."""
+        statement = parse(sql)
+        if isinstance(statement, ast.Explain):
+            statement = statement.statement
+        if isinstance(statement, ast.Guarded):
+            statement = statement.statement
+        if not isinstance(statement, (ast.Select, ast.SetOp)):
+            raise ExecutionError(
+                f"{caller}() supports SELECT statements only"
+            )
+        return statement
 
     def query(self, sql: str, parameters: Sequence[Any] = ()) -> list[tuple]:
         """Execute and return just the rows."""
@@ -278,23 +280,13 @@ class Connection:
 
     def explain(self, sql: str) -> str:
         """The optimized plan (with boundedness verdict) for a SELECT."""
-        statement = self._parse_cached(sql)
-        if isinstance(statement, ast.Explain):
-            statement = statement.statement
-        if isinstance(statement, ast.Guarded):
-            statement = statement.statement
-        if not isinstance(statement, (ast.Select, ast.SetOp)):
-            raise ExecutionError("explain() supports SELECT statements only")
-        return self.executor.compile_select(statement).explain()
+        return self.executor.compile_select(
+            self._parse_select(sql, "explain")
+        ).explain()
 
     def compile(self, sql: str) -> OptimizationResult:
         """Compile a SELECT without executing it."""
-        statement = self._parse_cached(sql)
-        if isinstance(statement, ast.Guarded):
-            statement = statement.statement
-        if not isinstance(statement, (ast.Select, ast.SetOp)):
-            raise ExecutionError("compile() supports SELECT statements only")
-        return self.executor.compile_select(statement)
+        return self.executor.compile_select(self._parse_select(sql, "compile"))
 
     def cursor(self) -> "Cursor":
         return Cursor(self)
@@ -333,15 +325,7 @@ class Connection:
 
     def explain_analyze(self, sql: str) -> str:
         """Run a SELECT and return the estimate-vs-actual plan report."""
-        statement = self._parse_cached(sql)
-        if isinstance(statement, ast.Explain):
-            statement = statement.statement
-        if isinstance(statement, ast.Guarded):
-            statement = statement.statement
-        if not isinstance(statement, (ast.Select, ast.SetOp)):
-            raise ExecutionError(
-                "explain_analyze() supports SELECT statements only"
-            )
+        statement = self._parse_select(sql, "explain_analyze")
         result = self.executor.execute(
             ast.Explain(statement=statement, analyze=True)
         )

@@ -129,7 +129,7 @@ class Shell:
     def run(self, stdin: TextIO = sys.stdin) -> None:
         """Interactive loop: statements may span lines until ``;``."""
         buffer: list[str] = []
-        self._print("CrowdDB shell — .help for commands, .quit to exit")
+        self._print(self._banner())
         for line in stdin:
             stripped = line.strip()
             if not buffer and stripped.startswith("."):
@@ -150,6 +150,9 @@ class Shell:
         for result in self.connection.executescript(source):
             if result.columns:
                 self._print(result.pretty())
+
+    def _banner(self) -> str:
+        return "CrowdDB shell — .help for commands, .quit to exit"
 
     # -- SQL ------------------------------------------------------------------
 
@@ -307,8 +310,8 @@ class Shell:
 
     def _cmd_reputation(self, argument: str) -> None:
         count = int(argument) if argument else 5
-        store = getattr(self.connection, "reputation", None)
-        if store is None or not store.known_workers():
+        store = self.connection.reputation
+        if not store.known_workers():
             self._print("no reputation observations yet")
             return
         for snap in store.top_workers(count):
@@ -359,7 +362,7 @@ class Shell:
         self._print(f"loaded tables: {', '.join(created)}")
 
     def _cmd_checkpoint(self, _argument: str) -> None:
-        storage = getattr(self.connection, "storage", None)
+        storage = self.connection.storage
         if storage is None:
             self._print("not a durable instance — start with --db DIR")
             return
@@ -479,7 +482,7 @@ class ServeShell(Shell):
         self.server.close()
 
 
-class RemoteShell:
+class RemoteShell(Shell):
     """REPL over a network server (``--connect HOST:PORT``).
 
     Statements travel the wire protocol and run in a server-side
@@ -488,94 +491,57 @@ class RemoteShell:
     """
 
     def __init__(self, client, stdout: TextIO = sys.stdout) -> None:
+        # the wire client stands in for the connection: the loop, SQL
+        # and printing need only its .execute/.close
+        super().__init__(connection=client, stdout=stdout)
         self.client = client
-        self.stdout = stdout
-        self.running = True
+        self._commands = {
+            ".help": self._cmd_help,
+            ".quit": self._cmd_quit,
+            ".exit": self._cmd_quit,
+        }
 
-    def handle_line(self, line: str) -> None:
-        stripped = line.strip()
-        if not stripped:
-            return
-        if stripped.lower() in (".quit", ".exit"):
-            self.running = False
-            return
-        if stripped.lower() == ".help":
-            self._print(
-                "remote shell: CrowdSQL statements end with ';' — "
-                ".quit to exit (engine dot-commands run server-side)"
-            )
-            return
-        if stripped.startswith("."):
-            self._print(
-                f"command {stripped.split()[0]!r} is not available over "
-                "--connect — only SQL, .help, and .quit"
-            )
-            return
-        try:
-            result = self.client.execute(stripped)
-        except CrowdDBError as error:
-            self._print(f"error: {error}")
-            return
-        if result.columns:
-            self._print(result.pretty())
-        else:
-            self._print(f"ok ({result.rowcount} row(s) affected)")
-
-    def run(self, stdin: TextIO = sys.stdin) -> None:
-        buffer: list[str] = []
-        self._print(
+    def _banner(self) -> str:
+        return (
             f"CrowdDB remote shell (session {self.client.session_id}) — "
             ".quit to exit"
         )
-        for line in stdin:
-            stripped = line.strip()
-            if not buffer and stripped.startswith("."):
-                self.handle_line(stripped)
-            else:
-                buffer.append(line)
-                if stripped.endswith(";"):
-                    self.handle_line(" ".join(buffer))
-                    buffer = []
-            if not self.running:
-                return
-        if buffer:
-            self.handle_line(" ".join(buffer))
+
+    def _dispatch_command(self, line: str) -> None:
+        name = line.split()[0]
+        if name.lower() in self._commands:
+            super()._dispatch_command(line)
+        else:
+            self._print(
+                f"command {name!r} is not available over "
+                "--connect — only SQL, .help, and .quit"
+            )
+
+    def _cmd_help(self, _argument: str) -> None:
+        self._print(
+            "remote shell: CrowdSQL statements end with ';' — "
+            ".quit to exit (engine dot-commands run server-side)"
+        )
 
     def run_script(self, path: str) -> None:
+        """A script is one wire statement; its last result comes back."""
         with open(path) as handle:
-            source = handle.read()
-        result = self.client.execute(source)
+            result = self.client.execute(handle.read())
         if result.columns:
             self._print(result.pretty())
 
-    def close(self) -> None:
-        self.client.close()
 
-    def _print(self, text: str) -> None:
-        print(text, file=self.stdout)
-
-
-#: Adaptive quality-control flags accepted by ``python -m repro.cli``;
-#: forwarded to :func:`repro.connect` / :func:`repro.serve`.
-_QUALITY_FLAGS = {
+#: ``FLAG VALUE`` pairs forwarded to :func:`repro.connect` /
+#: :func:`repro.serve` / ``serve_tcp``: the adaptive quality-control
+#: knobs, ``--db DIR`` (open or recover a durable instance rooted at DIR)
+#: with its fsync policy, and the electronic worker pool size.
+_CONNECT_FLAGS = {
     "--target-confidence": ("target_confidence", float),
     "--min-replication": ("min_replication", int),
     "--max-replication": ("max_replication", int),
     "--gold-rate": ("gold_rate", float),
-}
-
-
-#: Durability flags: ``--db DIR`` opens (or recovers) a durable instance
-#: rooted at DIR; ``--wal-sync`` picks the fsync policy.
-_DURABILITY_FLAGS = {
     "--db": ("path", str),
     "--wal-sync": ("wal_sync", str),
-}
-
-
-#: Electronic-pool flags: dispatch binder-approved pure-electronic plan
-#: regions to a worker pool (see ``connect(electronic_workers=...)``).
-_POOL_FLAGS = {
     "--electronic-workers": ("electronic_workers", int),
 }
 
@@ -641,54 +607,26 @@ def _run_listener(address: str, connect_kwargs: dict) -> int:
 
 def main(argv: Optional[list[str]] = None) -> int:
     argv = list(argv) if argv is not None else sys.argv[1:]
-    quality_kwargs = {}
-    for flag, (keyword, cast) in _QUALITY_FLAGS.items():
+    connect_kwargs = {}
+    for flag, (keyword, cast) in _CONNECT_FLAGS.items():
         value = _pop_flag(argv, flag, cast)
         if value is not None:
-            quality_kwargs[keyword] = value
-    for flag, (keyword, cast) in _DURABILITY_FLAGS.items():
-        value = _pop_flag(argv, flag, cast)
-        if value is not None:
-            quality_kwargs[keyword] = value
-    for flag, (keyword, cast) in _POOL_FLAGS.items():
-        value = _pop_flag(argv, flag, cast)
-        if value is not None:
-            quality_kwargs[keyword] = value
+            connect_kwargs[keyword] = value
     listen = _pop_flag(argv, "--listen", str)
     connect_to = _pop_flag(argv, "--connect", str)
     if listen is not None:
-        return _run_listener(listen, quality_kwargs)
+        return _run_listener(listen, connect_kwargs)
     if connect_to is not None:
         from repro.net import connect_tcp
 
         host, port = _parse_hostport(connect_to, "--connect")
-        shell: Shell | RemoteShell = RemoteShell(
-            connect_tcp(host, port, timeout=None)
-        )
-        install_signal_handlers(shell)
-        try:
-            for path in argv:
-                shell.run_script(path)
-            if not argv:
-                shell.run()
-        finally:
-            shell.close()
-        return 0
-    if "--serve" in argv:
+        shell: Shell = RemoteShell(connect_tcp(host, port, timeout=None))
+    elif "--serve" in argv:
         argv.remove("--serve")
-        sessions = 1
-        if "--sessions" in argv:
-            index = argv.index("--sessions")
-            try:
-                sessions = int(argv[index + 1])
-            except (IndexError, ValueError):
-                print("usage: python -m repro.cli --serve [--sessions N]",
-                      file=sys.stderr)
-                return 2
-            del argv[index : index + 2]
-        shell = ServeShell(server=serve(**quality_kwargs), sessions=sessions)
+        sessions = _pop_flag(argv, "--sessions", int) or 1
+        shell = ServeShell(server=serve(**connect_kwargs), sessions=sessions)
     else:
-        shell = Shell(connection=connect(**quality_kwargs))
+        shell = Shell(connection=connect(**connect_kwargs))
     install_signal_handlers(shell)
     try:
         for path in argv:

@@ -184,15 +184,15 @@ class Executor:
         # _run_compiled, inherited by correlated subqueries through
         # _make_context so their spend attributes to the outer statement
         self._active_ledger: Optional[CrowdLedger] = None
-        # deadline/budget guard for the statement currently running,
-        # mirrored into the context the same way the ledger is; the
-        # scheduler reads it (via Session.active_guard) to cap how far
-        # the marketplace clock may advance
-        self._active_guard: Optional[StatementGuard] = None
-        # caps requested by an ast.Guarded wrapper (WITH DEADLINE/BUDGET)
-        self._guard_request: Optional[tuple] = None
-        # caps carried on the wire per submission (Session.submit)
-        self.guard_overrides: tuple = (None, None)
+        # deadline/budget guard for the statement currently running
+        # (None between statements or without a crowd), mirrored into
+        # the context the same way the ledger is; the scheduler reads it
+        # (via Session.active_guard) to cap how far the marketplace clock
+        # may advance
+        self.active_guard: Optional[StatementGuard] = None
+        # caps of the ast.Guarded wrapper being run: WITH DEADLINE/BUDGET
+        # in the text, or what repro.statement resolved for a submission
+        self._guard_request: tuple = (None, None)
         self.builder = PlanBuilder(engine.catalog)
         # issue/yield/resume hook: the concurrent query server installs a
         # callback here so crowd waits suspend the session instead of
@@ -204,10 +204,6 @@ class Executor:
         self.plan_cache = (
             plan_cache if plan_cache is not None else PlanCache(plan_cache_size)
         )
-
-    @property
-    def plan_cache_stats(self) -> dict[str, int]:
-        return self.plan_cache.stats
 
     # -- public entry point ---------------------------------------------------------
 
@@ -344,29 +340,6 @@ class Executor:
             partial_reason=partial_reason,
         )
 
-    @property
-    def active_guard(self) -> Optional[StatementGuard]:
-        """The running statement's deadline/budget guard (None between
-        statements or for unguarded ones)."""
-        return self._active_guard
-
-    def _resolve_guard_caps(self) -> tuple:
-        """Effective (deadline_ms, budget_cents): statement syntax wins,
-        then per-submission wire overrides, then ``connect()`` defaults."""
-        deadline_ms, budget_cents = self._guard_request or (None, None)
-        override_deadline, override_budget = self.guard_overrides
-        if deadline_ms is None:
-            deadline_ms = override_deadline
-        if budget_cents is None:
-            budget_cents = override_budget
-        config = getattr(self.task_manager, "config", None)
-        if config is not None:
-            if deadline_ms is None:
-                deadline_ms = getattr(config, "statement_deadline_ms", None)
-            if budget_cents is None:
-                budget_cents = getattr(config, "statement_budget_cents", None)
-        return deadline_ms, budget_cents
-
     def _note_partial(self, reason: str) -> None:
         manager = self.task_manager
         if manager is None:
@@ -394,20 +367,18 @@ class Executor:
         trip reason is returned (fourth element, None when complete).
         """
         previous = self._active_ledger
-        previous_guard = self._active_guard
+        previous_guard = self.active_guard
         self._active_ledger = (
             CrowdLedger() if self.task_manager is not None else None
         )
         guard = None
         if self.task_manager is not None:
-            deadline_ms, budget_cents = self._resolve_guard_caps()
             guard = StatementGuard(
-                deadline_ms,
-                budget_cents,
-                now_fn=self._sim_clock(),
+                *self._guard_request,
+                now_fn=self.sim_clock(),
                 ledger=self._active_ledger,
             )
-        self._active_guard = guard
+        self.active_guard = guard
         try:
             context = self._make_context(parameters)
             operator = PhysicalPlanner(
@@ -434,7 +405,7 @@ class Executor:
             return columns, rows, crowd_stats, partial_reason
         finally:
             self._active_ledger = previous
-            self._active_guard = previous_guard
+            self.active_guard = previous_guard
 
     def _execute_explain(
         self, stmt: ast.Explain, parameters: tuple = ()
@@ -467,7 +438,7 @@ class Executor:
                 if self.task_manager is not None
                 else None
             ),
-            sim_clock=self._sim_clock(),
+            sim_clock=self.sim_clock(),
         )
         started = perf_counter()
         _columns, _rows, crowd_stats, _partial = self._run_compiled(
@@ -495,8 +466,9 @@ class Executor:
             crowd_stats=crowd_stats,
         )
 
-    def _sim_clock(self) -> Optional[Callable[[], float]]:
-        """Busiest-platform simulated clock, for per-node sim time."""
+    def sim_clock(self) -> Optional[Callable[[], float]]:
+        """Busiest-platform simulated clock: statement deadlines, per-node
+        sim time and the server's ``simulated_seconds`` all read it."""
         registry = getattr(self.task_manager, "platforms", None)
         if registry is None:
             return None
@@ -624,7 +596,7 @@ class Executor:
     # -- plumbing -----------------------------------------------------------------------
 
     def _make_context(self, parameters: tuple) -> ExecutionContext:
-        context = ExecutionContext(
+        return ExecutionContext(
             engine=self.engine,
             task_manager=self.task_manager,
             parameters=parameters,
@@ -632,14 +604,11 @@ class Executor:
             subquery_executor=self._run_subquery,
             crowd_waiter=self.crowd_waiter,
             crowd_ledger=self._active_ledger,
-            guard=self._active_guard,
-            compile_expressions=getattr(
-                self.optimizer, "compile_expressions", True
-            ),
-            ordered_conjuncts=getattr(self.optimizer, "cost_based", True),
+            guard=self.active_guard,
+            compile_expressions=self.optimizer.compile_expressions,
+            ordered_conjuncts=self.optimizer.cost_based,
             electronic_pool=self.electronic_pool,
         )
-        return context
 
     def _run_subquery(
         self, query: ast.Select, outer_values: tuple, outer_scope: Scope

@@ -16,7 +16,7 @@ Architecture: sockets and the engine never share a thread.
   whole reply (its ``result_page`` frames and ``done``) crosses in one
   hop and leaves in one socket write.
 
-Per-connection metrics (statements, rows, cancels) and a server-wide
+Server-wide counters (statements, cancels, detaches, resumes) and a
 statement latency histogram land in the connection's metrics registry.
 """
 
@@ -34,29 +34,7 @@ from typing import Any, Optional
 from repro.errors import AdmissionError, NetworkProtocolError
 from repro.net import protocol
 from repro.server.server import Server
-
-
-class _Job:
-    """One in-flight statement of one connection."""
-
-    __slots__ = (
-        "statement_id", "sql", "start", "started_at",
-        "deadline_ms", "budget_cents",
-    )
-
-    def __init__(
-        self,
-        statement_id: int,
-        sql: str,
-        deadline_ms: Optional[int] = None,
-        budget_cents: Optional[int] = None,
-    ) -> None:
-        self.statement_id = statement_id
-        self.sql = sql
-        self.start = 0  # index into session.results at submit time
-        self.started_at = 0.0
-        self.deadline_ms = deadline_ms
-        self.budget_cents = budget_cents
+from repro.statement import Statement
 
 
 class _Connection:
@@ -75,12 +53,11 @@ class _Connection:
         self.send = send  # thread-safe: (*frames) -> None, one write
         self.token = secrets.token_hex(16)
         self.session: Optional[Any] = None
-        self.active: Optional[_Job] = None
-        self.pending: list[_Job] = []
+        # the statement the session is running, and those behind it: the
+        # objects the socket handler built, replied from when ``done``
+        self.active: Optional[Statement] = None
+        self.pending: list[Statement] = []
         self.closing = False
-        self.statements = 0
-        self.rows_sent = 0
-        self.cancels = 0
         self.binding = 1
         self.detached = False
         self.detached_at = 0.0
@@ -102,11 +79,6 @@ class _Connection:
         self.buffer.extend(frames)
         if not self.detached:
             self.send(*frames)
-
-    def control(self, frame: dict) -> None:
-        """Best-effort frame outside the exactly-once stream."""
-        if not self.detached:
-            self.send(frame)
 
 
 class EnginePump:
@@ -286,28 +258,27 @@ class EnginePump:
                 )
             )
         elif kind == "statement":
-            _, conn, job = command
+            _, conn, statement = command
             if conn.session is None or conn.closing:
                 return
-            if job.statement_id <= conn.highest_statement:
+            if statement.statement_id <= conn.highest_statement:
                 # a reconnecting client resubmitted its in-flight
                 # statement: it is already running (or its frames are
                 # buffered) — never spend crowd money on it twice
                 self._duplicates.inc()
                 return
-            conn.highest_statement = job.statement_id
-            conn.pending.append(job)
+            conn.highest_statement = statement.statement_id
+            conn.pending.append(statement)
             self._pump_connection(conn)
         elif kind == "cancel":
             _, conn, statement_id = command
-            job = conn.active
+            active = conn.active
             if (
-                job is not None
-                and job.statement_id == statement_id
+                active is not None
+                and active.statement_id == statement_id
                 and conn.session is not None
             ):
                 conn.session.cancel()
-                conn.cancels += 1
                 self._cancels.inc()
         elif kind == "ack":
             _, conn, fseq = command
@@ -407,36 +378,31 @@ class EnginePump:
             return
         if conn.throttled:
             return  # unacked output past the high watermark: wait
-        job = conn.pending.pop(0)
-        job.start = len(conn.session.results)
-        job.started_at = perf_counter()
-        conn.active = job
+        statement = conn.active = conn.pending.pop(0)
         try:
             # an idle session may have yielded its admission slot to the
             # waitlist; take it back (or rejoin the waitlist) before the
             # scheduler is asked to run the statement
             self.server.admission.request(conn.session)
-            conn.session.submit(
-                job.sql,
-                deadline_ms=job.deadline_ms,
-                budget_cents=job.budget_cents,
-            )
+            conn.session.submit(statement)
         except Exception as error:  # session closed / server full
             conn.active = None
-            conn.push(protocol.error_frame(job.statement_id, error))
+            conn.push(protocol.error_frame(statement.statement_id, error))
 
     def _flush_finished(self) -> None:
         """Reply to every connection whose active statement completed."""
         for conn in list(self.connections.values()):
-            job = conn.active
-            if job is None or conn.session is None:
-                continue
-            session = conn.session
-            if not session.quiescent() or len(session.results) <= job.start:
+            statement = conn.active
+            if statement is None or not statement.done or conn.session is None:
                 continue
             conn.active = None
-            outcome = session.results[job.start :]
-            self._latency.observe(perf_counter() - job.started_at)
+            outcome = statement.results
+            # the encoded frames pushed below, held in the exactly-once
+            # buffer until acked, are the only copy a wire session needs:
+            # drop the session's own, or every ResultSet it ever sent
+            # stays resident
+            conn.session.results.clear()
+            self._latency.observe(perf_counter() - statement.started_at)
             # a script yields several results; like last_result(), the
             # reply carries the final one — an error anywhere in the
             # script fails the statement with that error
@@ -446,7 +412,7 @@ class EnginePump:
             if error is not None or not outcome:
                 conn.push(
                     protocol.error_frame(
-                        job.statement_id,
+                        statement.statement_id,
                         error
                         if error is not None
                         else NetworkProtocolError("statement produced no result"),
@@ -454,11 +420,9 @@ class EnginePump:
                 )
             else:
                 last = outcome[-1]
-                frames = protocol.result_pages(job.statement_id, last)
+                frames = protocol.result_pages(statement.statement_id, last)
                 frames[-1]["results"] = len(outcome)
                 conn.push(*frames)
-                conn.rows_sent += len(last.rows)
-                conn.statements += len(outcome)
                 self._statements.inc(len(outcome))
             self._maybe_throttle(conn)
             if (
@@ -476,10 +440,9 @@ class EnginePump:
         """A scheduler step blew up (stall, admission deadlock): fail
         every in-flight statement rather than wedging the pump."""
         for conn in self.connections.values():
-            job = conn.active
-            if job is not None:
+            if conn.active is not None:
+                conn.push(protocol.error_frame(conn.active.statement_id, error))
                 conn.active = None
-                conn.push(protocol.error_frame(job.statement_id, error))
             for pending in conn.pending:
                 conn.push(protocol.error_frame(pending.statement_id, error))
             conn.pending.clear()
@@ -680,8 +643,7 @@ class NetworkServer:
                 kind = frame.get("type")
                 if kind == "statement":
                     caps = frame.get("deadline_ms"), frame.get("budget_cents")
-                    job = _Job(
-                        int(frame.get("id", 0)),
+                    statement = Statement(
                         str(frame["sql"]),
                         deadline_ms=(
                             int(caps[0]) if caps[0] is not None else None
@@ -689,8 +651,9 @@ class NetworkServer:
                         budget_cents=(
                             int(caps[1]) if caps[1] is not None else None
                         ),
+                        statement_id=int(frame.get("id", 0)),
                     )
-                    self.pump.post(("statement", conn, job))
+                    self.pump.post(("statement", conn, statement))
                 elif kind == "cancel":
                     self.pump.post(("cancel", conn, int(frame.get("id", 0))))
                 elif kind == "ack":

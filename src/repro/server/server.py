@@ -61,6 +61,7 @@ class Server:
         self.scheduler = CooperativeScheduler(connection.task_manager)
         self.sessions: dict[int, Session] = {}
         self._session_ids = itertools.count(1)
+        self._closed = False
         self._register_metrics()
 
     def _register_metrics(self) -> None:
@@ -135,11 +136,11 @@ class Server:
             observability=self.connection.observability,
             # one multi-core pool shared by every session: electronic
             # regions from different sessions overlap on real cores
-            electronic_pool=getattr(shared, "electronic_pool", None),
+            electronic_pool=shared.electronic_pool,
         )
-        session = Session(
-            session_id, executor, parse=self.connection.parsed_script
-        )
+        # every session runs its statements through the connection's
+        # runner: one parse memo, one cap precedence, one checkpoint duty
+        session = Session(session_id, executor, self.connection.runner)
         self.admission.request(session)  # may raise before registration
         self.sessions[session_id] = session
         return session
@@ -173,15 +174,8 @@ class Server:
 
     def simulated_seconds(self) -> float:
         """Wall-clock of the busiest platform (simulated seconds)."""
-        registry = self.connection.platforms
-        if registry is None:
-            return 0.0
-        latest = 0.0
-        for name in registry.names():
-            clock = getattr(registry.get(name), "clock", None)
-            if clock is not None:
-                latest = max(latest, clock.now)
-        return latest
+        now = self.connection.executor.sim_clock()
+        return now() if now is not None else 0.0
 
     def stats(self) -> dict[str, Any]:
         """One snapshot across every server subsystem (read through the
@@ -211,7 +205,7 @@ class Server:
         """Graceful shutdown: drain sessions, then close the connection
         (which flushes the WAL and writes a final checkpoint when the
         instance is durable).  Safe to call more than once."""
-        if getattr(self, "_closed", False):
+        if self._closed:
             return
         self._closed = True
         self.shutdown()

@@ -1,7 +1,9 @@
 """One client session of the concurrent query server.
 
-A session owns a statement queue, a results list, and a worker thread
-that runs statements against the *shared* storage engine.  Threads are
+A session is the scheduler's shim over the one statement pipeline
+(:mod:`repro.statement`): it owns a queue of :class:`Statement` objects,
+a results list, and a worker thread that hands each statement to the
+shared runner against the *shared* storage engine.  Threads are
 used purely as suspendable stacks — the cooperative scheduler guarantees
 that at most one session (or the scheduler itself) executes at any
 moment, handing control back and forth with a pair of events:
@@ -23,11 +25,12 @@ import enum
 import threading
 from collections import deque
 from time import perf_counter
-from typing import Any, Callable, Optional
+from typing import Any, Optional
 
 from repro.engine.executor import Executor, ResultSet
 from repro.errors import ExecutionError, StatementCancelled
 from repro.sql.parser import parse_script
+from repro.statement import Statement, StatementRunner
 
 
 class SessionState(enum.Enum):
@@ -49,26 +52,28 @@ class Session:
         self,
         session_id: int,
         executor: Executor,
-        parse: Callable[[str], list] = parse_script,
+        runner: Optional[StatementRunner] = None,
     ) -> None:
         self.session_id = session_id
         self.executor = executor
-        # script text -> statements; the server passes its connection's
-        # memoizing parser, shared by all sessions like the plan cache
-        self._parse = parse
+        # the server passes its connection's runner — parse memo and
+        # checkpoint duty shared by all sessions, like the plan cache
+        self._runner = runner if runner is not None else StatementRunner(
+            lambda sql, _single: parse_script(sql)
+        )
         executor.crowd_waiter = self._crowd_wait
         self.state = SessionState.IDLE
         # CrowdFuture — or a list of them, for a batch-issuing operator —
         # while WAITING; the session resumes when the whole set settled
         self.waiting_on: Optional[Any] = None
-        self.results: list[Any] = []  # ResultSet | Exception, per statement
-        self.errors: list[Exception] = []
+        # ResultSet | Exception per ;-statement, accumulated for the
+        # in-process client; a front end that replies from the Statement
+        # it posted (the TCP pump) clears this once the reply is out
+        self.results: list[Any] = []
         self.statements_run = 0
         self.suspensions = 0
-        self.busy_seconds = 0.0  # wall time spent executing statements
-        # queue entries are (sql, (deadline_ms, budget_cents)) — the caps
-        # become the executor's guard overrides for that submission
-        self._statements: deque[tuple[str, tuple]] = deque()
+        self.busy_seconds = 0.0  # wall time spent running submissions
+        self._statements: deque[Statement] = deque()
         self._thread: Optional[threading.Thread] = None
         self._resume = threading.Event()
         self._yielded = threading.Event()
@@ -90,7 +95,7 @@ class Session:
 
     def submit(
         self,
-        sql: str,
+        sql: str | Statement,
         deadline_ms: Optional[int] = None,
         budget_cents: Optional[int] = None,
     ) -> "Session":
@@ -98,17 +103,31 @@ class Session:
 
         ``deadline_ms``/``budget_cents`` cap the submission: when either
         is hit mid-statement the result degrades to ``status="partial"``
-        instead of blocking forever or overspending."""
+        instead of blocking forever or overspending.  A front end that
+        wants the per-submission results back passes the
+        :class:`Statement` it built (caps and all) in place of the text."""
         if self.state is SessionState.CLOSED:
             raise ExecutionError(
                 f"session {self.session_id} is closed"
             )
-        self._statements.append((sql, (deadline_ms, budget_cents)))
+        statement = (
+            sql
+            if isinstance(sql, Statement)
+            else Statement(
+                sql, deadline_ms=deadline_ms, budget_cents=budget_cents
+            )
+        )
+        statement.started_at = perf_counter()
+        self._statements.append(statement)
         return self
 
     @property
     def queued(self) -> int:
         return len(self._statements)
+
+    @property
+    def errors(self) -> list[Exception]:
+        return [r for r in self.results if isinstance(r, Exception)]
 
     def last_result(self) -> ResultSet:
         """The most recent result; re-raises if it was an error."""
@@ -159,15 +178,13 @@ class Session:
 
     def active_guard(self) -> Optional[Any]:
         """The deadline/budget guard of the in-flight statement, if any."""
-        return getattr(self.executor, "active_guard", None)
+        return self.executor.active_guard
 
     def trip_guard_if_expired(self) -> bool:
         """Trip (without raising) the in-flight statement's guard when
         its simulated-clock deadline has passed.  Scheduler-facing."""
-        guard = self.active_guard()
-        if guard is None:
-            return False
-        return guard.trip_if_expired()
+        guard = self.executor.active_guard
+        return guard is not None and guard.trip_if_expired()
 
     def waiting_futures(self) -> tuple:
         """The crowd futures this session is parked on (possibly many —
@@ -234,8 +251,7 @@ class Session:
             self._await_resume()
             while not self._closing:
                 if self._statements:
-                    sql, caps = self._statements.popleft()
-                    self._run_one(sql, caps)
+                    self._run_one(self._statements.popleft())
                     if self._cancel_requested:
                         # cancellation consumes the whole queue: the
                         # client that cancelled does not want the rest
@@ -248,55 +264,28 @@ class Session:
             self.state = SessionState.CLOSED
             self._yielded.set()
 
-    def _run_one(self, sql: str, caps: tuple = (None, None)) -> None:
+    def _run_one(self, statement: Statement) -> None:
         self.state = SessionState.RUNNING
-        try:
-            statements = self._parse(sql)
-        except Exception as error:
-            self.errors.append(error)
-            self.results.append(error)
-            return
-        # per-submission caps (wire frames / Session.submit kwargs) ride
-        # along as executor guard overrides; an explicit WITH clause in
-        # the statement text still wins over them
-        self.executor.guard_overrides = caps
-        try:
-            self._run_statements(statements)
-        finally:
-            self.executor.guard_overrides = (None, None)
-
-    def _run_statements(self, statements: list) -> None:
-        for statement in statements:
-            if self._cancel_requested or self._closing:
-                cancelled = StatementCancelled(
-                    f"session {self.session_id}: statement cancelled "
-                    "before execution"
-                )
-                self.errors.append(cancelled)
-                self.results.append(cancelled)
+        started = perf_counter()
+        self._runner.run(
+            statement, self.executor, cancel_check=self._check_cancel
+        )
+        self.busy_seconds += perf_counter() - started
+        self.results.extend(statement.results)
+        for result in statement.results:
+            if isinstance(result, StatementCancelled):
                 self.statements_cancelled += 1
-                break
-            started = perf_counter()
-            try:
-                self.results.append(self.executor.execute(statement))
+            elif not isinstance(result, Exception):
                 self.statements_run += 1
-            except StatementCancelled as error:
-                # the statement unwound at a yield point; record it and
-                # stop the script — the client asked for silence
-                self.errors.append(error)
-                self.results.append(error)
-                self.statements_cancelled += 1
-                self.busy_seconds += perf_counter() - started
-                break
-            except Exception as error:  # surfaced per-statement, REPL-style
-                # the exception object keeps its worker-side traceback
-                # (__traceback__), so last_result() re-raises with the
-                # failing operator's frames intact
-                self.errors.append(error)
-                self.results.append(error)
-                self.busy_seconds += perf_counter() - started
-                continue
-            self.busy_seconds += perf_counter() - started
+
+    def _check_cancel(self, when: str = "before execution") -> None:
+        """Raise :class:`StatementCancelled` in the worker thread if a
+        cancel or close is pending — before each ;-statement (the
+        runner's ``cancel_check``) and on either side of a park."""
+        if self._cancel_requested or self._closing:
+            raise StatementCancelled(
+                f"session {self.session_id}: statement cancelled {when}"
+            )
 
     def _crowd_wait(self, future: Any) -> None:
         """The executor's yield point: park until the scheduler has
@@ -310,21 +299,14 @@ class Session:
         error paths — futures left behind are simply never waited on
         again, which the Task Manager treats as abandonment, not
         settlement."""
-        if self._cancel_requested or self._closing:
-            raise StatementCancelled(
-                f"session {self.session_id}: statement cancelled"
-            )
+        self._check_cancel("at a yield point")
         self.waiting_on = future
         self.state = SessionState.WAITING
         self.suspensions += 1
         self._park()
         self.waiting_on = None
         self.state = SessionState.RUNNING
-        if self._cancel_requested or self._closing:
-            raise StatementCancelled(
-                f"session {self.session_id}: statement cancelled while "
-                "suspended"
-            )
+        self._check_cancel("while suspended")
 
     def _park(self) -> None:
         """Yield the baton to the scheduler and sleep until resumed."""

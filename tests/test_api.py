@@ -4,7 +4,7 @@ import pytest
 
 from repro import CNULL, NULL, Connection, CrowdConfig, connect
 from repro.crowd.scripted import ScriptedPlatform
-from repro.errors import BudgetExceededError, ExecutionError
+from repro.errors import BudgetExceededError, ExecutionError, ParseError
 
 
 class TestConnect:
@@ -85,12 +85,19 @@ class TestResultSetPretty:
 
 class TestExecuteHelpers:
     def test_executescript_returns_all_results(self, plain_db):
-        results = plain_db.executescript(
+        script = (
             "CREATE TABLE t (a INT); INSERT INTO t VALUES (1), (2); "
             "SELECT COUNT(*) FROM t"
         )
+        results = plain_db.executescript(script)
         assert len(results) == 3
         assert results[-1].scalar() == 2
+        # execute() stays "exactly one statement", whether or not the
+        # shared parse memo has already seen the text as a script
+        for text in (script, "SELECT 1; SELECT 2"):
+            with pytest.raises(ParseError, match="unexpected input after"):
+                plain_db.execute(text)
+        assert plain_db.query("SELECT COUNT(*) FROM t") == [(2,)]
 
     def test_query_returns_rows(self, plain_db):
         plain_db.execute("CREATE TABLE t (a INT)")

@@ -192,3 +192,36 @@ class TestServeShell:
         out = output_of(serve_shell)
         assert "-- session 1 --" in out
         assert serve_shell.server.sessions[1].statements_run == 1
+
+
+class TestRemoteShell:
+    def test_sql_travels_and_engine_commands_are_refused(self, tmp_path):
+        from repro.cli import RemoteShell
+        from repro.net import connect_tcp, serve_tcp
+
+        net = serve_tcp(with_crowd=False)
+        shell = RemoteShell(
+            connect_tcp(net.host, net.port), stdout=io.StringIO()
+        )
+        try:
+            script = tmp_path / "script.sql"
+            script.write_text(
+                "CREATE TABLE t (a INTEGER);\n"
+                "INSERT INTO t VALUES (41);\nSELECT a FROM t;\n"
+            )
+            shell.run_script(str(script))
+            shell.run(io.StringIO(
+                "INSERT INTO t\nVALUES (2);\nSELECT nope FROM t;\n"
+                ".tables\n.help\n.quit\nSELECT a + 1 FROM t;\n"
+            ))
+        finally:
+            shell.close()
+            net.close()
+        out = output_of(shell)
+        assert f"remote shell (session {shell.client.session_id})" in out
+        assert "41" in out  # the script's last result is printed
+        assert "ok (1 row(s) affected)" in out
+        assert "error:" in out and "nope" in out
+        assert "'.tables' is not available over --connect" in out
+        assert "engine dot-commands run server-side" in out
+        assert not shell.running and "42" not in out  # .quit ended the loop

@@ -77,20 +77,121 @@ INSERT INTO dept VALUES ('ops', 2);
 QUERY = "SELECT name, floor FROM dept WHERE floor = 2 ORDER BY name;"
 
 
-def test_tcp_results_match_in_process_execution():
-    local = connect()
-    local.executescript(SETUP)
-    expected = local.execute(QUERY)
-    local.close()
+PERSON = "CREATE TABLE person (name STRING PRIMARY KEY, city CROWD STRING);" + (
+    "".join(f"INSERT INTO person (name) VALUES ('p{i}');" for i in range(4))
+)
+BULK = "CREATE TABLE bulk (n INTEGER);" + "".join(
+    f"INSERT INTO bulk VALUES ({i});" for i in range(200)
+)
+CROWD_QUERY = "SELECT name, city FROM person WHERE name = 'p{}'"  # unfilled
+FOREVER = 100_000_000
 
-    net = serve_tcp()
+
+def _front_ends(root):
+    """(name, run, storage, close) per front end, each over its own
+    durable instance: ``run(sql, **caps)`` returns the last result of a
+    ;-script, ``caps`` being the per-submission deadline/budget where the
+    front end has such a thing (``Connection`` does not)."""
+    from repro.crowd.sim.traces import GroundTruthOracle
+
+    def instance(name):
+        oracle = GroundTruthOracle()
+        for i in range(4):
+            oracle.load_fill("person", (f"p{i}",), {"city": f"city{i}"})
+        return dict(
+            path=str(root / name), checkpoint_interval=16, oracle=oracle,
+            seed=11, statement_deadline_ms=1,
+        )
+
+    local = connect(**instance("local"))
+    yield (
+        "local", lambda sql: local.executescript(sql)[-1],
+        local.storage, local.close,
+    )
+
+    server = serve(**instance("server"))
+    session = server.open_session()
+
+    def in_process(sql, **caps):
+        before = len(session.results)
+        session.submit(sql, **caps)
+        server.run()
+        assert before < len(session.results)  # in-process results accumulate
+        return session.last_result()
+
+    yield "server", in_process, server.connection.storage, server.close
+
+    net = serve_tcp(**instance("tcp"))
+    client = connect_tcp(net.host, net.port)
+
+    def close_tcp():
+        client.close()
+        net.close()
+
+    yield "tcp", client.execute, net.server.connection.storage, close_tcp
+
+
+def test_tcp_results_match_in_process_execution(tmp_path):
+    """Connection, in-process Server and TCP give the same answers, take
+    durable checkpoints on the same schedule, and rank caps the same way:
+    WITH clause in the text > the submission's caps > connect() defaults."""
+    seen = {}
+    for name, run, storage, close in _front_ends(tmp_path):
+        try:
+            run(SETUP + PERSON)
+            answer = run(QUERY)
+            # 200 one-record statements in one submission: the interval
+            # is honoured between them, not once when the script ends
+            run(BULK)
+            checkpoints = storage.checkpoints_written
+            count = run("SELECT COUNT(*) FROM bulk").rows
+            caps = {
+                "connect() default": run(CROWD_QUERY.format(0)),
+                "text > default": run(
+                    f"{CROWD_QUERY.format(1)} WITH DEADLINE {FOREVER}"
+                ),
+            }
+            if name != "local":
+                caps["submission > default"] = run(
+                    CROWD_QUERY.format(2), deadline_ms=FOREVER
+                )
+                caps["text > submission"] = run(
+                    f"{CROWD_QUERY.format(3)} WITH DEADLINE 1",
+                    deadline_ms=FOREVER,
+                )
+            seen[name] = (
+                answer.columns, answer.rows, count, checkpoints,
+                {k: (r.status, r.partial_reason) for k, r in caps.items()},
+            )
+        finally:
+            close()
+    assert seen["server"] == seen["tcp"]
+    *electronic, ranked = seen["local"]
+    assert electronic == list(seen["tcp"][:4])
+    assert ranked.items() <= seen["tcp"][4].items()
+    assert electronic[:2] == [["name", "floor"], [("ops", 2), ("sales", 2)]]
+    assert electronic[2] == [(200,)] and electronic[3] >= 200 // 16
+    assert seen["tcp"][4] == {
+        "connect() default": ("partial", "deadline"),
+        "text > default": ("complete", None),
+        "submission > default": ("complete", None),
+        "text > submission": ("partial", "deadline"),
+    }
+
+
+def test_a_wire_session_keeps_no_result_after_its_reply():
+    """The pump replies from the Statement it posted and the unacked
+    frames are the only copy: the server-side session's ``results`` do
+    not grow with the statements a connection has run."""
+    net = serve_tcp(with_crowd=False)
     try:
         with connect_tcp(net.host, net.port) as client:
             client.execute(SETUP)
-            remote = client.execute(QUERY)
-            assert remote.columns == expected.columns
-            assert remote.rows == expected.rows
-            assert remote.rowcount == expected.rowcount
+            for _ in range(25):
+                assert len(client.execute(QUERY).rows) == 2
+            (session,) = net.server.sessions.values()
+            assert session.statements_run == 4 + 25
+            assert session.results == []
     finally:
         net.close()
 
@@ -120,6 +221,9 @@ def test_statement_errors_carry_remote_type_and_traceback():
                 client.execute("SELECT nope FROM missing_table;")
             assert excinfo.value.remote_type
             assert "Traceback" in excinfo.value.remote_traceback
+            # text with no statement in it is answered too, not left hanging
+            with pytest.raises(RemoteError, match="no result"):
+                client.execute(";")
             # the session survives a failed statement
             client.execute("CREATE TABLE ok (a INTEGER);")
             result = client.execute("SELECT a FROM ok;")

@@ -445,6 +445,9 @@ class TestDynamicCounters:
         stats.bump("hits_fill", 2)
         assert stats.snapshot()["hits_fill"] == 5
 
+    # the default noisy crowd ties a vote under this seed; the tie is
+    # the engine's to report and not what this test is about
+    @pytest.mark.filterwarnings("ignore:vote tied:repro.errors.LowQualityWarning")
     def test_per_query_stats_unpolluted_by_new_counters(self):
         """A counter first appearing during query 1 must not leak its
         total into query 2's per-statement delta."""

@@ -96,7 +96,8 @@ _ballot = st.text(
 def test_majority_vote_winner_is_plurality(ballots):
     """The winner's class has at least as many votes as any other class,
     and agreement = votes/total is in (0, 1]."""
-    result = MajorityVote(min_agreement=0.0).vote(ballots)
+    # quiet: generated ballots tie on purpose, here and in the next two
+    result = MajorityVote(min_agreement=0.0).vote(ballots, quiet=True)
     counts = {}
     for ballot in ballots:
         counts[normalize_answer(ballot)] = counts.get(normalize_answer(ballot), 0) + 1
@@ -111,17 +112,19 @@ def test_majority_vote_winner_is_plurality(ballots):
 def test_majority_vote_is_order_insensitive_on_strict_majority(ballots):
     """When one class holds a strict majority, any permutation of the
     ballots elects the same class."""
-    result = MajorityVote(min_agreement=0.0).vote(ballots)
+    result = MajorityVote(min_agreement=0.0).vote(ballots, quiet=True)
     if result.agreement <= 0.5:
         return
-    reversed_result = MajorityVote(min_agreement=0.0).vote(list(reversed(ballots)))
+    reversed_result = MajorityVote(min_agreement=0.0).vote(
+        list(reversed(ballots)), quiet=True
+    )
     assert normalize_answer(reversed_result.value) == normalize_answer(result.value)
 
 
 @given(st.lists(st.booleans(), min_size=1, max_size=15))
 @SETTINGS
 def test_boolean_vote_matches_counting(ballots):
-    result = MajorityVote(min_agreement=0.0).vote_boolean(ballots)
+    result = MajorityVote(min_agreement=0.0).vote_boolean(ballots, quiet=True)
     true_votes = sum(ballots)
     false_votes = len(ballots) - true_votes
     if true_votes > false_votes:
