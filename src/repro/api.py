@@ -72,9 +72,6 @@ class Connection:
         crowd_config: Optional[CrowdConfig] = None,
         strict_boundedness: bool = False,
         default_platform: Optional[str] = None,
-        compile_expressions: bool = True,
-        cost_based: bool = True,
-        vectorized: bool = True,
         plan_cache_size: int = 64,
         auto_analyze_floor: Optional[int] = None,
         auto_analyze_fraction: Optional[float] = None,
@@ -83,16 +80,15 @@ class Connection:
         trace_capacity: int = 2048,
         misestimate_ratio: float = 4.0,
         path: Optional[str] = None,
-        durability: str = "wal",
         wal_sync: str = "commit",
         checkpoint_interval: Optional[int] = 1024,
         electronic_workers: int = 0,
     ) -> None:
-        # durable storage: with a path (and durability="wal") the engine
-        # is recovered from disk — checkpoint plus WAL tail — and every
-        # further mutation is written ahead to <path>/wal.jsonl
+        # durable storage: with a path the engine is recovered from disk —
+        # checkpoint plus WAL tail — and every further mutation is
+        # written ahead to <path>/wal.jsonl
         self.storage: Optional[DurableStorage] = None
-        if path is not None and durability == "wal":
+        if path is not None:
             if engine is not None:
                 raise ExecutionError(
                     "pass either a prebuilt engine or a storage path, not both"
@@ -158,19 +154,16 @@ class Connection:
         self.optimizer = Optimizer(
             self.engine,
             strict_boundedness=strict_boundedness,
-            compile_expressions=compile_expressions,
             crowd_config=(
                 self.task_manager.config
                 if self.task_manager is not None
                 else crowd_config
             ),
-            cost_based=cost_based,
-            vectorized=vectorized,
         )
         # multi-core execution of binder-approved electronic regions:
         # 0 workers = run them in place (the historical behaviour)
         self.electronic_pool = None
-        if electronic_workers and vectorized and compile_expressions:
+        if electronic_workers:
             from repro.exec.pool import ElectronicPool
 
             self.electronic_pool = ElectronicPool(electronic_workers)
@@ -324,11 +317,13 @@ class Connection:
         return self.metrics.text()
 
     def explain_analyze(self, sql: str) -> str:
-        """Run a SELECT and return the estimate-vs-actual plan report."""
-        statement = self._parse_select(sql, "explain_analyze")
-        result = self.executor.execute(
-            ast.Explain(statement=statement, analyze=True)
-        )
+        """Run a SELECT and return the estimate-vs-actual plan report.
+
+        It runs as ``EXPLAIN ANALYZE <sql>`` through :meth:`execute`, so
+        the query's caps — ``WITH DEADLINE/BUDGET`` in the text, else the
+        ``connect()`` defaults — stop it as they would stop the SELECT;
+        a tripped cap adds a ``-- partial: <reason>`` footer."""
+        result = self.execute(f"EXPLAIN ANALYZE {sql}")
         return "\n".join(row[0] for row in result.rows)
 
     # -- durability ---------------------------------------------------------------------
@@ -438,9 +433,6 @@ def connect(
     with_crowd: bool = True,
     batch_size: Optional[int] = None,
     hit_group_size: Optional[int] = None,
-    compile_expressions: bool = True,
-    cost_based_optimizer: bool = True,
-    vectorized: bool = True,
     plan_cache_size: int = 64,
     auto_analyze_floor: Optional[int] = None,
     auto_analyze_fraction: Optional[float] = None,
@@ -455,7 +447,6 @@ def connect(
     trace_capacity: int = 2048,
     misestimate_ratio: float = 4.0,
     path: Optional[str] = None,
-    durability: str = "wal",
     wal_sync: str = "commit",
     checkpoint_interval: Optional[int] = 1024,
     platform_retries: Optional[int] = None,
@@ -491,30 +482,10 @@ def connect(
     defaults, queries behave exactly like the fixed-replication paper
     model.
 
-    ``compile_expressions=False`` disables plan-time expression
-    compilation and restores the per-row AST interpreter — the switch the
-    E14 benchmark and the differential tests flip.
-
-    ``vectorized=False`` disables columnar batch execution and restores
-    the pure row pipeline exactly.  When on (the default), a binder stage
-    marks the purely electronic region of each plan — scans of stored
-    tables, electronic filters/projections, equi hash joins, and the
-    classic aggregates — for execution over :class:`ColumnBatch` windows
-    (one Python list per column), with a transition operator converting
-    batches back to rows at every crowd/row-only boundary so crowd
-    batching windows, stop-after bounds, and 3VL verdicts are unchanged.
-    EXPLAIN annotates every node with ``execution: vectorized`` or
-    ``execution: row``.  Implies nothing when ``compile_expressions`` is
-    off — interpreted mode always runs row-at-a-time.
-
-    ``cost_based_optimizer=False`` turns off the cost-based planner —
-    histogram selectivities, DPsize join enumeration, and conjunct
-    ordering — restoring greedy join ordering over textbook constants
-    (the E16 baseline).  ``plan_cache_size`` bounds the per-connection
-    plan cache (0 disables caching); ``auto_analyze_floor`` /
-    ``auto_analyze_fraction`` tune the statistics staleness guard that
-    rebuilds histograms after enough DML (floor -1 disables it, leaving
-    statistics to explicit ``ANALYZE``).
+    ``plan_cache_size`` bounds the per-connection plan cache (0 disables
+    caching); ``auto_analyze_floor`` / ``auto_analyze_fraction`` tune the
+    statistics staleness guard that rebuilds histograms after enough DML
+    (floor -1 disables it, leaving statistics to explicit ``ANALYZE``).
 
     ``observability=False`` disables per-statement metrics, HIT tracing,
     and the slow-query log (EXPLAIN ANALYZE still works — its profiling
@@ -525,12 +496,12 @@ def connect(
 
     ``path`` makes the instance durable: state is recovered from the
     directory on open (checkpoint + WAL tail, including every paid crowd
-    answer) and every mutation is logged ahead to ``<path>/wal.jsonl``.
-    ``durability="off"`` opens a classic in-memory instance even with a
-    path; ``wal_sync`` picks the fsync policy (``"commit"``/``"batch"``/
-    ``"off"``); ``checkpoint_interval`` is the number of WAL records
-    between automatic checkpoints (``None`` disables, leaving them to
-    :meth:`Connection.checkpoint` and :meth:`Connection.close`).
+    answer) and every mutation is logged ahead to ``<path>/wal.jsonl``;
+    without it the instance is in memory.  ``wal_sync`` picks the fsync
+    policy (``"commit"``/``"batch"``/``"off"``); ``checkpoint_interval``
+    is the number of WAL records between automatic checkpoints (``None``
+    disables, leaving them to :meth:`Connection.checkpoint` and
+    :meth:`Connection.close`).
 
     ``platform_retries``/``platform_timeout`` bound the exponential-
     backoff retry loop around transient platform failures (see
@@ -574,8 +545,6 @@ def connect(
         else:  # never mutate the caller's config object
             crowd_config = replace(crowd_config, **overrides)
     planner_kwargs = dict(
-        cost_based=cost_based_optimizer,
-        vectorized=vectorized,
         plan_cache_size=plan_cache_size,
         auto_analyze_floor=auto_analyze_floor,
         auto_analyze_fraction=auto_analyze_fraction,
@@ -584,16 +553,13 @@ def connect(
         trace_capacity=trace_capacity,
         misestimate_ratio=misestimate_ratio,
         path=path,
-        durability=durability,
         wal_sync=wal_sync,
         checkpoint_interval=checkpoint_interval,
         electronic_workers=electronic_workers,
     )
     if not with_crowd:
         return Connection(
-            strict_boundedness=strict_boundedness,
-            compile_expressions=compile_expressions,
-            **planner_kwargs,
+            strict_boundedness=strict_boundedness, **planner_kwargs
         )
     if oracle is None:
         oracle = GroundTruthOracle()
@@ -614,7 +580,6 @@ def connect(
         crowd_config=crowd_config,
         strict_boundedness=strict_boundedness,
         default_platform=default_platform,
-        compile_expressions=compile_expressions,
         **planner_kwargs,
     )
     # wire the Worker Relationship Manager into every simulated platform:

@@ -91,8 +91,6 @@ class ExecutionContext:
             Callable[[ast.Select, tuple, Scope], list[tuple]]
         ] = None,
         crowd_waiter: Optional[Callable[[Any], None]] = None,
-        compile_expressions: bool = True,
-        ordered_conjuncts: bool = True,
         crowd_ledger: Optional[CrowdLedger] = None,
         electronic_pool: Optional[Any] = None,
         guard: Optional[Any] = None,  # StatementGuard, deadline/budget caps
@@ -107,15 +105,9 @@ class ExecutionContext:
         self.guard = guard
         self._subquery_executor = subquery_executor
         self.crowd_waiter = crowd_waiter
-        self.compile_expressions = compile_expressions
         # multi-core dispatch for binder-approved electronic regions
         # (repro.exec.pool.ElectronicPool); None executes them in place
         self.electronic_pool = electronic_pool
-        # cost-based conjunct evaluation: FilterOp partitions AND-chains
-        # into an electronic short-circuit prefix and a crowd/subquery
-        # tail (identical for compiled and interpreted expressions);
-        # False restores whole-predicate evaluation for every row
-        self.ordered_conjuncts = ordered_conjuncts
         self.evaluator = Evaluator(context=self, parameters=parameters)
         # per-execution metrics surfaced by EXPLAIN ANALYZE-style reporting
         self.rows_scanned = 0
@@ -199,27 +191,21 @@ class ExecutionContext:
 
     def compile_value_fn(self, expr: ast.Expression, scope: Scope):
         """Compile ``expr`` to a ``values -> SQL value`` closure against
-        ``scope`` (interpreted closure when compilation is disabled)."""
-        if self.compile_expressions:
-            from repro.plan.compiled import compile_value
+        ``scope``."""
+        from repro.plan.compiled import compile_value
 
-            return compile_value(
-                expr, scope, context=self, parameters=self.parameters
-            )
-        evaluator = self.evaluator
-        return lambda values: evaluator.value(expr, values, scope)
+        return compile_value(
+            expr, scope, context=self, parameters=self.parameters
+        )
 
     def compile_predicate_fn(self, expr: ast.Expression, scope: Scope):
         """Compile ``expr`` to a ``values -> TriBool`` closure against
-        ``scope`` (interpreted closure when compilation is disabled)."""
-        if self.compile_expressions:
-            from repro.plan.compiled import compile_predicate
+        ``scope``."""
+        from repro.plan.compiled import compile_predicate
 
-            return compile_predicate(
-                expr, scope, context=self, parameters=self.parameters
-            )
-        evaluator = self.evaluator
-        return lambda values: evaluator.predicate(expr, values, scope)
+        return compile_predicate(
+            expr, scope, context=self, parameters=self.parameters
+        )
 
     # -- issue / yield / resume ---------------------------------------------------
 
@@ -228,7 +214,7 @@ class ExecutionContext:
         """Window for batch crowd execution (1 = tuple-at-a-time)."""
         if self.task_manager is None:
             return 1
-        return max(1, getattr(self.task_manager.config, "batch_size", 1))
+        return max(1, self.task_manager.config.batch_size)
 
     def _guard_check(self) -> None:
         if self.guard is not None:

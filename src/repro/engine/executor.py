@@ -229,9 +229,16 @@ class Executor:
         if isinstance(stmt, ast.Guarded):
             # peel the caps off and run the inner statement under them;
             # the plan cache keys on the inner AST, so the same query
-            # with different caps shares one plan
+            # with different caps shares one plan.  A nested wrapper
+            # (EXPLAIN ANALYZE ... WITH, under a submission's caps) wins
+            # field by field, as the text wins in repro.statement
             previous = self._guard_request
-            self._guard_request = (stmt.deadline_ms, stmt.budget_cents)
+            deadline, budget = previous
+            if stmt.deadline_ms is not None:
+                deadline = stmt.deadline_ms
+            if stmt.budget_cents is not None:
+                budget = stmt.budget_cents
+            self._guard_request = (deadline, budget)
             try:
                 return self._dispatch(stmt.statement, parameters)
             finally:
@@ -384,7 +391,7 @@ class Executor:
             operator = PhysicalPlanner(
                 context,
                 profiler=profiler,
-                bindings=getattr(compiled, "bindings", None) or None,
+                bindings=compiled.bindings,
             ).plan(compiled.plan)
             partial_reason: Optional[str] = None
             rows: list[tuple] = []
@@ -412,6 +419,17 @@ class Executor:
     ) -> ResultSet:
         inner = stmt.statement
         if isinstance(inner, ast.Guarded):
+            if stmt.analyze:
+                # ANALYZE runs the query, so its caps bound the crowd
+                # work exactly as they would bound the bare SELECT
+                return self._dispatch(
+                    ast.Guarded(
+                        ast.Explain(inner.statement, analyze=True),
+                        inner.deadline_ms,
+                        inner.budget_cents,
+                    ),
+                    parameters,
+                )
             inner = inner.statement  # EXPLAIN shows the plan; caps don't apply
         if not isinstance(inner, (ast.Select, ast.SetOp)):
             raise ExecutionError("EXPLAIN supports SELECT statements only")
@@ -441,7 +459,7 @@ class Executor:
             sim_clock=self.sim_clock(),
         )
         started = perf_counter()
-        _columns, _rows, crowd_stats, _partial = self._run_compiled(
+        _columns, _rows, crowd_stats, partial_reason = self._run_compiled(
             compiled, parameters, profiler=profiler
         )
         total_seconds = perf_counter() - started
@@ -457,6 +475,8 @@ class Executor:
             crowd_stats=crowd_stats,
             flag_ratio=flag_ratio,
         ).splitlines()
+        if partial_reason:
+            lines.append(f"-- partial: {partial_reason}")
         return ResultSet(
             columns=["plan"],
             rows=[(line,) for line in lines],
@@ -464,6 +484,8 @@ class Executor:
             statement="EXPLAIN ANALYZE",
             plan=compiled,
             crowd_stats=crowd_stats,
+            status="partial" if partial_reason else "complete",
+            partial_reason=partial_reason,
         )
 
     def sim_clock(self) -> Optional[Callable[[], float]]:
@@ -605,8 +627,6 @@ class Executor:
             crowd_waiter=self.crowd_waiter,
             crowd_ledger=self._active_ledger,
             guard=self.active_guard,
-            compile_expressions=self.optimizer.compile_expressions,
-            ordered_conjuncts=self.optimizer.cost_based,
             electronic_pool=self.electronic_pool,
         )
 

@@ -22,9 +22,8 @@ class FilterOp(PhysicalOperator):
     the eager chunk cannot issue crowd tasks a stop-after bound would
     have prevented).
 
-    Mixed predicates are evaluated as *partitioned conjuncts* (unless
-    ``context.ordered_conjuncts`` is off): the purely electronic
-    conjuncts — which the optimizer already ordered by
+    Mixed predicates are evaluated as *partitioned conjuncts*: the purely
+    electronic conjuncts — which the optimizer already ordered by
     selectivity-per-cost — run first with short-circuiting, and only
     rows surviving all of them evaluate the crowd/subquery tail.  A row
     an electronic conjunct rejects never spends a cent.  The tail itself
@@ -70,8 +69,6 @@ class FilterOp(PhysicalOperator):
         predicate has no mixed AND-chain to partition."""
         from repro.optimizer.rules import split_conjuncts
 
-        if not getattr(self.context, "ordered_conjuncts", True):
-            return None
         conjuncts = split_conjuncts(self.predicate_expr)
         if len(conjuncts) < 2:
             return None

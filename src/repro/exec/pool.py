@@ -93,7 +93,7 @@ def _run_region_payload(payload: bytes) -> tuple[list, int]:
     from repro.engine.planner import PhysicalPlanner
     from repro.plan.binder import Binder
 
-    node, parameters, compile_expressions = pickle.loads(payload)
+    node, parameters = pickle.loads(payload)
     engine = _WORKER_ENGINE
     if engine is None:  # pragma: no cover - defensive
         raise RuntimeError("electronic pool worker has no engine snapshot")
@@ -104,11 +104,7 @@ def _run_region_payload(payload: bytes) -> tuple[list, int]:
             "region no longer vector-eligible in the worker snapshot — "
             "the pool's freshness token should have prevented this"
         )
-    context = ExecutionContext(
-        engine=engine,
-        parameters=parameters,
-        compile_expressions=compile_expressions,
-    )
+    context = ExecutionContext(engine=engine, parameters=parameters)
     operator = PhysicalPlanner(context, bindings=bindings).plan(node)
     return list(operator), context.rows_scanned
 
@@ -195,9 +191,7 @@ class ElectronicPool:
         """Ship the region to a fork-snapshot worker; None means the
         caller falls back to in-place execution."""
         try:
-            payload = pickle.dumps(
-                (op.region, context.parameters, context.compile_expressions)
-            )
+            payload = pickle.dumps((op.region, context.parameters))
         except Exception:
             return None  # unpicklable plan node or parameter
         with self._lock:

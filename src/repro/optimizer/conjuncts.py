@@ -38,8 +38,6 @@ class ConjunctOrdering:
     def apply(
         self, plan: logical.LogicalPlan, context: OptimizerContext
     ) -> logical.LogicalPlan:
-        if not context.cost_based:
-            return plan
         rewritten = self._rewrite(plan, context)
         if rewritten is not plan:
             context.record(self.name)

@@ -101,8 +101,7 @@ class JoinOrdering:
         context: OptimizerContext,
     ) -> logical.LogicalPlan | None:
         if (
-            context.cost_based
-            and context.cost_model is not None
+            context.cost_model is not None
             and 2 <= len(plans) <= DP_MAX_RELATIONS
         ):
             ordered = self._order_dp(plans, conditions, context)

@@ -6,11 +6,9 @@ enumeration costed with the unified rows/cents/rounds model), then the
 crowd-specific ones (CrowdJoin rewrite, stop-after push-down, conjunct
 ordering with crowd predicates last), and finally the boundedness
 analysis, which annotates plans with cardinality predictions and warns at
-compile time when crowd requests cannot be bounded.
-
-``cost_based=False`` restores the pre-cost-model behaviour — greedy join
-ordering over constant selectivities with no conjunct ordering — which
-the E16 benchmark uses as its baseline.
+compile time when crowd requests cannot be bounded.  Last, the binder
+marks the purely electronic region of the final plan for columnar
+execution.
 """
 
 from __future__ import annotations
@@ -27,6 +25,7 @@ from repro.optimizer.predicate_pushdown import PredicatePushdown
 from repro.optimizer.rules import OptimizerContext
 from repro.optimizer.stopafter import StopAfterPushdown
 from repro.plan import logical
+from repro.plan.binder import Binder
 from repro.plan.cardinality import CardinalityEstimator, Estimate
 from repro.storage.engine import StorageEngine
 
@@ -41,13 +40,7 @@ class OptimizationResult:
     annotations: dict[int, Estimate] = field(default_factory=dict)
     #: cumulative per-node cost under the rows/cents/rounds model
     costs: dict[int, PlanCost] = field(default_factory=dict)
-    #: whether physical operators will compile this plan's expressions to
-    #: plan-time closures (False = per-row AST interpretation)
-    compile_expressions: bool = True
-    #: whether the binder stage ran (columnar execution enabled)
-    vectorized: bool = False
     #: id(node) -> repro.plan.binder.NodeBinding for every plan node
-    #: (empty when the binder did not run)
     bindings: dict[int, Any] = field(default_factory=dict)
 
     @property
@@ -77,8 +70,6 @@ class OptimizationResult:
             lines.append(f"-- cost: {cost}")
         if self.applied_rules:
             lines.append(f"-- rules: {', '.join(self.applied_rules)}")
-        mode = "compiled" if self.compile_expressions else "interpreted"
-        lines.append(f"-- expressions: {mode}")
         return "\n".join(lines)
 
     def _explain_node(
@@ -97,12 +88,11 @@ class OptimizationResult:
             if cost is not None:
                 parts.append(f"~{cost.cents:g}c")
                 parts.append(f"~{cost.rounds:g} rounds")
-            if self.vectorized:
-                binding = self.bindings.get(id(node))
-                if binding is not None and binding.vectorized:
-                    parts.append("execution: vectorized")
-                else:
-                    parts.append("execution: row")
+            binding = self.bindings.get(id(node))
+            if binding is not None and binding.vectorized:
+                parts.append("execution: vectorized")
+            else:
+                parts.append("execution: row")
             text += "  -- " + " / ".join(parts)
         lines.append(text)
         for child in node.children():
@@ -117,20 +107,12 @@ class Optimizer:
         engine: StorageEngine,
         strict_boundedness: bool = False,
         enable_rules: Optional[set[str]] = None,
-        compile_expressions: bool = True,
         crowd_config: Optional[Any] = None,
-        cost_based: bool = True,
-        vectorized: bool = True,
     ) -> None:
         self.engine = engine
         self.strict_boundedness = strict_boundedness
         self.enable_rules = enable_rules
-        self.compile_expressions = compile_expressions
         self.crowd_config = crowd_config
-        self.cost_based = cost_based
-        # columnar execution builds on the compiled-expression kernels;
-        # the interpreted mode stays pure row-at-a-time
-        self.vectorized = vectorized and compile_expressions
         self._boundedness = BoundednessAnalysis()
         self._rules = [
             PredicatePushdown(),
@@ -142,16 +124,13 @@ class Optimizer:
         ]
 
     def optimize(self, plan: logical.LogicalPlan) -> OptimizationResult:
-        estimator = CardinalityEstimator(
-            self.engine, use_histograms=self.cost_based
-        )
+        estimator = CardinalityEstimator(self.engine)
         cost_model = CostModel(estimator, crowd_config=self.crowd_config)
         context = OptimizerContext(
             engine=self.engine,
             estimator=estimator,
             strict_boundedness=self.strict_boundedness,
             cost_model=cost_model,
-            cost_based=self.cost_based,
         )
         for rule in self._rules:
             if (
@@ -165,11 +144,7 @@ class Optimizer:
         annotations = estimator.annotate(plan)
         # the binder stage: decide vectorized vs row per node of the
         # *final* plan (rules no longer move nodes after this point)
-        bindings: dict[int, Any] = {}
-        if self.vectorized:
-            from repro.plan.binder import Binder
-
-            bindings = Binder(self.engine).bind(plan)
+        bindings = Binder(self.engine).bind(plan)
         vectorized_ids = frozenset(
             node_id
             for node_id, binding in bindings.items()
@@ -189,7 +164,5 @@ class Optimizer:
             applied_rules=list(dict.fromkeys(context.applied_rules)),
             annotations=annotations,
             costs=costs,
-            compile_expressions=self.compile_expressions,
-            vectorized=self.vectorized,
             bindings=bindings,
         )

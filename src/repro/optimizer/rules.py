@@ -22,7 +22,6 @@ class OptimizerContext:
     #: cost-based planning: the rows/cents/rounds model DP enumeration
     #: and conjunct ordering score against (None = rule-based only)
     cost_model: Optional[object] = None
-    cost_based: bool = False
 
     def record(self, rule_name: str) -> None:
         self.applied_rules.append(rule_name)

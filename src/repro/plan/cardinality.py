@@ -6,8 +6,8 @@ live table statistics with textbook selectivity guesses; crowd operators
 additionally expose an estimate of how many *crowd requests* they will
 issue, which the cost model and the boundedness analysis consume.
 
-With ``use_histograms=True`` (the cost-based default) the estimator
-answers from analyzed statistics instead of textbook constants:
+Where statistics exist the estimator answers from them instead of
+textbook constants:
 
 * equality against a literal uses the exact live value frequency;
 * range, BETWEEN, and prefix-LIKE predicates interpolate over the
@@ -15,8 +15,8 @@ answers from analyzed statistics instead of textbook constants:
 * ``IS [C]NULL`` uses the tracked null/CNULL fractions;
 * equi-join selectivity between two columns is ``1 / max(NDV)``.
 
-``use_histograms=False`` reproduces the constant-selectivity behaviour —
-the baseline the E16 benchmark measures against.
+Without them (unknown column, unanalyzed range, leading-wildcard LIKE
+with no MCVs) the textbook constants below apply.
 """
 
 from __future__ import annotations
@@ -51,9 +51,8 @@ class Estimate:
 class CardinalityEstimator:
     """Bottom-up row-count and crowd-call estimation."""
 
-    def __init__(self, engine: StorageEngine, use_histograms: bool = True) -> None:
+    def __init__(self, engine: StorageEngine) -> None:
         self.engine = engine
-        self.use_histograms = use_histograms
         # per-node memo (plans are immutable; entries hold the node so
         # its id cannot be recycled).  One estimator serves one
         # optimization run, so statistics cannot change under the memo —
@@ -265,10 +264,9 @@ class CardinalityEstimator:
     ) -> float:
         column, literal = _column_vs_literal(predicate)
         if column is None:
-            if self.use_histograms:
-                join = self._join_equality_selectivity(predicate, below)
-                if join is not None:
-                    return join
+            join = self._join_equality_selectivity(predicate, below)
+            if join is not None:
+                return join
             return EQUALITY_SELECTIVITY_DEFAULT
         found = self._column_stats(column, below)
         if found is None:
@@ -282,7 +280,7 @@ class CardinalityEstimator:
             return min(
                 column_stats.selectivity_equals(), EQUALITY_SELECTIVITY_DEFAULT
             )
-        if self.use_histograms and literal is not None:
+        if literal is not None:
             value = _coerced(literal, sql_type)
             if value is not None:
                 return column_stats.selectivity_equals(value)
@@ -309,8 +307,6 @@ class CardinalityEstimator:
     def _range_selectivity(
         self, predicate: ast.BinaryOp, below: logical.LogicalPlan
     ) -> float:
-        if not self.use_histograms:
-            return RANGE_SELECTIVITY_DEFAULT
         column, literal = _column_vs_literal(predicate)
         if column is None or literal is None:
             return RANGE_SELECTIVITY_DEFAULT
@@ -340,8 +336,7 @@ class CardinalityEstimator:
     ) -> float:
         inner = RANGE_SELECTIVITY_DEFAULT
         if (
-            self.use_histograms
-            and isinstance(predicate.operand, ast.ColumnRef)
+            isinstance(predicate.operand, ast.ColumnRef)
             and isinstance(predicate.low, ast.Literal)
             and isinstance(predicate.high, ast.Literal)
         ):
@@ -359,8 +354,6 @@ class CardinalityEstimator:
     def _like_selectivity(
         self, predicate: ast.BinaryOp, below: logical.LogicalPlan
     ) -> float:
-        if not self.use_histograms:
-            return LIKE_SELECTIVITY_DEFAULT
         if not isinstance(predicate.left, ast.ColumnRef) or not isinstance(
             predicate.right, ast.Literal
         ):
@@ -393,7 +386,7 @@ class CardinalityEstimator:
         self, predicate: ast.InList, below: logical.LogicalPlan
     ) -> float:
         inner: Optional[float] = None
-        if self.use_histograms and isinstance(predicate.operand, ast.ColumnRef):
+        if isinstance(predicate.operand, ast.ColumnRef):
             found = self._column_stats(predicate.operand, below)
             if found is not None and all(
                 isinstance(item, ast.Literal) for item in predicate.items
@@ -417,7 +410,7 @@ class CardinalityEstimator:
         self, predicate: ast.IsNull, below: logical.LogicalPlan
     ) -> float:
         inner = NULL_SELECTIVITY_DEFAULT
-        if self.use_histograms and isinstance(predicate.operand, ast.ColumnRef):
+        if isinstance(predicate.operand, ast.ColumnRef):
             found = self._column_stats(predicate.operand, below)
             if found is not None:
                 column_stats, _sql_type = found

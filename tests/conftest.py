@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import contextlib
 import random
 import warnings
+from unittest import mock
 
 import pytest
 
@@ -13,7 +15,9 @@ from repro.crowd.platform import PlatformRegistry
 from repro.crowd.scripted import ScriptedPlatform, oracle_answer_fn
 from repro.crowd.sim.traces import GroundTruthOracle
 from repro.crowd.task_manager import CrowdConfig, TaskManager
+from repro.engine.context import ExecutionContext
 from repro.errors import UnboundedQueryWarning
+from repro.plan.binder import Binder
 from repro.storage.engine import StorageEngine
 from repro.ui.manager import UITemplateManager
 
@@ -99,6 +103,60 @@ def order_book():
     """``(load, query)``: :func:`load_order_book` and the statement to
     run over what it loads."""
     return load_order_book, ORDER_BOOK_QUERY
+
+
+# -- reference engines -------------------------------------------------------------
+#
+# The engine has one configuration; the differential tests compare it with
+# two references reached through these seams.  Each fixture returns a
+# context manager: statements compiled *and* run inside it use the
+# reference, statements outside it the default path.  Build a fresh
+# connection inside the block — a plan cached outside it keeps its
+# bindings.
+
+
+@contextlib.contextmanager
+def _row_engine():
+    # the binder marks no node, so every plan runs on the row operators
+    with mock.patch.object(Binder, "bind", lambda self, plan: {}):
+        yield
+
+
+def _interpreted_value_fn(self, expr, scope):
+    evaluator = self.evaluator
+    return lambda values: evaluator.value(expr, values, scope)
+
+
+def _interpreted_predicate_fn(self, expr, scope):
+    evaluator = self.evaluator
+    return lambda values: evaluator.predicate(expr, values, scope)
+
+
+@contextlib.contextmanager
+def _interpreted():
+    # row operators, and every expression they compile (all of them go
+    # through these two ExecutionContext methods) walked by the AST
+    # Evaluator per row instead of compiled to closures
+    with _row_engine(), mock.patch.object(
+        ExecutionContext, "compile_value_fn", _interpreted_value_fn
+    ), mock.patch.object(
+        ExecutionContext, "compile_predicate_fn", _interpreted_predicate_fn
+    ):
+        yield
+
+
+@pytest.fixture
+def row_engine():
+    """``with row_engine(): ...`` runs plans on the row operators with
+    compiled closures — the reference for columnar execution."""
+    return _row_engine
+
+
+@pytest.fixture
+def interpreted():
+    """``with interpreted(): ...`` runs plans on the row operators with
+    the AST interpreter — the reference for compiled expressions."""
+    return _interpreted
 
 
 @pytest.fixture

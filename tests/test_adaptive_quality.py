@@ -420,7 +420,7 @@ class TestBatchWindowInterplay:
 
 
 class TestCompiledExpressionInterplay:
-    def _run(self, compile_expressions: bool):
+    def _run(self):
         reset_id_counters()
         oracle = GroundTruthOracle()
         oracle.declare_same_entity("IBM", "I.B.M.", "ibm corp")
@@ -437,7 +437,6 @@ class TestCompiledExpressionInterplay:
             platforms=(platform,),
             default_platform="scripted",
             crowd_config=CrowdConfig(**ADAPTIVE),
-            compile_expressions=compile_expressions,
         )
         db.execute("CREATE TABLE Company (name STRING PRIMARY KEY)")
         for name in ("I.B.M.", "ibm corp", "Oracle", "HP"):
@@ -451,11 +450,12 @@ class TestCompiledExpressionInterplay:
         ]
         return sorted(result.rows), calls, db.crowd_stats
 
-    def test_identical_crowd_calls_under_reissue(self):
-        compiled_rows, compiled_calls, compiled_stats = self._run(True)
-        interpreted_rows, interpreted_calls, interpreted_stats = self._run(
-            False
-        )
+    def test_identical_crowd_calls_under_reissue(self, interpreted):
+        compiled_rows, compiled_calls, compiled_stats = self._run()
+        with interpreted():
+            interpreted_rows, interpreted_calls, interpreted_stats = (
+                self._run()
+            )
         assert compiled_rows == interpreted_rows == [
             ("I.B.M.",), ("ibm corp",)
         ]

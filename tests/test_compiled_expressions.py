@@ -4,10 +4,14 @@ Every expression of the corpus runs through both the interpreted
 :class:`Evaluator` and the plan-time compiler over the same rows, and the
 results must be identical — value identity for the NULL/CNULL singletons,
 TriBool verdicts for predicates, error type and message for failures, and
-the exact sequence of crowd calls for CROWDEQUAL hybrids.
+the exact sequence of crowd calls for CROWDEQUAL hybrids.  Whole
+statements compare the default path with the ``interpreted`` seam of
+``tests/conftest.py``.
 """
 
 from __future__ import annotations
+
+import contextlib
 
 import pytest
 
@@ -180,17 +184,17 @@ class TestNaNParity:
             expected, actual = both_tri(fragment, row, parameters)
             assert actual == expected, f"{fragment!r} over {row!r}"
 
-    def test_nan_sort_matches_interpreted(self):
-        def rows(compile_expressions):
-            db = connect(
-                with_crowd=False, compile_expressions=compile_expressions
-            )
+    def test_nan_sort_matches_interpreted(self, interpreted):
+        def rows():
+            db = connect(with_crowd=False)
             db.execute("CREATE TABLE t (i INTEGER PRIMARY KEY, x FLOAT)")
             for i, x in enumerate([2.5, self.NAN, 1.5, self.NAN, 3.5]):
                 db.engine.insert("t", [i, x])
             return db.execute("SELECT i FROM t ORDER BY x").rows
 
-        assert repr(rows(True)) == repr(rows(False))
+        compiled = rows()
+        with interpreted():
+            assert repr(compiled) == repr(rows())
 
 
 class TestErrorParity:
@@ -333,7 +337,8 @@ class TestLikeCache:
 
 
 class TestEndToEndEquivalence:
-    """Full statements over both modes return identical ResultSets."""
+    """Full statements return identical ResultSets on the default path
+    and on the interpreter."""
 
     SCRIPT = """
         CREATE TABLE emp (
@@ -368,18 +373,22 @@ class TestEndToEndEquivalence:
         "SELECT UPPER(name) || '-' || dept FROM emp WHERE id % 2 = 0",
     ]
 
-    def _run_all(self, compile_expressions):
-        db = connect(with_crowd=False, compile_expressions=compile_expressions)
+    def _run_all(self):
+        db = connect(with_crowd=False)
         db.executescript(self.SCRIPT)
         return [
             (result.columns, result.rows)
             for result in (db.execute(q) for q in self.QUERIES)
         ]
 
-    def test_compiled_matches_interpreted(self):
-        assert self._run_all(True) == self._run_all(False)
+    def test_compiled_matches_interpreted(self, interpreted):
+        compiled = self._run_all()
+        with interpreted():
+            assert compiled == self._run_all()
 
-    def test_order_book_pipeline_matches_interpreted(self, order_book):
+    def test_order_book_pipeline_matches_interpreted(
+        self, order_book, interpreted, row_engine
+    ):
         """5,000 rows through every electronic operator at once, on the
         default path (compiled, and vectorized where the binder allows)
         and on the compiled row closures alone, against the interpreter.
@@ -387,29 +396,16 @@ class TestEndToEndEquivalence:
         plain ``==`` would wave through."""
         load, query = order_book
         runs = []
-        for mode in (
-            dict(compile_expressions=False),
-            dict(vectorized=False),
-            dict(),
-        ):
-            db = connect(with_crowd=False, **mode)
-            load(db)
-            runs.append((db.execute(query), db.explain(query)))
-        (interpreted, interpreted_plan), *compiled_runs = runs
-        assert len(interpreted.rows) == 5  # one group per region
-        assert "-- expressions: interpreted" in interpreted_plan
-        for compiled, compiled_plan in compiled_runs:
-            assert compiled.columns == interpreted.columns
-            assert compiled.rows == interpreted.rows
-            assert repr(compiled.rows) == repr(interpreted.rows)
-            assert "-- expressions: compiled" in compiled_plan
-
-    def test_explain_marks_compilation_mode(self):
-        compiled = connect(with_crowd=False)
-        interpreted = connect(with_crowd=False, compile_expressions=False)
-        for db, marker in (
-            (compiled, "-- expressions: compiled"),
-            (interpreted, "-- expressions: interpreted"),
-        ):
-            db.execute("CREATE TABLE t (x INTEGER PRIMARY KEY)")
-            assert marker in db.explain("SELECT x FROM t WHERE x = 1")
+        for engine in (interpreted, row_engine, contextlib.nullcontext):
+            with engine():
+                db = connect(with_crowd=False)
+                load(db)
+                runs.append((db.execute(query), db.explain(query)))
+        (reference, reference_plan), *compiled_runs = runs
+        assert len(reference.rows) == 5  # one group per region
+        assert "execution: vectorized" not in reference_plan
+        for compiled, _plan in compiled_runs:
+            assert compiled.columns == reference.columns
+            assert compiled.rows == reference.rows
+            assert repr(compiled.rows) == repr(reference.rows)
+        assert "execution: vectorized" in compiled_runs[-1][1]

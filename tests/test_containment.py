@@ -402,6 +402,43 @@ class TestPartialResults:
         assert result.status == "complete"
         conn.close()
 
+    @pytest.mark.parametrize("front", ["sql", "explain_analyze"])
+    @pytest.mark.parametrize("cap_in_text", [True, False])
+    def test_explain_analyze_stops_where_the_select_stops(
+        self, front, cap_in_text
+    ):
+        """EXPLAIN ANALYZE runs the query, so the SELECT's caps bound it
+        in the same order (text over the connect() default) and a trip
+        shows as a ``-- partial:`` footer.  Uncapped, this query pays
+        240 cents; capped at 5 it stops at 96, as the bare SELECT does."""
+        reset_id_counters()
+        oracle = GroundTruthOracle()
+        for i in range(40):
+            oracle.load_fill("City", (f"city{i}",), {"population": 1000 + i})
+        conn = connect(
+            oracle=oracle,
+            seed=11,
+            statement_budget_cents=100_000 if cap_in_text else 5,
+        )
+        conn.execute(
+            "CREATE TABLE City (name STRING PRIMARY KEY, "
+            "population CROWD INTEGER)"
+        )
+        for i in range(40):
+            conn.execute("INSERT INTO City (name) VALUES (?)", (f"city{i}",))
+        sql = "SELECT name, population FROM City WHERE population > 1003"
+        if cap_in_text:
+            sql += " WITH BUDGET 5"
+        if front == "sql":
+            result = conn.execute(f"EXPLAIN ANALYZE {sql}")
+            assert (result.status, result.partial_reason) == ("partial", "budget")
+            report = [row[0] for row in result.rows]
+        else:
+            report = conn.explain_analyze(sql).splitlines()
+        assert report[-1] == "-- partial: budget"
+        assert conn.crowd_stats["cost_cents"] == 96
+        conn.close()
+
     def test_partial_futures_reused_on_retry(self):
         """A capped statement leaves its futures in the shared pool; a
         later uncapped retry settles them without reposting HITs."""

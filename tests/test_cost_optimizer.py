@@ -13,6 +13,7 @@ import pytest
 from repro import connect
 from repro.crowd.scripted import ScriptedPlatform, oracle_answer_fn
 from repro.crowd.sim.traces import GroundTruthOracle
+from repro.optimizer import join_ordering
 from repro.optimizer.cost import PlanCost
 from repro.optimizer.optimizer import Optimizer
 from repro.plan import logical
@@ -175,15 +176,6 @@ class TestSelectivity:
         estimate = self.estimated(db, "SELECT id FROM t WHERE v IN (1, 2, 3)")
         assert estimate == pytest.approx(30, rel=0.01)
 
-    def test_baseline_keeps_constants(self):
-        db = connect(with_crowd=False, cost_based_optimizer=False)
-        db.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, v INTEGER)")
-        for i in range(1000):
-            db.engine.insert("t", [i, i % 100])
-        db.execute("ANALYZE t")
-        estimate = db.compile("SELECT id FROM t WHERE v < 10").estimated_rows
-        assert estimate == pytest.approx(300)  # 0.3 textbook constant
-
 
 # -- the cost model --------------------------------------------------------------
 
@@ -283,9 +275,10 @@ class TestDPJoinOrdering:
         second = db.compile(self.SQL).plan.explain()
         assert first == second
 
-    def test_dp_result_matches_greedy_result(self, db):
+    def test_dp_result_matches_greedy_result(self, db, monkeypatch):
         dp_rows = sorted(db.query(self.SQL))
-        db.executor.optimizer = Optimizer(db.engine, cost_based=False)
+        monkeypatch.setattr(join_ordering, "DP_MAX_RELATIONS", 1)
+        db.executor.plan_cache.clear()
         greedy_rows = sorted(db.query(self.SQL))
         assert dp_rows == greedy_rows
 
@@ -316,11 +309,11 @@ class TestDPJoinOrdering:
         assert isinstance(node, logical.Scan)
         assert not node.table.crowd
 
-    def test_single_relation_on_conjunct_keeps_crowdjoin(self):
+    def test_single_relation_on_conjunct_keeps_crowdjoin(self, monkeypatch):
         """A one-sided ON conjunct must not wrap the crowd inner in a
         Filter — that would defeat CrowdJoinRewrite and silently drop
         crowd sourcing (code-review regression)."""
-        def build(cost_based):
+        def build():
             oracle = GroundTruthOracle()
             oracle.load_new_tuples(
                 "NotableAttendee",
@@ -331,7 +324,6 @@ class TestDPJoinOrdering:
                 oracle=oracle,
                 platforms=(ScriptedPlatform(oracle_answer_fn(oracle)),),
                 default_platform="scripted",
-                cost_based_optimizer=cost_based,
             )
             db.executescript(
                 """
@@ -351,14 +343,15 @@ class TestDPJoinOrdering:
             "JOIN NotableAttendee n ON n.title = t.title AND n.vip = 1 "
             "ORDER BY t.title, n.name"
         )
-        dp_db = build(True)
+        dp_db = build()
         compiled = dp_db.compile(sql)
         crowd_joins = [
             n for n in compiled.plan.walk() if isinstance(n, logical.CrowdJoin)
         ]
         assert crowd_joins, compiled.plan.explain()
-        baseline_db = build(False)
-        assert dp_db.query(sql) == baseline_db.query(sql)
+        dp_rows = dp_db.query(sql)
+        monkeypatch.setattr(join_ordering, "DP_MAX_RELATIONS", 1)
+        assert dp_rows == build().query(sql)  # the greedy plan
 
     def test_nine_relations_fall_back_to_greedy(self, plain_db):
         for i in range(9):
@@ -377,15 +370,13 @@ class TestDPJoinOrdering:
 # -- conjunct ordering -----------------------------------------------------------
 
 
-def _crowdequal_db(cost_based=True, compile_expressions=True):
+def _crowdequal_db():
     oracle = GroundTruthOracle()
     oracle.declare_same_entity("IBM", "I.B.M.")
     db = connect(
         oracle=oracle,
         platforms=(ScriptedPlatform(oracle_answer_fn(oracle)),),
         default_platform="scripted",
-        cost_based_optimizer=cost_based,
-        compile_expressions=compile_expressions,
     )
     db.executescript(
         """
@@ -409,11 +400,13 @@ CROWD_SQL = (
 )
 
 
-def _star_join_db(cost_based):
+def _star_join_db():
     """6,000 publications joined to four dimensions, plus a curation side
     table kept outside the reorderable core by a LEFT JOIN.  Two traps
-    make a greedy rows-only planner over textbook selectivities pay:
-    ``h_index < 1`` keeps 2% of professors where the constant guess says
+    made a greedy rows-only planner over textbook selectivities, which
+    evaluated filters whole, pay 360 assignments where the cost-based
+    plan pays 18: ``h_index < 1`` keeps 2% of professors where the
+    constant guess says
     30%, and ``status = 'approved'`` cannot sink below the LEFT JOIN, so
     it shares the top filter with the CROWDEQUAL — evaluated whole, that
     filter ballots every distinct venue instead of the approved rows'."""
@@ -423,7 +416,6 @@ def _star_join_db(cost_based):
         oracle=oracle,
         platforms=(ScriptedPlatform(oracle_answer_fn(oracle)),),
         default_platform="scripted",
-        cost_based_optimizer=cost_based,
     )
     db.executescript(
         """
@@ -483,42 +475,36 @@ class TestConjunctOrdering:
         assert top.index("tag") < top.index("CROWDEQUAL")
 
     def test_electronic_prefix_skips_ballots(self):
-        ordered = _crowdequal_db(cost_based=True)
-        baseline = _crowdequal_db(cost_based=False)
-        ordered_rows = ordered.query(CROWD_SQL)
-        baseline_rows = baseline.query(CROWD_SQL)
-        assert ordered_rows == baseline_rows
-        assert (
-            ordered.crowd_stats["assignments_received"]
-            < baseline.crowd_stats["assignments_received"]
-        )
+        """Only rows surviving the electronic ``tag`` test are balloted:
+        3 assignments (one HIT), where evaluating the whole predicate per
+        row paid 12 for the same rows."""
+        db = _crowdequal_db()
+        assert db.query(CROWD_SQL) == [(0,), (8,), (16,), (24,), (32,)]
+        assert db.crowd_stats["hits_posted"] == 1
+        assert db.crowd_stats["assignments_received"] == 3
+        assert db.crowd_stats["cost_cents"] == 6
 
     def test_star_join_same_rows_for_fewer_assignments(self):
-        """The two plans against each other on a star join with both
-        traps set (see :func:`_star_join_db`): identical rows, strictly
-        less paid for them, and the repeat served from the plan cache."""
-        runs = {}
-        for cost_based in (False, True):
-            db = _star_join_db(cost_based)
-            first = db.execute(STAR_SQL)
-            hits_before = db.executor.plan_cache.stats["hits"]
-            repeat = db.execute(STAR_SQL)
-            assert db.executor.plan_cache.stats["hits"] > hits_before
-            assert repeat.rows == first.rows
-            runs[cost_based] = (first.rows, db.crowd_stats)
-        (baseline_rows, baseline), (rows, cost_based) = runs[False], runs[True]
-        assert rows == baseline_rows
-        assert len(rows) > 0
-        assert (
-            cost_based["assignments_received"]
-            < baseline["assignments_received"]
-        )
-        assert cost_based["cost_cents"] < baseline["cost_cents"]
+        """The cost-based plan on a star join with both traps set (see
+        :func:`_star_join_db`): the right row for 18 assignments and 36
+        cents (that baseline paid 360 and 720), and the repeat
+        served from the plan cache without buying anything again."""
+        db = _star_join_db()
+        first = db.execute(STAR_SQL)
+        hits_before = db.executor.plan_cache.stats["hits"]
+        repeat = db.execute(STAR_SQL)
+        assert db.executor.plan_cache.stats["hits"] > hits_before
+        assert repeat.rows == first.rows
+        assert first.rows == [("prof0000", "Proc. of the VLDB Endowment", 0)]
+        assert db.crowd_stats["assignments_received"] == 18
+        assert db.crowd_stats["cost_cents"] == 36
 
-    def test_interpreted_path_matches_compiled(self):
-        compiled_db = _crowdequal_db(compile_expressions=True)
-        interpreted_db = _crowdequal_db(compile_expressions=False)
-        assert compiled_db.query(CROWD_SQL) == interpreted_db.query(CROWD_SQL)
+    def test_interpreted_path_matches_compiled(self, interpreted):
+        compiled_db = _crowdequal_db()
+        compiled_rows = compiled_db.query(CROWD_SQL)
+        with interpreted():
+            interpreted_db = _crowdequal_db()
+            assert compiled_rows == interpreted_db.query(CROWD_SQL)
         keys = ("hits_posted", "assignments_received", "compare_requests")
         assert {
             k: compiled_db.crowd_stats[k] for k in keys
@@ -588,7 +574,7 @@ class TestPlanCache:
         plain_db.execute("CREATE TABLE t (id INTEGER PRIMARY KEY)")
         plain_db.query("SELECT id FROM t")
         misses = plain_db.executor.plan_cache.stats["misses"]
-        plain_db.executor.optimizer = Optimizer(plain_db.engine, cost_based=False)
+        plain_db.executor.optimizer = Optimizer(plain_db.engine)
         plain_db.query("SELECT id FROM t")
         assert plain_db.executor.plan_cache.stats["misses"] == misses + 1
 

@@ -189,8 +189,8 @@ class TestJoinOrdering:
 class TestCostBasedOrdering:
     """DP enumeration specifics (the bulk lives in test_cost_optimizer)."""
 
-    def test_dp_and_greedy_agree_on_results(self, db):
-        from repro.optimizer.optimizer import Optimizer
+    def test_dp_and_greedy_agree_on_results(self, db, monkeypatch):
+        from repro.optimizer import join_ordering
 
         db.executescript(
             "INSERT INTO Talk (title) VALUES ('A'), ('B'), ('C');"
@@ -201,7 +201,8 @@ class TestCostBasedOrdering:
             "WHERE t.title = r.room ORDER BY t.title"
         )
         dp_rows = db.query(sql)
-        db.executor.optimizer = Optimizer(db.engine, cost_based=False)
+        monkeypatch.setattr(join_ordering, "DP_MAX_RELATIONS", 1)
+        db.executor.plan_cache.clear()
         assert db.query(sql) == dp_rows
 
     def test_cost_line_in_explain(self, db):

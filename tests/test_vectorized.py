@@ -1,8 +1,8 @@
 """Differential tests: columnar vectorized execution vs the row engine.
 
-Every statement of the corpus runs through both ``vectorized=True`` and
-``vectorized=False`` connections (both compiled — the E14 engine is the
-baseline) over identical data, and the ResultSets must be
+Every statement of the corpus runs on the default path and inside the
+``row_engine`` seam (row operators, compiled closures — see
+``tests/conftest.py``) over identical data, and the ResultSets must be
 ``repr``-identical: value *types* matter (1 vs 1.0 vs True, leaked
 ndarray scalars), not just equality.  Crowd-touching plans must issue
 the exact same HIT sequence, because vector regions are pure-electronic
@@ -16,6 +16,8 @@ suite with the import undone, so both sides meet the row engine.
 """
 
 from __future__ import annotations
+
+import contextlib
 
 import pytest
 
@@ -109,8 +111,8 @@ QUERIES = [
 ]
 
 
-def run_all(vectorized, script=SCRIPT, queries=QUERIES):
-    db = connect(with_crowd=False, vectorized=vectorized)
+def run_all(script=SCRIPT, queries=QUERIES):
+    db = connect(with_crowd=False)
     db.executescript(script)
     return [
         (result.columns, result.rows)
@@ -119,24 +121,28 @@ def run_all(vectorized, script=SCRIPT, queries=QUERIES):
 
 
 class TestDifferentialStatements:
-    def test_vectorized_matches_row_engine(self):
-        vector = run_all(True)
-        row = run_all(False)
+    def test_vectorized_matches_row_engine(self, row_engine):
+        vector = run_all()
+        with row_engine():
+            row = run_all()
         for query, got, want in zip(QUERIES, vector, row):
             assert got == want, query
             assert repr(got) == repr(want), query
 
-    def test_order_book_pipeline_matches_row_engine(self, order_book):
+    def test_order_book_pipeline_matches_row_engine(
+        self, order_book, row_engine
+    ):
         """5,000 rows through scan, filter, hash join, aggregate and sort
         at once.  ``repr`` equality catches type drift (1 vs 1.0 vs True,
         leaked ndarray scalars) that plain ``==`` would wave through."""
         load, query = order_book
-        runs = {}
-        for vectorized in (True, False):
-            db = connect(with_crowd=False, vectorized=vectorized)
-            load(db)
-            runs[vectorized] = (db.execute(query), db.explain(query))
-        (vector, vector_plan), (row, row_plan) = runs[True], runs[False]
+        runs = []
+        for engine in (contextlib.nullcontext, row_engine):
+            with engine():
+                db = connect(with_crowd=False)
+                load(db)
+                runs.append((db.execute(query), db.explain(query)))
+        (vector, vector_plan), (row, row_plan) = runs
         assert len(vector.rows) == 5  # one group per region
         assert vector.columns == row.columns
         assert vector.rows == row.rows
@@ -144,7 +150,7 @@ class TestDifferentialStatements:
         assert "execution: vectorized" in vector_plan
         assert "execution: vectorized" not in row_plan
 
-    def test_nan_parity(self):
+    def test_nan_parity(self, row_engine):
         # NaN breaks min/max and comparison fast paths unless the
         # kernels reproduce compare_values semantics exactly
         script = """
@@ -157,16 +163,18 @@ class TestDifferentialStatements:
             "SELECT i FROM t ORDER BY x",
         ]
 
-        def run(vectorized):
-            db = connect(with_crowd=False, vectorized=vectorized)
+        def run():
+            db = connect(with_crowd=False)
             db.executescript(script)
             for i, x in enumerate([2.5, float("nan"), 1.5, float("nan")]):
                 db.engine.insert("t", [i, x])
             return [db.execute(q).rows for q in queries]
 
-        assert repr(run(True)) == repr(run(False))
+        vector = run()
+        with row_engine():
+            assert repr(vector) == repr(run())
 
-    def test_empty_tables(self):
+    def test_empty_tables(self, row_engine):
         script = """
             CREATE TABLE a (x INTEGER PRIMARY KEY);
             CREATE TABLE b (y INTEGER PRIMARY KEY);
@@ -177,11 +185,13 @@ class TestDifferentialStatements:
             "SELECT COUNT(*), SUM(x) FROM a",
             "SELECT x, COUNT(*) FROM a GROUP BY x",
         ]
-        assert run_all(True, script, queries) == run_all(False, script, queries)
+        vector = run_all(script, queries)
+        with row_engine():
+            assert vector == run_all(script, queries)
 
     def test_result_value_types_are_plain_python(self):
         # ndarray lanes must never leak np scalars into results
-        db = connect(with_crowd=False, vectorized=True)
+        db = connect(with_crowd=False)
         db.executescript(SCRIPT)
         rows = db.execute(
             "SELECT dept, SUM(salary), AVG(salary * 1.1) FROM emp "
@@ -209,14 +219,14 @@ class TestCrowdParity:
     """Vector regions stop at the crowd boundary: crowd plans must make
     bit-identical progress (same rows, same HITs) under both engines."""
 
-    def _run(self, vectorized):
+    def _run(self):
         reset_id_counters()
         oracle = GroundTruthOracle()
         for i in range(8):
             oracle.load_fill(
                 "City", (f"city{i}",), {"population": 1000 + i}
             )
-        db = connect(oracle=oracle, seed=11, vectorized=vectorized)
+        db = connect(oracle=oracle, seed=11)
         db.execute(
             "CREATE TABLE City (name STRING PRIMARY KEY, "
             "population CROWD INTEGER)"
@@ -229,9 +239,10 @@ class TestCrowdParity:
         )
         return result.rows, dict(db.crowd_stats)
 
-    def test_same_rows_and_same_crowd_work(self):
-        vector_rows, vector_stats = self._run(True)
-        row_rows, row_stats = self._run(False)
+    def test_same_rows_and_same_crowd_work(self, row_engine):
+        vector_rows, vector_stats = self._run()
+        with row_engine():
+            row_rows, row_stats = self._run()
         assert repr(vector_rows) == repr(row_rows)
         assert vector_stats["hits_posted"] == row_stats["hits_posted"]
         assert (
@@ -246,7 +257,7 @@ class TestScanSnapshotConsistency:
     table version — writes must never mutate a batch already emitted."""
 
     def test_handed_out_columns_survive_writes(self):
-        db = connect(with_crowd=False, vectorized=True)
+        db = connect(with_crowd=False)
         db.execute("CREATE TABLE t (x INTEGER PRIMARY KEY, y STRING)")
         db.engine.insert("t", [1, "a"])
         db.engine.insert("t", [2, "b"])
@@ -266,7 +277,7 @@ class TestScanSnapshotConsistency:
         assert "z" in fresh[1] and "b" not in fresh[1]
 
     def test_cache_reused_between_writes(self):
-        db = connect(with_crowd=False, vectorized=True)
+        db = connect(with_crowd=False)
         db.execute("CREATE TABLE t (x INTEGER PRIMARY KEY)")
         db.engine.insert("t", [1])
         heap = db.engine.table("t")
@@ -274,9 +285,9 @@ class TestScanSnapshotConsistency:
         again, _ = heap.scan_columns()
         assert first is again  # read-only scans share the pivot
 
-    def test_query_results_stable_across_interleaved_writes(self):
-        def run(vectorized):
-            db = connect(with_crowd=False, vectorized=vectorized)
+    def test_query_results_stable_across_interleaved_writes(self, row_engine):
+        def run():
+            db = connect(with_crowd=False)
             db.execute("CREATE TABLE t (x INTEGER PRIMARY KEY, y FLOAT)")
             out = []
             for i in range(5):
@@ -284,7 +295,9 @@ class TestScanSnapshotConsistency:
                 out.append(db.execute("SELECT SUM(y) FROM t WHERE x >= 1").rows)
             return out
 
-        assert repr(run(True)) == repr(run(False))
+        vector = run()
+        with row_engine():
+            assert repr(vector) == repr(run())
 
 
 class TestColumnPruning:
@@ -310,7 +323,7 @@ class TestColumnPruning:
         assert rows == [(1, NULL, "x"), (2, NULL, "y")]
         assert _pivot_columns([], 3) == [(), (), ()]
 
-    def test_pruned_wide_join_aggregate_identical(self):
+    def test_pruned_wide_join_aggregate_identical(self, row_engine):
         # only 1 of 9 combined columns survives to the aggregate; the
         # join/filter must prune the rest without changing results
         script = SCRIPT
@@ -322,13 +335,13 @@ class TestColumnPruning:
             "SELECT e.id FROM emp e JOIN dept d ON e.dept = d.name "
             "AND e.salary > d.floor * 10",
         ]
-        vector = run_all(True, script, queries)
-        row = run_all(False, script, queries)
-        assert repr(vector) == repr(row)
+        vector = run_all(script, queries)
+        with row_engine():
+            assert repr(vector) == repr(run_all(script, queries))
 
     def test_batch_to_rows_sees_full_batches(self):
         # no narrowing consumer → everything live end to end
-        db = connect(with_crowd=False, vectorized=True)
+        db = connect(with_crowd=False)
         db.executescript(SCRIPT)
         rows = db.execute("SELECT * FROM emp WHERE salary > 75").rows
         assert all(len(row) == 6 for row in rows)
@@ -337,24 +350,28 @@ class TestColumnPruning:
 
 class TestExplainAndToggle:
     def test_explain_marks_vector_region(self):
-        db = connect(with_crowd=False, vectorized=True)
+        db = connect(with_crowd=False)
         db.executescript(SCRIPT)
         plan = db.explain(
             "SELECT dept, COUNT(*) FROM emp WHERE salary > 70 GROUP BY dept"
         )
         assert "execution: vectorized" in plan
 
-    def test_vectorized_false_restores_row_engine(self):
-        db = connect(with_crowd=False, vectorized=False)
-        db.executescript(SCRIPT)
-        plan = db.explain("SELECT name FROM emp WHERE salary > 70")
+    def test_vectorized_false_restores_row_engine(self, row_engine):
+        # the row_engine seam reaches the row operators the differential
+        # tests compare against
+        with row_engine():
+            db = connect(with_crowd=False)
+            db.executescript(SCRIPT)
+            plan = db.explain("SELECT name FROM emp WHERE salary > 70")
         assert "execution: vectorized" not in plan
+        assert "execution: row" in plan
 
     def test_explain_analyze_counts_rows_not_batches(self):
         # batch-aware accounting: a vectorized scan over N rows reports
         # N actual rows (so misestimate flags stay meaningful) plus the
         # batch count
-        db = connect(with_crowd=False, vectorized=True)
+        db = connect(with_crowd=False)
         db.execute("CREATE TABLE t (x INTEGER PRIMARY KEY)")
         for i in range(100):
             db.engine.insert("t", [i])
@@ -368,7 +385,7 @@ class TestExplainAndToggle:
         assert "misestimate" not in scan_line
 
     def test_explain_analyze_flags_vectorized_misestimates(self):
-        db = connect(with_crowd=False, vectorized=True)
+        db = connect(with_crowd=False)
         db.execute("CREATE TABLE t (x INTEGER PRIMARY KEY)")
         db.engine.insert("t", [0])
         for i in range(1, 400):
@@ -393,7 +410,7 @@ class TestBatchFormat:
         from repro.exec.vector import VECTOR_ROWS
 
         assert VECTOR_ROWS >= 4096  # windows stay batch-scale, not row-scale
-        db = connect(with_crowd=False, vectorized=True)
+        db = connect(with_crowd=False)
         db.execute("CREATE TABLE t (x INTEGER PRIMARY KEY)")
         for i in range(5000):
             db.engine.insert("t", [i])
