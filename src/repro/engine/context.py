@@ -88,7 +88,7 @@ class ExecutionContext:
         parameters: tuple = (),
         platform: Optional[str] = None,
         subquery_executor: Optional[
-            Callable[[ast.Select, tuple, Scope], list[tuple]]
+            Callable[[ast.Select, tuple, Scope, tuple], list[tuple]]
         ] = None,
         crowd_waiter: Optional[Callable[[Any], None]] = None,
         crowd_ledger: Optional[CrowdLedger] = None,
@@ -472,4 +472,4 @@ class ExecutionContext:
     ) -> list[tuple]:
         if self._subquery_executor is None:
             raise ExecutionError("subqueries are not available in this context")
-        return self._subquery_executor(query, values, scope)
+        return self._subquery_executor(query, values, scope, self.parameters)

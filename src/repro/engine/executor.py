@@ -17,17 +17,19 @@ from typing import Any, Callable, Optional, Sequence
 from repro.catalog.ddl import build_table_schema
 from repro.engine.context import CrowdLedger, ExecutionContext
 from repro.engine.guard import StatementGuard
-from repro.engine.planner import PhysicalPlanner
+from repro.engine.planner import PhysicalPlanner, match_index_access
+from repro.engine.scans import index_rowids
 from repro.errors import ExecutionError, PartialResultStop, PlanError
 from repro.obs import QueryProfiler, render_analyze
 from repro.optimizer.optimizer import OptimizationResult, Optimizer
+from repro.plan import logical
 from repro.plan.builder import PlanBuilder
 from repro.plan.expressions import Evaluator
 from repro.sql import ast
 from repro.sql.pretty import format_statement
 from repro.sqltypes import NULL, is_missing
 from repro.storage.engine import StorageEngine
-from repro.storage.row import Scope
+from repro.storage.row import Row, Scope
 
 
 class PlanCache:
@@ -564,26 +566,16 @@ class Executor:
         return ResultSet(rowcount=count, statement="INSERT")
 
     def _execute_update(self, stmt: ast.Update, parameters: tuple) -> ResultSet:
-        heap = self.engine.table(stmt.table)
-        schema = heap.schema
+        schema = self.engine.table(stmt.table).schema
         context = self._make_context(parameters)
         scope = Scope.for_table(stmt.table, schema.column_names)
         for name, _expr in stmt.assignments:
             schema.column(name)  # validate
-        where = (
-            context.compile_predicate_fn(stmt.where, scope)
-            if stmt.where is not None
-            else None
-        )
         assignments = [
             (schema.column(name), context.compile_value_fn(expr, scope))
             for name, expr in stmt.assignments
         ]
-        targets = []
-        for row in heap.scan(snapshot=True):
-            if where is not None and where(row.values).value is not True:
-                continue
-            targets.append(row)
+        targets = self._target_rows(stmt, context)
         from repro.sqltypes import coerce
 
         for row in targets:
@@ -594,26 +586,41 @@ class Executor:
                     value if is_missing(value) else coerce(value, column.sql_type)
                 )
             self.engine.update(stmt.table, row.rowid, tuple(new_values))
-        return ResultSet(rowcount=len(targets), statement="UPDATE")
+        return _dml_result("UPDATE", targets, context.rows_scanned)
 
     def _execute_delete(self, stmt: ast.Delete, parameters: tuple) -> ResultSet:
-        heap = self.engine.table(stmt.table)
-        schema = heap.schema
         context = self._make_context(parameters)
-        scope = Scope.for_table(stmt.table, schema.column_names)
-        where = (
-            context.compile_predicate_fn(stmt.where, scope)
-            if stmt.where is not None
-            else None
+        targets = self._target_rows(stmt, context)
+        for row in targets:
+            self.engine.delete(stmt.table, row.rowid)
+        return _dml_result("DELETE", targets, context.rows_scanned)
+
+    def _target_rows(
+        self, stmt: ast.Update | ast.Delete, context: ExecutionContext
+    ) -> list[Row]:
+        """The rows an UPDATE/DELETE's WHERE selects, all collected before
+        anything is mutated.  An equality on an indexed column reads its
+        candidates through that index, as SELECT does; otherwise every
+        row is one.  The compiled WHERE decides, with no crowd operator
+        in reach: a CNULL stays not-true and nothing is bought."""
+        heap = self.engine.table(stmt.table)
+        where = stmt.where
+        matched = where is not None and match_index_access(
+            self.engine,
+            logical.Filter(logical.Scan(heap.schema, stmt.table), where),
+            context.parameters,
         )
-        targets = []
-        for row in heap.scan(snapshot=True):
-            if where is not None and where(row.values).value is not True:
-                continue
-            targets.append(row.rowid)
-        for rowid in targets:
-            self.engine.delete(stmt.table, rowid)
-        return ResultSet(rowcount=len(targets), statement="DELETE")
+        candidates = (
+            [heap.get(rowid) for rowid in index_rowids(heap, *matched)]
+            if matched else list(heap.scan(snapshot=True))
+        )
+        context.rows_scanned += len(candidates)
+        if where is None:
+            return candidates
+        test = context.compile_predicate_fn(
+            where, Scope.for_table(stmt.table, heap.schema.column_names)
+        )
+        return [row for row in candidates if test(row.values).value is True]
 
     # -- plumbing -----------------------------------------------------------------------
 
@@ -631,15 +638,24 @@ class Executor:
         )
 
     def _run_subquery(
-        self, query: ast.Select, outer_values: tuple, outer_scope: Scope
+        self, query: ast.Select, outer_values: tuple, outer_scope: Scope,
+        parameters: tuple,
     ) -> list[tuple]:
         """Execute a (possibly correlated) subquery for one outer row."""
         compiled = self._compile_cached(
             query, lambda: self.builder.build_select(query)
         )
-        context = self._make_context(())
+        context = self._make_context(parameters)
         planner = PhysicalPlanner(
             context, correlation=(outer_values, outer_scope)
         )
         operator = planner.plan(compiled.plan)
         return list(operator)
+
+
+def _dml_result(statement: str, targets: list, rows_scanned: int) -> ResultSet:
+    # rows_scanned: the rows examined, as a SELECT reports them
+    return ResultSet(
+        rowcount=len(targets), statement=statement,
+        crowd_stats={"rows_scanned": rows_scanned},
+    )

@@ -289,7 +289,9 @@ class PhysicalPlanner:
         from repro.engine.scans import IndexLookup
 
         scan = node.child
-        matched = match_index_access(self.context.engine, node)
+        matched = match_index_access(
+            self.context.engine, node, self.context.parameters
+        )
         if matched is None:
             return None
         key_columns, key_values, prefix = matched
@@ -339,11 +341,16 @@ class PhysicalPlanner:
 
 
 def match_index_access(
-    engine: object, node: logical.Filter
+    engine: object, node: logical.Filter, parameters: Optional[tuple] = None
 ) -> Optional[tuple[tuple[str, ...], tuple, bool]]:
     """The access-method decision for a Filter node, shared by the
-    physical planner (which builds the IndexLookup) and the binder
-    (which must mark index-served filters row so both stages agree).
+    physical planner (which builds the IndexLookup), UPDATE/DELETE
+    (which read their target rows the same way) and the binder (which
+    must mark index-served filters row so both stages agree).
+
+    A key is a literal or a ``?``.  The binder passes no ``parameters``:
+    a ``?`` then matches whatever its value, so one cached plan serves
+    every value; at run time the value is coerced as a literal is.
 
     Returns ``(key_columns, key_values, prefix)`` when an index serves
     the filter's equality conjuncts, else ``None``.
@@ -361,7 +368,7 @@ def match_index_access(
     for conjunct in split_conjuncts(node.predicate):
         if not (isinstance(conjunct, ast.BinaryOp) and conjunct.op == "="):
             continue
-        column, literal = _column_literal(conjunct)
+        column, operand = _column_key(conjunct)
         if column is None:
             continue
         if column.table is not None and (
@@ -370,11 +377,17 @@ def match_index_access(
             continue
         if not scan.table.has_column(column.name):
             continue
+        sql_type = scan.table.column(column.name).sql_type
         try:
-            key = coerce(literal, scan.table.column(column.name).sql_type)
+            if isinstance(operand, ast.Literal):
+                key = coerce(operand.value, sql_type)
+            elif parameters is None:
+                key = operand  # compile time: the unbound ``?`` stands in
+            else:
+                key = coerce(parameters[operand.index], sql_type)
         except Exception:
-            # mistyped literal: with an index on exactly this column
-            # fall back to a scan (the lookup key would be garbage);
+            # mistyped or unsupplied value: with an index on exactly this
+            # column fall back to a scan (the lookup key would be garbage);
             # otherwise just drop the conjunct from the equality set
             # so other conjuncts can still pick their index
             if heap.index_on((column.name,)) is not None:
@@ -434,18 +447,17 @@ def _extract_equi_keys(
     return tuple(left_keys), tuple(right_keys)
 
 
-def _column_literal(
+def _column_key(
     conjunct: ast.BinaryOp,
-) -> tuple[Optional[ast.ColumnRef], object]:
-    """Unpack ``col = literal`` (either orientation)."""
-    if isinstance(conjunct.left, ast.ColumnRef) and isinstance(
-        conjunct.right, ast.Literal
+) -> tuple[Optional[ast.ColumnRef], Optional[ast.Expression]]:
+    """Unpack ``col = literal`` or ``col = ?`` (either orientation)."""
+    for column, key in (
+        (conjunct.left, conjunct.right), (conjunct.right, conjunct.left)
     ):
-        return conjunct.left, conjunct.right.value
-    if isinstance(conjunct.right, ast.ColumnRef) and isinstance(
-        conjunct.left, ast.Literal
-    ):
-        return conjunct.right, conjunct.left.value
+        if isinstance(column, ast.ColumnRef) and isinstance(
+            key, (ast.Literal, ast.Parameter)
+        ):
+            return column, key
     return None, None
 
 

@@ -8,7 +8,7 @@ from repro.catalog.table import TableSchema
 from repro.engine.base import Correlation, PhysicalOperator
 from repro.engine.context import ExecutionContext
 from repro.errors import ConstraintError
-from repro.sqltypes import NULL, is_missing
+from repro.sqltypes import NULL
 from repro.storage.row import Scope
 
 
@@ -99,13 +99,21 @@ class TableScan(PhysicalOperator):
             yield row.values
 
 
-class IndexLookup(PhysicalOperator):
-    """Equality lookup through an index (used by CrowdJoin probes).
+def index_rowids(
+    heap, key_columns: tuple[str, ...], key_values: tuple, prefix: bool = False
+) -> list[int]:
+    """Row ids whose key equals ``key_values``, in row-id order, through
+    the index on ``key_columns`` (with ``prefix``, the leading columns of
+    an ordered index); a NULL/CNULL key matches nothing."""
+    if prefix:
+        index = heap.ordered_index_with_prefix(key_columns)
+        return sorted(index.prefix_lookup(key_values))
+    return sorted(heap.index_on(key_columns).lookup(key_values))
 
-    With ``prefix=True`` the key columns are a leading subset of an
-    ordered index's key; the lookup scans that key prefix instead of
-    requiring (or auto-creating) an exact-key index.
-    """
+
+class IndexLookup(PhysicalOperator):
+    """Equality lookup through an index: the access path of a filter on
+    an indexed column (see :func:`index_rowids`)."""
 
     def __init__(
         self,
@@ -134,22 +142,9 @@ class IndexLookup(PhysicalOperator):
 
     def __iter__(self) -> Iterator[tuple]:
         heap = self.context.engine.table(self.table.name)
-        if any(is_missing(value) for value in self.key_values):
-            return
-        if self.prefix:
-            index = heap.ordered_index_with_prefix(self.key_columns)
-            if index is None:  # dropped since planning: nothing to serve
-                return
-            rowids = index.prefix_lookup(self.key_values)
-        else:
-            index = heap.index_on(self.key_columns)
-            if index is None:
-                index = heap.create_index(
-                    f"{self.table.name}_auto_{'_'.join(self.key_columns)}",
-                    self.key_columns,
-                )
-            rowids = index.lookup(self.key_values)
-        for rowid in sorted(rowids):
+        for rowid in index_rowids(
+            heap, self.key_columns, self.key_values, self.prefix
+        ):
             self.context.rows_scanned += 1
             yield heap.get(rowid).values
 

@@ -91,6 +91,9 @@ class OptimizationResult:
             binding = self.bindings.get(id(node))
             if binding is not None and binding.vectorized:
                 parts.append("execution: vectorized")
+            elif binding is not None and binding.index_columns:
+                columns = ", ".join(binding.index_columns)
+                parts.append(f"execution: index({columns})")
             else:
                 parts.append("execution: row")
             text += "  -- " + " / ".join(parts)

@@ -65,6 +65,7 @@ class NodeBinding:
     reason: Optional[str] = None
     scope: Optional[Scope] = None
     output_types: Optional[tuple] = None
+    index_columns: Optional[tuple] = None  # key of a filter's serving index
 
 
 class Binder:
@@ -127,15 +128,16 @@ class Binder:
         return NodeBinding(True, None, scope, types)
 
     def _bind_filter(self, node: logical.Filter) -> NodeBinding:
+        from repro.engine.planner import match_index_access
+
         child = self._bind(node.child)
+        matched = match_index_access(self.engine, node)
+        if matched is not None:
+            return NodeBinding(False, "index lookup", index_columns=matched[0])
         if not child.vectorized:
             return NodeBinding(False, "row-pipeline input")
         if not is_electronic(node.predicate):
             return NodeBinding(False, "crowd or subquery predicate")
-        from repro.engine.planner import match_index_access
-
-        if match_index_access(self.engine, node) is not None:
-            return NodeBinding(False, "served by index lookup")
         return NodeBinding(True, None, child.scope, child.output_types)
 
     def _bind_project(self, node: logical.Project) -> NodeBinding:

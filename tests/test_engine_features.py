@@ -111,6 +111,128 @@ class TestIndexScanSelection:
         assert sorted(result.rows) == [("x",), ("y",)]
         assert result.crowd_stats["rows_scanned"] == 3
 
+    @pytest.fixture
+    def fifty(self, plain_db):
+        """50 rows under an INTEGER PK, a STRING secondary hash index, and
+        an ordered index whose leading column ``g`` is a 10-row prefix."""
+        plain_db.execute(
+            "CREATE TABLE f (id INTEGER PRIMARY KEY, s STRING, g INTEGER, "
+            "h INTEGER, v STRING)"
+        )
+        plain_db.execute("CREATE INDEX f_s ON f (s)")
+        for i in range(50):
+            plain_db.execute(
+                "INSERT INTO f VALUES (?, ?, ?, ?, ?)",
+                (i, str(i % 25), i % 5, i, f"v{i}"),
+            )
+        plain_db.engine.table("f").create_index(
+            "f_gh", ("g", "h"), ordered=True
+        )
+        return plain_db
+
+    @pytest.mark.parametrize("column", ["id", "s"])
+    @pytest.mark.parametrize(
+        "text, value",
+        [("5", 5), ("5.0", 5.0), ("5.5", 5.5), ("'5'", "5"), ("NULL", None),
+         ("TRUE", True)],
+    )
+    def test_parameter_key_reads_like_the_literal(
+        self, fifty, column, text, value
+    ):
+        def run(sql, parameters=()):
+            try:
+                result = fifty.execute(sql, parameters)
+            except Exception as error:
+                return type(error)
+            return result.rows, result.crowd_stats["rows_scanned"]
+
+        literal = run(f"SELECT id FROM f WHERE {column} = {text} ORDER BY id")
+        parameter = run(f"SELECT id FROM f WHERE {column} = ? ORDER BY id", (value,))
+        assert parameter == literal
+
+    @pytest.mark.parametrize(
+        "column, key, candidates",
+        [("id", 7, 1), ("s", "7", 2), ("g", 2, 10)],
+        ids=["pk", "hash-index", "ordered-prefix"],
+    )
+    def test_point_statements_by_parameter_read_only_candidates(
+        self, fifty, row_engine, column, key, candidates
+    ):
+        import sqlite3
+
+        statements = [
+            (f"SELECT id, v FROM f WHERE {column} = ? ORDER BY id", (key,)),
+            (f"UPDATE f SET v = ? WHERE {column} = ? AND id > ?",
+             ("new", key, 10)),
+            (f"DELETE FROM f WHERE {column} = ? AND id < ?", (key, 40)),
+        ]
+        state = "SELECT * FROM f ORDER BY id"
+        twin = sqlite3.connect(":memory:")
+        twin.execute(
+            "CREATE TABLE f (id INTEGER PRIMARY KEY, s TEXT, g INTEGER, "
+            "h INTEGER, v TEXT)"
+        )
+        twin.executemany(
+            "INSERT INTO f VALUES (?, ?, ?, ?, ?)", fifty.query(state)
+        )
+        # the row-engine reference has only the PK: it finds rows by scan
+        with row_engine():
+            reference = connect(with_crowd=False)
+            reference.execute(
+                "CREATE TABLE f (id INTEGER PRIMARY KEY, s STRING, "
+                "g INTEGER, h INTEGER, v STRING)"
+            )
+            for row in fifty.query(state):
+                reference.execute("INSERT INTO f VALUES (?, ?, ?, ?, ?)", row)
+            for sql, parameters in statements:
+                reference.execute(sql, parameters)
+        for sql, parameters in statements:
+            result = fifty.execute(sql, parameters)
+            expected = twin.execute(sql, parameters)
+            if result.statement == "SELECT":
+                assert result.rows == expected.fetchall()
+            else:
+                assert result.rowcount == expected.rowcount
+            assert result.crowd_stats["rows_scanned"] == candidates
+        assert fifty.query(state) == twin.execute(state).fetchall()
+        assert fifty.query(state) == reference.query(state)
+
+    def test_update_rewrites_the_key_it_found_the_row_by(self, fifty):
+        result = fifty.execute("UPDATE f SET id = ? WHERE id = ?", (100, 3))
+        assert result.rowcount == 1
+        assert fifty.query("SELECT v FROM f WHERE id = ?", (100,)) == [("v3",)]
+        assert fifty.query("SELECT v FROM f WHERE id = ?", (3,)) == []
+        # every target is collected before the first write moves a key
+        result = fifty.execute("UPDATE f SET s = ? WHERE s = ?", ("9", "4"))
+        assert result.rowcount == 2
+        assert fifty.execute("SELECT id FROM f WHERE s = '9'").rowcount == 4
+
+    def test_update_where_on_crowd_column_buys_nothing(self, demo_db):
+        # abstract is CNULL: the WHERE stays not-true and posts no HIT,
+        # through the PK lookup and through the scan alike
+        posted = demo_db.task_manager.stats.hits_posted
+        for sql, parameters in [
+            ("UPDATE Talk SET nb_attendees = 5 WHERE title = ? "
+             "AND abstract = ?", ("CrowdDB", "x")),
+            ("UPDATE Talk SET nb_attendees = 5 WHERE abstract = ?", ("x",)),
+        ]:
+            assert demo_db.execute(sql, parameters).rowcount == 0
+        assert demo_db.task_manager.stats.hits_posted == posted
+
+    def test_parameter_key_compiles_once(self, fifty):
+        misses = fifty.executor.plan_cache.stats["misses"]
+        for key in range(50):
+            assert fifty.query("SELECT v FROM f WHERE id = ?", (key,)) == [
+                (f"v{key}",)
+            ]
+        assert fifty.executor.plan_cache.stats["misses"] == misses + 1
+
+    def test_explain_names_the_index(self, fifty):
+        for predicate in ("id = 4", "id = ?", "g = ?"):
+            plan = fifty.explain(f"SELECT v FROM f WHERE {predicate}")
+            column = predicate.split()[0]
+            assert f"execution: index({column})" in plan
+
     def test_crowd_scan_with_limit_hint_not_indexed(self, plain_db):
         # open-world sourcing must keep the TableScan path
         plain_db.execute(

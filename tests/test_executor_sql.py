@@ -225,6 +225,52 @@ class TestSubqueries:
         )
         assert sorted(rows) == [("eng",), ("sales",)]
 
+    @pytest.mark.parametrize(
+        "sql, parameters",
+        [
+            (
+                "SELECT d.dname FROM dept d WHERE EXISTS (SELECT 1 FROM emp e "
+                "WHERE e.dname = d.dname AND e.salary = ?) ORDER BY d.dname",
+                (80,),
+            ),
+            (
+                "SELECT name FROM emp WHERE dname IN "
+                "(SELECT dname FROM dept WHERE budget = ?) ORDER BY name",
+                (50,),
+            ),
+            (
+                "SELECT name, (SELECT budget FROM dept WHERE dept.dname = ?) "
+                "FROM emp ORDER BY name",
+                ("hr",),
+            ),
+            (
+                "UPDATE emp SET salary = 7 WHERE dname IN "
+                "(SELECT dname FROM dept WHERE budget = ?)",
+                (50,),
+            ),
+        ],
+        ids=["exists", "in", "scalar", "update-in"],
+    )
+    def test_subqueries_see_the_statement_parameters(self, db, sql, parameters):
+        import sqlite3
+
+        twin = sqlite3.connect(":memory:")
+        twin.execute("CREATE TABLE dept (dname TEXT PRIMARY KEY, budget INTEGER)")
+        twin.execute(
+            "CREATE TABLE emp (name TEXT PRIMARY KEY, dname TEXT, salary INTEGER)"
+        )
+        for table in ("dept", "emp"):
+            rows = db.query(f"SELECT * FROM {table}")
+            marks = ", ".join("?" * len(rows[0]))
+            twin.executemany(f"INSERT INTO {table} VALUES ({marks})", rows)
+        result = db.execute(sql, parameters)
+        expected = twin.execute(sql, parameters)
+        assert result.rows == expected.fetchall()
+        if result.statement == "UPDATE":
+            assert result.rowcount == expected.rowcount == 2
+        state = "SELECT * FROM emp ORDER BY name"
+        assert db.query(state) == twin.execute(state).fetchall()
+
 
 class TestDML:
     def test_insert_partial_columns(self, db):
