@@ -75,6 +75,9 @@ class SimulatedCrowdPlatform(CrowdPlatform):
         self.clock = SimClock()
         self.events = EventQueue(self.clock)
         self._hits: dict[str, HIT] = {}
+        # the HITs whose status is OPEN, in posting order: a worker
+        # arrival costs O(open HITs), not O(every HIT ever posted)
+        self._open: dict[str, HIT] = {}
         self._in_flight: dict[str, int] = {}
         self._taken: set[tuple[str, str]] = set()  # (hit_id, worker_id)
         self._arrival_scheduled = False
@@ -127,6 +130,7 @@ class SimulatedCrowdPlatform(CrowdPlatform):
         hit.created_at = self.clock.now
         hit.status = HITStatus.OPEN
         self._hits[hit.hit_id] = hit
+        self._open[hit.hit_id] = hit
         self._in_flight[hit.hit_id] = 0
         if hit.expires_at is not None:
             self.events.schedule_at(
@@ -149,6 +153,13 @@ class SimulatedCrowdPlatform(CrowdPlatform):
         (the marketplace may have gone quiet while every HIT was full)."""
         self._maybe_fault("extend_hit")
         super().extend_hit(hit_id, additional)
+        if hit_id not in self._open and self.get_hit(hit_id).is_open:
+            # a reopened HIT goes back at its posting position: group
+            # order and oldest-first ties follow iteration order
+            self._open = {
+                key: hit for key, hit in self._hits.items()
+                if hit.status is HITStatus.OPEN
+            }
         self._ensure_arrivals()
 
     def run_until(self, condition: Callable[[], bool], timeout: float) -> bool:
@@ -159,7 +170,7 @@ class SimulatedCrowdPlatform(CrowdPlatform):
 
     def arrival_rate(self) -> float:
         """Worker browse events per simulated second (subclass hook)."""
-        open_count = sum(1 for hit in self._hits.values() if hit.is_open)
+        open_count = sum(1 for hit in self._open.values() if hit.is_open)
         return self.config.base_arrival_rate * (
             1.0 + 0.3 * math.log1p(open_count)
         ) * max(1, len(self.workers)) ** 0.5
@@ -199,9 +210,7 @@ class SimulatedCrowdPlatform(CrowdPlatform):
         self.events.schedule(delay, self._on_arrival)
 
     def _has_available_work(self) -> bool:
-        for hit in self._hits.values():
-            if not hit.is_open:
-                continue
+        for hit in self._open.values():
             if hit.assignments_remaining - self._in_flight[hit.hit_id] > 0:
                 return True
         return False
@@ -225,9 +234,7 @@ class SimulatedCrowdPlatform(CrowdPlatform):
     def _choose_hit(self, worker: SimWorker) -> Optional[HIT]:
         """Pick a HIT: group by visibility+affinity, then oldest first."""
         groups: dict[str, list[HIT]] = {}
-        for hit in self._hits.values():
-            if not hit.is_open:
-                continue
+        for hit in self._open.values():
             if hit.assignments_remaining - self._in_flight[hit.hit_id] <= 0:
                 continue
             if not self.eligible(worker, hit):
@@ -268,6 +275,8 @@ class SimulatedCrowdPlatform(CrowdPlatform):
             submitted_at=self.clock.now,
         )
         hit.add_assignment(assignment)
+        if hit.status is not HITStatus.OPEN:
+            del self._open[hit.hit_id]
         worker.remember_group(hit.group_key)
         self.total_cost_cents += hit.reward_cents
         self.assignments_submitted += 1
@@ -277,6 +286,7 @@ class SimulatedCrowdPlatform(CrowdPlatform):
     def _expire(self, hit: HIT) -> None:
         if hit.status is HITStatus.OPEN:
             hit.status = HITStatus.EXPIRED
+            del self._open[hit.hit_id]
 
     # -- introspection (benchmarks) ---------------------------------------------------
 

@@ -34,6 +34,8 @@ class GroundTruthOracle:
         self._scores: dict[str, Callable[[Any], float]] = {}
         # table -> column -> distractor pool
         self._distractors: dict[str, dict[str, list[Any]]] = {}
+        # (table, column) -> normalized prefix of that (append-only) pool
+        self._distractor_norms: dict[tuple[str, str], list[Any]] = {}
 
     # -- loading -----------------------------------------------------------------
 
@@ -154,10 +156,14 @@ class GroundTruthOracle:
         self, table: str, column: str, truth: str, rng: random.Random
     ) -> Optional[Any]:
         """A plausible wrong value for error injection."""
-        pool = self._distractors.get(table.lower(), {}).get(column.lower())
+        key = (table.lower(), column.lower())
+        pool = self._distractors.get(key[0], {}).get(key[1])
         if not pool:
             return None
-        wrong = [v for v in pool if _norm(v) != _norm(truth)]
+        norms = self._distractor_norms.setdefault(key, [])
+        norms.extend(_norm(v) for v in pool[len(norms):])
+        truth_norm = _norm(truth)
+        wrong = [v for v, norm in zip(pool, norms) if norm != truth_norm]
         if not wrong:
             return None
         return rng.choice(wrong)

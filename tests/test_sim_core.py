@@ -12,6 +12,7 @@ from repro.crowd.model import (
     NewTupleTask,
     TaskKind,
 )
+from repro.crowd.quality import normalize_answer
 from repro.crowd.sim.behavior import (
     BehaviorConfig,
     acceptance_probability,
@@ -229,6 +230,34 @@ class TestOracle:
         rng = random.Random(0)
         assert oracle.distractor("t", "c", "right", rng) == "wrong"
         assert oracle.distractor("t", "zzz", "x", rng) is None
+
+    def test_distractor_draws_match_the_uncached_pool(self):
+        oracle = GroundTruthOracle()
+        values = ["Berkeley", " berkeley ", "BERKELEY!", "Zurich",
+                  "zurich.", "Seattle", "Munich", "  Boston"]
+        for i, value in enumerate(values):
+            oracle.load_fill("t", (i,), {"c": value})
+
+        def uncached(truth, rng):
+            pool = oracle._distractors["t"]["c"]
+            wrong = [v for v in pool
+                     if normalize_answer(v) != normalize_answer(truth)]
+            return rng.choice(wrong) if wrong else None
+
+        truths = ["berkeley", "Zurich", "munich ", "Oslo"]
+        ours, theirs = random.Random(7), random.Random(7)
+        for draw in range(1000):
+            truth = truths[draw % len(truths)]
+            assert oracle.distractor("t", "c", truth, ours) == uncached(
+                truth, theirs
+            )
+        # a value loaded after the first draws is drawable afterwards
+        oracle.load_fill("t", (99,), {"c": "Oslo"})
+        rng = random.Random(0)
+        drawn = {oracle.distractor("t", "c", "berkeley", rng)
+                 for _ in range(200)}
+        assert "Oslo" in drawn
+        assert not {"Berkeley", " berkeley ", "BERKELEY!"} & drawn
 
 
 class TestWorkerAnswers:

@@ -1,14 +1,34 @@
-"""Tests for the simulated AMT and mobile platforms (marketplace loop)."""
+"""Tests for the simulated AMT and mobile platforms (marketplace loop).
+
+``python tests/test_sim_platforms.py`` rewrites ``tests/golden/sim_v1.jsonl``
+— only ever do that on purpose, when the simulator's behaviour is meant
+to change.
+"""
+
+import json
+import os
 
 import pytest
 
-from repro.crowd.model import HIT, FillTask, HITStatus, reset_id_counters
+from repro.crowd.model import (
+    HIT,
+    CompareEqualTask,
+    CompareOrderTask,
+    FillGroupTask,
+    FillTask,
+    HITStatus,
+    reset_id_counters,
+)
 from repro.crowd.sim.amt import SimulatedAMT
 from repro.crowd.sim.behavior import BehaviorConfig
 from repro.crowd.sim.mobile import VLDB_VENUE, SimulatedMobilePlatform
 from repro.crowd.sim.population import generate_population
 from repro.crowd.sim.traces import GroundTruthOracle
-from repro.errors import CrowdPlatformError
+from repro.crowd.wrm import WorkerRelationshipManager
+from repro.errors import CrowdPlatformError, TransientPlatformError
+
+GOLDEN_SIM = os.path.join(os.path.dirname(__file__), "golden", "sim_v1.jsonl")
+WEEK = 7 * 24 * 3600.0
 
 
 @pytest.fixture(autouse=True)
@@ -130,6 +150,35 @@ class TestSimulatedAMT:
         platform.wait_for_hits([hit.hit_id], timeout=48 * 3600)
         assert len(seen) == 3
 
+    def test_arrival_cost_tracks_open_hits_not_history(
+        self, oracle, monkeypatch
+    ):
+        platform = SimulatedAMT(oracle, population=50, seed=12)
+        for _ in range(40):  # 2,000 HITs of history, all completed
+            batch = [make_hit(reward=8, assignments=1) for _ in range(50)]
+            platform.post_hits(batch)
+            assert platform.wait_for_hits(
+                [hit.hit_id for hit in batch], timeout=WEEK
+            )
+        fresh = [make_hit(assignments=50) for _ in range(5)]
+        platform.post_hits(fresh)
+
+        evaluations = 0
+        is_open = HIT.is_open.fget
+
+        def counting(hit):
+            nonlocal evaluations
+            evaluations += 1
+            return is_open(hit)
+
+        monkeypatch.setattr(HIT, "is_open", property(counting))
+        submitted = platform.assignments_submitted
+        for _ in range(100):  # each event is at most one arrival
+            assert platform.events.step()
+        assert platform.assignments_submitted > submitted
+        # three passes per arrival, each over the open HITs at most
+        assert evaluations <= 100 * 3 * len(fresh)
+
 
 class TestMobilePlatform:
     def test_local_hit_completes(self, oracle):
@@ -167,3 +216,212 @@ class TestMobilePlatform:
         platform.clock.advance_to(95 * 60.0)  # inside the coffee break
         in_break = platform.arrival_rate()
         assert in_break > in_session * 4
+
+
+# -- golden trace: same draws, same choices -----------------------------------
+
+CITIES = ("Berkeley", "Zurich", "Seattle", "Munich", "Boston", "Paris")
+
+
+def _golden_oracle():
+    oracle = GroundTruthOracle()
+    for i in range(18):
+        oracle.load_fill(
+            "Prof",
+            (f"p{i}",),
+            {"dept": f"Dept {i % 4}", "city": CITIES[i % len(CITIES)]},
+        )
+    oracle.declare_same_entity("IBM", "I.B.M.")
+    oracle.load_ranking("older", {"Codd": 3.0, "Gray": 2.0, "Hoare": 1.0})
+    return oracle
+
+
+def _fill(i, columns=("dept", "city")):
+    return FillTask(
+        table="Prof",
+        primary_key=(f"p{i}",),
+        columns=columns,
+        known_values={"name": f"p{i}"},
+    )
+
+
+def _retrying(call, *args):
+    """Repeat a platform call through injected transient failures."""
+    while True:
+        try:
+            return call(*args)
+        except TransientPlatformError:
+            pass
+
+
+def _sim_scenario(platform, doomed_lifetime):
+    """Drive one seeded marketplace through every path the open-HIT
+    bookkeeping touches: several groups posted at one sim time, a grouped
+    HIT, expiry with workers in flight, a blocked worker, an approval-rate
+    qualification, transient faults, and an extension reopening a
+    completed HIT posted before still-open ones.  Returns one record per
+    submitted assignment plus a final cost/clock record.
+
+    ``doomed_lifetime`` is how long one crowded HIT stays up: tuned per
+    platform so workers are still in flight on it when it expires."""
+    reset_id_counters()
+    wrm = platform.wrm
+    records = []
+
+    def on_assignment(hit, assignment):
+        wrm.on_assignment(hit, assignment)
+        records.append({
+            "platform": platform.name,
+            "t": assignment.submitted_at,
+            "hit_id": hit.hit_id,
+            "worker_id": assignment.worker_id,
+            "answer": assignment.answer,
+        })
+
+    platform.on_assignment.append(on_assignment)
+    wrm.block(max(platform.workers, key=lambda w: w.activity).worker_id)
+    platform.min_approval_rate = 0.5
+
+    def post(task, reward=2, assignments=3, expires_in=None):
+        hit = HIT(task=task, reward_cents=reward,
+                  assignments_requested=assignments)
+        if expires_in is not None:
+            hit.expires_at = platform.clock.now + expires_in
+        _retrying(platform.post_hit, hit)
+        return hit
+
+    grouped = FillGroupTask(
+        table="Prof",
+        columns=("dept", "city"),
+        subtasks=tuple(_fill(i) for i in range(3)),
+    )
+    # a venue-only HIT: the mobile platform's locality filter applies
+    local = post(_fill(5))
+    local.locality = (VLDB_VENUE[0], VLDB_VENUE[1], 1.0)
+    wave = [
+        post(grouped, reward=6),
+        post(_fill(3)),
+        post(_fill(4, ("city",))),
+        post(CompareEqualTask("IBM", "I.B.M.")),
+        post(CompareOrderTask("Codd", "Gray", "older")),
+        local,
+    ]
+    doomed = post(_fill(6), reward=8, assignments=12, expires_in=doomed_lifetime)
+    platform.wait_for_hits([h.hit_id for h in wave + [doomed]], WEEK)
+
+    # reject the first submitter's work: below min_approval_rate, they
+    # lose access to the requester's HITs
+    rejected, rejected_at = records[0]["worker_id"], len(records)
+    for hit in platform.all_hits():
+        for assignment in hit.assignments:
+            if assignment.worker_id == rejected:
+                wrm.reject(assignment)
+            else:
+                wrm.approve(hit, assignment)
+
+    first = post(_fill(7), reward=6, assignments=1)
+    middle = post(CompareEqualTask("IBM", "Oracle"), reward=1, assignments=6)
+    last = post(_fill(8), reward=1, assignments=6)
+    platform.run_until(lambda: first.status is HITStatus.COMPLETED, WEEK)
+    reopened_before_open = middle.is_open and last.is_open
+    _retrying(platform.extend_hit, first.hit_id, 2)
+    platform.wait_for_hits([first.hit_id, middle.hit_id, last.hit_id], WEEK)
+
+    records.append({
+        "platform": platform.name,
+        "total_cost_cents": platform.total_cost_cents,
+        "now": platform.clock.now,
+    })
+    coverage = {
+        "doomed_in_flight": sum(
+            1 for hit_id, _ in platform._taken if hit_id == doomed.hit_id
+        ) - len(doomed.assignments),
+        "doomed_expired": doomed.status is HITStatus.EXPIRED,
+        "reopened_before_open": reopened_before_open,
+        "first_extended": len(first.assignments) == 3,
+        "rejected": rejected,
+        "rejected_at": rejected_at,
+    }
+    return records, coverage
+
+
+def _golden_platforms():
+    oracle = _golden_oracle()
+    return [
+        (SimulatedAMT(
+            oracle, population=40, seed=21,
+            config=BehaviorConfig(base_accuracy=0.6),
+            wrm=WorkerRelationshipManager(auto_approve=False),
+            transient_error_rate=0.25,
+        ), 200.0),
+        (SimulatedMobilePlatform(
+            oracle, population=30, seed=22,
+            wrm=WorkerRelationshipManager(auto_approve=False),
+            transient_error_rate=0.25,
+        ), 600.0),
+    ]
+
+
+def golden_sim_lines():
+    lines = []
+    for platform, doomed_lifetime in _golden_platforms():
+        records, _ = _sim_scenario(platform, doomed_lifetime)
+        lines.extend(json.dumps(record, sort_keys=True) for record in records)
+    return lines
+
+
+class TestGoldenTrace:
+    def test_sim_trace_equals_the_golden_file(self):
+        """``tests/golden/sim_v1.jsonl`` was captured before the open-HIT
+        index and the normalized distractor pools: every worker choice,
+        answer, timestamp and cent must still come out the same."""
+        with open(GOLDEN_SIM, encoding="utf-8") as handle:
+            golden = handle.read().splitlines()
+        ours = golden_sim_lines()
+        # record by record first, so a failure names the draw that moved
+        for index, (got, want) in enumerate(zip(ours, golden)):
+            assert got == want, f"sim record {index} changed"
+        assert ours == golden
+
+    @pytest.mark.parametrize("which", [0, 1], ids=["amt", "mobile"])
+    def test_scenario_covers_the_bookkeeping_paths(self, which, monkeypatch):
+        platform, doomed_lifetime = _golden_platforms()[which]
+        faults = 0
+        maybe_fault = platform._maybe_fault
+
+        def counting_fault(operation):
+            nonlocal faults
+            try:
+                maybe_fault(operation)
+            except TransientPlatformError:
+                faults += 1
+                raise
+
+        monkeypatch.setattr(platform, "_maybe_fault", counting_fault)
+        draws = 0
+        distractor = platform.oracle.distractor
+
+        def counting_distractor(*args):
+            nonlocal draws
+            value = distractor(*args)
+            draws += value is not None
+            return value
+
+        monkeypatch.setattr(platform.oracle, "distractor", counting_distractor)
+        records, coverage = _sim_scenario(platform, doomed_lifetime)
+        assert faults > 0 and draws > 0
+        assert coverage["doomed_expired"] and coverage["doomed_in_flight"] > 0
+        assert coverage["reopened_before_open"] and coverage["first_extended"]
+        submitters = [r["worker_id"] for r in records if "worker_id" in r]
+        blocked = [w for w, a in platform.wrm.accounts.items() if a.blocked]
+        assert blocked and not set(blocked) & set(submitters)
+        # the rejected worker submits nothing after the rejection
+        assert coverage["rejected"] not in submitters[coverage["rejected_at"]:]
+
+
+if __name__ == "__main__":
+    os.makedirs(os.path.dirname(GOLDEN_SIM), exist_ok=True)
+    lines = golden_sim_lines()
+    with open(GOLDEN_SIM, "w", encoding="utf-8") as out:
+        out.write("\n".join(lines) + "\n")
+    print(f"wrote {len(lines)} records to {GOLDEN_SIM}")
