@@ -28,7 +28,9 @@ def resolution_accuracy(replication: int, seed: int = 31):
     )
     correct = 0
     for left, right, truth in COMPANY_PAIRS:
-        answer = tm.compare_equal(left, right, "Same company?")
+        future = tm.begin_compare_equal(left, right, "Same company?")
+        tm.wait(future)
+        answer = future.result()
         if answer == truth:
             correct += 1
     return correct / len(COMPANY_PAIRS), tm.stats.cost_cents

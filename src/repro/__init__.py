@@ -10,7 +10,8 @@ locality-aware mobile platform).
 
 from repro.api import Connection, Cursor, connect, serve
 from repro.crowd.reputation import ReputationStore
-from repro.crowd.task_manager import CrowdConfig, CrowdFuture
+from repro.crowd.future import CrowdFuture
+from repro.crowd.task_manager import CrowdConfig
 from repro.engine.executor import ResultSet
 from repro.net import NetClient, NetworkServer, connect_tcp, serve_tcp
 from repro.server import Server

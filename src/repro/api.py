@@ -45,7 +45,6 @@ from repro.obs import (
     TraceSink,
 )
 from repro.optimizer.optimizer import OptimizationResult, Optimizer
-from repro.server.task_pool import TaskPool
 from repro.sql import ast
 from repro.sql.parser import parse, parse_script
 from repro.statement import Statement, StatementRunner
@@ -131,13 +130,7 @@ class Connection:
             self.task_manager = TaskManager(
                 platforms, self.ui_manager, config=crowd_config
             )
-            # Pending-future pool: within one connection this only
-            # matters after a partial (deadline/budget/breaker) result,
-            # whose unfinished futures a later retry of the statement
-            # reuses instead of reposting HITs.  The multi-session
-            # Server swaps in its own shared pool.
-            self.task_manager.task_pool = TaskPool()
-            self.task_manager.attach_reputation(self.reputation)
+            self.task_manager.reputation = self.reputation
             self.reputation.block_below = self.task_manager.config.block_below
             if observability:
                 self.task_manager.tracer = self.observability.trace
@@ -440,7 +433,6 @@ def connect(
     min_replication: Optional[int] = None,
     max_replication: Optional[int] = None,
     gold_rate: Optional[float] = None,
-    reputation_weighting: Optional[bool] = None,
     block_below: Optional[float] = None,
     observability: bool = True,
     slow_query_seconds: Optional[float] = None,
@@ -474,11 +466,12 @@ def connect(
     table/column set are packaged into a single HIT.
 
     ``target_confidence``, ``min_replication``, ``max_replication``,
-    ``gold_rate``, and ``reputation_weighting`` are the adaptive quality
-    knobs (see :class:`CrowdConfig`): setting ``target_confidence``
-    switches fill/compare HITs to confidence-driven adaptive replication
-    with reputation-weighted consensus voting; ``gold_rate`` shadows real
-    work with known-answer probe HITs that grade workers.  Left at their
+    ``gold_rate`` and ``block_below`` are the adaptive quality knobs (see
+    :class:`CrowdConfig`): setting ``target_confidence`` switches
+    fill/compare HITs to confidence-driven adaptive replication with
+    reputation-weighted consensus voting; ``gold_rate`` shadows real work
+    with known-answer probe HITs that grade workers; ``block_below``
+    blocks workers whose estimated accuracy falls under it.  Left at their
     defaults, queries behave exactly like the fixed-replication paper
     model.
 
@@ -504,7 +497,10 @@ def connect(
     :meth:`Connection.close`).
 
     ``platform_retries``/``platform_timeout`` bound the exponential-
-    backoff retry loop around transient platform failures (see
+    backoff retry loop around transient platform failures,
+    ``statement_deadline_ms``/``statement_budget_cents`` are the default
+    per-statement caps (``WITH DEADLINE/BUDGET`` overrides them), and the
+    ``breaker_*`` knobs tune the per-platform circuit breaker (see
     :class:`CrowdConfig`).
 
     ``electronic_workers=N`` dispatches binder-approved pure-electronic
@@ -523,7 +519,6 @@ def connect(
             ("min_replication", min_replication),
             ("max_replication", max_replication),
             ("gold_rate", gold_rate),
-            ("reputation_weighting", reputation_weighting),
             ("block_below", block_below),
             ("platform_retries", platform_retries),
             ("platform_timeout", platform_timeout),

@@ -8,70 +8,60 @@ with the storage engine to obtain values to pre-load into the task user
 interfaces and to memorize the results sourced from the crowd."
 (paper §3)
 
-Operator-facing API:
+Every crowd request takes one path, whatever its kind:
 
-* :meth:`fill_values` — CrowdProbe sourcing of CNULL column values;
-* :meth:`source_new_tuples` — open-world tuple sourcing (CrowdProbe on
-  CROWD tables, CrowdJoin inner probes);
-* :meth:`compare_equal` / :meth:`compare_order` — CrowdCompare ballots,
-  cached ("results obtained from the crowd are always stored ... for
-  future use").
+* ``begin_fill_many`` / ``begin_new_tuples`` / ``begin_compare_equal`` /
+  ``begin_compare_order`` look the request up (comparison caches, and the
+  task pool of in-flight futures, so concurrent sessions asking the same
+  question share one HIT), budget-check and post the HITs, register the
+  future in the pool and shadow it with gold probes — without advancing
+  the platform clock.  Fills of one table and column set are packaged
+  into HIT groups of up to ``config.hit_group_size`` tasks.
+* A post refused by an open circuit breaker parks the request in the
+  (optionally durable) retry queue; the next crowd activity after
+  recovery replays it through the same path.
+* Under adaptive replication a future whose HITs completed below
+  ``target_confidence`` extends them when polled (:meth:`_maybe_extend`).
+* :meth:`wait_many` drives a set of futures through overlapped
+  marketplace rounds (the serial path); the cooperative scheduler polls
+  ``ready()`` and calls :meth:`settle` itself.  :meth:`settle` accounts,
+  votes and parses exactly once, and retires parked copies of the work.
 
-Each blocking call is a thin wrapper over the issue/poll/resume protocol
-used by the concurrent query server (:mod:`repro.server`):
-
-* :meth:`begin_fill` / :meth:`begin_new_tuples` / :meth:`begin_compare_equal`
-  / :meth:`begin_compare_order` post the HITs and return a
-  :class:`CrowdFuture` without advancing the platform clock;
-* :meth:`wait` drives one future to completion (the serial path);
-* :meth:`settle` finalizes a future whose HITs have completed (or whose
-  deadline passed) — the cooperative scheduler's resume path.
-
-Batch crowd execution adds a group-issue layer: :meth:`begin_fill_many`
-posts a whole window of fill tasks up front (packaging them into HIT
-groups of up to ``config.hit_group_size`` tasks per HIT), and
-:meth:`wait_many` / :meth:`settle_many` drive the resulting future *set*
-through one overlapped marketplace round instead of one round per task.
-The per-task ``begin_*`` calls are group-of-one wrappers, so the server's
-shared :class:`~repro.server.task_pool.TaskPool` dedup keeps working.
-
-When a shared task pool is attached (``task_manager.task_pool``),
-``begin_*`` deduplicates identical pending requests across concurrent
-sessions: both callers receive the *same* future and resume on one HIT's
-answers — the cross-query generalization of the paper's "results are
-always stored for future use" memorization.
+What differs between fills, new tuples, CROWDEQUAL and CROWDORDER — pool
+key, task and form, ballots, verdict, cache and ledger writes, retry-queue
+entry — is stated once per kind in :mod:`repro.crowd.kinds`.
 """
 
 from __future__ import annotations
 
 import json
+import operator
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional
+from typing import Any, Optional
 
-from repro.catalog.table import TableSchema
-from repro.codec import decode_value, encode_value
+from repro.codec import encode_value
 from repro.crowd.breaker import CircuitBreaker, RetryQueue
-from repro.crowd.model import (
-    HIT,
-    HITStatus,
-    CompareEqualTask,
-    CompareOrderTask,
-    FillGroupTask,
-    FillTask,
-    NewTupleTask,
+from repro.crowd.future import CrowdFuture
+from repro.crowd.kinds import (
+    EQUAL,
+    FILL,
+    KINDS,
+    NEW_TUPLES,
+    ORDER,
+    RequestKind,
+    grade_gold,
 )
+from repro.crowd.model import HIT, HITStatus, task_size
 from repro.crowd.platform import CrowdPlatform, PlatformRegistry
 from repro.crowd.quality import Ballot, MajorityVote, VoteResult, normalize_answer
 from repro.crowd.reputation import ReputationStore
+from repro.server.task_pool import TaskPool
 from repro.errors import (
     BudgetExceededError,
     CircuitOpenError,
-    ExecutionError,
     TransientPlatformError,
-    TypeError_,
 )
-from repro.sqltypes import NULL, parse_literal
 from repro.ui.manager import UITemplateManager
 
 
@@ -108,9 +98,6 @@ class CrowdConfig:
     # Gold-standard probes: fraction of posted HITs matched by an extra
     # known-answer HIT used purely to score workers (0 disables).
     gold_rate: float = 0.0
-    # Reputation-weighted voting: ``None`` enables it exactly when
-    # adaptive replication is on; True/False force it either way.
-    reputation_weighting: Optional[bool] = None
     # Workers whose estimated accuracy drops below this are blocked via
     # the WRM (the platforms stop offering them HITs).  None disables.
     block_below: Optional[float] = None
@@ -187,234 +174,6 @@ class TaskManagerStats:
         return data
 
 
-class CrowdFuture:
-    """One outstanding crowd request: posted HITs plus the recipe that
-    turns their assignments into a typed answer.
-
-    The future is *done* when every HIT stopped accepting assignments
-    (completed or expired) or its deadline passed; it must then be
-    *settled* (accounting + voting + parsing, exactly once) before
-    :meth:`result` is available.  Futures are shared across sessions by
-    the task pool, so settlement is idempotent and the computed value is
-    fanned out to every waiter.
-    """
-
-    def __init__(
-        self,
-        kind: str,
-        key: tuple,
-        hits: list[HIT],
-        platform: Optional[CrowdPlatform],
-        posted_at: float,
-        timeout_seconds: float,
-        finalize: Callable[[list[HIT]], Any],
-    ) -> None:
-        self.kind = kind
-        self.key = key
-        self.hits = hits
-        self.platform = platform
-        self.posted_at = posted_at
-        self.timeout_seconds = timeout_seconds
-        self._finalize = finalize
-        self._settled = False
-        self._value: Any = None
-        # a mirrored comparison or a HIT-group member rides another
-        # future's HITs (see ``mirrored`` / ``member``); settlement and
-        # accounting happen on the parent
-        self.mirror_of: Optional["CrowdFuture"] = None
-        self.invert = False
-        self.extract_index: Optional[int] = None
-        # adaptive replication state (carried by the future so sessions
-        # joining through the shared task pool see the same controller,
-        # confidence, and extension history)
-        self.adaptive: Optional["AdaptiveReplication"] = None
-        self.confidence: Optional[float] = None
-        self.extensions = 0
-        # per-future settlement accounting (assignments, cents, verdict
-        # confidence) — stamped once by TaskManager.settle so every
-        # waiting statement can attribute exactly this future's spend to
-        # itself (see ExecutionContext's CrowdLedger)
-        self.accounting: Optional[dict[str, float]] = None
-        self.extension_assignments = 0  # extra assignments bought adaptively
-
-    @classmethod
-    def resolved(cls, kind: str, key: tuple, value: Any) -> "CrowdFuture":
-        """A future that never reached a platform (answer was cached)."""
-        future = cls(kind, key, [], None, 0.0, 0.0, lambda hits: value)
-        future._settled = True
-        future._value = value
-        return future
-
-    @classmethod
-    def mirrored(
-        cls, parent: "CrowdFuture", key: tuple, invert: bool
-    ) -> "CrowdFuture":
-        """A view of ``parent`` asked in the opposite direction.
-
-        CROWDORDER('a', 'b') and CROWDORDER('b', 'a') are one ballot; the
-        mirror shares the parent's HITs and negates its settled value, so
-        symmetric concurrent requests never post twice (or cache
-        contradictory answers)."""
-        future = cls(
-            parent.kind,
-            key,
-            parent.hits,
-            parent.platform,
-            parent.posted_at,
-            parent.timeout_seconds,
-            finalize=lambda hits: None,
-        )
-        future.mirror_of = parent
-        future.invert = invert
-        return future
-
-    @classmethod
-    def member(
-        cls, parent: "CrowdFuture", key: tuple, index: int
-    ) -> "CrowdFuture":
-        """One task of a HIT group.
-
-        The member shares the grouped HIT of ``parent`` (whose settled
-        value is the list of per-subtask answers) and resolves to the
-        slice at ``index`` — one posted HIT fans back out to the right
-        futures on completion."""
-        future = cls(
-            parent.kind,
-            key,
-            parent.hits,
-            parent.platform,
-            parent.posted_at,
-            parent.timeout_seconds,
-            finalize=lambda hits: None,
-        )
-        future.mirror_of = parent
-        future.extract_index = index
-        return future
-
-    @property
-    def deadline(self) -> float:
-        return self.posted_at + self.timeout_seconds
-
-    @property
-    def settled(self) -> bool:
-        if self.mirror_of is not None:
-            return self.mirror_of.settled
-        return self._settled
-
-    def hits_closed(self) -> bool:
-        """Poll: has every HIT stopped accepting assignments?"""
-        return all(hit.status is not HITStatus.OPEN for hit in self.hits)
-
-    def past_deadline(self) -> bool:
-        clock = getattr(self.platform, "clock", None)
-        if clock is None:
-            return True  # platform has no clock: waiting cannot help
-        return clock.now >= self.deadline
-
-    def ready(self) -> bool:
-        """Poll: can this future be settled without further waiting?
-
-        An adaptive future whose HITs just completed may *extend* them
-        here instead — requesting more assignments and staying pending —
-        which is what lets every polling path (serial waits, batch waits,
-        the cooperative scheduler) drive confidence rounds without
-        blocking anyone.
-        """
-        if self.mirror_of is not None:
-            return self.mirror_of.ready()
-        if self._settled:
-            return True
-        if self.hits_closed():
-            if self.adaptive is not None and self.adaptive.maybe_extend(self):
-                return False
-            return True
-        return self.past_deadline()
-
-    def result(self) -> Any:
-        if self.mirror_of is not None:
-            value = self.mirror_of.result()
-            if self.extract_index is not None:
-                return value[self.extract_index]
-            return (not value) if self.invert else value
-        if not self._settled:
-            raise ExecutionError(
-                f"crowd future {self.key!r} consumed before settlement"
-            )
-        return self._value
-
-
-class AdaptiveReplication:
-    """Confidence-driven replication controller for one crowd future.
-
-    ``confidence_of`` recomputes the weighted-consensus confidence over
-    the future's current assignments.  :meth:`maybe_extend` is invoked
-    from :meth:`CrowdFuture.ready` whenever the HITs have completed: if
-    the verdict is still below ``target_confidence`` (and the deadline,
-    ``max_replication`` cap, and budget all allow) it requests one more
-    assignment per HIT and reports the future as still pending.
-    """
-
-    def __init__(
-        self,
-        manager: "TaskManager",
-        confidence_of: Callable[["CrowdFuture"], float],
-    ) -> None:
-        self.manager = manager
-        self.confidence_of = confidence_of
-
-    def maybe_extend(self, future: "CrowdFuture") -> bool:
-        """Extend the future's HITs by one assignment if the consensus is
-        not confident yet.  Returns whether an extension happened."""
-        config = self.manager.config
-        confidence = self.confidence_of(future)
-        future.confidence = confidence
-        if config.target_confidence is None:
-            return False
-        if confidence >= config.target_confidence:
-            return False
-        clock = getattr(future.platform, "clock", None)
-        if clock is not None and clock.now >= future.deadline:
-            return False
-        candidates = [
-            hit
-            for hit in future.hits
-            if hit.status is HITStatus.COMPLETED
-            and hit.assignments_requested < config.max_replication
-        ]
-        if not candidates:
-            return False
-        if config.budget_cents is not None:
-            accrued = sum(
-                hit.reward_cents * len(hit.assignments)
-                for hit in future.hits
-            )
-            projected = sum(hit.reward_cents for hit in candidates)
-            if (
-                self.manager.stats.cost_cents + accrued + projected
-                > config.budget_cents
-            ):
-                return False
-        for hit in candidates:
-            self.manager._platform_call(
-                future.platform, "extend_hit", hit.hit_id, 1
-            )
-        future.extensions += 1
-        future.extension_assignments += len(candidates)
-        self.manager.stats.hit_extensions += len(candidates)
-        tracer = self.manager.tracer
-        if tracer is not None:
-            tracer.emit(
-                "hit.extend",
-                sim=clock.now if clock is not None else 0.0,
-                hits=[hit.hit_id for hit in candidates],
-                task_kind=future.kind,
-                confidence=round(confidence, 4),
-                target=config.target_confidence,
-                extension=future.extensions,
-            )
-        return True
-
-
 class TaskManager:
     """Posts tasks, waits for answers, votes, and parses results."""
 
@@ -428,15 +187,18 @@ class TaskManager:
         self.ui_manager = ui_manager
         self.config = config if config is not None else CrowdConfig()
         self.stats = TaskManagerStats()
-        self._voter = MajorityVote(self.config.min_agreement)
         # comparison caches: the paper stores every crowd answer for reuse
         self._equal_cache: dict[tuple, bool] = {}
         self._order_cache: dict[tuple, str] = {}
-        # optional shared pool (repro.server): dedups identical pending
-        # requests across concurrent sessions
-        self.task_pool: Optional[Any] = None
-        # adaptive quality control: per-worker reputation + gold probes
-        self.reputation: Optional[ReputationStore] = None
+        # pending futures by request key.  Within one connection this
+        # matters after a partial (deadline/budget/breaker) result, whose
+        # unfinished futures a retry of the statement reuses instead of
+        # reposting HITs; the multi-session Server swaps in one pool
+        # shared by every session.
+        self.task_pool = TaskPool()
+        # per-worker reputation (connect() attaches the WRM-backed store)
+        # and the gold probes it learns from
+        self.reputation = ReputationStore()
         self._gold_accumulator = 0.0
         self._gold_pending: list[tuple[HIT, Any, CrowdPlatform, float]] = []
         # optional trace sink (repro.obs.TraceSink): HIT-lifecycle span
@@ -448,9 +210,9 @@ class TaskManager:
         self.ledger: Optional[Any] = None
         # failure containment: one circuit breaker per platform plus a
         # (optionally durable) parking lot for HIT issues refused while a
-        # breaker is open.  Parked work replays through the public
-        # ``begin_*`` API on the next crowd activity after recovery, so
-        # replayed futures re-enter the task pool and dedup normally.
+        # breaker is open.  Parked work replays through the request path
+        # on the next crowd activity after recovery, so replayed futures
+        # enter the task pool and dedup normally.
         self.breakers: dict[str, CircuitBreaker] = {}
         self.retry_queue = RetryQueue()
         self._replay_pending = False
@@ -576,59 +338,31 @@ class TaskManager:
                 data[f"{name}_{key}"] = value
         return data
 
-    def _park_entry(self, entry: dict, key: Optional[tuple] = None) -> None:
-        """Park one refused issue descriptor in the retry queue.
+    def _park(self, kind: RequestKind, request: tuple, key: tuple,
+              platform: Optional[str]) -> None:
+        """Park one refused request in the retry queue.
 
-        ``key`` is the issue's task-pool key; its signature is stamped on
-        the entry so that if the same work settles through another route
-        before replay (a retried statement reissued it), the stale parked
-        entry is discarded instead of repurchasing the answer."""
-        if key is not None:
-            entry["signature"] = _key_signature(key)
+        The entry carries the request's task-pool key signature, so that
+        if the same work settles through another route before replay (a
+        retried statement reissued it), the stale parked entry is
+        discarded instead of repurchasing the answer."""
+        entry = {"kind": kind.name, **kind.encode(request),
+                 "platform": platform, "signature": _key_signature(key)}
         self.retry_queue.park(entry)
         self.stats.bump("breaker_parked")
         if self.tracer is not None:
             self.tracer.emit(
-                "breaker.park",
-                task=entry.get("kind", "?"),
-                platform=entry.get("platform") or "default",
+                "breaker.park", task=kind.name, platform=platform or "default"
             )
-
-    def _park_fills(
-        self,
-        requests: list[tuple],
-        keys: list[tuple],
-        chunk: list[int],
-        platform: Optional[str],
-        error: CircuitOpenError,
-    ) -> None:
-        """Park every fill request of a refused chunk, then re-raise."""
-        for i in chunk:
-            schema, primary_key, columns, known_values = requests[i]
-            self._park_entry(
-                {
-                    "kind": "fill",
-                    "table": schema.name,
-                    "primary_key": _encode_parked_row(primary_key),
-                    "columns": list(columns),
-                    "known_values": {
-                        column: encode_value(value)
-                        for column, value in known_values.items()
-                    },
-                    "platform": platform,
-                },
-                key=keys[i],
-            )
-        raise error
 
     def replay_parked(self) -> int:
-        """Re-issue parked HIT work through the public ``begin_*`` API.
+        """Re-issue parked requests through the request path.
 
         Called automatically at the next crowd activity after a breaker
-        closes (and available to the shell/benchmarks directly).  Replayed
-        futures register in the shared task pool, so statements that retry
-        the same predicate reuse them — zero repurchased assignments.
-        Returns the number of entries successfully re-issued.
+        closes.  Replayed futures register in the task pool, so
+        statements that retry the same predicate reuse them — zero
+        repurchased assignments.  Returns the number of entries
+        successfully re-issued.
         """
         if self._replaying or not len(self.retry_queue):
             return 0
@@ -638,7 +372,9 @@ class TaskManager:
             entries = self.retry_queue.drain()
             for position, entry in enumerate(entries):
                 try:
-                    self._replay_entry(entry)
+                    kind = KINDS[entry["kind"]]
+                    request = kind.decode(self.ui_manager.catalog, entry)
+                    self._begin(kind, [request], entry.get("platform"))
                     replayed += 1
                 except CircuitOpenError:
                     # Platform is sick again: keep the remainder parked.
@@ -655,61 +391,7 @@ class TaskManager:
                 self.tracer.emit("breaker.replay", count=replayed)
         return replayed
 
-    def _maybe_replay(self) -> None:
-        if self._replay_pending and not self._replaying:
-            self.replay_parked()
-
-    def _replay_entry(self, entry: dict) -> None:
-        kind = entry["kind"]
-        platform = entry.get("platform")
-        if kind == "fill":
-            schema = self.ui_manager.catalog.table(entry["table"])
-            self.begin_fill(
-                schema,
-                _decode_parked_row(entry["primary_key"]),
-                tuple(entry["columns"]),
-                {
-                    column: _decode_parked(value)
-                    for column, value in entry["known_values"].items()
-                },
-                platform,
-            )
-        elif kind == "new":
-            schema = self.ui_manager.catalog.table(entry["table"])
-            self.begin_new_tuples(
-                schema,
-                int(entry["count"]),
-                {
-                    column: _decode_parked(value)
-                    for column, value in entry["fixed_values"].items()
-                },
-                platform,
-                known_keys={
-                    _decode_parked_row(row) for row in entry["known_keys"]
-                },
-            )
-        elif kind == "eq":
-            self.begin_compare_equal(
-                _decode_parked(entry["left"]),
-                _decode_parked(entry["right"]),
-                entry["question"],
-                platform,
-            )
-        elif kind == "ord":
-            self.begin_compare_order(
-                _decode_parked(entry["left"]),
-                _decode_parked(entry["right"]),
-                entry["question"],
-                platform,
-            )
-        else:
-            raise ExecutionError(f"unknown parked entry kind {kind!r}")
-
     # -- adaptive quality plumbing ---------------------------------------------------
-
-    def attach_reputation(self, store: ReputationStore) -> None:
-        """Wire a reputation store in (done by ``connect()``)."""
-        self.reputation = store
 
     @property
     def adaptive_enabled(self) -> bool:
@@ -717,12 +399,8 @@ class TaskManager:
 
     @property
     def weighting_enabled(self) -> bool:
-        """Whether votes are reputation-weighted (on iff adaptive unless
-        ``config.reputation_weighting`` forces it)."""
-        if self.reputation is None:
-            return False
-        if self.config.reputation_weighting is not None:
-            return self.config.reputation_weighting
+        """Votes are reputation-weighted exactly under adaptive
+        replication."""
         return self.adaptive_enabled
 
     def _initial_replication(self) -> int:
@@ -731,13 +409,29 @@ class TaskManager:
                               self.config.max_replication))
         return self.config.replication
 
-    def _ballot_voter(self) -> MajorityVote:
-        """The settle-time voter (reputation-weighted when enabled)."""
-        return MajorityVote(
+    def vote(self, ballots: list[Ballot]) -> Optional[VoteResult]:
+        """Settle-time consensus over one verdict's ballots (``None``
+        without any), recorded for confidence telemetry and as consensus
+        observations on the reputation ledger, weighted by how sure the
+        verdict itself is."""
+        if not ballots:
+            return None
+        vote = MajorityVote(
             self.config.min_agreement,
             reputation=self.reputation if self.weighting_enabled else None,
             tracer=self.tracer,
-        )
+        ).vote_ballots(ballots)
+        self.stats.confidence_sum += vote.confidence
+        self.stats.confidence_count += 1
+        winner_key = normalize_answer(vote.value)
+        for ballot in ballots:
+            if ballot.worker_id:
+                self.reputation.observe_consensus(
+                    ballot.worker_id,
+                    normalize_answer(ballot.value) == winner_key,
+                    weight=vote.confidence,
+                )
+        return vote
 
     def _probe_voter(self) -> MajorityVote:
         """The confidence-probe voter (never warns, same weighting)."""
@@ -746,344 +440,86 @@ class TaskManager:
             reputation=self.reputation if self.weighting_enabled else None,
         )
 
-    def _make_adaptive(
-        self, confidence_of: Callable[[CrowdFuture], float]
-    ) -> Optional[AdaptiveReplication]:
-        if not self.adaptive_enabled:
-            return None
-        return AdaptiveReplication(self, confidence_of)
+    def _maybe_extend(self, future: CrowdFuture) -> bool:
+        """Extend a completed adaptive future's HITs by one assignment if
+        the weakest verdict over its ballots is below
+        ``target_confidence`` — and the deadline, ``max_replication`` cap
+        and budget all allow.  Returns whether an extension happened."""
+        config = self.config
+        questions = future.ballots(future.hits)
+        confidence = 0.0
+        if all(questions):
+            voter = self._probe_voter()
+            confidence = min(
+                (voter.vote_ballots(b, quiet=True).confidence
+                 for b in questions),
+                default=1.0,
+            )
+        future.confidence = confidence
+        if config.target_confidence is None:
+            return False
+        if confidence >= config.target_confidence:
+            return False
+        clock = getattr(future.platform, "clock", None)
+        if clock is not None and clock.now >= future.deadline:
+            return False
+        candidates = [
+            hit
+            for hit in future.hits
+            if hit.status is HITStatus.COMPLETED
+            and hit.assignments_requested < config.max_replication
+        ]
+        if not candidates:
+            return False
+        if config.budget_cents is not None:
+            accrued = sum(
+                hit.reward_cents * len(hit.assignments)
+                for hit in future.hits
+            )
+            projected = sum(hit.reward_cents for hit in candidates)
+            if self.stats.cost_cents + accrued + projected > config.budget_cents:
+                return False
+        for hit in candidates:
+            self._platform_call(future.platform, "extend_hit", hit.hit_id, 1)
+        future.extensions += 1
+        future.extension_assignments += len(candidates)
+        self.stats.hit_extensions += len(candidates)
+        if self.tracer is not None:
+            self.tracer.emit(
+                "hit.extend",
+                sim=clock.now if clock is not None else 0.0,
+                hits=[hit.hit_id for hit in candidates],
+                task_kind=future.kind,
+                confidence=round(confidence, 4),
+                target=config.target_confidence,
+                extension=future.extensions,
+            )
+        return True
 
-    # -- CrowdProbe: fill CNULL values --------------------------------------------
-
-    def fill_values(
-        self,
-        schema: TableSchema,
-        primary_key: tuple[Any, ...],
-        columns: tuple[str, ...],
-        known_values: dict[str, Any],
-        platform: Optional[str] = None,
-    ) -> dict[str, Any]:
-        """Source the missing values of one tuple.
-
-        Returns ``column -> typed value`` — NULL when the crowd answered
-        "no value" or never answered within the timeout.
-        """
-        future = self.begin_fill(
-            schema, primary_key, columns, known_values, platform
-        )
-        self.wait(future)
-        return future.result()
-
-    def begin_fill(
-        self,
-        schema: TableSchema,
-        primary_key: tuple[Any, ...],
-        columns: tuple[str, ...],
-        known_values: dict[str, Any],
-        platform: Optional[str] = None,
-    ) -> CrowdFuture:
-        """Post a fill task and return its future without waiting —
-        a group of one (see :meth:`begin_fill_many`)."""
-        (future,) = self.begin_fill_many(
-            [(schema, primary_key, columns, known_values)], platform
-        )
-        return future
+    # -- the request path ----------------------------------------------------------------
 
     def begin_fill_many(
         self,
         requests: list[tuple],
         platform: Optional[str] = None,
     ) -> list[CrowdFuture]:
-        """Group-issue fill tasks: one future per request, all posted
-        before any is waited on.
+        """CrowdProbe: fill the CNULL values of several tuples, one future
+        per ``(schema, primary_key, columns, known_values)`` request, all
+        posted before any is waited on.  Each future resolves to ``column
+        -> typed value`` (NULL when the crowd answered "no value" or
+        never answered).  Up to ``config.hit_group_size`` requests of one
+        table and column set share a HIT whose answers fan back out to
+        the per-request futures."""
+        return self._begin(FILL, requests, platform)
 
-        ``requests`` are ``(schema, primary_key, columns, known_values)``
-        tuples.  Requests already in flight (shared task pool, or earlier
-        in this batch) reuse the pending future; the rest are packaged
-        into paper-style HIT groups — up to ``config.hit_group_size``
-        tasks sharing a table and column set become one HIT whose answers
-        fan back out to per-request futures on settlement.
-        """
-        self._maybe_replay()
-        futures: list[Optional[CrowdFuture]] = [None] * len(requests)
-        keys: list[tuple] = []
-        fresh: dict[tuple, list[int]] = {}   # (table, columns) -> indexes
-        local: dict[tuple, int] = {}         # intra-batch dedup
-        for i, (schema, primary_key, columns, known_values) in enumerate(
-            requests
-        ):
-            self.stats.fill_requests += 1
-            key = (
-                "fill",
-                schema.name,
-                tuple(primary_key),
-                tuple(columns),
-                self._platform_key(platform),
-            )
-            keys.append(key)
-            shared = self._pool_lookup(key)
-            if shared is not None:
-                futures[i] = shared
-                continue
-            if key in local:
-                continue  # patched to the first occurrence's future below
-            local[key] = i
-            group = (schema.name, tuple(c.lower() for c in columns))
-            fresh.setdefault(group, []).append(i)
-
-        group_size = max(1, self.config.hit_group_size)
-        for indexes in fresh.values():
-            for start in range(0, len(indexes), group_size):
-                chunk = indexes[start : start + group_size]
-                try:
-                    if len(chunk) == 1:
-                        i = chunk[0]
-                        schema, primary_key, columns, known_values = requests[i]
-                        futures[i] = self._issue_fill(
-                            schema, primary_key, columns, known_values,
-                            platform, keys[i],
-                        )
-                    else:
-                        self._issue_fill_group(
-                            requests, keys, chunk, platform, futures
-                        )
-                except CircuitOpenError as error:
-                    self._park_fills(requests, keys, chunk, platform, error)
-        for i, key in enumerate(keys):
-            if futures[i] is None:  # intra-batch duplicate
-                futures[i] = futures[local[key]]
-        return futures
-
-    def _fill_task(
+    def begin_new_tuples(
         self,
-        schema: TableSchema,
-        primary_key: tuple[Any, ...],
-        columns: tuple[str, ...],
-        known_values: dict[str, Any],
-    ) -> FillTask:
-        return FillTask(
-            table=schema.name,
-            primary_key=primary_key,
-            columns=columns,
-            known_values=dict(known_values),
-            column_types={
-                c: str(schema.column(c).sql_type) for c in columns
-            },
-            instructions=(
-                f"Fill in the missing fields of this {schema.name} record."
-            ),
-        )
-
-    def _issue_fill(
-        self,
-        schema: TableSchema,
-        primary_key: tuple[Any, ...],
-        columns: tuple[str, ...],
-        known_values: dict[str, Any],
-        platform: Optional[str],
-        key: tuple,
-    ) -> CrowdFuture:
-        task = self._fill_task(schema, primary_key, columns, known_values)
-        template = self.ui_manager.fill_template(schema, columns)
-        form_html = self.ui_manager.instantiate(template, known_values)
-        hit = self._make_hit(task, form_html)
-        return self._issue(
-            "fill",
-            key,
-            [hit],
-            platform,
-            lambda hits: self._finish_fill(schema, columns, hits),
-            adaptive=self._make_adaptive(
-                lambda future: self._fill_confidence(columns, future.hits[0])
-            ),
-        )
-
-    def _issue_fill_group(
-        self,
-        requests: list[tuple],
-        keys: list[tuple],
-        chunk: list[int],
-        platform: Optional[str],
-        futures: list[Optional[CrowdFuture]],
-    ) -> None:
-        """Package ``chunk`` (request indexes sharing a table and column
-        set) into one grouped HIT and hand each request a member future."""
-        schema = requests[chunk[0]][0]
-        columns = tuple(requests[chunk[0]][2])
-        subtasks = tuple(
-            self._fill_task(*requests[i]) for i in chunk
-        )
-        task = FillGroupTask(
-            table=schema.name,
-            columns=columns,
-            subtasks=subtasks,
-            instructions=(
-                f"Fill in the missing fields of these {len(subtasks)} "
-                f"{schema.name} records."
-            ),
-        )
-        template = self.ui_manager.fill_template(schema, columns)
-        form_html = "\n<hr/>\n".join(
-            self.ui_manager.instantiate(template, subtask.known_values)
-            for subtask in subtasks
-        )
-        hit = self._make_hit(task, form_html, size=len(subtasks))
-        parent_key = (
-            "fillgroup",
-            schema.name,
-            tuple(subtask.primary_key for subtask in subtasks),
-            columns,
-            self._platform_key(platform),
-        )
-        parent = self._issue(
-            "fill",
-            parent_key,
-            [hit],
-            platform,
-            lambda hits: self._finish_fill_group(
-                schema, columns, len(subtasks), hits
-            ),
-            adaptive=self._make_adaptive(
-                lambda future: self._fill_group_confidence(
-                    columns, len(subtasks), future.hits[0]
-                )
-            ),
-        )
-        if self.tracer is not None:
-            self.tracer.emit(
-                "hit.group",
-                sim=parent.posted_at,
-                hit=hit.hit_id,
-                table=schema.name,
-                columns=list(columns),
-                members=len(chunk),
-            )
-        for index, i in enumerate(chunk):
-            member = CrowdFuture.member(parent, keys[i], index)
-            futures[i] = member
-            if self.task_pool is not None:
-                self.task_pool.register(member)
-
-    def _vote_fill(
-        self,
-        schema: TableSchema,
-        columns: tuple[str, ...],
-        answers: list[tuple[str, dict[str, Any]]],
-        task: Optional[FillTask] = None,
-    ) -> dict[str, Any]:
-        """Weighted per-column consensus over ``(worker_id, answer)``
-        pairs; feeds the reputation ledger and deposits confident
-        verdicts into the gold bank."""
-        voter = self._ballot_voter()
-        result: dict[str, Any] = {}
-        gold_expected: dict[str, Any] = {}
-        gold_worthy = True
-        for column in columns:
-            ballots = [
-                Ballot(value=answer.get(column, ""), worker_id=worker_id)
-                for worker_id, answer in answers
-                if str(answer.get(column, "")).strip()
-            ]
-            if not ballots:
-                result[column] = NULL
-                gold_worthy = False
-                continue
-            vote = voter.vote_ballots(ballots)
-            self._record_verdict(ballots, vote)
-            result[column] = self._parse(schema, column, vote.value)
-            if vote.confidence >= _GOLD_DEPOSIT_CONFIDENCE:
-                gold_expected[column] = vote.value
-            else:
-                gold_worthy = False
-        if (
-            gold_worthy
-            and gold_expected
-            and task is not None
-            and self.reputation is not None
-            and self.config.gold_rate > 0
-        ):
-            self.reputation.add_gold(task, gold_expected)
-        return result
-
-    def _fill_answers(self, hit: HIT) -> list[tuple[str, dict[str, Any]]]:
-        return [
-            (a.worker_id, a.answer)
-            for a in hit.assignments
-            if isinstance(a.answer, dict)
-        ]
-
-    def _finish_fill(
-        self,
-        schema: TableSchema,
-        columns: tuple[str, ...],
-        hits: list[HIT],
-    ) -> dict[str, Any]:
-        (hit,) = hits
-        task = hit.task if isinstance(hit.task, FillTask) else None
-        return self._vote_fill(
-            schema, columns, self._fill_answers(hit), task=task
-        )
-
-    def _group_answers(
-        self, hit: HIT, index: int
-    ) -> list[tuple[str, dict[str, Any]]]:
-        return [
-            (a.worker_id, a.answer[index])
-            for a in hit.assignments
-            if isinstance(a.answer, (list, tuple))
-            and index < len(a.answer)
-            and isinstance(a.answer[index], dict)
-        ]
-
-    def _finish_fill_group(
-        self,
-        schema: TableSchema,
-        columns: tuple[str, ...],
-        count: int,
-        hits: list[HIT],
-    ) -> list[dict[str, Any]]:
-        """Vote each subtask of a grouped HIT independently: answers are
-        per-assignment lists parallel to the group's subtasks."""
-        (hit,) = hits
-        subtasks = getattr(hit.task, "subtasks", ())
-        results: list[dict[str, Any]] = []
-        for index in range(count):
-            task = subtasks[index] if index < len(subtasks) else None
-            results.append(
-                self._vote_fill(
-                    schema, columns, self._group_answers(hit, index),
-                    task=task,
-                )
-            )
-        return results
-
-    def _record_verdict(self, ballots: list[Ballot], vote: VoteResult) -> None:
-        """Settle-time bookkeeping: confidence telemetry plus consensus
-        observations on the reputation ledger (weighted by how sure the
-        verdict itself is)."""
-        self.stats.confidence_sum += vote.confidence
-        self.stats.confidence_count += 1
-        if self.reputation is None:
-            return
-        winner_key = normalize_answer(vote.value)
-        for ballot in ballots:
-            if not ballot.worker_id:
-                continue
-            agreed = normalize_answer(ballot.value) == winner_key
-            self.reputation.observe_consensus(
-                ballot.worker_id, agreed, weight=vote.confidence
-            )
-
-    # -- CrowdProbe / CrowdJoin: source new tuples -----------------------------------
-
-    def source_new_tuples(
-        self,
-        schema: TableSchema,
+        schema: Any,
         count: int,
         fixed_values: Optional[dict[str, Any]] = None,
         platform: Optional[str] = None,
         known_keys: Optional[set] = None,
-    ) -> list[dict[str, Any]]:
+    ) -> CrowdFuture:
         """Ask the crowd for up to ``count`` new tuples of a CROWD table.
 
         ``fixed_values`` pre-fill constrained columns (e.g. the join key a
@@ -1091,164 +527,9 @@ class TaskManager:
         ``known_keys`` (already stored) are dropped, as are duplicates
         within the batch — the open-world de-duplication rule.
         """
-        future = self.begin_new_tuples(
-            schema, count, fixed_values, platform, known_keys
-        )
-        self.wait(future)
-        return future.result()
-
-    def begin_new_tuples(
-        self,
-        schema: TableSchema,
-        count: int,
-        fixed_values: Optional[dict[str, Any]] = None,
-        platform: Optional[str] = None,
-        known_keys: Optional[set] = None,
-    ) -> CrowdFuture:
-        """Post new-tuple tasks and return their future without waiting."""
-        self._maybe_replay()
-        self.stats.new_tuple_requests += 1
         fixed = {k.lower(): v for k, v in (fixed_values or {}).items()}
-        key = (
-            "new",
-            schema.name,
-            count,
-            tuple(sorted(fixed.items())),
-            frozenset(known_keys or ()),
-            self._platform_key(platform),
-        )
-        shared = self._pool_lookup(key)
-        if shared is not None:
-            return shared
-        task = NewTupleTask(
-            table=schema.name,
-            columns=schema.column_names,
-            fixed_values=fixed,
-            column_types={
-                c.name: str(c.sql_type) for c in schema.columns
-            },
-            instructions=f"Contribute a new {schema.name} record.",
-        )
-        template = self.ui_manager.new_tuple_template(
-            schema, tuple(fixed.keys())
-        )
-        form_html = self.ui_manager.instantiate(template, fixed)
-        hits = [
-            self._make_hit(task, form_html, replication=self.config.replication)
-            for _ in range(count)
-        ]
-        frozen_known = set(known_keys or set())
-        try:
-            return self._issue(
-                "new",
-                key,
-                hits,
-                platform,
-                lambda done: self._finish_new_tuples(
-                    schema, fixed, frozen_known, done
-                ),
-            )
-        except CircuitOpenError as error:
-            self._park_entry(
-                {
-                    "kind": "new",
-                    "table": schema.name,
-                    "count": count,
-                    "fixed_values": {
-                        column: encode_value(value)
-                        for column, value in fixed.items()
-                    },
-                    "known_keys": [
-                        _encode_parked_row(row) for row in frozen_known
-                    ],
-                    "platform": platform,
-                },
-                key=key,
-            )
-            raise error
-
-    def _finish_new_tuples(
-        self,
-        schema: TableSchema,
-        fixed: dict[str, Any],
-        known_keys: set,
-        hits: list[HIT],
-    ) -> list[dict[str, Any]]:
-        # Different assignments of one HIT legitimately contribute
-        # *different* tuples, so voting happens within primary-key groups:
-        # assignments agreeing on the key are replicas of one entity and
-        # their non-key fields are majority-voted; distinct keys are
-        # distinct new tuples (open-world de-duplication).
-        pk_columns = tuple(schema.primary_key)
-        answers: list[dict[str, Any]] = []
-        for hit in hits:
-            for assignment in hit.assignments:
-                if not isinstance(assignment.answer, dict):
-                    continue
-                if not any(str(v).strip() for v in assignment.answer.values()):
-                    continue
-                answers.append(assignment.answer)
-        if not answers:
-            return []
-
-        groups: dict[tuple, list[dict[str, Any]]] = {}
-        order: list[tuple] = []
-        for answer in answers:
-            key = tuple(
-                normalize_answer(str(answer.get(c, "")).strip())
-                for c in pk_columns
-            )
-            if pk_columns and any(part == "" for part in key):
-                continue  # a tuple without its key cannot be stored
-            if key not in groups:
-                groups[key] = []
-                order.append(key)
-            groups[key].append(answer)
-
-        # Cleansing: merge near-duplicate keys (worker typos) into the
-        # best-supported spelling, then drop keys that are merely typo
-        # variants of tuples already stored.
-        if pk_columns and len(order) > 1 and self.config.fuzzy_cleansing:
-            order = _merge_similar_keys(groups, order)
-
-        seen: set = set(known_keys)
-        if pk_columns and self.config.fuzzy_cleansing:
-            order = [
-                key for key in order if not _is_near_duplicate(key, seen)
-            ]
-        tuples: list[dict[str, Any]] = []
-        for key in order:
-            if pk_columns and key in seen:
-                continue
-            votes = self._voter.vote_fields(groups[key])
-            row: dict[str, Any] = {}
-            for column in schema.columns:
-                if column.name.lower() in fixed:
-                    row[column.name] = fixed[column.name.lower()]
-                    continue
-                vote = votes.get(column.name)
-                if vote is None or not str(vote.value).strip():
-                    row[column.name] = NULL
-                else:
-                    row[column.name] = self._parse(schema, column.name, vote.value)
-            if pk_columns:
-                seen.add(key)
-            tuples.append(row)
-        return tuples
-
-    # -- CrowdCompare --------------------------------------------------------------------
-
-    def compare_equal(
-        self,
-        left: Any,
-        right: Any,
-        question: Optional[str] = None,
-        platform: Optional[str] = None,
-    ) -> bool:
-        """CROWDEQUAL ballot: do the two values denote the same entity?"""
-        future = self.begin_compare_equal(left, right, question, platform)
-        self.wait(future)
-        return future.result()
+        request = (schema, count, fixed, set(known_keys or ()))
+        return self._begin(NEW_TUPLES, [request], platform)[0]
 
     def begin_compare_equal(
         self,
@@ -1257,91 +538,8 @@ class TaskManager:
         question: Optional[str] = None,
         platform: Optional[str] = None,
     ) -> CrowdFuture:
-        """Post (or reuse) a CROWDEQUAL ballot; never advances the clock."""
-        self._maybe_replay()
-        cache_key = (normalize_answer(left), normalize_answer(right))
-        key = ("eq",) + cache_key + (self._platform_key(platform),)
-        cached = self._equal_cache.get(cache_key)
-        if cached is None:
-            cached = self._equal_cache.get((cache_key[1], cache_key[0]))
-        if cached is not None:
-            self.stats.cache_hits += 1
-            return CrowdFuture.resolved("eq", key, cached)
-        shared = self._pool_lookup(key)
-        if shared is not None:
-            return shared
-        # equality is symmetric: a pending ballot for (b, a) answers (a, b)
-        mirrored_pending = self._pool_lookup(
-            ("eq", cache_key[1], cache_key[0], self._platform_key(platform))
-        )
-        if mirrored_pending is not None:
-            return mirrored_pending
-        self.stats.compare_requests += 1
-        task = CompareEqualTask(
-            left=left,
-            right=right,
-            question=question or "Do these two values refer to the same thing?",
-        )
-        template = self.ui_manager.compare_equal_template()
-        form_html = self.ui_manager.instantiate(
-            template, {"left": left, "right": right}
-        )
-        hit = self._make_hit(task, form_html)
-        try:
-            return self._issue(
-                "eq",
-                key,
-                [hit],
-                platform,
-                lambda hits: self._finish_compare_equal(cache_key, hits),
-                adaptive=self._make_adaptive(
-                    lambda future: self._ballot_confidence(
-                        future.hits[0], lambda a: bool(a.answer)
-                    )
-                ),
-            )
-        except CircuitOpenError as error:
-            self._park_entry(
-                {
-                    "kind": "eq",
-                    "left": encode_value(left),
-                    "right": encode_value(right),
-                    "question": question,
-                    "platform": platform,
-                },
-                key=key,
-            )
-            raise error
-
-    def _finish_compare_equal(self, cache_key: tuple, hits: list[HIT]) -> bool:
-        (hit,) = hits
-        ballots = [
-            Ballot(value=bool(a.answer), worker_id=a.worker_id)
-            for a in hit.assignments
-        ]
-        if not ballots:
-            answer = False  # no worker responded: conservatively not equal
-        else:
-            vote = self._ballot_voter().vote_ballots(ballots)
-            self._record_verdict(ballots, vote)
-            answer = bool(vote.value)
-            self._maybe_deposit_compare_gold(hit.task, answer, vote)
-        self._equal_cache[cache_key] = answer
-        if self.ledger is not None:
-            self.ledger.record_equal(cache_key[0], cache_key[1], answer)
-        return answer
-
-    def compare_order(
-        self,
-        left: Any,
-        right: Any,
-        question: str,
-        platform: Optional[str] = None,
-    ) -> bool:
-        """CROWDORDER ballot: should ``left`` be ranked before ``right``?"""
-        future = self.begin_compare_order(left, right, question, platform)
-        self.wait(future)
-        return future.result()
+        """CROWDEQUAL ballot: do the two values denote the same entity?"""
+        return self._begin(EQUAL, [(left, right, question)], platform)[0]
 
     def begin_compare_order(
         self,
@@ -1350,159 +548,143 @@ class TaskManager:
         question: str,
         platform: Optional[str] = None,
     ) -> CrowdFuture:
-        """Post (or reuse) a CROWDORDER ballot; never advances the clock."""
-        self._maybe_replay()
-        left_key = normalize_answer(left)
-        right_key = normalize_answer(right)
-        key = ("ord", question, left_key, right_key, self._platform_key(platform))
-        if left_key == right_key:
-            return CrowdFuture.resolved("ord", key, True)
-        cache_key = (question, left_key, right_key)
-        cached = self._order_cache.get(cache_key)
-        if cached is None:
-            mirrored = self._order_cache.get((question, right_key, left_key))
-            if mirrored is not None:
-                cached = "right" if mirrored == "left" else "left"
-        if cached is not None:
-            self.stats.cache_hits += 1
-            return CrowdFuture.resolved("ord", key, cached == "left")
-        shared = self._pool_lookup(key)
-        if shared is not None:
-            return shared
-        # a pending ballot for the opposite direction is the same question
-        # with the answer inverted — ride its HITs instead of reposting
-        mirrored_pending = self._pool_lookup(
-            ("ord", question, right_key, left_key, self._platform_key(platform))
-        )
-        if mirrored_pending is not None:
-            return CrowdFuture.mirrored(mirrored_pending, key, invert=True)
-        self.stats.compare_requests += 1
-        task = CompareOrderTask(left=left, right=right, question=question)
-        template = self.ui_manager.compare_order_template(question)
-        form_html = self.ui_manager.instantiate(
-            template, {"left": left, "right": right}
-        )
-        hit = self._make_hit(task, form_html)
-        try:
-            return self._issue(
-                "ord",
-                key,
-                [hit],
-                platform,
-                lambda hits: self._finish_compare_order(cache_key, hits),
-                adaptive=self._make_adaptive(
-                    lambda future: self._ballot_confidence(
-                        future.hits[0],
-                        lambda a: a.answer,
-                        accept=lambda a: a.answer in ("left", "right"),
+        """CROWDORDER ballot: should ``left`` be ranked before ``right``?"""
+        return self._begin(ORDER, [(left, right, question)], platform)[0]
+
+    def _begin(self, kind: RequestKind, requests: list[tuple],
+               platform: Optional[str]) -> list[CrowdFuture]:
+        """Look each request up, then issue the misses — grouped where
+        the kind groups — and park every request of a chunk the breaker
+        refuses."""
+        if self._replay_pending and not self._replaying:
+            self.replay_parked()
+        platform_key = self._platform_key(platform)
+        futures: list[Optional[CrowdFuture]] = []
+        keys: list[tuple] = []
+        fresh: dict[Any, list[int]] = {}  # kind group -> request indexes
+        first: dict[tuple, int] = {}      # intra-batch dedup
+        duplicates: list[int] = []
+        for i, request in enumerate(requests):
+            key = kind.key(request, platform_key)
+            keys.append(key)
+            futures.append(kind.lookup(self, key))
+            if futures[i] is not None:
+                continue
+            if key in first:
+                duplicates.append(i)
+            else:
+                first[key] = i
+                fresh.setdefault(kind.group(request), []).append(i)
+        for indexes in fresh.values():
+            size = max(1, self.config.hit_group_size)
+            for start in range(0, len(indexes), size):
+                chunk = indexes[start : start + size]
+                try:
+                    issued = self._issue(
+                        kind, [requests[i] for i in chunk],
+                        [keys[i] for i in chunk], platform,
                     )
-                ),
-            )
-        except CircuitOpenError as error:
-            self._park_entry(
-                {
-                    "kind": "ord",
-                    "left": encode_value(left),
-                    "right": encode_value(right),
-                    "question": question,
-                    "platform": platform,
-                },
-                key=key,
-            )
-            raise error
+                except CircuitOpenError:
+                    if not self._replaying:  # replay requeues its own entry
+                        for i in chunk:
+                            self._park(kind, requests[i], keys[i], platform)
+                    raise
+                for i, future in zip(chunk, issued):
+                    futures[i] = future
+        for i in duplicates:
+            futures[i] = futures[first[keys[i]]]
+        return futures
 
-    def _finish_compare_order(self, cache_key: tuple, hits: list[HIT]) -> bool:
-        (hit,) = hits
-        ballots = [
-            Ballot(value=a.answer, worker_id=a.worker_id)
-            for a in hit.assignments
-            if a.answer in ("left", "right")
+    def _issue(self, kind: RequestKind, requests: list[tuple], keys: list[tuple],
+               platform_name: Optional[str]) -> list[CrowdFuture]:
+        """Build, budget-check and post one HIT set; register its future
+        and return one future per request (a HIT group's members are
+        views of the group's future)."""
+        task, form_html, copies = kind.build(self.ui_manager, requests)
+        size = task_size(task)
+        replication = (
+            self._initial_replication() if kind.adaptive
+            else self.config.replication
+        )
+        # grouped HITs pay proportionally: same per-task reward, one HIT
+        hits = [
+            HIT(
+                task=task,
+                reward_cents=self.config.reward_cents * size,
+                assignments_requested=replication,
+                form_html=form_html,
+                locality=self.config.locality,
+            )
+            for _ in range(copies)
         ]
-        if not ballots:
-            winner = "left"  # stable fallback: keep current order
-        else:
-            vote = self._ballot_voter().vote_ballots(ballots)
-            self._record_verdict(ballots, vote)
-            winner = str(vote.value)
-            self._maybe_deposit_compare_gold(hit.task, winner, vote)
-        self._order_cache[cache_key] = winner
-        if self.ledger is not None:
-            self.ledger.record_order(
-                cache_key[0], cache_key[1], cache_key[2], winner
+        projected = sum(
+            hit.reward_cents * hit.assignments_requested for hit in hits
+        )
+        if (
+            self.config.budget_cents is not None
+            and self.stats.cost_cents + projected > self.config.budget_cents
+        ):
+            raise BudgetExceededError(
+                f"posting {len(hits)} HIT(s) (~{projected}c) would exceed the "
+                f"budget of {self.config.budget_cents}c "
+                f"({self.stats.cost_cents}c already spent)"
             )
-        return winner == "left"
-
-    # -- confidence probes (adaptive replication) ----------------------------------------
-
-    def _fill_confidence(self, columns: tuple[str, ...], hit: HIT) -> float:
-        """Current confidence of one fill HIT: the weakest column wins.
-
-        Blank answers vote for the empty class — a crowd unanimously
-        reporting "no value" is a confident verdict, not a reason to pay
-        for more assignments.
-        """
-        answers = self._fill_answers(hit)
-        if not answers:
-            return 0.0
-        voter = self._probe_voter()
-        confidence = 1.0
-        for column in columns:
-            ballots = [
-                Ballot(value=answer.get(column, ""), worker_id=worker_id)
-                for worker_id, answer in answers
-            ]
-            vote = voter.vote_ballots(ballots, quiet=True)
-            confidence = min(confidence, vote.confidence)
-        return confidence
-
-    def _fill_group_confidence(
-        self, columns: tuple[str, ...], count: int, hit: HIT
-    ) -> float:
-        """A grouped HIT extends until its least confident subtask is
-        happy (one extension buys a ballot for every member)."""
-        voter = self._probe_voter()
-        confidence = 1.0
-        for index in range(count):
-            answers = self._group_answers(hit, index)
-            if not answers:
-                return 0.0
-            for column in columns:
-                ballots = [
-                    Ballot(value=answer.get(column, ""), worker_id=worker_id)
-                    for worker_id, answer in answers
-                ]
-                vote = voter.vote_ballots(ballots, quiet=True)
-                confidence = min(confidence, vote.confidence)
-        return confidence
-
-    def _ballot_confidence(
-        self,
-        hit: HIT,
-        value_of: Callable[[Any], Any],
-        accept: Optional[Callable[[Any], bool]] = None,
-    ) -> float:
-        """Confidence of a comparison HIT's current ballots."""
-        ballots = [
-            Ballot(value=value_of(a), worker_id=a.worker_id)
-            for a in hit.assignments
-            if accept is None or accept(a)
+        platform = self.platforms.get(platform_name or self.config.platform)
+        # per-HIT retried posts: a transient failure mid-batch must not
+        # re-post the HITs that already made it to the marketplace
+        for hit in hits:
+            self._platform_call(platform, "post_hit", hit)
+        self.stats.hits_posted += len(hits)
+        self.stats.bump(f"hits_{kind.name}", len(hits))
+        clock = getattr(platform, "clock", None)
+        posted_at = clock.now if clock is not None else 0.0
+        key = (
+            keys[0] if len(requests) == 1
+            else kind.group_key(requests, self._platform_key(platform_name))
+        )
+        future = CrowdFuture(
+            kind.name, key, hits, platform, posted_at,
+            self.config.timeout_seconds,
+            finalize=lambda done: kind.finish(self, key, requests, done),
+        )
+        if kind.adaptive and self.adaptive_enabled:
+            future.ballots = kind.ballots
+            future.extend = self._maybe_extend
+        if self.tracer is not None:
+            for hit in hits:
+                self.tracer.emit(
+                    "hit.issue",
+                    sim=posted_at,
+                    hit=hit.hit_id,
+                    task_kind=kind.name,
+                    platform=getattr(platform, "name", "?"),
+                    reward_cents=hit.reward_cents,
+                    replication=hit.assignments_requested,
+                    group_size=size,
+                    adaptive=future.extend is not None,
+                )
+        self.task_pool.register(future)
+        self._maybe_inject_gold(platform, len(hits))
+        if len(requests) == 1:
+            return [future]
+        if self.tracer is not None:
+            self.tracer.emit(
+                "hit.group",
+                sim=posted_at,
+                hit=hits[0].hit_id,
+                table=task.table,
+                columns=list(task.columns),
+                members=len(requests),
+            )
+        members = [
+            CrowdFuture.view(future, member_key, operator.itemgetter(index))
+            for index, member_key in enumerate(keys)
         ]
-        if not ballots:
-            return 0.0
-        return self._probe_voter().vote_ballots(ballots, quiet=True).confidence
+        for member in members:
+            self.task_pool.register(member)
+        return members
 
     # -- gold-standard probes ------------------------------------------------------------
-
-    def _maybe_deposit_compare_gold(
-        self, task: Any, answer: Any, vote: VoteResult
-    ) -> None:
-        if (
-            self.reputation is None
-            or self.config.gold_rate <= 0
-            or vote.confidence < _GOLD_DEPOSIT_CONFIDENCE
-        ):
-            return
-        self.reputation.add_gold(task, answer)
 
     def _maybe_inject_gold(
         self, platform: CrowdPlatform, issued_hits: int
@@ -1514,7 +696,7 @@ class TaskManager:
         a single assignment.  Whoever answers it gets graded against the
         known answer when the probe is swept at the next settlement.
         """
-        if self.reputation is None or self.config.gold_rate <= 0:
+        if self.config.gold_rate <= 0:
             return
         self._gold_accumulator += self.config.gold_rate * issued_hits
         while self._gold_accumulator >= 1.0:
@@ -1585,7 +767,7 @@ class TaskManager:
 
     def _score_gold(self, hit: HIT, expected: Any) -> None:
         for assignment in hit.assignments:
-            correct = _gold_answer_correct(hit.task, expected, assignment.answer)
+            correct = grade_gold(hit.task, expected, assignment.answer)
             if correct is None:
                 continue
             self.reputation.observe_gold(assignment.worker_id, correct)
@@ -1598,119 +780,31 @@ class TaskManager:
                     correct=correct,
                 )
 
-    # -- issue / poll / resume protocol -------------------------------------------------
-
-    def _issue(
-        self,
-        kind: str,
-        key: tuple,
-        hits: list[HIT],
-        platform_name: Optional[str],
-        finalize: Callable[[list[HIT]], Any],
-        adaptive: Optional[AdaptiveReplication] = None,
-    ) -> CrowdFuture:
-        """Budget-check, post, and wrap the HITs in an unsettled future."""
-        projected = sum(
-            hit.reward_cents * hit.assignments_requested for hit in hits
-        )
-        if (
-            self.config.budget_cents is not None
-            and self.stats.cost_cents + projected > self.config.budget_cents
-        ):
-            raise BudgetExceededError(
-                f"posting {len(hits)} HIT(s) (~{projected}c) would exceed the "
-                f"budget of {self.config.budget_cents}c "
-                f"({self.stats.cost_cents}c already spent)"
-            )
-        platform = self.platforms.get(platform_name or self.config.platform)
-        # per-HIT retried posts: a transient failure mid-batch must not
-        # re-post the HITs that already made it to the marketplace
-        for hit in hits:
-            self._platform_call(platform, "post_hit", hit)
-        self.stats.hits_posted += len(hits)
-        self.stats.bump(f"hits_{kind}", len(hits))
-        clock = getattr(platform, "clock", None)
-        posted_at = clock.now if clock is not None else 0.0
-        future = CrowdFuture(
-            kind=kind,
-            key=key,
-            hits=hits,
-            platform=platform,
-            posted_at=posted_at,
-            timeout_seconds=self.config.timeout_seconds,
-            finalize=finalize,
-        )
-        future.adaptive = adaptive
-        if self.tracer is not None:
-            for hit in hits:
-                group = getattr(hit.task, "subtasks", None)
-                self.tracer.emit(
-                    "hit.issue",
-                    sim=posted_at,
-                    hit=hit.hit_id,
-                    task_kind=kind,
-                    platform=getattr(platform, "name", "?"),
-                    reward_cents=hit.reward_cents,
-                    replication=hit.assignments_requested,
-                    group_size=len(group) if group is not None else 1,
-                    adaptive=adaptive is not None,
-                )
-        if self.task_pool is not None:
-            self.task_pool.register(future)
-        self._maybe_inject_gold(platform, len(hits))
-        return future
+    # -- wait / settle ---------------------------------------------------------------
 
     def wait(self, future: CrowdFuture, until: Optional[float] = None) -> None:
-        """Serial path: advance the platform clock until the future is
-        done (or its deadline passes), then settle it.
-
-        An adaptive future may *extend* its HITs when polled (see
-        :meth:`CrowdFuture.ready`), so the wait loops over marketplace
-        rounds until the verdict is confident, capped, or out of time.
-
-        ``until`` is a statement guard's absolute sim-time cap: when the
-        *cap* (not the future's own HIT deadline) ends the wait, the
-        future is left **unsettled** and registered in the task pool —
-        the statement degrades to a partial result and a later retry of
-        the same predicate reuses the still-running HITs for free.
-        """
-        target = future.mirror_of if future.mirror_of is not None else future
-        while not target.settled and not target.ready():
-            clock = getattr(target.platform, "clock", None)
-            remaining = target.timeout_seconds
-            if clock is not None:
-                remaining = max(0.0, target.deadline - clock.now)
-                if until is not None:
-                    remaining = min(remaining, max(0.0, until - clock.now))
-            self.stats.marketplace_rounds += 1
-            met = target.platform.run_until(target.ready, remaining)
-            if not met and clock is not None:
-                if (
-                    until is not None
-                    and clock.now >= until
-                    and not target.past_deadline()
-                ):
-                    return  # guard cap hit first: leave it running
-                break  # deadline reached with work still open
-        self.settle(future)
+        """Serial path for one future: :meth:`wait_many` of one."""
+        self.wait_many([future], until)
 
     def wait_many(
         self, futures: list[CrowdFuture], until: Optional[float] = None
     ) -> None:
-        """Serial path for a batch: every HIT of the set is already in the
+        """Serial path: every HIT of the set is already in the
         marketplace, so advance each platform's clock until the whole set
         is done (or past its deadlines), then settle all — the batch pays
         overlapped rounds instead of ``len(futures)`` sequential ones.
         Adaptive members re-enter the marketplace round-by-round as their
         ``ready()`` polls extend under-confident HITs.
 
-        ``until`` caps the wait at a statement guard's deadline; see
-        :meth:`wait`.  Members ready by then settle, the rest stay live
-        in the task pool."""
+        ``until`` is a statement guard's absolute sim-time cap: members
+        ready by then settle, the rest stay **unsettled** and registered
+        in the task pool — the statement degrades to a partial result and
+        a later retry of the same predicate reuses the still-running HITs
+        for free."""
         pending: list[CrowdFuture] = []
         seen: set[int] = set()
         for future in futures:
-            target = future.mirror_of if future.mirror_of is not None else future
+            target = future.mirror_of or future
             if target.settled or id(target) in seen:
                 continue
             seen.add(id(target))
@@ -1728,6 +822,9 @@ class TaskManager:
                 # adaptive extensions are not starved by a slow sibling
                 return sum(0 if f.ready() else 1 for f in group) == 0
 
+            if len(group) == 1:  # the platform polls after every event
+                all_ready = group[0].ready
+
             while not all_ready():
                 if clock is not None:
                     timeout = max(
@@ -1741,22 +838,11 @@ class TaskManager:
                 met = platform.run_until(all_ready, timeout)
                 if not met and clock is not None:
                     break  # deadlines (or the guard cap) reached
-        if until is not None:
-            # Settle only what finished; leave the rest live for reuse.
-            for future in futures:
-                target = (
-                    future.mirror_of if future.mirror_of is not None else future
-                )
-                if target.settled or target.ready() or target.past_deadline():
-                    self.settle(future)
-            return
-        self.settle_many(futures)
-
-    def settle_many(self, futures: list[CrowdFuture]) -> None:
-        """Finalize every future of a batch (idempotent, like
-        :meth:`settle`)."""
         for future in futures:
-            self.settle(future)
+            target = future.mirror_of or future
+            # under a guard cap, settle only what finished
+            if until is None or target.ready() or target.past_deadline():
+                self.settle(future)
 
     def settle(self, future: CrowdFuture) -> Any:
         """Finalize a completed (or timed-out) future: expire stragglers,
@@ -1764,8 +850,7 @@ class TaskManager:
         once and fan the answer out to every waiter."""
         if future.mirror_of is not None:
             self.settle(future.mirror_of)
-            if self.task_pool is not None:
-                self.task_pool.forget(future)
+            self.task_pool.forget(future)
             return future.result()
         if future.settled:
             return future._value
@@ -1832,142 +917,26 @@ class TaskManager:
                 timed_out=timed_out,
                 latency_seconds=round(max(0.0, sim_now - future.posted_at), 3),
             )
-        if self.task_pool is not None:
-            self.task_pool.forget(future)
+        self.task_pool.forget(future)
         # the same work may sit parked in the retry queue (refused by an
-        # open breaker, then reissued by a retried statement): now that
-        # it settled, replaying the parked copy would buy it again
-        if future.key is not None and len(self.retry_queue):
-            stale = self.retry_queue.discard(_key_signature(future.key))
+        # open breaker, then reissued by a retried statement) under this
+        # future's key or the key of any view it answers — a HIT group's
+        # members; now that it settled, replaying a parked copy would buy
+        # it again
+        if len(self.retry_queue):
+            stale = sum(
+                self.retry_queue.discard(_key_signature(key))
+                for key in (future.key, *future.aliases)
+            )
             if stale:
                 self.stats.bump("breaker_parked_superseded", stale)
         self._sweep_gold()
         return future._value
 
-    # -- internals -----------------------------------------------------------------------
-
     def _platform_key(self, platform_name: Optional[str]) -> str:
         """The registry key two requests must share to be poolable."""
         name = platform_name or self.config.platform
         return (name or "").lower() or "@default"
-
-    def _pool_lookup(self, key: tuple) -> Optional[CrowdFuture]:
-        if self.task_pool is None:
-            return None
-        return self.task_pool.lookup(key)
-
-    def _make_hit(
-        self,
-        task: Any,
-        form_html: str,
-        size: int = 1,
-        replication: Optional[int] = None,
-    ) -> HIT:
-        # grouped HITs pay proportionally: same per-task reward, one HIT;
-        # adaptive mode starts at min_replication and extends on demand
-        # (new-tuple sourcing keeps fixed replication: distinct
-        # assignments contribute distinct tuples, so there is no single
-        # verdict whose confidence could gate an extension)
-        return HIT(
-            task=task,
-            reward_cents=self.config.reward_cents * size,
-            assignments_requested=(
-                self._initial_replication() if replication is None
-                else replication
-            ),
-            form_html=form_html,
-            locality=self.config.locality,
-        )
-
-    @staticmethod
-    def _parse(schema: TableSchema, column: str, raw: Any) -> Any:
-        sql_type = schema.column(column).sql_type
-        try:
-            return parse_literal(str(raw), sql_type)
-        except TypeError_:
-            return NULL
-
-
-#: Verdicts at least this confident are safe to re-ask as gold probes.
-_GOLD_DEPOSIT_CONFIDENCE = 0.9
-
-
-def _gold_answer_correct(task: Any, expected: Any, answer: Any) -> Optional[bool]:
-    """Grade one worker answer against a gold task's known answer
-    (``None`` when the answer has the wrong shape to grade)."""
-    if isinstance(task, FillTask):
-        if not isinstance(answer, dict) or not isinstance(expected, dict):
-            return None
-        return all(
-            normalize_answer(str(answer.get(column, "")))
-            == normalize_answer(str(value))
-            for column, value in expected.items()
-        )
-    if isinstance(task, CompareEqualTask):
-        return bool(answer) == bool(expected)
-    if isinstance(task, CompareOrderTask):
-        if answer not in ("left", "right"):
-            return None
-        return answer == expected
-    return None
-
-
-_SIMILARITY_THRESHOLD = 0.82
-
-
-def _keys_similar(a: tuple, b: tuple) -> bool:
-    """Typo-level similarity between two normalized key tuples."""
-    import difflib
-
-    if len(a) != len(b):
-        return False
-    for part_a, part_b in zip(a, b):
-        text_a, text_b = str(part_a), str(part_b)
-        if text_a == text_b:
-            continue
-        ratio = difflib.SequenceMatcher(None, text_a, text_b).ratio()
-        if ratio < _SIMILARITY_THRESHOLD:
-            return False
-    return True
-
-
-def _merge_similar_keys(
-    groups: dict[tuple, list[dict[str, Any]]], order: list[tuple]
-) -> list[tuple]:
-    """Fold typo-variant key groups into the best-supported spelling.
-
-    Keys are processed by descending support, so a singleton typo merges
-    into the group the majority of workers agreed on.
-    """
-    by_support = sorted(order, key=lambda key: -len(groups[key]))
-    canonical: list[tuple] = []
-    for key in by_support:
-        merged = False
-        for existing in canonical:
-            if _keys_similar(key, existing):
-                groups[existing].extend(groups.pop(key))
-                merged = True
-                break
-        if not merged:
-            canonical.append(key)
-    return [key for key in order if key in groups]
-
-
-def _is_near_duplicate(key: tuple, known: set) -> bool:
-    """Is ``key`` exactly or approximately one of the stored keys?"""
-    if key in known:
-        return True
-    return any(_keys_similar(key, stored) for stored in known)
-
-
-# -- retry-queue value codec ---------------------------------------------------
-#
-# Parked issue descriptors must be JSON lines (the queue is durable), but
-# crowd values include the NULL/CNULL singletons.
-
-
-def _decode_parked(value: Any) -> Any:
-    return decode_value(value, ExecutionError)
 
 
 def _key_signature(key: tuple) -> str:
@@ -1983,11 +952,3 @@ def _key_signature(key: tuple) -> str:
         return encode_value(value)
 
     return json.dumps(encode(key), sort_keys=True, default=repr)
-
-
-def _encode_parked_row(values: Any) -> list:
-    return [encode_value(v) for v in values]
-
-
-def _decode_parked_row(values: Any) -> tuple:
-    return tuple(_decode_parked(v) for v in values)

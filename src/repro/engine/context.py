@@ -9,8 +9,8 @@ subqueries evaluate inside ordinary predicates.
 Every crowd request an operator makes flows through the ``crowd_*``
 helpers here, which implement the issue/yield/resume protocol: issue the
 tasks (non-blocking ``begin_*`` on the Task Manager), then hand the
-future to :meth:`wait_crowd`.  Standalone connections resolve the wait by
-advancing the simulated platform clock in place; under the concurrent
+futures to :meth:`wait_crowd_many`.  Standalone connections resolve the
+wait by advancing the simulated platform clock in place; under the concurrent
 query server a ``crowd_waiter`` callback is installed that *suspends the
 whole session* until the scheduler has results, so other sessions run
 while this one's HITs are pending.
@@ -47,11 +47,7 @@ class CrowdLedger:
         self._futures: dict[int, Any] = {}
 
     def record(self, future: Any) -> None:
-        target = (
-            future.mirror_of
-            if getattr(future, "mirror_of", None) is not None
-            else future
-        )
+        target = future.mirror_of or future
         self._futures.setdefault(id(target), target)
 
     def summary(self) -> dict[str, float]:
@@ -60,8 +56,8 @@ class CrowdLedger:
         confidence_count = 0
         for future in self._futures.values():
             hits += len(future.hits)
-            extensions += getattr(future, "extension_assignments", 0)
-            accounting = getattr(future, "accounting", None)
+            extensions += future.extension_assignments
+            accounting = future.accounting
             if accounting is None:
                 continue  # cache-resolved future: no platform spend
             assignments += accounting["assignments"]
@@ -234,45 +230,16 @@ class ExecutionContext:
                 raise
             raise self.guard.trip("breaker") from error
 
-    def wait_crowd(self, future: Any) -> None:
-        """Block until ``future`` is settled.
-
-        Serial mode advances the platform's discrete-event clock right
-        here; cooperative mode yields the session to the scheduler, which
-        resumes it only once the future has been settled.  A statement
-        guard caps the wait: on expiry the future stays live in the task
-        pool and the statement unwinds with :class:`PartialResultStop`.
-        """
-        if self.crowd_ledger is not None:
-            self.crowd_ledger.record(future)
-        if future.settled:
-            return
-        self._guard_check()
-        if self.crowd_waiter is not None:
-            self.crowd_waiter(future)
-            if not future.settled:
-                if self.guard is not None and self.guard.tripped:
-                    raise PartialResultStop(self.guard.reason or "deadline")
-                raise ExecutionError(
-                    "cooperative scheduler resumed a session before its "
-                    "crowd future settled"
-                )
-        else:
-            until = self.guard.deadline_at if self.guard is not None else None
-            if until is None:
-                self.task_manager.wait(future)
-            else:
-                self.task_manager.wait(future, until=until)
-                if not future.settled:
-                    raise self.guard.trip("deadline")
-
     def wait_crowd_many(self, futures: list) -> None:
         """Block until every future of a batch is settled.
 
-        Serial mode drives the whole set through one overlapped
-        marketplace round; cooperative mode suspends the session on the
-        *set*, and the scheduler resumes it once all members settled.
-        A statement guard caps the wait as in :meth:`wait_crowd`.
+        Serial mode advances the platform's discrete-event clock right
+        here, driving the whole set through overlapped marketplace
+        rounds; cooperative mode suspends the session on the set, and the
+        scheduler resumes it once every member settled.  A statement
+        guard caps the wait: on expiry the unsettled futures stay live in
+        the task pool and the statement unwinds with
+        :class:`PartialResultStop`.
         """
         if self.crowd_ledger is not None:
             for future in futures:
@@ -288,16 +255,13 @@ class ExecutionContext:
                     raise PartialResultStop(self.guard.reason or "deadline")
                 raise ExecutionError(
                     "cooperative scheduler resumed a session before its "
-                    "crowd future set settled"
+                    "crowd futures settled"
                 )
         else:
             until = self.guard.deadline_at if self.guard is not None else None
-            if until is None:
-                self.task_manager.wait_many(pending)
-            else:
-                self.task_manager.wait_many(pending, until=until)
-                if any(not f.settled for f in pending):
-                    raise self.guard.trip("deadline")
+            self.task_manager.wait_many(pending, until=until)
+            if any(not f.settled for f in pending):
+                raise self.guard.trip("deadline")
 
     def crowd_fill(
         self,
@@ -307,14 +271,9 @@ class ExecutionContext:
         known_values: dict[str, Any],
     ) -> dict[str, Any]:
         """Issue a fill task, yield until answered, return typed values."""
-        future = self._crowd_begin(
-            lambda: self.task_manager.begin_fill(
-                schema, primary_key, columns, known_values,
-                platform=self.platform,
-            )
-        )
-        self.wait_crowd(future)
-        return future.result()
+        return self.crowd_fill_many(
+            [(schema, primary_key, columns, known_values)]
+        )[0]
 
     def crowd_new_tuples(
         self,
@@ -324,17 +283,9 @@ class ExecutionContext:
         known_keys: Optional[set] = None,
     ) -> list[dict[str, Any]]:
         """Issue new-tuple tasks, yield until answered, return the tuples."""
-        future = self._crowd_begin(
-            lambda: self.task_manager.begin_new_tuples(
-                schema,
-                count,
-                fixed_values=fixed_values,
-                platform=self.platform,
-                known_keys=known_keys,
-            )
-        )
-        self.wait_crowd(future)
-        return future.result()
+        return self.crowd_new_tuples_many(
+            [(schema, count, fixed_values, known_keys)]
+        )[0]
 
     # -- batch issue / settle-once -------------------------------------------------
 
@@ -434,7 +385,7 @@ class ExecutionContext:
                 left, right, question, platform=self.platform
             )
         )
-        self.wait_crowd(future)
+        self.wait_crowd_many([future])
         return future.result()
 
     def crowd_order(self, left: Any, right: Any, question: str) -> bool:
@@ -448,7 +399,7 @@ class ExecutionContext:
                 left, right, question, platform=self.platform
             )
         )
-        self.wait_crowd(future)
+        self.wait_crowd_many([future])
         return future.result()
 
     def scalar_subquery(self, query: ast.Select, values: tuple, scope: Scope) -> Any:

@@ -151,11 +151,7 @@ class CooperativeScheduler:
                     continue
                 # mirrors and HIT-group members poll and settle through
                 # their parent future
-                target = (
-                    future.mirror_of
-                    if getattr(future, "mirror_of", None) is not None
-                    else future
-                )
+                target = future.mirror_of or future
                 if target.settled or id(target) in seen:
                     continue
                 seen.add(id(target))
@@ -212,10 +208,8 @@ class CooperativeScheduler:
                 self.stats.clock_advances += 1
                 # runtime counterpart of the cost model's "rounds": the
                 # scheduler drives the marketplace for every session, so
-                # count it where TaskManager.wait would have
-                stats = getattr(self.task_manager, "stats", None)
-                if stats is not None:
-                    stats.marketplace_rounds += 1
+                # count it where TaskManager.wait_many would have
+                self.task_manager.stats.marketplace_rounds += 1
                 ready = [f for f in group if f.ready()]
             for future in ready:
                 self.task_manager.settle(future)

@@ -24,9 +24,10 @@ sub-linear crowd cost and latency.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from repro.crowd.task_manager import CrowdFuture
+if TYPE_CHECKING:
+    from repro.crowd.future import CrowdFuture
 
 
 @dataclass

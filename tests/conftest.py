@@ -267,6 +267,18 @@ def demo_db(scripted_db) -> Connection:
     return scripted_db
 
 
+def _crowd_answer(manager, future):
+    manager.wait(future)
+    return future.result()
+
+
+@pytest.fixture
+def crowd_answer():
+    """``crowd_answer(manager, future)``: wait for one crowd future on the
+    serial path and return its answer."""
+    return _crowd_answer
+
+
 @pytest.fixture
 def scripted_task_manager(demo_oracle):
     """A TaskManager wired to a scripted platform (no SQL involved)."""

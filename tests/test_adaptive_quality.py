@@ -51,11 +51,17 @@ def make_manager(answer_fn, config=None, wrm=None):
         UITemplateManager(StorageEngine().catalog),
         config=config or CrowdConfig(),
     )
-    manager.attach_reputation(ReputationStore(wrm=wrm))
+    manager.reputation = ReputationStore(wrm=wrm)
     return manager, platform
 
 
 ADAPTIVE = dict(target_confidence=0.9, min_replication=2, max_replication=6)
+
+
+def fill(manager, crowd_answer, key):
+    """One Talk abstract fill, issued and waited for on the serial path."""
+    (future,) = manager.begin_fill_many([(TALK, key, ("abstract",), {})])
+    return crowd_answer(manager, future)
 
 
 # -- reputation store ---------------------------------------------------------------
@@ -123,32 +129,32 @@ class TestReputationStore:
 
 
 class TestAdaptiveReplication:
-    def test_unanimous_stops_at_min_replication(self):
+    def test_unanimous_stops_at_min_replication(self, crowd_answer):
         manager, platform = make_manager(
             lambda task, replica: {"abstract": "same"},
             config=CrowdConfig(**ADAPTIVE),
         )
-        values = manager.fill_values(TALK, ("t",), ("abstract",), {})
+        values = fill(manager, crowd_answer, ("t",))
         assert values["abstract"] == "same"
         (hit,) = platform._hits.values()
         assert len(hit.assignments) == 2
         assert manager.stats.hit_extensions == 0
 
-    def test_disagreement_extends_until_confident(self):
+    def test_disagreement_extends_until_confident(self, crowd_answer):
         def answer(task, replica):
             return {"abstract": "noise" if replica == 0 else "signal"}
 
         manager, platform = make_manager(
             answer, config=CrowdConfig(**ADAPTIVE)
         )
-        values = manager.fill_values(TALK, ("t",), ("abstract",), {})
+        values = fill(manager, crowd_answer, ("t",))
         assert values["abstract"] == "signal"
         (hit,) = platform._hits.values()
         # 1-1 tie, then +1 per round until sigmoid(margin) >= 0.9: 5 total
         assert len(hit.assignments) == 5
         assert manager.stats.hit_extensions == 3
 
-    def test_extension_caps_at_max_replication(self):
+    def test_extension_caps_at_max_replication(self, crowd_answer):
         def answer(task, replica):  # perfectly split crowd, never confident
             return {"abstract": "a" if replica % 2 == 0 else "b"}
 
@@ -160,12 +166,12 @@ class TestAdaptiveReplication:
         )
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", CrowdDBWarning)
-            manager.fill_values(TALK, ("t",), ("abstract",), {})
+            fill(manager, crowd_answer, ("t",))
         (hit,) = platform._hits.values()
         assert len(hit.assignments) == 5
         assert hit.assignments_requested == 5
 
-    def test_budget_blocks_extension(self):
+    def test_budget_blocks_extension(self, crowd_answer):
         def answer(task, replica):
             return {"abstract": "a" if replica % 2 == 0 else "b"}
 
@@ -179,7 +185,7 @@ class TestAdaptiveReplication:
         manager, platform = make_manager(answer, config=config)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", CrowdDBWarning)
-            manager.fill_values(TALK, ("t",), ("abstract",), {})
+            fill(manager, crowd_answer, ("t",))
         (hit,) = platform._hits.values()
         assert len(hit.assignments) == 3
         assert manager.stats.cost_cents <= config.budget_cents
@@ -206,7 +212,7 @@ class TestAdaptiveReplication:
         # one grouped HIT extended for its weakest member
         assert len(hit.assignments) == 5
 
-    def test_weighted_voting_resolves_disagreement_without_extension(self):
+    def test_weighted_voting_resolves_disagreement_without_extension(self, crowd_answer):
         """Once reputations are learned, an expert-vs-spammer split is
         already confident at min_replication — no extra ballots paid."""
         def answer(task, replica):
@@ -220,7 +226,7 @@ class TestAdaptiveReplication:
         for _ in range(40):
             store.observe_gold("scripted-0", False)
             store.observe_gold("scripted-1", True)
-        values = manager.fill_values(TALK, ("t",), ("abstract",), {})
+        values = fill(manager, crowd_answer, ("t",))
         assert values["abstract"] == "right"
         (hit,) = platform._hits.values()
         assert len(hit.assignments) == 2  # no extension needed
@@ -233,17 +239,17 @@ class TestAdaptiveReplication:
         manager, _platform = make_manager(
             answer, config=CrowdConfig(**ADAPTIVE)
         )
-        future = manager.begin_fill(TALK, ("t",), ("abstract",), {})
+        (future,) = manager.begin_fill_many([(TALK, ("t",), ("abstract",), {})])
         manager.wait(future)
         assert future.confidence is not None
         assert future.confidence >= 0.9
         assert future.extensions == 3
 
-    def test_default_config_is_fixed_replication(self):
+    def test_default_config_is_fixed_replication(self, crowd_answer):
         manager, platform = make_manager(
             lambda task, replica: {"abstract": "same"}
         )
-        manager.fill_values(TALK, ("t",), ("abstract",), {})
+        fill(manager, crowd_answer, ("t",))
         (hit,) = platform._hits.values()
         assert len(hit.assignments) == manager.config.replication == 3
         assert not manager.adaptive_enabled
@@ -254,7 +260,7 @@ class TestAdaptiveReplication:
 
 
 class TestGoldProbes:
-    def test_gold_injection_rate_is_deterministic(self):
+    def test_gold_injection_rate_is_deterministic(self, crowd_answer):
         manager, platform = make_manager(
             lambda task, replica: {"abstract": "same"},
             config=CrowdConfig(gold_rate=0.5, **ADAPTIVE),
@@ -265,7 +271,7 @@ class TestGoldProbes:
             FillTask("Talk", ("seed",), ("abstract",), {}), {"abstract": "same"}
         )
         for i in range(5):
-            manager.fill_values(TALK, (f"t{i}",), ("abstract",), {})
+            fill(manager, crowd_answer, (f"t{i}",))
         assert manager.stats.gold_hits_posted == 2
         assert manager.stats.gold_answers_scored == 2
         # gold probes are the single-assignment HITs (adaptive fills ask
@@ -277,7 +283,7 @@ class TestGoldProbes:
         ]
         assert len(gold_hits) == 2
 
-    def test_gold_scores_feed_wrm_and_store(self):
+    def test_gold_scores_feed_wrm_and_store(self, crowd_answer):
         wrm = WorkerRelationshipManager()
 
         def answer(task, replica):
@@ -292,23 +298,23 @@ class TestGoldProbes:
             FillTask("Talk", ("gold",), ("abstract",), {}),
             {"abstract": "truth"},
         )
-        manager.fill_values(TALK, ("t",), ("abstract",), {})
+        fill(manager, crowd_answer, ("t",))
         account = wrm.account("scripted-0")
         assert account.gold_seen == 1 and account.gold_correct == 0
         assert manager.reputation.accuracy("scripted-0") < 0.75
 
-    def test_confident_settles_deposit_gold(self):
+    def test_confident_settles_deposit_gold(self, crowd_answer):
         manager, _platform = make_manager(
             lambda task, replica: {"abstract": "same"},
             config=CrowdConfig(gold_rate=0.5, **ADAPTIVE),
         )
         assert manager.reputation.gold_bank_depth == 0
-        manager.fill_values(TALK, ("t",), ("abstract",), {})
+        fill(manager, crowd_answer, ("t",))
         assert manager.reputation.gold_bank_depth == 1
         gold = manager.reputation.next_gold()
         assert gold.expected == {"abstract": "same"}
 
-    def test_gold_cost_is_accounted(self):
+    def test_gold_cost_is_accounted(self, crowd_answer):
         manager, _platform = make_manager(
             lambda task, replica: {"abstract": "same"},
             config=CrowdConfig(gold_rate=1.0, reward_cents=2, **ADAPTIVE),
@@ -316,20 +322,20 @@ class TestGoldProbes:
         manager.reputation.add_gold(
             FillTask("Talk", ("seed",), ("abstract",), {}), {"abstract": "same"}
         )
-        manager.fill_values(TALK, ("t",), ("abstract",), {})
+        fill(manager, crowd_answer, ("t",))
         # 2 real ballots + 1 gold ballot, 2c each
         assert manager.stats.cost_cents == 6
         assert manager.stats.assignments_received == 3
 
     def test_compare_gold_grading(self):
-        from repro.crowd.task_manager import _gold_answer_correct
+        from repro.crowd.kinds import grade_gold
 
         eq = CompareEqualTask("a", "b")
-        assert _gold_answer_correct(eq, True, True) is True
-        assert _gold_answer_correct(eq, True, False) is False
+        assert grade_gold(eq, True, True) is True
+        assert grade_gold(eq, True, False) is False
         fill = FillTask("Talk", ("t",), ("abstract",), {})
-        assert _gold_answer_correct(fill, {"abstract": "X"}, {"abstract": " x "})
-        assert _gold_answer_correct(fill, {"abstract": "X"}, "bogus") is None
+        assert grade_gold(fill, {"abstract": "X"}, {"abstract": " x "})
+        assert grade_gold(fill, {"abstract": "X"}, "bogus") is None
 
 
 # -- interplay with PR2 (batch windows + stop-after bounds) -------------------------

@@ -9,7 +9,10 @@ at once under a seeded sweep of network and platform faults.
 
 from __future__ import annotations
 
+import os
 import random
+import shutil
+import tempfile
 import threading
 import time
 import warnings
@@ -460,12 +463,102 @@ class TestPartialResults:
         conn.close()
 
 
+#: A parent-written durable retry queue: ``park_every_kind`` on a
+#: ``replay_conn``.  ``python tests/test_containment.py`` rewrites it — only
+#: ever at the parent of a change to the parked-entry format.
+GOLDEN_RETRY = os.path.join(
+    os.path.dirname(__file__), "golden", "crowd_retry_v1.jsonl"
+)
+BREAKER_KNOBS = dict(
+    breaker_failure_threshold=2,
+    breaker_cooldown_seconds=3600.0,
+    breaker_half_open_probes=1,
+    hit_group_size=4,
+)
+
+
+def replay_oracle() -> GroundTruthOracle:
+    oracle = person_oracle(5)
+    oracle.load_new_tuples(
+        "member", [{"name": "Jennifer Widom", "team": "db"}],
+        fixed_columns=("team",),
+    )
+    oracle.declare_same_entity("IBM", "International Business Machines")
+    oracle.load_ranking("older", {"Codd": 2.0, "Gray": 1.0})
+    return oracle
+
+
+def replay_conn(path=None):
+    conn = connect(oracle=replay_oracle(), seed=11, path=path, **BREAKER_KNOBS)
+    conn.execute(PERSON_DDL)
+    conn.execute(
+        "CREATE CROWD TABLE member (name STRING PRIMARY KEY, team STRING)"
+    )
+    for i in range(5):
+        conn.execute(f"INSERT INTO person (name) VALUES ('p{i}')")
+    return conn
+
+
+#: One request of each task kind: how to issue it, and the task-pool keys
+#: its replayed futures carry (a HIT group's members replay one by one).
+PARKED_KINDS = {
+    "fill": (
+        lambda tm, person, member: tm.begin_fill_many(
+            [(person, ("p4",), ("city",), {"name": "p4"})]
+        ),
+        [("fill", "person", ("p4",), ("city",), "@default")],
+    ),
+    "fill_group": (
+        lambda tm, person, member: tm.begin_fill_many(
+            [(person, (f"p{i}",), ("city",), {"name": f"p{i}"})
+             for i in range(4)]
+        ),
+        [("fill", "person", (f"p{i}",), ("city",), "@default")
+         for i in range(4)],
+    ),
+    "new_tuples": (
+        lambda tm, person, member: tm.begin_new_tuples(
+            member, 2, {"team": "db"}
+        ),
+        [("new", "member", 2, (("team", "db"),), frozenset(), "@default")],
+    ),
+    "crowdequal": (
+        lambda tm, person, member: tm.begin_compare_equal(
+            "IBM", "International Business Machines"
+        ),
+        [("eq", "ibm", "international business machines", "@default")],
+    ),
+    "crowdorder": (
+        lambda tm, person, member: tm.begin_compare_order(
+            "Codd", "Gray", "older"
+        ),
+        [("ord", "older", "codd", "gray", "@default")],
+    ),
+}
+
+
+def park_every_kind(conn, kinds=tuple(PARKED_KINDS)) -> None:
+    """Drive the amt breaker open and park one request of each kind."""
+    tm = conn.task_manager
+    person, member = conn.catalog.table("person"), conn.catalog.table("member")
+    conn.platforms.get("amt").inject_outage(100)
+    for kind in kinds:
+        with pytest.raises(CircuitOpenError):
+            PARKED_KINDS[kind][0](tm, person, member)
+
+
+def recover(conn) -> None:
+    conn.platforms.get("amt").inject_outage(0)
+    conn.task_manager.breakers["amt"].cooldown_seconds = 0.0
+
+
 class TestBreakerIntegration:
-    def _tripped_conn(self):
+    def _tripped_conn(self, **kwargs):
         """A connection whose amt breaker has been driven open."""
         conn = crowd_conn(
             breaker_failure_threshold=2,
             breaker_cooldown_seconds=3600.0,
+            **kwargs,
         )
         amt = conn.platforms.get("amt")
         amt.inject_outage(100)  # outlasts every retry
@@ -506,49 +599,104 @@ class TestBreakerIntegration:
         assert conn.execute("SELECT a FROM plain").rows == [(7,)]
         conn.close()
 
-    def test_settled_work_supersedes_parked_copy(self):
+    @pytest.mark.parametrize("front", ["connection", "server"])
+    @pytest.mark.parametrize("hit_group_size", [1, 4])
+    def test_settled_work_supersedes_parked_copy(self, hit_group_size, front):
         """A retried statement reissues its own fills; once they settle,
         the parked copies must be discarded, not replayed (replaying
-        would buy the already-settled answers a second time)."""
-        conn = self._tripped_conn()
-        assert len(conn.task_manager.retry_queue) > 0
-        conn.platforms.get("amt").inject_outage(0)
-        breaker = conn.task_manager.breakers["amt"]
-        breaker.cooldown_seconds = 0.0  # cooldown elapses "immediately"
-        result = conn.execute("SELECT name, city FROM person")
+        would buy the already-settled answers a second time).  A HIT
+        group parks one copy per member, and the scheduler settles only
+        the group's parent future, never its members."""
+        conn = self._tripped_conn(
+            hit_group_size=hit_group_size, breaker_half_open_probes=1
+        )
+        tm = conn.task_manager
+        parked = len(tm.retry_queue)
+        # the whole refused chunk parks: one fill, or all four members
+        assert parked == hit_group_size
+        recover(conn)
+        sql = "SELECT name, city FROM person"
+        if front == "connection":
+            result = conn.execute(sql)
+        else:
+            server = Server(connection=conn)
+            session = server.open_session().submit(sql)
+            server.run()
+            result = session.last_result()
         assert result.status == "complete"
-        assert breaker.state == CLOSED
-        assert len(conn.task_manager.retry_queue) == 0
+        assert tm.breakers["amt"].state == CLOSED
+        assert len(tm.retry_queue) == 0
         stats = conn.crowd_stats
-        assert stats.get("breaker_parked_superseded", 0) >= 1
+        assert stats.get("breaker_parked_superseded", 0) == parked
         assert stats.get("breaker_replayed", 0) == 0  # nothing rebought
+        posted = tm.stats.hits_posted
+        assert tm.replay_parked() == 0
+        assert tm.stats.hits_posted == posted
         conn.close()
 
-    def test_recovery_replays_parked_work(self):
-        conn = crowd_conn(
-            breaker_failure_threshold=2,
-            breaker_cooldown_seconds=3600.0,
-            breaker_half_open_probes=1,
+    @pytest.mark.parametrize("kind", list(PARKED_KINDS))
+    def test_recovery_replays_parked_work(self, kind):
+        """Every task kind parks through an open breaker and comes back
+        under its own task-pool key; the replayed HITs are the only ones
+        bought for the answer."""
+        conn = replay_conn()
+        tm = conn.task_manager
+        issue, keys = PARKED_KINDS[kind]
+        park_every_kind(conn, (kind,))
+        assert len(tm.retry_queue) == len(keys)
+        recover(conn)
+        # an unrelated request's post is the probe that closes the breaker
+        tm.wait(tm.begin_compare_equal("HP", "Hewlett-Packard"))
+        assert tm.breakers["amt"].state == CLOSED
+        assert len(tm.retry_queue) == len(keys)  # replay waits for the next issue
+        posted = tm.stats.hits_posted
+        # the retried request replays its parked copy first, then joins it
+        issued = issue(tm, conn.catalog.table("person"),
+                       conn.catalog.table("member"))
+        futures = issued if isinstance(issued, list) else [issued]
+        assert sorted(repr(f.key) for f in futures) == sorted(map(repr, keys))
+        assert conn.crowd_stats["breaker_replayed"] == len(keys)
+        tm.wait_many(futures)
+        # the answer is bought once: only the replayed HITs were posted
+        assert tm.stats.hits_posted - posted == sum(len(f.hits) for f in futures)
+        assert len(tm.retry_queue) == 0 and tm.replay_parked() == 0
+        conn.close()
+
+    def test_replay_refused_by_open_breaker_keeps_one_copy(self):
+        """A replay the breaker still refuses requeues its entries as
+        they were; it does not park the refused request a second time."""
+        conn = replay_conn()
+        tm = conn.task_manager
+        park_every_kind(conn, ("fill", "crowdequal"))
+        parked = tm.stats.extra["breaker_parked"]
+        assert tm.replay_parked() == 0  # cooldown not over: refused
+        assert len(tm.retry_queue) == 2
+        assert tm.stats.extra["breaker_parked"] == parked
+        recover(conn)
+        assert tm.replay_parked() == 2
+        conn.close()
+
+    def test_parent_written_retry_queue_replays(self, tmp_path):
+        """A ``crowd_retry.jsonl`` written before the request path was
+        unified replays here: same entries, same keys, same HITs."""
+        path = tmp_path / "db"
+        replay_conn(path=str(path)).close()
+        shutil.copy(GOLDEN_RETRY, path / "crowd_retry.jsonl")
+        conn = connect(oracle=replay_oracle(), seed=11, path=str(path),
+                       **BREAKER_KNOBS)
+        tm = conn.task_manager
+        keys = [key for _issue, kind_keys in PARKED_KINDS.values()
+                for key in kind_keys]
+        assert len(tm.retry_queue) == len(keys)
+        assert tm.replay_parked() == len(keys)
+        replayed = tm.task_pool.pending()
+        assert sorted(map(repr, (f.key for f in replayed))) == sorted(
+            map(repr, keys)
         )
-        amt = conn.platforms.get("amt")
-        amt.inject_outage(100)
-        result = conn.execute("SELECT city FROM person WHERE name = 'p3'")
-        assert result.partial_reason == "breaker"  # parks p3's fill
-        parked = len(conn.task_manager.retry_queue)
-        assert parked >= 1
-        amt.inject_outage(0)  # platform healthy again
-        breaker = conn.task_manager.breakers["amt"]
-        breaker.cooldown_seconds = 0.0
-        # a statement on a different row: its single probe succeeds and
-        # closes the breaker; p3's parked fill is untouched
-        narrow = conn.execute("SELECT city FROM person WHERE name = 'p0'")
-        assert narrow.status == "complete"
-        assert breaker.state == CLOSED
-        assert len(conn.task_manager.retry_queue) == parked
-        # the next crowd activity replays the parked fill automatically
-        conn.execute("SELECT city FROM person WHERE name = 'p1'")
-        assert len(conn.task_manager.retry_queue) == 0
-        assert conn.crowd_stats.get("breaker_replayed", 0) >= 1
+        tm.wait_many(replayed)
+        # one HIT per fill and ballot, two for the new-tuple request
+        assert tm.stats.hits_posted == 9
+        assert len(tm.retry_queue) == 0
         conn.close()
 
     def test_breaker_disabled_keeps_legacy_behavior(self):
@@ -799,3 +947,13 @@ class TestChaosSweep:
         assert {"kill", "tear", "dup_frames", "dup_statements"} <= {
             r["fault"] for r in sweep
         }
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "db")
+        conn = replay_conn(path=path)
+        park_every_kind(conn)
+        conn.close()
+        shutil.copy(os.path.join(path, "crowd_retry.jsonl"), GOLDEN_RETRY)
+    print(f"wrote {GOLDEN_RETRY}")

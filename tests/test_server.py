@@ -21,7 +21,6 @@ from repro.server import (
     Server,
     Session,
     SessionState,
-    TaskPool,
 )
 from repro.sql.parser import parse_script
 from repro.storage.engine import StorageEngine
@@ -117,7 +116,7 @@ class TestTaskPoolDedup:
         assert stats["hits_posted"] == 1
         server.shutdown()
 
-    def test_mirrored_order_ballot_inverts_answer(self):
+    def test_mirrored_order_ballot_inverts_answer(self, crowd_answer):
         from repro.catalog.ddl import build_table_schema  # noqa: F401
         from repro.crowd.platform import PlatformRegistry
         from repro.crowd.scripted import ScriptedPlatform, oracle_answer_fn
@@ -131,7 +130,6 @@ class TestTaskPoolDedup:
         registry.register(ScriptedPlatform(oracle_answer_fn(oracle)))
         engine = StorageEngine()
         manager = TaskManager(registry, UITemplateManager(engine.catalog))
-        manager.task_pool = TaskPool()
         forward = manager.begin_compare_order("a", "b", "best?")
         backward = manager.begin_compare_order("b", "a", "best?")
         assert backward.mirror_of is forward
@@ -140,8 +138,9 @@ class TestTaskPoolDedup:
         assert forward.result() is True   # 'a' ranks first
         assert backward.result() is False
         # the cache stays direction-consistent
-        assert manager.compare_order("a", "b", "best?") is True
-        assert manager.compare_order("b", "a", "best?") is False
+        ask = manager.begin_compare_order
+        assert crowd_answer(manager, ask("a", "b", "best?")) is True
+        assert crowd_answer(manager, ask("b", "a", "best?")) is False
         assert manager.stats.hits_posted == 1
 
     def test_shared_open_world_scan_returns_identical_rows(self):
@@ -309,7 +308,6 @@ class TestTaskPoolUnit:
             UITemplateManager(engine.catalog),
             config=CrowdConfig(replication=2),
         )
-        manager.task_pool = TaskPool()
         return manager
 
     def test_unsettled_future_is_shared_then_forgotten(self):
@@ -323,15 +321,15 @@ class TestTaskPoolUnit:
                 "population CROWD INTEGER)"
             )
         )
-        first = manager.begin_fill(schema, ("city1",), ("population",), {})
-        second = manager.begin_fill(schema, ("city1",), ("population",), {})
+        request = (schema, ("city1",), ("population",), {})
+        first, second = manager.begin_fill_many([request]) + manager.begin_fill_many([request])
         assert first is second
         assert manager.task_pool.stats.deduplicated == 1
         assert manager.stats.hits_posted == 1
         manager.settle(first)
         assert first.result() == {"population": 1001}
         # settled futures leave the pool; the next request re-posts
-        third = manager.begin_fill(schema, ("city1",), ("population",), {})
+        (third,) = manager.begin_fill_many([request])
         assert third is not first
         assert manager.stats.hits_posted == 2
 
