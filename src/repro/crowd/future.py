@@ -10,6 +10,7 @@ field a waiter reads lives on the shared object.
 
 from __future__ import annotations
 
+import math
 from typing import Any, Callable, Optional
 
 from repro.crowd.model import HIT, HITStatus
@@ -146,3 +147,51 @@ class CrowdFuture:
                 f"crowd future {self.key!r} consumed before settlement"
             )
         return self._value
+
+
+def readiness(futures: list[CrowdFuture], every: bool) -> Callable[[], bool]:
+    """The predicate a waiter hands ``platform.run_until`` for a group of
+    futures on one platform: every member ready (``every``) or any.
+
+    The "every" form polls each member, never stopping at the first one
+    still pending: an adaptive member extends its HITs when polled, and a
+    slow sibling must not starve it.
+
+    A future's readiness changes only when one of its HITs changes status
+    (``platform.hit_revision`` moves) or the clock passes its deadline, and
+    the platform calls the predicate after every event.  So on a platform
+    with a clock the members are polled again only when the revision
+    moved since the last poll or the clock reached the next member
+    deadline; otherwise the last answer stands.  A platform without a
+    clock is polled every time.
+    """
+    if len(futures) == 1:
+        poll = futures[0].ready
+    elif every:
+        def poll() -> bool:
+            return sum(0 if f.ready() else 1 for f in futures) == 0
+    else:
+        def poll() -> bool:
+            return any(f.ready() for f in futures)
+    platform = futures[0].platform
+    clock = getattr(platform, "clock", None)
+    if clock is None:
+        return poll
+    deadlines = sorted({f.deadline for f in futures})
+    revision: Optional[int] = None  # as of the last poll; None: never polled
+    wake = 0.0  # the first member deadline after the last poll
+    answer = False
+
+    def gated() -> bool:
+        nonlocal revision, wake, answer
+        now = clock.now
+        if revision == platform.hit_revision and now < wake:
+            return answer
+        # read before polling: an extension made by the poll itself moves
+        # the revision again, so the next call polls once more
+        revision = platform.hit_revision
+        wake = next((d for d in deadlines if d > now), math.inf)
+        answer = poll()
+        return answer
+
+    return gated

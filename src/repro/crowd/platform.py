@@ -21,6 +21,12 @@ class CrowdPlatform(abc.ABC):
     """What the Task Manager needs from a crowdsourcing platform."""
 
     name: str = "abstract"
+    #: a platform with a ``clock`` bumps this whenever a HIT it holds is
+    #: posted, extended, completes or expires — the only events besides a
+    #: deadline that can change whether a future is ready — and waiters
+    #: re-poll their futures only when it moved (``future.readiness``);
+    #: a platform without a clock is polled every time
+    hit_revision: int = 0
 
     @abc.abstractmethod
     def post_hit(self, hit: HIT) -> str:
@@ -54,6 +60,7 @@ class CrowdPlatform(abc.ABC):
         replication).  Subclasses re-kick their marketplace dynamics; the
         base implementation just reopens the HIT."""
         self.get_hit(hit_id).extend(additional)
+        self.hit_revision += 1
 
     def post_hits(self, hits: Iterable[HIT]) -> list[str]:
         return [self.post_hit(hit) for hit in hits]

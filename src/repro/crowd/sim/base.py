@@ -30,7 +30,7 @@ from repro.crowd.sim.behavior import (
     group_attractiveness,
 )
 from repro.crowd.sim.clock import EventQueue, SimClock
-from repro.crowd.sim.population import pick_weighted
+from repro.crowd.sim.population import activity_table, pick_weighted
 from repro.crowd.sim.traces import GroundTruthOracle
 from repro.crowd.sim.worker import SimWorker
 from repro.errors import CrowdPlatformError, TransientPlatformError
@@ -53,6 +53,7 @@ class SimulatedCrowdPlatform(CrowdPlatform):
         if not workers:
             raise CrowdPlatformError("a platform needs at least one worker")
         self.workers = workers
+        self._activity = activity_table(workers)
         self.oracle = oracle
         self.config = config if config is not None else BehaviorConfig()
         self.wrm = wrm  # WorkerRelationshipManager, used for block/qualify
@@ -75,9 +76,16 @@ class SimulatedCrowdPlatform(CrowdPlatform):
         self.clock = SimClock()
         self.events = EventQueue(self.clock)
         self._hits: dict[str, HIT] = {}
-        # the HITs whose status is OPEN, in posting order: a worker
-        # arrival costs O(open HITs), not O(every HIT ever posted)
+        # the HITs that are ``is_open`` (status OPEN and an assignment
+        # left), in posting order: a worker arrival costs O(open HITs),
+        # not O(every HIT ever posted).  A HIT enters when posted or
+        # reopened with work left and leaves when it completes or
+        # expires — the only ways it stops being open — so ``len`` is the
+        # open count.
         self._open: dict[str, HIT] = {}
+        # per HIT, fixed at posting: its position and its group key
+        self._rank: dict[str, int] = {}
+        self._group: dict[str, str] = {}
         self._in_flight: dict[str, int] = {}
         self._taken: set[tuple[str, str]] = set()  # (hit_id, worker_id)
         self._arrival_scheduled = False
@@ -129,9 +137,13 @@ class SimulatedCrowdPlatform(CrowdPlatform):
             raise CrowdPlatformError(f"HIT {hit.hit_id} already posted")
         hit.created_at = self.clock.now
         hit.status = HITStatus.OPEN
+        self._rank[hit.hit_id] = len(self._hits)
+        self._group[hit.hit_id] = hit.group_key
         self._hits[hit.hit_id] = hit
-        self._open[hit.hit_id] = hit
+        if hit.is_open:
+            self._open[hit.hit_id] = hit
         self._in_flight[hit.hit_id] = 0
+        self.hit_revision += 1
         if hit.expires_at is not None:
             self.events.schedule_at(
                 hit.expires_at, lambda h=hit: self._expire(h)
@@ -153,12 +165,14 @@ class SimulatedCrowdPlatform(CrowdPlatform):
         (the marketplace may have gone quiet while every HIT was full)."""
         self._maybe_fault("extend_hit")
         super().extend_hit(hit_id, additional)
-        if hit_id not in self._open and self.get_hit(hit_id).is_open:
+        hit = self.get_hit(hit_id)
+        if hit_id not in self._open and hit.is_open:
             # a reopened HIT goes back at its posting position: group
             # order and oldest-first ties follow iteration order
+            self._open[hit_id] = hit
             self._open = {
-                key: hit for key, hit in self._hits.items()
-                if hit.status is HITStatus.OPEN
+                key: self._open[key]
+                for key in sorted(self._open, key=self._rank.__getitem__)
             }
         self._ensure_arrivals()
 
@@ -170,9 +184,8 @@ class SimulatedCrowdPlatform(CrowdPlatform):
 
     def arrival_rate(self) -> float:
         """Worker browse events per simulated second (subclass hook)."""
-        open_count = sum(1 for hit in self._open.values() if hit.is_open)
         return self.config.base_arrival_rate * (
-            1.0 + 0.3 * math.log1p(open_count)
+            1.0 + 0.3 * math.log1p(len(self._open))
         ) * max(1, len(self.workers)) ** 0.5
 
     def eligible(self, worker: SimWorker, hit: HIT) -> bool:
@@ -217,7 +230,7 @@ class SimulatedCrowdPlatform(CrowdPlatform):
 
     def _on_arrival(self) -> None:
         self._arrival_scheduled = False
-        worker = pick_weighted(self.workers, self.rng)
+        worker = pick_weighted(self.workers, self._activity, self.rng)
         hit = self._choose_hit(worker)
         if hit is not None:
             # grouped HITs pack several tasks into one form: workers judge
@@ -234,12 +247,12 @@ class SimulatedCrowdPlatform(CrowdPlatform):
     def _choose_hit(self, worker: SimWorker) -> Optional[HIT]:
         """Pick a HIT: group by visibility+affinity, then oldest first."""
         groups: dict[str, list[HIT]] = {}
-        for hit in self._open.values():
-            if hit.assignments_remaining - self._in_flight[hit.hit_id] <= 0:
+        for hit_id, hit in self._open.items():
+            if hit.assignments_remaining - self._in_flight[hit_id] <= 0:
                 continue
             if not self.eligible(worker, hit):
                 continue
-            groups.setdefault(hit.group_key, []).append(hit)
+            groups.setdefault(self._group[hit_id], []).append(hit)
         if not groups:
             return None
         keys = list(groups)
@@ -277,7 +290,8 @@ class SimulatedCrowdPlatform(CrowdPlatform):
         hit.add_assignment(assignment)
         if hit.status is not HITStatus.OPEN:
             del self._open[hit.hit_id]
-        worker.remember_group(hit.group_key)
+            self.hit_revision += 1
+        worker.remember_group(self._group[hit.hit_id])
         self.total_cost_cents += hit.reward_cents
         self.assignments_submitted += 1
         for callback in self.on_assignment:
@@ -286,7 +300,8 @@ class SimulatedCrowdPlatform(CrowdPlatform):
     def _expire(self, hit: HIT) -> None:
         if hit.status is HITStatus.OPEN:
             hit.status = HITStatus.EXPIRED
-            del self._open[hit.hit_id]
+            self._open.pop(hit.hit_id, None)  # absent if posted with no work
+            self.hit_revision += 1
 
     # -- introspection (benchmarks) ---------------------------------------------------
 

@@ -8,6 +8,8 @@ number of workers complete the majority of HITs).
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import random
 from typing import Optional
 
@@ -91,18 +93,29 @@ def generate_skew_population(
     return workers
 
 
+def activity_table(workers: list[SimWorker]) -> tuple[list[float], float]:
+    """What :func:`pick_weighted` draws over, computed once per population:
+    the running activity sums, added left to right from ``0.0``, and the
+    total.
+
+    The total is ``sum()`` of the activities, not the last running sum:
+    it scales the threshold, and ``sum()`` may round differently."""
+    activities = [worker.activity for worker in workers]
+    cumulative = list(itertools.accumulate(activities, initial=0.0))[1:]
+    return cumulative, sum(activities)
+
+
 def pick_weighted(
-    workers: list[SimWorker], rng: random.Random
+    workers: list[SimWorker],
+    table: tuple[list[float], float],
+    rng: random.Random,
 ) -> SimWorker:
-    """Sample one worker proportionally to activity weight."""
-    total = sum(worker.activity for worker in workers)
-    threshold = rng.random() * total
-    cumulative = 0.0
-    for worker in workers:
-        cumulative += worker.activity
-        if cumulative >= threshold:
-            return worker
-    return workers[-1]
+    """Sample one worker proportionally to activity weight: the first
+    worker whose running sum reaches the threshold (the last worker when
+    none does), found by bisection over ``activity_table(workers)``."""
+    cumulative, total = table
+    index = bisect.bisect_left(cumulative, rng.random() * total)
+    return workers[min(index, len(workers) - 1)]
 
 
 def distance_km(

@@ -42,7 +42,7 @@ from typing import Any, Optional
 
 from repro.codec import encode_value
 from repro.crowd.breaker import CircuitBreaker, RetryQueue
-from repro.crowd.future import CrowdFuture
+from repro.crowd.future import CrowdFuture, readiness
 from repro.crowd.kinds import (
     EQUAL,
     FILL,
@@ -816,15 +816,7 @@ class TaskManager:
         for group in by_platform.values():
             platform = group[0].platform
             clock = getattr(platform, "clock", None)
-
-            def all_ready(group=group) -> bool:
-                # all() short-circuits; sum forces every member's poll so
-                # adaptive extensions are not starved by a slow sibling
-                return sum(0 if f.ready() else 1 for f in group) == 0
-
-            if len(group) == 1:  # the platform polls after every event
-                all_ready = group[0].ready
-
+            all_ready = readiness(group, every=True)
             while not all_ready():
                 if clock is not None:
                     timeout = max(

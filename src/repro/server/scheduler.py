@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from time import monotonic
 from typing import Iterable, Optional
 
+from repro.crowd.future import readiness
 from repro.errors import ExecutionError
 from repro.server.admission import AdmissionController
 from repro.server.session import Session, SessionState
@@ -202,9 +203,7 @@ class CooperativeScheduler:
                 # ready() (not hits_closed) so adaptive futures extend
                 # their under-confident HITs mid-advance instead of
                 # settling prematurely or stalling the scheduler
-                platform.run_until(
-                    lambda: any(f.ready() for f in group), timeout
-                )
+                platform.run_until(readiness(group, every=False), timeout)
                 self.stats.clock_advances += 1
                 # runtime counterpart of the cost model's "rounds": the
                 # scheduler drives the marketplace for every session, so

@@ -143,7 +143,8 @@ def write_checkpoint(directory: str, state: dict) -> str:
     path = checkpoint_path(directory)
     tmp = path + ".tmp"
     with open(tmp, "w", encoding="utf-8") as handle:
-        json.dump(state, handle, separators=(",", ":"))
+        # dumps, not dump: only the one-shot encoder runs in C
+        handle.write(json.dumps(state, separators=(",", ":")))
         handle.flush()
         os.fsync(handle.fileno())
     os.replace(tmp, path)

@@ -31,6 +31,7 @@ from repro.errors import (
     TransientPlatformError,
     WALError,
 )
+from repro.storage.checkpoint import checkpoint_path, load_checkpoint
 from repro.storage.engine import StorageEngine
 from repro.storage.recovery import (
     DurableStorage,
@@ -62,12 +63,16 @@ WORKLOAD = [
 
 
 GOLDEN_WAL = os.path.join(os.path.dirname(__file__), "golden", "wal_v1.jsonl")
+GOLDEN_CHECKPOINT = os.path.join(
+    os.path.dirname(__file__), "golden", "checkpoint_v1.json"
+)
 
 
-def golden_wal_bytes(directory) -> bytes:
-    """The WAL a fixed history writes: every value shape the storage
-    codec has (NULL, CNULL, bools, ints, floats, non-ASCII strings), every
-    record kind the engine logs, and the crowd ledger's three."""
+def _golden_history(directory) -> None:
+    """Log a fixed history into ``directory``'s WAL: every value shape the
+    storage codec has (NULL, CNULL, bools, ints, floats, non-ASCII
+    strings), every record kind the engine logs, and the crowd ledger's
+    three."""
     storage = DurableStorage(
         str(directory), wal_sync="off", checkpoint_interval=None
     )
@@ -97,7 +102,35 @@ def golden_wal_bytes(directory) -> bytes:
     storage.ledger.record_order("best?", "a", "b", "left")
     storage.ledger.record_reputation("amt-7", 3.0, 2.5)
     storage.wal.close()
+
+
+def golden_wal_bytes(directory) -> bytes:
+    """The WAL :func:`_golden_history` writes."""
+    _golden_history(directory)
     with open(wal_path(str(directory)), "rb") as handle:
+        return handle.read()
+
+
+def golden_checkpoint_bytes(directory) -> bytes:
+    """The checkpoint a reopen of :func:`_golden_history` publishes after a
+    few more edge values: rows holding both ``encode_row`` tags, non-ASCII
+    text, integers beyond 64 bits and edge floats, plus the recovered
+    crowd verdicts and reputation."""
+    _golden_history(directory)
+    storage = DurableStorage(
+        str(directory), wal_sync="off", checkpoint_interval=None
+    )
+    Connection(engine=storage.engine).execute(
+        "INSERT INTO g (id, s, f, b) VALUES "
+        "(-9223372036854775809, 'ßé Ω \U0001f600', "
+        "1.7976931348623157e308, TRUE), "
+        "(18446744073709551616, 'tab\tnew\nline', 2.2250738585072014e-308, "
+        "NULL), "
+        "(8, '', 1e16, FALSE), (9, 'x', 123456789.12345679, TRUE)"
+    )
+    storage.checkpoint()
+    storage.wal.close()
+    with open(checkpoint_path(str(directory)), "rb") as handle:
         return handle.read()
 
 
@@ -195,13 +228,30 @@ class TestWalFraming:
 
 
 class TestCheckpointRecover:
+    def test_checkpoint_bytes_equal_the_parent_commits(self, tmp_path):
+        """``tests/golden/checkpoint_v1.json`` was written by the
+        checkpoint writer that streamed ``json.dump`` into the file
+        (``python tests/test_durability.py`` rewrites it — only ever do
+        that on purpose, with a checkpoint format change)."""
+        with open(GOLDEN_CHECKPOINT, "rb") as handle:
+            golden = handle.read()
+        assert golden_checkpoint_bytes(tmp_path) == golden
+        state = load_checkpoint(str(tmp_path))
+        rows = [values for _, values in state["tables"]["g"]["rows"]]
+        values = [decode_value(value) for row in rows for value in row]
+        assert any(value is NULL for value in values)
+        assert any(value is CNULL for value in values)
+        assert 2**64 in values and 5e-324 in values
+        assert state["crowd"]["equal"] and state["crowd"]["reputation"]
+
     def test_recover_without_checkpoint(self, tmp_path):
         storage = DurableStorage(str(tmp_path), wal_sync="off")
         connection = Connection(engine=storage.engine)
         run_statements(connection, WORKLOAD)
         expected = engine_state(storage.engine)
-        # no close: simulate a crash, recover from the WAL alone
-        storage.wal.flush()
+        # a crash: the WAL file is released without a checkpoint, and
+        # recovery reads the WAL alone
+        storage.wal.close()
         recovered = recover_storage(str(tmp_path))
         assert engine_state(recovered.engine) == expected
         assert recovered.report.checkpoint_loaded is False
@@ -214,7 +264,7 @@ class TestCheckpointRecover:
         storage.checkpoint()
         run_statements(connection, WORKLOAD[4:])
         expected = engine_state(storage.engine)
-        storage.wal.flush()
+        storage.wal.close()
         recovered = recover_storage(str(tmp_path))
         assert engine_state(recovered.engine) == expected
         assert recovered.report.checkpoint_loaded is True
@@ -241,7 +291,7 @@ class TestCheckpointRecover:
             connection.execute(statement)
             storage.maybe_checkpoint()
         assert storage.checkpoints_written >= 2
-        storage.wal.flush()
+        storage.wal.close()
         recovered = recover_storage(str(tmp_path))
         assert engine_state(recovered.engine) == engine_state(storage.engine)
 
@@ -251,7 +301,7 @@ class TestCorruptTail:
         storage = DurableStorage(str(tmp_path), wal_sync="off")
         connection = Connection(engine=storage.engine)
         run_statements(connection, WORKLOAD)
-        storage.wal.flush()
+        storage.wal.close()
         return wal_path(str(tmp_path))
 
     def test_torn_tail_recovers_committed_prefix(self, tmp_path):
@@ -293,7 +343,7 @@ class TestCorruptTail:
             storage = DurableStorage(str(tmp_path), wal_sync="off")
         connection = Connection(engine=storage.engine)
         connection.execute("INSERT INTO t VALUES (9, 'late')")
-        storage.wal.flush()
+        storage.wal.close()
         scan = read_wal(path)
         assert not scan.corrupt_tail
         assert scan.records[-1][1]["op"] == "insert"
@@ -321,9 +371,10 @@ class TestFaultInjection:
             except WalCrash:
                 crashed = True
             assert crashed == (k < len(WORKLOAD))
-            # a crash already flushed (FaultingWAL._crash); the clean
-            # k == len(WORKLOAD) run still holds its buffer
-            storage.wal.flush()
+            # release the file: a crash already flushed it
+            # (FaultingWAL._crash); the clean k == len(WORKLOAD) run
+            # still holds its buffer
+            storage.wal.close()
             recovered = recover_storage(str(directory))
             assert engine_state(recovered.engine) == reference_state(
                 WORKLOAD[:k]
@@ -337,7 +388,7 @@ class TestFaultInjection:
         clean_dir = tmp_path / "clean"
         storage = DurableStorage(str(clean_dir), wal_sync="off")
         run_statements(Connection(engine=storage.engine), WORKLOAD)
-        storage.wal.flush()
+        storage.wal.close()
         with open(wal_path(str(clean_dir)), "rb") as handle:
             data = handle.read()
         boundaries = [0] + [
@@ -350,6 +401,7 @@ class TestFaultInjection:
             connection = Connection(engine=storage.engine)
             with pytest.raises(WalCrash):
                 run_statements(connection, WORKLOAD)
+            storage.wal.close()
             committed = sum(1 for b in boundaries[1:] if b <= cut)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RecoveryWarning)
@@ -367,6 +419,7 @@ class TestFaultInjection:
         connection = Connection(engine=storage.engine)
         with pytest.raises(WalCrash):
             run_statements(connection, WORKLOAD)
+        storage.wal.close()
         recovered = recover_storage(str(tmp_path))
         reference = connect(with_crowd=False)
         run_statements(reference, WORKLOAD[:7])
@@ -418,7 +471,9 @@ class TestCrowdLedger:
         ).rows
         assert db.crowd_stats["hits_posted"] > 0
         expected = engine_state(db.engine)
-        # crash: no close(), no checkpoint — everything lives in the WAL
+        # crash: no checkpoint, the WAL file is released and everything
+        # lives in it
+        db.storage.wal.close()
         recovered = self._durable_crowd(tmp_path, demo_oracle)
         assert engine_state(recovered.engine) == expected
         assert (
@@ -475,6 +530,7 @@ class TestCrowdLedger:
         full_price = reference_db.crowd_stats["assignments_received"]
         records = reference_db.storage.wal.stats.records
         in_flight = reference_db.task_manager.config.replication
+        reference_db.close()
         assert full_price > 0
         for cut in range(records):
             directory = tmp_path / f"cut-{cut}"
@@ -494,6 +550,7 @@ class TestCrowdLedger:
             with pytest.raises(WalCrash):
                 run_statements(crashed, self.CROWD_SETUP)
                 answers(crashed)
+            storage.wal.close()
             retry = self._durable_crowd(directory, demo_oracle)
             # recovery may land mid-set-up: make schema and seed rows whole
             for statement in self.CROWD_SETUP:
@@ -515,6 +572,7 @@ class TestCrowdLedger:
         db = self._durable_crowd(tmp_path, demo_oracle)
         db.task_manager.ledger.record_equal("I.B.M.", "IBM", True)
         db.task_manager.ledger.record_order("best", "a", "b", "left")
+        db.storage.wal.close()  # crash: no checkpoint
         recovered = self._durable_crowd(tmp_path, demo_oracle)
         assert recovered.task_manager._equal_cache[("I.B.M.", "IBM")] is True
         assert (
@@ -527,6 +585,7 @@ class TestCrowdLedger:
         db.reputation._observe("w1", True, 2.0)
         db.reputation._observe("w1", False, 1.0)
         accuracy = db.reputation.accuracy("w1")
+        db.storage.wal.close()  # crash: no checkpoint
         recovered = self._durable_crowd(tmp_path, demo_oracle)
         assert recovered.reputation.observations("w1") == 3.0
         assert recovered.reputation.accuracy("w1") == accuracy
@@ -673,8 +732,12 @@ class TestCliDurability:
 
 if __name__ == "__main__":
     os.makedirs(os.path.dirname(GOLDEN_WAL), exist_ok=True)
-    with tempfile.TemporaryDirectory() as scratch:
-        data = golden_wal_bytes(scratch)
-    with open(GOLDEN_WAL, "wb") as out:
-        out.write(data)
-    print(f"wrote {len(data)} bytes to {GOLDEN_WAL}")
+    for golden, make in (
+        (GOLDEN_WAL, golden_wal_bytes),
+        (GOLDEN_CHECKPOINT, golden_checkpoint_bytes),
+    ):
+        with tempfile.TemporaryDirectory() as scratch:
+            data = make(scratch)
+        with open(golden, "wb") as out:
+            out.write(data)
+        print(f"wrote {len(data)} bytes to {golden}")

@@ -4,17 +4,30 @@ Covers the shared task pool (identical concurrent fills/compares issue
 exactly one HIT; answers fan out to every waiting session), the
 cooperative scheduler (suspend on crowd waits, deterministic resume,
 per-statement error isolation), and admission control.
+
+``python tests/test_server.py`` rewrites ``tests/golden/sched_v1.jsonl``
+— only ever do that on purpose, at the parent of a change meant to alter
+what the scheduler advances, settles or traces.
 """
+
+import json
+import os
+import warnings
 
 import pytest
 
+import repro.crowd.task_manager as task_manager_module
+import repro.server.scheduler as scheduler
 from repro import connect, serve
-from repro.crowd.model import reset_id_counters
+from repro.crowd.future import CrowdFuture, readiness
+from repro.crowd.model import HIT, reset_id_counters
 from repro.crowd.platform import PlatformRegistry
 from repro.crowd.scripted import ScriptedPlatform, oracle_answer_fn
+from repro.crowd.sim.amt import SimulatedAMT
+from repro.crowd.sim.behavior import BehaviorConfig
 from repro.crowd.sim.traces import GroundTruthOracle
 from repro.crowd.task_manager import CrowdConfig, TaskManager
-from repro.errors import AdmissionError, ExecutionError
+from repro.errors import AdmissionError, CrowdDBWarning, ExecutionError
 from repro.server import (
     AdmissionConfig,
     AdmissionController,
@@ -518,3 +531,248 @@ class TestSharedParseMemo:
             assert isinstance(session.results[-1], Exception)
         assert server.connection.parse_cache_stats["hits"] == 0
         server.shutdown()
+
+
+# -- golden trace: same advances, same settlements, same clock ---------------
+
+GOLDEN_SCHED = os.path.join(os.path.dirname(__file__), "golden", "sched_v1.jsonl")
+PICTURE_QUESTION = "Which picture is older?"
+PICTURES = [f"pic{i}" for i in range(4)]
+
+
+def _sched_server():
+    """A server over a noisy AMT with adaptive replication switched on and
+    a crowd timeout short enough for future deadlines to bind."""
+    reset_id_counters()
+    oracle = make_oracle()
+    oracle.load_ranking(
+        PICTURE_QUESTION, {name: float(i) for i, name in enumerate(PICTURES)}
+    )
+    platform = SimulatedAMT(
+        oracle, population=40, seed=31,
+        config=BehaviorConfig(base_accuracy=0.6),
+    )
+    server = serve(
+        oracle=oracle,
+        platforms=(platform,),
+        default_platform="amt",
+        crowd_config=CrowdConfig(
+            replication=3,
+            target_confidence=0.9,
+            min_replication=2,
+            max_replication=4,
+            hit_group_size=3,
+            timeout_seconds=240.0,
+        ),
+        trace_capacity=1_000_000,
+    )
+    db = server.connection
+    db.execute(
+        "CREATE TABLE City (name STRING PRIMARY KEY, "
+        "population CROWD INTEGER, elevation CROWD INTEGER)"
+    )
+    for i in range(8):
+        db.execute("INSERT INTO City (name) VALUES (?)", (f"city{i}",))
+    db.execute("CREATE TABLE Company (name STRING PRIMARY KEY)")
+    for name in ("I.B.M.", "Oracle", "International Business Machines"):
+        db.execute("INSERT INTO Company (name) VALUES (?)", (name,))
+    # the same pictures in opposite orders: the two sorts ask mirrored
+    # CROWDORDER questions while both are in flight
+    for table, names in (("Pic", PICTURES), ("Cip", PICTURES[::-1])):
+        db.execute(f"CREATE TABLE {table} (name STRING PRIMARY KEY)")
+        for name in names:
+            db.execute(f"INSERT INTO {table} (name) VALUES (?)", (name,))
+    return server, platform
+
+
+SCHED_SCRIPTS = [
+    "SELECT population FROM City WHERE name = 'city7'; "
+    "SELECT name, elevation FROM City",
+    "SELECT name FROM Company WHERE CROWDEQUAL(name, 'IBM')",
+    f"SELECT name FROM Pic ORDER BY CROWDORDER(name, '{PICTURE_QUESTION}')",
+    f"SELECT name FROM Cip ORDER BY CROWDORDER(name, '{PICTURE_QUESTION}')",
+    "SELECT population FROM City WHERE name = 'city6' WITH DEADLINE 30000",
+]
+
+
+def _sched_scenario():
+    """Drive a seeded multi-session server one scheduler step at a time,
+    then wait serially on the deadline-capped statement's live futures
+    beside fresh ones (staggered future deadlines).  Returns one record
+    per step: new trace events, scheduler and task-manager counters and
+    the simulated clock."""
+    server, platform = _sched_server()
+    manager = server.connection.task_manager
+    records = []
+    last_seq = 0
+
+    def record(step, outcome):
+        nonlocal last_seq
+        events = []
+        for event in server.connection.trace.events():
+            if event.seq > last_seq:
+                payload = event.to_dict()
+                del payload["wall"]
+                events.append(payload)
+                last_seq = event.seq
+        records.append({
+            "step": step,
+            "outcome": outcome,
+            "events": events,
+            "scheduler": server.scheduler.stats.snapshot(),
+            "task_manager": manager.stats.snapshot(),
+            "clock": platform.clock.now,
+        })
+
+    sessions = [server.open_session().submit(sql) for sql in SCHED_SCRIPTS]
+    step = 0
+    while True:
+        outcome = server.scheduler.step(
+            server.sessions.values(), server.admission
+        )
+        record(step, outcome)
+        step += 1
+        if outcome == "idle":
+            break
+    results = [
+        [
+            repr(r) if isinstance(r, Exception) else [r.status, r.rows]
+            for r in session.results
+        ]
+        for session in sessions
+    ]
+    # serially: a capped statement leaves a slow HIT group live, then a
+    # wider one waits on it beside a fresh fill posted later
+    for sql in (
+        "SELECT name, population FROM City WHERE name < 'city3' "
+        "WITH DEADLINE 30000",
+        "SELECT name, population FROM City WHERE name < 'city4'",
+    ):
+        result = server.connection.execute(sql)
+        record("serial", result.status)
+        results.append([result.status, result.rows])
+    records.append({"results": results})
+    server.shutdown()
+    return records
+
+
+def golden_sched_lines():
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", CrowdDBWarning)
+        records = _sched_scenario()
+    return [json.dumps(r, sort_keys=True, default=str) for r in records]
+
+
+class TestGoldenTrace:
+    def test_sched_trace_equals_the_golden_file(self):
+        """``tests/golden/sched_v1.jsonl`` was captured before readiness
+        polls were gated on the platform's HIT revision: every advance,
+        extension, settlement and clock reading must come out the same."""
+        with open(GOLDEN_SCHED, encoding="utf-8") as handle:
+            golden = handle.read().splitlines()
+        ours = golden_sched_lines()
+        # record by record first, so a failure names the step that moved
+        for index, (got, want) in enumerate(zip(ours, golden)):
+            assert got == want, f"scheduler record {index} changed"
+        assert ours == golden
+
+    def test_scenario_covers_the_scheduler_paths(self, monkeypatch):
+        views = []
+        view = CrowdFuture.view.__func__
+
+        def counting_view(cls, parent, key, project):
+            views.append(key[0])
+            return view(cls, parent, key, project)
+
+        monkeypatch.setattr(CrowdFuture, "view", classmethod(counting_view))
+        *steps, results = map(json.loads, golden_sched_lines())
+        kinds = {event["kind"] for step in steps for event in step["events"]}
+        assert {"hit.issue", "hit.extend", "vote", "future.settle",
+                "statement.partial"} <= kinds
+        assert "ord" in views  # a mirrored CROWDORDER rode its twin's HIT
+        assert results["results"][4][0][0] == "partial"
+        assert results["results"][-2][0] == "partial"
+        assert results["results"][-1][0] == "complete"
+        # the serial wait ends on a deadline, not a HIT: the capped
+        # statement's group times out after the later fill completed
+        settles = [
+            event for event in steps[-1]["events"]
+            if event["kind"] == "future.settle"
+        ]
+        assert [event["timed_out"] for event in settles] == [True, False]
+
+
+class TestReadinessPolls:
+    @pytest.mark.parametrize("path", ["wait_many", "scheduler"])
+    def test_polls_follow_hit_changes_and_deadlines(self, path, monkeypatch):
+        """A waiter's predicate polls its group again only after a HIT
+        status change or a member deadline: at most (changes + deadline
+        crossings + 1) x group size ``ready()`` calls per wait."""
+        changes = 0
+
+        def read(hit):
+            return hit.__dict__["status"]
+
+        def write(hit, value):
+            nonlocal changes
+            changes += hit.__dict__.get("status", value) is not value
+            hit.__dict__["status"] = value
+
+        monkeypatch.setattr(HIT, "status", property(read, write))
+        polls = 0
+        ready = CrowdFuture.ready
+
+        def counting_ready(future):
+            nonlocal polls
+            polls += 1
+            return ready(future)
+
+        monkeypatch.setattr(CrowdFuture, "ready", counting_ready)
+        server, platform = _sched_server()
+        clock = platform.clock
+        waits = []
+
+        def counting_readiness(futures, every):
+            gate = readiness(futures, every)
+            wait = {"size": len(futures), "every": every, "polls": 0,
+                    "changes": changes, "start": clock.now,
+                    "deadlines": [f.deadline for f in futures]}
+            waits.append(wait)
+
+            def counted():
+                before = polls
+                answer = gate()
+                wait["polls"] += polls - before
+                wait["end"], wait["changes_end"] = clock.now, changes
+                return answer
+
+            return counted
+
+        module = task_manager_module if path == "wait_many" else scheduler
+        monkeypatch.setattr(module, "readiness", counting_readiness)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", CrowdDBWarning)
+            if path == "wait_many":
+                for sql in SCHED_SCRIPTS:
+                    server.connection.executescript(sql)
+            else:
+                server.run_scripts(SCHED_SCRIPTS)
+        server.shutdown()
+        assert waits and {w["every"] for w in waits} == {path == "wait_many"}
+        assert max(w["size"] for w in waits) > 1
+        for wait in waits:
+            crossings = sum(
+                wait["start"] < d <= wait["end"] for d in wait["deadlines"]
+            )
+            status_changes = wait["changes_end"] - wait["changes"]
+            assert wait["polls"] <= (
+                (status_changes + crossings + 1) * wait["size"]
+            ), wait
+
+
+if __name__ == "__main__":
+    os.makedirs(os.path.dirname(GOLDEN_SCHED), exist_ok=True)
+    lines = golden_sched_lines()
+    with open(GOLDEN_SCHED, "w", encoding="utf-8") as out:
+        out.write("\n".join(lines) + "\n")
+    print(f"wrote {len(lines)} records to {GOLDEN_SCHED}")

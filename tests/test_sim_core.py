@@ -22,12 +22,36 @@ from repro.crowd.sim.behavior import (
 )
 from repro.crowd.sim.clock import EventQueue, SimClock
 from repro.crowd.sim.population import (
+    activity_table,
     distance_km,
     generate_population,
     pick_weighted,
 )
 from repro.crowd.sim.traces import GroundTruthOracle
 from repro.crowd.sim.worker import SimWorker
+
+
+def linear_pick(workers, rng):
+    """The reference worker draw: a linear scan of the running activity
+    sums for the first one that reaches the threshold."""
+    total = sum(worker.activity for worker in workers)
+    threshold = rng.random() * total
+    cumulative = 0.0
+    for worker in workers:
+        cumulative += worker.activity
+        if cumulative >= threshold:
+            return worker
+    return workers[-1]
+
+
+class _Replay:
+    """An RNG whose every ``random()`` returns one fixed draw."""
+
+    def __init__(self, draw):
+        self.draw = draw
+
+    def random(self):
+        return self.draw
 
 
 class TestClock:
@@ -167,8 +191,40 @@ class TestPopulation:
         rng = random.Random(0)
         light = SimWorker("light", 0.8, 1.0, activity=0.1, price_sensitivity=1)
         heavy = SimWorker("heavy", 0.8, 1.0, activity=10.0, price_sensitivity=1)
-        picks = [pick_weighted([light, heavy], rng).worker_id for _ in range(200)]
+        table = activity_table([light, heavy])
+        picks = [
+            pick_weighted([light, heavy], table, rng).worker_id
+            for _ in range(200)
+        ]
         assert picks.count("heavy") > 150
+
+    @pytest.mark.parametrize(
+        "activities",
+        [
+            [w.activity for w in generate_population(200)],
+            [0.0, 0.0, 1.5, 0.0, 2.0, 0.0],  # idle workers, leading ones too
+            [0.0, 0.0, 0.0],
+            [0.1] * 10,  # running sum 0.9999999999999999; fsum says 1.0
+            [2.5],
+        ],
+        ids=["pareto", "zeros", "all-zero", "rounding", "one"],
+    )
+    def test_bisect_draw_equals_the_linear_scan(self, activities):
+        workers = [
+            SimWorker(f"w{i}", 0.8, 1.0, activity=a, price_sensitivity=1)
+            for i, a in enumerate(activities)
+        ]
+        table = activity_table(workers)
+        ours, theirs = random.Random(11), random.Random(11)
+        for _ in range(10_000):
+            assert pick_weighted(workers, table, ours) is linear_pick(
+                workers, theirs
+            )
+        # the threshold's ends: 0, and the total itself
+        for draw in (0.0, 1.0):
+            assert pick_weighted(workers, table, _Replay(draw)) is linear_pick(
+                workers, _Replay(draw)
+            )
 
     def test_distance(self):
         assert distance_km((47.6, -122.3), (47.6, -122.3)) == 0.0

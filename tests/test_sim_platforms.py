@@ -179,6 +179,41 @@ class TestSimulatedAMT:
         # three passes per arrival, each over the open HITs at most
         assert evaluations <= 100 * 3 * len(fresh)
 
+    def test_reopen_cost_tracks_open_hits_not_history(
+        self, oracle, monkeypatch
+    ):
+        platform = SimulatedAMT(oracle, population=50, seed=12)
+        history = []
+        for _ in range(40):  # 2,000 HITs of history, all completed
+            batch = [make_hit(reward=8, assignments=1) for _ in range(50)]
+            platform.post_hits(batch)
+            assert platform.wait_for_hits(
+                [hit.hit_id for hit in batch], timeout=WEEK
+            )
+            history.extend(batch)
+        fresh = [make_hit(assignments=50) for _ in range(5)]
+        platform.post_hits(fresh)
+
+        reads = 0
+
+        def read(hit):
+            nonlocal reads
+            reads += 1
+            return hit.__dict__["status"]
+
+        def write(hit, value):
+            hit.__dict__["status"] = value
+
+        monkeypatch.setattr(HIT, "status", property(read, write))
+        reopened = history[1000]
+        platform.extend_hit(reopened.hit_id, 1)
+        # back at its posting position, before the HITs posted after it
+        assert list(platform._open) == [reopened.hit_id] + [
+            hit.hit_id for hit in fresh
+        ]
+        # rebuilding the index from the history read 2,007 statuses here
+        assert reads <= 2 * (len(fresh) + 1)
+
 
 class TestMobilePlatform:
     def test_local_hit_completes(self, oracle):
@@ -408,6 +443,17 @@ class TestGoldenTrace:
             return value
 
         monkeypatch.setattr(platform.oracle, "distractor", counting_distractor)
+        on_arrival = platform._on_arrival
+
+        def checked_arrival():
+            # the open index is exactly the ``is_open`` HITs, in posting
+            # order — so ``arrival_rate`` may count it with ``len``
+            assert list(platform._open) == [
+                hit.hit_id for hit in platform.all_hits() if hit.is_open
+            ]
+            on_arrival()
+
+        monkeypatch.setattr(platform, "_on_arrival", checked_arrival)
         records, coverage = _sim_scenario(platform, doomed_lifetime)
         assert faults > 0 and draws > 0
         assert coverage["doomed_expired"] and coverage["doomed_in_flight"] > 0
