@@ -81,7 +81,6 @@ class Connection:
         path: Optional[str] = None,
         wal_sync: str = "commit",
         checkpoint_interval: Optional[int] = 1024,
-        electronic_workers: int = 0,
     ) -> None:
         # durable storage: with a path the engine is recovered from disk —
         # checkpoint plus WAL tail — and every further mutation is
@@ -153,16 +152,6 @@ class Connection:
                 else crowd_config
             ),
         )
-        # multi-core execution of binder-approved electronic regions:
-        # 0 workers = run them in place (the historical behaviour)
-        self.electronic_pool = None
-        if electronic_workers:
-            from repro.exec.pool import ElectronicPool
-
-            self.electronic_pool = ElectronicPool(electronic_workers)
-            self.metrics.register_collector(
-                "electronic_pool", self.electronic_pool.snapshot
-            )
         self.executor = Executor(
             self.engine,
             optimizer=self.optimizer,
@@ -171,11 +160,9 @@ class Connection:
             platform=default_platform,
             plan_cache_size=plan_cache_size,
             observability=self.observability,
-            electronic_pool=self.electronic_pool,
         )
         # kernel fallback telemetry (one-shot warnings + counter) flows
-        # through this connection's registry; pool worker processes
-        # detach it in their initializer
+        # through this connection's registry
         from repro.exec import kernels as _kernels
 
         _kernels.set_metrics_registry(self.metrics)
@@ -342,8 +329,6 @@ class Connection:
         if self._closed:
             return
         self._closed = True
-        if self.electronic_pool is not None:
-            self.electronic_pool.shutdown()
         if self.storage is not None:
             self.storage.close()
 
@@ -443,7 +428,6 @@ def connect(
     checkpoint_interval: Optional[int] = 1024,
     platform_retries: Optional[int] = None,
     platform_timeout: Optional[float] = None,
-    electronic_workers: int = 0,
     statement_deadline_ms: Optional[int] = None,
     statement_budget_cents: Optional[int] = None,
     breaker_enabled: Optional[bool] = None,
@@ -502,13 +486,6 @@ def connect(
     per-statement caps (``WITH DEADLINE/BUDGET`` overrides them), and the
     ``breaker_*`` knobs tune the per-platform circuit breaker (see
     :class:`CrowdConfig`).
-
-    ``electronic_workers=N`` dispatches binder-approved pure-electronic
-    plan regions to a pool of N fork-snapshot worker processes, so
-    vectorized pipelines from concurrent server sessions run on
-    different cores while crowd waits stay on the discrete-event
-    scheduler; a region the pool cannot ship (unpicklable, no ``fork``)
-    runs in place.  0 keeps the single-core in-place execution.
     """
     overrides = {
         key: value
@@ -550,7 +527,6 @@ def connect(
         path=path,
         wal_sync=wal_sync,
         checkpoint_interval=checkpoint_interval,
-        electronic_workers=electronic_workers,
     )
     if not with_crowd:
         return Connection(

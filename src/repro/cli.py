@@ -9,7 +9,7 @@ Usage::
     python -m repro.cli [script.sql ...]
     python -m repro.cli --db DIR [--wal-sync MODE] [script.sql ...]
     python -m repro.cli --serve [--sessions N]
-    python -m repro.cli --listen HOST:PORT [--electronic-workers N]
+    python -m repro.cli --listen HOST:PORT
     python -m repro.cli --connect HOST:PORT [script.sql ...]
 
 ``--db DIR`` opens a durable instance: state (including paid crowd
@@ -20,9 +20,6 @@ write a final checkpoint.
 ``--listen HOST:PORT`` serves the engine over TCP (the wire protocol in
 :mod:`repro.net.protocol`) until interrupted; ``--connect HOST:PORT``
 opens a remote shell on such a server instead of an in-process engine.
-``--electronic-workers N`` dispatches pure-electronic plan regions to a
-pool of N worker processes so crowd waits and electronic scans overlap
-across cores.
 
 Dot-commands:
 
@@ -534,7 +531,7 @@ class RemoteShell(Shell):
 #: ``FLAG VALUE`` pairs forwarded to :func:`repro.connect` /
 #: :func:`repro.serve` / ``serve_tcp``: the adaptive quality-control
 #: knobs, ``--db DIR`` (open or recover a durable instance rooted at DIR)
-#: with its fsync policy, and the electronic worker pool size.
+#: with its fsync policy.
 _CONNECT_FLAGS = {
     "--target-confidence": ("target_confidence", float),
     "--min-replication": ("min_replication", int),
@@ -542,7 +539,6 @@ _CONNECT_FLAGS = {
     "--gold-rate": ("gold_rate", float),
     "--db": ("path", str),
     "--wal-sync": ("wal_sync", str),
-    "--electronic-workers": ("electronic_workers", int),
 }
 
 

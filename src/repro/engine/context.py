@@ -88,7 +88,6 @@ class ExecutionContext:
         ] = None,
         crowd_waiter: Optional[Callable[[Any], None]] = None,
         crowd_ledger: Optional[CrowdLedger] = None,
-        electronic_pool: Optional[Any] = None,
         guard: Optional[Any] = None,  # StatementGuard, deadline/budget caps
     ) -> None:
         self.engine = engine
@@ -101,9 +100,6 @@ class ExecutionContext:
         self.guard = guard
         self._subquery_executor = subquery_executor
         self.crowd_waiter = crowd_waiter
-        # multi-core dispatch for binder-approved electronic regions
-        # (repro.exec.pool.ElectronicPool); None executes them in place
-        self.electronic_pool = electronic_pool
         self.evaluator = Evaluator(context=self, parameters=parameters)
         # per-execution metrics surfaced by EXPLAIN ANALYZE-style reporting
         self.rows_scanned = 0

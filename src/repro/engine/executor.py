@@ -171,7 +171,6 @@ class Executor:
         plan_cache: Optional[PlanCache] = None,
         plan_cache_size: int = 64,
         observability: Optional[Any] = None,  # repro.obs.Observability
-        electronic_pool: Optional[Any] = None,  # repro.exec.pool.ElectronicPool
     ) -> None:
         self.engine = engine
         self.optimizer = optimizer if optimizer is not None else Optimizer(engine)
@@ -179,9 +178,6 @@ class Executor:
         self.ui_manager = ui_manager
         self.platform = platform
         self.observability = observability
-        # multi-core dispatch for vectorized regions; shared across the
-        # server's sessions, threaded into every statement context
-        self.electronic_pool = electronic_pool
         # crowd ledger for the statement currently running: set by
         # _run_compiled, inherited by correlated subqueries through
         # _make_context so their spend attributes to the outer statement
@@ -634,7 +630,6 @@ class Executor:
             crowd_waiter=self.crowd_waiter,
             crowd_ledger=self._active_ledger,
             guard=self.active_guard,
-            electronic_pool=self.electronic_pool,
         )
 
     def _run_subquery(

@@ -63,14 +63,8 @@ class PhysicalPlanner:
 
                 # the transition operator is not profiler-wrapped: the
                 # vector node inside already carries this logical node's
-                # metrics (batch-aware row accounting).  The logical node
-                # rides along as the region handle for process-pool
-                # dispatch — except under EXPLAIN ANALYZE, whose profiler
-                # proxies would never see rows produced in a worker.
-                region = node if self.profiler is None else None
-                return BatchToRowsOp(
-                    self.context, self._plan_vector(node), region=region
-                )
+                # metrics (batch-aware row accounting)
+                return BatchToRowsOp(self.context, self._plan_vector(node))
         operator = self._plan_node(node, row_bound)
         if self.profiler is not None:
             operator = self.profiler.wrap(node, operator)

@@ -109,7 +109,7 @@ class AdmissionError(CrowdDBError):
 
 class StatementCancelled(ExecutionError):
     """The statement was cancelled (client ``cancel`` frame or session
-    close) while it was suspended on crowd or pool work.  Raised at the
+    close) while it was suspended on crowd work.  Raised at the
     session's next yield point so operators unwind through their normal
     error paths — no half-settled futures, no mid-transaction WAL state."""
 

@@ -90,8 +90,7 @@ def set_metrics_registry(registry: Optional[Any]) -> None:
 
     Process-global (kernels compile without any execution context); the
     most recently connected registry receives the counters.  ``None``
-    detaches — process-pool workers do this so forked registry locks are
-    never touched."""
+    detaches."""
     global _fallback_registry
     _fallback_registry = registry
 

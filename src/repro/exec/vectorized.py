@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from itertools import compress, islice, repeat
 from operator import itemgetter
-from typing import Any, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from repro.catalog.table import TableSchema
 from repro.engine.aggregate import _Accumulator, _hashable
@@ -156,26 +156,13 @@ class BatchToRowsOp(PhysicalOperator):
     as row tuples, so the transition is a pure pivot — crowd filters,
     crowd joins/sorts, stop-after bounds, and batch-window semantics
     above it observe bit-identical rows.
-
-    When the context carries an electronic pool, the whole region below
-    this cap is dispatched to it instead of iterating in place: a
-    forked worker materializes the rows while the session (under the
-    concurrent query server) is parked, so electronic work from
-    different sessions overlaps on different cores.  ``region`` is the
-    logical plan node this cap was planned from — the pool ships it to
-    its workers; ``None`` (or a region the pool cannot ship) runs in
-    place.
     """
 
     def __init__(
-        self,
-        context: ExecutionContext,
-        child: VectorOperator,
-        region: Optional[Any] = None,
+        self, context: ExecutionContext, child: VectorOperator
     ) -> None:
         super().__init__(context)
         self.child = child
-        self.region = region
 
     @property
     def scope(self) -> Scope:
@@ -185,14 +172,6 @@ class BatchToRowsOp(PhysicalOperator):
         return False
 
     def __iter__(self) -> Iterator[tuple]:
-        pool = self.context.electronic_pool
-        if pool is not None and self.region is not None:
-            shipped = pool.run_region(self.context, self)
-            if shipped is not None:
-                rows, scanned = shipped
-                self.context.rows_scanned += scanned
-                yield from rows
-                return
         for batch in self.child:
             yield from _pivot_rows(batch)
 
@@ -220,16 +199,11 @@ class VectorScanOp(VectorOperator):
 
     def __iter__(self) -> Iterator[ColumnBatch]:
         heap = self.context.engine.table(self.table.name)
-        # snapshot columns and cleanliness tags at one heap version: a
-        # pool-dispatched scan runs while *other* sessions write, and
-        # tags derived from newer statistics must not license fast paths
-        # over an older column snapshot (or vice versa)
-        while True:
-            version = heap.version
-            columns, total = heap.scan_columns()
-            tags = _scan_tags(heap)
-            if heap.version == version:
-                break
+        # columns and tags read one heap version: one thread runs the
+        # engine at a time (the scheduler's baton, or the TCP pump), and
+        # nothing between these two calls yields it
+        columns, total = heap.scan_columns()
+        tags = _scan_tags(heap)
         live = self._live
         if live is not None:
             columns = [

@@ -39,10 +39,9 @@ def _format_value(value: Any) -> str:
 class Counter:
     """A monotonically increasing count.
 
-    Increments are serialized by a per-instrument lock: pool worker
-    threads, session threads, and the network front end all bump shared
-    counters, and an unlocked ``+=`` is a read-modify-write that loses
-    updates under contention.
+    Increments are serialized by a per-instrument lock: session threads
+    and the network front end all bump shared counters, and an unlocked
+    ``+=`` is a read-modify-write that loses updates under contention.
     """
 
     __slots__ = ("name", "help", "value", "_lock")

@@ -13,26 +13,19 @@ HITs while they are in flight.
 Scheduling is deterministic: runnable sessions are picked lowest
 session-id first, platforms are advanced in name order, and only one
 thread (a session's or the caller's) ever executes at a time.
+Electronic work runs in place inside a session's slice, so the only
+thing the scheduler ever waits on is a crowd future.
 """
 
 from __future__ import annotations
 
-import concurrent.futures as _cf
 from dataclasses import dataclass
-from time import monotonic
 from typing import Iterable, Optional
 
 from repro.crowd.future import readiness
 from repro.errors import ExecutionError
 from repro.server.admission import AdmissionController
 from repro.server.session import Session, SessionState
-
-#: how long one _advance round blocks on pending pool work before
-#: re-checking for runnable sessions (a cancel must not wait out a slow
-#: kernel), and how long pool work may make zero progress before the
-#: scheduler declares the pool wedged
-_ELECTRONIC_WAIT_SLICE = 0.05
-_ELECTRONIC_STALL_SECONDS = 600.0
 
 
 @dataclass
@@ -41,7 +34,6 @@ class SchedulerStats:
     suspensions: int = 0      # times a session parked on a crowd future
     clock_advances: int = 0   # times the simulated clock had to move
     futures_settled: int = 0  # crowd futures resolved by the scheduler
-    electronic_waits: int = 0  # advance rounds spent on pool futures
 
     def snapshot(self) -> dict[str, int]:
         return dict(self.__dict__)
@@ -53,7 +45,6 @@ class CooperativeScheduler:
     def __init__(self, task_manager: Optional[object]) -> None:
         self.task_manager = task_manager
         self.stats = SchedulerStats()
-        self._electronic_stalled_since: Optional[float] = None
 
     def drain(
         self,
@@ -90,7 +81,7 @@ class CooperativeScheduler:
         polls its command queue between steps).
 
         Returns ``"ran"`` (a session got a slice), ``"advanced"`` (the
-        clock moved / pool futures were waited on), ``"promoted"``
+        clock moved), ``"promoted"``
         (waitlisted sessions were admitted), ``"idle"`` (every session
         quiescent), or ``"deadlock"`` (waitlist nonempty but nothing can
         drain — the caller decides whether that is fatal)."""
@@ -136,20 +127,12 @@ class CooperativeScheduler:
         contributes every unsettled member; it becomes runnable once the
         whole set has settled, which may take several advance rounds.
 
-        Electronic pool dispatches are not crowd futures: real worker
-        threads/processes are computing them on wall-clock time, so the
-        scheduler *waits* on them (briefly, staying responsive to
-        cancels) instead of advancing the simulated clock."""
+        Every session passed in is WAITING and not runnable, so at least
+        one of its futures is unsettled: ``futures`` is never empty."""
         futures = []
-        electronic = []
         seen: set[int] = set()
         for session in waiting:
             for future in session.waiting_futures():
-                if getattr(future, "electronic", False):
-                    if not future.settled and id(future) not in seen:
-                        seen.add(id(future))
-                        electronic.append(future)
-                    continue
                 # mirrors and HIT-group members poll and settle through
                 # their parent future
                 target = future.mirror_of or future
@@ -157,12 +140,7 @@ class CooperativeScheduler:
                     continue
                 seen.add(id(target))
                 futures.append(target)
-        if not futures and not electronic:
-            # every pending future settled between the runnable check
-            # and now (pool workers finish on their own clock) — the
-            # next drain iteration will find the sessions runnable
-            return
-        if futures and self.task_manager is None:  # pragma: no cover
+        if self.task_manager is None:  # pragma: no cover
             raise ExecutionError("sessions wait on crowd but server has none")
         # statement deadline caps: never advance the marketplace past the
         # earliest in-flight guard deadline — the guard trips instead and
@@ -218,30 +196,6 @@ class CooperativeScheduler:
                 # an adaptive future bought another marketplace round;
                 # that is progress even though nothing settled yet
                 progressed = True
-        if electronic:
-            self.stats.electronic_waits += 1
-            done, pending = _cf.wait(
-                [f.raw for f in electronic],
-                timeout=0.0 if progressed else _ELECTRONIC_WAIT_SLICE,
-            )
-            if done or progressed:
-                self._electronic_stalled_since = None
-                return
-            # nothing finished this slice — pool workers are (we hope)
-            # still crunching, which counts as progress under a
-            # wall-clock patience bound so a wedged pool cannot hang
-            # the drain loop forever
-            now = monotonic()
-            if self._electronic_stalled_since is None:
-                self._electronic_stalled_since = now
-                return
-            if now - self._electronic_stalled_since < _ELECTRONIC_STALL_SECONDS:
-                return
-            raise ExecutionError(
-                "scheduler stalled: electronic pool futures made no "
-                f"progress for {_ELECTRONIC_STALL_SECONDS:.0f}s"
-            )
-        self._electronic_stalled_since = None
         if not progressed:
             if deadline_capped:
                 # the advance was cut short by a statement deadline, not

@@ -134,9 +134,6 @@ class Server:
             platform=shared.platform,
             plan_cache=shared.plan_cache,  # plans pool across sessions
             observability=self.connection.observability,
-            # one multi-core pool shared by every session: electronic
-            # regions from different sessions overlap on real cores
-            electronic_pool=shared.electronic_pool,
         )
         # every session runs its statements through the connection's
         # runner: one parse memo, one cap precedence, one checkpoint duty

@@ -147,7 +147,7 @@ class Session:
         """Abort the in-flight statement and drop the queued ones.
 
         Safe from any thread.  The worker notices the flag at its next
-        yield point (crowd park, pool park, or statement boundary) and
+        yield point (crowd park or statement boundary) and
         unwinds with :class:`StatementCancelled` through the operators'
         normal error paths, so no future is double-settled and the WAL
         never stays mid-transaction.  A WAITING session becomes runnable
@@ -289,9 +289,8 @@ class Session:
 
     def _crowd_wait(self, future: Any) -> None:
         """The executor's yield point: park until the scheduler has
-        settled ``future`` — one crowd future, a batch-issued list of
-        them, or an electronic pool dispatch (installed as
-        ``executor.crowd_waiter``).
+        settled ``future`` — one crowd future or a batch-issued list of
+        them (installed as ``executor.crowd_waiter``).
 
         A cancel or close that arrived while parked (or just before
         parking) raises :class:`StatementCancelled` here, in the worker

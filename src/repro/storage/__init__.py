@@ -1,4 +1,4 @@
-"""Storage substrate: heaps, indexes, statistics, log, WAL, and the engine."""
+"""Storage substrate: heaps, indexes, statistics, WAL, and the engine."""
 
 from repro.storage.checkpoint import load_checkpoint, write_checkpoint
 from repro.storage.engine import StorageEngine
@@ -12,12 +12,18 @@ from repro.storage.recovery import (
 )
 from repro.storage.row import Row, Scope
 from repro.storage.statistics import ColumnStatistics, TableStatistics
-from repro.storage.transaction_log import LogEntry, LogOp, TransactionLog
-from repro.storage.wal import FaultingWAL, WalCrash, WriteAheadLog, read_wal
+from repro.storage.wal import (
+    FaultingWAL,
+    LogEntry,
+    LogOp,
+    WalCrash,
+    WriteAheadLog,
+    read_wal,
+)
 
 __all__ = [
     "StorageEngine", "HeapTable", "HashIndex", "OrderedIndex", "Row", "Scope",
-    "ColumnStatistics", "TableStatistics", "LogEntry", "LogOp", "TransactionLog",
+    "ColumnStatistics", "TableStatistics", "LogEntry", "LogOp",
     "WriteAheadLog", "FaultingWAL", "WalCrash", "read_wal",
     "DurableStorage", "RecoveryReport", "recover_storage",
     "CrowdLedger", "CrowdState",

@@ -1,4 +1,4 @@
-"""The storage engine: catalog + heap tables + log + FK enforcement.
+"""The storage engine: catalog + heap tables + WAL + FK enforcement.
 
 This is the substrate the paper built on H2; everything above it (planner,
 optimizer, executor, crowd subsystem) only talks to this interface.
@@ -14,7 +14,7 @@ from repro.errors import ConstraintError, StorageError
 from repro.sqltypes import is_missing
 from repro.storage.heap import HeapTable
 from repro.storage.row import Row
-from repro.storage.transaction_log import LogOp, TransactionLog
+from repro.storage.wal import LogEntry, LogOp, WriteAheadLog, wal_record_for
 
 
 class StorageEngine:
@@ -25,15 +25,28 @@ class StorageEngine:
         catalog: Optional[Catalog] = None,
         auto_analyze_floor: Optional[int] = None,
         auto_analyze_fraction: Optional[float] = None,
-        wal: Optional[Any] = None,
     ) -> None:
         self.catalog = catalog if catalog is not None else Catalog()
-        self.log = TransactionLog(wal=wal)
+        # attached by DurableStorage; an in-memory engine logs nothing
+        self.wal: Optional[WriteAheadLog] = None
         self._tables: dict[str, HeapTable] = {}
         # staleness-guard knobs forwarded to every table's statistics
         # (None = the TableStatistics defaults)
         self.auto_analyze_floor = auto_analyze_floor
         self.auto_analyze_fraction = auto_analyze_fraction
+
+    def _log(
+        self,
+        op: LogOp,
+        table: str,
+        payload: tuple[Any, ...] = (),
+        origin: str = "client",
+    ) -> None:
+        """Write one mutation ahead: durable (per the sync policy) before
+        the mutation is acknowledged to the caller."""
+        if self.wal is None:
+            return
+        self.wal.append(wal_record_for(LogEntry(op, table, payload, origin)))
 
     # -- DDL -------------------------------------------------------------------
 
@@ -50,7 +63,7 @@ class StorageEngine:
             auto_analyze_floor=self.auto_analyze_floor,
             auto_analyze_fraction=self.auto_analyze_fraction,
         )
-        self.log.append(LogOp.CREATE_TABLE, schema.name, (schema,))
+        self._log(LogOp.CREATE_TABLE, schema.name, (schema,))
         return True
 
     def drop_table(self, name: str, if_exists: bool = False) -> bool:
@@ -60,7 +73,7 @@ class StorageEngine:
             raise StorageError(f"no such table: {name!r}")
         self.catalog.drop(name)
         del self._tables[name.lower()]
-        self.log.append(LogOp.DROP_TABLE, name)
+        self._log(LogOp.DROP_TABLE, name)
         return True
 
     def table(self, name: str) -> HeapTable:
@@ -93,7 +106,7 @@ class StorageEngine:
         index = heap.create_index(
             name, tuple(columns), unique=unique, ordered=ordered
         )
-        self.log.append(
+        self._log(
             LogOp.CREATE_INDEX,
             heap.name,
             (name, tuple(columns), unique, ordered),
@@ -112,7 +125,7 @@ class StorageEngine:
         results = [(self.table(n).name, self.table(n).analyze()) for n in names]
         # logged so replay/recovery reproduces the statistics epoch (the
         # plan cache keys on it); "*" marks an all-tables ANALYZE
-        self.log.append(LogOp.ANALYZE, name if name is not None else "*")
+        self._log(LogOp.ANALYZE, name if name is not None else "*")
         return results
 
     def stats_epoch(self) -> int:
@@ -180,13 +193,13 @@ class StorageEngine:
         prepared = heap.prepare_values(values, column_names)
         self._check_foreign_keys(heap.schema, prepared)
         row = heap.insert(prepared)
-        self.log.append(LogOp.INSERT, heap.name, (row.rowid, prepared), origin)
+        self._log(LogOp.INSERT, heap.name, (row.rowid, prepared), origin)
         return row
 
     def delete(self, table_name: str, rowid: int, origin: str = "client") -> Row:
         heap = self.table(table_name)
         row = heap.delete(rowid)
-        self.log.append(LogOp.DELETE, heap.name, (rowid, row.values), origin)
+        self._log(LogOp.DELETE, heap.name, (rowid, row.values), origin)
         return row
 
     def update(
@@ -200,7 +213,7 @@ class StorageEngine:
         old = heap.get(rowid)
         self._check_foreign_keys(heap.schema, values)
         row = heap.update(rowid, values)
-        self.log.append(
+        self._log(
             LogOp.UPDATE, heap.name, (rowid, old.values, values), origin
         )
         return row
@@ -217,7 +230,7 @@ class StorageEngine:
         heap = self.table(table_name)
         old = heap.get(rowid)
         row = heap.set_value(rowid, column_name, value)
-        self.log.append(
+        self._log(
             LogOp.UPDATE, heap.name, (rowid, old.values, row.values), origin
         )
         return row

@@ -32,7 +32,6 @@ class HeapTable:
         self._rows: dict[int, tuple[Any, ...]] = {}
         self._next_rowid = 0
         # bumped on every mutation; keys the scan_columns() pivot cache
-        # and the electronic pool's fork-snapshot freshness token
         self._version = 0
         self._column_cache: Optional[tuple[int, list, int]] = None
         stats_kwargs = {}
@@ -99,11 +98,6 @@ class HeapTable:
         if snapshot:
             return iter(list(self._rows.values()))
         return iter(self._rows.values())
-
-    @property
-    def version(self) -> int:
-        """Mutation counter: bumps on every insert/update/delete."""
-        return self._version
 
     def scan_columns(self) -> tuple[list[list], int]:
         """Column-major snapshot of the heap for the vectorized scan.

@@ -30,8 +30,9 @@ from repro.storage.checkpoint import (
 )
 from repro.storage.engine import StorageEngine
 from repro.storage.ledger import CrowdLedger, CrowdState
-from repro.storage.transaction_log import LogEntry, LogOp
 from repro.storage.wal import (
+    LogEntry,
+    LogOp,
     WriteAheadLog,
     decode_row,
     read_wal,
@@ -191,7 +192,7 @@ class DurableStorage:
             sync=wal_sync,
             start_lsn=self.report.next_lsn,
         )
-        self.engine.log.wal = self.wal
+        self.engine.wal = self.wal
         self.ledger = CrowdLedger(self.wal)
         self.checkpoints_written = 0
         self._task_manager: Optional[Any] = None

@@ -1,8 +1,8 @@
 """On-disk write-ahead log: durable redo records for engine and crowd state.
 
 The paper's prototype leaned on H2 for durability; this module is our
-equivalent substrate.  Every mutation the :class:`~repro.storage.
-transaction_log.TransactionLog` sees — DDL, DML, index builds, ANALYZE —
+equivalent substrate.  Every :class:`LogEntry` the :class:`~repro.
+storage.engine.StorageEngine` logs — DDL, DML, index builds, ANALYZE —
 is framed as one JSONL record and appended here *before* the caller
 observes the result, together with the crowd ledger's records (CROWDEQUAL
 verdicts, CROWDORDER winners, reputation posteriors) so a paid crowd
@@ -30,6 +30,7 @@ would.
 
 from __future__ import annotations
 
+import enum
 import json
 import os
 import zlib
@@ -135,15 +136,44 @@ def schema_from_dict(data: Mapping) -> TableSchema:
     )
 
 
-def wal_record_for(entry: Any) -> dict:
+# -- engine log entries ---------------------------------------------------------
+
+
+class LogOp(enum.Enum):
+    CREATE_TABLE = "CREATE_TABLE"
+    DROP_TABLE = "DROP_TABLE"
+    INSERT = "INSERT"
+    DELETE = "DELETE"
+    UPDATE = "UPDATE"
+    # DDL-adjacent operations that build *derived* state.  They are logged
+    # so replay/recovery rebuilds secondary indexes and the statistics
+    # epoch identically — without them a recovered engine would silently
+    # lose its indexes and plan-cache fingerprint.
+    CREATE_INDEX = "CREATE_INDEX"
+    ANALYZE = "ANALYZE"
+
+
+@dataclass(frozen=True)
+class LogEntry:
+    """One engine mutation, as logged and as replayed.
+
+    ``origin`` distinguishes regular client DML from writes performed by
+    the crowd subsystem ("crowd") when memorizing worker answers.
+    """
+
+    op: LogOp
+    table: str
+    payload: tuple[Any, ...] = ()
+    origin: str = "client"
+
+
+def wal_record_for(entry: LogEntry) -> dict:
     """Translate one in-memory :class:`LogEntry` into its WAL record.
 
     Redo-only: DELETE drops the old values and UPDATE keeps only the new
     tuple — replay re-applies the log forward from an empty (or
     checkpointed) engine, never backward.
     """
-    from repro.storage.transaction_log import LogOp
-
     record: dict[str, Any] = {
         "op": entry.op.value.lower(),
         "table": entry.table,

@@ -25,7 +25,7 @@ def pytest_configure(config):
     config.addinivalue_line(
         "markers",
         "concurrency: race/cancellation tests exercising real threads "
-        "(run with PYTHONFAULTHANDLER=1 and a timeout guard in CI)",
+        "(CI runs them in the tier-1 step, under -X dev and a timeout)",
     )
 
 

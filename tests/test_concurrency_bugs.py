@@ -1,13 +1,11 @@
 """Regression tests for the concurrency-bug sweep.
 
-Everything here exercises real threads (and, where available, forked
-processes); the whole module is marked ``concurrency`` so CI can run it
-under ``PYTHONFAULTHANDLER=1`` with a timeout guard.
+Everything here exercises real threads; the whole module is marked
+``concurrency`` so a run can select or skip it with ``-m``.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import threading
 import warnings
 
@@ -172,45 +170,6 @@ def test_cancel_unwinds_a_parked_crowd_wait_cleanly():
     server.close()
 
 
-def test_cancel_mid_electronic_dispatch_unwinds(tmp_path):
-    server = serve(electronic_workers=1)
-    pool = server.connection.electronic_pool
-    assert pool is not None
-    session = server.open_session()
-    session.submit("CREATE TABLE nums (n INTEGER);")
-    session.submit(
-        "".join(f"INSERT INTO nums VALUES ({i});" for i in range(64))
-    )
-    server.run()
-
-    # wedge the pool: dispatches return a future that never completes,
-    # so the session parks on the electronic wait
-    stalled = concurrent.futures.Future()
-    original_submit = pool._submit
-    pool._submit = lambda context, op: stalled
-    try:
-        session.submit("SELECT n FROM nums WHERE n < 50;")
-        while session.state is not SessionState.WAITING:
-            session.run_slice()
-        assert any(
-            getattr(f, "electronic", False)
-            for f in session.waiting_futures()
-        )
-        session.cancel()
-        server.run()
-        assert isinstance(session.results[-1], StatementCancelled)
-        assert session.quiescent()
-    finally:
-        pool._submit = original_submit
-        stalled.cancel()
-
-    # pool still healthy after the aborted dispatch
-    session.submit("SELECT COUNT(*) AS c FROM nums;")
-    server.run()
-    assert session.last_result().rows == [(64,)]
-    server.close()
-
-
 def test_cancelled_statement_leaves_wal_consistent(tmp_path):
     path = str(tmp_path / "db")
     server = serve(path=path, seed=5)
@@ -233,60 +192,11 @@ def test_cancelled_statement_leaves_wal_consistent(tmp_path):
     reopened.close()
 
 
-# -- electronic pool correctness ----------------------------------------------
-
-POOL_SETUP = "CREATE TABLE p (n INTEGER, k TEXT);" + "".join(
-    f"INSERT INTO p VALUES ({i}, 'k{i % 5}');" for i in range(200)
-)
-POOL_QUERY = (
-    "SELECT k, COUNT(*) AS c FROM p WHERE n < 150 GROUP BY k ORDER BY k;"
-)
+# -- sessions sharing one engine ---------------------------------------------
 
 
-def test_electronic_pool_matches_inline_execution():
-    baseline = connect()
-    baseline.executescript(POOL_SETUP)
-    expected = baseline.execute(POOL_QUERY)
-    baseline.close()
-
-    conn = connect(electronic_workers=2)
-    conn.executescript(POOL_SETUP)
-    result = conn.execute(POOL_QUERY)
-    assert result.rows == expected.rows
-    assert repr(result.rows) == repr(expected.rows)
-    stats = conn.electronic_pool.snapshot()
-    assert stats["dispatched"] >= 1
-    # actually crossed the process boundary (no silent fallback)
-    assert stats["process_dispatched"] >= 1
-    assert stats["fallbacks"] == 0
-    conn.close()
-
-
-def test_unshippable_region_runs_in_place_and_counts_as_fallback():
-    class Threshold(int):  # a local class: pickle cannot find it by name
-        pass
-
-    conn = connect(electronic_workers=2)
-    conn.executescript(POOL_SETUP)
-    result = conn.execute(
-        "SELECT COUNT(*) AS c FROM p WHERE n < ?", (Threshold(150),)
-    )
-    assert result.rows == [(150,)]
-    stats = conn.electronic_pool.snapshot()
-    assert stats["fallbacks"] == 1
-    assert stats["process_dispatched"] == 0
-    conn.close()
-
-
-def test_electronic_pool_shutdown_is_idempotent():
-    conn = connect(electronic_workers=2)
-    pool = conn.electronic_pool
-    conn.close()
-    pool.shutdown()  # second shutdown must not raise
-
-
-def test_concurrent_sessions_share_one_electronic_pool():
-    server = serve(electronic_workers=2)
+def test_concurrent_sessions_each_count_their_own_table():
+    server = serve()
     sessions = [server.open_session() for _ in range(4)]
     for index, session in enumerate(sessions):
         session.submit(
@@ -299,9 +209,4 @@ def test_concurrent_sessions_share_one_electronic_pool():
     server.run()
     for session in sessions:
         assert session.last_result().rows == [(40,)]
-    stats = server.connection.electronic_pool.snapshot()
-    assert stats["dispatched"] >= 4
-    # every parked session's region crossed the process boundary
-    assert stats["process_dispatched"] >= 4
-    assert stats["fallbacks"] == 0
     server.close()

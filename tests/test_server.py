@@ -423,6 +423,28 @@ class TestCooperativeScheduler:
         assert [r[0].scalar() for r in results] == [2, 4, 6]
         server.shutdown()
 
+    def test_marketplace_that_never_moves_is_a_stall_not_a_spin(
+        self, monkeypatch
+    ):
+        """A crowd wait whose advance neither settles nor extends a future
+        and was not cut short by a statement deadline raises, instead of
+        advancing the same frozen clock forever."""
+        server = make_server()
+        platform = server.connection.platforms.get("amt")
+        assert isinstance(platform, SimulatedAMT)
+        monkeypatch.setattr(
+            platform, "run_until", lambda condition, timeout: False
+        )
+        server.open_session().submit(
+            "SELECT population FROM City WHERE name = 'city5'"
+        )
+        with pytest.raises(ExecutionError, match=(
+            "scheduler stalled: no pending crowd future can make progress "
+            "before its deadline"
+        )):
+            server.run()
+        server.shutdown()
+
 
 class TestAdmission:
     def test_waitlisted_sessions_run_after_promotion(self):

@@ -294,11 +294,11 @@ class _RecordingWal:
         self.records.append(record)
 
 
-class TestTransactionLog:
+class TestWalWriteThrough:
     @pytest.fixture
     def wal(self, talk_engine):
-        talk_engine.log.wal = _RecordingWal()
-        return talk_engine.log.wal
+        talk_engine.wal = _RecordingWal()
+        return talk_engine.wal
 
     def test_operations_logged(self, talk_engine, wal):
         talk_engine.insert("Talk", ["X"], ("title",))
@@ -318,7 +318,13 @@ class TestTransactionLog:
     def test_in_memory_engine_retains_no_history(self, talk_engine):
         for i in range(100):
             talk_engine.insert("Talk", [f"T{i}"], ("title",))
-        assert vars(talk_engine.log) == {"wal": None}
+        # no WAL attached, and nothing beyond the catalog, the heaps and
+        # the statistics knobs: no attribute where history could pile up
+        assert talk_engine.wal is None
+        assert set(vars(talk_engine)) == {
+            "catalog", "wal", "_tables",
+            "auto_analyze_floor", "auto_analyze_fraction",
+        }
 
 
 class TestScope:
