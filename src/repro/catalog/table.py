@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 from repro.catalog.column import Column
@@ -57,23 +58,26 @@ class TableSchema:
 
     # -- lookups -------------------------------------------------------------
 
+    @cached_property
+    def _by_name(self) -> dict[str, Column]:
+        """Lowercased name -> column (names are unique, see above)."""
+        return {column.name.lower(): column for column in self.columns}
+
     def column(self, name: str) -> Column:
         """Look up a column by case-insensitive name."""
-        lowered = name.lower()
-        for column in self.columns:
-            if column.name.lower() == lowered:
-                return column
-        raise CatalogError(f"no column {name!r} in table {self.name!r}")
+        column = self._by_name.get(name.lower())
+        if column is None:
+            raise CatalogError(f"no column {name!r} in table {self.name!r}")
+        return column
 
     def has_column(self, name: str) -> bool:
-        lowered = name.lower()
-        return any(column.name.lower() == lowered for column in self.columns)
+        return name.lower() in self._by_name
 
     def column_index(self, name: str) -> int:
         """Ordinal position of a column (0-based)."""
         return self.column(name).ordinal
 
-    @property
+    @cached_property
     def column_names(self) -> tuple[str, ...]:
         return tuple(column.name for column in self.columns)
 

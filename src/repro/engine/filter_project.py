@@ -228,22 +228,8 @@ class FilterOp(PhysicalOperator):
             node for node in nodes if isinstance(node, ast.CrowdEqual)
         )
         for node in equals:
-            for operand in (node.left, node.right):
-                inner = list(ast.walk_expression(operand))
-                if any(
-                    isinstance(
-                        e,
-                        (
-                            ast.CrowdEqual,
-                            ast.CrowdOrder,
-                            ast.ScalarSubquery,
-                            ast.ExistsExpr,
-                            ast.InSubquery,
-                        ),
-                    )
-                    for e in inner
-                ):
-                    return ()
+            if not (node.left.facts.electronic and node.right.facts.electronic):
+                return ()
         return equals
 
     def _prefetch_pairs(

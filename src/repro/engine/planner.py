@@ -426,7 +426,7 @@ def _extract_equi_keys(
     for conjunct in split_conjuncts(condition):
         if not (isinstance(conjunct, ast.BinaryOp) and conjunct.op == "="):
             continue
-        if ast.contains_crowd_builtin(conjunct):
+        if conjunct.facts.crowd:
             continue
         a_side = _side_of(conjunct.left, left_scope, right_scope)
         b_side = _side_of(conjunct.right, left_scope, right_scope)

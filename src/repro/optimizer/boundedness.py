@@ -202,8 +202,8 @@ class BoundednessAnalysis:
 def _find_scan(
     plan: logical.LogicalPlan, binding: str
 ) -> Optional[logical.Scan]:
-    for node in plan.walk():
-        if isinstance(node, logical.Scan) and node.binding.lower() == binding.lower():
+    for node in plan.scans:
+        if node.binding.lower() == binding.lower():
             return node
     return None
 

@@ -23,7 +23,6 @@ from typing import Optional
 from repro.optimizer.rules import (
     OptimizerContext,
     conjoin,
-    is_subquery_free,
     split_conjuncts,
 )
 from repro.plan import logical
@@ -71,7 +70,7 @@ class ConjunctOrdering:
             # evaluation cost proxy: AST size (a compiled closure's work
             # scales with it); crowd ballots dwarf any electronic cost,
             # hence the hard class split instead of a cost constant
-            eval_cost = max(1, sum(1 for _ in ast.walk_expression(conjunct)))
+            eval_cost = conjunct.facts.size
             rank = (selectivity - 1.0) / eval_cost
             scored.append((_conjunct_class(conjunct), rank, index, conjunct))
         scored.sort(key=lambda entry: entry[:3])
@@ -83,8 +82,9 @@ class ConjunctOrdering:
 
 def _conjunct_class(conjunct: ast.Expression) -> int:
     """0 = pure electronic, 1 = has a subquery, 2 = asks the crowd."""
-    if ast.contains_crowd_builtin(conjunct):
+    facts = conjunct.facts
+    if facts.crowd:
         return 2
-    if not is_subquery_free(conjunct):
+    if facts.subquery:
         return 1
     return 0

@@ -28,7 +28,6 @@ from typing import Any, Optional
 
 from repro.plan import logical
 from repro.plan.cardinality import UNBOUNDED, CardinalityEstimator, Estimate
-from repro.sql import ast
 
 #: fallbacks mirroring :class:`repro.crowd.task_manager.CrowdConfig`
 #: (imported lazily to keep the optimizer importable without the crowd
@@ -225,11 +224,7 @@ class CostModel:
         rows)."""
         from repro.optimizer.rules import split_conjuncts
 
-        crowd_nodes = sum(
-            1
-            for node in ast.walk_expression(plan.predicate)
-            if isinstance(node, ast.CrowdEqual)
-        )
+        crowd_nodes = plan.predicate.facts.crowd_equals
         if not crowd_nodes:
             return 0.0
         rows = self._rows(plan.child)
@@ -237,7 +232,7 @@ class CostModel:
             return UNBOUNDED
         electronic_selectivity = 1.0
         for conjunct in split_conjuncts(plan.predicate):
-            if not ast.contains_crowd_builtin(conjunct):
+            if not conjunct.facts.crowd:
                 electronic_selectivity *= self.estimator.selectivity(
                     conjunct, plan.child
                 )

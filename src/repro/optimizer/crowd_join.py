@@ -12,12 +12,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.optimizer.rules import (
-    OptimizerContext,
-    plan_bindings,
-    plan_columns,
-    split_conjuncts,
-)
+from repro.optimizer.rules import OptimizerContext, split_conjuncts
 from repro.plan import logical
 from repro.sql import ast
 
@@ -95,26 +90,29 @@ class CrowdJoinRewrite:
     ) -> list[tuple[str, ast.Expression]]:
         """(inner column, outer expression) pairs from equality conjuncts."""
         inner_binding = scan.binding.lower()
-        inner_columns = {c.lower() for c in scan.table.column_names}
-        outer_bindings = plan_bindings(outer)
-        outer_columns = plan_columns(outer)
+        inner_columns = scan.provided_columns
+        outer_bindings = outer.provided_bindings
+        outer_columns = outer.provided_columns
+        # an unqualified name is a key column only when one side owns it
+        inner_only = inner_columns - outer_columns
+        outer_only = outer_columns - inner_columns
 
         def side_of(expr: ast.Expression) -> Optional[str]:
-            refs = list(ast.expression_columns(expr))
-            if not refs:
+            facts = expr.facts
+            if not (facts.bindings or facts.names):
                 return None  # constant — not a join key
             sides = set()
-            for ref in refs:
-                if ref.table is not None:
-                    if ref.table.lower() == inner_binding:
-                        sides.add("inner")
-                    elif ref.table.lower() in outer_bindings:
-                        sides.add("outer")
-                    else:
-                        return None
-                elif ref.name.lower() in inner_columns and ref.name.lower() not in outer_columns:
+            for table in facts.bindings:
+                if table == inner_binding:
                     sides.add("inner")
-                elif ref.name.lower() in outer_columns and ref.name.lower() not in inner_columns:
+                elif table in outer_bindings:
+                    sides.add("outer")
+                else:
+                    return None
+            for name in facts.names:
+                if name in inner_only:
+                    sides.add("inner")
+                elif name in outer_only:
                     sides.add("outer")
                 else:
                     return None

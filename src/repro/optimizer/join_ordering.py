@@ -23,8 +23,6 @@ from dataclasses import dataclass
 from repro.optimizer.rules import (
     OptimizerContext,
     conjoin,
-    plan_bindings,
-    plan_columns,
     predicate_applies_to,
     split_conjuncts,
 )
@@ -130,22 +128,27 @@ class JoinOrdering:
         """
         model = context.cost_model
         n = len(plans)
-        bindings = [plan_bindings(p) for p in plans]
-        columns = [plan_columns(p) for p in plans]
+
+        bindings = [p.provided_bindings for p in plans]
+        columns = [p.provided_columns for p in plans]
+
+        def owners(key: str, provided: list[frozenset[str]]) -> int:
+            """Bitmask of the relations providing ``key``."""
+            mask = 0
+            for i, names in enumerate(provided):
+                if key in names:
+                    mask |= 1 << i
+            return mask
 
         def condition_mask(cond: ast.Expression) -> int | None:
+            facts = cond.facts
+            owned = [owners(b, bindings) for b in facts.bindings]
+            owned += [owners(c, columns) for c in facts.names]
+            if not all(owned):
+                return None  # outer/correlated reference
             mask = 0
-            for ref in ast.expression_columns(cond):
-                if ref.table is not None:
-                    key = ref.table.lower()
-                    owners = [i for i in range(n) if key in bindings[i]]
-                else:
-                    key = ref.name.lower()
-                    owners = [i for i in range(n) if key in columns[i]]
-                if not owners:
-                    return None  # outer/correlated reference
-                for i in owners:
-                    mask |= 1 << i
+            for relations in owned:
+                mask |= relations
             return mask or None
 
         leftovers: list[ast.Expression] = []
@@ -209,8 +212,22 @@ class JoinOrdering:
                 None,
             )
         full = (1 << n) - 1
+        # inside[mask]: bit i set when local condition i references only
+        # relations in mask.  A condition spans the split (sub, other) of
+        # mask when it lies inside mask but inside neither side.
+        inside = [0] * (full + 1)
+        for index, (_c, cond_mask) in enumerate(local):
+            superset = cond_mask
+            while True:  # every superset of cond_mask, ascending
+                inside[superset] |= 1 << index
+                if superset == full:
+                    break
+                superset = (superset + 1) | cond_mask
+        # condition bitmask -> its condition indexes, ascending (the order
+        # their selectivities multiply in)
+        indexes: dict[int, tuple[int, ...]] = {}
 
-        def combine(sub: int, other: int, spanning: list[int]) -> tuple:
+        def combine(sub: int, other: int, spanning: tuple[int, ...]) -> tuple:
             left = best[sub]
             right = best[other]
             out = left[3] * right[3]
@@ -239,22 +256,22 @@ class JoinOrdering:
             if mask & (mask - 1) == 0:
                 continue  # singleton
             chosen = None
-            # pass 1: splits connected by a join condition
+            within = inside[mask]
+            # pass 1: splits connected by a join condition (every proper
+            # submask and its complement already have a best plan)
             sub = (mask - 1) & mask
             while sub:
                 other = mask ^ sub
-                if other and sub in best and other in best:
-                    spanning = [
-                        index
-                        for index, (_c, cond_mask) in enumerate(local)
-                        if (cond_mask & ~mask) == 0
-                        and (cond_mask & sub)
-                        and (cond_mask & other)
-                    ]
-                    if spanning:
-                        cost = combine(sub, other, spanning)
-                        if chosen is None or cost[:3] < chosen[0][:3]:
-                            chosen = (cost, (sub, other, tuple(spanning)))
+                span = within & ~(inside[sub] | inside[other])
+                if span:
+                    spanning = indexes.get(span)
+                    if spanning is None:
+                        spanning = indexes[span] = tuple(
+                            i for i in range(len(local)) if span >> i & 1
+                        )
+                    cost = combine(sub, other, spanning)
+                    if chosen is None or cost[:3] < chosen[0][:3]:
+                        chosen = (cost, (sub, other, spanning))
                 sub = (sub - 1) & mask
             if chosen is None:
                 # pass 2 (disconnected subset): cheapest cross-product
@@ -262,26 +279,16 @@ class JoinOrdering:
                 sub = (mask - 1) & mask
                 while sub:
                     other = mask ^ sub
-                    if other and sub in best and other in best:
-                        cost = combine(sub, other, [])
-                        if chosen is None or cost[:3] < chosen[0][:3]:
-                            chosen = (cost, (sub, other, ()))
+                    cost = combine(sub, other, ())
+                    if chosen is None or cost[:3] < chosen[0][:3]:
+                        chosen = (cost, (sub, other, ()))
                     sub = (sub - 1) & mask
             if chosen is None:
                 return None  # unreachable (cross joins close the lattice)
             cost, decision = chosen
             best[mask] = cost + (decision,)
 
-        def build(mask: int) -> logical.LogicalPlan:
-            decision = best[mask][4]
-            if decision is None:
-                return leaves[mask.bit_length() - 1]
-            sub, other, spanning = decision
-            condition = conjoin([local[i][0] for i in spanning])
-            join_type = "INNER" if condition is not None else "CROSS"
-            return logical.Join(build(sub), build(other), join_type, condition)
-
-        tree = build(full)
+        tree = _build(full, best, leaves, local)
         leftover = conjoin(leftovers)
         if leftover is not None:
             tree = logical.Filter(tree, leftover)
@@ -356,25 +363,38 @@ class JoinOrdering:
         right: logical.LogicalPlan,
     ) -> bool:
         """True when ``condition`` references columns from both sides."""
-        touches_left = touches_right = False
-        left_bindings = plan_bindings(left)
-        right_bindings = plan_bindings(right)
-        left_columns = plan_columns(left)
-        right_columns = plan_columns(right)
-        for ref in ast.expression_columns(condition):
-            if ref.table is not None:
-                key = ref.table.lower()
-                if key in left_bindings:
-                    touches_left = True
-                if key in right_bindings:
-                    touches_right = True
-            else:
-                name = ref.name.lower()
-                if name in left_columns:
-                    touches_left = True
-                if name in right_columns:
-                    touches_right = True
-        return touches_left and touches_right
+        facts = condition.facts
+        return not (
+            facts.bindings.isdisjoint(left.provided_bindings)
+            and facts.names.isdisjoint(left.provided_columns)
+        ) and not (
+            facts.bindings.isdisjoint(right.provided_bindings)
+            and facts.names.isdisjoint(right.provided_columns)
+        )
+
+
+def _build(
+    mask: int,
+    best: dict[int, tuple],
+    leaves: list[logical.LogicalPlan],
+    local: list[tuple[ast.Expression, int]],
+) -> logical.LogicalPlan:
+    """Materialize the DP's decision for ``mask`` as a join tree.  (A
+    module function, not a closure: a closure calling itself is a
+    reference cycle that would keep the whole DP memo alive until the
+    cyclic garbage collector runs.)"""
+    decision = best[mask][4]
+    if decision is None:
+        return leaves[mask.bit_length() - 1]
+    sub, other, spanning = decision
+    condition = conjoin([local[i][0] for i in spanning])
+    join_type = "INNER" if condition is not None else "CROSS"
+    return logical.Join(
+        _build(sub, best, leaves, local),
+        _build(other, best, leaves, local),
+        join_type,
+        condition,
+    )
 
 
 def _is_crowd_inner_leaf(plan: logical.LogicalPlan) -> bool:

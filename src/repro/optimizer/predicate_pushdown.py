@@ -16,8 +16,6 @@ from typing import Optional
 from repro.optimizer.rules import (
     OptimizerContext,
     conjoin,
-    contains_crowd_function,
-    is_subquery_free,
     predicate_applies_to,
     references_crowd_column,
     split_conjuncts,
@@ -90,7 +88,7 @@ class PredicatePushdown:
             applicable = [
                 c
                 for c in conjuncts
-                if predicate_applies_to(c, plan) and is_subquery_free(c)
+                if predicate_applies_to(c, plan) and not c.facts.subquery
             ]
             rest = [c for c in conjuncts if c not in applicable]
             if not applicable:
@@ -109,7 +107,7 @@ class PredicatePushdown:
         join_conjuncts: list[ast.Expression] = []
         remaining: list[ast.Expression] = []
         for conjunct in conjuncts:
-            if not is_subquery_free(conjunct) or contains_crowd_function(conjunct):
+            if not conjunct.facts.electronic:
                 remaining.append(conjunct)
             elif predicate_applies_to(conjunct, join.left):
                 left_conjuncts.append(conjunct)
@@ -157,8 +155,7 @@ class PredicatePushdown:
         keep: list[ast.Expression] = []
         for conjunct in conjuncts:
             if (
-                is_subquery_free(conjunct)
-                and not contains_crowd_function(conjunct)
+                conjunct.facts.electronic
                 and not references_crowd_column(conjunct, subplan)
                 and predicate_applies_to(conjunct, subplan)
             ):

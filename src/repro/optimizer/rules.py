@@ -55,47 +55,13 @@ def conjoin(conjuncts: list[ast.Expression]) -> Optional[ast.Expression]:
     return result
 
 
-def plan_bindings(plan: logical.LogicalPlan) -> set[str]:
-    """All scan/alias bindings provided by a subplan (lowercased)."""
-    provided: set[str] = set()
-    for node in plan.walk():
-        if isinstance(node, logical.Scan):
-            provided.add(node.binding.lower())
-        elif isinstance(node, logical.SubqueryAlias):
-            provided.add(node.alias.lower())
-        elif isinstance(node, logical.CrowdJoin):
-            provided.add(node.inner_binding.lower())
-    return provided
-
-
-def plan_columns(plan: logical.LogicalPlan) -> set[str]:
-    """All column names (lowercased) a subplan makes visible."""
-    columns: set[str] = set()
-    for node in plan.walk():
-        if isinstance(node, logical.Scan):
-            columns.update(c.lower() for c in node.table.column_names)
-        elif isinstance(node, logical.SubqueryAlias):
-            from repro.plan.builder import output_names
-
-            columns.update(n.lower() for n in output_names(node.child))
-        elif isinstance(node, logical.CrowdJoin):
-            columns.update(
-                c.lower() for c in node.inner_table.column_names
-            )
-    return columns
-
-
 def predicate_applies_to(expr: ast.Expression, plan: logical.LogicalPlan) -> bool:
     """True when every column reference of ``expr`` resolves inside ``plan``."""
-    provided_bindings = plan_bindings(plan)
-    provided_columns = plan_columns(plan)
-    for ref in ast.expression_columns(expr):
-        if ref.table is not None:
-            if ref.table.lower() not in provided_bindings:
-                return False
-        elif ref.name.lower() not in provided_columns:
-            return False
-    return True
+    facts = expr.facts
+    return (
+        facts.bindings <= plan.provided_bindings
+        and facts.names <= plan.provided_columns
+    )
 
 
 def references_crowd_column(expr: ast.Expression, plan: logical.LogicalPlan) -> bool:
@@ -103,11 +69,10 @@ def references_crowd_column(expr: ast.Expression, plan: logical.LogicalPlan) -> 
     ``plan`` — such predicates must stay above the CrowdProbe."""
     crowd_map: dict[str, set[str]] = {}
     unqualified: set[str] = set()
-    for node in plan.walk():
-        if isinstance(node, logical.Scan):
-            names = {c.name.lower() for c in node.table.crowd_columns}
-            crowd_map[node.binding.lower()] = names
-            unqualified.update(names)
+    for node in plan.scans:
+        names = {c.name.lower() for c in node.table.crowd_columns}
+        crowd_map[node.binding.lower()] = names
+        unqualified.update(names)
     for ref in ast.expression_columns(expr):
         if ref.table is not None:
             if ref.name.lower() in crowd_map.get(ref.table.lower(), set()):
@@ -115,14 +80,3 @@ def references_crowd_column(expr: ast.Expression, plan: logical.LogicalPlan) -> 
         elif ref.name.lower() in unqualified:
             return True
     return False
-
-
-def contains_crowd_function(expr: ast.Expression) -> bool:
-    return ast.contains_crowd_builtin(expr)
-
-
-def is_subquery_free(expr: ast.Expression) -> bool:
-    return not any(
-        isinstance(node, (ast.ExistsExpr, ast.ScalarSubquery, ast.InSubquery))
-        for node in ast.walk_expression(expr)
-    )

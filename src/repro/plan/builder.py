@@ -25,6 +25,8 @@ class _FromScope:
     def __init__(self) -> None:
         self.bindings: dict[str, TableSchema | tuple[str, ...]] = {}
         self.order: list[str] = []
+        #: binding (lowercased) -> its column names, lowercased
+        self.lowered: dict[str, frozenset[str]] = {}
 
     def add(self, binding: str, schema: TableSchema | tuple[str, ...]) -> None:
         key = binding.lower()
@@ -32,6 +34,7 @@ class _FromScope:
             raise PlanError(f"duplicate table binding {binding!r}")
         self.bindings[key] = schema
         self.order.append(binding)
+        self.lowered[key] = frozenset(c.lower() for c in self.columns_of(key))
 
     def columns_of(self, binding: str) -> tuple[str, ...]:
         entry = self.bindings[binding.lower()]
@@ -45,22 +48,13 @@ class _FromScope:
 
     def resolve_column(self, ref: ast.ColumnRef) -> Optional[str]:
         """The binding owning ``ref``, or None when unresolvable here."""
+        name = ref.name.lower()
         if ref.table is not None:
-            if ref.table.lower() in self.bindings:
-                wanted = ref.name.lower()
-                if any(
-                    c.lower() == wanted
-                    for c in self.columns_of(ref.table)
-                ):
-                    return ref.table
+            if name in self.lowered.get(ref.table.lower(), ()):
+                return ref.table
             return None
         owners = [
-            binding
-            for binding in self.order
-            if any(
-                c.lower() == ref.name.lower()
-                for c in self.columns_of(binding)
-            )
+            binding for binding in self.order if name in self.lowered[binding.lower()]
         ]
         if len(owners) == 1:
             return owners[0]

@@ -440,10 +440,11 @@ class CardinalityEstimator:
     def _column_stats_walk(
         self, column: ast.ColumnRef, below: logical.LogicalPlan
     ) -> Optional[tuple[ColumnStatistics, Any]]:
-        for node in below.walk():
-            if isinstance(node, logical.Scan) and node.table.has_column(column.name):
-                if column.table is not None and column.table.lower() != node.binding.lower():
-                    continue
+        table = column.table.lower() if column.table is not None else None
+        for node in below.scans:
+            if table is not None and table != node.binding.lower():
+                continue
+            if node.table.has_column(column.name):
                 if not self.engine.has_table(node.table.name):
                     return None
                 stats = self.engine.table(node.table.name).statistics.column(

@@ -74,14 +74,6 @@ TriFn = Callable[[tuple], TriBool]
 #: (re-exported from the columnar exec module, where batch sizing lives).
 from repro.exec.vector import BATCH_ROWS  # noqa: E402,F401
 
-_CROWD_OR_SUBQUERY = (
-    ast.CrowdEqual,
-    ast.CrowdOrder,
-    ast.ScalarSubquery,
-    ast.ExistsExpr,
-    ast.InSubquery,
-)
-
 _COMPARISON_CHECKS: dict[str, Callable[[int], bool]] = {
     "=": lambda o: o == 0,
     "<>": lambda o: o != 0,
@@ -137,10 +129,7 @@ def tuple_maker(fns: list) -> Callable[[tuple], tuple]:
 def is_electronic(expr: ast.Expression) -> bool:
     """True when evaluating ``expr`` can never reach the crowd or run a
     subquery — the precondition for eager batch-at-a-time evaluation."""
-    return not any(
-        isinstance(node, _CROWD_OR_SUBQUERY)
-        for node in ast.walk_expression(expr)
-    )
+    return expr.facts.electronic
 
 
 class _CannotCompile(Exception):

@@ -5,11 +5,16 @@ operators of the paper (Section 3.2.1): CrowdProbe, CrowdJoin, and the
 crowd-backed sort/predicate forms that use CrowdCompare.  Expressions
 inside nodes are AST expressions; name resolution happens at physical
 planning time via :class:`~repro.storage.row.Scope`.
+
+What a subplan provides to the expressions above it -- its bindings,
+column names and scans -- is computed once per node from its children's
+and kept: nodes are immutable, and a rewrite builds new nodes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Iterator, Optional
 
 from repro.catalog.table import TableSchema
@@ -32,6 +37,22 @@ class LogicalPlan:
         yield self
         for child in self.children():
             yield from child.walk()
+
+    @cached_property
+    def provided_bindings(self) -> frozenset[str]:
+        """Scan, alias and CrowdJoin-inner bindings anywhere in this
+        subplan (lowercased)."""
+        return frozenset().union(*(c.provided_bindings for c in self.children()))
+
+    @cached_property
+    def provided_columns(self) -> frozenset[str]:
+        """Column names this subplan makes visible (lowercased)."""
+        return frozenset().union(*(c.provided_columns for c in self.children()))
+
+    @cached_property
+    def scans(self) -> tuple["Scan", ...]:
+        """The Scan nodes of this subplan, in walk order."""
+        return sum((c.scans for c in self.children()), ())
 
     def label(self) -> str:
         return type(self).__name__.removeprefix("Logical")
@@ -57,6 +78,18 @@ class Scan(LogicalPlan):
     table: TableSchema
     binding: str
     limit_hint: Optional[int] = None
+
+    @cached_property
+    def provided_bindings(self) -> frozenset[str]:
+        return frozenset((self.binding.lower(),))
+
+    @cached_property
+    def provided_columns(self) -> frozenset[str]:
+        return frozenset(c.lower() for c in self.table.column_names)
+
+    @property
+    def scans(self) -> tuple["Scan", ...]:
+        return (self,)  # not cached: a node holding itself is a cycle
 
     def describe(self) -> str:
         kind = "CrowdTableScan" if self.table.crowd else "Scan"
@@ -235,6 +268,18 @@ class SubqueryAlias(LogicalPlan):
         (child,) = children
         return replace(self, child=child)
 
+    @cached_property
+    def provided_bindings(self) -> frozenset[str]:
+        return self.child.provided_bindings | {self.alias.lower()}
+
+    @cached_property
+    def provided_columns(self) -> frozenset[str]:
+        from repro.plan.builder import output_names
+
+        return self.child.provided_columns | {
+            n.lower() for n in output_names(self.child)
+        }
+
     def describe(self) -> str:
         return f"SubqueryAlias({self.alias})"
 
@@ -321,6 +366,16 @@ class CrowdJoin(LogicalPlan):
     def with_children(self, *children: LogicalPlan) -> "CrowdJoin":
         (left,) = children
         return replace(self, left=left)
+
+    @cached_property
+    def provided_bindings(self) -> frozenset[str]:
+        return self.left.provided_bindings | {self.inner_binding.lower()}
+
+    @cached_property
+    def provided_columns(self) -> frozenset[str]:
+        return self.left.provided_columns | {
+            c.lower() for c in self.inner_table.column_names
+        }
 
     def describe(self) -> str:
         keys = ", ".join(self.inner_key_columns)

@@ -12,7 +12,8 @@ The crowd extensions surface as:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Optional, Union
+from functools import cached_property
+from typing import Any, NamedTuple, Optional, Union
 
 
 class Node:
@@ -26,8 +27,68 @@ class Node:
 # ---------------------------------------------------------------------------
 
 
+_NO_NAMES: frozenset = frozenset()  # shared: most expressions lack one kind
+
+
+class ExpressionFacts(NamedTuple):
+    """What one walk of an expression learns; names are lowercased."""
+
+    #: tables qualifying a column reference (``t`` of ``t.x``)
+    bindings: frozenset
+    #: names of unqualified column references
+    names: frozenset
+    #: contains CROWDEQUAL or CROWDORDER
+    crowd: bool
+    #: number of CROWDEQUAL nodes
+    crowd_equals: int
+    #: contains EXISTS, ``IN (SELECT ...)`` or a scalar subquery
+    subquery: bool
+    #: number of expression nodes
+    size: int
+
+    @property
+    def electronic(self) -> bool:
+        """Can never reach the crowd or run a subquery."""
+        return not (self.crowd or self.subquery)
+
+
 class Expression(Node):
     __slots__ = ()
+
+    def operands(self) -> tuple["Expression", ...]:
+        """The sub-expressions a walk descends into (never a subquery's
+        SELECT)."""
+        return ()
+
+    @cached_property
+    def facts(self) -> ExpressionFacts:
+        """Computed on first use and kept: expressions are immutable."""
+        bindings: set[str] = set()
+        names: set[str] = set()
+        crowd = subquery = False
+        crowd_equals = size = 0
+        for node in walk_expression(self):
+            size += 1
+            if isinstance(node, ColumnRef):
+                if node.table is None:
+                    names.add(node.name.lower())
+                else:
+                    bindings.add(node.table.lower())
+            elif isinstance(node, CrowdEqual):
+                crowd = True
+                crowd_equals += 1
+            elif isinstance(node, CrowdOrder):
+                crowd = True
+            elif isinstance(node, (ExistsExpr, ScalarSubquery, InSubquery)):
+                subquery = True
+        return ExpressionFacts(
+            bindings=frozenset(bindings) if bindings else _NO_NAMES,
+            names=frozenset(names) if names else _NO_NAMES,
+            crowd=crowd,
+            crowd_equals=crowd_equals,
+            subquery=subquery,
+            size=size,
+        )
 
 
 @dataclass(frozen=True)
@@ -74,6 +135,9 @@ class UnaryOp(Expression):
     op: str
     operand: Expression
 
+    def operands(self) -> tuple[Expression, ...]:
+        return (self.operand,)
+
 
 @dataclass(frozen=True)
 class BinaryOp(Expression):
@@ -82,6 +146,9 @@ class BinaryOp(Expression):
     op: str
     left: Expression
     right: Expression
+
+    def operands(self) -> tuple[Expression, ...]:
+        return (self.left, self.right)
 
 
 @dataclass(frozen=True)
@@ -92,6 +159,9 @@ class IsNull(Expression):
     negated: bool = False
     cnull: bool = False
 
+    def operands(self) -> tuple[Expression, ...]:
+        return (self.operand,)
+
 
 @dataclass(frozen=True)
 class InList(Expression):
@@ -100,6 +170,9 @@ class InList(Expression):
     operand: Expression
     items: tuple[Expression, ...]
     negated: bool = False
+
+    def operands(self) -> tuple[Expression, ...]:
+        return (self.operand, *self.items)
 
 
 @dataclass(frozen=True)
@@ -110,6 +183,9 @@ class Between(Expression):
     low: Expression
     high: Expression
     negated: bool = False
+
+    def operands(self) -> tuple[Expression, ...]:
+        return (self.operand, self.low, self.high)
 
 
 @dataclass(frozen=True)
@@ -124,6 +200,9 @@ class FunctionCall(Expression):
     def is_aggregate(self) -> bool:
         return self.name.upper() in {"COUNT", "SUM", "AVG", "MIN", "MAX"}
 
+    def operands(self) -> tuple[Expression, ...]:
+        return self.args
+
 
 @dataclass(frozen=True)
 class CaseExpr(Expression):
@@ -132,6 +211,14 @@ class CaseExpr(Expression):
     operand: Optional[Expression]
     whens: tuple[tuple[Expression, Expression], ...]
     default: Optional[Expression] = None
+
+    def operands(self) -> tuple[Expression, ...]:
+        parts = [] if self.operand is None else [self.operand]
+        for when, then in self.whens:
+            parts += (when, then)
+        if self.default is not None:
+            parts.append(self.default)
+        return tuple(parts)
 
 
 @dataclass(frozen=True)
@@ -143,6 +230,9 @@ class CrowdEqual(Expression):
     right: Expression
     question: Optional[str] = None
 
+    def operands(self) -> tuple[Expression, ...]:
+        return (self.left, self.right)
+
 
 @dataclass(frozen=True)
 class CrowdOrder(Expression):
@@ -151,6 +241,9 @@ class CrowdOrder(Expression):
 
     operand: Expression
     question: str
+
+    def operands(self) -> tuple[Expression, ...]:
+        return (self.operand,)
 
 
 @dataclass(frozen=True)
@@ -175,6 +268,9 @@ class InSubquery(Expression):
     operand: Expression
     query: "Select"
     negated: bool = False
+
+    def operands(self) -> tuple[Expression, ...]:
+        return (self.operand,)
 
 
 # ---------------------------------------------------------------------------
@@ -399,50 +495,13 @@ class Guarded(Statement):
 
 def walk_expression(expr: Expression):
     """Yield ``expr`` and all of its sub-expressions, pre-order."""
-    yield expr
-    if isinstance(expr, UnaryOp):
-        yield from walk_expression(expr.operand)
-    elif isinstance(expr, BinaryOp):
-        yield from walk_expression(expr.left)
-        yield from walk_expression(expr.right)
-    elif isinstance(expr, IsNull):
-        yield from walk_expression(expr.operand)
-    elif isinstance(expr, InList):
-        yield from walk_expression(expr.operand)
-        for item in expr.items:
-            yield from walk_expression(item)
-    elif isinstance(expr, Between):
-        yield from walk_expression(expr.operand)
-        yield from walk_expression(expr.low)
-        yield from walk_expression(expr.high)
-    elif isinstance(expr, FunctionCall):
-        for arg in expr.args:
-            yield from walk_expression(arg)
-    elif isinstance(expr, CaseExpr):
-        if expr.operand is not None:
-            yield from walk_expression(expr.operand)
-        for when, then in expr.whens:
-            yield from walk_expression(when)
-            yield from walk_expression(then)
-        if expr.default is not None:
-            yield from walk_expression(expr.default)
-    elif isinstance(expr, CrowdEqual):
-        yield from walk_expression(expr.left)
-        yield from walk_expression(expr.right)
-    elif isinstance(expr, CrowdOrder):
-        yield from walk_expression(expr.operand)
-    elif isinstance(expr, (InSubquery,)):
-        yield from walk_expression(expr.operand)
+    stack = [expr]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(reversed(node.operands()))
 
 
 def expression_columns(expr: Expression) -> set[ColumnRef]:
     """All column references appearing anywhere in ``expr``."""
     return {e for e in walk_expression(expr) if isinstance(e, ColumnRef)}
-
-
-def contains_crowd_builtin(expr: Expression) -> bool:
-    """True when ``expr`` contains CROWDEQUAL or CROWDORDER anywhere."""
-    return any(
-        isinstance(e, (CrowdEqual, CrowdOrder)) for e in walk_expression(expr)
-    )
-

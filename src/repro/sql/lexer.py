@@ -1,181 +1,109 @@
-"""Hand-written lexer for CrowdSQL.
+"""One-pass lexer for CrowdSQL.
 
-Produces a stream of :class:`repro.sql.tokens.Token`.  Follows standard SQL
+Produces a list of :class:`repro.sql.tokens.Token`.  Follows standard SQL
 lexical rules: case-insensitive keywords, single-quoted strings with ``''``
 escaping (double-quoted strings are also accepted, as the paper's examples
 use ``"CrowdDB"``), ``--`` line comments and ``/* */`` block comments, and
 ``?`` positional parameters.
+
+One compiled pattern scans the source, a named group per token kind.
+Positions come from match offsets: a one-line source's column is the
+offset plus one, a multi-line source bisects its newline offsets.
 """
 
 from __future__ import annotations
 
+import re
+from bisect import bisect_right
+
 from repro.errors import ParseError
-from repro.sql.tokens import KEYWORDS, OPERATORS, PUNCTUATION, Token, TokenType
+from repro.sql.tokens import KEYWORDS, Token, TokenType
 
+_EXPONENT = r"(?:[eE][+-]?[0-9]+)"
 
-class Lexer:
-    """Tokenizes one CrowdSQL string."""
+# One match per token: leading trivia, then the token.  Alternatives are
+# tried in order, so ``--`` and ``/*`` never lex as operators; a closing
+# quote is one not followed by another (a doubled quote is an escape,
+# never a close and a reopen); ``unclosed`` catches what a terminated form
+# could not match; ``end`` is the EOF token after trailing trivia.
+_PATTERN = re.compile(
+    rf"""
+    (?:[ \t\r\n]+|--[^\n]*|/\*.*?\*/)*
+    (?:
+        (?P<word>[^\W\d]\w*)
+      | (?P<float>(?:[0-9]+\.[0-9]*|\.[0-9]+){_EXPONENT}?|[0-9]+{_EXPONENT})
+      | (?P<int>[0-9]+)
+      | (?P<punctuation>[(),;.])
+      | (?P<string>'[^']*(?:''[^']*)*'(?!')|"[^"]*(?:""[^"]*)*"(?!"))
+      | (?P<quoted>`[^`]*`)
+      | (?P<unclosed>/\*|['"`])
+      | (?P<operator><=|>=|<>|!=|\|\||[=<>+\-*/%])
+      | (?P<parameter>\?)
+      | (?P<unexpected>.)
+      | (?P<end>\Z)
+    )
+    """,
+    re.VERBOSE | re.DOTALL,
+)
 
-    def __init__(self, source: str) -> None:
-        self._source = source
-        self._pos = 0
-        self._line = 1
-        self._column = 1
+_UNCLOSED = {
+    "/*": "unterminated block comment",
+    "'": "unterminated string literal",
+    '"': "unterminated string literal",
+    "`": "unterminated quoted identifier",
+}
 
-    def tokenize(self) -> list[Token]:
-        """Return all tokens, ending with a single EOF token."""
-        tokens: list[Token] = []
-        while True:
-            token = self._next_token()
-            tokens.append(token)
-            if token.type is TokenType.EOF:
-                return tokens
-
-    # -- internals ---------------------------------------------------------
-
-    def _peek(self, offset: int = 0) -> str:
-        index = self._pos + offset
-        if index >= len(self._source):
-            return ""
-        return self._source[index]
-
-    def _advance(self, count: int = 1) -> str:
-        text = self._source[self._pos : self._pos + count]
-        for ch in text:
-            if ch == "\n":
-                self._line += 1
-                self._column = 1
-            else:
-                self._column += 1
-        self._pos += count
-        return text
-
-    def _skip_trivia(self) -> None:
-        while self._pos < len(self._source):
-            ch = self._peek()
-            if ch in " \t\r\n":
-                self._advance()
-            elif ch == "-" and self._peek(1) == "-":
-                while self._pos < len(self._source) and self._peek() != "\n":
-                    self._advance()
-            elif ch == "/" and self._peek(1) == "*":
-                start_line, start_col = self._line, self._column
-                self._advance(2)
-                while self._pos < len(self._source):
-                    if self._peek() == "*" and self._peek(1) == "/":
-                        self._advance(2)
-                        break
-                    self._advance()
-                else:
-                    raise ParseError(
-                        "unterminated block comment", start_line, start_col
-                    )
-            else:
-                return
-
-    def _next_token(self) -> Token:
-        self._skip_trivia()
-        line, column = self._line, self._column
-        if self._pos >= len(self._source):
-            return Token(TokenType.EOF, None, line, column)
-
-        ch = self._peek()
-        if ch.isalpha() or ch == "_":
-            return self._lex_word(line, column)
-        if ch.isdigit() or (ch == "." and self._peek(1).isdigit()):
-            return self._lex_number(line, column)
-        if ch == "'":
-            return self._lex_string(line, column, quote="'")
-        if ch == '"':
-            # The paper's examples use double quotes for string literals
-            # (e.g. WHERE title = "CrowdDB"), so we lex them as strings,
-            # not as delimited identifiers.
-            return self._lex_string(line, column, quote='"')
-        if ch == "`":
-            return self._lex_quoted_identifier(line, column)
-        if ch == "?":
-            self._advance()
-            return Token(TokenType.PARAMETER, "?", line, column)
-        for op in OPERATORS:
-            if self._source.startswith(op, self._pos):
-                self._advance(len(op))
-                return Token(TokenType.OPERATOR, op, line, column)
-        if ch in PUNCTUATION:
-            self._advance()
-            return Token(TokenType.PUNCTUATION, ch, line, column)
-        raise ParseError(f"unexpected character {ch!r}", line, column)
-
-    def _lex_word(self, line: int, column: int) -> Token:
-        start = self._pos
-        while self._pos < len(self._source) and (
-            self._peek().isalnum() or self._peek() == "_"
-        ):
-            self._advance()
-        text = self._source[start : self._pos]
-        if text.upper() in KEYWORDS:
-            return Token(TokenType.KEYWORD, text.upper(), line, column)
-        return Token(TokenType.IDENTIFIER, text, line, column)
-
-    def _lex_number(self, line: int, column: int) -> Token:
-        start = self._pos
-        saw_dot = False
-        saw_exp = False
-        while self._pos < len(self._source):
-            ch = self._peek()
-            if ch.isdigit():
-                self._advance()
-            elif ch == "." and not saw_dot and not saw_exp:
-                saw_dot = True
-                self._advance()
-            elif ch in "eE" and not saw_exp and self._pos > start:
-                nxt = self._peek(1)
-                if nxt.isdigit() or (nxt in "+-" and self._peek(2).isdigit()):
-                    saw_exp = True
-                    self._advance()
-                    if self._peek() in "+-":
-                        self._advance()
-                else:
-                    break
-            else:
-                break
-        text = self._source[start : self._pos]
-        value: int | float
-        if saw_dot or saw_exp:
-            value = float(text)
-        else:
-            value = int(text)
-        return Token(TokenType.NUMBER, value, line, column)
-
-    def _lex_string(self, line: int, column: int, quote: str) -> Token:
-        self._advance()  # opening quote
-        parts: list[str] = []
-        while True:
-            if self._pos >= len(self._source):
-                raise ParseError("unterminated string literal", line, column)
-            ch = self._peek()
-            if ch == quote:
-                if self._peek(1) == quote:  # doubled quote escape
-                    parts.append(quote)
-                    self._advance(2)
-                else:
-                    self._advance()
-                    return Token(TokenType.STRING, "".join(parts), line, column)
-            else:
-                parts.append(ch)
-                self._advance()
-
-    def _lex_quoted_identifier(self, line: int, column: int) -> Token:
-        self._advance()  # opening backtick
-        start = self._pos
-        while self._pos < len(self._source) and self._peek() != "`":
-            self._advance()
-        if self._pos >= len(self._source):
-            raise ParseError("unterminated quoted identifier", line, column)
-        text = self._source[start : self._pos]
-        self._advance()
-        return Token(TokenType.IDENTIFIER, text, line, column)
+_new = tuple.__new__  # Token(...) without NamedTuple's Python-level __new__
 
 
 def tokenize(source: str) -> list[Token]:
-    """Convenience wrapper: lex ``source`` into a token list."""
-    return Lexer(source).tokenize()
+    """Lex ``source`` into a token list ending with a single EOF token."""
+    newlines = (
+        [m.start() for m in re.finditer("\n", source)] if "\n" in source else None
+    )
+    tokens: list[Token] = []
+    append = tokens.append
+    for match in _PATTERN.finditer(source):
+        kind = match.lastgroup
+        start = match.start(kind)
+        if newlines is None:
+            line, column = 1, start + 1
+        else:
+            line = bisect_right(newlines, start)
+            column = start - newlines[line - 1] if line else start + 1
+            line += 1
+        text = match.group(kind)
+        if kind == "word":
+            upper = text.upper()
+            if upper in KEYWORDS:
+                append(_new(Token, (TokenType.KEYWORD, upper, line, column)))
+                continue
+            if not (text[0].isalpha() or text[0] == "_"):
+                # a numeric character such as '²' is a word character
+                # but starts no token
+                raise ParseError(f"unexpected character {text[0]!r}", line, column)
+            append(_new(Token, (TokenType.IDENTIFIER, text, line, column)))
+        elif kind == "punctuation":
+            append(_new(Token, (TokenType.PUNCTUATION, text, line, column)))
+        elif kind == "operator":
+            append(_new(Token, (TokenType.OPERATOR, text, line, column)))
+        elif kind == "int":
+            append(_new(Token, (TokenType.NUMBER, int(text), line, column)))
+        elif kind == "float":
+            append(_new(Token, (TokenType.NUMBER, float(text), line, column)))
+        elif kind == "string":
+            quote = text[0]
+            value = text[1:-1].replace(quote + quote, quote)
+            append(_new(Token, (TokenType.STRING, value, line, column)))
+        elif kind == "quoted":
+            append(_new(Token, (TokenType.IDENTIFIER, text[1:-1], line, column)))
+        elif kind == "parameter":
+            append(_new(Token, (TokenType.PARAMETER, text, line, column)))
+        elif kind == "end":
+            append(_new(Token, (TokenType.EOF, None, line, column)))
+            break
+        elif kind == "unclosed":
+            raise ParseError(_UNCLOSED[text], line, column)
+        else:
+            raise ParseError(f"unexpected character {text!r}", line, column)
+    return tokens

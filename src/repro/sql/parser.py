@@ -27,6 +27,8 @@ class Parser:
 
     def __init__(self, source: str) -> None:
         self._tokens = tokenize(source)
+        # two spare EOF tokens: _peek(1) and _peek(2) never index past the end
+        self._tokens += self._tokens[-1:] * 2
         self._pos = 0
         self._param_count = 0
 
@@ -61,8 +63,7 @@ class Parser:
     # -- token plumbing -----------------------------------------------------
 
     def _peek(self, offset: int = 0) -> Token:
-        index = min(self._pos + offset, len(self._tokens) - 1)
-        return self._tokens[index]
+        return self._tokens[self._pos + offset]
 
     def _advance(self) -> Token:
         token = self._tokens[self._pos]
@@ -70,12 +71,15 @@ class Parser:
             self._pos += 1
         return token
 
+    # keyword values are uppercase and callers pass uppercase keywords, so
+    # values compare directly
     def _at(self, token_type: TokenType, value: str | None = None) -> bool:
-        return self._peek().matches(token_type, value)
+        token = self._tokens[self._pos]
+        return token.type is token_type and (value is None or token.value == value)
 
     def _at_keyword(self, *keywords: str) -> bool:
-        token = self._peek()
-        return token.type is TokenType.KEYWORD and token.upper in keywords
+        token = self._tokens[self._pos]
+        return token.type is TokenType.KEYWORD and token.value in keywords
 
     def _accept(self, token_type: TokenType, value: str | None = None) -> Optional[Token]:
         if self._at(token_type, value):
@@ -83,8 +87,8 @@ class Parser:
         return None
 
     def _expect(self, token_type: TokenType, value: str | None = None) -> Token:
-        token = self._peek()
-        if not token.matches(token_type, value):
+        if not self._at(token_type, value):
+            token = self._tokens[self._pos]
             expected = value or token_type.value
             raise ParseError(
                 f"expected {expected}, found {token.value!r}",
@@ -167,7 +171,7 @@ class Parser:
                 )
             )
         while self._at_keyword("UNION", "EXCEPT", "INTERSECT"):
-            op = self._advance().upper
+            op = self._advance().value
             if op == "UNION" and self._accept(TokenType.KEYWORD, "ALL"):
                 op = "UNION ALL"
             right = self._parse_select(allow_tail=False)
@@ -346,7 +350,7 @@ class Parser:
                 join_type = "INNER"
                 self._advance()
             elif self._at_keyword(*_JOIN_TYPES):
-                kw = self._advance().upper
+                kw = self._advance().value
                 if kw in ("RIGHT", "FULL"):
                     raise ParseError(
                         f"{kw} JOIN is not supported", self._peek().line,
@@ -701,7 +705,7 @@ class Parser:
             return ast.Parameter(index)
 
         if token.type is TokenType.KEYWORD:
-            keyword = token.upper
+            keyword = token.value
             if keyword == "NULL":
                 self._advance()
                 return ast.Literal(None)

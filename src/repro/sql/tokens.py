@@ -3,12 +3,11 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Any
+from typing import Any, NamedTuple
 
 
 class TokenType(enum.Enum):
-    """Lexical categories produced by :class:`repro.sql.lexer.Lexer`."""
+    """Lexical categories produced by :func:`repro.sql.lexer.tokenize`."""
 
     KEYWORD = "KEYWORD"
     IDENTIFIER = "IDENTIFIER"
@@ -44,16 +43,12 @@ KEYWORDS = frozenset(
     }
 )
 
-OPERATORS = (
-    "<=", ">=", "<>", "!=", "||", "=", "<", ">", "+", "-", "*", "/", "%",
-)
 
-PUNCTUATION = ("(", ")", ",", ";", ".")
+class Token(NamedTuple):
+    """One lexical token with its source position (1-based).
 
-
-@dataclass(frozen=True)
-class Token:
-    """One lexical token with its source position (1-based)."""
+    A keyword's ``value`` is its uppercased spelling, so parsers compare
+    keyword, operator and punctuation values directly."""
 
     type: TokenType
     value: Any

@@ -1,13 +1,29 @@
-"""Tests for the logical plan builder and the rule-based optimizer."""
+"""Tests for the logical plan builder and the rule-based optimizer.
 
+``tests/golden/explain_v1.jsonl`` pins the EXPLAIN text of every
+statement of the ``plan_cold`` benchmark workload at seed 1, scale 0.1
+(330 statements, regenerated here from ``perf.workloads.plan_cold``).
+``python tests/test_planner_optimizer.py`` rewrites it -- only at the
+parent of a change meant to alter plans, never to make a test pass.
+"""
+
+import json
+import sys
+import tempfile
 import warnings
+from pathlib import Path
 
 import pytest
 
 from repro import connect
 from repro.errors import PlanError, UnboundedQueryError, UnboundedQueryWarning
+from repro.optimizer.rules import predicate_applies_to
 from repro.plan import logical
+from repro.plan.builder import PlanBuilder, output_names
+from repro.sql import ast
 from repro.sql.parser import parse
+
+EXPLAIN_GOLDEN = Path(__file__).parent / "golden" / "explain_v1.jsonl"
 
 
 @pytest.fixture
@@ -345,3 +361,93 @@ class TestCardinality:
         text = db.explain("SELECT name FROM NotableAttendee LIMIT 2")
         assert "bounded" in text
         assert "StopAfter" in text or "stopafter" in text
+
+
+class TestProvidedNames:
+    """Each plan node caches the bindings, columns and scans it provides;
+    they must equal what a walk of its subtree finds."""
+
+    STATEMENTS = (
+        # a SubqueryAlias over a derived table
+        "SELECT d.t FROM (SELECT title AS t FROM Talk WHERE title > 'a') "
+        "AS d JOIN Room r ON d.t = r.room",
+        # a CrowdJoin's inner binding
+        "SELECT t.title, n.name FROM Talk t "
+        "JOIN NotableAttendee n ON n.title = t.title",
+        # Talk and NotableAttendee share the column name "title"
+        "SELECT n.name FROM NotableAttendee n, Talk t, Room r "
+        "WHERE n.title = t.title AND r.room = t.title AND capacity > 10",
+    )
+
+    @staticmethod
+    def walked(plan):
+        bindings, columns = set(), set()
+        for node in plan.walk():
+            if isinstance(node, logical.Scan):
+                bindings.add(node.binding.lower())
+                columns.update(c.lower() for c in node.table.column_names)
+            elif isinstance(node, logical.SubqueryAlias):
+                bindings.add(node.alias.lower())
+                columns.update(n.lower() for n in output_names(node.child))
+            elif isinstance(node, logical.CrowdJoin):
+                bindings.add(node.inner_binding.lower())
+                columns.update(c.lower() for c in node.inner_table.column_names)
+        scans = tuple(n for n in plan.walk() if isinstance(n, logical.Scan))
+        return bindings, columns, scans
+
+    def test_cached_sets_match_a_reference_walk(self, db):
+        kinds = set()
+        for sql in self.STATEMENTS:
+            built = PlanBuilder(db.catalog).build_statement(parse(sql))
+            for plan in (built, compiled(db, sql).plan):
+                for node in plan.walk():
+                    kinds.add(type(node))
+                    assert (
+                        node.provided_bindings,
+                        node.provided_columns,
+                        node.scans,
+                    ) == self.walked(node), node.describe()
+        assert {logical.SubqueryAlias, logical.CrowdJoin} <= kinds
+
+    def test_a_shared_unqualified_column_resolves_on_either_side(self, db):
+        plan = PlanBuilder(db.catalog).build_statement(parse(self.STATEMENTS[2]))
+        (join,) = [
+            n for n in plan.walk()
+            if isinstance(n, logical.Join) and isinstance(n.left, logical.Join)
+        ]
+        attendees, talks = join.left.left, join.left.right
+        title = ast.BinaryOp("=", ast.ColumnRef("title"), ast.Literal("x"))
+        assert predicate_applies_to(title, attendees)
+        assert predicate_applies_to(title, talks)
+        assert not predicate_applies_to(title, join.right)  # Room
+        assert "title" in join.provided_columns
+        assert join.provided_bindings == {"n", "t", "r"}
+
+
+def plan_cold_explains() -> list[dict]:
+    """EXPLAIN of every plan_cold statement, seed 1, scale 0.1."""
+    from perf.workloads import plan_cold
+
+    inputs = plan_cold.generate(1, 0.1)
+    with tempfile.TemporaryDirectory() as workdir:
+        db = plan_cold.setup(inputs, workdir).db
+        return [
+            {"kind": statement.kind, "explain": db.explain(statement.sql)}
+            for statement in inputs.statements
+        ]
+
+
+def test_plan_cold_explain_golden():
+    with open(EXPLAIN_GOLDEN, encoding="utf-8") as handle:
+        expected = [json.loads(line) for line in handle]
+    actual = plan_cold_explains()
+    assert len(actual) == len(expected) == 330
+    for index, (got, want) in enumerate(zip(actual, expected)):
+        assert got == want, f"statement {index}"
+
+
+if __name__ == "__main__":
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+    with open(EXPLAIN_GOLDEN, "w", encoding="utf-8") as handle:
+        for record in plan_cold_explains():
+            handle.write(json.dumps(record) + "\n")
