@@ -30,7 +30,7 @@ import math
 import re
 import warnings
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from repro.errors import LowQualityWarning, QualityControlError
@@ -51,11 +51,18 @@ def normalize_answer(value: Any) -> Any:
 
 @dataclass(frozen=True)
 class Ballot:
-    """One worker's answer to one question, ready for weighted voting."""
+    """One worker's answer to one question, ready for weighted voting.
+
+    ``key`` is the value's normalized class, computed once here: every
+    vote over the ballot reads it."""
 
     value: Any
     worker_id: str = ""
     weight: float = 1.0
+    key: Any = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "key", normalize_answer(self.value))
 
 
 @dataclass(frozen=True)
@@ -68,6 +75,7 @@ class VoteResult:
     agreement: float            # votes / total (unweighted share)
     confidence: float = 1.0     # posterior confidence in the winning class
     winners: tuple[str, ...] = ()  # worker ids that voted for the winner
+    key: Any = None             # the winning normalized class
 
     @property
     def unanimous(self) -> bool:
@@ -122,7 +130,7 @@ class MajorityVote:
         raw_by_class: dict[Any, Counter] = {}
         workers_by_class: dict[Any, list[str]] = {}
         for ballot in ballots:
-            key = normalize_answer(ballot.value)
+            key = ballot.key
             weight = ballot.weight
             if self.reputation is not None and ballot.worker_id:
                 weight = self.reputation.weight(ballot.worker_id)
@@ -187,6 +195,7 @@ class MajorityVote:
             agreement=agreement,
             confidence=confidence,
             winners=tuple(workers_by_class[winner_key]),
+            key=winner_key,
         )
 
     @staticmethod

@@ -102,8 +102,9 @@ def oracle_answer_fn(oracle, rng=None) -> AnswerFn:
         if isinstance(task, FillGroupTask):
             return [answer(subtask, replica) for subtask in task.subtasks]
         if isinstance(task, FillTask):
+            row = oracle.fill_row(task.table, task.primary_key) or {}
             return {
-                column: _text(oracle.fill_value(task.table, task.primary_key, column))
+                column: _text(row.get(column.lower()))
                 for column in task.columns
             }
         if isinstance(task, NewTupleTask):

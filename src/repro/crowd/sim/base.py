@@ -13,6 +13,14 @@ Implements the marketplace loop as a discrete-event process:
 
 AMT and the mobile platform specialize eligibility (locality) and the
 arrival-rate profile.
+
+An event costs what it changed.  Each open HIT's free slots (assignments
+remaining minus those in flight) are counted as HITs are posted,
+accepted, extended and expired, so "is there work?" is a dict's
+truthiness.  An arrival checks the worker once (WRM block, approval
+rate), then walks only the open HITs with dict and set lookups: free
+slots, the worker's own set of taken HITs, and the subclass's per-HIT
+rule.
 """
 
 from __future__ import annotations
@@ -86,8 +94,14 @@ class SimulatedCrowdPlatform(CrowdPlatform):
         # per HIT, fixed at posting: its position and its group key
         self._rank: dict[str, int] = {}
         self._group: dict[str, str] = {}
-        self._in_flight: dict[str, int] = {}
-        self._taken: set[tuple[str, str]] = set()  # (hit_id, worker_id)
+        # open HIT -> its free slots (assignments remaining minus those
+        # in flight), for the HITs with at least one.  An accept takes a
+        # slot, ``extend_hit`` adds some and expiry drops the HIT; a
+        # submission lowers remaining and in-flight alike, so it changes
+        # nothing here.
+        self._free: dict[str, int] = {}
+        # worker id -> the HITs that worker accepted (one assignment each)
+        self._taken: dict[str, set[str]] = {}
         self._arrival_scheduled = False
         self.on_assignment: list[Callable[[HIT, Assignment], None]] = []
         self.total_cost_cents = 0
@@ -142,7 +156,7 @@ class SimulatedCrowdPlatform(CrowdPlatform):
         self._hits[hit.hit_id] = hit
         if hit.is_open:
             self._open[hit.hit_id] = hit
-        self._in_flight[hit.hit_id] = 0
+            self._free[hit.hit_id] = hit.assignments_remaining
         self.hit_revision += 1
         if hit.expires_at is not None:
             self.events.schedule_at(
@@ -166,14 +180,18 @@ class SimulatedCrowdPlatform(CrowdPlatform):
         self._maybe_fault("extend_hit")
         super().extend_hit(hit_id, additional)
         hit = self.get_hit(hit_id)
-        if hit_id not in self._open and hit.is_open:
-            # a reopened HIT goes back at its posting position: group
-            # order and oldest-first ties follow iteration order
-            self._open[hit_id] = hit
-            self._open = {
-                key: self._open[key]
-                for key in sorted(self._open, key=self._rank.__getitem__)
-            }
+        if hit.is_open:  # an expired HIT stays dead
+            # the new slots are free even when every old one is in
+            # flight; a reopened (completed) HIT has none in flight
+            self._free[hit_id] = self._free.get(hit_id, 0) + additional
+            if hit_id not in self._open:
+                # a reopened HIT goes back at its posting position: group
+                # order and oldest-first ties follow iteration order
+                self._open[hit_id] = hit
+                self._open = {
+                    key: self._open[key]
+                    for key in sorted(self._open, key=self._rank.__getitem__)
+                }
         self._ensure_arrivals()
 
     def run_until(self, condition: Callable[[], bool], timeout: float) -> bool:
@@ -189,44 +207,42 @@ class SimulatedCrowdPlatform(CrowdPlatform):
         ) * max(1, len(self.workers)) ** 0.5
 
     def eligible(self, worker: SimWorker, hit: HIT) -> bool:
-        """Whether a worker may take a HIT.
+        """Whether a worker may take a HIT: the worker-level checks, then
+        the per-HIT ones."""
+        return self.worker_eligible(worker) and self.hit_eligible(worker, hit)
 
-        Base rules: one assignment per worker per HIT; requester-side
-        exclusions through the Worker Relationship Manager (blocked
-        workers never see the requester's HITs; a qualification may
-        demand a minimum approval rate).  Subclasses add locality.
-        """
-        if (hit.hit_id, worker.worker_id) in self._taken:
+    def worker_eligible(self, worker: SimWorker) -> bool:
+        """Requester-side exclusions through the Worker Relationship
+        Manager, the same for every HIT: blocked workers never see the
+        requester's HITs; a qualification may demand a minimum approval
+        rate."""
+        if self.wrm is None:
+            return True
+        if self.wrm.is_blocked(worker.worker_id):
             return False
-        if self.wrm is not None:
-            if self.wrm.is_blocked(worker.worker_id):
+        if self.min_approval_rate is not None:
+            account = self.wrm.accounts.get(worker.worker_id)
+            if (
+                account is not None
+                and account.submitted > 0
+                and account.approval_rate < self.min_approval_rate
+            ):
                 return False
-            if self.min_approval_rate is not None:
-                account = self.wrm.accounts.get(worker.worker_id)
-                if (
-                    account is not None
-                    and account.submitted > 0
-                    and account.approval_rate < self.min_approval_rate
-                ):
-                    return False
         return True
+
+    def hit_eligible(self, worker: SimWorker, hit: HIT) -> bool:
+        """Per-HIT rules: one assignment per worker per HIT.  Subclasses
+        add locality."""
+        return hit.hit_id not in self._taken.get(worker.worker_id, ())
 
     # -- internals --------------------------------------------------------------------
 
     def _ensure_arrivals(self) -> None:
-        if self._arrival_scheduled:
-            return
-        if not self._has_available_work():
+        if self._arrival_scheduled or not self._free:
             return
         self._arrival_scheduled = True
         delay = self.rng.expovariate(self.arrival_rate())
         self.events.schedule(delay, self._on_arrival)
-
-    def _has_available_work(self) -> bool:
-        for hit in self._open.values():
-            if hit.assignments_remaining - self._in_flight[hit.hit_id] > 0:
-                return True
-        return False
 
     def _on_arrival(self) -> None:
         self._arrival_scheduled = False
@@ -245,29 +261,44 @@ class SimulatedCrowdPlatform(CrowdPlatform):
         self._ensure_arrivals()
 
     def _choose_hit(self, worker: SimWorker) -> Optional[HIT]:
-        """Pick a HIT: group by visibility+affinity, then oldest first."""
-        groups: dict[str, list[HIT]] = {}
+        """Pick a HIT: group by visibility+affinity, then oldest first.
+
+        Groups are offered in order of first appearance among the open
+        HITs, each weighted by how many of its HITs the worker may take;
+        the chosen group's first such HIT is its oldest, since posting
+        order never goes back in time."""
+        if not self.worker_eligible(worker):
+            return None
+        free, group_of, hit_eligible = self._free, self._group, self.hit_eligible
+        # group key -> [its oldest HIT the worker may take, how many]
+        groups: dict[str, list] = {}
         for hit_id, hit in self._open.items():
-            if hit.assignments_remaining - self._in_flight[hit_id] <= 0:
+            if hit_id not in free or not hit_eligible(worker, hit):
                 continue
-            if not self.eligible(worker, hit):
-                continue
-            groups.setdefault(self._group[hit_id], []).append(hit)
+            key = group_of[hit_id]
+            entry = groups.get(key)
+            if entry is None:
+                groups[key] = [hit, 1]
+            else:
+                entry[1] += 1
         if not groups:
             return None
         keys = list(groups)
         weights = [
             group_attractiveness(
-                len(groups[key]), key in worker.familiar_groups, self.config
+                groups[key][1], key in worker.familiar_groups, self.config
             )
             for key in keys
         ]
         chosen_key = self.rng.choices(keys, weights=weights, k=1)[0]
-        return min(groups[chosen_key], key=lambda hit: hit.created_at)
+        return groups[chosen_key][0]
 
     def _accept(self, worker: SimWorker, hit: HIT) -> None:
-        self._taken.add((hit.hit_id, worker.worker_id))
-        self._in_flight[hit.hit_id] += 1
+        self._taken.setdefault(worker.worker_id, set()).add(hit.hit_id)
+        if self._free[hit.hit_id] == 1:
+            del self._free[hit.hit_id]
+        else:
+            self._free[hit.hit_id] -= 1
         # a grouped HIT is proportionally more work than a single task,
         # but still one acceptance and one submission round-trip
         latency = completion_time(self.rng, worker.speed, self.config)
@@ -277,7 +308,6 @@ class SimulatedCrowdPlatform(CrowdPlatform):
         )
 
     def _on_complete(self, worker: SimWorker, hit: HIT) -> None:
-        self._in_flight[hit.hit_id] -= 1
         if hit.status is not HITStatus.OPEN:
             return  # expired or cancelled while the worker was busy
         answer = worker.answer(hit.task, self.oracle, self.rng, self.config)
@@ -301,6 +331,7 @@ class SimulatedCrowdPlatform(CrowdPlatform):
         if hit.status is HITStatus.OPEN:
             hit.status = HITStatus.EXPIRED
             self._open.pop(hit.hit_id, None)  # absent if posted with no work
+            self._free.pop(hit.hit_id, None)
             self.hit_revision += 1
 
     # -- introspection (benchmarks) ---------------------------------------------------

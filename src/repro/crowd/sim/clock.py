@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 
@@ -32,49 +31,41 @@ class SimClock:
         self._now = timestamp
 
 
-@dataclass(order=True)
-class _Event:
-    time: float
-    sequence: int
-    callback: Callable[[], None] = field(compare=False)
-    cancelled: bool = field(default=False, compare=False)
-
-
 class EventQueue:
-    """Priority queue of timed callbacks driving one simulation."""
+    """Priority queue of timed callbacks driving one simulation.
+
+    The heap holds ``(time, sequence, callback)`` tuples: the sequence
+    number breaks time ties first-scheduled-first and keeps the callback
+    out of every comparison."""
 
     def __init__(self, clock: SimClock) -> None:
         self.clock = clock
-        self._heap: list[_Event] = []
+        self._heap: list[tuple[float, int, Callable[[], None]]] = []
         self._sequence = itertools.count()
 
     def __len__(self) -> int:
-        return sum(1 for event in self._heap if not event.cancelled)
+        return len(self._heap)
 
-    def schedule(self, delay: float, callback: Callable[[], None]) -> _Event:
+    def schedule(self, delay: float, callback: Callable[[], None]) -> None:
         """Run ``callback`` after ``delay`` simulated seconds."""
         if delay < 0:
             raise ValueError("delay must be non-negative")
-        event = _Event(self.clock.now + delay, next(self._sequence), callback)
-        heapq.heappush(self._heap, event)
-        return event
+        heapq.heappush(
+            self._heap,
+            (self.clock.now + delay, next(self._sequence), callback),
+        )
 
-    def schedule_at(self, timestamp: float, callback: Callable[[], None]) -> _Event:
-        return self.schedule(max(0.0, timestamp - self.clock.now), callback)
-
-    def cancel(self, event: _Event) -> None:
-        event.cancelled = True
+    def schedule_at(self, timestamp: float, callback: Callable[[], None]) -> None:
+        self.schedule(max(0.0, timestamp - self.clock.now), callback)
 
     def step(self) -> bool:
         """Pop and run the next event.  Returns False when empty."""
-        while self._heap:
-            event = heapq.heappop(self._heap)
-            if event.cancelled:
-                continue
-            self.clock.advance_to(event.time)
-            event.callback()
-            return True
-        return False
+        if not self._heap:
+            return False
+        time, _, callback = heapq.heappop(self._heap)
+        self.clock.advance_to(time)
+        callback()
+        return True
 
     def run_until(
         self,
@@ -90,11 +81,7 @@ class EventQueue:
         if condition():
             return True
         while self._heap:
-            next_event = self._heap[0]
-            if next_event.cancelled:
-                heapq.heappop(self._heap)
-                continue
-            if deadline is not None and next_event.time > deadline:
+            if deadline is not None and self._heap[0][0] > deadline:
                 self.clock.advance_to(deadline)
                 return condition()
             self.step()

@@ -70,8 +70,8 @@ class SimulatedMobilePlatform(SimulatedCrowdPlatform):
 
     # -- specializations ---------------------------------------------------------
 
-    def eligible(self, worker: SimWorker, hit: HIT) -> bool:
-        if not super().eligible(worker, hit):
+    def hit_eligible(self, worker: SimWorker, hit: HIT) -> bool:
+        if not super().hit_eligible(worker, hit):
             return False
         if hit.locality is None:
             return True

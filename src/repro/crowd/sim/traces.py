@@ -33,9 +33,7 @@ class GroundTruthOracle:
         # question -> scoring function (higher = ranks earlier)
         self._scores: dict[str, Callable[[Any], float]] = {}
         # table -> column -> distractor pool
-        self._distractors: dict[str, dict[str, list[Any]]] = {}
-        # (table, column) -> normalized prefix of that (append-only) pool
-        self._distractor_norms: dict[tuple[str, str], list[Any]] = {}
+        self._distractors: dict[str, dict[str, _DistractorPool]] = {}
 
     # -- loading -----------------------------------------------------------------
 
@@ -48,8 +46,11 @@ class GroundTruthOracle:
         for column, value in values.items():
             row[column.lower()] = value
             if value is not None:
-                pool = self._distractors.setdefault(table.lower(), {})
-                pool.setdefault(column.lower(), []).append(value)
+                pools = self._distractors.setdefault(table.lower(), {})
+                pool = pools.get(column.lower())
+                if pool is None:
+                    pool = pools[column.lower()] = _DistractorPool()
+                pool.values.append(value)
 
     def load_new_tuples(
         self,
@@ -91,8 +92,14 @@ class GroundTruthOracle:
 
     # -- answering ----------------------------------------------------------------
 
+    def fill_row(self, table: str, primary_key: tuple) -> Optional[dict[str, Any]]:
+        """The true crowd-column values of one tuple (lower-cased column
+        -> value; read-only), or None for an unknown tuple — one key
+        normalization for every column a task asks about."""
+        return self._fill.get(table.lower(), {}).get(_key(primary_key))
+
     def fill_value(self, table: str, primary_key: tuple, column: str) -> Optional[Any]:
-        row = self._fill.get(table.lower(), {}).get(_key(primary_key))
+        row = self.fill_row(table, primary_key)
         if row is None:
             return None
         return row.get(column.lower())
@@ -155,18 +162,56 @@ class GroundTruthOracle:
     def distractor(
         self, table: str, column: str, truth: str, rng: random.Random
     ) -> Optional[Any]:
-        """A plausible wrong value for error injection."""
-        key = (table.lower(), column.lower())
-        pool = self._distractors.get(key[0], {}).get(key[1])
-        if not pool:
+        """A plausible wrong value for error injection: a uniform draw
+        over the column's loaded values that do not normalize to
+        ``truth``."""
+        pool = self._distractors.get(table.lower(), {}).get(column.lower())
+        if pool is None:
             return None
-        norms = self._distractor_norms.setdefault(key, [])
-        norms.extend(_norm(v) for v in pool[len(norms):])
-        truth_norm = _norm(truth)
-        wrong = [v for v, norm in zip(pool, norms) if norm != truth_norm]
-        if not wrong:
+        wrong = _Without(pool.values, pool.positions(_norm(truth)))
+        if not len(wrong):
             return None
         return rng.choice(wrong)
+
+
+class _DistractorPool:
+    """One column's loaded values (append-only) and where each
+    normalized value sits among them, indexed lazily by the first draw
+    after a load."""
+
+    def __init__(self) -> None:
+        self.values: list[Any] = []
+        self._positions: dict[Any, list[int]] = {}
+        self._indexed = 0
+
+    def positions(self, norm: Any) -> list[int]:
+        """Ascending positions of the values that normalize to ``norm``."""
+        for position in range(self._indexed, len(self.values)):
+            self._positions.setdefault(
+                _norm(self.values[position]), []
+            ).append(position)
+        self._indexed = len(self.values)
+        return self._positions.get(norm, [])
+
+
+class _Without:
+    """``values`` minus the ascending ``excluded`` positions, as a
+    sequence of just the length and indexing ``random.choice`` reads: the
+    same draw as over the filtered list, without building it."""
+
+    def __init__(self, values: list[Any], excluded: list[int]) -> None:
+        self._values = values
+        self._excluded = excluded
+
+    def __len__(self) -> int:
+        return len(self._values) - len(self._excluded)
+
+    def __getitem__(self, index: int) -> Any:
+        for position in self._excluded:
+            if position > index:
+                break
+            index += 1
+        return self._values[index]
 
 
 def _key(primary_key: tuple) -> tuple:

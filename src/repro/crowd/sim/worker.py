@@ -93,8 +93,9 @@ class SimWorker:
         p_error: float,
     ) -> dict[str, str]:
         answer: dict[str, str] = {}
+        row = oracle.fill_row(task.table, task.primary_key) or {}
         for column in task.columns:
-            truth = oracle.fill_value(task.table, task.primary_key, column)
+            truth = row.get(column.lower())
             if truth is None:
                 answer[column] = ""  # worker honestly finds nothing
                 continue

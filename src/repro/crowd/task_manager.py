@@ -54,7 +54,7 @@ from repro.crowd.kinds import (
 )
 from repro.crowd.model import HIT, HITStatus, task_size
 from repro.crowd.platform import CrowdPlatform, PlatformRegistry
-from repro.crowd.quality import Ballot, MajorityVote, VoteResult, normalize_answer
+from repro.crowd.quality import Ballot, MajorityVote, VoteResult
 from repro.crowd.reputation import ReputationStore
 from repro.server.task_pool import TaskPool
 from repro.errors import (
@@ -423,12 +423,11 @@ class TaskManager:
         ).vote_ballots(ballots)
         self.stats.confidence_sum += vote.confidence
         self.stats.confidence_count += 1
-        winner_key = normalize_answer(vote.value)
         for ballot in ballots:
             if ballot.worker_id:
                 self.reputation.observe_consensus(
                     ballot.worker_id,
-                    normalize_answer(ballot.value) == winner_key,
+                    ballot.key == vote.key,
                     weight=vote.confidence,
                 )
         return vote

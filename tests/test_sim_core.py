@@ -84,15 +84,6 @@ class TestClock:
             pass
         assert fired == [1, 2]
 
-    def test_cancel(self):
-        clock = SimClock()
-        queue = EventQueue(clock)
-        fired = []
-        event = queue.schedule(1.0, lambda: fired.append("x"))
-        queue.cancel(event)
-        assert not queue.step()
-        assert fired == []
-
     def test_negative_delay_rejected(self):
         queue = EventQueue(SimClock())
         with pytest.raises(ValueError):
@@ -295,7 +286,7 @@ class TestOracle:
             oracle.load_fill("t", (i,), {"c": value})
 
         def uncached(truth, rng):
-            pool = oracle._distractors["t"]["c"]
+            pool = oracle._distractors["t"]["c"].values
             wrong = [v for v in pool
                      if normalize_answer(v) != normalize_answer(truth)]
             return rng.choice(wrong) if wrong else None

@@ -7,6 +7,7 @@ to change.
 
 import json
 import os
+from collections import Counter
 
 import pytest
 
@@ -214,6 +215,48 @@ class TestSimulatedAMT:
         # rebuilding the index from the history read 2,007 statuses here
         assert reads <= 2 * (len(fresh) + 1)
 
+    def test_arrival_checks_the_worker_once(self, oracle, monkeypatch):
+        wrm = WorkerRelationshipManager()
+        platform = SimulatedAMT(oracle, population=50, seed=12, wrm=wrm)
+        checks = arrivals = 0
+        is_blocked = wrm.is_blocked
+
+        def counting_check(worker_id):
+            nonlocal checks
+            checks += 1
+            return is_blocked(worker_id)
+
+        on_arrival = platform._on_arrival
+
+        def counting_arrival():
+            nonlocal arrivals
+            arrivals += 1
+            on_arrival()
+
+        monkeypatch.setattr(wrm, "is_blocked", counting_check)
+        monkeypatch.setattr(platform, "_on_arrival", counting_arrival)
+        platform.post_hits([make_hit(assignments=50) for _ in range(50)])
+        while arrivals < 100:
+            assert platform.events.step()
+        assert platform.assignments_submitted > 0
+        # a check per open HIT made about 50 per arrival
+        assert checks <= 100
+
+    def test_extending_a_hit_with_every_slot_in_flight_frees_a_slot(
+        self, oracle
+    ):
+        platform = SimulatedAMT(oracle, population=50, seed=13)
+        hit = make_hit(assignments=1)
+        platform.post_hit(hit)
+        while platform._free:  # until a worker accepts the only slot
+            assert platform.events.step()
+        assert hit.is_open and not hit.assignments  # in flight
+        platform.extend_hit(hit.hit_id, 1)
+        assert platform._free == {hit.hit_id: 1}
+        # the next arrival may take it although the first taker is busy
+        assert platform.wait_for_hits([hit.hit_id], timeout=WEEK)
+        assert len({a.worker_id for a in hit.assignments}) == 2
+
 
 class TestMobilePlatform:
     def test_local_hit_completes(self, oracle):
@@ -369,7 +412,7 @@ def _sim_scenario(platform, doomed_lifetime):
     })
     coverage = {
         "doomed_in_flight": sum(
-            1 for hit_id, _ in platform._taken if hit_id == doomed.hit_id
+            doomed.hit_id in taken for taken in platform._taken.values()
         ) - len(doomed.assignments),
         "doomed_expired": doomed.status is HITStatus.EXPIRED,
         "reopened_before_open": reopened_before_open,
@@ -443,14 +486,40 @@ class TestGoldenTrace:
             return value
 
         monkeypatch.setattr(platform.oracle, "distractor", counting_distractor)
+        accepted = []  # (worker id, HIT id), one per acceptance
+        accept = platform._accept
+
+        def logged_accept(worker, hit):
+            accepted.append((worker.worker_id, hit.hit_id))
+            accept(worker, hit)
+
+        monkeypatch.setattr(platform, "_accept", logged_accept)
         on_arrival = platform._on_arrival
 
         def checked_arrival():
+            hits = platform.all_hits()
             # the open index is exactly the ``is_open`` HITs, in posting
             # order — so ``arrival_rate`` may count it with ``len``
             assert list(platform._open) == [
-                hit.hit_id for hit in platform.all_hits() if hit.is_open
+                hit.hit_id for hit in hits if hit.is_open
             ]
+            # the taken sets and free-slot counts equal a recomputation
+            # from the acceptances: every taker of an open HIT has either
+            # submitted or is still in flight
+            taken = {}
+            for worker_id, hit_id in accepted:
+                taken.setdefault(worker_id, set()).add(hit_id)
+            assert platform._taken == taken
+            takers = Counter(hit_id for _, hit_id in accepted)
+            free = {
+                hit.hit_id: hit.assignments_remaining
+                - (takers[hit.hit_id] - len(hit.assignments))
+                for hit in hits
+                if hit.is_open
+            }
+            assert platform._free == {
+                hit_id: slots for hit_id, slots in free.items() if slots > 0
+            }
             on_arrival()
 
         monkeypatch.setattr(platform, "_on_arrival", checked_arrival)

@@ -7,6 +7,7 @@ what the Task Manager posts, pays, votes or traces.
 
 import json
 import os
+import sys
 import tempfile
 import warnings
 
@@ -425,10 +426,35 @@ class TestGoldenTrace:
             assert got == want, f"task-manager record {index} changed"
         assert ours == golden
 
-    def test_scenario_covers_every_request_path(self, tmp_path):
+    def test_scenario_covers_every_request_path(self, tmp_path, monkeypatch):
+        normalizations = 0
+
+        def counting_normalize(value):
+            nonlocal normalizations
+            normalizations += 1
+            return normalize_answer(value)
+
+        for name, module in list(sys.modules.items()):
+            if (
+                name.startswith("repro.")
+                and getattr(module, "normalize_answer", None) is normalize_answer
+            ):
+                monkeypatch.setattr(module, "normalize_answer", counting_normalize)
+        votes = []  # (ballots, normalizations) per settle-time vote
+        vote = TaskManager.vote
+
+        def counting_vote(manager, ballots):
+            before = normalizations
+            verdict = vote(manager, ballots)
+            votes.append((len(ballots), normalizations - before))
+            return verdict
+
+        monkeypatch.setattr(TaskManager, "vote", counting_vote)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", CrowdDBWarning)
             records, coverage = _tm_scenario(str(tmp_path / "queue.jsonl"))
+        # every kind's verdict: a ballot is normalized once, not per vote
+        assert votes and all(calls <= count for count, calls in votes)
         kinds = {r.get("kind") for r in records}
         assert {"hit.issue", "hit.group", "hit.extend", "gold.issue",
                 "gold.score", "breaker.open", "breaker.close",
