@@ -25,7 +25,7 @@ the right.
 from __future__ import annotations
 
 import os
-from typing import Any, Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Optional, Sequence
 
 from repro.catalog.catalog import Catalog
 from repro.crowd.platform import CrowdPlatform, PlatformRegistry
@@ -36,7 +36,7 @@ from repro.crowd.sim.traces import GroundTruthOracle
 from repro.crowd.task_manager import CrowdConfig, TaskManager
 from repro.crowd.wrm import WorkerRelationshipManager
 from repro.engine.executor import Executor, ResultSet
-from repro.errors import ExecutionError
+from repro.errors import CrowdPlatformError, ExecutionError
 from repro.obs import (
     MetricsRegistry,
     Observability,
@@ -52,6 +52,9 @@ from repro.storage.engine import StorageEngine
 from repro.storage.recovery import DurableStorage
 from repro.ui.form_editor import FormEditor
 from repro.ui.manager import UITemplateManager
+
+if TYPE_CHECKING:
+    from repro.server.admission import AdmissionConfig
 
 
 def _parse_text(sql: str, single: bool = False) -> list[ast.Statement]:
@@ -70,7 +73,6 @@ class Connection:
         platforms: Optional[PlatformRegistry] = None,
         crowd_config: Optional[CrowdConfig] = None,
         strict_boundedness: bool = False,
-        default_platform: Optional[str] = None,
         plan_cache_size: int = 64,
         auto_analyze_floor: Optional[int] = None,
         auto_analyze_fraction: Optional[float] = None,
@@ -157,7 +159,6 @@ class Connection:
             optimizer=self.optimizer,
             task_manager=self.task_manager,
             ui_manager=self.ui_manager,
-            platform=default_platform,
             plan_cache_size=plan_cache_size,
             observability=self.observability,
         )
@@ -266,9 +267,13 @@ class Connection:
 
     # -- crowd plumbing -----------------------------------------------------------------
 
-    def set_platform(self, name: Optional[str]) -> None:
-        """Choose the default crowdsourcing platform for queries."""
-        self.executor.platform = name
+    def set_platform(self, name: str) -> None:
+        """Make the platform registered under ``name`` the default for
+        the next statement of every session (raises
+        :class:`~repro.errors.CrowdPlatformError` for an unknown name)."""
+        if self.platforms is None:
+            raise CrowdPlatformError("no crowdsourcing platform is configured")
+        self.platforms.set_default(name)
 
     @property
     def crowd_stats(self) -> dict[str, float]:
@@ -407,18 +412,11 @@ def connect(
     amt_population: int = 200,
     mobile_population: int = 60,
     platforms: Optional[Iterable[CrowdPlatform]] = None,
-    default_platform: str = "amt",
+    default_platform: Optional[str] = None,
     with_crowd: bool = True,
-    batch_size: Optional[int] = None,
-    hit_group_size: Optional[int] = None,
     plan_cache_size: int = 64,
     auto_analyze_floor: Optional[int] = None,
     auto_analyze_fraction: Optional[float] = None,
-    target_confidence: Optional[float] = None,
-    min_replication: Optional[int] = None,
-    max_replication: Optional[int] = None,
-    gold_rate: Optional[float] = None,
-    block_below: Optional[float] = None,
     observability: bool = True,
     slow_query_seconds: Optional[float] = None,
     trace_capacity: int = 2048,
@@ -426,38 +424,19 @@ def connect(
     path: Optional[str] = None,
     wal_sync: str = "commit",
     checkpoint_interval: Optional[int] = 1024,
-    platform_retries: Optional[int] = None,
-    platform_timeout: Optional[float] = None,
-    statement_deadline_ms: Optional[int] = None,
-    statement_budget_cents: Optional[int] = None,
-    breaker_enabled: Optional[bool] = None,
-    breaker_failure_threshold: Optional[int] = None,
-    breaker_cooldown_seconds: Optional[float] = None,
-    breaker_latency_seconds: Optional[float] = None,
-    breaker_half_open_probes: Optional[int] = None,
 ) -> Connection:
     """Create a CrowdDB connection.
 
     By default two simulated platforms are attached — ``"amt"`` (the
     worldwide crowd) and ``"mobile"`` (the locality-aware conference
     crowd) — both answering from ``oracle``.  Pass ``with_crowd=False``
-    for a traditional, crowd-less database.
+    for a traditional, crowd-less database.  ``default_platform`` names
+    the registered platform queries post to (``None``: the first one);
+    an unknown name raises :class:`~repro.errors.CrowdPlatformError`.
 
-    ``batch_size`` and ``hit_group_size`` are shortcuts for the batch
-    crowd execution knobs of :class:`CrowdConfig`: operators buffer up to
-    ``batch_size`` tuples and settle the window's crowd tasks in one
-    overlapped round, and up to ``hit_group_size`` fill tasks of one
-    table/column set are packaged into a single HIT.
-
-    ``target_confidence``, ``min_replication``, ``max_replication``,
-    ``gold_rate`` and ``block_below`` are the adaptive quality knobs (see
-    :class:`CrowdConfig`): setting ``target_confidence`` switches
-    fill/compare HITs to confidence-driven adaptive replication with
-    reputation-weighted consensus voting; ``gold_rate`` shadows real work
-    with known-answer probe HITs that grade workers; ``block_below``
-    blocks workers whose estimated accuracy falls under it.  Left at their
-    defaults, queries behave exactly like the fixed-replication paper
-    model.
+    Crowd policy — replication, batching, adaptive quality, retries,
+    per-statement caps, the circuit breaker — is ``crowd_config`` (see
+    :class:`CrowdConfig`); it has no keyword of its own here.
 
     ``plan_cache_size`` bounds the per-connection plan cache (0 disables
     caching); ``auto_analyze_floor`` / ``auto_analyze_fraction`` tune the
@@ -479,43 +458,7 @@ def connect(
     is the number of WAL records between automatic checkpoints (``None``
     disables, leaving them to :meth:`Connection.checkpoint` and
     :meth:`Connection.close`).
-
-    ``platform_retries``/``platform_timeout`` bound the exponential-
-    backoff retry loop around transient platform failures,
-    ``statement_deadline_ms``/``statement_budget_cents`` are the default
-    per-statement caps (``WITH DEADLINE/BUDGET`` overrides them), and the
-    ``breaker_*`` knobs tune the per-platform circuit breaker (see
-    :class:`CrowdConfig`).
     """
-    overrides = {
-        key: value
-        for key, value in (
-            ("batch_size", batch_size),
-            ("hit_group_size", hit_group_size),
-            ("target_confidence", target_confidence),
-            ("min_replication", min_replication),
-            ("max_replication", max_replication),
-            ("gold_rate", gold_rate),
-            ("block_below", block_below),
-            ("platform_retries", platform_retries),
-            ("platform_timeout", platform_timeout),
-            ("statement_deadline_ms", statement_deadline_ms),
-            ("statement_budget_cents", statement_budget_cents),
-            ("breaker_enabled", breaker_enabled),
-            ("breaker_failure_threshold", breaker_failure_threshold),
-            ("breaker_cooldown_seconds", breaker_cooldown_seconds),
-            ("breaker_latency_seconds", breaker_latency_seconds),
-            ("breaker_half_open_probes", breaker_half_open_probes),
-        )
-        if value is not None
-    }
-    if overrides:
-        from dataclasses import replace
-
-        if crowd_config is None:
-            crowd_config = CrowdConfig(**overrides)
-        else:  # never mutate the caller's config object
-            crowd_config = replace(crowd_config, **overrides)
     planner_kwargs = dict(
         plan_cache_size=plan_cache_size,
         auto_analyze_floor=auto_analyze_floor,
@@ -543,14 +486,13 @@ def connect(
             ),
         )
     for platform in platforms:
-        registry.register(
-            platform, default=(platform.name == default_platform)
-        )
+        registry.register(platform)
+    if default_platform is not None:
+        registry.set_default(default_platform)
     connection = Connection(
         platforms=registry,
         crowd_config=crowd_config,
         strict_boundedness=strict_boundedness,
-        default_platform=default_platform,
         **planner_kwargs,
     )
     # wire the Worker Relationship Manager into every simulated platform:
@@ -567,8 +509,7 @@ def connect(
 
 def serve(
     connection: Optional[Connection] = None,
-    max_active_sessions: Optional[int] = None,
-    max_waiting_sessions: Optional[int] = None,
+    admission: Optional[AdmissionConfig] = None,
     **connect_kwargs: Any,
 ):
     """Create a concurrent query server over one CrowdDB instance.
@@ -576,18 +517,12 @@ def serve(
     Sessions opened on the returned :class:`~repro.server.Server` run
     under a cooperative scheduler: a query waiting on crowd ballots
     suspends, other sessions proceed, and identical in-flight crowd tasks
-    are deduplicated through the shared task pool.  ``connect_kwargs``
-    are forwarded to :func:`connect` when no ``connection`` is given.
+    are deduplicated through the shared task pool.  ``admission`` caps
+    the active and waiting sessions; ``connect_kwargs`` are forwarded to
+    :func:`connect` when no ``connection`` is given.
     """
-    from repro.server import AdmissionConfig, Server
+    from repro.server import Server
 
-    admission = None
-    if max_active_sessions is not None or max_waiting_sessions is not None:
-        admission = AdmissionConfig()
-        if max_active_sessions is not None:
-            admission.max_active_sessions = max_active_sessions
-        if max_waiting_sessions is not None:
-            admission.max_waiting_sessions = max_waiting_sessions
     # Server itself rejects connection + connect_kwargs together, so
     # conflicting arguments raise instead of being silently dropped
     return Server(

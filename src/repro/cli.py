@@ -68,6 +68,7 @@ import threading
 from typing import Callable, Optional, TextIO
 
 from repro.api import Connection, connect, serve
+from repro.crowd.task_manager import CrowdConfig
 from repro.errors import CrowdDBError
 from repro.io_utils import dump_csv, load_csv, load_snapshot, save_snapshot
 
@@ -201,15 +202,13 @@ class Shell:
             )
 
     def _cmd_platform(self, argument: str) -> None:
+        registry = self.connection.platforms
         if argument:
-            self.connection.platforms.get(argument)  # validates
             self.connection.set_platform(argument)
-            self._print(f"default platform: {argument}")
+            self._print(f"default platform: {registry.default}")
         else:
-            current = self.connection.executor.platform or "(registry default)"
-            names = ", ".join(self.connection.platforms.names()) if (
-                self.connection.platforms
-            ) else "none"
+            current = registry.default if registry else "none"
+            names = ", ".join(registry.names()) if registry else "none"
             self._print(f"default platform: {current}; available: {names}")
 
     def _cmd_stats(self, _argument: str) -> None:
@@ -528,15 +527,20 @@ class RemoteShell(Shell):
             self._print(result.pretty())
 
 
-#: ``FLAG VALUE`` pairs forwarded to :func:`repro.connect` /
-#: :func:`repro.serve` / ``serve_tcp``: the adaptive quality-control
-#: knobs, ``--db DIR`` (open or recover a durable instance rooted at DIR)
-#: with its fsync policy.
-_CONNECT_FLAGS = {
+#: ``FLAG VALUE`` pairs of the adaptive quality-control knobs: fields of
+#: the one :class:`CrowdConfig` handed to :func:`repro.connect` /
+#: :func:`repro.serve` / ``serve_tcp``.
+_CROWD_FLAGS = {
     "--target-confidence": ("target_confidence", float),
     "--min-replication": ("min_replication", int),
     "--max-replication": ("max_replication", int),
     "--gold-rate": ("gold_rate", float),
+}
+
+#: ``FLAG VALUE`` pairs forwarded as :func:`repro.connect` keywords:
+#: ``--db DIR`` (open or recover a durable instance rooted at DIR) with
+#: its fsync policy.
+_CONNECT_FLAGS = {
     "--db": ("path", str),
     "--wal-sync": ("wal_sync", str),
 }
@@ -560,6 +564,16 @@ def _pop_flag(argv: list[str], flag: str, cast) -> Optional[object]:
         raise SystemExit(f"usage: {flag} <{cast.__name__}>")
     del argv[index : index + 2]
     return value
+
+
+def _pop_flags(argv: list[str], flags: dict) -> dict[str, object]:
+    """Remove every given ``flag VALUE`` from argv; keyword -> value."""
+    values = {}
+    for flag, (keyword, cast) in flags.items():
+        value = _pop_flag(argv, flag, cast)
+        if value is not None:
+            values[keyword] = value
+    return values
 
 
 def shutdown_handler(shell: Shell, signum: int, _frame: object = None) -> None:
@@ -603,11 +617,10 @@ def _run_listener(address: str, connect_kwargs: dict) -> int:
 
 def main(argv: Optional[list[str]] = None) -> int:
     argv = list(argv) if argv is not None else sys.argv[1:]
-    connect_kwargs = {}
-    for flag, (keyword, cast) in _CONNECT_FLAGS.items():
-        value = _pop_flag(argv, flag, cast)
-        if value is not None:
-            connect_kwargs[keyword] = value
+    connect_kwargs = _pop_flags(argv, _CONNECT_FLAGS)
+    connect_kwargs["crowd_config"] = CrowdConfig(
+        **_pop_flags(argv, _CROWD_FLAGS)
+    )
     listen = _pop_flag(argv, "--listen", str)
     connect_to = _pop_flag(argv, "--connect", str)
     if listen is not None:

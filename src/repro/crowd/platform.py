@@ -87,9 +87,10 @@ class PlatformRegistry:
         self._platforms: dict[str, CrowdPlatform] = {}
         self._default: Optional[str] = None
 
-    def register(self, platform: CrowdPlatform, default: bool = False) -> None:
+    def register(self, platform: CrowdPlatform) -> None:
+        """Add a platform; the first one registered is the default."""
         self._platforms[platform.name.lower()] = platform
-        if default or self._default is None:
+        if self._default is None:
             self._default = platform.name.lower()
 
     def get(self, name: Optional[str] = None) -> CrowdPlatform:
@@ -102,3 +103,12 @@ class PlatformRegistry:
 
     def names(self) -> list[str]:
         return list(self._platforms)
+
+    @property
+    def default(self) -> Optional[str]:
+        """Name of the platform a request without one is posted to."""
+        return self._default
+
+    def set_default(self, name: str) -> None:
+        """Make the platform registered under ``name`` the default."""
+        self._default = self.get(name).name.lower()

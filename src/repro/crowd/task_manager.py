@@ -74,7 +74,6 @@ class CrowdConfig:
     timeout_seconds: float = 6 * 3600.0
     budget_cents: Optional[int] = None
     min_agreement: float = 0.5
-    platform: Optional[str] = None  # default platform name
     locality: Optional[tuple[float, float, float]] = None
     fuzzy_cleansing: bool = True  # merge typo-variant keys when sourcing
     # batch crowd execution: operators buffer up to ``batch_size`` tuples,
@@ -628,7 +627,7 @@ class TaskManager:
                 f"budget of {self.config.budget_cents}c "
                 f"({self.stats.cost_cents}c already spent)"
             )
-        platform = self.platforms.get(platform_name or self.config.platform)
+        platform = self.platforms.get(platform_name)
         # per-HIT retried posts: a transient failure mid-batch must not
         # re-post the HITs that already made it to the marketplace
         for hit in hits:
@@ -926,8 +925,7 @@ class TaskManager:
 
     def _platform_key(self, platform_name: Optional[str]) -> str:
         """The registry key two requests must share to be poolable."""
-        name = platform_name or self.config.platform
-        return (name or "").lower() or "@default"
+        return (platform_name or "").lower() or "@default"
 
 
 def _key_signature(key: tuple) -> str:

@@ -82,7 +82,6 @@ class ExecutionContext:
         engine: StorageEngine,
         task_manager: Optional[Any] = None,  # TaskManager, optional import cycle
         parameters: tuple = (),
-        platform: Optional[str] = None,
         subquery_executor: Optional[
             Callable[[ast.Select, tuple, Scope, tuple], list[tuple]]
         ] = None,
@@ -93,7 +92,11 @@ class ExecutionContext:
         self.engine = engine
         self.task_manager = task_manager
         self.parameters = parameters
-        self.platform = platform
+        # the registry's default platform, read once per statement: every
+        # crowd task the statement issues is posted to (and keyed by) it
+        self.platform = (
+            task_manager.platforms.default if task_manager is not None else None
+        )
         # per-statement deadline/budget guard: checked at every crowd
         # boundary; a trip raises PartialResultStop, which the executor
         # converts into a status="partial" result

@@ -167,7 +167,6 @@ class Executor:
         optimizer: Optional[Optimizer] = None,
         task_manager: Optional[Any] = None,
         ui_manager: Optional[Any] = None,
-        platform: Optional[str] = None,
         plan_cache: Optional[PlanCache] = None,
         plan_cache_size: int = 64,
         observability: Optional[Any] = None,  # repro.obs.Observability
@@ -176,7 +175,6 @@ class Executor:
         self.optimizer = optimizer if optimizer is not None else Optimizer(engine)
         self.task_manager = task_manager
         self.ui_manager = ui_manager
-        self.platform = platform
         self.observability = observability
         # crowd ledger for the statement currently running: set by
         # _run_compiled, inherited by correlated subqueries through
@@ -625,7 +623,6 @@ class Executor:
             engine=self.engine,
             task_manager=self.task_manager,
             parameters=parameters,
-            platform=self.platform,
             subquery_executor=self._run_subquery,
             crowd_waiter=self.crowd_waiter,
             crowd_ledger=self._active_ledger,

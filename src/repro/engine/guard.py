@@ -3,8 +3,8 @@
 A crowd-backed statement can run for simulated hours and buy hundreds of
 paid assignments, so callers need a way to say "give me what you have by
 then" — ``SELECT ... WITH DEADLINE 5000 BUDGET 40`` (milliseconds of
-simulated marketplace time, cents of crowd spend), or per-session
-defaults via ``connect(statement_deadline_ms=..., statement_budget_cents=...)``.
+simulated marketplace time, cents of crowd spend), or per-connection
+defaults via ``CrowdConfig(statement_deadline_ms=..., statement_budget_cents=...)``.
 
 The guard is enforced *cooperatively*: it is checked at crowd
 boundaries (before issuing HITs, before and after waiting on futures)

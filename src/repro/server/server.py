@@ -131,7 +131,6 @@ class Server:
             optimizer=self.connection.optimizer,
             task_manager=self.connection.task_manager,
             ui_manager=self.connection.ui_manager,
-            platform=shared.platform,
             plan_cache=shared.plan_cache,  # plans pool across sessions
             observability=self.connection.observability,
         )

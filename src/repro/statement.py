@@ -44,7 +44,7 @@ class Statement:
         self.sql = sql
         self.parameters = parameters
         # per-submission caps (wire frames / Session.submit); a WITH
-        # clause in the text wins over them, connect() defaults lose
+        # clause in the text wins over them, CrowdConfig defaults lose
         self.deadline_ms = deadline_ms
         self.budget_cents = budget_cents
         self.statement_id = statement_id  # the client's id on the wire
@@ -109,7 +109,7 @@ class StatementRunner:
             results.append(error)
             script = ()
         # cap precedence, decided here for every front end: WITH clause
-        # in the text > the submission's own caps > connect() defaults
+        # in the text > the submission's own caps > CrowdConfig defaults
         deadline_ms, budget_cents = statement.deadline_ms, statement.budget_cents
         if executor.task_manager is not None:
             config = executor.task_manager.config

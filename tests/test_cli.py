@@ -225,3 +225,36 @@ class TestRemoteShell:
         assert "'.tables' is not available over --connect" in out
         assert "engine dot-commands run server-side" in out
         assert not shell.running and "42" not in out  # .quit ended the loop
+
+
+class TestFlags:
+    def test_crowd_flags_build_one_crowd_config(self, monkeypatch, tmp_path):
+        """The quality-control flags are fields of one ``CrowdConfig``;
+        only ``--db`` and ``--wal-sync`` are plain ``connect()`` keywords."""
+        import repro.cli as cli
+        from repro import CrowdConfig
+
+        captured = {}
+
+        def recording_connect(**kwargs):
+            captured.update(kwargs)
+            return connect(with_crowd=False)
+
+        monkeypatch.setattr(cli, "connect", recording_connect)
+        monkeypatch.setattr(cli, "install_signal_handlers", lambda shell: None)
+        script = tmp_path / "script.sql"
+        script.write_text("SELECT 1;\n")
+        assert cli.main([
+            "--target-confidence", "0.85", "--min-replication", "3",
+            "--max-replication", "5", "--gold-rate", "0.1",
+            "--wal-sync", "off", str(script),
+        ]) == 0
+        assert captured == {
+            "wal_sync": "off",
+            "crowd_config": CrowdConfig(
+                target_confidence=0.85,
+                min_replication=3,
+                max_replication=5,
+                gold_rate=0.1,
+            ),
+        }

@@ -20,6 +20,7 @@ import warnings
 import pytest
 
 from repro.api import connect
+from repro.crowd.task_manager import CrowdConfig
 from repro.crowd.breaker import CLOSED, HALF_OPEN, OPEN, CircuitBreaker, RetryQueue
 from repro.crowd.model import HIT, FillTask, reset_id_counters
 from repro.crowd.sim.amt import SimulatedAMT
@@ -391,14 +392,14 @@ class TestPartialResults:
         conn.close()
 
     def test_connect_default_caps_apply(self):
-        conn = crowd_conn(statement_deadline_ms=1)
+        conn = crowd_conn(crowd_config=CrowdConfig(statement_deadline_ms=1))
         result = conn.execute("SELECT name, city FROM person")
         assert result.status == "partial"
         assert result.partial_reason == "deadline"
         conn.close()
 
     def test_statement_clause_overrides_connect_default(self):
-        conn = crowd_conn(statement_deadline_ms=1)
+        conn = crowd_conn(crowd_config=CrowdConfig(statement_deadline_ms=1))
         result = conn.execute(
             "SELECT name, city FROM person WITH DEADLINE 100000000"
         )
@@ -421,7 +422,9 @@ class TestPartialResults:
         conn = connect(
             oracle=oracle,
             seed=11,
-            statement_budget_cents=100_000 if cap_in_text else 5,
+            crowd_config=CrowdConfig(
+                statement_budget_cents=100_000 if cap_in_text else 5
+            ),
         )
         conn.execute(
             "CREATE TABLE City (name STRING PRIMARY KEY, "
@@ -454,7 +457,11 @@ class TestPartialResults:
         conn.close()
 
     def test_electronic_statements_unaffected_by_caps(self):
-        conn = connect(oracle=person_oracle(), seed=11, statement_deadline_ms=1)
+        conn = connect(
+            oracle=person_oracle(),
+            seed=11,
+            crowd_config=CrowdConfig(statement_deadline_ms=1),
+        )
         conn.execute("CREATE TABLE plain (a INTEGER)")
         conn.execute("INSERT INTO plain VALUES (1), (2)")
         result = conn.execute("SELECT a FROM plain ORDER BY a")
@@ -489,7 +496,12 @@ def replay_oracle() -> GroundTruthOracle:
 
 
 def replay_conn(path=None):
-    conn = connect(oracle=replay_oracle(), seed=11, path=path, **BREAKER_KNOBS)
+    conn = connect(
+        oracle=replay_oracle(),
+        seed=11,
+        path=path,
+        crowd_config=CrowdConfig(**BREAKER_KNOBS),
+    )
     conn.execute(PERSON_DDL)
     conn.execute(
         "CREATE CROWD TABLE member (name STRING PRIMARY KEY, team STRING)"
@@ -556,9 +568,11 @@ class TestBreakerIntegration:
     def _tripped_conn(self, **kwargs):
         """A connection whose amt breaker has been driven open."""
         conn = crowd_conn(
-            breaker_failure_threshold=2,
-            breaker_cooldown_seconds=3600.0,
-            **kwargs,
+            crowd_config=CrowdConfig(
+                breaker_failure_threshold=2,
+                breaker_cooldown_seconds=3600.0,
+                **kwargs,
+            )
         )
         amt = conn.platforms.get("amt")
         amt.inject_outage(100)  # outlasts every retry
@@ -683,7 +697,7 @@ class TestBreakerIntegration:
         replay_conn(path=str(path)).close()
         shutil.copy(GOLDEN_RETRY, path / "crowd_retry.jsonl")
         conn = connect(oracle=replay_oracle(), seed=11, path=str(path),
-                       **BREAKER_KNOBS)
+                       crowd_config=CrowdConfig(**BREAKER_KNOBS))
         tm = conn.task_manager
         keys = [key for _issue, kind_keys in PARKED_KINDS.values()
                 for key in kind_keys]
@@ -700,7 +714,7 @@ class TestBreakerIntegration:
         conn.close()
 
     def test_breaker_disabled_keeps_legacy_behavior(self):
-        conn = crowd_conn(breaker_enabled=False)
+        conn = crowd_conn(crowd_config=CrowdConfig(breaker_enabled=False))
         amt = conn.platforms.get("amt")
         amt.inject_outage(100)
         with pytest.raises(TransientPlatformError):
@@ -718,8 +732,9 @@ class TestBreakerIntegration:
             oracle=person_oracle(1),
             seed=11,
             path=path,
-            breaker_failure_threshold=2,
-            breaker_cooldown_seconds=3600.0,
+            crowd_config=CrowdConfig(
+                breaker_failure_threshold=2, breaker_cooldown_seconds=3600.0
+            ),
         )
         conn.execute(PERSON_DDL)
         conn.execute("INSERT INTO person (name) VALUES ('p0')")
@@ -784,7 +799,11 @@ class TestChaosSweep:
         # the breaker trips within one call's retry loop, so a sustained
         # outage degrades the statement to partial("breaker") instead of
         # escaping as a transient platform error
-        db = connect(oracle=oracle, seed=11, breaker_failure_threshold=3)
+        db = connect(
+            oracle=oracle,
+            seed=11,
+            crowd_config=CrowdConfig(breaker_failure_threshold=3),
+        )
         server = Server(connection=db)
         net = serve_tcp(server=server)
         proxy = ChaosProxy(net.host, net.port).start()

@@ -253,12 +253,39 @@ class TestPlatformChoice:
         result = db.execute("SELECT abstract FROM Talk WHERE title = 'Qurk'")
         assert result.rows[0][0]
 
-    def test_unknown_platform_errors(self, demo_db):
+    def test_single_platform_is_the_default_without_naming_it(
+        self, demo_oracle
+    ):
+        from repro import connect
+        from repro.crowd.scripted import ScriptedPlatform, oracle_answer_fn
+
+        db = connect(
+            oracle=demo_oracle,
+            platforms=(ScriptedPlatform(oracle_answer_fn(demo_oracle)),),
+        )
+        db.execute(
+            "CREATE TABLE Talk (title STRING PRIMARY KEY, abstract CROWD STRING)"
+        )
+        db.execute("INSERT INTO Talk (title) VALUES ('Qurk')")
+        result = db.execute("SELECT abstract FROM Talk WHERE title = 'Qurk'")
+        assert result.rows[0][0]
+        assert db.crowd_stats["hits_posted"] >= 1
+        assert db.platforms.default == "scripted"
+
+    def test_unknown_platform_errors(self, demo_db, demo_oracle):
+        """An unknown name is refused where it is given, not at the first
+        crowd query, and leaves the default as it was."""
+        from repro import connect
         from repro.errors import CrowdPlatformError
 
-        demo_db.set_platform("nonexistent")
         with pytest.raises(CrowdPlatformError):
-            demo_db.execute("SELECT abstract FROM Talk WHERE title = 'Qurk'")
+            connect(oracle=demo_oracle, default_platform="mars")
+        with pytest.raises(CrowdPlatformError):
+            demo_db.set_platform("nonexistent")
+        assert demo_db.platforms.default == "scripted"
+        assert demo_db.execute(
+            "SELECT abstract FROM Talk WHERE title = 'Qurk'"
+        ).rows[0][0]
 
 
 class TestSimulatedEndToEnd:

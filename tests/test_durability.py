@@ -542,9 +542,7 @@ class TestCrowdLedger:
                 ),
             )
             registry = PlatformRegistry()
-            registry.register(
-                ScriptedPlatform(oracle_answer_fn(demo_oracle)), default=True
-            )
+            registry.register(ScriptedPlatform(oracle_answer_fn(demo_oracle)))
             crashed = Connection(engine=storage.engine, platforms=registry)
             storage.bind_crowd(crashed.task_manager, crashed.reputation)
             with pytest.raises(WalCrash):

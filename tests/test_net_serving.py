@@ -12,9 +12,11 @@ import time
 import pytest
 
 from repro.api import connect, serve
+from repro.crowd.task_manager import CrowdConfig
 from repro.errors import NetworkProtocolError, RemoteError
 from repro.net import connect_tcp, serve_tcp
 from repro.net import protocol
+from repro.server import AdmissionConfig
 from repro.sqltypes import CNULL, NULL
 
 
@@ -100,7 +102,7 @@ def _front_ends(root):
             oracle.load_fill("person", (f"p{i}",), {"city": f"city{i}"})
         return dict(
             path=str(root / name), checkpoint_interval=16, oracle=oracle,
-            seed=11, statement_deadline_ms=1,
+            seed=11, crowd_config=CrowdConfig(statement_deadline_ms=1),
         )
 
     local = connect(**instance("local"))
@@ -372,7 +374,11 @@ def test_cancel_frame_aborts_a_parked_crowd_statement():
 
 
 def test_admission_rejection_travels_as_an_error_frame():
-    server = serve(max_active_sessions=1, max_waiting_sessions=0)
+    server = serve(
+        admission=AdmissionConfig(
+            max_active_sessions=1, max_waiting_sessions=0
+        )
+    )
     net = serve_tcp(server=server)
     first = connect_tcp(net.host, net.port)
     try:

@@ -8,7 +8,7 @@ boundary, in ``test_durability.py``.)
 
 import pytest
 
-from repro import connect
+from repro import CrowdConfig, connect
 from repro.crowd.model import reset_id_counters
 from repro.crowd.scripted import ScriptedPlatform
 from repro.crowd.sim.traces import GroundTruthOracle
@@ -121,10 +121,12 @@ def run_adaptive_demo(seed: int):
         db = connect(
             oracle=oracle,
             seed=seed,
-            target_confidence=0.9,
-            min_replication=2,
-            max_replication=6,
-            gold_rate=0.25,
+            crowd_config=CrowdConfig(
+                target_confidence=0.9,
+                min_replication=2,
+                max_replication=6,
+                gold_rate=0.25,
+            ),
         )
         db.execute(
             "CREATE TABLE Talk (title STRING PRIMARY KEY, "
@@ -150,7 +152,7 @@ def run_adaptive_scripted(seed: int):
     def answer(task, replica):
         return {"abstract": "noisy" if replica == 0 else "clean"}
 
-    from repro import CrowdConfig, Connection
+    from repro import Connection
     from repro.crowd.platform import PlatformRegistry
 
     registry = PlatformRegistry()
@@ -160,7 +162,6 @@ def run_adaptive_scripted(seed: int):
         crowd_config=CrowdConfig(
             target_confidence=0.9, min_replication=2, max_replication=6
         ),
-        default_platform="scripted",
     )
     db.execute(
         "CREATE TABLE Talk (title STRING PRIMARY KEY, abstract CROWD STRING)"

@@ -448,7 +448,11 @@ class TestCooperativeScheduler:
 
 class TestAdmission:
     def test_waitlisted_sessions_run_after_promotion(self):
-        server = make_server(max_active_sessions=1, max_waiting_sessions=8)
+        server = make_server(
+            admission=AdmissionConfig(
+                max_active_sessions=1, max_waiting_sessions=8
+            )
+        )
         sessions = [
             server.open_session().submit(
                 f"SELECT population FROM City WHERE name = 'city{i}'"
@@ -464,7 +468,11 @@ class TestAdmission:
         server.shutdown()
 
     def test_full_server_rejects(self):
-        server = make_server(max_active_sessions=1, max_waiting_sessions=1)
+        server = make_server(
+            admission=AdmissionConfig(
+                max_active_sessions=1, max_waiting_sessions=1
+            )
+        )
         server.open_session()
         server.open_session()  # waitlisted
         with pytest.raises(AdmissionError, match="server full"):
@@ -512,6 +520,21 @@ class TestServeFactory:
         session = server.open_session().submit("SELECT 40 + 2")
         server.run()
         assert session.last_result().scalar() == 42
+        server.shutdown()
+
+    def test_open_session_follows_a_later_platform_switch(self):
+        """The default platform lives in the registry alone: a session
+        opened before ``set_platform`` posts its next HIT on the new
+        default, not on a copy taken when it was opened."""
+        server = make_server()
+        session = server.open_session()
+        server.connection.set_platform("mobile")
+        session.submit("SELECT population FROM City WHERE name = 'city3'")
+        server.run()
+        assert session.last_result().rows == [(1003,)]
+        platforms = server.connection.platforms
+        assert len(platforms.get("mobile").all_hits()) == 1
+        assert platforms.get("amt").all_hits() == []
         server.shutdown()
 
 
