@@ -43,6 +43,7 @@ from repro.exec.vector import (
     TAG_NUM,
     TAG_STR,
     ColumnBatch,
+    typed_array,
 )
 from repro.plan.compiled import (
     _COMPARISON_CHECKS,
@@ -162,27 +163,46 @@ def _ndcolumn(batch: ColumnBatch, col: list, tag: Optional[str]):
     ``fromiter`` raising OverflowError outside int64 (→ no lane).
     TAG_NUM (mixed int/float) gets no lane — silently rounding a big int
     into float64 could flip a comparison the row engine decides exactly.
-    Conversions are memoized on the batch keyed by column identity; the
-    memo holds a strong reference to the list, so ids cannot be recycled
-    under it.
+    A stored column takes its per-version lane (``batch.lanes``); any
+    other is converted here once and memoized on the batch, keyed by
+    column identity (the memo holds a strong reference to the list, so
+    ids cannot be recycled under it).
     """
     if _np is None or (tag != TAG_FLOAT and tag != TAG_INT):
         return None
+    arr = known_array(batch, col)
+    if arr is None:
+        arr = typed_array(col, tag)
+        if arr is not None:
+            _ndregister(batch, col, arr)
+    return arr
+
+
+def known_array(batch: ColumnBatch, col: list):
+    """``col``'s ndarray when one exists without converting: memoized on
+    the batch, or the lane of a stored column.  Gathers use it to take
+    kept rows in numpy where that costs no extra pass."""
     cache = batch.arrays
-    if cache is None:
-        cache = batch.arrays = {}
-    key = id(col)
-    hit = cache.get(key)
+    hit = cache.get(id(col)) if cache is not None else None
     if hit is not None and hit[0] is col:
         return hit[1]
-    try:
-        arr = _np.fromiter(
-            col, _np.float64 if tag == TAG_FLOAT else _np.int64, len(col)
-        )
-    except (TypeError, ValueError, OverflowError):
-        arr = None
-    cache[key] = (col, arr)
-    return arr
+    lanes = batch.lanes
+    return lanes.array(col) if lanes is not None else None
+
+
+def _by_code(batch: ColumnBatch, col: list, verdict: Callable[[list], list]):
+    """A mask over a dictionary-lane column: ``verdict`` runs once over
+    the distinct values and the bool mask is gathered by code.  None when
+    ``col`` has no dictionary lane or a verdict is not a plain bool."""
+    lanes = batch.lanes
+    lane = lanes.dictionary(col) if lanes is not None else None
+    if lane is None:
+        return None
+    codes, values = lane
+    verdicts = verdict(values)
+    if None in verdicts:
+        return None
+    return _np.array(verdicts, dtype=_np.bool_)[codes]
 
 
 def _ndconst(arr, constant):
@@ -714,6 +734,11 @@ class _VectorCompiler:
                 if conjunction:
                     return list(map(and_, a, b)), True
                 return list(map(or_, a, b)), True
+            # the 3VL loop tests identity with True/False/None, which an
+            # ndarray's np.bool_ elements never pass: a clean ndarray side
+            # becomes Python bools first
+            a = _mask_list(a)
+            b = _mask_list(b)
             out: list = []
             append = out.append
             if conjunction:
@@ -799,6 +824,10 @@ class _VectorCompiler:
                                 c_nd = _ndconst(arr, constant)
                                 if c_nd is not None:
                                     return _ndmask(arr, effective, c_nd), True
+                        else:
+                            mask = _by_code(batch, col, fast)
+                            if mask is not None:
+                                return mask, True
                         return fast(col), True
                     out: list = []
                     append = out.append
@@ -893,17 +922,18 @@ class _VectorCompiler:
             return kernel
         pattern_text = str(pattern)
         regex_match = cached_like_regex(pattern_text).match
-        # Literal-only patterns with one edge/bracketing ``%`` reduce to
-        # str methods run in a single C map() pass — the unbound method
-        # zipped against a repeated literal, which skips the per-element
-        # bound-method creation a methodcaller pays.  ``lit%`` compiles
-        # to ``^lit.*$`` with DOTALL, where the trailing ``$`` is always
-        # satisfiable after ``.*`` — exactly startswith.  ``%lit%`` is
-        # exactly substring containment.  (Exact/suffix patterns are NOT
-        # reducible: their ``$`` also accepts one trailing newline.)
+        # Literal-only patterns with at most an edge or bracketing ``%``
+        # reduce to str methods run in a single C map() pass — the
+        # unbound method zipped against a repeated literal, which skips
+        # the per-element bound-method creation a methodcaller pays.  The
+        # regex is anchored with ``\Z``, so ``lit`` is exactly equality,
+        # ``lit%`` startswith, ``%lit`` endswith and ``%lit%`` substring
+        # containment.
         matcher = literal = None
         if "_" not in pattern_text:
-            if pattern_text.endswith("%") and "%" not in pattern_text[:-1]:
+            if "%" not in pattern_text:
+                matcher, literal = str.__eq__, pattern_text
+            elif pattern_text.endswith("%") and "%" not in pattern_text[:-1]:
                 matcher, literal = str.startswith, pattern_text[:-1]
             elif (
                 len(pattern_text) >= 2
@@ -912,13 +942,21 @@ class _VectorCompiler:
                 and "%" not in pattern_text[1:-1]
             ):
                 matcher, literal = str.__contains__, pattern_text[1:-1]
+            elif pattern_text.startswith("%") and "%" not in pattern_text[1:]:
+                matcher, literal = str.endswith, pattern_text[1:]
+
+        def like(col: list) -> list:
+            if matcher is not None:
+                return list(map(matcher, col, repeat(literal)))
+            return [regex_match(v) is not None for v in col]
 
         def kernel(batch: ColumnBatch) -> tuple[list, bool]:
             col, tag = operand_kernel(batch)
             if tag == TAG_STR:
-                if matcher is not None:
-                    return list(map(matcher, col, repeat(literal))), True
-                return [regex_match(v) is not None for v in col], True
+                mask = _by_code(batch, col, like)
+                if mask is not None:
+                    return mask, True
+                return like(col), True
             out: list = []
             append = out.append
             for v in col:
@@ -978,13 +1016,7 @@ class _VectorCompiler:
             else None
         )
 
-        def kernel(batch: ColumnBatch) -> tuple[list, bool]:
-            col, tag = operand_kernel(batch)
-            if tag == TAG_INT and int_set is not None:
-                return (
-                    [match_result if v in int_set else miss_result for v in col],
-                    not saw_missing_items,
-                )
+        def each(col: list) -> list:
             out: list = []
             append = out.append
             for v in col:
@@ -999,7 +1031,20 @@ class _VectorCompiler:
                         result = match_result
                         break
                 append(result)
-            return out, False
+            return out
+
+        def kernel(batch: ColumnBatch) -> tuple[list, bool]:
+            col, tag = operand_kernel(batch)
+            if tag == TAG_INT and int_set is not None:
+                return (
+                    [match_result if v in int_set else miss_result for v in col],
+                    not saw_missing_items,
+                )
+            if tag == TAG_STR:
+                mask = _by_code(batch, col, each)
+                if mask is not None:
+                    return mask, True
+            return each(col), False
 
         return kernel
 

@@ -36,7 +36,12 @@ batch→row transitions free.
 from __future__ import annotations
 
 from itertools import islice
-from typing import Any, Iterable, Iterator, Optional, Sequence
+from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
+
+try:  # lanes are ndarrays; without numpy there are none
+    import numpy as _np
+except ImportError:  # pragma: no cover - image without numpy
+    _np = None
 
 #: Rows processed per chunk by the row engine's batch-at-a-time operator
 #: loops (lifted here from ``engine/filter_project.py`` so row-chunk and
@@ -52,6 +57,15 @@ BATCH_ROWS = 256
 #: zero-copy too — so the window is sized to keep whole benchmark-scale
 #: tables in one batch (256k rows x 8 columns is ~16 MB of pointers).
 VECTOR_ROWS = 262144
+
+#: Stored columns shorter than this get no dictionary lane, and hash-join
+#: builds under it stay a dict probe per row: numpy's fixed per-call cost
+#: pays off only over thousands of rows.
+LANE_ROWS = 4096
+
+#: A clean string column gets a dictionary lane when its statistics show
+#: at most one distinct value per this many rows.
+DICTIONARY_ROWS_PER_VALUE = 8
 
 #: Column cleanliness tags (see module docstring).
 TAG_INT = "int"
@@ -84,7 +98,7 @@ class ColumnBatch:
     unknown when omitted.
     """
 
-    __slots__ = ("columns", "num_rows", "tags", "arrays")
+    __slots__ = ("columns", "num_rows", "tags", "arrays", "lanes")
 
     def __init__(
         self,
@@ -100,6 +114,9 @@ class ColumnBatch:
         # lazy per-batch memo of ndarray conversions, populated by the
         # kernel layer's numeric lanes (None until first used)
         self.arrays: Optional[dict] = None
+        # the per-version lanes of the stored columns among ``columns``
+        # (set by the scan, relayed with columns passed through as-is)
+        self.lanes: Optional[ColumnLanes] = None
 
     @classmethod
     def from_rows(
@@ -129,3 +146,126 @@ class ColumnBatch:
             f"ColumnBatch({len(self.columns)} cols x {self.num_rows} rows, "
             f"tags={self.tags!r})"
         )
+
+
+class ColumnLanes:
+    """Per-version lanes of a scanned table, seen through one batch.
+
+    A lane is a typed form of one stored column, built on first use and
+    kept in ``store`` -- the heap's lane dict for the version the scan
+    read (:meth:`HeapTable.column_lanes`), keyed ``(ordinal, kind)`` --
+    so every statement over that version shares it, and the heap's next
+    write drops it.  Kinds:
+
+    * ``"array"``: the int64/float64 ndarray of a clean INTEGER or FLOAT
+      column (None when a value does not fit int64);
+    * ``"dictionary"``: ``(codes, values)`` for a clean STRING column
+      whose statistics show few distinct values (``dictionary`` names
+      those ordinals): the distinct values in first-appearance order and
+      an intp ndarray of each row's index into them;
+    * ``"join"``: the hash-join build table over the column, built by the
+      join (see :meth:`join_table`).
+
+    ``stored`` are the version's column lists and ``columns`` the batch's:
+    the same lists, or their ``[start:start + rows]`` slices, ``None``
+    where pruned.  Lanes are found by column identity, so a column that is
+    not one of ``columns`` -- a kernel output, a filter or join gather --
+    has none; a sliced batch gets sliced lanes (ndarray views).
+    """
+
+    __slots__ = ("_store", "_stored", "_tags", "_dictionary", "_columns",
+                 "_start", "_stop")
+
+    def __init__(
+        self,
+        store: dict,
+        stored: Sequence[list],
+        tags: Sequence[Optional[str]],
+        dictionary: frozenset,
+        columns: Sequence[Optional[list]],
+        start: int,
+        rows: int,
+    ) -> None:
+        self._store = store
+        self._stored = stored
+        self._tags = tags
+        self._dictionary = dictionary
+        self._columns = columns
+        self._start = start
+        self._stop = start + rows
+
+    def _ordinal(self, col: list) -> int:
+        for ordinal, column in enumerate(self._columns):
+            if column is col:
+                return ordinal
+        return -1
+
+    def _lane(self, ordinal: int, kind: str, build: Callable[[list], Any]):
+        key = (ordinal, kind)
+        store = self._store
+        if key in store:
+            return store[key]
+        lane = store[key] = build(self._stored[ordinal])
+        return lane
+
+    def _whole(self, ordinal: int) -> bool:
+        return self._start == 0 and self._stop == len(self._stored[ordinal])
+
+    def array(self, col: list):
+        """``col`` as an int64/float64 ndarray when it is a clean numeric
+        stored column of this batch, else None.  Exact for the same reason
+        as the per-batch conversion in :mod:`repro.exec.kernels`."""
+        ordinal = self._ordinal(col)
+        if ordinal < 0 or _np is None:
+            return None
+        tag = self._tags[ordinal]
+        if tag != TAG_INT and tag != TAG_FLOAT:
+            return None
+        arr = self._lane(
+            ordinal, "array", lambda stored: typed_array(stored, tag)
+        )
+        if arr is None or self._whole(ordinal):
+            return arr
+        return arr[self._start:self._stop]
+
+    def dictionary(self, col: list):
+        """``(codes, values)`` when ``col`` is a stored column with a
+        dictionary lane, else None; ``values[codes[i]] == col[i]``."""
+        ordinal = self._ordinal(col)
+        if ordinal < 0 or ordinal not in self._dictionary:
+            return None
+        codes, values = self._lane(ordinal, "dictionary", _encode)
+        if not self._whole(ordinal):
+            codes = codes[self._start:self._stop]
+        return codes, values
+
+    def join_table(self, col: list, build: Callable[[list], Any]):
+        """``build(col)``, kept for the version, when ``col`` is a whole
+        stored column of this batch (an unfiltered build key); None
+        otherwise.  The caller must not mutate the result."""
+        ordinal = self._ordinal(col)
+        if ordinal < 0 or not self._whole(ordinal):
+            return None
+        return self._lane(ordinal, "join", build)
+
+
+def typed_array(column: list, tag: Optional[str]):
+    """``column`` as an int64 (``TAG_INT``) or float64 (``TAG_FLOAT``)
+    ndarray; None without numpy, under another tag, or when an int does
+    not fit int64 (``fromiter`` raises rather than wrap)."""
+    if _np is None or (tag != TAG_INT and tag != TAG_FLOAT):
+        return None
+    dtype = _np.int64 if tag == TAG_INT else _np.float64
+    try:
+        return _np.fromiter(column, dtype, len(column))
+    except (TypeError, ValueError, OverflowError):
+        return None
+
+
+def _encode(column: list) -> tuple:
+    """Dictionary-encode a string column: codes in first-appearance order,
+    so neither set iteration order nor string hashes can reorder them."""
+    values = list(dict.fromkeys(column))
+    index = {value: code for code, value in enumerate(values)}
+    codes = _np.fromiter(map(index.__getitem__, column), _np.intp, len(column))
+    return codes, values

@@ -31,16 +31,21 @@ from repro.engine.context import ExecutionContext
 from repro.errors import ExecutionError
 from repro.exec.kernels import (
     CannotVectorize,
+    _ndcolumn,
     compile_column_kernel,
     compile_mask_kernel,
+    known_array,
 )
 from repro.exec.vector import (
+    DICTIONARY_ROWS_PER_VALUE,
+    LANE_ROWS,
     TAG_FLOAT,
     TAG_INT,
     TAG_NUM,
     TAG_STR,
     VECTOR_ROWS,
     ColumnBatch,
+    ColumnLanes,
 )
 from repro.sql import ast
 from repro.sql.pretty import format_expression
@@ -182,7 +187,9 @@ class VectorScanOp(VectorOperator):
     Cleanliness tags are derived from the table's live statistics at
     iteration time — never at plan/bind time, because cached plans
     outlive inserts that introduce NULLs (the plan-cache epoch does not
-    fold row counts).
+    fold row counts).  Each batch carries the lanes of the table version
+    it read (:class:`~repro.exec.vector.ColumnLanes`), so statements over
+    an unchanged table share their typed forms of the stored columns.
     """
 
     def __init__(
@@ -202,37 +209,52 @@ class VectorScanOp(VectorOperator):
         # columns and tags read one heap version: one thread runs the
         # engine at a time (the scheduler's baton, or the TCP pump), and
         # nothing between these two calls yields it
-        columns, total = heap.scan_columns()
+        stored, total = heap.scan_columns()
+        store = heap.column_lanes()
         tags = _scan_tags(heap)
+        dictionary = _dictionary_ordinals(heap, tags, total)
         live = self._live
+        columns = stored
         if live is not None:
             columns = [
                 column if i in live else None
-                for i, column in enumerate(columns)
+                for i, column in enumerate(stored)
             ]
         yielded = 0
         try:
             if total == 0:
                 return
-            if total <= VECTOR_ROWS:
-                # zero-copy: hand the heap's cached column lists straight
-                # to the batch (consumers never mutate batch columns)
-                yielded = total
-                yield ColumnBatch(columns, total, tags)
-                return
             for start in range(0, total, VECTOR_ROWS):
                 stop = min(start + VECTOR_ROWS, total)
                 yielded = stop
-                yield ColumnBatch(
-                    [
-                        None if column is None else column[start:stop]
-                        for column in columns
-                    ],
+                # one window is the whole table: hand the heap's cached
+                # column lists straight to the batch (consumers never
+                # mutate batch columns); more are slices, lanes with them
+                window = columns if stop - start == total else [
+                    None if column is None else column[start:stop]
+                    for column in columns
+                ]
+                batch = ColumnBatch(window, stop - start, tags)
+                batch.lanes = ColumnLanes(
+                    store, stored, tags, dictionary, window, start,
                     stop - start,
-                    tags,
                 )
+                yield batch
         finally:
             self.context.rows_scanned += yielded
+
+
+def _dictionary_ordinals(heap, tags: list, total: int) -> frozenset:
+    """Clean string columns whose statistics show few distinct values."""
+    if _np is None or total < LANE_ROWS:
+        return frozenset()
+    return frozenset(
+        ordinal
+        for ordinal, column in enumerate(heap.schema.columns)
+        if tags[ordinal] == TAG_STR
+        and heap.statistics.column(column.name).distinct_count
+        * DICTIONARY_ROWS_PER_VALUE <= total
+    )
 
 
 def _scan_tags(heap) -> list[Optional[str]]:
@@ -291,16 +313,22 @@ class VectorFilterOp(VectorOperator):
         self, batch: ColumnBatch, column, position: int, nd_indices, index_list
     ):
         """One output column of the index-gather path: dead columns stay
-        dead, memoized ndarray columns gather in numpy (and re-memoize),
-        everything else takes a Python gather pass."""
+        dead, columns with an ndarray (memoized, or a stored column's
+        lane) gather in numpy (and re-memoize), a dictionary-lane column
+        gathers its codes, everything else takes a Python gather pass."""
         live = self._live
         if column is None or (live is not None and position not in live):
             return None, None
-        cache = batch.arrays
-        hit = cache.get(id(column)) if cache is not None else None
-        if hit is not None and hit[0] is column and hit[1] is not None:
-            gathered = hit[1][nd_indices]
+        arr = known_array(batch, column)
+        if arr is not None:
+            gathered = arr[nd_indices]
             return gathered.tolist(), gathered
+        lanes = batch.lanes
+        lane = lanes.dictionary(column) if lanes is not None else None
+        if lane is not None:
+            codes, values = lane
+            values = _np.array(values, dtype=object)
+            return values[codes[nd_indices]].tolist(), None
         return [column[i] for i in index_list], None
 
     def __iter__(self) -> Iterator[ColumnBatch]:
@@ -438,7 +466,10 @@ class VectorProjectOp(VectorOperator):
                     tag = None
                 columns.append(column)
                 tags.append(tag)
-            yield ColumnBatch(columns, batch.num_rows, tags)
+            out_batch = ColumnBatch(columns, batch.num_rows, tags)
+            # column references pass input columns through as-is
+            out_batch.lanes = batch.lanes
+            yield out_batch
 
 
 class VectorHashJoinOp(VectorOperator):
@@ -520,7 +551,7 @@ class VectorHashJoinOp(VectorOperator):
         self, keys: tuple[ast.Expression, ...], side: VectorOperator
     ):
         """Per-batch evaluator for the key expressions of one side:
-        batch -> (list of per-key columns, all_clean flag)."""
+        batch -> (list of per-key columns, list of their tags)."""
         kernels = []
         for expr in keys:
             try:
@@ -535,21 +566,21 @@ class VectorHashJoinOp(VectorOperator):
             except CannotVectorize:
                 kernels.append((False, self.compile_value(expr, side.scope)))
 
-        def evaluate(batch: ColumnBatch) -> tuple[list, bool]:
+        def evaluate(batch: ColumnBatch) -> tuple[list, list]:
             columns = []
-            clean = True
+            tags = []
             rows: Optional[list] = None
             for vectorized, kernel in kernels:
                 if vectorized:
                     column, tag = kernel(batch)
-                    clean = clean and tag is not None
                 else:
                     if rows is None:
                         rows = _pivot_rows(batch)
                     column = [kernel(values) for values in rows]
-                    clean = False
+                    tag = None
                 columns.append(column)
-            return columns, clean
+                tags.append(tag)
+            return columns, tags
 
         return evaluate
 
@@ -574,17 +605,12 @@ class VectorHashJoinOp(VectorOperator):
         # Bucket contents stay in insertion order, so candidate emission
         # order matches the row operator exactly.
         right_width = len(self.right.scope)
-        table: dict = {}
-        get_entry = table.get
-        unique_build = True
         build_clean = True
         right_tags: Optional[list] = None
-        offset = 0
-        build_batches: list[ColumnBatch] = []
+        built: list[tuple] = []  # (batch, its keys, first key's tag)
         for batch in self.right:
-            build_batches.append(batch)
-            key_columns, clean = build_keys(batch)
-            build_clean = build_clean and clean
+            key_columns, key_tags = build_keys(batch)
+            build_clean = build_clean and None not in key_tags
             if right_tags is None:
                 right_tags = list(batch.tags)
             elif right_tags != batch.tags:
@@ -592,41 +618,38 @@ class VectorHashJoinOp(VectorOperator):
                     a if a == b else None
                     for a, b in zip(right_tags, batch.tags)
                 ]
-            if single:
-                keys_iter = key_columns[0]
-            else:
-                keys_iter = zip(*key_columns)
-            for i, key in enumerate(keys_iter, start=offset):
-                if single:
-                    if key is NULL or key is None or key is CNULL:
-                        continue
-                elif any(is_missing(part) for part in key):
-                    continue
-                existing = get_entry(key)
-                if existing is None:
-                    table[key] = i
-                elif type(existing) is int:
-                    table[key] = [existing, i]
-                    unique_build = False
-                else:
-                    existing.append(i)
-            offset += batch.num_rows
-        build_arrays: Optional[dict] = None
-        if len(build_batches) == 1:
+            keys = key_columns[0] if single else list(zip(*key_columns))
+            built.append((batch, keys, key_tags[0]))
+        table: dict = {}
+        build: Optional[ColumnBatch] = None
+        if len(built) == 1:
             # the whole build side arrived in one batch: adopt its
-            # columns zero-copy instead of re-accumulating them (and its
-            # ndarray memo, which licenses np.take gathers below)
-            right_columns: list = build_batches[0].columns
-            build_arrays = build_batches[0].arrays
+            # columns zero-copy instead of re-accumulating them, and its
+            # ndarray memo and lanes (the build table of an unfiltered
+            # stored key, np.take gathers)
+            build, keys, tag = built[0]
+            right_columns: list = build.columns
+            if single:
+                table, unique_build = _single_key_table(build, keys, tag)
+            else:
+                unique_build = _add_build_rows(table, keys, 0, False)
+            offset = build.num_rows
         else:
+            unique_build = True
+            offset = 0
             right_columns = [[] for _ in range(right_width)]
-            for batch in build_batches:
+            for batch, keys, _tag in built:
+                unique_build = _add_build_rows(
+                    table, keys, offset, single
+                ) and unique_build
+                offset += batch.num_rows
                 for j, column in enumerate(batch.columns):
                     if column is None:
                         right_columns[j] = None  # pruned upstream
                     elif right_columns[j] is not None:
                         right_columns[j].extend(column)
-        del build_batches
+        del built
+        get_entry = table.get
         left_outer = self.join_type == "LEFT"
         padding = (NULL,) * right_width
         width = len(self._scope)
@@ -641,8 +664,9 @@ class VectorHashJoinOp(VectorOperator):
             """Build-side output columns for the given build-row indices
             (``None`` entries mean pad with NULL when ``padded``).  Dead
             and non-consumed columns come back as ``None``; columns with
-            a memoized ndarray gather via a single ``take`` and re-enter
-            the output batch's memo so downstream kernels reuse them."""
+            an ndarray (memoized, or a stored column's lane) gather via a
+            single ``take`` and re-enter the output batch's memo so
+            downstream kernels reuse them."""
             out: list = []
             out_arrays: dict = {}
             nd_indices = None
@@ -657,17 +681,13 @@ class VectorHashJoinOp(VectorOperator):
                         [NULL if e is None else column[e] for e in indices]
                     )
                     continue
-                hit = (
-                    build_arrays.get(id(column))
-                    if build_arrays is not None
-                    else None
-                )
-                if hit is not None and hit[0] is column and hit[1] is not None:
+                arr = known_array(build, column) if build is not None else None
+                if arr is not None:
                     if nd_indices is None:
                         nd_indices = _np.fromiter(
                             indices, _np.int64, len(indices)
                         )
-                    taken = hit[1][nd_indices]
+                    taken = arr[nd_indices]
                     gathered = taken.tolist()
                     out_arrays[id(gathered)] = (gathered, taken)
                     out.append(gathered)
@@ -676,9 +696,11 @@ class VectorHashJoinOp(VectorOperator):
             return out, out_arrays
 
         for batch in self.left:
-            key_columns, probe_clean = probe_keys(batch)
+            key_columns, probe_tags = probe_keys(batch)
             skip_residual = condition is None or (
-                condition_is_key_equality and probe_clean and build_clean
+                condition_is_key_equality
+                and None not in probe_tags
+                and build_clean
             )
             # right columns keep their scan tags only when every emitted
             # row came from a stored build row (no padding)
@@ -746,6 +768,7 @@ class VectorHashJoinOp(VectorOperator):
                     out_batch = ColumnBatch(
                         out_left + out_right, produced, out_tags
                     )
+                    out_batch.lanes = batch.lanes  # probe columns as-is
                     if out_arrays:
                         out_batch.arrays = out_arrays
                     yield out_batch
@@ -815,6 +838,68 @@ class VectorHashJoinOp(VectorOperator):
             if not out_rows:
                 continue
             yield ColumnBatch.from_rows(out_rows, width, out_tags)
+
+
+def _add_build_rows(table: dict, keys, offset: int, single: bool) -> bool:
+    """Add build rows ``offset, offset + 1, ...`` under ``keys`` (values
+    of one key column, or key tuples) to ``table``: key -> row index, or
+    a list of indices in row order for a duplicate key; missing keys are
+    skipped.  Returns False once any key has two rows."""
+    get_entry = table.get
+    unique = True
+    for i, key in enumerate(keys, start=offset):
+        if single:
+            if key is NULL or key is None or key is CNULL:
+                continue
+        elif any(is_missing(part) for part in key):
+            continue
+        existing = get_entry(key)
+        if existing is None:
+            table[key] = i
+        elif type(existing) is int:
+            table[key] = [existing, i]
+            unique = False
+        else:
+            existing.append(i)
+    return unique
+
+
+def _single_key_table(batch: ColumnBatch, keys: list, tag: Optional[str]):
+    """``(table, unique)`` over the one key column of a one-batch build
+    side.  An unfiltered stored column keeps its table for the table
+    version (the ``"join"`` lane); a large clean integer key is grouped
+    in numpy."""
+
+    def build(column: list) -> tuple[dict, bool]:
+        if tag == TAG_INT and len(column) >= LANE_ROWS:
+            arr = _ndcolumn(batch, column, tag)
+            if arr is not None:
+                return _nd_build_table(arr)
+        table: dict = {}
+        return table, _add_build_rows(table, column, 0, True)
+
+    lanes = batch.lanes
+    built = lanes.join_table(keys, build) if lanes is not None else None
+    return built if built is not None else build(keys)
+
+
+def _nd_build_table(arr) -> tuple[dict, bool]:
+    """What :func:`_add_build_rows` builds over an int64 key lane, from
+    one stable argsort instead of a dict probe per row: rows of equal
+    keys are adjacent and in row order."""
+    order = _np.argsort(arr, kind="stable")
+    ordered = arr[order]
+    starts = _np.flatnonzero(ordered[1:] != ordered[:-1]) + 1
+    keys = ordered[_np.concatenate(([0], starts))].tolist()
+    rows = order.tolist()
+    if len(keys) == len(rows):
+        return dict(zip(keys, rows)), True
+    bounds = [0, *starts.tolist(), len(rows)]
+    table = {
+        key: rows[low] if high - low == 1 else rows[low:high]
+        for key, low, high in zip(keys, bounds, bounds[1:])
+    }
+    return table, False
 
 
 class VectorAggregateOp(VectorOperator):

@@ -61,7 +61,10 @@ class NullEvalContext:
 
 
 def like_to_regex(pattern: str) -> "re.Pattern[str]":
-    """Compile a SQL LIKE pattern (``%``/``_`` wildcards) to a regex."""
+    """Compile a SQL LIKE pattern (``%``/``_`` wildcards) to a regex.
+
+    Anchored with ``\\Z``, not ``$``: ``$`` also matches just before a
+    final newline, which would make ``'abc\\n' LIKE 'abc'`` true."""
     parts: list[str] = []
     for ch in pattern:
         if ch == "%":
@@ -70,7 +73,7 @@ def like_to_regex(pattern: str) -> "re.Pattern[str]":
             parts.append(".")
         else:
             parts.append(re.escape(ch))
-    return re.compile("^" + "".join(parts) + "$", re.DOTALL)
+    return re.compile("^" + "".join(parts) + r"\Z", re.DOTALL)
 
 
 #: Process-wide LIKE pattern cache: patterns compile once per process, not

@@ -31,9 +31,10 @@ class HeapTable:
         self.schema = schema
         self._rows: dict[int, tuple[Any, ...]] = {}
         self._next_rowid = 0
-        # bumped on every mutation; keys the scan_columns() pivot cache
+        # bumped on every mutation; keys the scan_columns() pivot cache:
+        # (version, columns, rows, lanes of that version)
         self._version = 0
-        self._column_cache: Optional[tuple[int, list, int]] = None
+        self._column_cache: Optional[tuple[int, list, int, dict]] = None
         stats_kwargs = {}
         if auto_analyze_floor is not None:
             stats_kwargs["auto_analyze_floor"] = auto_analyze_floor
@@ -119,8 +120,23 @@ class HeapTable:
             columns = [list(column) for column in zip(*rows)]
         else:
             columns = [[] for _ in self.schema.columns]
-        self._column_cache = (self._version, columns, len(rows))
+        self._column_cache = (self._version, columns, len(rows), {})
         return columns, len(rows)
+
+    def column_lanes(self) -> dict:
+        """The lane dict of the pivot :meth:`scan_columns` hands out.
+
+        The execution layer keeps typed forms of the pivot's columns here
+        (ndarrays, dictionary encodings, hash-join build tables), keyed
+        ``(ordinal, kind)`` and built on first use, so statements over an
+        unchanged table share them.  A write starts a new pivot with an
+        empty dict; a scan that read the old version keeps the old one.
+        """
+        cache = self._column_cache
+        if cache is None or cache[0] != self._version:
+            self.scan_columns()
+            cache = self._column_cache
+        return cache[3]
 
     def get(self, rowid: int) -> Row:
         try:

@@ -18,13 +18,17 @@ suite with the import undone, so both sides meet the row engine.
 from __future__ import annotations
 
 import contextlib
+import hashlib
+import json
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro import connect
 from repro.crowd.model import reset_id_counters
 from repro.crowd.sim.traces import GroundTruthOracle
-from repro.exec import kernels, vectorized as vectorized_ops
+from repro.exec import kernels, vector, vectorized as vectorized_ops
 from repro.exec.vector import ColumnBatch
 from repro.exec.vectorized import (
     _pivot_columns,
@@ -111,9 +115,59 @@ QUERIES = [
 ]
 
 
+#: Statements over the 5,000-row order book (``conftest.load_order_book``),
+#: large enough for every per-version lane: ndarray lanes of the numeric
+#: columns, the dictionary lane of ``status`` (five distinct values) under
+#: LIKE / comparison / IN, unfiltered build keys (unique and duplicate),
+#: and index gathers of numeric and string columns.
+ORDER_BOOK_QUERIES = [
+    "SELECT id FROM orders WHERE status LIKE 'ship%'",
+    "SELECT id FROM orders WHERE status LIKE '%ing'",
+    "SELECT id FROM orders WHERE status LIKE 'pending'",
+    "SELECT id FROM orders WHERE status LIKE '%ance%'",
+    "SELECT id FROM orders WHERE status LIKE 'sh_pped'",
+    "SELECT id FROM orders WHERE NOT status LIKE '%e_'",
+    "SELECT id, status FROM orders WHERE status = 'pending' AND priority > 2",
+    "SELECT COUNT(*) FROM orders WHERE status <> 'returned'",
+    "SELECT COUNT(*) FROM orders WHERE 'p' > status",
+    "SELECT id FROM orders WHERE status IN ('pending', 'returned') "
+    "AND amount < 60",
+    "SELECT COUNT(*) FROM orders WHERE status NOT IN ('shipped')",
+    "SELECT COUNT(*) FROM orders WHERE status IN ('shipped', NULL)",
+    "SELECT COUNT(*) FROM orders WHERE status NOT IN ('shipped', NULL)",
+    "SELECT id, amount, status FROM orders WHERE amount > 250.5 "
+    "AND status LIKE '%d'",
+    "SELECT id, customer_id, amount, status, priority FROM orders "
+    "WHERE amount > 480",
+    "SELECT priority, COUNT(*), SUM(amount) FROM orders "
+    "WHERE priority IN (1, 3) GROUP BY priority",
+    "SELECT status, COUNT(*), MIN(amount) FROM orders GROUP BY status",
+    "SELECT c.id, COUNT(o.id), SUM(o.amount) FROM customers c "
+    "LEFT JOIN orders o ON o.customer_id = c.id "
+    "WHERE c.region = 'east' GROUP BY c.id ORDER BY c.id",
+    "SELECT c.region, COUNT(*), MAX(o.amount) FROM orders o "
+    "JOIN customers c ON o.customer_id = c.id "
+    "WHERE o.status LIKE 'ship%' GROUP BY c.region",
+    "SELECT COUNT(*), SUM(b.amount) FROM orders a "
+    "JOIN orders b ON a.id = b.id WHERE a.priority = 2",
+    "SELECT COUNT(*) FROM orders a JOIN orders b ON a.amount = b.amount",
+    "SELECT COUNT(*) FROM orders a JOIN orders b "
+    "ON a.customer_id = b.customer_id WHERE a.id < 40",
+]
+
+
 def run_all(script=SCRIPT, queries=QUERIES):
     db = connect(with_crowd=False)
     db.executescript(script)
+    return [
+        (result.columns, result.rows)
+        for result in (db.execute(q) for q in queries)
+    ]
+
+
+def run_order_book(load, queries=ORDER_BOOK_QUERIES):
+    db = connect(with_crowd=False)
+    load(db)
     return [
         (result.columns, result.rows)
         for result in (db.execute(q) for q in queries)
@@ -127,6 +181,16 @@ class TestDifferentialStatements:
             row = run_all()
         for query, got, want in zip(QUERIES, vector, row):
             assert got == want, query
+            assert repr(got) == repr(want), query
+
+    def test_order_book_statements_match_row_engine(
+        self, order_book, row_engine
+    ):
+        load, _query = order_book
+        vector = run_order_book(load)
+        with row_engine():
+            row = run_order_book(load)
+        for query, got, want in zip(ORDER_BOOK_QUERIES, vector, row):
             assert repr(got) == repr(want), query
 
     def test_order_book_pipeline_matches_row_engine(
@@ -213,6 +277,80 @@ class TestDifferentialStatementsWithoutNumpy(TestDifferentialStatements):
             pytest.skip("numpy is not installed: the suite above ran these")
         monkeypatch.setattr(kernels, "_np", None)
         monkeypatch.setattr(vectorized_ops, "_np", None)
+        monkeypatch.setattr(vector, "_np", None)
+
+
+class TestMultiBatchScans(TestDifferentialStatements):
+    """The suite above with scans cut into 300-row batches: the slicing
+    path of ``VectorScanOp`` (lanes sliced with their batch) and the
+    multi-batch join build, which no table in the suite is large enough
+    to reach at the real ``VECTOR_ROWS``."""
+
+    @pytest.fixture(autouse=True)
+    def _small_batches(self, monkeypatch):
+        monkeypatch.setattr(vectorized_ops, "VECTOR_ROWS", 300)
+
+    def test_scans_yield_several_batches(self, order_book):
+        load, _query = order_book
+        db = connect(with_crowd=False)
+        load(db)
+        scan = vectorized_ops.VectorScanOp(
+            db.executor._make_context(()),
+            db.catalog.table("orders"),
+            "o",
+        )
+        batches = list(scan)
+        assert [batch.num_rows for batch in batches] == [300] * 16 + [200]
+        status = batches[1].columns[3]
+        if vector._np is not None:
+            codes, values = batches[1].lanes.dictionary(status)
+            assert [values[code] for code in codes.tolist()] == status
+            amount = batches[1].columns[2]
+            assert batches[1].lanes.array(amount).tolist() == amount
+
+
+class TestLikeTrailingNewline:
+    """A LIKE pattern matches the whole string: ``'abc\\n' LIKE 'abc'``
+    is false, as in sqlite3 (a regex ``$`` would match before the final
+    newline).  Checked on the default path -- with the ``status``-style
+    dictionary lane, since 5,000 rows hold five distinct values -- on the
+    row engine, and on the interpreter."""
+
+    VALUES = ["abc", "abc\n", "xyz\n", "ab\nc", "a\nc"]
+    PATTERNS = ["abc", "%c", "a_c", "ab%", "%b%", "%", "a%c", "%\n"]
+
+    def _ids(self, pattern):
+        db = connect(with_crowd=False)
+        db.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, s STRING)")
+        for i in range(5000):
+            db.engine.insert("t", [i, self.VALUES[i % len(self.VALUES)]])
+        rows = db.query(
+            "SELECT id FROM t WHERE s LIKE ? ORDER BY id", (pattern,)
+        )
+        return [row[0] for row in rows]
+
+    @pytest.mark.parametrize("pattern", PATTERNS)
+    def test_matches_sqlite(self, pattern, row_engine, interpreted):
+        import sqlite3
+
+        twin = sqlite3.connect(":memory:")
+        twin.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, s TEXT)")
+        twin.executemany(
+            "INSERT INTO t VALUES (?, ?)",
+            [(i, self.VALUES[i % len(self.VALUES)]) for i in range(5000)],
+        )
+        expected = [
+            row[0]
+            for row in twin.execute(
+                "SELECT id FROM t WHERE s LIKE ? ORDER BY id", (pattern,)
+            )
+        ]
+        twin.close()
+        assert self._ids(pattern) == expected
+        with row_engine():
+            assert self._ids(pattern) == expected
+        with interpreted():
+            assert self._ids(pattern) == expected
 
 
 class TestCrowdParity:
@@ -298,6 +436,98 @@ class TestScanSnapshotConsistency:
         vector = run()
         with row_engine():
             assert repr(vector) == repr(run())
+
+
+    # -- per-version lanes ------------------------------------------------
+
+    LANE_READS = [
+        "SELECT COUNT(*), SUM(amount) FROM orders WHERE status LIKE 'ship%'",
+        "SELECT id FROM orders WHERE amount > 480",
+        "SELECT c.id, COUNT(o.id), SUM(o.amount) FROM customers c "
+        "LEFT JOIN orders o ON o.customer_id = c.id "
+        "WHERE c.region = 'east' GROUP BY c.id ORDER BY c.id",
+    ]
+    LANE_WRITES = [
+        "UPDATE orders SET status = 'shipwrecked' WHERE id < 300",
+        "UPDATE orders SET amount = amount + 250.0 WHERE priority = 0",
+        "UPDATE orders SET customer_id = 5 WHERE id >= 4000",
+    ]
+
+    def test_lanes_follow_writes(self, order_book, row_engine):
+        """After an UPDATE of a string, a float and a join-key column,
+        the next LIKE filter, ``>`` filter and join see the new values."""
+        load, _query = order_book
+
+        def run():
+            db = connect(with_crowd=False)
+            load(db)
+            out = []
+            for write in self.LANE_WRITES + [None]:
+                out.append([db.query(sql) for sql in self.LANE_READS])
+                if write is not None:
+                    db.execute(write)
+            return out
+
+        vector = run()
+        with row_engine():
+            assert repr(vector) == repr(run())
+        for before, after, read in zip(vector, vector[1:], range(3)):
+            assert before[read] != after[read]  # each write moved a read
+
+    def test_lanes_handed_out_survive_writes(self, order_book):
+        load, _query = order_book
+        db = connect(with_crowd=False)
+        load(db)
+        for sql in self.LANE_READS:
+            db.query(sql)
+        heap = db.engine.table("orders")
+        lanes = heap.column_lanes()
+        assert "join" in {kind for _ordinal, kind in lanes}
+        snapshot = {key: repr(_plain(lane)) for key, lane in lanes.items()}
+        for write in self.LANE_WRITES:
+            db.execute(write)
+        for sql in self.LANE_READS:
+            db.query(sql)
+        assert heap.column_lanes() is not lanes
+        assert set(heap.column_lanes()) == set(lanes)
+        assert {key: repr(_plain(lane)) for key, lane in lanes.items()} == (
+            snapshot
+        )
+
+    def test_lanes_do_not_grow_with_statements(self, order_book):
+        """Derived columns (kernel outputs, gathers) are memoized per
+        batch only: the table keeps at most one lane per (column, kind)."""
+        load, _query = order_book
+        db = connect(with_crowd=False)
+        load(db)
+        sql = (
+            "SELECT c.region, COUNT(*), SUM(o.amount * ?) FROM orders o "
+            "JOIN customers c ON o.customer_id = c.id "
+            "WHERE o.amount * ? < 400 AND o.status LIKE ? "
+            "AND o.priority + ? > 1 GROUP BY c.region"
+        )
+        heap = db.engine.table("orders")
+        for i in range(200):
+            pattern = "%p%" if i % 2 else "s%"
+            db.execute(sql, (i * 0.5, 1 + i / 100, pattern, i % 3))
+            if i == 9:
+                early = set(heap.column_lanes())
+        lanes = heap.column_lanes()
+        assert set(lanes) == early
+        width = len(heap.schema.columns)
+        assert all(
+            0 <= ordinal < width and kind in ("array", "dictionary", "join")
+            for ordinal, kind in lanes
+        )
+
+
+def _plain(lane):
+    """A lane as plain Python values, for comparing snapshots."""
+    if isinstance(lane, tuple):
+        return tuple(_plain(part) for part in lane)
+    if hasattr(lane, "tolist"):
+        return lane.tolist()
+    return lane
 
 
 class TestColumnPruning:
@@ -416,3 +646,98 @@ class TestBatchFormat:
             db.engine.insert("t", [i])
         result = db.execute("SELECT COUNT(*), SUM(x) FROM t")
         assert result.rows == [(5000, sum(range(5000)))]
+
+
+# -- the lanes golden ----------------------------------------------------------
+#
+# ``tests/golden/lanes_v1.jsonl`` pins the ``repr`` of every result above
+# (both corpora, the NaN and empty-table statements) plus the four
+# ``olap_scan`` shapes over a few parameter sets on the 5,000-row order
+# book.  It was written by the row engine (the reference) before the
+# per-version lanes existed; a change to a lane (a dictionary gather, an
+# ndarray gather, a cached join build) that alters any result fails it.
+# ``python tests/test_vectorized.py`` rewrites it -- only at the parent of
+# a change meant to alter results.
+
+LANES_GOLDEN = Path(__file__).parent / "golden" / "lanes_v1.jsonl"
+
+#: Results whose repr is longer than this are pinned by its sha256.
+_GOLDEN_INLINE = 2000
+
+
+def olap_scan_statements() -> list[tuple[str, tuple]]:
+    """The four ``olap_scan`` shapes, bound to order-book-sized parameters
+    (100 customers of about 50 orders each)."""
+    from perf.workloads.olap_scan import (
+        AGGREGATE, LEFT_JOIN_HAVING, PROJECTION, TOP_K,
+    )
+
+    return [
+        (AGGREGATE, (20, 450, 1)),
+        (AGGREGATE, (18, 446, 2)),
+        (AGGREGATE, (22, 449, 1)),
+        (PROJECTION, (195.0,)),
+        (PROJECTION, (205.0,)),
+        (TOP_K.format(k=10), (0,)),
+        (TOP_K.format(k=50), (3,)),
+        (LEFT_JOIN_HAVING, ("west", 45)),
+        (LEFT_JOIN_HAVING, ("north", 38)),
+        (LEFT_JOIN_HAVING, ("central", 50)),
+    ]
+
+
+def _golden_record(sql: str, params: tuple, result) -> dict:
+    text = repr((result.columns, result.rows))
+    if len(text) > _GOLDEN_INLINE:
+        text = "sha256:" + hashlib.sha256(text.encode("utf-8")).hexdigest()
+    return {"sql": sql, "params": list(params), "rows": len(result.rows),
+            "repr": text}
+
+
+def lanes_records(load) -> list[dict]:
+    """Every golden record, in a fixed order."""
+    records = []
+    db = connect(with_crowd=False)
+    db.executescript(SCRIPT)
+    for sql in QUERIES:
+        records.append(_golden_record(sql, (), db.execute(sql)))
+    db = connect(with_crowd=False)
+    db.execute("CREATE TABLE t (i INTEGER PRIMARY KEY, x FLOAT)")
+    for i, x in enumerate([2.5, float("nan"), 1.5, float("nan")]):
+        db.engine.insert("t", [i, x])
+    for sql in (
+        "SELECT i FROM t WHERE x > 2",
+        "SELECT i FROM t WHERE x BETWEEN 1 AND 3",
+        "SELECT MIN(x), MAX(x), SUM(x), COUNT(x) FROM t",
+        "SELECT i FROM t ORDER BY x",
+    ):
+        records.append(_golden_record(sql, (), db.execute(sql)))
+    db = connect(with_crowd=False)
+    load(db)
+    for sql in ORDER_BOOK_QUERIES:
+        records.append(_golden_record(sql, (), db.execute(sql)))
+    for sql, params in olap_scan_statements():
+        records.append(_golden_record(sql, params, db.execute(sql, params)))
+    return records
+
+
+def test_lanes_golden(order_book):
+    load, _query = order_book
+    with open(LANES_GOLDEN, encoding="utf-8") as handle:
+        expected = [json.loads(line) for line in handle]
+    actual = lanes_records(load)
+    assert len(actual) == len(expected)
+    for index, (got, want) in enumerate(zip(actual, expected)):
+        assert got == want, f"record {index}: {want['sql']}"
+
+
+if __name__ == "__main__":
+    # the repo root (for ``perf``) after this directory (for ``conftest``)
+    sys.path.insert(1, str(Path(__file__).resolve().parent.parent))
+    from conftest import _row_engine, load_order_book
+
+    with _row_engine():
+        records = lanes_records(load_order_book)
+    with open(LANES_GOLDEN, "w", encoding="utf-8") as handle:
+        for record in records:
+            handle.write(json.dumps(record) + "\n")
