@@ -542,22 +542,20 @@ class Executor:
     def _execute_insert(self, stmt: ast.Insert, parameters: tuple) -> ResultSet:
         evaluator = Evaluator(parameters=parameters)
         empty_scope = Scope([])
-        count = 0
         if stmt.query is not None:
-            result = self._execute_select(stmt.query, parameters)
-            for row in result.rows:
-                self.engine.insert(
-                    stmt.table, list(row), stmt.columns or None
-                )
-                count += 1
+            rows = self._execute_select(stmt.query, parameters).rows
         else:
-            for row_exprs in stmt.rows:
-                values = [
-                    evaluator.value(expr, (), empty_scope) for expr in row_exprs
-                ]
-                self.engine.insert(stmt.table, values, stmt.columns or None)
-                count += 1
-        return ResultSet(rowcount=count, statement="INSERT")
+            rows = (
+                [evaluator.value(expr, (), empty_scope) for expr in row_exprs]
+                for row_exprs in stmt.rows
+            )
+        with self.engine.atomic(stmt.table) as applied:
+            for values in rows:
+                row = self.engine.insert(
+                    stmt.table, values, stmt.columns or None
+                )
+                applied.append((row.rowid, None, row.values))
+        return ResultSet(rowcount=len(applied), statement="INSERT")
 
     def _execute_update(self, stmt: ast.Update, parameters: tuple) -> ResultSet:
         schema = self.engine.table(stmt.table).schema
@@ -572,21 +570,27 @@ class Executor:
         targets = self._target_rows(stmt, context)
         from repro.sqltypes import coerce
 
-        for row in targets:
-            new_values = list(row.values)
-            for column, value_fn in assignments:
-                value = value_fn(row.values)
-                new_values[column.ordinal] = (
-                    value if is_missing(value) else coerce(value, column.sql_type)
-                )
-            self.engine.update(stmt.table, row.rowid, tuple(new_values))
+        with self.engine.atomic(stmt.table) as applied:
+            for row in targets:
+                new_values = list(row.values)
+                for column, value_fn in assignments:
+                    value = value_fn(row.values)
+                    new_values[column.ordinal] = (
+                        value if is_missing(value)
+                        else coerce(value, column.sql_type)
+                    )
+                new = tuple(new_values)
+                self.engine.update(stmt.table, row.rowid, new)
+                applied.append((row.rowid, row.values, new))
         return _dml_result("UPDATE", targets, context.rows_scanned)
 
     def _execute_delete(self, stmt: ast.Delete, parameters: tuple) -> ResultSet:
         context = self._make_context(parameters)
         targets = self._target_rows(stmt, context)
-        for row in targets:
-            self.engine.delete(stmt.table, row.rowid)
+        with self.engine.atomic(stmt.table) as applied:
+            for row in targets:
+                self.engine.delete(stmt.table, row.rowid)
+                applied.append((row.rowid, row.values, None))
         return _dml_result("DELETE", targets, context.rows_scanned)
 
     def _target_rows(

@@ -80,6 +80,14 @@ def is_missing(value: Any) -> bool:
     return is_null(value) or is_cnull(value)
 
 
+def has_missing(values: tuple) -> bool:
+    """True when some value of ``values`` is NULL or CNULL."""
+    for value in values:
+        if value is NULL or value is None or value is CNULL:
+            return True
+    return False
+
+
 class SQLType(enum.Enum):
     """The scalar SQL types supported by the engine.
 
@@ -96,7 +104,9 @@ class SQLType(enum.Enum):
         return self.value
 
 
-_PY_FOR_TYPE = {
+#: the Python type each SQL type stores: a value of exactly this type is
+#: already in storage form, and :func:`coerce` returns it unchanged
+STORAGE_TYPES = {
     SQLType.STRING: str,
     SQLType.INTEGER: int,
     SQLType.FLOAT: float,
@@ -141,7 +151,7 @@ def coerce(value: Any, sql_type: SQLType) -> Any:
         return NULL
     if value is CNULL:
         return CNULL
-    py = _PY_FOR_TYPE[sql_type]
+    py = STORAGE_TYPES[sql_type]
     if sql_type is SQLType.BOOLEAN:
         if isinstance(value, bool):
             return value

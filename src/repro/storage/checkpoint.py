@@ -127,10 +127,19 @@ def restore_engine(state: dict, **engine_kwargs: Any):
                 unique=index["unique"],
                 ordered=index["ordered"],
             )
-        for rowid, values in table_state["rows"]:
-            heap.restore_row(rowid, decode_row(values))
+        stats = heap.statistics
+        floor = stats.auto_analyze_floor
+        if table_state["statistics"]["analyzed"]:
+            # restore_statistics rebuilds every summary from the restored
+            # counters, so the auto-analyses on the way are wasted
+            stats.auto_analyze_floor = -1
+        try:
+            for rowid, values in table_state["rows"]:
+                heap.restore_row(rowid, decode_row(values))
+        finally:
+            stats.auto_analyze_floor = floor
         heap._next_rowid = table_state["next_rowid"]
-        restore_statistics(heap.statistics, table_state["statistics"])
+        restore_statistics(stats, table_state["statistics"])
     return engine
 
 

@@ -6,12 +6,13 @@ optimizer, executor, crowd subsystem) only talks to this interface.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Optional
+from contextlib import contextmanager
+from typing import Any, Iterable, Iterator, Optional
 
 from repro.catalog.catalog import Catalog
 from repro.catalog.table import TableSchema
-from repro.errors import ConstraintError, StorageError
-from repro.sqltypes import is_missing
+from repro.errors import ConstraintError, StorageError, WALError
+from repro.sqltypes import has_missing
 from repro.storage.heap import HeapTable
 from repro.storage.row import Row
 from repro.storage.wal import LogEntry, LogOp, WriteAheadLog, wal_record_for
@@ -143,39 +144,14 @@ class StorageEngine:
 
     # -- foreign keys ---------------------------------------------------------------
 
-    def _check_foreign_keys(self, schema: TableSchema, values: tuple[Any, ...]) -> None:
-        for fk in schema.foreign_keys:
-            key = tuple(
-                values[schema.column_index(column)] for column in fk.columns
-            )
-            if any(is_missing(part) for part in key):
+    def _check_foreign_keys(self, heap: HeapTable, values: tuple) -> None:
+        for key_of, fk, ref_columns in heap.write_plan.foreign_keys:
+            key = key_of(values)
+            if has_missing(key):
                 continue  # SQL: missing FK values are not checked
-            parent = self.table(fk.ref_table)
-            parent_schema = parent.schema
-            if tuple(c.lower() for c in fk.ref_columns) == tuple(
-                c.lower() for c in parent_schema.primary_key
-            ):
-                if parent.lookup_primary_key(key) is None:
-                    raise ConstraintError(
-                        f"foreign key violation: {schema.name}{fk.columns} -> "
-                        f"{fk.ref_table}{fk.ref_columns} value {key!r}"
-                    )
-                continue
-            index = parent.index_on(fk.ref_columns)
-            if index is not None:
-                if not index.contains_key(key):
-                    raise ConstraintError(
-                        f"foreign key violation: {schema.name}{fk.columns} -> "
-                        f"{fk.ref_table}{fk.ref_columns} value {key!r}"
-                    )
-                continue
-            positions = [parent_schema.column_index(c) for c in fk.ref_columns]
-            for row in parent.scan():
-                if tuple(row.values[p] for p in positions) == key:
-                    break
-            else:
+            if not self.table(fk.ref_table).references(ref_columns, key):
                 raise ConstraintError(
-                    f"foreign key violation: {schema.name}{fk.columns} -> "
+                    f"foreign key violation: {heap.name}{fk.columns} -> "
                     f"{fk.ref_table}{fk.ref_columns} value {key!r}"
                 )
 
@@ -191,7 +167,7 @@ class StorageEngine:
         """Insert one row (partial column lists allowed)."""
         heap = self.table(table_name)
         prepared = heap.prepare_values(values, column_names)
-        self._check_foreign_keys(heap.schema, prepared)
+        self._check_foreign_keys(heap, prepared)
         row = heap.insert(prepared)
         self._log(LogOp.INSERT, heap.name, (row.rowid, prepared), origin)
         return row
@@ -211,7 +187,7 @@ class StorageEngine:
     ) -> Row:
         heap = self.table(table_name)
         old = heap.get(rowid)
-        self._check_foreign_keys(heap.schema, values)
+        self._check_foreign_keys(heap, values)
         row = heap.update(rowid, values)
         self._log(
             LogOp.UPDATE, heap.name, (rowid, old.values, values), origin
@@ -234,6 +210,42 @@ class StorageEngine:
             LogOp.UPDATE, heap.name, (rowid, old.values, row.values), origin
         )
         return row
+
+    # -- statement atomicity ------------------------------------------------------
+
+    @contextmanager
+    def atomic(self, table_name: str) -> Iterator[list]:
+        """One DML statement's client writes to ``table_name``, all or none.
+
+        The statement appends ``(rowid, before, after)`` for every row it
+        writes (``before`` is None for an insert, ``after`` for a delete).
+        When it fails, the applied writes are undone newest first and
+        logged like any write, so a reopened instance holds no part of the
+        statement either; a deleted row comes back under its rowid, at the
+        end of the scan order.  A write-ahead-log failure is left as it
+        is: the instance stops there, and recovery restores the committed
+        prefix.
+        """
+        applied: list = []
+        try:
+            yield applied
+        except WALError:
+            raise
+        except Exception:
+            if applied:
+                self._undo(self.table(table_name), applied)
+            raise
+
+    def _undo(self, heap: HeapTable, applied: list) -> None:
+        for rowid, before, after in reversed(applied):
+            if before is None:
+                self.delete(heap.name, rowid)
+            elif after is None:
+                heap.restore_row(rowid, before)
+                self._log(LogOp.INSERT, heap.name, (rowid, before))
+            else:
+                heap.update(rowid, before)
+                self._log(LogOp.UPDATE, heap.name, (rowid, after, before))
 
     # -- replay / recovery -------------------------------------------------------
 

@@ -3,20 +3,107 @@
 Rows live in an insertion-ordered dict keyed by row id.  The heap owns its
 indexes (a primary-key hash index, per-UNIQUE-column indexes, and any user
 indexes) and its incremental statistics, and keeps all of them consistent
-across insert/update/delete.
+across insert/update/delete.  Every write runs from one :class:`WritePlan`:
+what depends only on the schema and the index set is resolved once, not
+per row.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from typing import Any, Iterable, Iterator, KeysView, Optional
+from operator import itemgetter
+from typing import Any, Callable, Iterable, Iterator, KeysView, Optional
 
 from repro.catalog.table import TableSchema
+from repro.crowd.quality import normalize_answer
 from repro.errors import ConstraintError, StorageError
-from repro.sqltypes import coerce, is_missing
+from repro.sqltypes import CNULL, NULL, STORAGE_TYPES, coerce
 from repro.storage.index import HashIndex, OrderedIndex
 from repro.storage.row import Row
 from repro.storage.statistics import TableStatistics
+
+KeyFn = Callable[[tuple], tuple]
+
+
+def key_getter(ordinals: tuple[int, ...]) -> KeyFn:
+    """A function from a stored tuple to its key over ``ordinals``."""
+    if len(ordinals) == 1:
+        (ordinal,) = ordinals
+        return lambda values: (values[ordinal],)
+    return itemgetter(*ordinals)
+
+
+class WritePlan:
+    """What a write needs from one heap's schema and index set.
+
+    Built on the heap's first write and again after ``create_index``:
+    per-column storage types and SQL types (the exact-type lane), the
+    values of unlisted columns, the NOT NULL ordinals, each index with its
+    key function, the foreign keys with theirs, and the normalized
+    primary key.
+    """
+
+    def __init__(self, heap: "HeapTable") -> None:
+        schema = heap.schema
+        columns = schema.columns
+        self.storage_types = tuple(STORAGE_TYPES[c.sql_type] for c in columns)
+        self.sql_types = tuple(c.sql_type for c in columns)
+        self.missing = tuple(c.missing_value for c in columns)
+        self.not_null = tuple(
+            (c.ordinal, f"column {schema.name}.{c.name} is NOT NULL")
+            for c in columns
+            if c.not_null
+        )
+        self.indexes = tuple(
+            (index, key_getter(tuple(
+                schema.column_index(c) for c in index.columns
+            )))
+            for index in heap.indexes.values()
+        )
+        self.unique = tuple(
+            (index, key) for index, key in self.indexes if index.unique
+        )
+        self.foreign_keys = tuple(
+            (key_getter(tuple(schema.column_index(c) for c in fk.columns)),
+             fk, tuple(c.lower() for c in fk.ref_columns))
+            for fk in schema.foreign_keys
+        )
+        self.pk_key = key_getter(
+            tuple(schema.column_index(c) for c in schema.primary_key)
+        ) if schema.primary_key else None
+        # parent side of foreign keys: lowered referenced columns -> probe
+        self.references: dict[tuple[str, ...], Callable[[tuple], bool]] = {}
+
+    def coerce_row(self, values: tuple) -> tuple:
+        """A full client tuple in storage form.  A value whose type is
+        exactly its column's storage type passes through; any other goes
+        to :func:`coerce`.  An all-exact tuple is kept as it is."""
+        if tuple(map(type, values)) == self.storage_types:
+            return values
+        return tuple([
+            value if type(value) is storage_type else coerce(value, sql_type)
+            for value, storage_type, sql_type in zip(
+                values, self.storage_types, self.sql_types
+            )
+        ])
+
+    def check_not_null(self, values: tuple) -> None:
+        for ordinal, message in self.not_null:
+            value = values[ordinal]
+            if value is NULL or value is None or value is CNULL:
+                raise ConstraintError(message)
+
+    def coerce_value(self, ordinal: int, value: Any) -> Any:
+        if type(value) is self.storage_types[ordinal]:
+            return value
+        return coerce(value, self.sql_types[ordinal])
+
+    def normalized_pk(self, values: tuple) -> tuple:
+        key = self.pk_key(values)
+        for part in key:
+            if isinstance(part, str):
+                return tuple(map(normalize_answer, key))
+        return key
 
 
 class HeapTable:
@@ -60,13 +147,17 @@ class HeapTable:
         # normalized primary keys, maintained incrementally for open-world
         # crowd sourcing dedup (a Counter because distinct raw keys may
         # normalize to the same spelling)
-        self._pk_positions = tuple(
-            schema.column_index(c) for c in schema.primary_key
-        )
         self._normalized_pks: Optional[Counter] = (
             Counter() if schema.primary_key else None
         )
+        self._plan: Optional[WritePlan] = None
 
+    @property
+    def write_plan(self) -> WritePlan:
+        plan = self._plan
+        if plan is None:
+            plan = self._plan = WritePlan(self)
+        return plan
     # -- basics ---------------------------------------------------------------
 
     def __len__(self) -> int:
@@ -151,10 +242,7 @@ class HeapTable:
         self.statistics.analyze()
         return self.statistics
 
-    # -- key helpers ------------------------------------------------------------
-
-    def _key_for(self, values: tuple[Any, ...], columns: tuple[str, ...]) -> tuple:
-        return tuple(values[self.schema.column_index(c)] for c in columns)
+    # -- keys -------------------------------------------------------------------
 
     def lookup_primary_key(self, key: tuple[Any, ...]) -> Optional[Row]:
         """Find the row with the given primary-key tuple, if present."""
@@ -176,20 +264,42 @@ class HeapTable:
             raise StorageError(f"table {self.name!r} has no primary key")
         return self._normalized_pks.keys()
 
-    def _normalized_pk(self, values: tuple[Any, ...]) -> tuple:
-        from repro.crowd.quality import normalize_answer
-
-        return tuple(
-            normalize_answer(values[p]) for p in self._pk_positions
-        )
-
-    def _track_pk(self, values: tuple[Any, ...], delta: int) -> None:
-        if self._normalized_pks is None:
+    def _track_pk(self, plan: WritePlan, values: tuple, delta: int) -> None:
+        counts = self._normalized_pks
+        if counts is None:
             return
-        key = self._normalized_pk(values)
-        self._normalized_pks[key] += delta
-        if self._normalized_pks[key] <= 0:
-            del self._normalized_pks[key]
+        key = plan.normalized_pk(values)
+        count = counts.get(key, 0) + delta
+        if count <= 0:
+            counts.pop(key, None)
+        else:
+            counts[key] = count
+
+    def references(self, lowered: tuple[str, ...], key: tuple) -> bool:
+        """Does some row hold ``key`` in the columns named ``lowered``
+        (lowercase)?  The parent side of a foreign-key check: the primary
+        key when those are exactly its columns, else an index over exactly
+        them, else a scan."""
+        probes = self.write_plan.references
+        probe = probes.get(lowered)
+        if probe is None:
+            probe = probes[lowered] = self._reference_probe(lowered)
+        return probe(key)
+
+    def _reference_probe(
+        self, wanted: tuple[str, ...]
+    ) -> Callable[[tuple], bool]:
+        schema = self.schema
+        if wanted == tuple(c.lower() for c in schema.primary_key):
+            return self._pk_index.contains_key
+        index = self.index_on(wanted)
+        if index is not None:
+            return index.contains_key
+        key_of = key_getter(tuple(schema.column_index(c) for c in wanted))
+        rows = self._rows
+        return lambda key: any(
+            key_of(values) == key for values in rows.values()
+        )
 
     # -- mutations ---------------------------------------------------------------
 
@@ -204,65 +314,42 @@ class HeapTable:
         unlisted column takes its missing value — CNULL for CROWD columns,
         NULL (or the declared default) otherwise.
         """
-        values = list(values)
+        plan = self.write_plan
+        if type(values) is not tuple:
+            values = tuple(values)
         if column_names is None:
-            if len(values) != len(self.schema.columns):
+            if len(values) != len(plan.sql_types):
                 raise StorageError(
-                    f"table {self.name!r} expects {len(self.schema.columns)} "
+                    f"table {self.name!r} expects {len(plan.sql_types)} "
                     f"values, got {len(values)}"
                 )
-            pairs = dict(zip(self.schema.column_names, values))
-        else:
-            if len(values) != len(column_names):
-                raise StorageError(
-                    f"INSERT lists {len(column_names)} columns but "
-                    f"{len(values)} values"
-                )
-            for name in column_names:
-                self.schema.column(name)  # validates existence
-            pairs = dict(zip(column_names, values))
-            lowered = {name.lower() for name in column_names}
-            if len(lowered) != len(column_names):
-                raise StorageError("duplicate column in INSERT column list")
-
-        full: list[Any] = []
-        provided = {name.lower(): value for name, value in pairs.items()}
-        for column in self.schema.columns:
-            if column.name.lower() in provided:
-                value = coerce(provided[column.name.lower()], column.sql_type)
-            else:
-                value = column.missing_value
-            full.append(value)
+            return plan.coerce_row(values)
+        if len(values) != len(column_names):
+            raise StorageError(
+                f"INSERT lists {len(column_names)} columns but "
+                f"{len(values)} values"
+            )
+        ordinals = [self.schema.column_index(name) for name in column_names]
+        if len(set(ordinals)) != len(ordinals):
+            raise StorageError("duplicate column in INSERT column list")
+        full = list(plan.missing)
+        for ordinal, value in sorted(zip(ordinals, values), key=itemgetter(0)):
+            full[ordinal] = plan.coerce_value(ordinal, value)
         return tuple(full)
-
-    def _check_not_null(self, values: tuple[Any, ...]) -> None:
-        for column in self.schema.columns:
-            value = values[column.ordinal]
-            if column.not_null and is_missing(value):
-                raise ConstraintError(
-                    f"column {self.name}.{column.name} is NOT NULL"
-                )
 
     def insert(self, values: tuple[Any, ...]) -> Row:
         """Insert a fully prepared storage tuple.  Returns the stored row."""
-        self._check_not_null(values)
-        rowid = self._next_rowid
+        plan = self.write_plan
+        plan.check_not_null(values)
         # Probe all unique indexes before touching any of them, so a
         # violation leaves the heap unchanged.
-        for index in self.indexes.values():
-            key = self._key_for(values, index.columns)
-            if index.unique and index.contains_key(key):
+        for index, key_of in plan.unique:
+            key = key_of(values)
+            if index.contains_key(key):
                 raise ConstraintError(
                     f"duplicate key {key!r} for index {index.name!r}"
                 )
-        for index in self.indexes.values():
-            index.insert(self._key_for(values, index.columns), rowid)
-        self._rows[rowid] = values
-        self._next_rowid += 1
-        self._version += 1
-        self.statistics.on_insert(values, self.schema.column_names)
-        self._track_pk(values, +1)
-        return Row(rowid, values)
+        return self._store(plan, self._next_rowid, values)
 
     def restore_row(self, rowid: int, values: tuple[Any, ...]) -> Row:
         """Re-insert a committed row under its original rowid.
@@ -277,62 +364,65 @@ class HeapTable:
             raise StorageError(
                 f"table {self.name!r} already has row id {rowid}"
             )
-        for index in self.indexes.values():
-            index.insert(self._key_for(values, index.columns), rowid)
+        return self._store(self.write_plan, rowid, values)
+
+    def _store(self, plan: WritePlan, rowid: int, values: tuple) -> Row:
+        for index, key_of in plan.indexes:
+            index.insert(key_of(values), rowid)
         self._rows[rowid] = values
-        self._next_rowid = max(self._next_rowid, rowid + 1)
+        if rowid >= self._next_rowid:
+            self._next_rowid = rowid + 1
         self._version += 1
-        self.statistics.on_insert(values, self.schema.column_names)
-        self._track_pk(values, +1)
+        self.statistics.on_insert(values)
+        self._track_pk(plan, values, +1)
         return Row(rowid, values)
 
     def delete(self, rowid: int) -> Row:
+        plan = self.write_plan
         row = self.get(rowid)
-        for index in self.indexes.values():
-            index.delete(self._key_for(row.values, index.columns), rowid)
+        values = row.values
+        for index, key_of in plan.indexes:
+            index.delete(key_of(values), rowid)
         del self._rows[rowid]
         self._version += 1
-        self.statistics.on_delete(row.values, self.schema.column_names)
-        self._track_pk(row.values, -1)
+        self.statistics.on_delete(values)
+        self._track_pk(plan, values, -1)
         return row
 
     def update(self, rowid: int, values: tuple[Any, ...]) -> Row:
         """Replace the values of ``rowid`` (indexes and stats maintained)."""
-        old = self.get(rowid)
-        self._check_not_null(values)
-        for index in self.indexes.values():
-            old_key = self._key_for(old.values, index.columns)
-            new_key = self._key_for(values, index.columns)
+        plan = self.write_plan
+        old = self.get(rowid).values
+        plan.check_not_null(values)
+        moves = []
+        for index, key_of in plan.indexes:
+            old_key = key_of(old)
+            new_key = key_of(values)
             if old_key == new_key:
                 continue
             if index.unique and index.contains_key(new_key):
                 raise ConstraintError(
                     f"duplicate key {new_key!r} for index {index.name!r}"
                 )
-        for index in self.indexes.values():
-            old_key = self._key_for(old.values, index.columns)
-            new_key = self._key_for(values, index.columns)
-            if old_key != new_key:
-                index.delete(old_key, rowid)
-                index.insert(new_key, rowid)
+            moves.append((index, old_key, new_key))
+        for index, old_key, new_key in moves:
+            index.delete(old_key, rowid)
+            index.insert(new_key, rowid)
         self._rows[rowid] = values
         self._version += 1
-        self.statistics.on_delete(old.values, self.schema.column_names)
-        self.statistics.on_insert(values, self.schema.column_names)
+        self.statistics.on_delete(old)
+        self.statistics.on_insert(values)
         if self._normalized_pks is not None:
-            old_key = self._normalized_pk(old.values)
-            new_key = self._normalized_pk(values)
-            if old_key != new_key:
-                self._track_pk(old.values, -1)
-                self._track_pk(values, +1)
+            if plan.normalized_pk(old) != plan.normalized_pk(values):
+                self._track_pk(plan, old, -1)
+                self._track_pk(plan, values, +1)
         return Row(rowid, values)
 
     def set_value(self, rowid: int, column_name: str, value: Any) -> Row:
         """Update a single column in place (used when memorizing crowd answers)."""
-        column = self.schema.column(column_name)
-        row = self.get(rowid)
-        new_values = list(row.values)
-        new_values[column.ordinal] = coerce(value, column.sql_type)
+        ordinal = self.schema.column_index(column_name)
+        new_values = list(self.get(rowid).values)
+        new_values[ordinal] = self.write_plan.coerce_value(ordinal, value)
         return self.update(rowid, tuple(new_values))
 
     # -- secondary indexes ----------------------------------------------------------
@@ -347,16 +437,18 @@ class HeapTable:
         """Build a secondary index over existing rows."""
         if name in self.indexes:
             raise StorageError(f"index {name!r} already exists")
-        for column in columns:
-            self.schema.column(column)
+        key_of = key_getter(
+            tuple(self.schema.column_index(c) for c in columns)
+        )
         index: HashIndex | OrderedIndex
         if ordered:
             index = OrderedIndex(name, columns, unique=unique)
         else:
             index = HashIndex(name, columns, unique=unique)
         for rowid, values in self._rows.items():
-            index.insert(self._key_for(values, columns), rowid)
+            index.insert(key_of(values), rowid)
         self.indexes[name] = index
+        self._plan = None
         return index
 
     def index_on(self, columns: tuple[str, ...]) -> Optional[HashIndex | OrderedIndex]:

@@ -11,7 +11,7 @@ import bisect
 from typing import Any, Iterator, Optional
 
 from repro.errors import ConstraintError, StorageError
-from repro.sqltypes import is_missing
+from repro.sqltypes import has_missing
 
 
 class _MissingKey:
@@ -25,9 +25,7 @@ _MISSING = _MissingKey()
 
 
 def _normalize_key(values: tuple[Any, ...]) -> Any:
-    if any(is_missing(value) for value in values):
-        return _MISSING
-    return values
+    return _MISSING if has_missing(values) else values
 
 
 class HashIndex:
@@ -70,7 +68,11 @@ class HashIndex:
         return frozenset(self._buckets.get(normalized, ()))
 
     def contains_key(self, key: tuple[Any, ...]) -> bool:
-        return bool(self.lookup(key))
+        """Does some row hold ``key``?  Tests the bucket, copying nothing."""
+        normalized = _normalize_key(key)
+        return normalized is not _MISSING and bool(
+            self._buckets.get(normalized)
+        )
 
 
 class OrderedIndex:
@@ -133,7 +135,10 @@ class OrderedIndex:
         return frozenset(result)
 
     def contains_key(self, key: tuple[Any, ...]) -> bool:
-        return bool(self.lookup(key))
+        if _normalize_key(key) is _MISSING:
+            return False
+        left = bisect.bisect_left(self._entries, (key,))
+        return left < len(self._entries) and self._entries[left][0] == key
 
     def prefix_lookup(self, prefix: tuple[Any, ...]) -> frozenset[int]:
         """Row ids whose key starts with ``prefix`` (a leading subset of

@@ -17,11 +17,13 @@ Everything is deterministic: same data, same statistics, same plans.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Any, Optional
 
-from repro.sqltypes import is_cnull, is_null
+from repro.sqltypes import CNULL, NULL
 
 #: number of equi-depth buckets an ANALYZE aims for
 HISTOGRAM_BUCKETS = 32
@@ -73,30 +75,30 @@ class EquiDepthHistogram:
     ) -> Optional["EquiDepthHistogram"]:
         """Build from a value counter; None when values are not orderable
         (mixed types) or there is nothing to summarize."""
-        total = sum(value_counts.values())
-        if total == 0:
+        if not value_counts:
             return None
         try:
-            pairs = sorted(value_counts.items(), key=lambda kv: kv[0])
+            values = sorted(value_counts)
         except TypeError:
             return None  # heterogeneous values: no ordering, no histogram
+        # cumulative[i]: rows holding the first i + 1 values (strictly
+        # increasing: every counted value occurs at least once)
+        cumulative = list(accumulate(map(value_counts.__getitem__, values)))
+        total = cumulative[-1]
         depth = max(1, -(-total // buckets))  # ceil division
         built: list[HistogramBucket] = []
-        low = pairs[0][0]
-        count = 0
-        distinct = 0
-        high = low
-        for value, freq in pairs:
-            if count >= depth:
-                built.append(HistogramBucket(low, high, count, distinct))
-                low = value
-                count = 0
-                distinct = 0
-            high = value
-            count += freq
-            distinct += 1
-        if count:
-            built.append(HistogramBucket(low, high, count, distinct))
+        last = len(values) - 1
+        start = 0
+        below = 0  # rows in the buckets already built
+        while start <= last:
+            # a bucket closes on the first value that fills it to depth
+            end = min(bisect_left(cumulative, below + depth, start), last)
+            built.append(HistogramBucket(
+                values[start], values[end], cumulative[end] - below,
+                end - start + 1,
+            ))
+            below = cumulative[end]
+            start = end + 1
         return cls(built, total)
 
     # -- estimation -------------------------------------------------------------
@@ -197,21 +199,22 @@ class ColumnStatistics:
         return self.known_count + self.null_count + self.cnull_count
 
     def add(self, value: Any) -> None:
-        if is_null(value):
+        if value is NULL or value is None:
             self.null_count += 1
-        elif is_cnull(value):
+        elif value is CNULL:
             self.cnull_count += 1
         else:
+            counts = self._value_counts
             try:
-                self._value_counts[value] += 1
+                counts[value] = counts.get(value, 0) + 1
             except TypeError:  # unhashable — statistics stay coarse
-                self._value_counts[repr(value)] += 1
+                counts[repr(value)] += 1
                 self.distinct_is_lower_bound = True
 
     def remove(self, value: Any) -> None:
-        if is_null(value):
+        if value is NULL or value is None:
             self.null_count = max(0, self.null_count - 1)
-        elif is_cnull(value):
+        elif value is CNULL:
             self.cnull_count = max(0, self.cnull_count - 1)
         else:
             try:
@@ -304,6 +307,7 @@ class TableStatistics:
         self.columns: dict[str, ColumnStatistics] = {
             name.lower(): ColumnStatistics(name) for name in column_names
         }
+        self._by_ordinal = tuple(self.columns.values())
         self.epoch = 0
         self.analyzed = False
         self.mutations_since_analyze = 0
@@ -341,16 +345,25 @@ class TableStatistics:
 
     # -- DML hooks --------------------------------------------------------------
 
-    def on_insert(self, values: tuple[Any, ...], column_names: tuple[str, ...]) -> None:
+    def on_insert(self, values: tuple[Any, ...]) -> None:
+        """Count one stored tuple (values in column order)."""
         self.row_count += 1
-        for name, value in zip(column_names, values):
-            self.columns[name.lower()].add(value)
+        for column, value in zip(self._by_ordinal, values):
+            if value is NULL or value is None or value is CNULL:
+                column.add(value)
+                continue
+            counts = column._value_counts
+            try:  # ColumnStatistics.add's common case, without the call
+                counts[value] = counts.get(value, 0) + 1
+            except TypeError:
+                column.add(value)
         self._on_mutation()
 
-    def on_delete(self, values: tuple[Any, ...], column_names: tuple[str, ...]) -> None:
+    def on_delete(self, values: tuple[Any, ...]) -> None:
+        """Uncount one stored tuple (values in column order)."""
         self.row_count = max(0, self.row_count - 1)
-        for name, value in zip(column_names, values):
-            self.columns[name.lower()].remove(value)
+        for column, value in zip(self._by_ordinal, values):
+            column.remove(value)
         self._on_mutation()
 
     def cnull_fraction(self, column_name: str) -> float:

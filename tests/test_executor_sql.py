@@ -315,6 +315,83 @@ class TestDML:
             db.execute("SELECT * FROM missing")
 
 
+class TestStatementAtomicity:
+    """A DML statement that fails part-way leaves its table as it found
+    it, as ``sqlite3`` does -- in memory, and after a durable reopen."""
+
+    SETUP = (
+        "CREATE TABLE p (id INTEGER PRIMARY KEY)",
+        "CREATE TABLE t (id INTEGER PRIMARY KEY, v FLOAT, p INTEGER, "
+        "FOREIGN KEY (p) REFERENCES p(id))",
+        "INSERT INTO p VALUES (1), (2)",
+        "INSERT INTO t VALUES (1, 1.0, 1), (2, 2.0, 2), (12, 3.0, 1)",
+    )
+
+    @pytest.mark.parametrize(
+        "durable", [False, True], ids=["memory", "durable"]
+    )
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            "INSERT INTO t VALUES (3, 1.0, 1), (4, 2.0, 2), (1, 3.0, 1)",
+            "INSERT INTO t VALUES (3, 1.0, 1), (4, 2.0, 9)",
+            "INSERT INTO t SELECT id + 10, v, p FROM t ORDER BY id",
+            "UPDATE t SET id = id + 10",
+            "UPDATE t SET v = 0, p = id",
+        ],
+        ids=["insert-pk", "insert-fk", "insert-select", "update-pk",
+             "update-fk"],
+    )
+    def test_failed_statement_leaves_no_rows(self, tmp_path, sql, durable):
+        import sqlite3
+
+        from repro import connect
+
+        twin = sqlite3.connect(":memory:")
+        twin.execute("PRAGMA foreign_keys = ON")
+        path = str(tmp_path) if durable else None
+        db = connect(with_crowd=False, path=path)
+        for statement in self.SETUP:
+            twin.execute(statement.replace("INTEGER PRIMARY", "INT PRIMARY"))
+            db.execute(statement)
+        with pytest.raises(sqlite3.IntegrityError):
+            twin.execute(sql)
+        with pytest.raises(ConstraintError):
+            db.execute(sql)
+        state = "SELECT * FROM t ORDER BY id"
+        expected = twin.execute(state).fetchall()
+        assert db.query(state) == expected
+        if durable:
+            db.close()
+            db = connect(with_crowd=False, path=path)
+            assert db.query(state) == expected
+        # the statement's rows are gone from every index as well
+        db.execute("INSERT INTO t VALUES (3, 0.5, 2)")
+        assert db.query("SELECT id FROM t WHERE id = 3") == [(3,)]
+        db.close()
+
+    def test_failed_delete_restores_the_rows(self, db, monkeypatch):
+        from repro.errors import StorageError
+
+        heap = db.engine.table("emp")
+        delete = heap.delete
+        calls = []
+
+        def failing_delete(rowid):
+            calls.append(rowid)
+            if len(calls) == 3:
+                raise StorageError("disk on fire")
+            return delete(rowid)
+
+        monkeypatch.setattr(heap, "delete", failing_delete)
+        before = db.query("SELECT * FROM emp ORDER BY name")
+        with pytest.raises(StorageError, match="disk on fire"):
+            db.execute("DELETE FROM emp WHERE salary > 55")
+        assert db.query("SELECT * FROM emp ORDER BY name") == before
+        ann = db.query("SELECT name FROM emp WHERE name = 'ann'")
+        assert ann == [("ann",)]
+
+
 class TestUtilityStatements:
     def test_show_tables(self, db):
         result = db.execute("SHOW TABLES")

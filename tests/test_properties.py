@@ -11,8 +11,13 @@ from repro.crowd.reputation import ReputationStore
 from repro.crowd.scripted import ScriptedPlatform, oracle_answer_fn
 from repro.crowd.sim.traces import GroundTruthOracle
 from repro.sql.parser import parse
-from repro.sqltypes import NULL
+from repro.sqltypes import CNULL, NULL, coerce
 from repro.storage.heap import HeapTable
+
+try:
+    import numpy as np
+except ImportError:  # the standard-library-only leg
+    np = None
 
 SETTINGS = settings(
     max_examples=60,
@@ -55,6 +60,62 @@ def test_heap_insert_scan_consistency(rows):
         found = heap.lookup_primary_key((key,))
         assert found is not None and found.values == values
     assert heap.statistics.row_count == len(inserted)
+
+
+class _Text(str):
+    """A ``str`` subclass: not exactly the storage type, so it takes the
+    :func:`coerce` path."""
+
+
+_LANE_VALUES = [
+    st.integers(),
+    st.floats(),  # NaN and both infinities included
+    st.booleans(),
+    st.text(max_size=6),
+    st.text(max_size=6).map(_Text),
+    st.sampled_from(["1", " -2 ", "2.5", "1e3", "yes", "F", "no", "0", "x"]),
+    st.sampled_from([None, NULL, CNULL]),
+]
+if np is not None:
+    _LANE_VALUES += [
+        st.integers(-(2**63), 2**63 - 1).map(np.int64),
+        st.floats().map(np.float64),
+    ]
+
+_LANE_HEAP = HeapTable(build_table_schema(parse(
+    "CREATE TABLE lane (i INTEGER, f FLOAT, s STRING, b BOOLEAN)"
+)))
+
+
+def _outcome(call):
+    """A stored value by type and repr (NaN never equals itself), or the
+    exception a write raises, by type and message."""
+    try:
+        value = call()
+    except Exception as error:
+        return ("raises", type(error), str(error))
+    if isinstance(value, tuple):
+        return tuple((type(v), repr(v)) for v in value)
+    return (type(value), repr(value))
+
+
+@given(st.lists(st.one_of(*_LANE_VALUES), min_size=4, max_size=4))
+@SETTINGS
+def test_exact_type_lane_agrees_with_coerce(values):
+    """The write plan's exact-type lane stores what :func:`coerce` stores,
+    or raises what it raises, for every column type: through a full row
+    and through an INSERT column list."""
+    heap = _LANE_HEAP
+    types = [column.sql_type for column in heap.schema.columns]
+    row = tuple(values)
+    assert _outcome(lambda: heap.prepare_values(row)) == _outcome(
+        lambda: tuple(coerce(v, t) for v, t in zip(row, types))
+    )
+    for column, value in zip(heap.schema.columns, values):
+        listed = (column.name,)
+        assert _outcome(
+            lambda: heap.prepare_values([value], listed)[column.ordinal]
+        ) == _outcome(lambda: coerce(value, column.sql_type))
 
 
 @given(

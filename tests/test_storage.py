@@ -1,7 +1,12 @@
 """Unit tests for the storage substrate: heaps, indexes, engine, log."""
 
+import json
+from pathlib import Path
+
 import pytest
 
+from repro import connect
+from repro.api import Connection
 from repro.catalog.ddl import build_table_schema
 from repro.errors import ConstraintError, StorageError
 from repro.sql.parser import parse
@@ -9,6 +14,7 @@ from repro.sqltypes import CNULL, NULL
 from repro.storage.engine import StorageEngine
 from repro.storage.heap import HeapTable
 from repro.storage.index import HashIndex, OrderedIndex
+from repro.storage.recovery import DurableStorage
 from repro.storage.row import Scope
 
 
@@ -121,6 +127,12 @@ class TestHeapTable:
         heap = talk_engine.table("Talk")
         values = heap.prepare_values(["T", "Abs", 10])
         assert values == ("T", "Abs", 10)
+
+    def test_storage_form_tuple_is_kept(self, talk_engine):
+        heap = talk_engine.table("Talk")
+        values = ("T", "Abs", 10)
+        assert heap.prepare_values(values) is values
+        assert heap.insert(values).values is values
 
     def test_wrong_arity(self, talk_engine):
         heap = talk_engine.table("Talk")
@@ -363,3 +375,391 @@ class TestScope:
     def test_positions_for_binding(self):
         scope = Scope([("t", "a"), ("u", "b"), ("t", "c")])
         assert scope.positions_for_binding("t") == [0, 2]
+
+
+# -- the write-path golden -----------------------------------------------------
+#
+# ``tests/golden/writes_v1.jsonl`` pins what every write leaves behind: a
+# deterministic DML run over tables with every SQL type, NULL and CNULL, a
+# primary key, UNIQUE columns, a user hash index and ordered indexes, and
+# foreign keys to a parent's primary key, to a UNIQUE column and to an
+# unindexed column.  The values exercise every coercion (``1`` -> FLOAT,
+# ``'2.5'`` -> FLOAT, ``'yes'``/``0`` -> BOOLEAN, ``3.0`` -> INTEGER), the
+# load crosses several auto-analyze thresholds, and each single-row failure
+# records its error type and message.  After every phase the record holds
+# the rows under their rowids, every index's contents, every column's
+# counters, MCVs and histogram, the table's staleness counters and epoch,
+# and the normalized primary keys.  The same script run durably -- a
+# checkpoint midway, then a reopen from checkpoint plus WAL, and another
+# from the closing checkpoint alone -- must reproduce the last record.
+# ``python tests/test_storage.py`` rewrites the golden: only at the parent
+# of a change meant to alter what a write stores.
+
+WRITES_GOLDEN = Path(__file__).parent / "golden" / "writes_v1.jsonl"
+
+WRITES_DDL = (
+    "CREATE TABLE dept (id INTEGER PRIMARY KEY, code STRING UNIQUE, "
+    "name STRING, budget FLOAT)",
+    "CREATE TABLE emp (id INTEGER PRIMARY KEY, email STRING UNIQUE, "
+    "name STRING NOT NULL, dept_id INTEGER, dept_code STRING, "
+    "dept_name STRING, salary FLOAT, active BOOLEAN, level INTEGER, "
+    "note CROWD STRING, rating CROWD INTEGER, "
+    "FOREIGN KEY (dept_id) REFERENCES dept(id), "
+    "FOREIGN KEY (dept_code) REFERENCES dept(code), "
+    "FOREIGN KEY (dept_name) REFERENCES dept(name))",
+    "CREATE TABLE pair (a INTEGER, b STRING, w FLOAT DEFAULT 1, "
+    "PRIMARY KEY (a, b))",
+    "CREATE TABLE bag (k STRING, v INTEGER)",
+    "CREATE INDEX emp_level ON emp (level)",
+)
+
+_ACTIVE = ("yes", 0, True, "f", 1, False, None, "TRUE")
+
+
+def _emp_values(i: int) -> tuple:
+    """One raw ``emp`` row: every coercion the write path performs shows
+    up at a fixed stride."""
+    identifier = float(i) if i % 17 == 0 else (f" {i} " if i % 19 == 0 else i)
+    salary = (
+        None if i % 41 == 0
+        else 1000 + i if i % 3 == 0
+        else f"{i}.5" if i % 3 == 1
+        else i * 10.25
+    )
+    return (
+        identifier,
+        NULL if i % 23 == 0 else f"e{i}@x",
+        f"N{i % 37}",
+        None if i % 29 == 0 else i % 8,
+        NULL if i % 31 == 0 else f"D{i % 8}",
+        f"Dept {i % 8}",
+        salary,
+        _ACTIVE[i % len(_ACTIVE)],
+        float(i % 5) if i % 4 == 0 else i % 5,
+        f"n{i % 6}",
+        str(i % 4),
+    )
+
+
+#: the mixed-case INSERT column list of the odd ``emp`` rows (no CROWD
+#: columns: they stay CNULL)
+_EMP_PARTIAL = (
+    "ID", "Email", "name", "DEPT_ID", "dept_code", "Dept_Name", "salary",
+    "active", "LEVEL",
+)
+
+
+def _load_emp(engine, rows: range) -> None:
+    for i in rows:
+        values = _emp_values(i)
+        if i % 2:
+            engine.insert("emp", values[:9], _EMP_PARTIAL)
+        else:
+            engine.insert("emp", values)
+
+
+#: single-row inserts that must fail: case, table, values, column list
+_FAILING_INSERTS = (
+    ("not null", "emp", (900, "z@x", NULL) + (None,) * 8, None),
+    ("duplicate pk", "emp", (5, "z@x", "Z"), ("id", "email", "name")),
+    ("duplicate unique", "emp", (901, "e7@x", "Z"), ("id", "email", "name")),
+    ("fk to pk", "emp", (902, "Z", 99), ("id", "name", "dept_id")),
+    ("fk to unique", "emp", (903, "Z", "D99"), ("id", "name", "dept_code")),
+    ("fk to unindexed", "emp", (904, "Z", "Nope"),
+     ("id", "name", "dept_name")),
+    ("integer from text", "emp", ("abc", "Z"), ("id", "name")),
+    ("integer from fraction", "emp", (905, "Z", 1.5), ("id", "name", "level")),
+    ("integer from bool", "emp", (True, "Z"), ("id", "name")),
+    ("boolean from text", "emp", (906, "Z", "maybe"),
+     ("id", "name", "active")),
+    ("boolean from 2", "emp", (907, "Z", 2), ("id", "name", "active")),
+    ("string from int", "emp", (908, 5), ("id", "name")),
+    ("float from text", "emp", (909, "Z", "x"), ("id", "name", "salary")),
+    ("float from bool", "dept", (50, "D50", "X", True), None),
+    ("arity", "emp", (1, 2), None),
+    ("column list arity", "emp", (1, 2), ("id",)),
+    ("unknown column", "emp", (910,), ("nope",)),
+    ("duplicate column", "emp", (911, 912), ("id", "ID")),
+    ("duplicate composite pk", "pair", (1, "a"), ("a", "b")),
+)
+
+#: single-row statements that must fail: case, SQL
+_FAILING_STATEMENTS = (
+    ("sql duplicate pk", "INSERT INTO emp (id, name) VALUES (5, 'x')"),
+    ("sql update unique", "UPDATE emp SET email = 'e7@x' WHERE id = 8"),
+    ("sql update not null", "UPDATE emp SET name = NULL WHERE id = 8"),
+    ("sql update fk", "UPDATE emp SET dept_id = 99 WHERE id = 8"),
+    ("sql update coercion", "UPDATE emp SET level = 'high' WHERE id = 8"),
+)
+
+
+def _failures(db) -> list[dict]:
+    """Every single-row failure, each with its error type and message."""
+    engine = db.engine
+    cases = [
+        (case, lambda t=table, v=values, c=columns: engine.insert(t, v, c))
+        for case, table, values, columns in _FAILING_INSERTS
+    ] + [
+        (case, lambda sql=sql: db.execute(sql))
+        for case, sql in _FAILING_STATEMENTS
+    ] + [
+        ("set_value coercion",
+         lambda: engine.set_value("emp", 2, "rating", "many", origin="crowd")),
+        ("set_value unknown column",
+         lambda: engine.set_value("emp", 2, "nope", 1)),
+        ("delete unknown rowid", lambda: engine.delete("emp", 99_999)),
+        ("update unknown rowid", lambda: engine.update("emp", 99_999, ())),
+    ]
+    failures = []
+    for case, call in cases:
+        try:
+            call()
+        except Exception as error:  # every case must fail
+            failures.append(
+                {"case": case, "error": type(error).__name__,
+                 "message": str(error)}
+            )
+        else:
+            raise AssertionError(f"write-path case {case!r} did not fail")
+    return failures
+
+
+def _phases(db):
+    """The golden's DML script, one phase at a time: yields each phase's
+    name and the failures it recorded."""
+    engine = db.engine
+    for statement in WRITES_DDL:
+        db.execute(statement)
+    engine.create_index("emp", "emp_salary_ord", ("salary",), ordered=True)
+    yield "ddl", []
+
+    db.execute(
+        "INSERT INTO dept VALUES " + ", ".join(
+            f"({d}, 'D{d}', 'Dept {d}', {1000 * d})" for d in range(8)
+        )
+    )
+    db.execute("INSERT INTO dept (id, code, name, budget) "
+               "VALUES (8, 'D8', 'Dept 8', '2.5')")
+    _load_emp(engine, range(260))
+    for a, b in ((1, "a"), (1.0, "b"), (2, "a"), ("3", "c")):
+        engine.insert("pair", (a, b), ("A", "b"))
+    engine.insert("pair", (4, "d", 0.25))
+    db.execute("INSERT INTO bag VALUES ('x', 1), ('x', 1), (NULL, 2)")
+    db.execute("INSERT INTO bag SELECT name, level FROM emp WHERE level = 1")
+    yield "load", []
+
+    yield "failures", _failures(db)
+
+    for statement in (
+        "UPDATE emp SET salary = salary * 2 WHERE level = 2",
+        "UPDATE emp SET id = id + 1000 WHERE id < 20",
+        "UPDATE emp SET email = NULL WHERE id = 1005",
+        "UPDATE emp SET level = 3.0, active = 'no' WHERE name = 'N3'",
+        "UPDATE emp SET dept_code = 'D1', dept_name = 'Dept 1' "
+        "WHERE dept_id = 1",
+        "UPDATE dept SET budget = 7 WHERE id = 3",
+        "UPDATE pair SET b = 'z' WHERE a = 2",
+        "UPDATE bag SET v = v + 1",
+    ):
+        db.execute(statement)
+    engine.update("emp", 30, tuple(engine.table("emp").get(30).values))
+    yield "update", []
+
+    for rowid in range(20, 80, 2):
+        column, value = (
+            ("note", f"crowd {rowid % 5}") if rowid % 4
+            else ("rating", "3" if rowid % 8 else 4.0)
+        )
+        engine.set_value("emp", rowid, column, value, origin="crowd")
+    engine.set_value("emp", 81, "note", NULL, origin="crowd")
+    engine.set_value("emp", 83, "salary", 7)
+    yield "set_value", []
+
+    db.execute("DELETE FROM emp WHERE level = 0")
+    db.execute("DELETE FROM bag WHERE v > 2")
+    db.execute("DELETE FROM pair WHERE a = 1")
+    engine.delete("emp", 99)
+    yield "delete", []
+
+    engine.create_index("emp", "emp_name_dept", ("Name", "dept_id"),
+                        ordered=True)
+    db.execute("CREATE INDEX emp_dept_code ON emp (dept_code)")
+    engine.create_index("bag", "bag_kv", ("k", "v"), ordered=True)
+    failures = []
+    try:
+        db.execute("CREATE UNIQUE INDEX emp_name_u ON emp (name)")
+    except Exception as error:
+        failures.append({"case": "unique index over duplicates",
+                         "error": type(error).__name__,
+                         "message": str(error)})
+    _load_emp(engine, range(300, 340))
+    db.execute("UPDATE emp SET dept_code = 'D2', name = 'N0' WHERE id = 300")
+    yield "index", failures
+
+    db.execute("ANALYZE emp")
+    db.execute("ANALYZE")
+    _load_emp(engine, range(400, 470))
+    yield "analyze", []
+
+
+def _index_dump(index) -> dict:
+    if isinstance(index, OrderedIndex):
+        contents = {
+            "entries": [[repr(key), rowid] for key, rowid in index._entries],
+            "missing": sorted(index._missing),
+        }
+    else:
+        contents = {
+            "buckets": sorted(
+                [repr(key), sorted(rowids)]
+                for key, rowids in index._buckets.items()
+            ),
+        }
+    return {"columns": list(index.columns), "unique": index.unique,
+            **contents}
+
+
+def _column_stats_dump(column) -> dict:
+    histogram = column.histogram
+    return {
+        "null": column.null_count,
+        "cnull": column.cnull_count,
+        "values": sorted(
+            [repr(value), count]
+            for value, count in column._value_counts.items()
+        ),
+        "distinct_is_lower_bound": column.distinct_is_lower_bound,
+        "mcv": [[repr(value), count] for value, count in column.mcv.items()],
+        "histogram": None if histogram is None else {
+            "total": histogram.total,
+            "buckets": [
+                [repr(b.low), repr(b.high), b.count, b.distinct]
+                for b in histogram.buckets
+            ],
+        },
+    }
+
+
+def writes_dump(engine) -> dict:
+    """Everything a write can change, in a JSON-ready, order-stable form."""
+    tables = {}
+    for name in engine.table_names():
+        heap = engine.table(name)
+        stats = heap.statistics
+        tables[heap.name] = {
+            "next_rowid": heap._next_rowid,
+            "rows": [[row.rowid, [repr(v) for v in row.values]]
+                     for row in heap.scan()],
+            "indexes": {
+                index_name: _index_dump(index)
+                for index_name, index in sorted(heap.indexes.items())
+            },
+            "row_count": stats.row_count,
+            "epoch": stats.epoch,
+            "analyzed": stats.analyzed,
+            "mutations_since_analyze": stats.mutations_since_analyze,
+            "rows_at_analyze": stats._rows_at_analyze,
+            "columns": {
+                column_name: _column_stats_dump(column)
+                for column_name, column in stats.columns.items()
+            },
+            "normalized_pks": None if heap._normalized_pks is None else sorted(
+                [repr(key), count]
+                for key, count in heap._normalized_pks.items()
+            ),
+        }
+    return tables
+
+
+def writes_records() -> list[dict]:
+    """The in-memory run's records: one per phase."""
+    db = connect(with_crowd=False)
+    try:
+        return [
+            {"phase": phase, "failures": failures,
+             "tables": writes_dump(db.engine)}
+            for phase, failures in _phases(db)
+        ]
+    finally:
+        db.close()
+
+
+def durable_dumps(directory: str) -> tuple[dict, DurableStorage]:
+    """The durable run in ``directory``: a checkpoint after the failures
+    phase, the rest in the WAL, then a crash.  Returns the live engine's
+    last dump and the instance reopened from checkpoint + WAL."""
+    storage = DurableStorage(
+        directory, wal_sync="off", checkpoint_interval=None
+    )
+    db = Connection(engine=storage.engine)
+    for phase, _failures in _phases(db):
+        if phase == "failures":
+            storage.checkpoint()
+    live = writes_dump(storage.engine)
+    storage.wal.close()  # a crash: no closing checkpoint
+    return live, DurableStorage(directory, wal_sync="off")
+
+
+def reopened_record(replayed: DurableStorage) -> dict:
+    """The golden's last record: the durable run, reopened from checkpoint
+    + WAL, closed (which publishes a checkpoint covering everything) and
+    reopened from that checkpoint alone."""
+    replayed.close()
+    reopened = DurableStorage(replayed.directory, wal_sync="off")
+    try:
+        return {"phase": "reopened", "failures": [],
+                "tables": writes_dump(reopened.engine)}
+    finally:
+        reopened.close()
+
+
+def _read_golden() -> list[dict]:
+    with open(WRITES_GOLDEN, encoding="utf-8") as handle:
+        return [json.loads(line) for line in handle]
+
+
+def _assert_record(got: dict, want: dict) -> None:
+    assert got["failures"] == want["failures"], got["phase"]
+    for table, dump in want["tables"].items():
+        for key, value in dump.items():
+            assert got["tables"][table][key] == value, (
+                got["phase"], table, key
+            )
+    assert got == want
+
+
+def test_writes_golden():
+    expected = _read_golden()[:-1]
+    actual = writes_records()
+    assert [r["phase"] for r in actual] == [r["phase"] for r in expected]
+    for got, want in zip(actual, expected):
+        _assert_record(got, want)
+
+
+def test_writes_golden_survives_checkpoint_and_replay(tmp_path):
+    """Reopening the durable run from checkpoint + WAL reproduces the
+    in-memory run's last phase exactly.  Reopening from the closing
+    checkpoint alone reproduces the golden's ``reopened`` record: a
+    checkpoint keeps the counters but not the analyzed summaries, so that
+    reopen rebuilds MCVs and histograms from the counters it restored,
+    which have moved since the last analyze, with ties in rowid order."""
+    *phases, reopened = _read_golden()
+    final = phases[-1]["tables"]
+    live, replayed = durable_dumps(str(tmp_path))
+    assert live == final
+    assert replayed.report.checkpoint_loaded
+    assert replayed.report.records_replayed > 0
+    assert writes_dump(replayed.engine) == final
+    _assert_record(reopened_record(replayed), reopened)
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as directory:
+        _live, replayed = durable_dumps(directory)
+        records = writes_records() + [reopened_record(replayed)]
+    with open(WRITES_GOLDEN, "w", encoding="utf-8") as handle:
+        for record in records:
+            handle.write(json.dumps(record, sort_keys=True) + "\n")
+    print(f"wrote {WRITES_GOLDEN}")
