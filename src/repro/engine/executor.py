@@ -392,8 +392,9 @@ class Executor:
             partial_reason: Optional[str] = None
             rows: list[tuple] = []
             try:
-                for row in operator:
-                    rows.append(row)
+                # keeps the rows before a guard trip; a vectorized root
+                # hands over one pivoted batch at a time
+                rows.extend(operator)
             except PartialResultStop as stop:
                 partial_reason = stop.reason
                 self._note_partial(stop.reason)

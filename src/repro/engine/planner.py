@@ -78,8 +78,10 @@ class PhysicalPlanner:
             VectorAggregateOp,
             VectorFilterOp,
             VectorHashJoinOp,
+            VectorLimitOp,
             VectorProjectOp,
             VectorScanOp,
+            VectorSortOp,
         )
 
         if isinstance(node, logical.Scan):
@@ -118,6 +120,20 @@ class PhysicalPlanner:
                 self._plan_vector(node.child),
                 node.group_by,
                 node.aggregates,
+            )
+        elif isinstance(node, logical.Sort):
+            operator = VectorSortOp(
+                self.context,
+                self._plan_vector(node.child),
+                node.keys,
+                top_k=node.top_k,
+            )
+        elif isinstance(node, logical.Limit):
+            operator = VectorLimitOp(
+                self.context,
+                self._plan_vector(node.child),
+                node.limit,
+                node.offset,
             )
         else:
             raise PlanError(

@@ -17,17 +17,20 @@ one overlapped marketplace round.
 from __future__ import annotations
 
 import functools
-from typing import Any, Iterator, Optional
+from typing import Iterator, Optional
 
 from repro.engine.base import Correlation, PhysicalOperator
 from repro.engine.context import ExecutionContext
+from repro.exec.sort import missing_aware_compare, sort_order
 from repro.sql import ast
-from repro.sqltypes import compare_values, is_missing
+from repro.sqltypes import is_missing
 from repro.storage.row import Scope
 
 
 class SortOp(PhysicalOperator):
-    """ORDER BY over materialized input."""
+    """ORDER BY over materialized row input: crowd sorts, and electronic
+    sorts the vector region does not reach (they order by
+    :func:`repro.exec.sort.sort_order`, as ``VectorSortOp`` does)."""
 
     def __init__(
         self,
@@ -61,44 +64,21 @@ class SortOp(PhysicalOperator):
             return
         if self.is_crowd_sort:
             yield from self._crowd_sort(rows)
-        else:
-            yield from self._value_sort(rows)
-
-    # -- electronic sort ---------------------------------------------------------
-
-    def _value_sort(self, rows: list[tuple]) -> Iterator[tuple]:
-        scope = self.child.scope
-        key_fns = [
-            (self.compile_value(expr, scope), ascending)
-            for expr, ascending in self.keys
-        ]
-        columns = [
-            ([fn(values) for values in rows], ascending)
-            for fn, ascending in key_fns
-        ]
-        if all(_clean_column(column) for column, _asc in columns):
-            # every key column is free of NULL/CNULL and homogeneously
-            # typed: raw values collate exactly like _SortKey, so sort
-            # key-based — one stable pass per key, last key first
-            order = list(range(len(rows)))
-            for column, ascending in reversed(columns):
-                order.sort(key=column.__getitem__, reverse=not ascending)
-            for index in order:
-                yield rows[index]
             return
-        decorated = [
-            (
-                tuple(
-                    _SortKey(column[i], ascending)
-                    for column, ascending in columns
-                ),
-                i,
-            )
-            for i in range(len(rows))
-        ]
-        decorated.sort(key=lambda pair: pair[0])
-        for _key, index in decorated:
-            yield rows[index]
+        # an electronic sort over row input (an index scan, a crowd
+        # operator below): the vector sort's order over key columns
+        scope = self.child.scope
+        columns = []
+        for expr, _ascending in self.keys:
+            fn = self.compile_value(expr, scope)
+            columns.append([fn(values) for values in rows])
+        order = sort_order(
+            columns,
+            [None] * len(columns),
+            [ascending for _expr, ascending in self.keys],
+            self.top_k,
+        )
+        yield from map(rows.__getitem__, order)
 
     # -- crowd-backed sort ----------------------------------------------------------
 
@@ -135,7 +115,7 @@ class SortOp(PhysicalOperator):
                         prefer_left = crowd_order(left, right, question)
                         ordering = -1 if prefer_left else 1
                 else:
-                    ordering = _missing_aware_compare(left, right)
+                    ordering = missing_aware_compare(left, right)
                 if not ascending:
                     ordering = -ordering
                 if ordering != 0:
@@ -178,7 +158,7 @@ class SortOp(PhysicalOperator):
                 if is_missing(left) or is_missing(right) or left == right:
                     continue  # ties; the next key decides
                 return (left, right, question)
-            if _missing_aware_compare(fn(a), fn(b)) != 0:
+            if missing_aware_compare(fn(a), fn(b)) != 0:
                 return None  # an electronic key decides first
         return None
 
@@ -293,63 +273,3 @@ class _MergeState:
 
     def finish(self) -> list[tuple]:
         return self.out + self.a[self.i :] + self.b[self.j :]
-
-
-@functools.total_ordering
-class _SortKey:
-    """Wrap a value so missing sorts last and DESC flips the order."""
-
-    __slots__ = ("value", "ascending")
-
-    def __init__(self, value: Any, ascending: bool) -> None:
-        self.value = value
-        self.ascending = ascending
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, _SortKey):
-            return NotImplemented
-        return _missing_aware_compare(self.value, other.value) == 0
-
-    def __lt__(self, other: "_SortKey") -> bool:
-        ordering = _missing_aware_compare(self.value, other.value)
-        if not self.ascending:
-            ordering = -ordering
-        return ordering < 0
-
-
-def _clean_column(column: list) -> bool:
-    """True when raw Python comparison of the column's values collates
-    exactly like :class:`_SortKey`: no NULL/CNULL (missing-last handling
-    never kicks in) and one homogeneous comparison class (str, bool, or
-    bool-free numeric — the classes ``compare_values`` accepts).  NaN is
-    excluded: ``compare_values`` derives ordering 0 for NaN against
-    anything, so only the comparator path reproduces its placement."""
-    if not column:
-        return True
-    first = column[0]
-    if isinstance(first, bool):
-        return all(isinstance(v, bool) for v in column)
-    if isinstance(first, str):
-        return all(isinstance(v, str) for v in column)
-    if isinstance(first, (int, float)):
-        return all(
-            isinstance(v, (int, float))
-            and not isinstance(v, bool)
-            and v == v  # NaN fails this
-            for v in column
-        )
-    return False
-
-
-def _missing_aware_compare(left: Any, right: Any) -> int:
-    """SQL sort order: missing values (NULL/CNULL) sort last."""
-    left_missing = is_missing(left)
-    right_missing = is_missing(right)
-    if left_missing and right_missing:
-        return 0
-    if left_missing:
-        return 1
-    if right_missing:
-        return -1
-    ordering = compare_values(left, right)
-    return 0 if ordering is None else ordering

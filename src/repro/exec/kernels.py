@@ -304,10 +304,20 @@ def _paircomp(src: str, **captured: Any) -> Callable[[list, list], list]:
 
 
 def compile_column_kernel(
-    expr: ast.Expression, scope: Scope, parameters: tuple = ()
+    expr: ast.Expression,
+    scope: Scope,
+    parameters: tuple = (),
+    arrays: bool = False,
 ) -> ColumnKernel:
-    """Compile ``expr`` to a column kernel, or raise CannotVectorize."""
-    return _VectorCompiler(scope, parameters).column(expr)
+    """Compile ``expr`` to a column kernel, or raise CannotVectorize.
+
+    With ``arrays``, a result the kernel computed in numpy comes back as
+    its float64 ndarray (tag ``TAG_FLOAT``) instead of a list: for a
+    consumer that reads ndarrays only (a fold), which skips ``tolist``."""
+    compiler = _VectorCompiler(scope, parameters)
+    if arrays:
+        compiler.array_root = expr
+    return compiler.column(expr)
 
 
 def compile_mask_kernel(
@@ -331,6 +341,18 @@ class _VectorCompiler:
         self.scope = scope
         self.parameters = parameters
         self._row = _Compiler(scope, None, parameters)
+        # the expression whose numpy result stays an ndarray (see
+        # compile_column_kernel); every other result becomes a list
+        self.array_root: Optional[ast.Expression] = None
+
+    def _float_result(self, batch: ColumnBatch, res, expr: ast.Expression):
+        """A float64 result of a column kernel: the ndarray itself at the
+        array root, else its list (memoized with it)."""
+        if expr is self.array_root:
+            return res, TAG_FLOAT
+        out = res.tolist()
+        _ndregister(batch, out, res)
+        return out, TAG_FLOAT
 
     def _const(self, expr: ast.Expression) -> tuple[bool, Any]:
         try:
@@ -494,9 +516,7 @@ class _VectorCompiler:
                             if arr is not None:
                                 res = _ndarith(arr, op, constant, flipped)
                                 if res is not None:
-                                    out = res.tolist()
-                                    _ndregister(batch, out, res)
-                                    return out, TAG_FLOAT
+                                    return self._float_result(batch, res, expr)
                         return fast(col), out_tag
                     out: list = []
                     append = out.append
@@ -540,9 +560,7 @@ class _VectorCompiler:
                         if bb is not None:
                             res = _ndpair(aa, bb, op)
                             if res is not None:
-                                out = res.tolist()
-                                _ndregister(batch, out, res)
-                                return out, TAG_FLOAT
+                                return self._float_result(batch, res, expr)
                 return fast_pair(a, b), out_tag
             out: list = []
             append = out.append
@@ -593,9 +611,7 @@ class _VectorCompiler:
                         arr = _ndcolumn(batch, col, tag)
                         if arr is not None:
                             res = arr / c
-                            out = res.tolist()
-                            _ndregister(batch, out, res)
-                            return out, TAG_FLOAT
+                            return self._float_result(batch, res, expr)
                         return fast(col), TAG_FLOAT
                     return [div_one(v, c) for v in col], None
 
@@ -614,9 +630,7 @@ class _VectorCompiler:
                             arr = _ndcolumn(batch, col, tag)
                             if arr is not None:
                                 res = arr / float(c)
-                                out = res.tolist()
-                                _ndregister(batch, out, res)
-                                return out, TAG_FLOAT
+                                return self._float_result(batch, res, expr)
                         return fast_float(col), TAG_FLOAT
                     if tag == TAG_NUM:
                         return [div_one(v, c) for v in col], TAG_NUM

@@ -1,0 +1,203 @@
+"""Electronic ORDER BY: the row order of a sort over its key columns.
+
+One definition serves both pipelines: :class:`~repro.exec.vectorized.
+VectorSortOp` hands it key columns computed by column kernels, the row
+``SortOp`` (an electronic sort over row input: an index scan, or a crowd
+operator below it) key columns computed by its row closures.
+
+SQL order puts missing values (NULL/CNULL) last and lets DESC flip the
+whole order, so DESC puts them first; NaN derives ordering 0 against
+anything (``compare_values``), and ties keep input order.  A key column
+whose values are all of one comparison class -- ints, floats and ints,
+strings, bools -- with no missing value and no NaN collates exactly
+like :class:`SortKey` under raw Python comparison, so such keys sort by
+value: numpy ``lexsort`` over int64/float64 lanes at ``LANE_ROWS`` rows
+and more, one stable index sort per key (last key first) otherwise.  A
+key with a missing value, a NaN or mixed classes sorts every key
+through :class:`SortKey`, whose comparisons raise the row engine's
+errors for incomparable values, in the same order.
+"""
+
+from __future__ import annotations
+
+import functools
+from operator import itemgetter
+from typing import Any, Optional, Sequence
+
+from repro.exec.kernels import known_array
+from repro.exec.vector import (
+    LANE_ROWS,
+    TAG_FLOAT,
+    TAG_INT,
+    TAG_NUM,
+    TAG_STR,
+    ColumnBatch,
+    typed_array,
+)
+from repro.sqltypes import compare_values, is_missing
+
+try:  # the lexsort lane is optional, like the kernel lanes
+    import numpy as _np
+except ImportError:  # pragma: no cover - image without numpy
+    _np = None
+
+#: Key-column tag for an untagged column, by the set of its value types;
+#: a set not listed here (missing values, mixed classes) is unclean.
+_TAG_OF_TYPES = {
+    frozenset((int,)): TAG_INT,
+    frozenset((float,)): TAG_FLOAT,
+    frozenset((int, float)): TAG_NUM,
+    frozenset((str,)): TAG_STR,
+    frozenset((bool,)): "bool",
+}
+
+_INT64_MIN = -(1 << 63)
+
+
+def sort_order(
+    columns: Sequence[list],
+    tags: Sequence[Optional[str]],
+    ascending: Sequence[bool],
+    top_k: Optional[int] = None,
+    batch: Optional[ColumnBatch] = None,
+) -> list[int]:
+    """Row indices in ORDER BY order over the non-empty key ``columns``
+    (their tags as column kernels report them, None when unknown); only
+    the first ``top_k`` when given.  ``batch``, when the columns came
+    from one, lends its ndarray memo and lanes."""
+    count = len(columns[0])
+    arrays = _Arrays(batch, count)
+    tags = [arrays.clean_tag(column, tag) for column, tag in zip(columns, tags)]
+    if None in tags:
+        order = _decorated_order(columns, ascending, count)
+    else:
+        order = None
+        if _np is not None and count >= LANE_ROWS:
+            order = _lexsort_order(arrays, columns, tags, ascending, top_k)
+        if order is None:
+            order = list(range(count))
+            for values, up in reversed(tuple(zip(columns, ascending))):
+                order.sort(key=values.__getitem__, reverse=not up)
+    return order if top_k is None or top_k >= len(order) else order[:top_k]
+
+
+class _Arrays:
+    """Key columns classified, and their int64/float64 forms converted at
+    most once."""
+
+    __slots__ = ("batch", "count", "_converted")
+
+    def __init__(self, batch: Optional[ColumnBatch], count: int) -> None:
+        self.batch = batch
+        self.count = count
+        self._converted: dict = {}
+
+    def get(self, column: list, tag: str):
+        if _np is None or self.count < LANE_ROWS:
+            return None
+        if self.batch is not None:
+            arr = known_array(self.batch, column)
+            if arr is not None:
+                return arr
+        key = id(column)
+        if key not in self._converted:
+            self._converted[key] = typed_array(column, tag)
+        return self._converted[key]
+
+    def clean_tag(self, column: list, tag: Optional[str]) -> Optional[str]:
+        """The column's tag (or the tag its value types show) when it
+        sorts by raw comparison; None when it needs :class:`SortKey`
+        (missing values, NaN, mixed comparison classes)."""
+        if tag is None:
+            tag = _TAG_OF_TYPES.get(frozenset(map(type, column)))
+            if tag is None:
+                return None
+        if tag == TAG_FLOAT or tag == TAG_NUM:
+            arr = self.get(column, tag) if tag == TAG_FLOAT else None
+            if arr is not None:
+                if _np.isnan(arr).any():
+                    return None
+            elif any(value != value for value in column):
+                return None
+        return tag
+
+
+def _decorated_order(
+    columns: Sequence[list], ascending: Sequence[bool], count: int
+) -> list[int]:
+    keyed = tuple(zip(columns, ascending))
+    decorated = [
+        (tuple(SortKey(column[i], up) for column, up in keyed), i)
+        for i in range(count)
+    ]
+    decorated.sort(key=itemgetter(0))
+    return [index for _key, index in decorated]
+
+
+def _lexsort_order(
+    arrays: _Arrays,
+    columns: Sequence[list],
+    tags: Sequence[str],
+    ascending: Sequence[bool],
+    top_k: Optional[int],
+) -> Optional[list[int]]:
+    """The order from numpy: one ascending lane per key (negated for DESC),
+    a stable ``lexsort``; a top-k sorts only the rows whose first key can
+    still place.  None when a key has no exact lane (strings, mixed
+    int/float, bools, ints past int64)."""
+    lanes = []
+    for column, tag, up in zip(columns, tags, ascending):
+        if tag != TAG_INT and tag != TAG_FLOAT:
+            return None
+        arr = arrays.get(column, tag)
+        if arr is None:
+            return None
+        if not up and tag == TAG_INT and arr.min() == _INT64_MIN:
+            return None  # its negation wraps
+        lanes.append(arr if up else -arr)
+    first = lanes[0]
+    if top_k is not None and top_k < len(first):
+        if top_k <= 0:
+            return []
+        # every row of the top k has a first key at most the k-th smallest
+        kth = _np.partition(first, top_k - 1)[top_k - 1]
+        rows = _np.flatnonzero(first <= kth)
+        ranked = _np.lexsort([lane[rows] for lane in reversed(lanes)])
+        return rows[ranked[:top_k]].tolist()
+    return _np.lexsort(lanes[::-1]).tolist()
+
+
+@functools.total_ordering
+class SortKey:
+    """Wrap a value so missing sorts last and DESC flips the order."""
+
+    __slots__ = ("value", "ascending")
+
+    def __init__(self, value: Any, ascending: bool) -> None:
+        self.value = value
+        self.ascending = ascending
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SortKey):
+            return NotImplemented
+        return missing_aware_compare(self.value, other.value) == 0
+
+    def __lt__(self, other: "SortKey") -> bool:
+        ordering = missing_aware_compare(self.value, other.value)
+        if not self.ascending:
+            ordering = -ordering
+        return ordering < 0
+
+
+def missing_aware_compare(left: Any, right: Any) -> int:
+    """SQL sort order: missing values (NULL/CNULL) sort last."""
+    left_missing = is_missing(left)
+    right_missing = is_missing(right)
+    if left_missing and right_missing:
+        return 0
+    if left_missing:
+        return 1
+    if right_missing:
+        return -1
+    ordering = compare_values(left, right)
+    return 0 if ordering is None else ordering

@@ -95,10 +95,13 @@ class ColumnBatch:
     ``columns`` is one list per output column, all of length
     ``num_rows``; ``tags`` is a parallel tuple/list of cleanliness tags
     (``TAG_INT``/``TAG_NUM``/``TAG_STR``/``None``), defaulting to all-
-    unknown when omitted.
+    unknown when omitted.  ``pad_tags``, when set, marks columns a LEFT
+    join padded: per column, the tag its values other than the padding
+    NULLs carry (the padding rows are then exactly its NULLs).  It sits
+    beside ``tags``, never in them: every kernel reads a tag as NULL-free.
     """
 
-    __slots__ = ("columns", "num_rows", "tags", "arrays", "lanes")
+    __slots__ = ("columns", "num_rows", "tags", "arrays", "lanes", "pad_tags")
 
     def __init__(
         self,
@@ -117,6 +120,7 @@ class ColumnBatch:
         # the per-version lanes of the stored columns among ``columns``
         # (set by the scan, relayed with columns passed through as-is)
         self.lanes: Optional[ColumnLanes] = None
+        self.pad_tags: Optional[list] = None
 
     @classmethod
     def from_rows(

@@ -20,8 +20,9 @@ would never have pulled (the contract documented in
 
 from __future__ import annotations
 
-from itertools import compress, islice, repeat
-from operator import itemgetter
+from functools import reduce
+from itertools import chain, compress, islice, repeat
+from operator import add as _add, itemgetter
 from typing import Iterator, Optional, Sequence
 
 from repro.catalog.table import TableSchema
@@ -36,6 +37,7 @@ from repro.exec.kernels import (
     compile_mask_kernel,
     known_array,
 )
+from repro.exec.sort import sort_order
 from repro.exec.vector import (
     DICTIONARY_ROWS_PER_VALUE,
     LANE_ROWS,
@@ -90,6 +92,14 @@ def _collect_refs(expr: ast.Expression, scope: Scope, out: set) -> bool:
             and _collect_refs(expr.high, scope, out)
         )
     if kind is ast.FunctionCall:
+        if expr.is_aggregate:
+            # in scalar position (a projection or sort over an aggregate)
+            # the call reads the aggregate's output column, by its name
+            position = scope.try_resolve(format_expression(expr))
+            if position is None:
+                return False
+            out.add(position)
+            return True
         return all(_collect_refs(arg, scope, out) for arg in expr.args)
     return False
 
@@ -177,8 +187,9 @@ class BatchToRowsOp(PhysicalOperator):
         return False
 
     def __iter__(self) -> Iterator[tuple]:
-        for batch in self.child:
-            yield from _pivot_rows(batch)
+        # lazy per batch, no Python frame per row: a consumer that drains
+        # the region (the executor's ``extend``) pays one pivot per batch
+        return chain.from_iterable(map(_pivot_rows, self.child))
 
 
 class VectorScanOp(VectorOperator):
@@ -472,12 +483,195 @@ class VectorProjectOp(VectorOperator):
             yield out_batch
 
 
+class VectorSortOp(VectorOperator):
+    """ORDER BY over batches, for sorts with no CROWDORDER key.
+
+    The input is one batch (several are joined); key columns come from
+    column kernels, and :func:`~repro.exec.sort.sort_order` turns them
+    into the row order -- the same function the row ``SortOp`` uses for
+    an electronic sort over row input.  Only the first ``top_k`` rows
+    are gathered."""
+
+    def __init__(
+        self,
+        context: ExecutionContext,
+        child: VectorOperator,
+        keys: tuple[tuple[ast.Expression, bool], ...],
+        top_k: Optional[int] = None,
+    ) -> None:
+        super().__init__(context)
+        self.child = child
+        self.keys = keys
+        self.top_k = top_k
+        self._key_refs = referenced_positions(
+            [expr for expr, _ascending in keys], child.scope
+        )
+
+    @property
+    def scope(self) -> Scope:
+        return self.child.scope
+
+    def set_live(self, live: Optional[frozenset]) -> None:
+        # relay, widened by what the keys read
+        self._live = live
+        if live is None or self._key_refs is None:
+            self.child.set_live(None)
+        else:
+            self.child.set_live(live | self._key_refs)
+
+    def __iter__(self) -> Iterator[ColumnBatch]:
+        batch = _concat_batches(list(self.child))
+        if batch is None:
+            return
+        evaluate = column_evaluator(
+            self, [expr for expr, _ascending in self.keys], self.child.scope
+        )
+        key_columns, key_tags = evaluate(batch)
+        order = sort_order(
+            key_columns,
+            key_tags,
+            [ascending for _expr, ascending in self.keys],
+            self.top_k,
+            batch,
+        )
+        live = self._live
+        yield ColumnBatch(
+            [
+                None
+                if column is None or (live is not None and position not in live)
+                else list(map(column.__getitem__, order))
+                for position, column in enumerate(batch.columns)
+            ],
+            len(order),
+            batch.tags,
+        )
+
+
+class VectorLimitOp(VectorOperator):
+    """Stop-after over batches: skip ``offset`` rows, keep ``limit``.
+
+    Like the row ``LimitOp`` it pulls its input until the bound is met
+    (the first batch even under ``LIMIT 0``), never further."""
+
+    def __init__(
+        self,
+        context: ExecutionContext,
+        child: VectorOperator,
+        limit: Optional[int],
+        offset: int = 0,
+    ) -> None:
+        super().__init__(context)
+        self.child = child
+        self.limit = limit
+        self.offset = offset
+
+    @property
+    def scope(self) -> Scope:
+        return self.child.scope
+
+    def set_live(self, live: Optional[frozenset]) -> None:
+        self._live = live
+        self.child.set_live(live)
+
+    def __iter__(self) -> Iterator[ColumnBatch]:
+        skip = self.offset
+        remaining = self.limit  # None: unbounded
+        for batch in self.child:
+            if remaining is not None and remaining <= 0:
+                return
+            rows = batch.num_rows
+            if skip >= rows:
+                skip -= rows
+                continue
+            stop = rows if remaining is None else min(rows, skip + remaining)
+            if skip == 0 and stop == rows:
+                yield batch
+            else:
+                yield ColumnBatch(
+                    [
+                        None if column is None else column[skip:stop]
+                        for column in batch.columns
+                    ],
+                    stop - skip,
+                    batch.tags,
+                )
+            if remaining is not None:
+                remaining -= stop - skip
+                if remaining <= 0:
+                    return
+            skip = 0
+
+
+def _concat_batches(batches: list) -> Optional[ColumnBatch]:
+    """One batch holding ``batches`` in order (None for none): the batch
+    itself when there is one, else joined columns whose tags survive
+    where every batch agrees."""
+    if not batches:
+        return None
+    if len(batches) == 1:
+        return batches[0]
+    columns: list = []
+    tags: list = []
+    for position, tag in enumerate(batches[0].tags):
+        parts = [batch.columns[position] for batch in batches]
+        columns.append(
+            None if None in parts else list(chain.from_iterable(parts))
+        )
+        tags.append(
+            tag if all(batch.tags[position] == tag for batch in batches)
+            else None
+        )
+    return ColumnBatch(
+        columns, sum(batch.num_rows for batch in batches), tags
+    )
+
+
+def column_evaluator(
+    operator: PhysicalOperator,
+    exprs: Sequence[ast.Expression],
+    scope: Scope,
+):
+    """Per-batch evaluator of ``exprs`` over ``scope``: batch -> (one
+    column per expression, their tags).  An expression outside the
+    kernel subset runs ``operator``'s row closure over the pivoted
+    batch (tag None)."""
+    kernels = []
+    for expr in exprs:
+        try:
+            kernels.append(
+                (True, compile_column_kernel(
+                    expr, scope, operator.context.parameters
+                ))
+            )
+        except CannotVectorize:
+            kernels.append((False, operator.compile_value(expr, scope)))
+
+    def evaluate(batch: ColumnBatch) -> tuple[list, list]:
+        columns = []
+        tags = []
+        rows: Optional[list] = None
+        for vectorized, kernel in kernels:
+            if vectorized:
+                column, tag = kernel(batch)
+            else:
+                if rows is None:
+                    rows = _pivot_rows(batch)
+                column = [kernel(values) for values in rows]
+                tag = None
+            columns.append(column)
+            tags.append(tag)
+        return columns, tags
+
+    return evaluate
+
+
 class VectorHashJoinOp(VectorOperator):
     """Hash equi-join over batches, mirroring ``HashJoinOp`` exactly.
 
     Build/probe keys come from column kernels; candidate emission order,
     missing-key skips, LEFT padding, and the residual-condition check are
-    byte-compatible with the row operator.  The residual is skipped only
+    byte-compatible with the row operator, whether a probe looks its keys
+    up in the build dict or searches a :class:`_SortedKeys`.  The residual is skipped only
     when it *is* the single extracted key equality and both key columns
     are clean (no bools/missing — then bucket equality and the compiled
     ``=`` agree, including the NaN identity-bucket corner).
@@ -547,47 +741,10 @@ class VectorHashJoinOp(VectorOperator):
             else right_need | right_keys
         )
 
-    def _key_columns(
-        self, keys: tuple[ast.Expression, ...], side: VectorOperator
-    ):
-        """Per-batch evaluator for the key expressions of one side:
-        batch -> (list of per-key columns, list of their tags)."""
-        kernels = []
-        for expr in keys:
-            try:
-                kernels.append(
-                    (
-                        True,
-                        compile_column_kernel(
-                            expr, side.scope, self.context.parameters
-                        ),
-                    )
-                )
-            except CannotVectorize:
-                kernels.append((False, self.compile_value(expr, side.scope)))
-
-        def evaluate(batch: ColumnBatch) -> tuple[list, list]:
-            columns = []
-            tags = []
-            rows: Optional[list] = None
-            for vectorized, kernel in kernels:
-                if vectorized:
-                    column, tag = kernel(batch)
-                else:
-                    if rows is None:
-                        rows = _pivot_rows(batch)
-                    column = [kernel(values) for values in rows]
-                    tag = None
-                columns.append(column)
-                tags.append(tag)
-            return columns, tags
-
-        return evaluate
-
     def __iter__(self) -> Iterator[ColumnBatch]:
         single = len(self.left_keys) == 1
-        build_keys = self._key_columns(self.right_keys, self.right)
-        probe_keys = self._key_columns(self.left_keys, self.left)
+        build_keys = column_evaluator(self, self.right_keys, self.right.scope)
+        probe_keys = column_evaluator(self, self.left_keys, self.left.scope)
         condition = (
             self.compile_predicate(self.condition, self._scope)
             if self.condition is not None
@@ -620,17 +777,23 @@ class VectorHashJoinOp(VectorOperator):
                 ]
             keys = key_columns[0] if single else list(zip(*key_columns))
             built.append((batch, keys, key_tags[0]))
-        table: dict = {}
+        table: Optional[dict] = {}
+        searchable: Optional[_SortedKeys] = None
         build: Optional[ColumnBatch] = None
         if len(built) == 1:
             # the whole build side arrived in one batch: adopt its
             # columns zero-copy instead of re-accumulating them, and its
-            # ndarray memo and lanes (the build table of an unfiltered
+            # ndarray memo and lanes (the build index of an unfiltered
             # stored key, np.take gathers)
             build, keys, tag = built[0]
             right_columns: list = build.columns
             if single:
-                table, unique_build = _single_key_table(build, keys, tag)
+                index = _single_key_index(build, keys, tag)
+                if type(index) is _SortedKeys:
+                    searchable, table = index, None
+                    unique_build = index.unique
+                else:
+                    table, unique_build = index
             else:
                 unique_build = _add_build_rows(table, keys, 0, False)
             offset = build.num_rows
@@ -649,7 +812,6 @@ class VectorHashJoinOp(VectorOperator):
                     elif right_columns[j] is not None:
                         right_columns[j].extend(column)
         del built
-        get_entry = table.get
         left_outer = self.join_type == "LEFT"
         padding = (NULL,) * right_width
         width = len(self._scope)
@@ -659,6 +821,23 @@ class VectorHashJoinOp(VectorOperator):
         # (None) columns so we never copy values nobody will look at
         left_out = self._left_out
         right_out = self._right_out
+        if right_tags is None:
+            right_tags = [None] * right_width
+        no_tags = [None] * right_width
+
+        def output(
+            batch: ColumnBatch, columns: list, rows: int, padded: bool
+        ) -> ColumnBatch:
+            """The output batch: right columns keep their tags when every
+            row came from a build row; padding NULLs move the tags beside
+            them, to ``pad_tags`` (a fold can drop the padding)."""
+            out_batch = ColumnBatch(
+                columns, rows,
+                list(batch.tags) + (no_tags if padded else right_tags),
+            )
+            if padded:
+                out_batch.pad_tags = [None] * len(batch.tags) + right_tags
+            return out_batch
 
         def gather_right(indices: list, padded: bool) -> tuple[list, dict]:
             """Build-side output columns for the given build-row indices
@@ -695,6 +874,43 @@ class VectorHashJoinOp(VectorOperator):
                 out.append([column[e] for e in indices])
             return out, out_arrays
 
+        def searched(batch: ColumnBatch, probe) -> Optional[ColumnBatch]:
+            """The output for an int64 probe key lane: index vectors from
+            the sorted build keys, ndarray takes where a column has one."""
+            probe_rows, build_rows, pad = searchable.probe(probe, left_outer)
+            produced = len(probe_rows)
+            if produced == 0:
+                return None
+            out_arrays: dict = {}
+            if produced == batch.num_rows and (
+                left_outer or searchable.unique
+            ):
+                out_left = batch.columns  # one row per probe row, in order
+            else:
+                out_left = _take_columns(
+                    batch, batch.columns, left_out, probe_rows, out_arrays
+                )
+            # padded rows take build row 0, then read NULL: their arrays
+            # would lie, so they stay out of the memo
+            out_right = _take_columns(
+                build, right_columns, right_out, build_rows,
+                out_arrays if pad is None else {},
+            )
+            if pad is not None:
+                padded_rows = pad.tolist()
+                for column in out_right:
+                    if column is not None:
+                        for i in padded_rows:
+                            column[i] = NULL
+            out_batch = output(
+                batch, out_left + out_right, produced, pad is not None
+            )
+            if out_left is batch.columns:
+                out_batch.lanes = batch.lanes  # probe columns as-is
+            if out_arrays:
+                out_batch.arrays = out_arrays
+            return out_batch
+
         for batch in self.left:
             key_columns, probe_tags = probe_keys(batch)
             skip_residual = condition is None or (
@@ -702,14 +918,18 @@ class VectorHashJoinOp(VectorOperator):
                 and None not in probe_tags
                 and build_clean
             )
-            # right columns keep their scan tags only when every emitted
-            # row came from a stored build row (no padding)
-            right_part = (
-                right_tags
-                if right_tags is not None and not left_outer
-                else [None] * right_width
-            )
-            out_tags = list(batch.tags) + list(right_part)
+            if searchable is not None and skip_residual and (
+                probe_tags[0] == TAG_INT
+            ):
+                probe = _ndcolumn(batch, key_columns[0], TAG_INT)
+                if probe is not None:
+                    out_batch = searched(batch, probe)
+                    if out_batch is not None:
+                        yield out_batch
+                    continue
+            if table is None:
+                table = searchable.table()
+            get_entry = table.get
             if single:
                 probe_column = key_columns[0]
             else:
@@ -737,15 +957,9 @@ class VectorHashJoinOp(VectorOperator):
                     ]
                 if unique_build:
                     misses = entries.count(None)
-                    if misses == 0:
-                        # every probe row matched exactly once: the left
-                        # columns pass through zero-copy
-                        out_left = batch.columns
-                        indices = entries
-                        produced = batch.num_rows
-                    elif left_outer:
+                    if misses == 0 or left_outer:
                         # one output row per probe row (match or pad):
-                        # left columns still pass through zero-copy
+                        # the left columns pass through zero-copy
                         out_left = batch.columns
                         indices = entries
                         produced = batch.num_rows
@@ -762,11 +976,10 @@ class VectorHashJoinOp(VectorOperator):
                         produced = len(indices)
                     if produced == 0:
                         continue
-                    out_right, out_arrays = gather_right(
-                        indices, left_outer and misses > 0
-                    )
-                    out_batch = ColumnBatch(
-                        out_left + out_right, produced, out_tags
+                    padded = left_outer and misses > 0
+                    out_right, out_arrays = gather_right(indices, padded)
+                    out_batch = output(
+                        batch, out_left + out_right, produced, padded
                     )
                     out_batch.lanes = batch.lanes  # probe columns as-is
                     if out_arrays:
@@ -804,8 +1017,8 @@ class VectorHashJoinOp(VectorOperator):
                 ]
                 out_right, out_arrays = gather_right(build_indices, padded)
                 out_columns.extend(out_right)
-                out_batch = ColumnBatch(
-                    out_columns, len(probe_indices), out_tags
+                out_batch = output(
+                    batch, out_columns, len(probe_indices), padded
                 )
                 if out_arrays:
                     out_batch.arrays = out_arrays
@@ -837,7 +1050,40 @@ class VectorHashJoinOp(VectorOperator):
                     emit(left_values + padding)
             if not out_rows:
                 continue
-            yield ColumnBatch.from_rows(out_rows, width, out_tags)
+            yield ColumnBatch.from_rows(
+                out_rows, width,
+                list(batch.tags) + (no_tags if left_outer else right_tags),
+            )
+
+
+def _take_columns(
+    batch: ColumnBatch,
+    columns: list,
+    live: Optional[frozenset],
+    rows,
+    out_arrays: dict,
+) -> list:
+    """``columns`` gathered at the ndarray of row indices ``rows``: dead
+    and unread columns stay None; a column with an ndarray takes in numpy
+    and enters ``out_arrays`` (the output batch's memo), any other maps
+    ``__getitem__`` over the indices."""
+    out: list = []
+    row_list: Optional[list] = None
+    for j, column in enumerate(columns):
+        if column is None or (live is not None and j not in live):
+            out.append(None)
+            continue
+        arr = known_array(batch, column)
+        if arr is not None:
+            taken = arr[rows]
+            gathered = taken.tolist()
+            out_arrays[id(gathered)] = (gathered, taken)
+        else:
+            if row_list is None:
+                row_list = rows.tolist()
+            gathered = list(map(column.__getitem__, row_list))
+        out.append(gathered)
+    return out
 
 
 def _add_build_rows(table: dict, keys, offset: int, single: bool) -> bool:
@@ -864,17 +1110,17 @@ def _add_build_rows(table: dict, keys, offset: int, single: bool) -> bool:
     return unique
 
 
-def _single_key_table(batch: ColumnBatch, keys: list, tag: Optional[str]):
-    """``(table, unique)`` over the one key column of a one-batch build
-    side.  An unfiltered stored column keeps its table for the table
-    version (the ``"join"`` lane); a large clean integer key is grouped
-    in numpy."""
+def _single_key_index(batch: ColumnBatch, keys: list, tag: Optional[str]):
+    """The index over the one key column of a one-batch build side: a
+    :class:`_SortedKeys` for a large clean integer key, else ``(table,
+    unique)``.  An unfiltered stored column keeps its index for the table
+    version (the ``"join"`` lane)."""
 
-    def build(column: list) -> tuple[dict, bool]:
+    def build(column: list):
         if tag == TAG_INT and len(column) >= LANE_ROWS:
             arr = _ndcolumn(batch, column, tag)
             if arr is not None:
-                return _nd_build_table(arr)
+                return _SortedKeys(arr)
         table: dict = {}
         return table, _add_build_rows(table, column, 0, True)
 
@@ -883,23 +1129,61 @@ def _single_key_table(batch: ColumnBatch, keys: list, tag: Optional[str]):
     return built if built is not None else build(keys)
 
 
-def _nd_build_table(arr) -> tuple[dict, bool]:
-    """What :func:`_add_build_rows` builds over an int64 key lane, from
-    one stable argsort instead of a dict probe per row: rows of equal
-    keys are adjacent and in row order."""
-    order = _np.argsort(arr, kind="stable")
-    ordered = arr[order]
-    starts = _np.flatnonzero(ordered[1:] != ordered[:-1]) + 1
-    keys = ordered[_np.concatenate(([0], starts))].tolist()
-    rows = order.tolist()
-    if len(keys) == len(rows):
-        return dict(zip(keys, rows)), True
-    bounds = [0, *starts.tolist(), len(rows)]
-    table = {
-        key: rows[low] if high - low == 1 else rows[low:high]
-        for key, low, high in zip(keys, bounds, bounds[1:])
-    }
-    return table, False
+class _SortedKeys:
+    """An int64 build key lane grouped by one stable argsort: equal keys
+    adjacent, their rows in row order -- the buckets of
+    :func:`_add_build_rows`, as arrays a probe lane searches."""
+
+    __slots__ = ("order", "keys", "unique", "_table")
+
+    def __init__(self, arr) -> None:
+        self.order = _np.argsort(arr, kind="stable")
+        self.keys = arr[self.order]
+        self.unique = not (self.keys[1:] == self.keys[:-1]).any()
+        self._table: Optional[dict] = None
+
+    def probe(self, probe, left_outer: bool):
+        """``(probe rows, build rows, padded output rows or None)`` for
+        the int64 ``probe`` keys: probe rows in order, each one's matches
+        in build row order, as the dict buckets emit them; under
+        ``left_outer`` an unmatched probe row emits one padded row (build
+        row 0, to be read as NULL)."""
+        keys = self.keys
+        low = keys.searchsorted(probe, "left")
+        matches = keys.searchsorted(probe, "right") - low
+        emit = _np.maximum(matches, 1) if left_outer else matches
+        ends = _np.cumsum(emit)
+        total = int(ends[-1]) if len(ends) else 0
+        probe_rows = _np.repeat(_np.arange(len(probe)), emit)
+        positions = (
+            _np.arange(total)
+            - _np.repeat(ends - emit, emit)
+            + _np.repeat(low, emit)
+        )
+        pad = None
+        if left_outer and total > int(matches.sum()):
+            pad = _np.flatnonzero(_np.repeat(matches == 0, emit))
+            positions[pad] = 0
+        return probe_rows, self.order[positions], pad
+
+    def table(self) -> dict:
+        """What :func:`_add_build_rows` builds over the same keys, for
+        probes that cannot search (an untagged or residual-checked probe
+        key); built once."""
+        if self._table is None:
+            ordered = self.keys
+            starts = _np.flatnonzero(ordered[1:] != ordered[:-1]) + 1
+            keys = ordered[_np.concatenate(([0], starts))].tolist()
+            rows = self.order.tolist()
+            if self.unique:
+                self._table = dict(zip(keys, rows))
+            else:
+                bounds = [0, *starts.tolist(), len(rows)]
+                self._table = {
+                    key: rows[low] if high - low == 1 else rows[low:high]
+                    for key, low, high in zip(keys, bounds, bounds[1:])
+                }
+        return self._table
 
 
 class VectorAggregateOp(VectorOperator):
@@ -907,11 +1191,13 @@ class VectorAggregateOp(VectorOperator):
 
     Group keys resolve through a dict with the same TypeError→repr
     normalization and insertion ordering; aggregate inputs are computed
-    as columns, buffered per group in row order, and folded — with
-    C-level ``sum``/``min``/``max``/``len`` when the input column is
-    clean, or fed element-wise through the row engine's ``_Accumulator``
-    otherwise (distinct, unclean, unknown aggregates), so results,
-    errors, and tie-breaking are identical.
+    as columns and folded per group in row order — in numpy
+    (:func:`_nd_fold`) for a clean column of ``LANE_ROWS`` rows or more,
+    else with C-level ``reduce``/``min``/``max``/``len`` over each
+    group's buffer when the input column is clean, or element-wise
+    through the row engine's ``_Accumulator`` otherwise (distinct,
+    unclean, unknown aggregates) — so results, errors, and tie-breaking
+    are identical.
     """
 
     def __init__(
@@ -934,23 +1220,19 @@ class VectorAggregateOp(VectorOperator):
         for call in aggregates:
             entries.append(("", format_expression(call)))
         self._scope = Scope(entries)
-        self.set_live(None)
+        # the aggregate reads only its key and input expressions, whichever
+        # outputs its consumer wants: it seeds the pruning propagation
+        # once, here, and a consumer's set_live goes no further
+        needed: list = list(group_by)
+        for call in aggregates:
+            for argument in call.args:
+                if not isinstance(argument, ast.Star):
+                    needed.append(argument)
+        child.set_live(referenced_positions(needed, child.scope))
 
     @property
     def scope(self) -> Scope:
         return self._scope
-
-    def set_live(self, live: Optional[frozenset]) -> None:
-        # the aggregate reads only its key and input expressions no
-        # matter which outputs the consumer wants, so it *seeds* the
-        # pruning propagation (called once from __init__)
-        self._live = live
-        needed: list = list(self.group_by)
-        for call in self.aggregates:
-            for argument in call.args:
-                if not isinstance(argument, ast.Star):
-                    needed.append(argument)
-        self.child.set_live(referenced_positions(needed, self.child.scope))
 
     def _input_kernels(self, child_scope: Scope) -> list:
         """Per aggregate: ("star", None) | ("vector", kernel) |
@@ -966,7 +1248,8 @@ class VectorAggregateOp(VectorOperator):
                     (
                         "vector",
                         compile_column_kernel(
-                            argument, child_scope, self.context.parameters
+                            argument, child_scope, self.context.parameters,
+                            arrays=True,
                         ),
                     )
                 )
@@ -1005,7 +1288,9 @@ class VectorAggregateOp(VectorOperator):
                 total = accumulator.total
                 if total is None:
                     total = next(iterator)
-                accumulator.total = sum(iterator, total)
+                # one value at a time, like _Accumulator.add: the builtin
+                # sum() compensates float rounding from Python 3.12
+                accumulator.total = reduce(_add, iterator, total)
                 return
             if name == "MIN":
                 accumulator.count += len(values)
@@ -1052,6 +1337,8 @@ class VectorAggregateOp(VectorOperator):
                     continue
                 if kind == "vector":
                     column, tag = kernel(batch)
+                    if type(column) is not list:  # a numpy result
+                        column = column.tolist()
                 else:
                     if rows is None:
                         rows = _pivot_rows(batch)
@@ -1064,22 +1351,16 @@ class VectorAggregateOp(VectorOperator):
     def _iter_grouped(
         self, child_scope: Scope, input_kernels: list
     ) -> Iterator[ColumnBatch]:
-        key_kernels: list = []
-        for expr in self.group_by:
-            try:
-                key_kernels.append(
-                    (
-                        True,
-                        compile_column_kernel(
-                            expr, child_scope, self.context.parameters
-                        ),
-                    )
-                )
-            except CannotVectorize:
-                key_kernels.append(
-                    (False, self.compile_value(expr, child_scope))
-                )
+        evaluate_keys = column_evaluator(self, self.group_by, child_scope)
         single = len(self.group_by) == 1
+        # the input position of each plain-column argument: its LEFT join
+        # padding, if marked, drops out of the fold
+        positions = [
+            child_scope.try_resolve(argument.name, argument.table)
+            if type(argument) is ast.ColumnRef
+            else None
+            for (argument,) in (call.args for call in self.aggregates)
+        ]
 
         group_index: dict = {}
         get_group = group_index.get
@@ -1088,14 +1369,7 @@ class VectorAggregateOp(VectorOperator):
 
         for batch in self.child:
             rows: Optional[list] = None
-            key_columns = []
-            for vectorized, kernel in key_kernels:
-                if vectorized:
-                    key_columns.append(kernel(batch)[0])
-                else:
-                    if rows is None:
-                        rows = _pivot_rows(batch)
-                    key_columns.append([kernel(values) for values in rows])
+            key_columns, _key_tags = evaluate_keys(batch)
             if single:
                 batch_keys = key_columns[0]
             else:
@@ -1150,40 +1424,16 @@ class VectorAggregateOp(VectorOperator):
                         )
                     record(gid)
 
-            # partition the batch once: per-group row-index lists shared
-            # by every aggregate, gathered with itemgetter (a C call per
-            # group instead of a Python append per row per aggregate)
-            group_count = len(key_tuples)
-            if (
-                _np is not None
-                and group_count <= 64
-                and len(group_ids) >= 4096
+            partition = _Partition(group_ids, len(key_tuples))
+            for index, ((kind, kernel), call, position) in enumerate(
+                zip(input_kernels, self.aggregates, positions)
             ):
-                # few groups over many rows: one C fromiter pass plus a
-                # flatnonzero scan per group beats a Python append per
-                # row (group ids are list indices, so int64 always fits)
-                gid_arr = _np.fromiter(group_ids, _np.int64, len(group_ids))
-                index_lists: list[list[int]] = [
-                    _np.flatnonzero(gid_arr == gid).tolist()
-                    for gid in range(group_count)
-                ]
-            else:
-                index_lists = [[] for _ in range(group_count)]
-                for i, gid in enumerate(group_ids):
-                    index_lists[gid].append(i)
-            getters: list = [
-                itemgetter(*indices) if len(indices) > 1 else None
-                for indices in index_lists
-            ]
-            for index, ((kind, kernel), call) in enumerate(
-                zip(input_kernels, self.aggregates)
-            ):
-                if kind == "star":
-                    for gid, indices in enumerate(index_lists):
-                        if indices:
-                            accumulator = group_accumulators[gid][index]
-                            if accumulator._counts_star:
-                                accumulator.count += len(indices)
+                accumulators = [group[index] for group in group_accumulators]
+                if kind == "star":  # COUNT(*)
+                    for accumulator, count in zip(
+                        accumulators, partition.counts()
+                    ):
+                        accumulator.count += count
                     continue
                 if kind == "vector":
                     column, tag = kernel(batch)
@@ -1191,18 +1441,33 @@ class VectorAggregateOp(VectorOperator):
                     if rows is None:
                         rows = _pivot_rows(batch)
                     column, tag = [kernel(values) for values in rows], None
-                for gid, indices in enumerate(index_lists):
+                part = partition
+                pad_tags = batch.pad_tags
+                if tag is None and pad_tags is not None and position is not None:
+                    tag = pad_tags[position]
+                    if tag is not None:
+                        # a padded build column: without its padding NULLs
+                        # it is clean
+                        kept = [value is not NULL for value in column]
+                        column = list(compress(column, kept))
+                        part = partition.select(kept)
+                if (
+                    tag is not None
+                    and not call.distinct
+                    and _nd_fold(accumulators, batch, column, tag, part)
+                ):
+                    continue
+                if type(column) is not list:  # a numpy result
+                    column = column.tolist()
+                for gid, indices in enumerate(part.index_lists()):
                     if not indices:
                         continue
-                    getter = getters[gid]
                     buffer = (
-                        getter(column)
-                        if getter is not None
+                        itemgetter(*indices)(column)
+                        if len(indices) > 1
                         else (column[indices[0]],)
                     )
-                    self._fold(
-                        group_accumulators[gid][index], call, buffer, tag
-                    )
+                    self._fold(accumulators[gid], call, buffer, tag)
 
         if not key_tuples:
             return
@@ -1212,3 +1477,150 @@ class VectorAggregateOp(VectorOperator):
             for gid in range(len(key_tuples))
         ]
         yield ColumnBatch.from_rows(out_rows, len(self._scope))
+
+
+class _Partition:
+    """One batch's rows by group id (``group_ids``, in row order, ids
+    below ``groups``), in the forms the folds read, each built once."""
+
+    __slots__ = ("group_ids", "groups", "_gids", "_counts", "_index_lists")
+
+    def __init__(self, group_ids: list, groups: int) -> None:
+        self.group_ids = group_ids
+        self.groups = groups
+        self._gids = None
+        self._counts: Optional[list] = None
+        self._index_lists: Optional[list] = None
+
+    def select(self, keep: list) -> "_Partition":
+        """The partition of the rows ``keep`` marks."""
+        return _Partition(list(compress(self.group_ids, keep)), self.groups)
+
+    def numpy(self) -> bool:
+        """True when the folds may read ndarrays: numpy, and rows enough
+        to pay for its per-call cost."""
+        return _np is not None and len(self.group_ids) >= LANE_ROWS
+
+    def gids(self):
+        """``group_ids`` as an intp ndarray."""
+        if self._gids is None:
+            self._gids = _np.fromiter(
+                self.group_ids, _np.intp, len(self.group_ids)
+            )
+        return self._gids
+
+    def counts(self) -> list:
+        """Rows per group id."""
+        if self._counts is None:
+            if self.numpy():
+                self._counts = _np.bincount(
+                    self.gids(), minlength=self.groups
+                ).tolist()
+            else:
+                self._counts = [
+                    len(indices) for indices in self.index_lists()
+                ]
+        return self._counts
+
+    def index_lists(self) -> list:
+        """Per group id, its row indices in row order."""
+        if self._index_lists is None:
+            if self.numpy() and self.groups <= 64:
+                # few groups over many rows: a flatnonzero scan per group
+                # beats a Python append per row
+                gids = self.gids()
+                self._index_lists = [
+                    _np.flatnonzero(gids == gid).tolist()
+                    for gid in range(self.groups)
+                ]
+            else:
+                self._index_lists = [[] for _ in range(self.groups)]
+                for i, gid in enumerate(self.group_ids):
+                    self._index_lists[gid].append(i)
+        return self._index_lists
+
+
+def _nd_fold(
+    accumulators: list,
+    batch: ColumnBatch,
+    column: list,
+    tag: str,
+    part: _Partition,
+) -> bool:
+    """Fold a clean input column into its per-group accumulators: COUNT
+    by ``bincount``, the others over an INTEGER or FLOAT column's ndarray
+    with unbuffered ufunc ``at`` calls, which apply each group's rows in
+    row order, so a float sum is bit-identical to ``_Accumulator``'s
+    one-by-one adds.  A group's float sum starts at its earlier total,
+    else at -0.0 (``-0.0 + x`` is ``x`` for every ``x``).  False -- fold
+    it in Python -- without numpy or rows enough, without an exact lane,
+    for a NaN under MIN/MAX, for an integer sum that could pass int64, or
+    after a batch of another numeric type."""
+    if not part.numpy():
+        return False
+    name = accumulators[0].name
+    counts = part.counts()
+    if name == "COUNT":  # a clean column has no NULL to skip
+        for accumulator, count in zip(accumulators, counts):
+            accumulator.count += count
+        return True
+    arr = column if type(column) is not list else _ndcolumn(batch, column, tag)
+    if arr is None:
+        return False
+    exact = float if tag == TAG_FLOAT else int
+    if name == "SUM" or name == "AVG":
+        if any(
+            accumulator.total is not None and type(accumulator.total) is not exact
+            for accumulator in accumulators
+        ):
+            return False
+        if exact is float:
+            totals = _np.array(
+                [-0.0 if acc.total is None else acc.total for acc in accumulators]
+            )
+        else:
+            bound = max(-int(arr.min()), int(arr.max()))
+            if bound * len(arr) >= 1 << 63:
+                return False
+            totals = _np.zeros(len(accumulators), _np.int64)
+        with _np.errstate(over="ignore", invalid="ignore"):  # as Python
+            _np.add.at(totals, part.gids(), arr)
+        for accumulator, count, total in zip(
+            accumulators, counts, totals.tolist()
+        ):
+            if count:
+                accumulator.count += count
+                if exact is int and accumulator.total is not None:
+                    total += accumulator.total
+                accumulator.total = total
+        return True
+    lowest = name == "MIN"
+    if exact is float:
+        if _np.isnan(arr).any():
+            return False
+        start = _np.inf if lowest else -_np.inf
+    else:
+        limits = _np.iinfo(_np.int64)
+        start = limits.max if lowest else limits.min
+    gids = part.gids()
+    extremes = _np.full(len(accumulators), start, arr.dtype)
+    (_np.minimum if lowest else _np.maximum).at(extremes, gids, arr)
+    tied = extremes == 0
+    if exact is float and tied.any():
+        # -0.0 and 0.0 tie: a group's first zero is its extreme
+        zeros = _np.flatnonzero(arr == 0)
+        first = _np.full(len(accumulators), len(arr))
+        _np.minimum.at(first, gids[zeros], zeros)
+        extremes[tied] = arr[first[tied]]
+    for accumulator, count, extreme in zip(
+        accumulators, counts, extremes.tolist()
+    ):
+        if not count:
+            continue
+        accumulator.count += count
+        current = accumulator.extreme
+        if current is None or (
+            extreme < current if lowest else extreme > current
+        ):
+            accumulator.extreme = extreme
+    return True

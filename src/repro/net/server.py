@@ -556,16 +556,19 @@ class NetworkServer:
 
     async def _shutdown_loop(self) -> None:
         if self._listener is not None:
-            self._listener.close()
-            await self._listener.wait_closed()
+            self._listener.close()  # accept nothing new
         # graceful drain: unblock every connection handler (each posts
         # its session close to the pump from its finally block) and wait
-        # for the writers to flush
+        # for the writers to flush.  This comes before ``wait_closed()``:
+        # from Python 3.12.1 that waits for every open connection, which
+        # would be these handlers, not yet cancelled
         tasks = [task for task in self._conn_tasks if not task.done()]
         for task in tasks:
             task.cancel()
         if tasks:
             await asyncio.gather(*tasks, return_exceptions=True)
+        if self._listener is not None:
+            await self._listener.wait_closed()
 
     async def _handle(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter

@@ -10,10 +10,12 @@ EXPLAIN surfaces.
 
 A node is vector-eligible only when its entire input subtree is: the
 physical planner builds one contiguous batch region per marked node and
-caps it with a ``BatchToRowsOp`` transition, so crowd operators, sorts,
-stop-after bounds, and set operations above the region consume ordinary
-row tuples and keep their semantics (crowd batching windows, open-world
-sourcing, 3VL verdicts) bit-identical to the row engine.
+caps it with a ``BatchToRowsOp`` transition, so crowd operators,
+crowd-ordered sorts and set operations above the region consume
+ordinary row tuples and keep their semantics (crowd batching windows,
+open-world sourcing, 3VL verdicts) bit-identical to the row engine.  A
+query of scans, filters, joins, aggregates, sorts and limits over stored
+electronic tables runs in the vector region up to its root.
 
 Eligibility is deliberately conservative:
 
@@ -27,10 +29,12 @@ Eligibility is deliberately conservative:
 * Joins: INNER/LEFT hash joins with extractable equi keys — the same
   test the row planner applies, via the same helper.
 * Aggregates: the five classic functions over electronic arguments.
+* Sorts: electronic keys only (no CROWDORDER, no subquery), top-k or
+  full; stop-after bounds and projections over a vectorized child.
 
-Everything else (sorts, limits, distinct, set ops, crowd operators,
-derived-table aliases) falls back to rows, with the vector region — if
-any — ending below it.
+Everything else (crowd-ordered sorts, distinct, set ops, crowd
+operators, derived-table aliases) falls back to rows, with the vector
+region — if any — ending below it.
 """
 
 from __future__ import annotations
@@ -100,16 +104,16 @@ class Binder:
             return self._bind_join(node)
         if isinstance(node, logical.Aggregate):
             return self._bind_aggregate(node)
+        if isinstance(node, logical.Sort):
+            return self._bind_sort(node)
+        if isinstance(node, logical.Limit):
+            return self._bind_limit(node)
         # row-only operators: still recurse so vector regions below them
         # are discovered and bound
         for child in node.children():
             self._bind(child)
         if isinstance(node, (logical.CrowdProbe, logical.CrowdJoin)):
             reason = "crowd operator"
-        elif isinstance(node, logical.Sort):
-            reason = "sort (may carry crowd-ordered keys)"
-        elif isinstance(node, logical.Limit):
-            reason = "stop-after bound"
         else:
             reason = f"row-only operator {type(node).__name__}"
         return NodeBinding(False, reason)
@@ -151,6 +155,20 @@ class Binder:
             self._expression_type(expr, child) for expr, _name in node.items
         )
         return NodeBinding(True, None, scope, types)
+
+    def _bind_sort(self, node: logical.Sort) -> NodeBinding:
+        child = self._bind(node.child)
+        if not all(is_electronic(expr) for expr, _asc in node.keys):
+            return NodeBinding(False, "crowd-ordered or subquery sort key")
+        if not child.vectorized:
+            return NodeBinding(False, "row-pipeline input")
+        return NodeBinding(True, None, child.scope, child.output_types)
+
+    def _bind_limit(self, node: logical.Limit) -> NodeBinding:
+        child = self._bind(node.child)
+        if not child.vectorized:
+            return NodeBinding(False, "row-pipeline input")
+        return NodeBinding(True, None, child.scope, child.output_types)
 
     def _bind_join(self, node: logical.Join) -> NodeBinding:
         left = self._bind(node.left)

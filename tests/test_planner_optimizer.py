@@ -1,10 +1,14 @@
 """Tests for the logical plan builder and the rule-based optimizer.
 
-``tests/golden/explain_v1.jsonl`` pins the EXPLAIN text of every
+``tests/golden/explain_v2.jsonl`` pins the EXPLAIN text of every
 statement of the ``plan_cold`` benchmark workload at seed 1, scale 0.1
 (330 statements, regenerated here from ``perf.workloads.plan_cold``).
 ``python tests/test_planner_optimizer.py`` rewrites it -- only at the
 parent of a change meant to alter plans, never to make a test pass.
+``explain_v1.jsonl`` is its predecessor, from before sorts, stop-after
+bounds and projections over a vectorized child joined the vector
+region; ``test_explain_v2_is_v1_with_sorts_vectorized`` derives the one
+from the other.
 """
 
 import json
@@ -23,7 +27,8 @@ from repro.plan.builder import PlanBuilder, output_names
 from repro.sql import ast
 from repro.sql.parser import parse
 
-EXPLAIN_GOLDEN = Path(__file__).parent / "golden" / "explain_v1.jsonl"
+EXPLAIN_GOLDEN = Path(__file__).parent / "golden" / "explain_v2.jsonl"
+EXPLAIN_GOLDEN_V1 = Path(__file__).parent / "golden" / "explain_v1.jsonl"
 
 
 @pytest.fixture
@@ -444,6 +449,54 @@ def test_plan_cold_explain_golden():
     assert len(actual) == len(expected) == 330
     for index, (got, want) in enumerate(zip(actual, expected)):
         assert got == want, f"statement {index}"
+
+
+def _vectorize_sorts(explain: str) -> str:
+    """``explain`` (v1) with every Sort, StopAfter and Project line over a
+    vectorized child marked vectorized, bottom-up; the ``-- cost:``
+    footer is dropped, since the cost model discounts the row work of a
+    vectorized node."""
+    lines = [line for line in explain.splitlines()
+             if not line.startswith("-- cost:")]
+    depth = [len(line) - len(line.lstrip(" ")) for line in lines]
+    for index in range(len(lines) - 1, -1, -1):
+        line = lines[index]
+        node = line.lstrip(" ")
+        child = index + 1
+        if (
+            node.startswith(("Sort(", "StopAfter(", "Project("))
+            and line.endswith("execution: row")
+            and child < len(lines)
+            and depth[child] == depth[index] + 2
+            and lines[child].endswith("execution: vectorized")
+        ):
+            lines[index] = line[: -len("row")] + "vectorized"
+    return "\n".join(lines)
+
+
+def _cost_rows(explain: str) -> float:
+    (footer,) = [line for line in explain.splitlines()
+                 if line.startswith("-- cost:")]
+    return float(footer.split("~")[1].split()[0])
+
+
+def test_explain_v2_is_v1_with_sorts_vectorized():
+    goldens = []
+    for path in (EXPLAIN_GOLDEN_V1, EXPLAIN_GOLDEN):
+        with open(path, encoding="utf-8") as handle:
+            goldens.append([json.loads(line) for line in handle])
+    v1, v2 = goldens
+    assert len(v1) == len(v2) == 330
+    moved = 0
+    for old, new in zip(v1, v2):
+        assert old["kind"] == new["kind"]
+        assert _vectorize_sorts(old["explain"]) == _vectorize_sorts(
+            new["explain"]
+        )
+        assert new["explain"].count("execution: row") == 0
+        assert _cost_rows(new["explain"]) <= _cost_rows(old["explain"])
+        moved += old["explain"] != new["explain"]
+    assert moved == 330
 
 
 if __name__ == "__main__":

@@ -28,7 +28,7 @@ import pytest
 from repro import connect
 from repro.crowd.model import reset_id_counters
 from repro.crowd.sim.traces import GroundTruthOracle
-from repro.exec import kernels, vector, vectorized as vectorized_ops
+from repro.exec import kernels, sort, vector, vectorized as vectorized_ops
 from repro.exec.vector import ColumnBatch
 from repro.exec.vectorized import (
     _pivot_columns,
@@ -278,6 +278,7 @@ class TestDifferentialStatementsWithoutNumpy(TestDifferentialStatements):
         monkeypatch.setattr(kernels, "_np", None)
         monkeypatch.setattr(vectorized_ops, "_np", None)
         monkeypatch.setattr(vector, "_np", None)
+        monkeypatch.setattr(sort, "_np", None)
 
 
 class TestMultiBatchScans(TestDifferentialStatements):
