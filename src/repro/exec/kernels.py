@@ -4,8 +4,10 @@ Compiles expression ASTs into *kernels* operating over whole
 :class:`~repro.exec.vector.ColumnBatch` columns instead of one row tuple
 at a time:
 
-* a **column kernel** maps a batch to ``(values_list, tag)`` — a scalar
-  expression evaluated for every row;
+* a **column kernel** maps a batch to ``(column, tag)`` — a scalar
+  expression evaluated for every row, as a list, an ndarray (a float
+  result computed in numpy, or a typed input passed through) or a coded
+  column (see :mod:`repro.exec.vector`);
 * a **mask kernel** maps a batch to ``(mask_list, clean)`` — a predicate
   under 3VL, with mask elements ``True``/``False``/``None`` (``None`` =
   UNKNOWN) and ``clean=True`` guaranteeing no ``None`` entries.
@@ -42,7 +44,9 @@ from repro.exec.vector import (
     TAG_INT,
     TAG_NUM,
     TAG_STR,
+    Coded,
     ColumnBatch,
+    as_list,
     typed_array,
 )
 from repro.plan.compiled import (
@@ -62,8 +66,8 @@ from repro.sql import ast
 from repro.sqltypes import CNULL, NULL, compare_values
 from repro.storage.row import Scope
 
-#: A column kernel: batch -> (values list, cleanliness tag or None).
-ColumnKernel = Callable[[ColumnBatch], tuple[list, Optional[str]]]
+#: A column kernel: batch -> (column, cleanliness tag or None).
+ColumnKernel = Callable[[ColumnBatch], tuple[Any, Optional[str]]]
 #: A mask kernel: batch -> (list of True/False/None, clean flag).
 MaskKernel = Callable[[ColumnBatch], tuple[list, bool]]
 
@@ -155,50 +159,44 @@ except ImportError:  # pragma: no cover - image without numpy
 _F64_EXACT = 1 << 53
 
 
-def _ndcolumn(batch: ColumnBatch, col: list, tag: Optional[str]):
+def _ndcolumn(batch: ColumnBatch, col, tag: Optional[str]):
     """``col`` as an int64/float64 ndarray, or None when no exact lane.
 
-    Exact by construction: TAG_FLOAT columns hold only Python floats
-    (bit-identical in float64) and TAG_INT columns only ints, with
-    ``fromiter`` raising OverflowError outside int64 (→ no lane).
-    TAG_NUM (mixed int/float) gets no lane — silently rounding a big int
-    into float64 could flip a comparison the row engine decides exactly.
-    A stored column takes its per-version lane (``batch.lanes``); any
-    other is converted here once and memoized on the batch, keyed by
-    column identity (the memo holds a strong reference to the list, so
-    ids cannot be recycled under it).
+    An ndarray column is its own lane (its dtype matches its tag).  A
+    stored list takes its per-version lane (``batch.lanes``); any other
+    list -- or a coded column's values -- converts through
+    :func:`~repro.exec.vector.typed_array`, exact for the reasons it
+    gives.
     """
     if _np is None or (tag != TAG_FLOAT and tag != TAG_INT):
         return None
-    arr = known_array(batch, col)
-    if arr is None:
-        arr = typed_array(col, tag)
-        if arr is not None:
-            _ndregister(batch, col, arr)
-    return arr
+    kind = type(col)
+    if kind is list:
+        lanes = batch.lanes
+        arr = lanes.array(col) if lanes is not None else None
+        return arr if arr is not None else typed_array(col, tag)
+    if kind is Coded:
+        arr = typed_array(col.values, tag)
+        return None if arr is None else arr[col.codes]
+    return col
 
 
-def known_array(batch: ColumnBatch, col: list):
-    """``col``'s ndarray when one exists without converting: memoized on
-    the batch, or the lane of a stored column.  Gathers use it to take
-    kept rows in numpy where that costs no extra pass."""
-    cache = batch.arrays
-    hit = cache.get(id(col)) if cache is not None else None
-    if hit is not None and hit[0] is col:
-        return hit[1]
-    lanes = batch.lanes
-    return lanes.array(col) if lanes is not None else None
-
-
-def _by_code(batch: ColumnBatch, col: list, verdict: Callable[[list], list]):
-    """A mask over a dictionary-lane column: ``verdict`` runs once over
-    the distinct values and the bool mask is gathered by code.  None when
-    ``col`` has no dictionary lane or a verdict is not a plain bool."""
-    lanes = batch.lanes
-    lane = lanes.dictionary(col) if lanes is not None else None
-    if lane is None:
+def _by_code(batch: ColumnBatch, col, verdict: Callable[[list], list]):
+    """A mask over a coded column, or a stored column with a dictionary
+    lane: ``verdict`` runs once over the values and the bool mask is
+    gathered by code.  None when ``col`` has no codes, when it has more
+    values than rows (a gather of a few rows of a long list), or when a
+    verdict is not a plain bool."""
+    if type(col) is Coded:
+        codes, values = col.codes, col.values
+    else:
+        lanes = batch.lanes
+        lane = lanes.dictionary(col) if lanes is not None else None
+        if lane is None:
+            return None
+        codes, values = lane
+    if len(values) > len(codes):
         return None
-    codes, values = lane
     verdicts = verdict(values)
     if None in verdicts:
         return None
@@ -255,11 +253,12 @@ def _ndarith(arr, op: str, constant, constant_on_left: bool):
         c = float(constant)
     else:
         return None
-    if op == "+":
-        return arr + c
-    if op == "*":
-        return arr * c
-    return c - arr if constant_on_left else arr - c
+    with _np.errstate(over="ignore", invalid="ignore"):  # inf/nan, as Python
+        if op == "+":
+            return arr + c
+        if op == "*":
+            return arr * c
+        return c - arr if constant_on_left else arr - c
 
 
 def _ndpair(a_arr, b_arr, op: str):
@@ -270,22 +269,22 @@ def _ndpair(a_arr, b_arr, op: str):
     being TAG_FLOAT, which already implies a float side."""
     if a_arr.dtype != _np.float64 and b_arr.dtype != _np.float64:
         return None
-    if op == "+":
-        return a_arr + b_arr
-    if op == "-":
-        return a_arr - b_arr
-    if op == "*":
-        return a_arr * b_arr
+    with _np.errstate(over="ignore", invalid="ignore"):  # inf/nan, as Python
+        if op == "+":
+            return a_arr + b_arr
+        if op == "-":
+            return a_arr - b_arr
+        if op == "*":
+            return a_arr * b_arr
     return None
 
 
-def _ndregister(batch: ColumnBatch, col: list, arr) -> None:
-    """Publish a lane-computed column's ndarray into the batch memo so
-    downstream kernels over the same column skip re-conversion."""
-    cache = batch.arrays
-    if cache is None:
-        cache = batch.arrays = {}
-    cache[id(col)] = (col, arr)
+def _nddivide(arr, c: float):
+    """``arr / c`` for a nonzero float ``c``: int64 operands convert
+    round-half-even exactly like CPython's int→double, so the quotient is
+    bit-identical; an overflow is inf, as in Python."""
+    with _np.errstate(over="ignore"):
+        return arr / c
 
 
 def _mask_list(mask):
@@ -295,29 +294,37 @@ def _mask_list(mask):
 
 
 def _listcomp(src: str, **captured: Any) -> Callable[[list], list]:
-    """Codegen a whole-column listcomp: no per-element closure calls."""
-    return eval(f"lambda col: [{src} for v in col]", dict(captured))
+    """A whole-column listcomp: no per-element closure calls."""
+    return _on_first_call(f"lambda col: [{src} for v in col]", captured)
 
 
 def _paircomp(src: str, **captured: Any) -> Callable[[list, list], list]:
-    return eval(f"lambda a, b: [{src} for v, c in zip(a, b)]", dict(captured))
+    return _on_first_call(
+        f"lambda a, b: [{src} for v, c in zip(a, b)]", captured
+    )
+
+
+def _on_first_call(source: str, captured: dict) -> Callable:
+    """``source`` compiled on its first call, not before: a kernel whose
+    ndarray lane runs never pays the codegen of its list lane."""
+    compiled = None
+
+    def run(*columns):
+        nonlocal compiled
+        if compiled is None:
+            compiled = eval(source, dict(captured))
+        return compiled(*columns)
+
+    return run
 
 
 def compile_column_kernel(
     expr: ast.Expression,
     scope: Scope,
     parameters: tuple = (),
-    arrays: bool = False,
 ) -> ColumnKernel:
-    """Compile ``expr`` to a column kernel, or raise CannotVectorize.
-
-    With ``arrays``, a result the kernel computed in numpy comes back as
-    its float64 ndarray (tag ``TAG_FLOAT``) instead of a list: for a
-    consumer that reads ndarrays only (a fold), which skips ``tolist``."""
-    compiler = _VectorCompiler(scope, parameters)
-    if arrays:
-        compiler.array_root = expr
-    return compiler.column(expr)
+    """Compile ``expr`` to a column kernel, or raise CannotVectorize."""
+    return _VectorCompiler(scope, parameters).column(expr)
 
 
 def compile_mask_kernel(
@@ -341,18 +348,6 @@ class _VectorCompiler:
         self.scope = scope
         self.parameters = parameters
         self._row = _Compiler(scope, None, parameters)
-        # the expression whose numpy result stays an ndarray (see
-        # compile_column_kernel); every other result becomes a list
-        self.array_root: Optional[ast.Expression] = None
-
-    def _float_result(self, batch: ColumnBatch, res, expr: ast.Expression):
-        """A float64 result of a column kernel: the ndarray itself at the
-        array root, else its list (memoized with it)."""
-        if expr is self.array_root:
-            return res, TAG_FLOAT
-        out = res.tolist()
-        _ndregister(batch, out, res)
-        return out, TAG_FLOAT
 
     def _const(self, expr: ast.Expression) -> tuple[bool, Any]:
         try:
@@ -440,6 +435,7 @@ class _VectorCompiler:
 
         def kernel(batch: ColumnBatch) -> tuple[list, Optional[str]]:
             col, tag = operand_kernel(batch)
+            col = as_list(col)
             if tag in NUMERIC_TAGS:
                 return ([-v for v in col] if negative else [+v for v in col]), tag
             out: list = []
@@ -462,6 +458,8 @@ class _VectorCompiler:
         def kernel(batch: ColumnBatch) -> tuple[list, Optional[str]]:
             left, ltag = left_kernel(batch)
             right, rtag = right_kernel(batch)
+            left = as_list(left)
+            right = as_list(right)
             if ltag is not None and rtag is not None:
                 if ltag == TAG_STR and rtag == TAG_STR:
                     return [a + b for a, b in zip(left, right)], TAG_STR
@@ -516,11 +514,11 @@ class _VectorCompiler:
                             if arr is not None:
                                 res = _ndarith(arr, op, constant, flipped)
                                 if res is not None:
-                                    return self._float_result(batch, res, expr)
-                        return fast(col), out_tag
+                                    return res, TAG_FLOAT
+                        return fast(as_list(col)), out_tag
                     out: list = []
                     append = out.append
-                    for v in col:
+                    for v in as_list(col):
                         value_type = type(v)
                         if value_type is int or value_type is float:
                             append(
@@ -560,11 +558,11 @@ class _VectorCompiler:
                         if bb is not None:
                             res = _ndpair(aa, bb, op)
                             if res is not None:
-                                return self._float_result(batch, res, expr)
-                return fast_pair(a, b), out_tag
+                                return res, TAG_FLOAT
+                return fast_pair(as_list(a), as_list(b)), out_tag
             out: list = []
             append = out.append
-            for v, w in zip(a, b):
+            for v, w in zip(as_list(a), as_list(b)):
                 v_type = type(v)
                 w_type = type(w)
                 if (v_type is int or v_type is float) and (
@@ -604,16 +602,12 @@ class _VectorCompiler:
                 def kernel(batch: ColumnBatch) -> tuple[list, Optional[str]]:
                     col, tag = operand_kernel(batch)
                     if tag in NUMERIC_TAGS:
-                        # true division by a float is always a float;
-                        # int64 operands convert round-half-even exactly
-                        # like CPython's int→double, so the ndarray
-                        # quotient is bit-identical
+                        # true division by a float is always a float
                         arr = _ndcolumn(batch, col, tag)
                         if arr is not None:
-                            res = arr / c
-                            return self._float_result(batch, res, expr)
-                        return fast(col), TAG_FLOAT
-                    return [div_one(v, c) for v in col], None
+                            return _nddivide(arr, c), TAG_FLOAT
+                        return fast(as_list(col)), TAG_FLOAT
+                    return [div_one(v, c) for v in as_list(col)], None
 
                 return kernel
             if type(c) is int and c != 0:
@@ -622,16 +616,16 @@ class _VectorCompiler:
 
                 def kernel(batch: ColumnBatch) -> tuple[list, Optional[str]]:
                     col, tag = operand_kernel(batch)
-                    if tag == TAG_INT:
-                        return fast(col), TAG_NUM
                     if tag == TAG_FLOAT:
                         # float numerators never take the int//int branch
                         if -_F64_EXACT <= c <= _F64_EXACT:
                             arr = _ndcolumn(batch, col, tag)
                             if arr is not None:
-                                res = arr / float(c)
-                                return self._float_result(batch, res, expr)
-                        return fast_float(col), TAG_FLOAT
+                                return _nddivide(arr, float(c)), TAG_FLOAT
+                        return fast_float(as_list(col)), TAG_FLOAT
+                    col = as_list(col)
+                    if tag == TAG_INT:
+                        return fast(col), TAG_NUM
                     if tag == TAG_NUM:
                         return [div_one(v, c) for v in col], TAG_NUM
                     return [div_one(v, c) for v in col], None
@@ -640,7 +634,7 @@ class _VectorCompiler:
 
             def kernel(batch: ColumnBatch) -> tuple[list, Optional[str]]:
                 col, _tag = operand_kernel(batch)
-                return [div_one(v, c) for v in col], None
+                return [div_one(v, c) for v in as_list(col)], None
 
             return kernel
         if left_const and not right_const:
@@ -649,7 +643,7 @@ class _VectorCompiler:
 
             def kernel(batch: ColumnBatch) -> tuple[list, Optional[str]]:
                 col, _tag = operand_kernel(batch)
-                return [div_one(c, v) for v in col], None
+                return [div_one(c, v) for v in as_list(col)], None
 
             return kernel
         left_kernel = self.column(expr.left)
@@ -658,7 +652,9 @@ class _VectorCompiler:
         def kernel(batch: ColumnBatch) -> tuple[list, Optional[str]]:
             a, _atag = left_kernel(batch)
             b, _btag = right_kernel(batch)
-            return [div_one(v, w) for v, w in zip(a, b)], None
+            return [
+                div_one(v, w) for v, w in zip(as_list(a), as_list(b))
+            ], None
 
         return kernel
 
@@ -709,6 +705,7 @@ class _VectorCompiler:
 
         def kernel(batch: ColumnBatch) -> tuple[list, bool]:
             col, tag = column_kernel(batch)
+            col = as_list(col)
             if tag is not None:
                 return [bool(v) for v in col], True
             return (
@@ -842,10 +839,10 @@ class _VectorCompiler:
                             mask = _by_code(batch, col, fast)
                             if mask is not None:
                                 return mask, True
-                        return fast(col), True
+                        return fast(as_list(col)), True
                     out: list = []
                     append = out.append
-                    for v in col:
+                    for v in as_list(col):
                         value_type = type(v)
                         if (
                             (value_type is int or value_type is float)
@@ -878,6 +875,8 @@ class _VectorCompiler:
         def kernel(batch: ColumnBatch) -> tuple[list, bool]:
             a, atag = left_kernel(batch)
             b, btag = right_kernel(batch)
+            a = as_list(a)
+            b = as_list(b)
             if atag in NUMERIC_TAGS and btag in NUMERIC_TAGS:
                 return fast_num(a, b), True
             if atag == TAG_STR and btag == TAG_STR:
@@ -970,10 +969,10 @@ class _VectorCompiler:
                 mask = _by_code(batch, col, like)
                 if mask is not None:
                     return mask, True
-                return like(col), True
+                return like(as_list(col)), True
             out: list = []
             append = out.append
-            for v in col:
+            for v in as_list(col):
                 if type(v) is str:
                     append(regex_match(v) is not None)
                 elif v is NULL or v is None or v is CNULL:
@@ -993,6 +992,7 @@ class _VectorCompiler:
             if tag is not None:
                 # clean columns contain no NULL/CNULL at all
                 return [negated] * len(col), True
+            col = as_list(col)
             if cnull:
                 return [(v is CNULL) != negated for v in col], True
             return [
@@ -1049,15 +1049,16 @@ class _VectorCompiler:
 
         def kernel(batch: ColumnBatch) -> tuple[list, bool]:
             col, tag = operand_kernel(batch)
+            if tag == TAG_STR:
+                mask = _by_code(batch, col, each)
+                if mask is not None:
+                    return mask, True
+            col = as_list(col)
             if tag == TAG_INT and int_set is not None:
                 return (
                     [match_result if v in int_set else miss_result for v in col],
                     not saw_missing_items,
                 )
-            if tag == TAG_STR:
-                mask = _by_code(batch, col, each)
-                if mask is not None:
-                    return mask, True
             return each(col), False
 
         return kernel
@@ -1092,10 +1093,10 @@ class _VectorCompiler:
                                 # not (v < lo) and not (v > hi)
                                 inside = ~(arr < lo_nd) & ~(arr > hi_nd)
                                 return (~inside if negated else inside), True
-                    return fast(col), True
+                    return fast(as_list(col)), True
                 out: list = []
                 append = out.append
-                for v in col:
+                for v in as_list(col):
                     value_type = type(v)
                     if (
                         (value_type is int or value_type is float)
@@ -1122,7 +1123,7 @@ class _VectorCompiler:
             col, _tag = operand_kernel(batch)
             out: list = []
             append = out.append
-            for v in col:
+            for v in as_list(col):
                 low_cmp = compare_values(v, low)
                 high_cmp = compare_values(v, high)
                 if low_cmp is None or high_cmp is None:

@@ -24,14 +24,15 @@ import functools
 from operator import itemgetter
 from typing import Any, Optional, Sequence
 
-from repro.exec.kernels import known_array
 from repro.exec.vector import (
     LANE_ROWS,
     TAG_FLOAT,
     TAG_INT,
     TAG_NUM,
     TAG_STR,
+    Coded,
     ColumnBatch,
+    as_list,
     typed_array,
 )
 from repro.sqltypes import compare_values, is_missing
@@ -55,21 +56,28 @@ _INT64_MIN = -(1 << 63)
 
 
 def sort_order(
-    columns: Sequence[list],
+    columns: Sequence,
     tags: Sequence[Optional[str]],
     ascending: Sequence[bool],
     top_k: Optional[int] = None,
     batch: Optional[ColumnBatch] = None,
 ) -> list[int]:
     """Row indices in ORDER BY order over the non-empty key ``columns``
-    (their tags as column kernels report them, None when unknown); only
-    the first ``top_k`` when given.  ``batch``, when the columns came
-    from one, lends its ndarray memo and lanes."""
+    (batch columns of any form, their tags as column kernels report
+    them, None when unknown); only the first ``top_k`` when given.
+    ``batch``, when the columns came from one, lends its lanes."""
     count = len(columns[0])
     arrays = _Arrays(batch, count)
+    # a coded key (a string) sorts by value, as a list
+    columns = [
+        column.tolist() if type(column) is Coded else column
+        for column in columns
+    ]
     tags = [arrays.clean_tag(column, tag) for column, tag in zip(columns, tags)]
     if None in tags:
-        order = _decorated_order(columns, ascending, count)
+        order = _decorated_order(
+            [as_list(column) for column in columns], ascending, count
+        )
     else:
         order = None
         if _np is not None and count >= LANE_ROWS:
@@ -77,7 +85,7 @@ def sort_order(
         if order is None:
             order = list(range(count))
             for values, up in reversed(tuple(zip(columns, ascending))):
-                order.sort(key=values.__getitem__, reverse=not up)
+                order.sort(key=as_list(values).__getitem__, reverse=not up)
     return order if top_k is None or top_k >= len(order) else order[:top_k]
 
 
@@ -92,11 +100,14 @@ class _Arrays:
         self.count = count
         self._converted: dict = {}
 
-    def get(self, column: list, tag: str):
+    def get(self, column, tag: str):
+        if type(column) is not list:  # an ndarray key is its own lane
+            return column
         if _np is None or self.count < LANE_ROWS:
             return None
-        if self.batch is not None:
-            arr = known_array(self.batch, column)
+        lanes = self.batch.lanes if self.batch is not None else None
+        if lanes is not None:
+            arr = lanes.array(column)
             if arr is not None:
                 return arr
         key = id(column)
@@ -104,7 +115,7 @@ class _Arrays:
             self._converted[key] = typed_array(column, tag)
         return self._converted[key]
 
-    def clean_tag(self, column: list, tag: Optional[str]) -> Optional[str]:
+    def clean_tag(self, column, tag: Optional[str]) -> Optional[str]:
         """The column's tag (or the tag its value types show) when it
         sorts by raw comparison; None when it needs :class:`SortKey`
         (missing values, NaN, mixed comparison classes)."""

@@ -1,10 +1,30 @@
 """The columnar batch format for vectorized execution.
 
-A :class:`ColumnBatch` carries one Python list per column for a window
-of rows.  Operators that the binder marked vector-eligible exchange
-batches instead of row tuples, so predicates, join keys, and aggregate
-inputs run as whole-column listcomps / C-level builtins instead of one
-closure call per row.
+A :class:`ColumnBatch` carries one column per output position for a
+window of rows.  Operators that the binder marked vector-eligible
+exchange batches instead of row tuples, so predicates, join keys, and
+aggregate inputs run as whole-column kernels instead of one closure call
+per row.
+
+Column forms
+------------
+
+A batch column is one of three things:
+
+* a Python ``list`` -- what a scan hands out (the stored column itself),
+  and every column when numpy is absent;
+* an int64/float64 ``ndarray`` -- a clean INTEGER or FLOAT column after
+  a gather, or a float result computed in numpy (its tag is ``TAG_INT``
+  or ``TAG_FLOAT``, matching the dtype);
+* a :class:`Coded` column -- intp ``codes`` into a ``values`` list: a
+  dictionary lane after a gather, or any list gathered by an index
+  vector (``values`` is then the list itself, never copied).
+
+Gathers (:func:`take`) keep the form, so a filter selection or a join
+output costs index arithmetic, not a Python pass per value.  Lists are
+built only at the row boundary (:func:`as_list`): the batch-to-row
+pivot, the row-compiled fallbacks, and the kernels and folds that have
+no typed lane for what they compute.
 
 Cleanliness tags
 ----------------
@@ -89,19 +109,77 @@ def chunked(rows: Iterable, size: int = BATCH_ROWS) -> Iterator[list]:
         yield chunk
 
 
+class Coded:
+    """A column as codes into values: row ``i`` is ``values[codes[i]]``.
+
+    ``codes`` is an intp ndarray; ``values`` is a list, either the
+    distinct values of a dictionary lane or the whole list a gather took
+    rows of (unreferenced values included)."""
+
+    __slots__ = ("codes", "values")
+
+    def __init__(self, codes, values: list) -> None:
+        self.codes = codes
+        self.values = values
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def tolist(self) -> list:
+        """The rows as a list: one object-array gather when ``values`` is
+        short next to the rows, else a lookup per row."""
+        values = self.values
+        if len(values) <= 2 * len(self.codes):
+            return _np.array(values, dtype=object)[self.codes].tolist()
+        return list(map(values.__getitem__, self.codes.tolist()))
+
+
+def as_list(column) -> list:
+    """A batch column as a list of plain Python values: a list itself, an
+    ndarray's ``tolist`` (ints and floats), a coded column's rows."""
+    return column if type(column) is list else column.tolist()
+
+
+def take(column, rows, lanes: Optional["ColumnLanes"] = None):
+    """``column`` at the row indices ``rows``, in its typed form.
+
+    An index list (a sort order, a dict-probe's matches) gathers a list
+    column into a list.  An index ndarray gathers a list column through
+    its lane, when ``lanes`` has one -- an ndarray of a numeric column,
+    the codes of a dictionary -- and into a :class:`Coded` column over
+    the list otherwise.  An ndarray or coded column takes in numpy."""
+    kind = type(column)
+    if kind is list:
+        if type(rows) is list:
+            return list(map(column.__getitem__, rows))
+        if lanes is not None:
+            arr = lanes.array(column)
+            if arr is not None:
+                return arr[rows]
+            lane = lanes.dictionary(column)
+            if lane is not None:
+                return Coded(lane[0][rows], lane[1])
+        return Coded(rows, column)
+    if kind is Coded:
+        return Coded(column.codes[rows], column.values)
+    return column[rows]
+
+
 class ColumnBatch:
     """A window of rows stored column-major.
 
-    ``columns`` is one list per output column, all of length
-    ``num_rows``; ``tags`` is a parallel tuple/list of cleanliness tags
-    (``TAG_INT``/``TAG_NUM``/``TAG_STR``/``None``), defaulting to all-
-    unknown when omitted.  ``pad_tags``, when set, marks columns a LEFT
-    join padded: per column, the tag its values other than the padding
-    NULLs carry (the padding rows are then exactly its NULLs).  It sits
-    beside ``tags``, never in them: every kernel reads a tag as NULL-free.
+    ``columns`` holds one column per output position, all of length
+    ``num_rows``: a list, an ndarray or a :class:`Coded` column (see the
+    module docstring), or ``None`` where pruned.  ``tags`` is a parallel
+    tuple/list of cleanliness tags (``TAG_INT``/``TAG_NUM``/``TAG_STR``/
+    ``None``), defaulting to all-unknown when omitted.  ``pad_tags``,
+    when set, marks columns a LEFT join padded: per column, the tag its
+    values other than the padding NULLs carry (the padding rows are then
+    exactly its NULLs, and the column is a list).  It sits beside
+    ``tags``, never in them: every kernel reads a tag as NULL-free.
     """
 
-    __slots__ = ("columns", "num_rows", "tags", "arrays", "lanes", "pad_tags")
+    __slots__ = ("columns", "num_rows", "tags", "lanes", "pad_tags")
 
     def __init__(
         self,
@@ -114,9 +192,6 @@ class ColumnBatch:
         self.tags = (
             list(tags) if tags is not None else [None] * len(self.columns)
         )
-        # lazy per-batch memo of ndarray conversions, populated by the
-        # kernel layer's numeric lanes (None until first used)
-        self.arrays: Optional[dict] = None
         # the per-version lanes of the stored columns among ``columns``
         # (set by the scan, relayed with columns passed through as-is)
         self.lanes: Optional[ColumnLanes] = None
@@ -140,7 +215,7 @@ class ColumnBatch:
         """Materialize the batch back into row tuples."""
         if not self.columns:
             return [()] * self.num_rows
-        return list(zip(*self.columns))
+        return list(zip(*map(as_list, self.columns)))
 
     def __len__(self) -> int:
         return self.num_rows
@@ -174,7 +249,8 @@ class ColumnLanes:
     the same lists, or their ``[start:start + rows]`` slices, ``None``
     where pruned.  Lanes are found by column identity, so a column that is
     not one of ``columns`` -- a kernel output, a filter or join gather --
-    has none; a sliced batch gets sliced lanes (ndarray views).
+    has none (a gather carries its typed form itself); a sliced batch gets
+    sliced lanes (ndarray views).
     """
 
     __slots__ = ("_store", "_stored", "_tags", "_dictionary", "_columns",
@@ -217,8 +293,8 @@ class ColumnLanes:
 
     def array(self, col: list):
         """``col`` as an int64/float64 ndarray when it is a clean numeric
-        stored column of this batch, else None.  Exact for the same reason
-        as the per-batch conversion in :mod:`repro.exec.kernels`."""
+        stored column of this batch, else None.  Exact for the reason
+        :func:`typed_array` gives."""
         ordinal = self._ordinal(col)
         if ordinal < 0 or _np is None:
             return None
@@ -256,7 +332,13 @@ class ColumnLanes:
 def typed_array(column: list, tag: Optional[str]):
     """``column`` as an int64 (``TAG_INT``) or float64 (``TAG_FLOAT``)
     ndarray; None without numpy, under another tag, or when an int does
-    not fit int64 (``fromiter`` raises rather than wrap)."""
+    not fit int64 (``fromiter`` raises rather than wrap).
+
+    Exact by construction: a ``TAG_FLOAT`` column holds only Python
+    floats (bit-identical in float64), a ``TAG_INT`` column only ints.
+    ``TAG_NUM`` (mixed int/float) gets none -- silently rounding a big
+    int into float64 could flip a comparison the row engine decides
+    exactly."""
     if _np is None or (tag != TAG_INT and tag != TAG_FLOAT):
         return None
     dtype = _np.int64 if tag == TAG_INT else _np.float64

@@ -35,7 +35,6 @@ from repro.exec.kernels import (
     _ndcolumn,
     compile_column_kernel,
     compile_mask_kernel,
-    known_array,
 )
 from repro.exec.sort import sort_order
 from repro.exec.vector import (
@@ -46,8 +45,11 @@ from repro.exec.vector import (
     TAG_NUM,
     TAG_STR,
     VECTOR_ROWS,
+    Coded,
     ColumnBatch,
     ColumnLanes,
+    as_list,
+    take,
 )
 from repro.sql import ast
 from repro.sql.pretty import format_expression
@@ -117,20 +119,20 @@ def referenced_positions(
 
 
 def _pivot_columns(columns: Sequence, count: int) -> list:
-    """Pivot columns into row tuples, tolerant of pruned (None)
-    columns: dead positions pivot as NULL.  Safe because dead means no
-    consumer of these rows reads that position — liveness sets are
-    supersets of every expression's references by construction."""
+    """Pivot columns of any form into row tuples of plain Python values
+    (the row boundary), tolerant of pruned (None) columns: dead positions
+    pivot as NULL.  Safe because dead means no consumer of these rows
+    reads that position — liveness sets are supersets of every
+    expression's references by construction."""
     if not columns:
         return [()] * count
-    for column in columns:
-        if column is None:
-            source = [
-                column if column is not None else repeat(NULL)
-                for column in columns
-            ]
-            return list(islice(zip(*source), count))
-    return list(zip(*columns))
+    source = [
+        repeat(NULL) if column is None else as_list(column)
+        for column in columns
+    ]
+    if any(column is None for column in columns):
+        return list(islice(zip(*source), count))
+    return list(zip(*source))
 
 
 def _pivot_rows(batch: ColumnBatch) -> list:
@@ -168,9 +170,10 @@ class BatchToRowsOp(PhysicalOperator):
     """The batch→row transition capping every vectorized region.
 
     Values inside batches use the same in-band NULL/CNULL representation
-    as row tuples, so the transition is a pure pivot — crowd filters,
-    crowd joins/sorts, stop-after bounds, and batch-window semantics
-    above it observe bit-identical rows.
+    as row tuples, so the transition is a pivot (ndarray and coded
+    columns become lists here, and only here) — crowd filters, crowd
+    joins/sorts, stop-after bounds, and batch-window semantics above it
+    observe bit-identical rows.
     """
 
     def __init__(
@@ -320,27 +323,9 @@ class VectorFilterOp(VectorOperator):
         else:
             self.child.set_live(live | self._pred_refs)
 
-    def _select(
-        self, batch: ColumnBatch, column, position: int, nd_indices, index_list
-    ):
-        """One output column of the index-gather path: dead columns stay
-        dead, columns with an ndarray (memoized, or a stored column's
-        lane) gather in numpy (and re-memoize), a dictionary-lane column
-        gathers its codes, everything else takes a Python gather pass."""
+    def _dead(self, column, position: int) -> bool:
         live = self._live
-        if column is None or (live is not None and position not in live):
-            return None, None
-        arr = known_array(batch, column)
-        if arr is not None:
-            gathered = arr[nd_indices]
-            return gathered.tolist(), gathered
-        lanes = batch.lanes
-        lane = lanes.dictionary(column) if lanes is not None else None
-        if lane is not None:
-            codes, values = lane
-            values = _np.array(values, dtype=object)
-            return values[codes[nd_indices]].tolist(), None
-        return [column[i] for i in index_list], None
+        return column is None or (live is not None and position not in live)
 
     def __iter__(self) -> Iterator[ColumnBatch]:
         try:
@@ -357,59 +342,48 @@ class VectorFilterOp(VectorOperator):
                 [row_predicate(values).value for values in _pivot_rows(batch)],
                 False,
             )
-        live = self._live
         for batch in self.child:
             mask, clean = kernel(batch)
-            if clean:
-                if type(mask) is not list:
-                    # ndarray mask from the numeric lanes: select by
-                    # index — flatnonzero plus one gather pass over the
-                    # kept rows per column beats normalizing the mask to
-                    # bools and compress-scanning every column in full
-                    indices = _np.flatnonzero(mask)
-                    kept = len(indices)
-                    if kept == 0:
-                        continue
-                    if kept == batch.num_rows:
-                        yield batch
-                        continue
-                    index_list = indices.tolist()
-                    out_columns = []
-                    out_arrays = None
-                    for position, column in enumerate(batch.columns):
-                        out, arr = self._select(
-                            batch, column, position, indices, index_list
-                        )
-                        out_columns.append(out)
-                        if arr is not None:
-                            if out_arrays is None:
-                                out_arrays = {}
-                            out_arrays[id(out)] = (out, arr)
-                    out_batch = ColumnBatch(out_columns, kept, batch.tags)
-                    if out_arrays is not None:
-                        out_batch.arrays = out_arrays
-                    yield out_batch
+            if clean and type(mask) is not list:
+                # ndarray mask from the numeric lanes: select by index,
+                # and every column keeps its form (see ``take``)
+                indices = _np.flatnonzero(mask)
+                kept = len(indices)
+                if kept == 0:
                     continue
-                selection = mask
-            else:
-                selection = [value is True for value in mask]
+                if kept == batch.num_rows:
+                    yield batch
+                    continue
+                lanes = batch.lanes
+                yield ColumnBatch(
+                    [
+                        None if self._dead(column, position)
+                        else take(column, indices, lanes)
+                        for position, column in enumerate(batch.columns)
+                    ],
+                    kept,
+                    batch.tags,
+                )
+                continue
+            selection = mask if clean else [value is True for value in mask]
             kept = selection.count(True)
             if kept == 0:
                 continue
             if kept == batch.num_rows:
                 yield batch
                 continue
-            yield ColumnBatch(
-                [
-                    None
-                    if column is None
-                    or (live is not None and position not in live)
-                    else list(compress(column, selection))
-                    for position, column in enumerate(batch.columns)
-                ],
-                kept,
-                batch.tags,
-            )
+            rows: Optional[list] = None  # kept row indices, for typed columns
+            out_columns = []
+            for position, column in enumerate(batch.columns):
+                if self._dead(column, position):
+                    out_columns.append(None)
+                elif type(column) is list:
+                    out_columns.append(list(compress(column, selection)))
+                else:
+                    if rows is None:
+                        rows = list(compress(range(batch.num_rows), selection))
+                    out_columns.append(take(column, rows))
+            yield ColumnBatch(out_columns, kept, batch.tags)
 
 
 class VectorProjectOp(VectorOperator):
@@ -539,7 +513,7 @@ class VectorSortOp(VectorOperator):
             [
                 None
                 if column is None or (live is not None and position not in live)
-                else list(map(column.__getitem__, order))
+                else take(column, order)
                 for position, column in enumerate(batch.columns)
             ],
             len(order),
@@ -589,7 +563,10 @@ class VectorLimitOp(VectorOperator):
             else:
                 yield ColumnBatch(
                     [
-                        None if column is None else column[skip:stop]
+                        None if column is None
+                        else Coded(column.codes[skip:stop], column.values)
+                        if type(column) is Coded
+                        else column[skip:stop]
                         for column in batch.columns
                     ],
                     stop - skip,
@@ -615,7 +592,8 @@ def _concat_batches(batches: list) -> Optional[ColumnBatch]:
     for position, tag in enumerate(batches[0].tags):
         parts = [batch.columns[position] for batch in batches]
         columns.append(
-            None if None in parts else list(chain.from_iterable(parts))
+            None if any(part is None for part in parts)
+            else list(chain.from_iterable(map(as_list, parts)))
         )
         tags.append(
             tag if all(batch.tags[position] == tag for batch in batches)
@@ -775,7 +753,10 @@ class VectorHashJoinOp(VectorOperator):
                     a if a == b else None
                     for a, b in zip(right_tags, batch.tags)
                 ]
-            keys = key_columns[0] if single else list(zip(*key_columns))
+            keys = (
+                key_columns[0] if single
+                else list(zip(*map(as_list, key_columns)))
+            )
             built.append((batch, keys, key_tags[0]))
         table: Optional[dict] = {}
         searchable: Optional[_SortedKeys] = None
@@ -783,8 +764,8 @@ class VectorHashJoinOp(VectorOperator):
         if len(built) == 1:
             # the whole build side arrived in one batch: adopt its
             # columns zero-copy instead of re-accumulating them, and its
-            # ndarray memo and lanes (the build index of an unfiltered
-            # stored key, np.take gathers)
+            # lanes (the build index of an unfiltered stored key, numpy
+            # gathers)
             build, keys, tag = built[0]
             right_columns: list = build.columns
             if single:
@@ -803,14 +784,14 @@ class VectorHashJoinOp(VectorOperator):
             right_columns = [[] for _ in range(right_width)]
             for batch, keys, _tag in built:
                 unique_build = _add_build_rows(
-                    table, keys, offset, single
+                    table, as_list(keys) if single else keys, offset, single
                 ) and unique_build
                 offset += batch.num_rows
                 for j, column in enumerate(batch.columns):
                     if column is None:
                         right_columns[j] = None  # pruned upstream
                     elif right_columns[j] is not None:
-                        right_columns[j].extend(column)
+                        right_columns[j].extend(as_list(column))
         del built
         left_outer = self.join_type == "LEFT"
         padding = (NULL,) * right_width
@@ -839,65 +820,48 @@ class VectorHashJoinOp(VectorOperator):
                 out_batch.pad_tags = [None] * len(batch.tags) + right_tags
             return out_batch
 
-        def gather_right(indices: list, padded: bool) -> tuple[list, dict]:
+        def gather_right(indices: list, padded: bool) -> list:
             """Build-side output columns for the given build-row indices
             (``None`` entries mean pad with NULL when ``padded``).  Dead
-            and non-consumed columns come back as ``None``; columns with
-            an ndarray (memoized, or a stored column's lane) gather via a
-            single ``take`` and re-enter the output batch's memo so
-            downstream kernels reuse them."""
+            and non-consumed columns come back as ``None``; a padded
+            column is a list, any other keeps its form (``take``)."""
             out: list = []
-            out_arrays: dict = {}
-            nd_indices = None
             for j, column in enumerate(right_columns):
                 if column is None or (
                     right_out is not None and j not in right_out
                 ):
                     out.append(None)
-                    continue
-                if padded:
+                elif padded:
+                    values = as_list(column)
                     out.append(
-                        [NULL if e is None else column[e] for e in indices]
+                        [NULL if e is None else values[e] for e in indices]
                     )
-                    continue
-                arr = known_array(build, column) if build is not None else None
-                if arr is not None:
-                    if nd_indices is None:
-                        nd_indices = _np.fromiter(
-                            indices, _np.int64, len(indices)
-                        )
-                    taken = arr[nd_indices]
-                    gathered = taken.tolist()
-                    out_arrays[id(gathered)] = (gathered, taken)
-                    out.append(gathered)
-                    continue
-                out.append([column[e] for e in indices])
-            return out, out_arrays
+                else:
+                    out.append(take(column, indices))
+            return out
 
         def searched(batch: ColumnBatch, probe) -> Optional[ColumnBatch]:
             """The output for an int64 probe key lane: index vectors from
-            the sorted build keys, ndarray takes where a column has one."""
+            the sorted build keys, and every column gathered by them in
+            its typed form -- padded columns as lists."""
             probe_rows, build_rows, pad = searchable.probe(probe, left_outer)
             produced = len(probe_rows)
             if produced == 0:
                 return None
-            out_arrays: dict = {}
             if produced == batch.num_rows and (
                 left_outer or searchable.unique
             ):
                 out_left = batch.columns  # one row per probe row, in order
             else:
-                out_left = _take_columns(
-                    batch, batch.columns, left_out, probe_rows, out_arrays
-                )
-            # padded rows take build row 0, then read NULL: their arrays
-            # would lie, so they stay out of the memo
-            out_right = _take_columns(
-                build, right_columns, right_out, build_rows,
-                out_arrays if pad is None else {},
-            )
+                out_left = _take_columns(batch, left_out, probe_rows)
+            out_right = _take_columns(build, right_out, build_rows)
             if pad is not None:
+                # padded rows took build row 0: they read NULL
                 padded_rows = pad.tolist()
+                out_right = [
+                    None if column is None else as_list(column)
+                    for column in out_right
+                ]
                 for column in out_right:
                     if column is not None:
                         for i in padded_rows:
@@ -907,8 +871,6 @@ class VectorHashJoinOp(VectorOperator):
             )
             if out_left is batch.columns:
                 out_batch.lanes = batch.lanes  # probe columns as-is
-            if out_arrays:
-                out_batch.arrays = out_arrays
             return out_batch
 
         for batch in self.left:
@@ -931,9 +893,9 @@ class VectorHashJoinOp(VectorOperator):
                 table = searchable.table()
             get_entry = table.get
             if single:
-                probe_column = key_columns[0]
+                probe_column = as_list(key_columns[0])
             else:
-                probe_column = list(zip(*key_columns))
+                probe_column = list(zip(*map(as_list, key_columns)))
             if skip_residual:
                 # Gather path: resolve every probe key to its table entry
                 # in one C map() pass, then slice output columns straight
@@ -964,26 +926,20 @@ class VectorHashJoinOp(VectorOperator):
                         indices = entries
                         produced = batch.num_rows
                     else:
-                        selection = [e is not None for e in entries]
-                        out_left = [
-                            None
-                            if column is None
-                            or (left_out is not None and j not in left_out)
-                            else list(compress(column, selection))
-                            for j, column in enumerate(batch.columns)
+                        kept = [
+                            i for i, e in enumerate(entries) if e is not None
                         ]
-                        indices = [e for e in entries if e is not None]
+                        out_left = _take_columns(batch, left_out, kept)
+                        indices = [entries[i] for i in kept]
                         produced = len(indices)
                     if produced == 0:
                         continue
                     padded = left_outer and misses > 0
-                    out_right, out_arrays = gather_right(indices, padded)
+                    out_right = gather_right(indices, padded)
                     out_batch = output(
                         batch, out_left + out_right, produced, padded
                     )
                     out_batch.lanes = batch.lanes  # probe columns as-is
-                    if out_arrays:
-                        out_batch.arrays = out_arrays
                     yield out_batch
                     continue
                 probe_indices: list[int] = []
@@ -1008,21 +964,9 @@ class VectorHashJoinOp(VectorOperator):
                         build_indices.extend(entry)
                 if not probe_indices:
                     continue
-                out_columns = [
-                    None
-                    if column is None
-                    or (left_out is not None and j not in left_out)
-                    else [column[i] for i in probe_indices]
-                    for j, column in enumerate(batch.columns)
-                ]
-                out_right, out_arrays = gather_right(build_indices, padded)
-                out_columns.extend(out_right)
-                out_batch = output(
-                    batch, out_columns, len(probe_indices), padded
-                )
-                if out_arrays:
-                    out_batch.arrays = out_arrays
-                yield out_batch
+                out_columns = _take_columns(batch, left_out, probe_indices)
+                out_columns.extend(gather_right(build_indices, padded))
+                yield output(batch, out_columns, len(probe_indices), padded)
                 continue
             if right_rows is None:
                 right_rows = _pivot_columns(right_columns, offset)
@@ -1057,33 +1001,18 @@ class VectorHashJoinOp(VectorOperator):
 
 
 def _take_columns(
-    batch: ColumnBatch,
-    columns: list,
-    live: Optional[frozenset],
-    rows,
-    out_arrays: dict,
+    batch: ColumnBatch, live: Optional[frozenset], rows
 ) -> list:
-    """``columns`` gathered at the ndarray of row indices ``rows``: dead
-    and unread columns stay None; a column with an ndarray takes in numpy
-    and enters ``out_arrays`` (the output batch's memo), any other maps
-    ``__getitem__`` over the indices."""
-    out: list = []
-    row_list: Optional[list] = None
-    for j, column in enumerate(columns):
-        if column is None or (live is not None and j not in live):
-            out.append(None)
-            continue
-        arr = known_array(batch, column)
-        if arr is not None:
-            taken = arr[rows]
-            gathered = taken.tolist()
-            out_arrays[id(gathered)] = (gathered, taken)
-        else:
-            if row_list is None:
-                row_list = rows.tolist()
-            gathered = list(map(column.__getitem__, row_list))
-        out.append(gathered)
-    return out
+    """``batch``'s columns at the row indices ``rows`` (a list, or an
+    ndarray), each in its typed form (``take``); dead and unread columns
+    stay None."""
+    lanes = batch.lanes
+    return [
+        None
+        if column is None or (live is not None and j not in live)
+        else take(column, rows, lanes)
+        for j, column in enumerate(batch.columns)
+    ]
 
 
 def _add_build_rows(table: dict, keys, offset: int, single: bool) -> bool:
@@ -1116,13 +1045,13 @@ def _single_key_index(batch: ColumnBatch, keys: list, tag: Optional[str]):
     unique)``.  An unfiltered stored column keeps its index for the table
     version (the ``"join"`` lane)."""
 
-    def build(column: list):
+    def build(column):
         if tag == TAG_INT and len(column) >= LANE_ROWS:
             arr = _ndcolumn(batch, column, tag)
             if arr is not None:
                 return _SortedKeys(arr)
         table: dict = {}
-        return table, _add_build_rows(table, column, 0, True)
+        return table, _add_build_rows(table, as_list(column), 0, True)
 
     lanes = batch.lanes
     built = lanes.join_table(keys, build) if lanes is not None else None
@@ -1248,8 +1177,7 @@ class VectorAggregateOp(VectorOperator):
                     (
                         "vector",
                         compile_column_kernel(
-                            argument, child_scope, self.context.parameters,
-                            arrays=True,
+                            argument, child_scope, self.context.parameters
                         ),
                     )
                 )
@@ -1328,6 +1256,7 @@ class VectorAggregateOp(VectorOperator):
         accumulators = [_Accumulator(call) for call in self.aggregates]
         for batch in self.child:
             rows: Optional[list] = None
+            whole = _Partition.whole(batch.num_rows)
             for (kind, kernel), accumulator, call in zip(
                 input_kernels, accumulators, self.aggregates
             ):
@@ -1337,13 +1266,18 @@ class VectorAggregateOp(VectorOperator):
                     continue
                 if kind == "vector":
                     column, tag = kernel(batch)
-                    if type(column) is not list:  # a numpy result
-                        column = column.tolist()
                 else:
                     if rows is None:
                         rows = _pivot_rows(batch)
                     column, tag = [kernel(values) for values in rows], None
-                self._fold(accumulator, call, column, tag)
+                if (
+                    whole is not None
+                    and tag is not None
+                    and not call.distinct
+                    and _nd_fold([accumulator], batch, column, tag, whole)
+                ):
+                    continue
+                self._fold(accumulator, call, as_list(column), tag)
         yield ColumnBatch.from_rows(
             [tuple(acc.result() for acc in accumulators)], len(self._scope)
         )
@@ -1367,62 +1301,75 @@ class VectorAggregateOp(VectorOperator):
         key_tuples: list[tuple] = []  # first-seen key values per group
         group_accumulators: list[list[_Accumulator]] = []
 
+        def group_of(key) -> int:
+            """``key``'s group id, a new group when first seen."""
+            gid = get_group(key)
+            if gid is None:
+                gid = group_index[key] = len(key_tuples)
+                key_tuples.append((key,) if single else key)
+                group_accumulators.append(
+                    [_Accumulator(call) for call in self.aggregates]
+                )
+            return gid
+
         for batch in self.child:
             rows: Optional[list] = None
             key_columns, _key_tags = evaluate_keys(batch)
-            if single:
-                batch_keys = key_columns[0]
-            else:
-                batch_keys = list(zip(*key_columns))
 
             # resolve group ids (same dict semantics, TypeError→repr
             # normalization, and first-seen insertion order as the row
-            # operator).  The fast lane registers this batch's distinct
-            # keys via dict.fromkeys (first-occurrence order, one C
-            # pass) and maps every key to its id in a second C pass;
-            # the first unhashable key raises out of fromkeys before
-            # group_index is touched, landing in the row-exact loop.
-            try:
-                for key in dict.fromkeys(batch_keys):
-                    if key not in group_index:
-                        group_index[key] = len(key_tuples)
-                        key_tuples.append((key,) if single else key)
-                        group_accumulators.append(
-                            [_Accumulator(call) for call in self.aggregates]
-                        )
-                group_ids = list(map(group_index.__getitem__, batch_keys))
-            except TypeError:
-                group_ids = []
-                record = group_ids.append
-                for key in batch_keys:
-                    try:
-                        gid = get_group(key)
-                    except TypeError:
-                        if single:
-                            normalized = key if _hashable(key) else repr(key)
-                        else:
-                            normalized = tuple(
-                                part if _hashable(part) else repr(part)
-                                for part in key
-                            )
-                        gid = get_group(normalized)
-                        if gid is None:
-                            gid = len(key_tuples)
-                            group_index[normalized] = gid
-                            key_tuples.append((key,) if single else key)
-                            group_accumulators.append(
-                                [_Accumulator(call) for call in self.aggregates]
-                            )
-                        record(gid)
-                        continue
-                    if gid is None:
-                        gid = len(key_tuples)
-                        group_index[key] = gid
-                        key_tuples.append((key,) if single else key)
-                        group_accumulators.append(
-                            [_Accumulator(call) for call in self.aggregates]
-                        )
-                    record(gid)
+            # operator).  Typed keys number this batch's groups in
+            # numpy and look up only each group's first row; list keys
+            # register this batch's distinct keys via dict.fromkeys
+            # (first-occurrence order, one C pass) and map every key to
+            # its id in a second C pass; the first unhashable key raises
+            # out of fromkeys before group_index is touched, landing in
+            # the row-exact loop.
+            typed = _typed_groups(key_columns, batch.num_rows)
+            if typed is not None:
+                firsts, local = typed
+                keys = [as_list(take(column, firsts)) for column in key_columns]
+                group_ids = _np.array(
+                    list(map(group_of, keys[0] if single else zip(*keys))),
+                    _np.intp,
+                )[local]
+            else:
+                if single:
+                    batch_keys = as_list(key_columns[0])
+                else:
+                    batch_keys = list(zip(*map(as_list, key_columns)))
+                try:
+                    for key in dict.fromkeys(batch_keys):
+                        group_of(key)
+                    group_ids = list(map(group_index.__getitem__, batch_keys))
+                except TypeError:
+                    group_ids = []
+                    record = group_ids.append
+                    for key in batch_keys:
+                        try:
+                            gid = get_group(key)
+                        except TypeError:
+                            if single:
+                                normalized = (
+                                    key if _hashable(key) else repr(key)
+                                )
+                            else:
+                                normalized = tuple(
+                                    part if _hashable(part) else repr(part)
+                                    for part in key
+                                )
+                            gid = get_group(normalized)
+                            if gid is None:
+                                gid = len(key_tuples)
+                                group_index[normalized] = gid
+                                key_tuples.append((key,) if single else key)
+                                group_accumulators.append(
+                                    [_Accumulator(call)
+                                     for call in self.aggregates]
+                                )
+                            record(gid)
+                            continue
+                        record(gid if gid is not None else group_of(key))
 
             partition = _Partition(group_ids, len(key_tuples))
             for index, ((kind, kernel), call, position) in enumerate(
@@ -1448,6 +1395,7 @@ class VectorAggregateOp(VectorOperator):
                     if tag is not None:
                         # a padded build column: without its padding NULLs
                         # it is clean
+                        column = as_list(column)
                         kept = [value is not NULL for value in column]
                         column = list(compress(column, kept))
                         part = partition.select(kept)
@@ -1457,8 +1405,7 @@ class VectorAggregateOp(VectorOperator):
                     and _nd_fold(accumulators, batch, column, tag, part)
                 ):
                     continue
-                if type(column) is not list:  # a numpy result
-                    column = column.tolist()
+                column = as_list(column)
                 for gid, indices in enumerate(part.index_lists()):
                     if not indices:
                         continue
@@ -1479,21 +1426,88 @@ class VectorAggregateOp(VectorOperator):
         yield ColumnBatch.from_rows(out_rows, len(self._scope))
 
 
+def _typed_groups(key_columns: list, rows: int):
+    """``(firsts, local)`` for typed group keys: ``local`` numbers each
+    row's group (an intp ndarray), groups in first-appearance order, and
+    ``firsts`` is each group's first row.  None when a key is not typed
+    (see :func:`_dense_ids`) or numpy is absent.
+
+    Keys compare as the dict of the row operator does: an int64 key by
+    value, a coded key by the dict-deduplicated values its codes point
+    at.  Group order never comes from hashes or from key order."""
+    if _np is None:
+        return None
+    dense = None
+    total = 1
+    for column in key_columns:
+        found = _dense_ids(column)
+        if found is None:
+            return None
+        ids, count = found
+        dense = ids if dense is None else dense * count + ids
+        total *= count
+        if total > rows:  # keep the combined ids below rows**2
+            uniques, dense = _np.unique(dense, return_inverse=True)
+            total = len(uniques)
+    first = _np.full(total, rows, _np.intp)
+    _np.minimum.at(first, dense, _np.arange(rows))
+    seen = _np.flatnonzero(first < rows)
+    order = _np.argsort(first[seen])
+    rank = _np.empty(total, _np.intp)
+    rank[seen[order]] = _np.arange(len(seen))
+    return first[seen[order]], rank[dense]
+
+
+def _dense_ids(column):
+    """``(ids, count)``: per row an id below ``count``, equal for rows
+    whose values the row operator's dict would group together -- for an
+    int64 ndarray whose range is narrower than its rows (the keys less
+    their minimum), or a coded column with no more values than rows
+    whose values all hash.  None for any other column."""
+    if type(column) is Coded:
+        values = column.values
+        if len(values) > len(column.codes):
+            return None
+        index: dict = {}
+        try:
+            ids = [index.setdefault(value, len(index)) for value in values]
+        except TypeError:
+            return None
+        return _np.array(ids, _np.intp)[column.codes], len(index)
+    if type(column) is list or column.dtype != _np.int64:
+        return None
+    low = int(column.min())
+    span = int(column.max()) - low
+    return (column - low, span + 1) if span < len(column) else None
+
+
 class _Partition:
     """One batch's rows by group id (``group_ids``, in row order, ids
-    below ``groups``), in the forms the folds read, each built once."""
+    below ``groups``: a list, or an intp ndarray), in the forms the folds
+    read, each built once."""
 
     __slots__ = ("group_ids", "groups", "_gids", "_counts", "_index_lists")
 
-    def __init__(self, group_ids: list, groups: int) -> None:
+    def __init__(self, group_ids, groups: int) -> None:
         self.group_ids = group_ids
         self.groups = groups
-        self._gids = None
+        self._gids = None if type(group_ids) is list else group_ids
         self._counts: Optional[list] = None
         self._index_lists: Optional[list] = None
 
+    @classmethod
+    def whole(cls, rows: int) -> Optional["_Partition"]:
+        """``rows`` rows in one group, for a global aggregate's numpy
+        folds; None where those would not run (see :meth:`numpy`)."""
+        if _np is None or rows < LANE_ROWS:
+            return None
+        return cls(_np.zeros(rows, _np.intp), 1)
+
     def select(self, keep: list) -> "_Partition":
         """The partition of the rows ``keep`` marks."""
+        if self._gids is not None:
+            mask = _np.fromiter(keep, _np.bool_, len(keep))
+            return _Partition(self._gids[mask], self.groups)
         return _Partition(list(compress(self.group_ids, keep)), self.groups)
 
     def numpy(self) -> bool:
@@ -1535,7 +1549,7 @@ class _Partition:
                 ]
             else:
                 self._index_lists = [[] for _ in range(self.groups)]
-                for i, gid in enumerate(self.group_ids):
+                for i, gid in enumerate(as_list(self.group_ids)):
                     self._index_lists[gid].append(i)
         return self._index_lists
 
@@ -1543,7 +1557,7 @@ class _Partition:
 def _nd_fold(
     accumulators: list,
     batch: ColumnBatch,
-    column: list,
+    column,
     tag: str,
     part: _Partition,
 ) -> bool:
@@ -1564,7 +1578,7 @@ def _nd_fold(
         for accumulator, count in zip(accumulators, counts):
             accumulator.count += count
         return True
-    arr = column if type(column) is not list else _ndcolumn(batch, column, tag)
+    arr = _ndcolumn(batch, column, tag)
     if arr is None:
         return False
     exact = float if tag == TAG_FLOAT else int

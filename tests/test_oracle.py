@@ -14,7 +14,9 @@ Statements mix filters (comparisons, BETWEEN, IN, LIKE, IS [NOT] NULL
 under AND/OR/NOT, over clean, nullable and dictionary-lane columns),
 inner and LEFT equi-joins, GROUP BY/HAVING over the five aggregates and
 ORDER BY with one to three keys plus the primary keys as a tiebreaker,
-with LIMIT/OFFSET.  Rows compare with ``perf.twin.same_rows`` (floats to
+with LIMIT/OFFSET.  Over a join, group keys often come from the joined
+side (columns the join gathered, padded under LEFT) and aggregates
+often fold arithmetic of columns from both sides.  Rows compare with ``perf.twin.same_rows`` (floats to
 a relative 1e-9).  :data:`DIALECT` lists where the sqlite text differs.
 """
 
@@ -293,18 +295,32 @@ def select(c: Choices) -> Sql:
     return Sql(engine + order_engine + bound, twin + order_twin + bound, True)
 
 
+def joined_arithmetic(c: Choices, aliases) -> str:
+    """Arithmetic of a numeric column of the first table and one of a
+    table joined to it."""
+    left = column(c, aliases[:1], ("int", "flag", "float"))[0]
+    right = column(c, aliases[1:], ("int", "flag", "float"))[0]
+    return c.pick([f"{left} * (1 + {right} * 0.05)", f"{left} - {right} * 2.5"])
+
+
 def grouped(c: Choices, source, aliases, where) -> Sql:
+    joined = len(aliases) > 1
     group_keys = []
     for _ in range(1 + c.below(2)):
-        key = column(c, aliases, ("int", "flag", "str", "date"))[0]
+        # over a join, a key from the joined side half the time
+        scope = aliases[1:] if joined and c.chance(50) else aliases
+        key = column(c, scope, ("int", "flag", "str", "date"))[0]
         if key not in group_keys:
             group_keys.append(key)
     aggregates = ["COUNT(*)"]
     numeric = ["COUNT(*)"]  # HAVING compares these with a number
     for _ in range(1 + c.below(3)):
         name = c.pick(["COUNT", "SUM", "AVG", "MIN", "MAX"])
-        kinds = NUMBERS if name in ("SUM", "AVG") else None
-        argument, kind = column(c, aliases, kinds)
+        if joined and c.chance(30):
+            argument, kind = joined_arithmetic(c, aliases), "float"
+        else:
+            kinds = NUMBERS if name in ("SUM", "AVG") else None
+            argument, kind = column(c, aliases, kinds)
         aggregates.append(f"{name}({argument})")
         if name == "COUNT" or kind in NUMBERS:
             numeric.append(aggregates[-1])

@@ -21,7 +21,9 @@ import contextlib
 import hashlib
 import json
 import sys
+import warnings
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -213,6 +215,21 @@ class TestDifferentialStatements:
         assert repr(vector.rows) == repr(row.rows)
         assert "execution: vectorized" in vector_plan
         assert "execution: vectorized" not in row_plan
+        # warm, every kernel takes its ndarray lane: the list lanes it
+        # never runs are never compiled
+        evals = []
+
+        def counting_eval(*args):
+            evals.append(args[0])
+            return eval(*args)
+
+        db = connect(with_crowd=False)
+        load(db)
+        db.execute(query)
+        with mock.patch.object(kernels, "eval", counting_eval, create=True):
+            assert repr(db.execute(query).rows) == repr(vector.rows)
+        if kernels._np is not None:
+            assert evals == []
 
     def test_nan_parity(self, row_engine):
         # NaN breaks min/max and comparison fast paths unless the
@@ -225,6 +242,13 @@ class TestDifferentialStatements:
             "SELECT i FROM t WHERE x BETWEEN 1 AND 3",
             "SELECT MIN(x), MAX(x), SUM(x), COUNT(x) FROM t",
             "SELECT i FROM t ORDER BY x",
+            # float overflow and inf - inf: inf and nan, never a warning
+            # (an error under -W error), as Python's floats give them
+            "SELECT i, x * 1e308 * 10, x * 1e308 - x * 1e308, "
+            "x / 1e-308 FROM t",
+            "SELECT i, SUM(x * 1e308 * 10), "
+            "MAX(x * 1e308 - x * 1e308) FROM t GROUP BY i",
+            "SELECT SUM(x * 1e308 * 10), MIN(x / 1e-308) FROM t",
         ]
 
         def run():
@@ -232,7 +256,9 @@ class TestDifferentialStatements:
             db.executescript(script)
             for i, x in enumerate([2.5, float("nan"), 1.5, float("nan")]):
                 db.engine.insert("t", [i, x])
-            return [db.execute(q).rows for q in queries]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                return [db.execute(q).rows for q in queries]
 
         vector = run()
         with row_engine():
@@ -496,8 +522,9 @@ class TestScanSnapshotConsistency:
         )
 
     def test_lanes_do_not_grow_with_statements(self, order_book):
-        """Derived columns (kernel outputs, gathers) are memoized per
-        batch only: the table keeps at most one lane per (column, kind)."""
+        """Derived columns (kernel outputs, gathers) carry their typed
+        form themselves: the table keeps at most one lane per (column,
+        kind)."""
         load, _query = order_book
         db = connect(with_crowd=False)
         load(db)
