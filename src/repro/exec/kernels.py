@@ -182,21 +182,14 @@ def _ndcolumn(batch: ColumnBatch, col, tag: Optional[str]):
 
 
 def _by_code(batch: ColumnBatch, col, verdict: Callable[[list], list]):
-    """A mask over a coded column, or a stored column with a dictionary
-    lane: ``verdict`` runs once over the values and the bool mask is
-    gathered by code.  None when ``col`` has no codes, when it has more
-    values than rows (a gather of a few rows of a long list), or when a
-    verdict is not a plain bool."""
-    if type(col) is Coded:
-        codes, values = col.codes, col.values
-    else:
-        lanes = batch.lanes
-        lane = lanes.dictionary(col) if lanes is not None else None
-        if lane is None:
-            return None
-        codes, values = lane
-    if len(values) > len(codes):
+    """A mask over a dictionary-lane column: ``verdict`` runs once over
+    the distinct values and the bool mask is gathered by code.  None when
+    ``col`` has no dictionary lane or a verdict is not a plain bool."""
+    lanes = batch.lanes
+    lane = lanes.dictionary(col) if lanes is not None else None
+    if lane is None:
         return None
+    codes, values = lane
     verdicts = verdict(values)
     if None in verdicts:
         return None

@@ -820,6 +820,8 @@ class VectorHashJoinOp(VectorOperator):
                 out_batch.pad_tags = [None] * len(batch.tags) + right_tags
             return out_batch
 
+        padded_sources: dict = {}  # build column j as a list, built once
+
         def gather_right(indices: list, padded: bool) -> list:
             """Build-side output columns for the given build-row indices
             (``None`` entries mean pad with NULL when ``padded``).  Dead
@@ -832,7 +834,9 @@ class VectorHashJoinOp(VectorOperator):
                 ):
                     out.append(None)
                 elif padded:
-                    values = as_list(column)
+                    values = padded_sources.get(j)
+                    if values is None:
+                        values = padded_sources[j] = as_list(column)
                     out.append(
                         [NULL if e is None else values[e] for e in indices]
                     )
@@ -1318,20 +1322,19 @@ class VectorAggregateOp(VectorOperator):
 
             # resolve group ids (same dict semantics, TypeError→repr
             # normalization, and first-seen insertion order as the row
-            # operator).  Typed keys number this batch's groups in
-            # numpy and look up only each group's first row; list keys
-            # register this batch's distinct keys via dict.fromkeys
+            # operator).  A single coded key numbers this batch's groups
+            # in numpy and looks up only each group's first row; other
+            # keys register this batch's distinct keys via dict.fromkeys
             # (first-occurrence order, one C pass) and map every key to
             # its id in a second C pass; the first unhashable key raises
             # out of fromkeys before group_index is touched, landing in
             # the row-exact loop.
-            typed = _typed_groups(key_columns, batch.num_rows)
+            typed = _coded_groups(key_columns[0]) if single else None
             if typed is not None:
                 firsts, local = typed
-                keys = [as_list(take(column, firsts)) for column in key_columns]
+                keys = as_list(take(key_columns[0], firsts))
                 group_ids = _np.array(
-                    list(map(group_of, keys[0] if single else zip(*keys))),
-                    _np.intp,
+                    list(map(group_of, keys)), _np.intp
                 )[local]
             else:
                 if single:
@@ -1426,59 +1429,35 @@ class VectorAggregateOp(VectorOperator):
         yield ColumnBatch.from_rows(out_rows, len(self._scope))
 
 
-def _typed_groups(key_columns: list, rows: int):
-    """``(firsts, local)`` for typed group keys: ``local`` numbers each
+def _coded_groups(column):
+    """``(firsts, local)`` for a coded group key: ``local`` numbers each
     row's group (an intp ndarray), groups in first-appearance order, and
-    ``firsts`` is each group's first row.  None when a key is not typed
-    (see :func:`_dense_ids`) or numpy is absent.
+    ``firsts`` is each group's first row.  None when ``column`` is not a
+    :class:`Coded` column with no more values than rows whose values all
+    hash.
 
-    Keys compare as the dict of the row operator does: an int64 key by
-    value, a coded key by the dict-deduplicated values its codes point
-    at.  Group order never comes from hashes or from key order."""
-    if _np is None:
+    Rows group as the dict of the row operator groups them: by the
+    dict-deduplicated values their codes point at.  Group order never
+    comes from hashes or from code order."""
+    if type(column) is not Coded:
         return None
-    dense = None
-    total = 1
-    for column in key_columns:
-        found = _dense_ids(column)
-        if found is None:
-            return None
-        ids, count = found
-        dense = ids if dense is None else dense * count + ids
-        total *= count
-        if total > rows:  # keep the combined ids below rows**2
-            uniques, dense = _np.unique(dense, return_inverse=True)
-            total = len(uniques)
-    first = _np.full(total, rows, _np.intp)
+    values = column.values
+    rows = len(column.codes)
+    if len(values) > rows:
+        return None
+    index: dict = {}
+    try:
+        ids = [index.setdefault(value, len(index)) for value in values]
+    except TypeError:
+        return None
+    dense = _np.array(ids, _np.intp)[column.codes]
+    first = _np.full(len(index), rows, _np.intp)
     _np.minimum.at(first, dense, _np.arange(rows))
     seen = _np.flatnonzero(first < rows)
     order = _np.argsort(first[seen])
-    rank = _np.empty(total, _np.intp)
+    rank = _np.empty(len(index), _np.intp)
     rank[seen[order]] = _np.arange(len(seen))
     return first[seen[order]], rank[dense]
-
-
-def _dense_ids(column):
-    """``(ids, count)``: per row an id below ``count``, equal for rows
-    whose values the row operator's dict would group together -- for an
-    int64 ndarray whose range is narrower than its rows (the keys less
-    their minimum), or a coded column with no more values than rows
-    whose values all hash.  None for any other column."""
-    if type(column) is Coded:
-        values = column.values
-        if len(values) > len(column.codes):
-            return None
-        index: dict = {}
-        try:
-            ids = [index.setdefault(value, len(index)) for value in values]
-        except TypeError:
-            return None
-        return _np.array(ids, _np.intp)[column.codes], len(index)
-    if type(column) is list or column.dtype != _np.int64:
-        return None
-    low = int(column.min())
-    span = int(column.max()) - low
-    return (column - low, span + 1) if span < len(column) else None
 
 
 class _Partition:
