@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import contextlib
+import json
 import random
 import warnings
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -157,6 +159,23 @@ def interpreted():
     """``with interpreted(): ...`` runs plans on the row operators with
     the AST interpreter — the reference for compiled expressions."""
     return _interpreted
+
+
+#: What the AST interpreter returned, captured before it left ``src/``:
+#: the differential corpus of ``tests/test_compiled_expressions.py`` and
+#: every whole-statement comparison that once ran under ``interpreted``.
+#: ``python tests/test_compiled_expressions.py`` rewrites it -- only at
+#: the parent of a change meant to alter expression results.
+EXPR_GOLDEN = Path(__file__).parent / "golden" / "expr_v1.jsonl"
+
+
+@pytest.fixture(scope="session")
+def expr_golden():
+    """The records of ``tests/golden/expr_v1.jsonl`` by name."""
+    with open(EXPR_GOLDEN, encoding="utf-8") as handle:
+        return {
+            record["name"]: record for record in map(json.loads, handle)
+        }
 
 
 @pytest.fixture

@@ -173,3 +173,52 @@ class TestUICompileTime:
             templates[0].template_id, "Check the conference site first."
         )
         assert "conference site" in edited.instructions
+
+
+class TestNoCyclicGarbage:
+    """A connection and a statement's runtime state are freed by reference
+    counting alone: nothing the engine builds per connection or per
+    statement forms a reference cycle, so neither waits for a gen-2
+    collection (which made a reopen's memory depend on when one ran)."""
+
+    @staticmethod
+    def _drop(open_db, tmp_path):
+        import gc
+        import weakref
+        from unittest import mock
+
+        from repro.engine.context import ExecutionContext
+
+        contexts = []
+        real_init = ExecutionContext.__init__
+
+        def init(self, *args, **kwargs):
+            real_init(self, *args, **kwargs)
+            contexts.append(weakref.ref(self))
+
+        gc.collect()
+        gc.disable()
+        try:
+            with mock.patch.object(ExecutionContext, "__init__", init):
+                db = open_db(tmp_path)
+                db.execute(
+                    "CREATE TABLE t (id INTEGER PRIMARY KEY, x INTEGER)"
+                )
+                db.execute("INSERT INTO t VALUES (1, 2), (3, 4)")
+                db.query("SELECT x FROM t WHERE id = ?", (1,))
+                db.query("SELECT COUNT(*), SUM(x) FROM t")
+                db.execute("UPDATE t SET x = x + 1 WHERE id = 3")
+                db.close()
+            connection = weakref.ref(db)
+            del db
+            assert contexts
+            assert [ref() for ref in contexts] == [None] * len(contexts)
+            assert connection() is None
+        finally:
+            gc.enable()
+
+    def test_in_memory_connection_needs_no_collector(self, tmp_path):
+        self._drop(lambda _path: connect(), tmp_path)
+
+    def test_durable_connection_needs_no_collector(self, tmp_path):
+        self._drop(lambda path: connect(path=str(path / "db")), tmp_path)

@@ -9,6 +9,9 @@ memorized storage state.  The scheduler additionally must resume a
 session suspended on a whole *set* of futures only once the set settled.
 """
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro import CrowdConfig, connect, serve
@@ -291,3 +294,104 @@ class TestMultiFutureSuspension:
         assert server.scheduler.stats.suspensions < CITIES
         assert server.scheduler.stats.futures_settled >= CITIES
         server.shutdown()
+
+
+# -- the CrowdJoin pin -----------------------------------------------------------
+#
+# ``tests/golden/crowdjoin_v1.jsonl`` holds, per statement and connection,
+# the result rows and every task posted, in posting order, of CrowdJoins
+# over a scripted crowd: at ``batch_size`` 1 (a window of one outer
+# tuple), at 16, under LIMIT 1 and 2 (the planner clamps the window to
+# the bound), and with no crowd at all (``with_crowd=False``: stored
+# matches only).  Talk A has two stored attendees whose CROWD column is
+# CNULL, B one filled attendee, C and D none (the crowd knows two for C
+# and none for D).  It was written while batch 1 and the crowd-less
+# connection ran CrowdJoin's per-tuple path.  ``python
+# tests/test_batch_execution.py`` rewrites it -- only at the parent of a
+# change meant to alter what a CrowdJoin returns or posts.
+
+CROWDJOIN_GOLDEN = Path(__file__).parent / "golden" / "crowdjoin_v1.jsonl"
+
+CROWDJOIN_QUERIES = [
+    "SELECT t.title, n.name, n.affiliation FROM Talk t "
+    "JOIN Attendee n ON n.title = t.title",
+    "SELECT t.title, n.name FROM Talk t JOIN Attendee n "
+    "ON n.title = t.title AND n.name <> 'Ann'",
+    "SELECT t.title, n.name, n.affiliation FROM Talk t "
+    "JOIN Attendee n ON n.title = t.title LIMIT 1",
+    "SELECT t.title, n.name, n.affiliation FROM Talk t "
+    "JOIN Attendee n ON n.title = t.title LIMIT 2",
+    "SELECT t.title, n.name FROM Talk t JOIN Attendee n "
+    "ON n.title = t.title WHERE t.title <> 'A' LIMIT 1",
+]
+
+
+def crowdjoin_db(with_crowd: bool, batch_size: int):
+    reset_id_counters()
+    oracle = GroundTruthOracle()
+    for name, affiliation in [("Ann", "MIT"), ("Bob", "ETH"),
+                              ("Cid", "TUM"), ("Dee", "CMU"),
+                              ("Eve", "EPFL")]:
+        oracle.load_fill("Attendee", (name,), {"affiliation": affiliation})
+    oracle.load_new_tuples(
+        "Attendee",
+        [{"name": "Dee", "title": "C"}, {"name": "Eve", "title": "C"}],
+        fixed_columns=("title",),
+    )
+    platform = ScriptedPlatform(oracle_answer_fn(oracle))
+    if with_crowd:
+        db = connect(
+            oracle=oracle,
+            platforms=(platform,),
+            default_platform="scripted",
+            crowd_config=CrowdConfig(batch_size=batch_size),
+        )
+    else:
+        db = connect(with_crowd=False)
+    db.executescript(
+        """
+        CREATE TABLE Talk (title STRING PRIMARY KEY);
+        CREATE CROWD TABLE Attendee (
+            name STRING PRIMARY KEY,
+            title STRING,
+            affiliation CROWD STRING
+        );
+        INSERT INTO Talk VALUES ('A'), ('B'), ('C'), ('D');
+        INSERT INTO Attendee (name, title) VALUES ('Ann', 'A'), ('Bob', 'A');
+        INSERT INTO Attendee VALUES ('Cid', 'B', 'TUM');
+        """
+    )
+    return db, platform
+
+
+def crowdjoin_records() -> list[dict]:
+    records = []
+    for with_crowd, batch_size in ((True, 1), (True, 16), (False, 1)):
+        for sql in CROWDJOIN_QUERIES:
+            db, platform = crowdjoin_db(with_crowd, batch_size)
+            rows = db.execute(sql).rows
+            records.append({
+                "sql": sql,
+                "crowd": with_crowd,
+                "batch": batch_size,
+                "rows": repr(rows),
+                "tasks": [repr(task) for task in platform.posted_tasks],
+                "attendees": repr(heap_state(db, "Attendee")),
+            })
+            db.close()
+    return records
+
+
+def test_crowdjoin_golden():
+    with open(CROWDJOIN_GOLDEN, encoding="utf-8") as handle:
+        expected = [json.loads(line) for line in handle]
+    actual = crowdjoin_records()
+    assert len(actual) == len(expected)
+    for index, (got, want) in enumerate(zip(actual, expected)):
+        assert got == want, f"record {index}: {want['sql']}"
+
+
+if __name__ == "__main__":
+    with open(CROWDJOIN_GOLDEN, "w", encoding="utf-8") as handle:
+        for record in crowdjoin_records():
+            handle.write(json.dumps(record) + "\n")

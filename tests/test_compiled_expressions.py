@@ -1,17 +1,24 @@
-"""Differential tests: compiled expressions vs the AST interpreter.
+"""Compiled expressions against what the AST interpreter returned.
 
-Every expression of the corpus runs through both the interpreted
-:class:`Evaluator` and the plan-time compiler over the same rows, and the
-results must be identical — value identity for the NULL/CNULL singletons,
-TriBool verdicts for predicates, error type and message for failures, and
-the exact sequence of crowd calls for CROWDEQUAL hybrids.  Whole
-statements compare the default path with the ``interpreted`` seam of
-``tests/conftest.py``.
+``tests/golden/expr_v1.jsonl`` records the interpreter's output on the
+corpus below (and its NaN rows): the value or 3VL verdict, or the error
+type and message, per row.  It also records the CROWDEQUAL call sequence
+of a recording context, and the rows and crowd counters of every
+whole-statement comparison that ran under the interpreter (here, in
+``tests/test_cost_optimizer.py``, ``tests/test_adaptive_quality.py`` and
+``tests/test_vectorized.py``).  Every expression runs through the
+plan-time compiler and must match: value identity for the NULL/CNULL
+singletons, ``repr`` for everything else (1 vs 1.0 vs True).
+``python tests/test_compiled_expressions.py`` rewrites the golden --
+only at the parent of a change meant to alter expression results.
 """
 
 from __future__ import annotations
 
 import contextlib
+import json
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -110,55 +117,39 @@ CORPUS = [
 ]
 
 
-def both_value(fragment, row, parameters=()):
-    expr = expr_of(fragment)
-    interpreted = Evaluator(parameters=parameters)
-    compiled = compile_value(expr, SCOPE, parameters=parameters)
-
-    def run(fn):
-        try:
-            return ("ok", fn())
-        except (ExecutionError, PlanError, TypeError_) as error:
-            return ("error", type(error).__name__, str(error))
-
-    return (
-        run(lambda: interpreted.value(expr, row, SCOPE)),
-        run(lambda: compiled(row)),
-    )
+def outcome(fn) -> list:
+    """``fn()``'s value as ``["ok", type, repr]``, or the error it raised
+    as ``["error", type, message]``."""
+    try:
+        value = fn()
+    except (ExecutionError, PlanError, TypeError_) as error:
+        return ["error", type(error).__name__, str(error)]
+    return ["ok", type(value).__name__, repr(value)]
 
 
-def both_tri(fragment, row, parameters=()):
-    expr = expr_of(fragment)
-    interpreted = Evaluator(parameters=parameters)
-    compiled = compile_predicate(expr, SCOPE, parameters=parameters)
-
-    def run(fn):
-        try:
-            return ("ok", fn())
-        except (ExecutionError, PlanError, TypeError_) as error:
-            return ("error", type(error).__name__, str(error))
-
-    return (
-        run(lambda: interpreted.predicate(expr, row, SCOPE)),
-        run(lambda: compiled(row)),
-    )
+def check_outcomes(fn, rows, expected, label) -> None:
+    assert len(expected) == len(rows)
+    for row, want in zip(rows, expected):
+        assert outcome(lambda: fn(row)) == want, f"{label!r} over {row!r}"
+        if want[0] == "ok" and want[2] in ("NULL", "CNULL"):
+            # the missing-value singletons must survive by identity
+            assert fn(row) is (NULL if want[2] == "NULL" else CNULL)
 
 
 class TestDifferentialCorpus:
     @pytest.mark.parametrize("fragment,parameters", CORPUS)
-    def test_values_identical(self, fragment, parameters):
-        for row in ROWS:
-            expected, actual = both_value(fragment, row, parameters)
-            assert actual == expected, f"{fragment!r} over {row!r}"
-            if expected[0] == "ok" and expected[1] in (NULL, CNULL):
-                # the missing-value singletons must survive by identity
-                assert actual[1] is expected[1]
+    def test_values_identical(self, fragment, parameters, expr_golden):
+        fn = compile_value(expr_of(fragment), SCOPE, parameters=parameters)
+        expected = expr_golden[f"value {fragment} {parameters!r}"]
+        check_outcomes(fn, ROWS, expected["outcomes"], fragment)
 
     @pytest.mark.parametrize("fragment,parameters", CORPUS)
-    def test_verdicts_identical(self, fragment, parameters):
-        for row in ROWS:
-            expected, actual = both_tri(fragment, row, parameters)
-            assert actual == expected, f"{fragment!r} over {row!r}"
+    def test_verdicts_identical(self, fragment, parameters, expr_golden):
+        fn = compile_predicate(
+            expr_of(fragment), SCOPE, parameters=parameters
+        )
+        expected = expr_golden[f"tri {fragment} {parameters!r}"]
+        check_outcomes(fn, ROWS, expected["outcomes"], fragment)
 
 
 class TestNaNParity:
@@ -166,35 +157,33 @@ class TestNaNParity:
     compiled native fast paths must reproduce that, not IEEE semantics."""
 
     NAN = float("nan")
+    FRAGMENTS = ["a = ?", "a <> ?", "a < ?", "a <= ?", "a > ?", "a >= ?",
+                 "? = 1.5", "a BETWEEN ? AND ?", "? BETWEEN 1 AND 2",
+                 "a = b", "a <= b"]
+    ROWS = [
+        (1.5, 2.5, "x", True),
+        (NAN, 2.5, "x", True),
+        (NAN, NAN, "x", True),
+    ]
 
-    @pytest.mark.parametrize(
-        "fragment",
-        ["a = ?", "a <> ?", "a < ?", "a <= ?", "a > ?", "a >= ?",
-         "? = 1.5", "a BETWEEN ? AND ?", "? BETWEEN 1 AND 2",
-         "a = b", "a <= b"],
-    )
-    def test_nan_verdicts_identical(self, fragment):
-        parameters = (self.NAN, self.NAN)
-        rows = [
-            (1.5, 2.5, "x", True),
-            (self.NAN, 2.5, "x", True),
-            (self.NAN, self.NAN, "x", True),
-        ]
-        for row in rows:
-            expected, actual = both_tri(fragment, row, parameters)
-            assert actual == expected, f"{fragment!r} over {row!r}"
+    @pytest.mark.parametrize("fragment", FRAGMENTS)
+    def test_nan_verdicts_identical(self, fragment, expr_golden):
+        fn = compile_predicate(
+            expr_of(fragment), SCOPE, parameters=(self.NAN, self.NAN)
+        )
+        expected = expr_golden[f"nan {fragment}"]
+        check_outcomes(fn, self.ROWS, expected["outcomes"], fragment)
 
-    def test_nan_sort_matches_interpreted(self, interpreted):
-        def rows():
-            db = connect(with_crowd=False)
-            db.execute("CREATE TABLE t (i INTEGER PRIMARY KEY, x FLOAT)")
-            for i, x in enumerate([2.5, self.NAN, 1.5, self.NAN, 3.5]):
-                db.engine.insert("t", [i, x])
-            return db.execute("SELECT i FROM t ORDER BY x").rows
+    @classmethod
+    def sort_rows(cls) -> str:
+        db = connect(with_crowd=False)
+        db.execute("CREATE TABLE t (i INTEGER PRIMARY KEY, x FLOAT)")
+        for i, x in enumerate([2.5, cls.NAN, 1.5, cls.NAN, 3.5]):
+            db.engine.insert("t", [i, x])
+        return repr(db.execute("SELECT i FROM t ORDER BY x").rows)
 
-        compiled = rows()
-        with interpreted():
-            assert repr(compiled) == repr(rows())
+    def test_nan_sort_matches_interpreted(self, expr_golden):
+        assert self.sort_rows() == expr_golden["statement nan_sort"]["result"]
 
 
 class TestErrorParity:
@@ -249,25 +238,19 @@ class TestCrowdHybrid:
         def subquery_values(self, query, values, scope):
             raise AssertionError("not used")
 
-    def test_same_verdicts_and_same_crowd_calls(self):
-        fragment = "CROWDEQUAL(s, 'ABC')"
-        expr = expr_of(fragment)
-        rows = [("abc",), ("x",), ("ABC",), (NULL,), (CNULL,)]
-        scope = Scope([("t", "s")])
+    ROWS = [("abc",), ("x",), ("ABC",), (NULL,), (CNULL,)]
 
-        interpreted_context = self._RecordingContext()
-        interpreted = Evaluator(context=interpreted_context)
-        expected = [interpreted.predicate(expr, row, scope) for row in rows]
-
-        compiled_context = self._RecordingContext()
-        fn = compile_predicate(expr, scope, context=compiled_context)
-        actual = [fn(row) for row in rows]
-
-        assert actual == expected
+    def test_same_verdicts_and_same_crowd_calls(self, expr_golden):
+        expr = expr_of("CROWDEQUAL(s, 'ABC')")
+        context = self._RecordingContext()
+        fn = compile_predicate(expr, Scope([("t", "s")]), context=context)
+        verdicts = [repr(fn(row)) for row in self.ROWS]
         # identical call sequence: the exact-equality fast path and the
         # missing-operand short cut must both survive compilation
-        assert compiled_context.calls == interpreted_context.calls
-        assert compiled_context.calls == [("abc", "ABC", None), ("x", "ABC", None)]
+        expected = expr_golden["crowd_equal"]
+        assert verdicts == expected["verdicts"]
+        assert [list(call) for call in context.calls] == expected["calls"]
+        assert context.calls == [("abc", "ABC", None), ("x", "ABC", None)]
 
     def test_is_electronic_classification(self):
         assert is_electronic(expr_of("a = 1 AND s LIKE 'x%'"))
@@ -300,15 +283,13 @@ class TestCrowdHybrid:
 
 
 class TestCorrelatedReferences:
-    def test_layered_scope_resolution_matches(self):
-        inner = Scope([("i", "x")])
-        outer = Scope([("o", "y")])
-        layered = LayeredScope(inner, outer)
-        expr = expr_of("x + y")
-        interpreted = Evaluator()
-        fn = compile_value(expr, layered)
-        for row in [(3, 4), (10, -2)]:
-            assert fn(row) == interpreted.value(expr, row, layered)
+    LAYERED = LayeredScope(Scope([("i", "x")]), Scope([("o", "y")]))
+    LAYERED_ROWS = [(3, 4), (10, -2)]
+
+    def test_layered_scope_resolution_matches(self, expr_golden):
+        fn = compile_value(expr_of("x + y"), self.LAYERED)
+        expected = expr_golden["layered x + y"]["outcomes"]
+        check_outcomes(fn, self.LAYERED_ROWS, expected, "x + y")
 
     def test_inner_shadows_outer(self):
         inner = Scope([("i", "x")])
@@ -337,8 +318,8 @@ class TestLikeCache:
 
 
 class TestEndToEndEquivalence:
-    """Full statements return identical ResultSets on the default path
-    and on the interpreter."""
+    """Full statements return the ResultSets the interpreter returned, on
+    the default path and on the row operators."""
 
     SCRIPT = """
         CREATE TABLE emp (
@@ -373,39 +354,141 @@ class TestEndToEndEquivalence:
         "SELECT UPPER(name) || '-' || dept FROM emp WHERE id % 2 = 0",
     ]
 
-    def _run_all(self):
+    @classmethod
+    def run_all(cls) -> str:
         db = connect(with_crowd=False)
-        db.executescript(self.SCRIPT)
-        return [
+        db.executescript(cls.SCRIPT)
+        return repr([
             (result.columns, result.rows)
-            for result in (db.execute(q) for q in self.QUERIES)
-        ]
+            for result in (db.execute(q) for q in cls.QUERIES)
+        ])
 
-    def test_compiled_matches_interpreted(self, interpreted):
-        compiled = self._run_all()
-        with interpreted():
-            assert compiled == self._run_all()
+    @staticmethod
+    def order_book_run(load, query) -> tuple[str, str]:
+        """The order book statement's result ``repr`` and its EXPLAIN."""
+        db = connect(with_crowd=False)
+        load(db)
+        result = db.execute(query)
+        return repr((result.columns, result.rows)), db.explain(query)
+
+    def test_compiled_matches_interpreted(self, expr_golden, row_engine):
+        expected = expr_golden["statement end_to_end"]["result"]
+        assert self.run_all() == expected
+        with row_engine():
+            assert self.run_all() == expected
 
     def test_order_book_pipeline_matches_interpreted(
-        self, order_book, interpreted, row_engine
+        self, order_book, expr_golden, row_engine
     ):
         """5,000 rows through every electronic operator at once, on the
         default path (compiled, and vectorized where the binder allows)
-        and on the compiled row closures alone, against the interpreter.
-        ``repr`` equality catches type drift (1 vs 1.0 vs True) that
-        plain ``==`` would wave through."""
+        and on the compiled row closures alone.  ``repr`` equality
+        catches type drift (1 vs 1.0 vs True) that plain ``==`` would
+        wave through."""
         load, query = order_book
-        runs = []
-        for engine in (interpreted, row_engine, contextlib.nullcontext):
-            with engine():
-                db = connect(with_crowd=False)
-                load(db)
-                runs.append((db.execute(query), db.explain(query)))
-        (reference, reference_plan), *compiled_runs = runs
-        assert len(reference.rows) == 5  # one group per region
-        assert "execution: vectorized" not in reference_plan
-        for compiled, _plan in compiled_runs:
-            assert compiled.columns == reference.columns
-            assert compiled.rows == reference.rows
-            assert repr(compiled.rows) == repr(reference.rows)
-        assert "execution: vectorized" in compiled_runs[-1][1]
+        expected = expr_golden["statement order_book"]["result"]
+        with row_engine():
+            assert self.order_book_run(load, query)[0] == expected
+        result, plan = self.order_book_run(load, query)
+        assert result == expected
+        assert "execution: vectorized" in plan
+
+
+# -- the golden writer ------------------------------------------------------------
+
+
+def _statement_records() -> dict:
+    """Whole-statement results, by record name."""
+    import test_adaptive_quality
+    import test_cost_optimizer
+    import test_vectorized
+    from conftest import ORDER_BOOK_QUERY, load_order_book
+
+    like = test_vectorized.TestLikeTrailingNewline
+    records = {
+        "statement nan_sort": TestNaNParity.sort_rows(),
+        "statement end_to_end": TestEndToEndEquivalence.run_all(),
+        "statement order_book": TestEndToEndEquivalence.order_book_run(
+            load_order_book, ORDER_BOOK_QUERY
+        )[0],
+        "statement crowdequal": test_cost_optimizer.crowdequal_record(),
+        "statement adaptive_reissue": (
+            test_adaptive_quality.TestCompiledExpressionInterplay().record()
+        ),
+    }
+    for pattern in like.PATTERNS:
+        records[f"statement like {pattern!r}"] = like.digest(
+            like()._ids(pattern)
+        )
+    return records
+
+
+def expr_records() -> list[dict]:
+    """Every golden record, in a fixed order, from the AST interpreter."""
+    from conftest import _interpreted
+
+    def values(expr, rows, scope, parameters=()):
+        evaluator = Evaluator(parameters=parameters)
+        return [
+            outcome(lambda: evaluator.value(expr, row, scope)) for row in rows
+        ]
+
+    def verdicts(expr, rows, scope, parameters=()):
+        evaluator = Evaluator(parameters=parameters)
+        return [
+            outcome(lambda: evaluator.predicate(expr, row, scope))
+            for row in rows
+        ]
+
+    records = []
+    for fragment, parameters in CORPUS:
+        expr = expr_of(fragment)
+        records.append({
+            "name": f"value {fragment} {parameters!r}",
+            "outcomes": values(expr, ROWS, SCOPE, parameters),
+        })
+        records.append({
+            "name": f"tri {fragment} {parameters!r}",
+            "outcomes": verdicts(expr, ROWS, SCOPE, parameters),
+        })
+    nan = TestNaNParity
+    for fragment in nan.FRAGMENTS:
+        records.append({
+            "name": f"nan {fragment}",
+            "outcomes": verdicts(
+                expr_of(fragment), nan.ROWS, SCOPE, (nan.NAN, nan.NAN)
+            ),
+        })
+    records.append({
+        "name": "layered x + y",
+        "outcomes": values(
+            expr_of("x + y"),
+            TestCorrelatedReferences.LAYERED_ROWS,
+            TestCorrelatedReferences.LAYERED,
+        ),
+    })
+    context = TestCrowdHybrid._RecordingContext()
+    evaluator = Evaluator(context=context)
+    expr = expr_of("CROWDEQUAL(s, 'ABC')")
+    scope = Scope([("t", "s")])
+    records.append({
+        "name": "crowd_equal",
+        "verdicts": [
+            repr(evaluator.predicate(expr, row, scope))
+            for row in TestCrowdHybrid.ROWS
+        ],
+        "calls": [list(call) for call in context.calls],
+    })
+    with _interpreted():
+        statements = _statement_records()
+    for name, result in statements.items():
+        records.append({"name": name, "result": result})
+    return records
+
+
+if __name__ == "__main__":
+    sys.path.insert(1, str(Path(__file__).resolve().parent))
+    with open(Path(__file__).parent / "golden" / "expr_v1.jsonl", "w",
+              encoding="utf-8") as handle:
+        for record in expr_records():
+            handle.write(json.dumps(record) + "\n")
