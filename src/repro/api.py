@@ -24,6 +24,7 @@ the right.
 
 from __future__ import annotations
 
+import functools
 import os
 from typing import TYPE_CHECKING, Any, Iterable, Optional, Sequence
 
@@ -195,11 +196,14 @@ class Connection:
             self.metrics.register_collector(
                 "breaker", self.task_manager.breaker_snapshot
             )
+        # copies of the stats dicts themselves: a closure over ``self``
+        # would make every connection cyclic garbage
         self.metrics.register_collector(
-            "parse_cache", lambda: dict(self.parse_cache_stats)
+            "parse_cache", functools.partial(dict, self.parse_cache_stats)
         )
         self.metrics.register_collector(
-            "plan_cache", lambda: dict(self.executor.plan_cache.stats)
+            "plan_cache",
+            functools.partial(dict, self.executor.plan_cache.stats),
         )
         if self.storage is not None:
             self.metrics.register_collector(

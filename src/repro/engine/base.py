@@ -9,11 +9,10 @@ outer values and scope so outer column references resolve.
 from __future__ import annotations
 
 import abc
-from typing import Any, Iterator, Optional
+from typing import Iterator, Optional
 
 from repro.engine.context import ExecutionContext
 from repro.sql import ast
-from repro.sqltypes import TriBool
 from repro.storage.row import Scope
 
 Correlation = Optional[tuple[tuple, Scope]]
@@ -68,26 +67,6 @@ class PhysicalOperator(abc.ABC):
         if not children:
             return True
         return any(child.sources_crowd_on_pull() for child in children)
-
-    # -- expression helpers -------------------------------------------------------
-
-    def _full(self, values: tuple, scope: Scope) -> tuple[tuple, Scope]:
-        if self.correlation is None:
-            return values, scope
-        from repro.storage.row import LayeredScope
-
-        outer_values, outer_scope = self.correlation
-        return values + outer_values, LayeredScope(scope, outer_scope)
-
-    def eval(self, expr: ast.Expression, values: tuple, scope: Scope) -> Any:
-        full_values, full_scope = self._full(values, scope)
-        return self.context.evaluator.value(expr, full_values, full_scope)
-
-    def predicate(
-        self, expr: ast.Expression, values: tuple, scope: Scope
-    ) -> TriBool:
-        full_values, full_scope = self._full(values, scope)
-        return self.context.evaluator.predicate(expr, full_values, full_scope)
 
     # -- compiled expression helpers ----------------------------------------------
 

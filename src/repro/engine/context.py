@@ -1,10 +1,10 @@
 """Execution context: the runtime services physical operators share.
 
 One context serves one statement execution.  It bundles the storage
-engine, the Task Manager (absent for purely electronic queries), the
-expression evaluator, and the subquery executor, and implements the
-:class:`~repro.plan.expressions.EvalContext` protocol so CROWDEQUAL and
-subqueries evaluate inside ordinary predicates.
+engine, the Task Manager (absent for purely electronic queries) and the
+subquery executor, and implements the
+:class:`~repro.plan.compiled.EvalContext` protocol so CROWDEQUAL and
+subqueries evaluate inside ordinary compiled predicates.
 
 Every crowd request an operator makes flows through the ``crowd_*``
 helpers here, which implement the issue/yield/resume protocol: issue the
@@ -21,7 +21,6 @@ from __future__ import annotations
 from typing import Any, Callable, Optional
 
 from repro.errors import CircuitOpenError, ExecutionError, PartialResultStop
-from repro.plan.expressions import Evaluator
 from repro.sql import ast
 from repro.sqltypes import NULL
 from repro.storage.engine import StorageEngine
@@ -103,7 +102,6 @@ class ExecutionContext:
         self.guard = guard
         self._subquery_executor = subquery_executor
         self.crowd_waiter = crowd_waiter
-        self.evaluator = Evaluator(context=self, parameters=parameters)
         # per-execution metrics surfaced by EXPLAIN ANALYZE-style reporting
         self.rows_scanned = 0
         self.crowd_probe_tasks = 0

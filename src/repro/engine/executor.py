@@ -24,7 +24,7 @@ from repro.obs import QueryProfiler, render_analyze
 from repro.optimizer.optimizer import OptimizationResult, Optimizer
 from repro.plan import logical
 from repro.plan.builder import PlanBuilder
-from repro.plan.expressions import Evaluator
+from repro.plan.compiled import compile_value
 from repro.sql import ast
 from repro.sql.pretty import format_statement
 from repro.sqltypes import NULL, is_missing
@@ -541,13 +541,15 @@ class Executor:
     # -- DML ---------------------------------------------------------------------------
 
     def _execute_insert(self, stmt: ast.Insert, parameters: tuple) -> ResultSet:
-        evaluator = Evaluator(parameters=parameters)
         empty_scope = Scope([])
         if stmt.query is not None:
             rows = self._execute_select(stmt.query, parameters).rows
         else:
             rows = (
-                [evaluator.value(expr, (), empty_scope) for expr in row_exprs]
+                [
+                    compile_value(expr, empty_scope, parameters=parameters)(())
+                    for expr in row_exprs
+                ]
                 for row_exprs in stmt.rows
             )
         with self.engine.atomic(stmt.table) as applied:

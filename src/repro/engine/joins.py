@@ -208,11 +208,12 @@ class CrowdJoinOp(PhysicalOperator):
     matching tuples, memorize them, and join.  Crowd columns the query
     needs (``needed_columns``) are probed on every matched inner tuple.
 
-    With a batch window (``batch_size`` > 1) the operator buffers a
-    window of outer tuples, issues the *whole* probe batch — new-tuple
+    The operator buffers a window of ``batch_size`` outer tuples (one at
+    ``batch_size`` 1) and issues the *whole* probe batch — new-tuple
     requests for every unmatched key, then fill tasks for every matched
     inner tuple's missing crowd columns — before waiting, so a window
     pays two overlapped crowd rounds instead of one per outer tuple.
+    Without a task manager both rounds are skipped: stored matches only.
     """
 
     def __init__(
@@ -263,9 +264,6 @@ class CrowdJoinOp(PhysicalOperator):
             for expr in self.outer_key_exprs
         ]
         condition = self.compile_predicate(self.condition, self._scope)
-        if self.context.task_manager is None or self.batch_size <= 1:
-            yield from self._iter_per_tuple(key_fns, condition)
-            return
         window: list[tuple[tuple, tuple]] = []  # (left values, join key)
         for left_values in self.left:
             key = tuple(fn(left_values) for fn in key_fns)
@@ -278,23 +276,14 @@ class CrowdJoinOp(PhysicalOperator):
         if window:
             yield from self._join_window(window, condition)
 
-    def _iter_per_tuple(self, key_fns, condition) -> Iterator[tuple]:
-        for left_values in self.left:
-            key = tuple(fn(left_values) for fn in key_fns)
-            if any(is_missing(part) for part in key):
-                continue
-            for inner_values in self._inner_rows(key):
-                combined = left_values + inner_values
-                if condition(combined).value is True:
-                    yield combined
-
-    # -- batched probing ------------------------------------------------------
+    # -- window probing -------------------------------------------------------
 
     def _join_window(
         self, window: list[tuple[tuple, tuple]], condition
     ) -> Iterator[tuple]:
         heap = self.context.engine.table(self.inner_table.name)
         index = self._ensure_index(heap)
+        crowd = self.context.task_manager is not None
         # round 1: one new-tuple request per unmatched, unprobed key
         specs = []
         for _left_values, key in window:
@@ -303,7 +292,7 @@ class CrowdJoinOp(PhysicalOperator):
             self._probed_keys.add(key)
             fixed = dict(zip(self.inner_key_columns, key))
             specs.append((self.inner_table, 1, fixed, None))
-        if specs:
+        if crowd and specs:
             results = self.context.crowd_new_tuples_many(specs)
             self.context.crowd_join_tasks += len(specs)
             for new_tuples in results:
@@ -332,7 +321,7 @@ class CrowdJoinOp(PhysicalOperator):
                 seen_rowids.add(rowid)
                 if self._missing_needed(heap.get(rowid).values):
                     fill_rowids.append(rowid)
-        if fill_rowids:
+        if crowd and fill_rowids:
             requests = [
                 self._fill_request(heap.get(rowid).values)
                 for rowid in fill_rowids
@@ -384,73 +373,3 @@ class CrowdJoinOp(PhysicalOperator):
             for c in self.inner_table.primary_key
         )
         return (self.inner_table, pk, tuple(missing), known)
-
-    # -- inner-side probing ---------------------------------------------------
-
-    def _inner_rows(self, key: tuple) -> list[tuple]:
-        heap = self.context.engine.table(self.inner_table.name)
-        index = self._ensure_index(heap)
-        rowids = sorted(index.lookup(key))
-        if not rowids and key not in self._probed_keys:
-            self._probed_keys.add(key)
-            self._crowd_probe(key)
-            rowids = sorted(index.lookup(key))
-        rows = []
-        for rowid in rowids:
-            self.context.rows_scanned += 1
-            values = heap.get(rowid).values
-            values = self._fill_needed(rowid, values)
-            rows.append(values)
-        return rows
-
-    def _crowd_probe(self, key: tuple) -> None:
-        """Ask the crowd for inner tuples matching ``key``."""
-        if self.context.task_manager is None:
-            return
-        fixed = dict(zip(self.inner_key_columns, key))
-        new_tuples = self.context.crowd_new_tuples(
-            self.inner_table, 1, fixed_values=fixed
-        )
-        self.context.crowd_join_tasks += 1
-        for values in new_tuples:
-            try:
-                self.context.engine.insert(
-                    self.inner_table.name,
-                    [values.get(c, NULL) for c in self.inner_table.column_names],
-                    origin="crowd",
-                )
-            except ConstraintError:  # duplicate key: another probe stored it first
-                continue
-
-    def _fill_needed(self, rowid: int, values: tuple) -> tuple:
-        """Probe the needed crowd columns of a matched inner tuple."""
-        from repro.sqltypes import is_cnull
-
-        missing = [
-            column
-            for column in self.needed_columns
-            if is_cnull(values[self.inner_table.column_index(column)])
-        ]
-        if not missing or self.context.task_manager is None:
-            return values
-        known = {
-            column.name: values[column.ordinal]
-            for column in self.inner_table.columns
-            if not is_missing(values[column.ordinal])
-        }
-        pk = tuple(
-            values[self.inner_table.column_index(c)]
-            for c in self.inner_table.primary_key
-        )
-        answers = self.context.crowd_fill(
-            self.inner_table, pk, tuple(missing), known
-        )
-        self.context.crowd_probe_tasks += 1
-        new_values = list(values)
-        for column, answer in answers.items():
-            position = self.inner_table.column_index(column)
-            new_values[position] = answer
-            self.context.engine.set_value(
-                self.inner_table.name, rowid, column, answer, origin="crowd"
-            )
-        return tuple(new_values)

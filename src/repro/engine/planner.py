@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.engine.aggregate import AggregateOp
 from repro.engine.base import Correlation, PhysicalOperator
 from repro.engine.context import ExecutionContext
 from repro.engine.crowd_probe import CrowdProbeOp
@@ -20,6 +19,12 @@ from repro.engine.joins import CrowdJoinOp, HashJoinOp, NestedLoopJoinOp
 from repro.engine.scans import SingleRowOp, TableScan
 from repro.engine.sort_limit import SortOp
 from repro.errors import PlanError
+from repro.exec.vectorized import (
+    BatchToRowsOp,
+    RowsToBatchOp,
+    VectorAggregateOp,
+    VectorSortOp,
+)
 from repro.optimizer.rules import split_conjuncts
 from repro.plan import logical
 from repro.sql import ast
@@ -59,8 +64,6 @@ class PhysicalPlanner:
         if self.bindings is not None:
             binding = self.bindings.get(id(node))
             if binding is not None and binding.vectorized:
-                from repro.exec.vectorized import BatchToRowsOp
-
                 # the transition operator is not profiler-wrapped: the
                 # vector node inside already carries this logical node's
                 # metrics (batch-aware row accounting)
@@ -75,13 +78,11 @@ class PhysicalPlanner:
         included: the binder only marks a node when its whole input
         subtree is vector-eligible)."""
         from repro.exec.vectorized import (
-            VectorAggregateOp,
             VectorFilterOp,
             VectorHashJoinOp,
             VectorLimitOp,
             VectorProjectOp,
             VectorScanOp,
-            VectorSortOp,
         )
 
         if isinstance(node, logical.Scan):
@@ -202,14 +203,27 @@ class PhysicalPlanner:
                 batch_size=self._batch_hint(node.left, row_bound),
                 correlation=self.correlation,
             )
+        # aggregation and sorting consume everything: columnar over row
+        # input (no batch window reaches the child) unless crowd-ordered
         if isinstance(node, logical.Aggregate):
-            return AggregateOp(
+            inputs = [*node.group_by]
+            for call in node.aggregates:
+                inputs.extend(call.args)
+            rows = RowsToBatchOp(
                 self.context,
-                self.plan(node.child),  # aggregation consumes everything
-                node.group_by,
-                node.aggregates,
-                correlation=self.correlation,
+                self.plan(node.child),
+                per_row=not all(expr.facts.electronic for expr in inputs),
             )
+            return BatchToRowsOp(self.context, VectorAggregateOp(
+                self.context, rows, node.group_by, node.aggregates,
+                correlation=self.correlation,
+            ))
+        if isinstance(node, logical.Sort) and not node.is_crowd_sort:
+            rows = RowsToBatchOp(self.context, self.plan(node.child))
+            return BatchToRowsOp(self.context, VectorSortOp(
+                self.context, rows, node.keys, top_k=node.top_k,
+                correlation=self.correlation,
+            ))
         if isinstance(node, logical.Sort):
             return SortOp(
                 self.context,

@@ -1,6 +1,8 @@
-"""Sort operators, including the crowd-backed sort.
+"""The crowd-backed sort.
 
-A Sort whose keys contain CROWDORDER compiles to a comparison sort whose
+Only a Sort with a CROWDORDER key runs here; every other ORDER BY is the
+columnar :class:`~repro.exec.vectorized.VectorSortOp` (over row input
+through ``RowsToBatchOp``).  A CROWDORDER sort is a comparison sort whose
 comparator is the CrowdCompare operator: every binary comparison becomes
 a ballot ("an operator that implements quick-sort can use CrowdCompare to
 perform the required binary comparisons", paper §3.2.1).  With a top-k
@@ -21,16 +23,14 @@ from typing import Iterator, Optional
 
 from repro.engine.base import Correlation, PhysicalOperator
 from repro.engine.context import ExecutionContext
-from repro.exec.sort import missing_aware_compare, sort_order
+from repro.exec.sort import missing_aware_compare
 from repro.sql import ast
 from repro.sqltypes import is_missing
 from repro.storage.row import Scope
 
 
 class SortOp(PhysicalOperator):
-    """ORDER BY over materialized row input: crowd sorts, and electronic
-    sorts the vector region does not reach (they order by
-    :func:`repro.exec.sort.sort_order`, as ``VectorSortOp`` does)."""
+    """ORDER BY with a CROWDORDER key, over materialized row input."""
 
     def __init__(
         self,
@@ -49,36 +49,31 @@ class SortOp(PhysicalOperator):
     def scope(self) -> Scope:
         return self.child.scope
 
-    @property
-    def is_crowd_sort(self) -> bool:
-        return any(isinstance(expr, ast.CrowdOrder) for expr, _asc in self.keys)
-
     def sources_crowd_on_pull(self) -> bool:
-        # the child is consumed entirely on first pull; only a crowd sort
-        # (tournament top-k issues ballots per emitted row) reacts to pulls
-        return self.is_crowd_sort
+        # the child is consumed entirely on first pull, but the tournament
+        # top-k issues ballots per emitted row
+        return True
 
     def __iter__(self) -> Iterator[tuple]:
         rows = list(self.child)
         if not rows:
             return
-        if self.is_crowd_sort:
-            yield from self._crowd_sort(rows)
-            return
-        # an electronic sort over row input (an index scan, a crowd
-        # operator below): the vector sort's order over key columns
-        scope = self.child.scope
-        columns = []
-        for expr, _ascending in self.keys:
-            fn = self.compile_value(expr, scope)
-            columns.append([fn(values) for values in rows])
-        order = sort_order(
-            columns,
-            [None] * len(columns),
-            [ascending for _expr, ascending in self.keys],
-            self.top_k,
+        self._crowd_keys = self._compiled_keys()
+        compare = self._comparator(self._crowd_keys)
+        batched = (
+            self.context.task_manager is not None
+            and self.context.batch_size > 1
+            and len(rows) > 2
         )
-        yield from map(rows.__getitem__, order)
+        if self.top_k is not None and self.top_k < len(rows):
+            if batched:
+                yield from self._bracket_top_k(rows, compare, self.top_k)
+            else:
+                yield from self._tournament_top_k(rows, compare, self.top_k)
+        elif batched:
+            yield from self._batched_merge_sort(rows, compare)
+        else:
+            yield from sorted(rows, key=functools.cmp_to_key(compare))
 
     # -- crowd-backed sort ----------------------------------------------------------
 
@@ -123,24 +118,6 @@ class SortOp(PhysicalOperator):
             return 0
 
         return compare
-
-    def _crowd_sort(self, rows: list[tuple]) -> Iterator[tuple]:
-        self._crowd_keys = self._compiled_keys()
-        compare = self._comparator(self._crowd_keys)
-        batched = (
-            self.context.task_manager is not None
-            and self.context.batch_size > 1
-            and len(rows) > 2
-        )
-        if self.top_k is not None and self.top_k < len(rows):
-            if batched:
-                yield from self._bracket_top_k(rows, compare, self.top_k)
-            else:
-                yield from self._tournament_top_k(rows, compare, self.top_k)
-        elif batched:
-            yield from self._batched_merge_sort(rows, compare)
-        else:
-            yield from sorted(rows, key=functools.cmp_to_key(compare))
 
     # -- batched crowd sort ---------------------------------------------------------
 

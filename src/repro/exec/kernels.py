@@ -50,14 +50,11 @@ from repro.exec.vector import (
     typed_array,
 )
 from repro.plan.compiled import (
+    _ARITHMETIC,
     _COMPARISON_CHECKS,
     _NUMERIC_COMPARISONS,
     _PY_COMPARISONS,
-    _CannotCompile,
     _Compiler,
-)
-from repro.plan.expressions import (
-    _ARITHMETIC,
     _as_string,
     _require_numbers,
     cached_like_regex,
@@ -77,10 +74,9 @@ class CannotVectorize(Exception):
 
 
 #: Errors the row compiler may legitimately raise while probing an
-#: expression for constant folding: ``_CannotCompile`` is the ordinary
-#: "not in the compilable subset" signal (silent), and the value errors
-#: come from folding genuinely bad constants (``'a' + 1``), which must
-#: fall back so the error surfaces lazily, per row, like the interpreter.
+#: expression for constant folding: the value errors of folding genuinely
+#: bad constants (``'a' + 1``), which must fall back so the error surfaces
+#: lazily, per row.
 #: Anything else — a ``NameError`` from a typo'd lane, an
 #: ``AttributeError`` from a refactor — is a kernel bug and propagates.
 _EXPECTED_FOLD_ERRORS = (TypeError, ValueError, OverflowError)
@@ -340,13 +336,11 @@ class _VectorCompiler:
     def __init__(self, scope: Scope, parameters: tuple) -> None:
         self.scope = scope
         self.parameters = parameters
-        self._row = _Compiler(scope, None, parameters)
+        self._row = _Compiler(scope, parameters=parameters)
 
     def _const(self, expr: ast.Expression) -> tuple[bool, Any]:
         try:
             fn, const = self._row.value(expr)
-        except _CannotCompile:
-            return False, None
         except _EXPECTED_FOLD_ERRORS as error:
             _note_fallback("column-const", error)
             return False, None
@@ -657,8 +651,6 @@ class _VectorCompiler:
         # constant predicate: fold once, broadcast the verdict
         try:
             fn, const = self._row.tri(expr)
-        except _CannotCompile:
-            const = False
         except _EXPECTED_FOLD_ERRORS as error:
             _note_fallback("mask-const", error)
             const = False

@@ -1,9 +1,9 @@
 """Electronic ORDER BY: the row order of a sort over its key columns.
 
-One definition serves both pipelines: :class:`~repro.exec.vectorized.
-VectorSortOp` hands it key columns computed by column kernels, the row
-``SortOp`` (an electronic sort over row input: an index scan, or a crowd
-operator below it) key columns computed by its row closures.
+Its one caller is :class:`~repro.exec.vectorized.VectorSortOp`, every
+sort with no CROWDORDER key, over batch or row input alike; it hands
+over key columns computed by column kernels or, for keys outside the
+kernel subset, by row closures.
 
 SQL order puts missing values (NULL/CNULL) last and lets DESC flip the
 whole order, so DESC puts them first; NaN derives ordering 0 against
@@ -59,13 +59,13 @@ def sort_order(
     columns: Sequence,
     tags: Sequence[Optional[str]],
     ascending: Sequence[bool],
-    top_k: Optional[int] = None,
-    batch: Optional[ColumnBatch] = None,
+    top_k: Optional[int],
+    batch: ColumnBatch,
 ) -> list[int]:
     """Row indices in ORDER BY order over the non-empty key ``columns``
     (batch columns of any form, their tags as column kernels report
     them, None when unknown); only the first ``top_k`` when given.
-    ``batch``, when the columns came from one, lends its lanes."""
+    ``batch``, the columns' source, lends its lanes."""
     count = len(columns[0])
     arrays = _Arrays(batch, count)
     # a coded key (a string) sorts by value, as a list
@@ -95,7 +95,7 @@ class _Arrays:
 
     __slots__ = ("batch", "count", "_converted")
 
-    def __init__(self, batch: Optional[ColumnBatch], count: int) -> None:
+    def __init__(self, batch: ColumnBatch, count: int) -> None:
         self.batch = batch
         self.count = count
         self._converted: dict = {}
@@ -105,7 +105,7 @@ class _Arrays:
             return column
         if _np is None or self.count < LANE_ROWS:
             return None
-        lanes = self.batch.lanes if self.batch is not None else None
+        lanes = self.batch.lanes
         if lanes is not None:
             arr = lanes.array(column)
             if arr is not None:

@@ -1,11 +1,15 @@
-"""Batch operators for binder-approved plan regions.
+"""Batch operators: binder-approved plan regions, and every aggregate
+and electronic sort.
 
-These mirror the row operators in :mod:`repro.engine` exactly — same
-scopes, same missing-key/NULL-padding/insertion-order semantics, same
-errors — but exchange :class:`~repro.exec.vector.ColumnBatch`es instead
-of row tuples.  The physical planner instantiates them only for nodes
-the binder marked vector-eligible (pure electronic, no crowd hazard) and
-caps every region with :class:`BatchToRowsOp`, so row-only parents and
+The scan, filter, project, join and limit mirror the row operators in
+:mod:`repro.engine` exactly — same scopes, same missing-key/NULL-padding/
+insertion-order semantics, same errors — but exchange
+:class:`~repro.exec.vector.ColumnBatch`es instead of row tuples.  The
+physical planner instantiates them only for nodes the binder marked
+vector-eligible (pure electronic, no crowd hazard).  Aggregation and
+sorts with no CROWDORDER key have no row operator: over input the
+binder left on rows they read it through :class:`RowsToBatchOp`.  Every
+region is capped with :class:`BatchToRowsOp`, so row-only parents and
 the executor see ordinary tuples.
 
 Exactness strategy: every fast path is gated on runtime column
@@ -23,11 +27,10 @@ from __future__ import annotations
 from functools import reduce
 from itertools import chain, compress, islice, repeat
 from operator import add as _add, itemgetter
-from typing import Iterator, Optional, Sequence
+from typing import Any, Iterator, Optional, Sequence
 
 from repro.catalog.table import TableSchema
-from repro.engine.aggregate import _Accumulator, _hashable
-from repro.engine.base import PhysicalOperator
+from repro.engine.base import Correlation, PhysicalOperator
 from repro.engine.context import ExecutionContext
 from repro.errors import ExecutionError
 from repro.exec.kernels import (
@@ -145,7 +148,8 @@ class VectorOperator(PhysicalOperator):
 
     Vector regions are pure electronic by construction (the binder
     rejects anything else), so eager batch pulls can never issue crowd
-    work.
+    work; above a :class:`RowsToBatchOp` sits an operator that reads its
+    whole input anyway.
 
     Column pruning: a consumer that knows which of this operator's
     output positions it reads calls :meth:`set_live` with that set;
@@ -193,6 +197,43 @@ class BatchToRowsOp(PhysicalOperator):
         # lazy per batch, no Python frame per row: a consumer that drains
         # the region (the executor's ``extend``) pays one pivot per batch
         return chain.from_iterable(map(_pivot_rows, self.child))
+
+
+class RowsToBatchOp(VectorOperator):
+    """The row→batch transition under an Aggregate, or a Sort with no
+    CROWDORDER key, whose input the vector region does not reach (crowd
+    operators, index lookups, nested-loop joins, correlated subqueries).
+
+    Rows become untagged list columns, so every kernel takes its exact
+    element-wise path.  Both consumers read their whole input whichever
+    way it is cut, so the pull changes no crowd work below.  A consumer
+    that evaluates CROWDEQUAL or a subquery per row asks for one row per
+    batch (``per_row``): those calls then interleave with the rows pulled
+    from below as in a row-at-a-time loop, key before arguments."""
+
+    def __init__(
+        self,
+        context: ExecutionContext,
+        child: PhysicalOperator,
+        per_row: bool = False,
+    ) -> None:
+        super().__init__(context)
+        self.child = child
+        self.per_row = per_row
+
+    @property
+    def scope(self) -> Scope:
+        return self.child.scope
+
+    def __iter__(self) -> Iterator[ColumnBatch]:
+        width = len(self.child.scope)
+        size = 1 if self.per_row else VECTOR_ROWS
+        rows = iter(self.child)
+        while True:
+            chunk = list(islice(rows, size))
+            if not chunk:
+                return
+            yield ColumnBatch.from_rows(chunk, width)
 
 
 class VectorScanOp(VectorOperator):
@@ -458,13 +499,14 @@ class VectorProjectOp(VectorOperator):
 
 
 class VectorSortOp(VectorOperator):
-    """ORDER BY over batches, for sorts with no CROWDORDER key.
+    """ORDER BY over batches: every sort with no CROWDORDER key.
 
     The input is one batch (several are joined); key columns come from
-    column kernels, and :func:`~repro.exec.sort.sort_order` turns them
-    into the row order -- the same function the row ``SortOp`` uses for
-    an electronic sort over row input.  Only the first ``top_k`` rows
-    are gathered."""
+    column kernels (a key they cannot take -- a subquery, CROWDEQUAL, an
+    outer reference of a correlated subquery -- from the row closure,
+    key by key over all rows), and :func:`~repro.exec.sort.sort_order`
+    turns them into the row order.  Only the first ``top_k`` rows are
+    gathered."""
 
     def __init__(
         self,
@@ -472,8 +514,9 @@ class VectorSortOp(VectorOperator):
         child: VectorOperator,
         keys: tuple[tuple[ast.Expression, bool], ...],
         top_k: Optional[int] = None,
+        correlation: Correlation = None,
     ) -> None:
-        super().__init__(context)
+        super().__init__(context, correlation)
         self.child = child
         self.keys = keys
         self.top_k = top_k
@@ -1119,18 +1162,80 @@ class _SortedKeys:
         return self._table
 
 
-class VectorAggregateOp(VectorOperator):
-    """Hash aggregation over batches, mirroring ``AggregateOp`` exactly.
+class _Accumulator:
+    """State for one aggregate function within one group."""
 
-    Group keys resolve through a dict with the same TypeError→repr
-    normalization and insertion ordering; aggregate inputs are computed
-    as columns and folded per group in row order — in numpy
-    (:func:`_nd_fold`) for a clean column of ``LANE_ROWS`` rows or more,
-    else with C-level ``reduce``/``min``/``max``/``len`` over each
-    group's buffer when the input column is clean, or element-wise
-    through the row engine's ``_Accumulator`` otherwise (distinct,
-    unclean, unknown aggregates) — so results, errors, and tie-breaking
-    are identical.
+    def __init__(self, call: ast.FunctionCall) -> None:
+        self.name = call.name.upper()
+        self.distinct = call.distinct
+        self.count = 0
+        self.total: Any = None
+        self.extreme: Any = None
+        self._seen: set = set()
+        # branch flags hoisted out of the per-row add() path
+        self._sums = self.name in ("SUM", "AVG")
+        self._wants_min = self.name == "MIN"
+        self._wants_max = self.name == "MAX"
+
+    def add(self, value: Any) -> None:
+        if value is NULL or value is None or value is CNULL:
+            return
+        if self.distinct:
+            key = value if _hashable(value) else repr(value)
+            if key in self._seen:
+                return
+            self._seen.add(key)
+        self.count += 1
+        if self._sums:
+            value_type = type(value)
+            if value_type is not int and value_type is not float and (
+                isinstance(value, bool) or not isinstance(value, (int, float))
+            ):
+                raise ExecutionError(f"{self.name} needs numeric input")
+            self.total = value if self.total is None else self.total + value
+        elif self._wants_min:
+            if self.extreme is None or value < self.extreme:
+                self.extreme = value
+        elif self._wants_max:
+            if self.extreme is None or value > self.extreme:
+                self.extreme = value
+
+    def result(self) -> Any:
+        if self.name == "COUNT":
+            return self.count
+        if self.name == "SUM":
+            return NULL if self.total is None else self.total
+        if self.name == "AVG":
+            return NULL if self.total is None else self.total / self.count
+        if self.name in ("MIN", "MAX"):
+            return NULL if self.extreme is None else self.extreme
+        raise ExecutionError(f"unknown aggregate {self.name!r}")
+
+
+def _hashable(value: Any) -> bool:
+    try:
+        hash(value)
+        return True
+    except TypeError:
+        return False
+
+
+class VectorAggregateOp(VectorOperator):
+    """Hash aggregation (GROUP BY and scalar aggregates) over batches:
+    every Aggregate of a plan.
+
+    Output scope: one column per group-by expression (bound under the
+    original table for plain column refs, so upstream references still
+    resolve) followed by one column per aggregate, named by its rendered
+    SQL (``COUNT(*)``), which upper expressions resolve.  Group keys
+    resolve through a dict with TypeError→repr normalization, groups in
+    first-seen order; aggregate inputs are computed as columns and folded
+    per group in row order — in numpy (:func:`_nd_fold`) for a clean
+    column of ``LANE_ROWS`` rows or more, else with C-level
+    ``reduce``/``min``/``max``/``len`` over each group's buffer when the
+    input column is clean, or element-wise through ``_Accumulator``
+    otherwise (distinct, unclean, unknown aggregates) — so results,
+    errors, and tie-breaking do not depend on the path.
     """
 
     def __init__(
@@ -1139,8 +1244,9 @@ class VectorAggregateOp(VectorOperator):
         child: VectorOperator,
         group_by: tuple[ast.Expression, ...],
         aggregates: tuple[ast.FunctionCall, ...],
+        correlation: Correlation = None,
     ) -> None:
-        super().__init__(context)
+        super().__init__(context, correlation)
         self.child = child
         self.group_by = group_by
         self.aggregates = aggregates
@@ -1174,6 +1280,9 @@ class VectorAggregateOp(VectorOperator):
         for call in self.aggregates:
             (argument,) = call.args
             if isinstance(argument, ast.Star):
+                name = call.name.upper()
+                if name != "COUNT":
+                    raise ExecutionError(f"{name}(*) not supported")
                 kernels.append(("star", None))
                 continue
             try:
@@ -1264,9 +1373,8 @@ class VectorAggregateOp(VectorOperator):
             for (kind, kernel), accumulator, call in zip(
                 input_kernels, accumulators, self.aggregates
             ):
-                if kind == "star":
-                    if accumulator._counts_star:
-                        accumulator.count += batch.num_rows
+                if kind == "star":  # COUNT(*)
+                    accumulator.count += batch.num_rows
                     continue
                 if kind == "vector":
                     column, tag = kernel(batch)

@@ -12,8 +12,8 @@ unit of work first), with two hard classes pinned to the tail:
 The physical FilterOp evaluates the ordered conjuncts with an
 electronic short-circuit prefix (see
 :class:`repro.engine.filter_project.FilterOp`); because the ordering is
-part of the *logical plan*, the compiled and interpreted expression
-paths inherit exactly the same behaviour.
+part of the *logical plan*, the row and columnar filters inherit
+exactly the same behaviour.
 """
 
 from __future__ import annotations

@@ -34,7 +34,11 @@ Eligibility is deliberately conservative:
 
 Everything else (crowd-ordered sorts, distinct, set ops, crowd
 operators, derived-table aliases) falls back to rows, with the vector
-region — if any — ending below it.
+region — if any — ending below it.  An unmarked Aggregate, or Sort with
+no CROWDORDER key, still runs on the batch operator, which reads its
+row input through a ``RowsToBatchOp`` (there is no row aggregate and no
+electronic row sort); its mark, and EXPLAIN's ``execution:`` tag, say
+whether its input arrives as batches or as rows.
 """
 
 from __future__ import annotations
@@ -212,7 +216,7 @@ class Binder:
                     return NodeBinding(False, f"{name}(*) not supported")
             elif not is_electronic(argument):
                 return NodeBinding(False, "crowd or subquery aggregate input")
-        # mirror AggregateOp's output scope exactly
+        # mirror VectorAggregateOp's output scope exactly
         entries: list[tuple[str, str]] = []
         types: list[Optional[SQLType]] = []
         for expr in node.group_by:

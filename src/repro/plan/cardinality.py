@@ -494,7 +494,7 @@ def _mcv_like_selectivity(
     total = column_stats.total_count
     if not total:
         return None
-    from repro.plan.expressions import cached_like_regex
+    from repro.plan.compiled import cached_like_regex
 
     match = cached_like_regex(pattern).match
     mcv_rows = 0

@@ -1,10 +1,8 @@
-"""Plan-time expression compilation.
+"""Plan-time expression compilation: the one row expression evaluator.
 
-The interpreted :class:`~repro.plan.expressions.Evaluator` walks the AST
-for every row: isinstance dispatch per node, ``Scope.resolve`` string
-lowering per column reference, LIKE cache lookups per match.  This module
-compiles each expression **once per physical plan** into a tree of Python
-closures:
+Every operator expression (filter and join predicates, projections, sort
+keys, aggregate arguments and keys, DML values) compiles **once per
+physical plan** into a tree of Python closures over a row's value tuple:
 
 * column ordinals are resolved against the operator's scope at compile
   time, so a column reference becomes ``values[i]``;
@@ -19,36 +17,30 @@ closures:
 Crowd constructs and subqueries compile to *hybrid* closures: the operand
 sides are compiled, but the decision still routes through the
 :class:`EvalContext` (``crowd_equal``/``scalar_subquery``/...), so the
-Task Manager's ballot batching, window prefetch, and comparison cache
-behave bit-for-bit like the interpreted path.
+Task Manager's ballot batching, window prefetch, and comparison cache see
+one call per row in row order.  Without a context (:class:`NullEvalContext`)
+those calls raise when a row reaches them.
 
-Semantics contract: compilation must never surface an error earlier than
-interpretation would.  Any node that fails to compile (unresolvable
-column, unknown operator, future AST node) falls back to an interpreted
-closure over that subtree, which reproduces the interpreter's lazy,
-per-row error behaviour.  Constant folding likewise defers: a constant
-subtree whose evaluation raises is left unfolded so the error (if any)
-still happens at run time.  The one intentional divergence is *eagerness
-under LIMIT*: batch-at-a-time operators may evaluate a chunk of rows the
-consumer never pulls, which can surface a type error that tuple-at-a-time
-execution would have skipped — standard vectorized-engine behaviour.
+Semantics contract: compilation never raises; an error surfaces when a
+row is evaluated, per row (``tests/golden/expr_v1.jsonl`` pins each
+value, verdict and error type and message).  A node outside the
+compilable subset (unresolvable column, unknown operator,
+CROWDORDER outside ORDER BY, ``*``, a future AST node) compiles to a
+closure raising that error, and a constant subtree whose evaluation
+raises is left unfolded so the error still happens at run time.  The one
+intentional divergence is *eagerness*: batch-at-a-time and columnar
+operators may evaluate a chunk of rows the consumer never pulls, which
+can surface a type error that tuple-at-a-time execution would have
+skipped — standard vectorized-engine behaviour.
 """
 
 from __future__ import annotations
 
 import operator
-from typing import Any, Callable, Optional
+import re
+from typing import Any, Callable, Optional, Protocol
 
-from repro.errors import ExecutionError
-from repro.plan.expressions import (
-    EvalContext,
-    Evaluator,
-    _ARITHMETIC,
-    _as_string,
-    _call_scalar_function,
-    _require_numbers,
-    cached_like_regex,
-)
+from repro.errors import ExecutionError, PlanError
 from repro.sql import ast
 from repro.sqltypes import (
     CNULL,
@@ -64,6 +56,139 @@ from repro.sqltypes import (
     tri_from,
 )
 from repro.storage.row import Scope
+
+
+class EvalContext(Protocol):
+    """Runtime services expressions may need."""
+
+    def crowd_equal(self, left: Any, right: Any, question: Optional[str]) -> bool:
+        """Ask the crowd whether two values denote the same entity."""
+        ...
+
+    def scalar_subquery(self, query: ast.Select, values: tuple, scope: Scope) -> Any:
+        """Evaluate a scalar subquery (correlated references resolved
+        against the outer row)."""
+        ...
+
+    def subquery_values(self, query: ast.Select, values: tuple, scope: Scope) -> list:
+        """Evaluate a subquery to a list of single-column values."""
+        ...
+
+
+class NullEvalContext:
+    """Context for plans that must not need crowd or subquery services."""
+
+    def crowd_equal(self, left: Any, right: Any, question: Optional[str]) -> bool:
+        raise ExecutionError(
+            "CROWDEQUAL reached evaluation without a crowd runtime"
+        )
+
+    def scalar_subquery(self, query: ast.Select, values: tuple, scope: Scope) -> Any:
+        raise ExecutionError("subquery reached evaluation without an executor")
+
+    def subquery_values(self, query: ast.Select, values: tuple, scope: Scope) -> list:
+        raise ExecutionError("subquery reached evaluation without an executor")
+
+
+_NO_CONTEXT = NullEvalContext()
+
+
+def like_to_regex(pattern: str) -> "re.Pattern[str]":
+    """Compile a SQL LIKE pattern (``%``/``_`` wildcards) to a regex.
+
+    Anchored with ``\\Z``, not ``$``: ``$`` also matches just before a
+    final newline, which would make ``'abc\\n' LIKE 'abc'`` true."""
+    parts: list[str] = []
+    for ch in pattern:
+        if ch == "%":
+            parts.append(".*")
+        elif ch == "_":
+            parts.append(".")
+        else:
+            parts.append(re.escape(ch))
+    return re.compile("^" + "".join(parts) + r"\Z", re.DOTALL)
+
+
+#: Process-wide LIKE pattern cache: patterns compile once per process, not
+#: once per plan.  Bounded so a pathological stream of distinct dynamic
+#: patterns cannot grow without limit.
+_LIKE_CACHE: dict[str, "re.Pattern[str]"] = {}
+_LIKE_CACHE_LIMIT = 4096
+
+
+def cached_like_regex(pattern: str) -> "re.Pattern[str]":
+    """The compiled regex for a LIKE pattern, from the module-level cache."""
+    regex = _LIKE_CACHE.get(pattern)
+    if regex is None:
+        if len(_LIKE_CACHE) >= _LIKE_CACHE_LIMIT:
+            _LIKE_CACHE.clear()
+        regex = like_to_regex(pattern)
+        _LIKE_CACHE[pattern] = regex
+    return regex
+
+
+_ARITHMETIC: dict[str, Callable[[Any, Any], Any]] = {
+    "+": lambda a, b: a + b,
+    "-": lambda a, b: a - b,
+    "*": lambda a, b: a * b,
+    "%": lambda a, b: a % b,
+}
+
+
+def _as_string(value: Any) -> str:
+    if isinstance(value, bool):
+        return "TRUE" if value else "FALSE"
+    return str(value)
+
+
+def _require_numbers(op: str, left: Any, right: Any) -> None:
+    for value in (left, right):
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ExecutionError(
+                f"operator {op!r} needs numeric operands, got {value!r}"
+            )
+
+
+def _call_scalar_function(name: str, args: list[Any]) -> Any:
+    """Dispatch the small scalar function library."""
+    if name == "LOWER":
+        return NULL if is_missing(args[0]) else str(args[0]).lower()
+    if name == "UPPER":
+        return NULL if is_missing(args[0]) else str(args[0]).upper()
+    if name == "LENGTH":
+        return NULL if is_missing(args[0]) else len(str(args[0]))
+    if name == "TRIM":
+        return NULL if is_missing(args[0]) else str(args[0]).strip()
+    if name == "ABS":
+        return NULL if is_missing(args[0]) else abs(args[0])
+    if name == "ROUND":
+        if is_missing(args[0]):
+            return NULL
+        digits = 0 if len(args) < 2 or is_missing(args[1]) else int(args[1])
+        return round(args[0], digits)
+    if name == "COALESCE":
+        for arg in args:
+            if not is_missing(arg):
+                return arg
+        return NULL
+    if name == "NULLIF":
+        if len(args) != 2:
+            raise ExecutionError("NULLIF takes exactly two arguments")
+        if is_missing(args[0]):
+            return NULL
+        if not is_missing(args[1]) and compare_values(args[0], args[1]) == 0:
+            return NULL
+        return args[0]
+    if name == "SUBSTR" or name == "SUBSTRING":
+        if is_missing(args[0]):
+            return NULL
+        text = str(args[0])
+        start = max(int(args[1]) - 1, 0)
+        if len(args) >= 3 and not is_missing(args[2]):
+            return text[start : start + int(args[2])]
+        return text[start:]
+    raise ExecutionError(f"unknown function {name!r}")
+
 
 #: A compiled scalar expression: full value tuple -> SQL value.
 ValueFn = Callable[[tuple], Any]
@@ -94,7 +219,7 @@ _PY_COMPARISONS: dict[str, Callable[[Any, Any], bool]] = {
 }
 
 #: Native comparisons for the numeric fast path, phrased so NaN behaves
-#: exactly like the interpreter: ``compare_values`` derives the ordering
+#: exactly as the generic path: ``compare_values`` derives the ordering
 #: as ``(a > b) - (a < b)``, which is 0 for NaN against anything — so
 #: NaN = x is TRUE there, while native ``==`` would say False.  Each
 #: entry below equals ``check((a > b) - (a < b))`` for every float.
@@ -132,10 +257,6 @@ def is_electronic(expr: ast.Expression) -> bool:
     return expr.facts.electronic
 
 
-class _CannotCompile(Exception):
-    """Internal: node (or operator) outside the compilable subset."""
-
-
 def compile_value(
     expr: ast.Expression,
     scope: Scope,
@@ -143,12 +264,7 @@ def compile_value(
     parameters: tuple = (),
 ) -> ValueFn:
     """Compile ``expr`` to a closure evaluating it as a SQL value."""
-    compiler = _Compiler(scope, context, parameters)
-    try:
-        fn, _const = compiler.value(expr)
-        return fn
-    except Exception:
-        return _interpreted_value(expr, scope, context, parameters)
+    return _Compiler(scope, context, parameters).value(expr)[0]
 
 
 def compile_predicate(
@@ -158,32 +274,10 @@ def compile_predicate(
     parameters: tuple = (),
 ) -> TriFn:
     """Compile ``expr`` to a closure evaluating it under 3VL."""
-    compiler = _Compiler(scope, context, parameters)
-    try:
-        fn, _const = compiler.tri(expr)
-        return fn
-    except Exception:
-        return _interpreted_predicate(expr, scope, context, parameters)
+    return _Compiler(scope, context, parameters).tri(expr)[0]
 
 
-def _interpreted_value(
-    expr: ast.Expression,
-    scope: Scope,
-    context: Optional[EvalContext],
-    parameters: tuple,
-) -> ValueFn:
-    evaluator = Evaluator(context=context, parameters=parameters)
-    return lambda values: evaluator.value(expr, values, scope)
-
-
-def _interpreted_predicate(
-    expr: ast.Expression,
-    scope: Scope,
-    context: Optional[EvalContext],
-    parameters: tuple,
-) -> TriFn:
-    evaluator = Evaluator(context=context, parameters=parameters)
-    return lambda values: evaluator.predicate(expr, values, scope)
+_LEAVES = (ast.Literal, ast.CNullLiteral, ast.Parameter)
 
 
 def _const_fn(value: Any) -> ValueFn:
@@ -207,17 +301,17 @@ class _Compiler:
     def __init__(
         self,
         scope: Scope,
-        context: Optional[EvalContext],
-        parameters: tuple,
+        context: Optional[EvalContext] = None,
+        parameters: tuple = (),
     ) -> None:
         self.scope = scope
-        self.context = context
+        self.context = context if context is not None else _NO_CONTEXT
         self.parameters = parameters
 
     def _fold(self, fn: ValueFn, const: bool) -> tuple[ValueFn, bool]:
         """Evaluate a pure constant subtree once at compile time.  If the
         evaluation raises, keep the closure so the error still surfaces
-        lazily, per row, exactly like the interpreter."""
+        lazily, per row."""
         if not const:
             return fn, False
         try:
@@ -230,6 +324,8 @@ class _Compiler:
 
     def value(self, expr: ast.Expression) -> tuple[ValueFn, bool]:
         fn, const = self._value_node(expr)
+        if type(expr) in _LEAVES:
+            return fn, const  # a literal or parameter is its own fold
         return self._fold(fn, const)
 
     def _value_node(self, expr: ast.Expression) -> tuple[ValueFn, bool]:
@@ -272,15 +368,20 @@ class _Compiler:
             return self._case(expr)
         if isinstance(expr, ast.ScalarSubquery):
             context, scope, query = self.context, self.scope, expr.query
-            if context is None:
-                raise _CannotCompile("subquery without context")
             return (
                 lambda values: context.scalar_subquery(query, values, scope),
                 False,
             )
-        # CrowdOrder outside ORDER BY, Star, unknown nodes: the interpreter
-        # raises PlanError per evaluation — the fallback reproduces that.
-        raise _CannotCompile(type(expr).__name__)
+        if isinstance(expr, ast.CrowdOrder):
+            message = (
+                "CROWDORDER is only legal inside ORDER BY; the planner must "
+                "compile it into a crowd-backed sort"
+            )
+        elif isinstance(expr, ast.Star):
+            message = "'*' cannot be evaluated as a scalar expression"
+        else:
+            message = f"cannot evaluate expression node {type(expr).__name__}"
+        return _raising(PlanError, message), False
 
     def _unary(self, expr: ast.UnaryOp) -> tuple[ValueFn, bool]:
         if expr.op == "NOT":
@@ -339,7 +440,15 @@ class _Compiler:
             return divide, const
         arithmetic = _ARITHMETIC.get(op)
         if arithmetic is None:
-            raise _CannotCompile(f"binary operator {op!r}")
+
+            def unknown(values: tuple) -> Any:
+                left = left_fn(values)
+                right = right_fn(values)
+                if is_missing(left) or is_missing(right):
+                    return NULL
+                raise PlanError(f"unknown binary operator {op!r}")
+
+            return unknown, False
 
         # one-sided numeric constant (``priority * 0.05``): bake it in
         if right_const != left_const:
@@ -404,8 +513,6 @@ class _Compiler:
             rendered = format_expression(expr)
             position = self.scope.try_resolve(rendered)
             if position is None:
-                from repro.errors import PlanError
-
                 return (
                     _raising(
                         PlanError,
@@ -492,9 +599,9 @@ class _Compiler:
                 left_fn, left_const = self.tri(expr.left)
                 right_fn, right_const = self.tri(expr.right)
 
-                # NOT short-circuiting, like the interpreter: window
-                # prefetch relies on both sides always evaluating; the
-                # TriBool connective is inlined over the singletons
+                # NOT short-circuiting: window prefetch relies on both
+                # sides always evaluating; the TriBool connective is
+                # inlined over the singletons
                 def conjoin(values: tuple) -> TriBool:
                     left = left_fn(values).value
                     right = right_fn(values).value
@@ -537,8 +644,6 @@ class _Compiler:
             return self._crowd_equal(expr)
         if isinstance(expr, ast.ExistsExpr):
             context, scope = self.context, self.scope
-            if context is None:
-                raise _CannotCompile("subquery without context")
             query, negated = expr.query, expr.negated
 
             def exists(values: tuple) -> TriBool:
@@ -725,7 +830,7 @@ class _Compiler:
                         else operand_type is str
                     ):
                         # phrased like compare_values' derived orderings
-                        # so NaN operands match the interpreter (ordering
+                        # so NaN operands match the generic path (ordering
                         # 0 against anything → inside)
                         inside = not (operand < low) and not (operand > high)
                     else:
@@ -770,8 +875,6 @@ class _Compiler:
 
     def _crowd_equal(self, expr: ast.CrowdEqual) -> tuple[TriFn, bool]:
         context = self.context
-        if context is None:
-            raise _CannotCompile("CROWDEQUAL without context")
         left_fn, _lc = self.value(expr.left)
         right_fn, _rc = self.value(expr.right)
         question = expr.question
@@ -791,8 +894,6 @@ class _Compiler:
 
     def _in_subquery(self, expr: ast.InSubquery) -> tuple[TriFn, bool]:
         context, scope = self.context, self.scope
-        if context is None:
-            raise _CannotCompile("subquery without context")
         operand_fn, _const = self.value(expr.operand)
         query, negated = expr.query, expr.negated
 

@@ -17,7 +17,6 @@ from repro.crowd.platform import PlatformRegistry
 from repro.crowd.scripted import ScriptedPlatform, oracle_answer_fn
 from repro.crowd.sim.traces import GroundTruthOracle
 from repro.crowd.task_manager import CrowdConfig, TaskManager
-from repro.engine.context import ExecutionContext
 from repro.errors import UnboundedQueryWarning
 from repro.plan.binder import Binder
 from repro.storage.engine import StorageEngine
@@ -107,43 +106,22 @@ def order_book():
     return load_order_book, ORDER_BOOK_QUERY
 
 
-# -- reference engines -------------------------------------------------------------
+# -- reference engine --------------------------------------------------------------
 #
 # The engine has one configuration; the differential tests compare it with
-# two references reached through these seams.  Each fixture returns a
-# context manager: statements compiled *and* run inside it use the
-# reference, statements outside it the default path.  Build a fresh
+# the row operators reached through this seam.  The fixture returns a
+# context manager: statements compiled *and* run inside it use the row
+# operators, statements outside it the default path.  Build a fresh
 # connection inside the block — a plan cached outside it keeps its
-# bindings.
+# bindings.  (The AST interpreter, the reference for compiled
+# expressions, is gone; ``expr_golden`` below holds what it returned.)
 
 
 @contextlib.contextmanager
 def _row_engine():
-    # the binder marks no node, so every plan runs on the row operators
+    # the binder marks no node, so every plan outside an Aggregate or an
+    # electronic Sort runs on the row operators
     with mock.patch.object(Binder, "bind", lambda self, plan: {}):
-        yield
-
-
-def _interpreted_value_fn(self, expr, scope):
-    evaluator = self.evaluator
-    return lambda values: evaluator.value(expr, values, scope)
-
-
-def _interpreted_predicate_fn(self, expr, scope):
-    evaluator = self.evaluator
-    return lambda values: evaluator.predicate(expr, values, scope)
-
-
-@contextlib.contextmanager
-def _interpreted():
-    # row operators, and every expression they compile (all of them go
-    # through these two ExecutionContext methods) walked by the AST
-    # Evaluator per row instead of compiled to closures
-    with _row_engine(), mock.patch.object(
-        ExecutionContext, "compile_value_fn", _interpreted_value_fn
-    ), mock.patch.object(
-        ExecutionContext, "compile_predicate_fn", _interpreted_predicate_fn
-    ):
         yield
 
 
@@ -154,16 +132,9 @@ def row_engine():
     return _row_engine
 
 
-@pytest.fixture
-def interpreted():
-    """``with interpreted(): ...`` runs plans on the row operators with
-    the AST interpreter — the reference for compiled expressions."""
-    return _interpreted
-
-
 #: What the AST interpreter returned, captured before it left ``src/``:
 #: the differential corpus of ``tests/test_compiled_expressions.py`` and
-#: every whole-statement comparison that once ran under ``interpreted``.
+#: every whole-statement comparison that once ran under the interpreter.
 #: ``python tests/test_compiled_expressions.py`` rewrites it -- only at
 #: the parent of a change meant to alter expression results.
 EXPR_GOLDEN = Path(__file__).parent / "golden" / "expr_v1.jsonl"

@@ -25,11 +25,12 @@ import pytest
 from repro import connect
 from repro.errors import ExecutionError, PlanError, TypeError_
 from repro.plan.compiled import (
+    _LIKE_CACHE,
+    cached_like_regex,
     compile_predicate,
     compile_value,
     is_electronic,
 )
-from repro.plan.expressions import Evaluator, cached_like_regex
 from repro.sql import ast
 from repro.sql.parser import Parser
 from repro.sqltypes import CNULL, NULL
@@ -187,7 +188,8 @@ class TestNaNParity:
 
 
 class TestErrorParity:
-    """Compilation must not surface errors earlier than interpretation."""
+    """Compilation never raises: an error surfaces when a row is
+    evaluated, with the type and message the interpreter raised."""
 
     def test_unknown_column_raises_at_evaluation_not_compile(self):
         expr = expr_of("nope")
@@ -217,7 +219,23 @@ class TestErrorParity:
 
     def test_star_falls_back_to_interpreted_error(self):
         fn = compile_value(ast.Star(), SCOPE)
-        with pytest.raises(PlanError):
+        with pytest.raises(PlanError, match="'\\*' cannot be evaluated"):
+            fn(ROWS[0])
+
+    def test_unknown_operator_raises_at_evaluation(self):
+        # missing operands still yield NULL before the operator is looked at
+        expr = ast.BinaryOp("^", expr_of("a"), expr_of("b"))
+        fn = compile_value(expr, SCOPE)
+        assert fn(ROWS[2]) is NULL
+        with pytest.raises(PlanError, match="unknown binary operator '\\^'"):
+            fn(ROWS[0])
+        with pytest.raises(PlanError, match="unknown binary operator"):
+            compile_predicate(expr, SCOPE)(ROWS[0])
+
+    def test_subquery_without_executor_raises_at_evaluation(self):
+        stmt = Parser("SELECT (SELECT 1)").parse_statement()
+        fn = compile_value(stmt.items[0].expression, SCOPE)
+        with pytest.raises(ExecutionError, match="without an executor"):
             fn(ROWS[0])
 
 
@@ -312,8 +330,6 @@ class TestLikeCache:
         pattern = "precompile-%-marker"
         expr = expr_of(f"s LIKE '{pattern}'")
         compile_predicate(expr, SCOPE)
-        from repro.plan.expressions import _LIKE_CACHE
-
         assert pattern in _LIKE_CACHE
 
 
@@ -424,21 +440,17 @@ def _statement_records() -> dict:
 
 
 def expr_records() -> list[dict]:
-    """Every golden record, in a fixed order, from the AST interpreter."""
-    from conftest import _interpreted
+    """Every golden record, in a fixed order.  The committed file was
+    written by the AST interpreter; this writes what the compiled
+    closures return."""
 
     def values(expr, rows, scope, parameters=()):
-        evaluator = Evaluator(parameters=parameters)
-        return [
-            outcome(lambda: evaluator.value(expr, row, scope)) for row in rows
-        ]
+        fn = compile_value(expr, scope, parameters=parameters)
+        return [outcome(lambda: fn(row)) for row in rows]
 
     def verdicts(expr, rows, scope, parameters=()):
-        evaluator = Evaluator(parameters=parameters)
-        return [
-            outcome(lambda: evaluator.predicate(expr, row, scope))
-            for row in rows
-        ]
+        fn = compile_predicate(expr, scope, parameters=parameters)
+        return [outcome(lambda: fn(row)) for row in rows]
 
     records = []
     for fragment, parameters in CORPUS:
@@ -468,20 +480,15 @@ def expr_records() -> list[dict]:
         ),
     })
     context = TestCrowdHybrid._RecordingContext()
-    evaluator = Evaluator(context=context)
-    expr = expr_of("CROWDEQUAL(s, 'ABC')")
-    scope = Scope([("t", "s")])
+    fn = compile_predicate(
+        expr_of("CROWDEQUAL(s, 'ABC')"), Scope([("t", "s")]), context
+    )
     records.append({
         "name": "crowd_equal",
-        "verdicts": [
-            repr(evaluator.predicate(expr, row, scope))
-            for row in TestCrowdHybrid.ROWS
-        ],
+        "verdicts": [repr(fn(row)) for row in TestCrowdHybrid.ROWS],
         "calls": [list(call) for call in context.calls],
     })
-    with _interpreted():
-        statements = _statement_records()
-    for name, result in statements.items():
+    for name, result in _statement_records().items():
         records.append({"name": name, "result": result})
     return records
 

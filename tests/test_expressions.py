@@ -1,9 +1,10 @@
-"""Unit tests for expression evaluation (scalar + three-valued logic)."""
+"""Unit tests for expression evaluation (scalar + three-valued logic),
+through the plan-time compiler's closures."""
 
 import pytest
 
 from repro.errors import ExecutionError, PlanError
-from repro.plan.expressions import Evaluator, like_to_regex
+from repro.plan.compiled import compile_predicate, compile_value, like_to_regex
 from repro.sql import ast
 from repro.sql.parser import Parser
 from repro.sqltypes import CNULL, NULL, TRI_FALSE, TRI_TRUE, TRI_UNKNOWN
@@ -19,9 +20,25 @@ def expr_of(sql_fragment):
 SCOPE = Scope([("t", "a"), ("t", "b"), ("t", "s")])
 
 
+class Closures:
+    """Evaluates AST expressions by compiling them against a scope."""
+
+    def __init__(self, context=None, parameters=()):
+        self.context = context
+        self.parameters = parameters
+
+    def value(self, expr, row, scope):
+        return compile_value(expr, scope, self.context, self.parameters)(row)
+
+    def predicate(self, expr, row, scope):
+        return compile_predicate(
+            expr, scope, self.context, self.parameters
+        )(row)
+
+
 @pytest.fixture
 def ev():
-    return Evaluator()
+    return Closures()
 
 
 def value(ev, fragment, row=(1, 2, "abc")):
@@ -89,12 +106,12 @@ class TestScalars:
             value(ev, "FROBNICATE(1)")
 
     def test_parameters(self):
-        ev = Evaluator(parameters=(10, "x"))
+        ev = Closures(parameters=(10, "x"))
         assert ev.value(ast.Parameter(0), (), Scope([])) == 10
         assert ev.value(ast.Parameter(1), (), Scope([])) == "x"
 
     def test_missing_parameter(self):
-        ev = Evaluator(parameters=())
+        ev = Closures(parameters=())
         with pytest.raises(ExecutionError, match="parameter"):
             ev.value(ast.Parameter(0), (), Scope([]))
 
@@ -183,7 +200,7 @@ class TestPredicates:
             def subquery_values(self, *args):  # pragma: no cover
                 raise AssertionError
 
-        ev = Evaluator(context=FakeContext())
+        ev = Closures(context=FakeContext())
         scope = Scope([("c", "name")])
         assert ev.predicate(
             expr_of("CROWDEQUAL(name, 'IBM')"), ("I.B.M.",), scope

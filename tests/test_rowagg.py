@@ -10,9 +10,9 @@ that hold CROWDEQUAL or a scalar subquery.  Each record holds the
 moves when a crowd-valued input is evaluated, relative to the rows
 pulled from below, fails here even when the answers agree.
 
-It was written while those statements ran on the row ``AggregateOp``
-and the row ``SortOp``'s electronic branch; it is the reference the
-columnar operators over row input must equal.
+It was written while those statements ran on the row aggregate
+operator and the row sort's electronic branch; it is the reference the
+columnar operators over row input (``RowsToBatchOp``) must equal.
 ``python tests/test_rowagg.py`` rewrites it -- only at the parent of a
 change meant to alter results or crowd traffic.
 """
