@@ -14,8 +14,8 @@ like :class:`SortKey` under raw Python comparison, so such keys sort by
 value: numpy ``lexsort`` over int64/float64 lanes at ``LANE_ROWS`` rows
 and more, one stable index sort per key (last key first) otherwise.  A
 key with a missing value, a NaN or mixed classes sorts every key
-through :class:`SortKey`, whose comparisons raise the row engine's
-errors for incomparable values, in the same order.
+through :class:`SortKey`, whose comparisons raise ``compare_values``'
+errors for incomparable values.
 """
 
 from __future__ import annotations

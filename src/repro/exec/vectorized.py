@@ -1428,15 +1428,14 @@ class VectorAggregateOp(VectorOperator):
             rows: Optional[list] = None
             key_columns, _key_tags = evaluate_keys(batch)
 
-            # resolve group ids (same dict semantics, TypeError→repr
-            # normalization, and first-seen insertion order as the row
-            # operator).  A single coded key numbers this batch's groups
-            # in numpy and looks up only each group's first row; other
-            # keys register this batch's distinct keys via dict.fromkeys
-            # (first-occurrence order, one C pass) and map every key to
-            # its id in a second C pass; the first unhashable key raises
-            # out of fromkeys before group_index is touched, landing in
-            # the row-exact loop.
+            # resolve group ids (one dict, TypeError→repr normalization,
+            # groups in first-seen order on every path).  A single coded
+            # key numbers this batch's groups in numpy and looks up only
+            # each group's first row; other keys register this batch's
+            # distinct keys via dict.fromkeys (first-occurrence order, one
+            # C pass) and map every key to its id in a second C pass; the
+            # first unhashable key raises out of fromkeys before
+            # group_index is touched, landing in the row-exact loop.
             typed = _coded_groups(key_columns[0]) if single else None
             if typed is not None:
                 firsts, local = typed
@@ -1544,8 +1543,8 @@ def _coded_groups(column):
     :class:`Coded` column with no more values than rows whose values all
     hash.
 
-    Rows group as the dict of the row operator groups them: by the
-    dict-deduplicated values their codes point at.  Group order never
+    Rows group as the group dict groups them: by the dict-deduplicated
+    values their codes point at.  Group order never
     comes from hashes or from code order."""
     if type(column) is not Coded:
         return None
