@@ -15,7 +15,6 @@ only at the parent of a change meant to alter expression results.
 
 from __future__ import annotations
 
-import contextlib
 import json
 import sys
 from pathlib import Path
