@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import threading
 import warnings
+import weakref
 from itertools import repeat
 from operator import and_, or_
 from typing import Any, Callable, Optional
@@ -81,7 +82,7 @@ class CannotVectorize(Exception):
 #: ``AttributeError`` from a refactor — is a kernel bug and propagates.
 _EXPECTED_FOLD_ERRORS = (TypeError, ValueError, OverflowError)
 
-_fallback_registry: Optional[Any] = None  # repro.obs.MetricsRegistry
+_fallback_registry: Callable[[], Optional[Any]] = lambda: None  # weakref
 _fallback_lock = threading.Lock()
 _warned_fallbacks: set[tuple[str, str]] = set()
 
@@ -91,14 +92,17 @@ def set_metrics_registry(registry: Optional[Any]) -> None:
 
     Process-global (kernels compile without any execution context); the
     most recently connected registry receives the counters.  ``None``
-    detaches."""
+    detaches.  Held weakly: the registry's collectors reach its
+    connection's storage engine, which must die with the connection."""
     global _fallback_registry
-    _fallback_registry = registry
+    _fallback_registry = (
+        (lambda: None) if registry is None else weakref.ref(registry)
+    )
 
 
 def _note_fallback(site: str, error: BaseException) -> None:
     """Count an expected-error fallback; warn once per (site, class)."""
-    registry = _fallback_registry
+    registry = _fallback_registry()
     if registry is not None:
         registry.counter(
             "kernel_fallbacks_total",

@@ -54,6 +54,7 @@ from repro.exec.vector import (
     as_list,
     take,
 )
+from repro.plan.compiled import rendered_position
 from repro.sql import ast
 from repro.sql.pretty import format_expression
 from repro.sqltypes import CNULL, NULL, SQLType, is_missing
@@ -78,6 +79,12 @@ def _collect_refs(expr: ast.Expression, scope: Scope, out: set) -> bool:
         return True
     if kind in (ast.Literal, ast.CNullLiteral, ast.Parameter, ast.Star):
         return True
+    # a GROUP BY expression or aggregate call over an Aggregate reads the
+    # Aggregate's output column, by its rendered name
+    position = rendered_position(expr, scope)
+    if position is not None:
+        out.add(position)
+        return True
     if kind is ast.UnaryOp:
         return _collect_refs(expr.operand, scope, out)
     if kind is ast.BinaryOp:
@@ -96,15 +103,7 @@ def _collect_refs(expr: ast.Expression, scope: Scope, out: set) -> bool:
             and _collect_refs(expr.low, scope, out)
             and _collect_refs(expr.high, scope, out)
         )
-    if kind is ast.FunctionCall:
-        if expr.is_aggregate:
-            # in scalar position (a projection or sort over an aggregate)
-            # the call reads the aggregate's output column, by its name
-            position = scope.try_resolve(format_expression(expr))
-            if position is None:
-                return False
-            out.add(position)
-            return True
+    if kind is ast.FunctionCall and not expr.is_aggregate:
         return all(_collect_refs(arg, scope, out) for arg in expr.args)
     return False
 
@@ -1106,15 +1105,26 @@ def _single_key_index(batch: ColumnBatch, keys: list, tag: Optional[str]):
 
 
 class _SortedKeys:
-    """An int64 build key lane grouped by one stable argsort: equal keys
+    """An int64 build key lane in stable sorted order: equal keys
     adjacent, their rows in row order -- the buckets of
-    :func:`_add_build_rows`, as arrays a probe lane searches."""
+    :func:`_add_build_rows`, as arrays a probe lane searches.
+
+    The order is an LSD radix sort of ``key - min`` (wrapping, as uint64)
+    in 16-bit digits: numpy's stable argsort of a ``uint16`` digit is a
+    linear radix pass, and a key span below ``2**16`` takes one pass, any
+    span at most four.  It equals ``argsort(arr, kind="stable")``."""
 
     __slots__ = ("order", "keys", "unique", "_table")
 
     def __init__(self, arr) -> None:
-        self.order = _np.argsort(arr, kind="stable")
-        self.keys = arr[self.order]
+        lowest = arr.min(keepdims=True).view(_np.uint64)
+        offsets = arr.view(_np.uint64) - lowest
+        order = _np.argsort(offsets.astype(_np.uint16), kind="stable")
+        for shift in range(16, int(offsets.max()).bit_length(), 16):
+            digit = (offsets[order] >> shift).astype(_np.uint16)
+            order = order[_np.argsort(digit, kind="stable")]
+        self.order = order
+        self.keys = arr[order]
         self.unique = not (self.keys[1:] == self.keys[:-1]).any()
         self._table: Optional[dict] = None
 

@@ -42,6 +42,7 @@ from typing import Any, Callable, Optional, Protocol
 
 from repro.errors import ExecutionError, PlanError
 from repro.sql import ast
+from repro.sql.pretty import format_expression
 from repro.sqltypes import (
     CNULL,
     NULL,
@@ -280,6 +281,15 @@ def compile_predicate(
 _LEAVES = (ast.Literal, ast.CNullLiteral, ast.Parameter)
 
 
+def rendered_position(expr: ast.Expression, scope: Scope) -> Optional[int]:
+    """The position of the column ``scope`` names by ``expr``'s rendering
+    -- a GROUP BY expression or an aggregate call read back above its
+    Aggregate -- or None."""
+    if not scope.names_expressions():
+        return None
+    return scope.try_resolve(format_expression(expr))
+
+
 def _const_fn(value: Any) -> ValueFn:
     return lambda values: value
 
@@ -323,10 +333,14 @@ class _Compiler:
     # -- scalar values ---------------------------------------------------------
 
     def value(self, expr: ast.Expression) -> tuple[ValueFn, bool]:
-        fn, const = self._value_node(expr)
-        if type(expr) in _LEAVES:
-            return fn, const  # a literal or parameter is its own fold
-        return self._fold(fn, const)
+        kind = type(expr)
+        if kind in _LEAVES:  # a literal or parameter is its own fold
+            return self._value_node(expr)
+        if kind is not ast.ColumnRef:
+            position = rendered_position(expr, self.scope)
+            if position is not None:
+                return operator.itemgetter(position), False
+        return self._fold(*self._value_node(expr))
 
     def _value_node(self, expr: ast.Expression) -> tuple[ValueFn, bool]:
         if isinstance(expr, ast.Literal):
@@ -506,22 +520,16 @@ class _Compiler:
     def _function(self, expr: ast.FunctionCall) -> tuple[ValueFn, bool]:
         if expr.is_aggregate:
             # Aggregates are computed by the Aggregate operator; in scalar
-            # position the scope carries the aggregate's output column,
-            # registered under the function's rendered name.
-            from repro.sql.pretty import format_expression
-
-            rendered = format_expression(expr)
-            position = self.scope.try_resolve(rendered)
-            if position is None:
-                return (
-                    _raising(
-                        PlanError,
-                        f"aggregate {rendered} used outside GROUP BY context",
-                    ),
-                    False,
-                )
-            index = position
-            return (lambda values: values[index]), False
+            # position :meth:`value` reads its output column by the call's
+            # rendered name, so reaching here means there is none.
+            return (
+                _raising(
+                    PlanError,
+                    f"aggregate {format_expression(expr)} used outside "
+                    "GROUP BY context",
+                ),
+                False,
+            )
         name = expr.name.upper()
         compiled = [self.value(arg) for arg in expr.args]
         arg_fns = [fn for fn, _const in compiled]
@@ -581,6 +589,12 @@ class _Compiler:
     # -- predicates ------------------------------------------------------------
 
     def tri(self, expr: ast.Expression) -> tuple[TriFn, bool]:
+        kind = type(expr)
+        if kind not in _LEAVES and kind is not ast.ColumnRef:
+            position = rendered_position(expr, self.scope)
+            if position is not None:
+                read = operator.itemgetter(position)
+                return (lambda values: tri_from(read(values))), False
         fn, const = self._tri_node(expr)
         if const:
             # fold through the TriBool singletons so constant predicates

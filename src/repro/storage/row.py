@@ -39,10 +39,11 @@ class Scope:
     concatenates scopes when joining.
     """
 
-    __slots__ = ("entries", "_exact", "_by_column")
+    __slots__ = ("entries", "_exact", "_by_column", "_rendered")
 
     def __init__(self, entries: list[tuple[str, str]]) -> None:
         self.entries = entries
+        self._rendered: bool | None = None
         self._exact: dict[tuple[str, str], int] = {}
         self._by_column: dict[str, list[int]] = {}
         for position, (binding, column) in enumerate(entries):
@@ -99,6 +100,14 @@ class Scope:
             if len(distinct_bindings) > 1:
                 return None
         return positions[0]
+
+    def names_expressions(self) -> bool:
+        """True when a column is named by a rendered expression, as an
+        Aggregate names its keys and calls (``(k + 1)``, ``COUNT(*)``):
+        only such a scope can resolve an expression by its rendering."""
+        if self._rendered is None:
+            self._rendered = any("(" in column for _b, column in self.entries)
+        return self._rendered
 
     def has(self, column: str, table: str | None = None) -> bool:
         return self.try_resolve(column, table) is not None

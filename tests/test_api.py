@@ -210,10 +210,14 @@ class TestNoCyclicGarbage:
                 db.execute("UPDATE t SET x = x + 1 WHERE id = 3")
                 db.close()
             connection = weakref.ref(db)
+            # the storage engine too, with no later connect() to displace
+            # what the kernels' fallback counter holds
+            engine = weakref.ref(db.engine)
             del db
             assert contexts
             assert [ref() for ref in contexts] == [None] * len(contexts)
             assert connection() is None
+            assert engine() is None
         finally:
             gc.enable()
 

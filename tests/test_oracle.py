@@ -12,8 +12,8 @@ numeric columns have array lanes and its few-valued strings (``status``,
 
 Statements mix filters (comparisons, BETWEEN, IN, LIKE, IS [NOT] NULL
 under AND/OR/NOT, over clean, nullable and dictionary-lane columns),
-inner and LEFT equi-joins, GROUP BY/HAVING over the five aggregates and
-ORDER BY with one to three keys plus the primary keys as a tiebreaker,
+inner and LEFT equi-joins, GROUP BY/HAVING over the five aggregates (keys
+are columns or arithmetic of one, like ``i.volume * 3``) and ORDER BY with one to three keys plus the primary keys as a tiebreaker,
 with LIMIT/OFFSET.  Over a join, group keys often come from the joined
 side (columns the join gathered, padded under LEFT) and aggregates
 often fold arithmetic of columns from both sides.  Rows compare with ``perf.twin.same_rows`` (floats to
@@ -309,7 +309,11 @@ def grouped(c: Choices, source, aliases, where) -> Sql:
     for _ in range(1 + c.below(2)):
         # over a join, a key from the joined side half the time
         scope = aliases[1:] if joined and c.chance(50) else aliases
-        key = column(c, scope, ("int", "flag", "str", "date"))[0]
+        key, kind = column(c, scope, ("int", "flag", "str", "date"))
+        if kind in ("int", "flag") and c.chance(25):
+            # an expression key, read back by its rendering above the
+            # Aggregate in the select list and ORDER BY
+            key = f"{key} {c.pick(['+', '-', '*'])} {c.pick([1, 3])}"
         if key not in group_keys:
             group_keys.append(key)
     aggregates = ["COUNT(*)"]

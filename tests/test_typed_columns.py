@@ -21,7 +21,9 @@ equal to the bit:
   global.
 
 The default path is checked twice: as configured, and with scans cut
-into 300-row batches.  ``python tests/test_typed_columns.py`` rewrites
+into 300-row batches.  Below the golden, the join build's radix sort
+(``_SortedKeys``) is checked against the stable int64 argsort directly,
+over key spans from 0 to the whole int64 range.  ``python tests/test_typed_columns.py`` rewrites
 the golden -- only at the parent of a change meant to alter results.
 """
 
@@ -33,8 +35,15 @@ import random
 import sys
 from pathlib import Path
 
+import pytest
+
 from repro import connect
 from repro.exec import vectorized as vectorized_ops
+
+try:
+    import numpy as np
+except ImportError:  # the standard-library-only leg
+    np = None
 
 TYPED_GOLDEN = Path(__file__).parent / "golden" / "typed_v1.jsonl"
 
@@ -234,6 +243,38 @@ def test_typed_golden():
 def test_typed_golden_in_small_batches(monkeypatch):
     monkeypatch.setattr(vectorized_ops, "VECTOR_ROWS", 300)
     _check_golden()
+
+
+#: Build key lanes ``(lowest key, span, rows)``: the join build's radix
+#: sort must order each exactly as the stable int64 argsort does.
+SORT_KEYS = {
+    "span-0": (0, 0, 5000),
+    "span-2**16-1": (-7, 2**16 - 1, 5000),
+    "span-2**16": (100, 2**16, 5000),
+    "span-2**32-1": (2**40, 2**32 - 1, 5000),
+    "span-2**32": (-(2**31), 2**32, 5000),
+    "span-2**48": (-(2**50), 2**48, 5000),
+    "int64-min-max": (-(2**63), 2**64 - 1, 5000),
+    "negative-min": (-1000, 1000, 5000),
+    "all-equal": (-3, 0, 5000),
+    "one-row": (42, 0, 1),
+}
+
+
+@pytest.mark.skipif(np is None, reason="numpy is not installed")
+@pytest.mark.parametrize("low, span, rows", SORT_KEYS.values(), ids=SORT_KEYS)
+def test_sorted_keys_match_the_stable_argsort(low, span, rows):
+    rng = random.Random(span)
+    # both ends of the span, and few enough distinct keys that most repeat
+    pool = [low, low + span]
+    pool += [low + rng.randrange(span + 1) for _ in range(rows // 8)]
+    arr = np.array([rng.choice(pool) for _ in range(rows)], dtype=np.int64)
+    order = np.argsort(arr, kind="stable")
+    keys = arr[order]
+    built = vectorized_ops._SortedKeys(arr)
+    assert built.order.tolist() == order.tolist()
+    assert built.keys.tolist() == keys.tolist()
+    assert built.unique == (not (keys[1:] == keys[:-1]).any())
 
 
 if __name__ == "__main__":
