@@ -24,6 +24,7 @@ from repro.crowd.sim.behavior import BehaviorConfig
 from repro.crowd.sim.population import generate_population
 from repro.crowd.sim.traces import GroundTruthOracle
 from repro.crowd.task_manager import TaskManager
+from repro.errors import ExecutionError
 from repro.server.session import Session, SessionState
 from repro.sql.parser import parse
 from repro.storage.engine import StorageEngine
@@ -391,7 +392,123 @@ def test_crowdjoin_golden():
         assert got == want, f"record {index}: {want['sql']}"
 
 
+# -- the CrowdProbe and CROWDEQUAL pin ------------------------------------------
+#
+# ``tests/golden/crowdprobe_v1.jsonl`` holds, per statement and connection,
+# the result rows (or the error), every task posted in posting order, the
+# ``ResultSet.crowd_stats`` counters and the stored CROWD-column tables,
+# over the scripted crowd of ``crowdjoin_v1``: CNULL fills over a scan,
+# key-pinned anti-probes (Globex and Umbrella known to the crowd, Hooli
+# not), fills under LIMIT 1 and 2, an open-world CROWD-table scan under
+# LIMIT, and CROWDEQUAL filters with one and two ballots per row (one of
+# them behind an electronic conjunct).  Each runs at ``batch_size`` 1, at
+# 16, and with no crowd.  It was written while batch 1 ran CrowdProbe's
+# per-tuple path and FilterOp's per-row ballots.  ``python
+# tests/test_batch_execution.py`` rewrites it -- only at the parent of a
+# change meant to alter what a CrowdProbe or a CROWDEQUAL filter returns,
+# posts or stores.
+
+CROWDPROBE_GOLDEN = Path(__file__).parent / "golden" / "crowdprobe_v1.jsonl"
+
+CROWDPROBE_QUERIES = [
+    "SELECT name, population, elevation FROM City",
+    "SELECT name, ceo FROM Company "
+    "WHERE name IN ('Acme', 'Globex', 'Umbrella', 'Hooli')",
+    "SELECT name, population FROM City LIMIT 1",
+    "SELECT name, population FROM City LIMIT 2",
+    "SELECT name, hq FROM Company LIMIT 4",
+    "SELECT id FROM Office WHERE CROWDEQUAL(city, 'Berlin')",
+    "SELECT id FROM Office "
+    "WHERE CROWDEQUAL(city, 'Berlin') OR CROWDEQUAL(code, 'Paris')",
+    "SELECT id FROM Office WHERE id > 1 "
+    "AND CROWDEQUAL(city, 'Berlin') AND CROWDEQUAL(code, 'Paris')",
+]
+
+
+def crowdprobe_db(with_crowd: bool, batch_size: int):
+    reset_id_counters()
+    oracle = GroundTruthOracle()
+    for i in range(5):
+        oracle.load_fill(
+            "City", (f"city{i}",), {"population": 100 + i, "elevation": 10 * i}
+        )
+    for name, ceo in [("Acme", "Ada"), ("Globex", "Hank"),
+                      ("Umbrella", "Ozwell")]:
+        oracle.load_fill("Company", (name,), {"ceo": ceo})
+    oracle.load_new_tuples("Company", [
+        {"name": "Globex", "hq": "Springfield", "ceo": "Hank"},
+        {"name": "Umbrella", "hq": "Raccoon City", "ceo": "Ozwell"},
+    ])
+    oracle.declare_same_entity("Berlin", "BER")
+    oracle.declare_same_entity("Paris", "PAR")
+    platform = ScriptedPlatform(oracle_answer_fn(oracle))
+    if with_crowd:
+        db = connect(
+            oracle=oracle,
+            platforms=(platform,),
+            default_platform="scripted",
+            crowd_config=CrowdConfig(batch_size=batch_size),
+        )
+    else:
+        db = connect(with_crowd=False)
+    db.executescript(
+        """
+        CREATE TABLE City (name STRING PRIMARY KEY,
+            population CROWD INTEGER, elevation CROWD INTEGER);
+        CREATE CROWD TABLE Company (name STRING PRIMARY KEY, hq STRING,
+            ceo CROWD STRING);
+        CREATE TABLE Office (id INTEGER PRIMARY KEY, city STRING,
+            code STRING);
+        INSERT INTO City (name) VALUES
+            ('city0'), ('city2'), ('city3'), ('city4');
+        INSERT INTO City VALUES ('city1', 101, 10);
+        INSERT INTO Company (name, hq) VALUES
+            ('Acme', 'Berlin'), ('Initrode', 'Paris');
+        INSERT INTO Office VALUES (1, 'BER', 'PAR'), (2, 'Berlin', 'X'),
+            (3, 'Rome', 'Paris'), (4, 'Oslo', 'PAR'), (5, 'Berlin', 'Berlin');
+        """
+    )
+    return db, platform
+
+
+def crowdprobe_records() -> list[dict]:
+    records = []
+    for with_crowd, batch_size in ((True, 1), (True, 16), (False, 1)):
+        for sql in CROWDPROBE_QUERIES:
+            db, platform = crowdprobe_db(with_crowd, batch_size)
+            try:
+                result = db.execute(sql)
+                outcome = {
+                    "rows": repr(result.rows),
+                    "stats": dict(sorted(result.crowd_stats.items())),
+                }
+            except ExecutionError as error:
+                outcome = {"error": str(error)}
+            records.append({
+                "sql": sql,
+                "crowd": with_crowd,
+                "batch": batch_size,
+                **outcome,
+                "tasks": [repr(task) for task in platform.posted_tasks],
+                "city": repr(heap_state(db, "City")),
+                "company": repr(heap_state(db, "Company")),
+            })
+            db.close()
+    return records
+
+
+def test_crowdprobe_golden():
+    with open(CROWDPROBE_GOLDEN, encoding="utf-8") as handle:
+        expected = [json.loads(line) for line in handle]
+    actual = crowdprobe_records()
+    assert len(actual) == len(expected)
+    for index, (got, want) in enumerate(zip(actual, expected)):
+        assert got == want, f"record {index}: {want['sql']}"
+
+
 if __name__ == "__main__":
-    with open(CROWDJOIN_GOLDEN, "w", encoding="utf-8") as handle:
-        for record in crowdjoin_records():
-            handle.write(json.dumps(record) + "\n")
+    for path, make in ((CROWDJOIN_GOLDEN, crowdjoin_records),
+                       (CROWDPROBE_GOLDEN, crowdprobe_records)):
+        with open(path, "w", encoding="utf-8") as handle:
+            for record in make():
+                handle.write(json.dumps(record) + "\n")
