@@ -79,7 +79,8 @@ class CrowdConfig:
     # batch crowd execution: operators buffer up to ``batch_size`` tuples,
     # issue every crowd task of the window up front, and settle them in
     # one marketplace round — their simulated latencies overlap instead
-    # of adding up.  1 restores tuple-at-a-time execution.
+    # of adding up.  1 is a window of one tuple; only CROWDORDER sorts
+    # switch to their sequential variants there.
     batch_size: int = 16
     # HIT groups: up to this many fill tasks for one table/column set are
     # packaged into a single HIT with one combined form (reward and

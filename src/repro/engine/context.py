@@ -20,9 +20,14 @@ from __future__ import annotations
 
 from typing import Any, Callable, Optional
 
-from repro.errors import CircuitOpenError, ExecutionError, PartialResultStop
+from repro.errors import (
+    CircuitOpenError,
+    ConstraintError,
+    ExecutionError,
+    PartialResultStop,
+)
 from repro.sql import ast
-from repro.sqltypes import NULL
+from repro.sqltypes import NULL, is_missing
 from repro.storage.engine import StorageEngine
 from repro.storage.row import Scope
 
@@ -204,7 +209,8 @@ class ExecutionContext:
 
     @property
     def batch_size(self) -> int:
-        """Window for batch crowd execution (1 = tuple-at-a-time)."""
+        """The configured window for batch crowd execution; a window of
+        one without a crowd."""
         if self.task_manager is None:
             return 1
         return max(1, self.task_manager.config.batch_size)
@@ -260,42 +266,70 @@ class ExecutionContext:
             if any(not f.settled for f in pending):
                 raise self.guard.trip("deadline")
 
-    def crowd_fill(
-        self,
-        schema: Any,
-        primary_key: tuple,
-        columns: tuple[str, ...],
-        known_values: dict[str, Any],
-    ) -> dict[str, Any]:
-        """Issue a fill task, yield until answered, return typed values."""
-        return self.crowd_fill_many(
-            [(schema, primary_key, columns, known_values)]
-        )[0]
-
-    def crowd_new_tuples(
-        self,
-        schema: Any,
-        count: int,
-        fixed_values: Optional[dict[str, Any]] = None,
-        known_keys: Optional[set] = None,
-    ) -> list[dict[str, Any]]:
-        """Issue new-tuple tasks, yield until answered, return the tuples."""
-        return self.crowd_new_tuples_many(
-            [(schema, count, fixed_values, known_keys)]
-        )[0]
-
     # -- batch issue / settle-once -------------------------------------------------
 
-    def crowd_fill_many(self, requests: list[tuple]) -> list[dict[str, Any]]:
-        """Issue a window's fill tasks together, settle once, return the
-        typed values per request (see ``TaskManager.begin_fill_many``)."""
+    def crowd_fill_rows(
+        self, schema: Any, rows: list[tuple[dict[str, Any], tuple[str, ...]]]
+    ) -> list[dict[str, Any]]:
+        """Fill the CNULL columns of stored tuples of ``schema``.
+
+        ``rows`` holds, per tuple, its values by column name and the CNULL
+        columns to ask for.  Every fill task is issued up front and the
+        set settles in one round (see ``TaskManager.begin_fill_many``);
+        the answers are memorized in the stored tuples (always, per the
+        paper) and returned per row, typed."""
+        if not rows:
+            return []
+        key_names = [schema.column(c).name for c in schema.primary_key]
+        requests = [
+            (
+                schema,
+                tuple(values[name] for name in key_names),
+                columns,
+                {c: v for c, v in values.items() if not is_missing(v)},
+            )
+            for values, columns in rows
+        ]
         futures = self._crowd_begin(
             lambda: self.task_manager.begin_fill_many(
                 requests, platform=self.platform
             )
         )
         self.wait_crowd_many(futures)
-        return [future.result() for future in futures]
+        self.crowd_probe_tasks += len(requests)
+        heap = self.engine.table(schema.name)
+        answer_lists = [future.result() for future in futures]
+        for (_schema, key, _columns, _known), answers in zip(
+            requests, answer_lists
+        ):
+            row = heap.lookup_primary_key(key) if key else None
+            if row is None:
+                continue
+            for column, answer in answers.items():
+                self.engine.set_value(
+                    schema.name, row.rowid, column, answer, origin="crowd"
+                )
+        return answer_lists
+
+    def memorize_tuple(
+        self, schema: Any, values: dict[str, Any]
+    ) -> Optional[tuple]:
+        """Store one crowd-sourced tuple (always, per the paper) and return
+        the stored row's values.  A duplicate key means a concurrent
+        session memorized the tuple while this one was suspended on the
+        shared crowd future: its stored row comes back instead (None when
+        the key finds nothing)."""
+        try:
+            row = self.engine.insert(
+                schema.name,
+                [values.get(c, NULL) for c in schema.column_names],
+                origin="crowd",
+            )
+        except ConstraintError:
+            key = tuple(values.get(c, NULL) for c in schema.primary_key)
+            heap = self.engine.table(schema.name)
+            row = heap.lookup_primary_key(key) if key else None
+        return None if row is None else row.values
 
     def crowd_new_tuples_many(
         self, specs: list[tuple]

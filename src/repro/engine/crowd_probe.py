@@ -15,19 +15,18 @@ tuples" (paper §3.2.1).  Concretely:
 Execution is batch-at-a-time: the operator buffers a window of child
 tuples (``batch_size``, planner-hinted), issues the fill tasks for every
 CNULL row of the window — plus all anti-probes — up front, settles them
-in one overlapped marketplace round, then emits.  A window of 1 restores
-the seed's tuple-at-a-time behaviour.
+in one overlapped marketplace round, then emits.  Batch size 1 is a
+window of one; without a crowd the rounds are skipped.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+from typing import Iterator
 
 from repro.catalog.table import TableSchema
 from repro.engine.base import Correlation, PhysicalOperator
 from repro.engine.context import ExecutionContext
-from repro.errors import ConstraintError
-from repro.sqltypes import NULL, is_cnull, is_missing
+from repro.sqltypes import is_cnull
 from repro.storage.row import Scope
 
 
@@ -41,8 +40,8 @@ class CrowdProbeOp(PhysicalOperator):
         table: TableSchema,
         binding: str,
         columns: tuple[str, ...],
+        batch_size: int,
         anti_probe_keys: tuple[tuple, ...] = (),
-        batch_size: Optional[int] = None,
         correlation: Correlation = None,
     ) -> None:
         super().__init__(context, correlation)
@@ -50,179 +49,78 @@ class CrowdProbeOp(PhysicalOperator):
         self.table = table
         self.binding = binding
         self.columns = columns
+        self.batch_size = batch_size
         self.anti_probe_keys = anti_probe_keys
-        self._batch_size = batch_size
 
     @property
     def scope(self) -> Scope:
         return self.child.scope
 
-    @property
-    def batch_size(self) -> int:
-        if self._batch_size is not None:
-            return max(1, self._batch_size)
-        return self.context.batch_size
-
     def sources_crowd_on_pull(self) -> bool:
         return True
 
     def __iter__(self) -> Iterator[tuple]:
-        if self.anti_probe_keys and self.table.crowd:
+        crowd = self.context.task_manager is not None
+        if crowd and self.anti_probe_keys and self.table.crowd:
             self._run_anti_probes()
-        child_scope = self.child.scope
-        positions = self._column_positions(child_scope)
-        if (
-            self.context.task_manager is None
-            or not positions
-            or self.batch_size <= 1
-        ):
-            yield from self._iter_per_tuple(child_scope, positions)
-            return
+        scope = self.child.scope
+        # the table's columns in the child tuples (the fill tasks' known
+        # values), and the needed crowd columns among them (none without
+        # a crowd: the fill round is skipped)
+        known = [
+            (column.name, position)
+            for column in self.table.columns
+            if (position := scope.try_resolve(column.name, self.binding))
+            is not None
+        ]
+        needed = [
+            (column, position)
+            for column in (self.columns if crowd else ())
+            if (position := scope.try_resolve(column, self.binding))
+            is not None
+        ]
         window: list[tuple] = []
         for values in self.child:
             window.append(values)
             if len(window) >= self.batch_size:
-                yield from self._fill_window(window, child_scope, positions)
+                yield from self._fill_window(window, known, needed)
                 window = []
-        if window:
-            yield from self._fill_window(window, child_scope, positions)
-
-    def _iter_per_tuple(
-        self, child_scope: Scope, positions: list[tuple[str, int]]
-    ) -> Iterator[tuple]:
-        for values in self.child:
-            missing = [
-                column
-                for column, position in positions
-                if is_cnull(values[position])
-            ]
-            if missing and self.context.task_manager is not None:
-                values = self._fill(values, child_scope, missing)
-            yield values
-
-    # -- anti-probe: source pinned-but-missing tuples ---------------------------------
+        yield from self._fill_window(window, known, needed)
 
     def _run_anti_probes(self) -> None:
-        if self.context.task_manager is None:
-            return
+        """Source every pinned key with no stored tuple; all anti-probes
+        go to the marketplace together and settle in one round."""
         heap = self.context.engine.table(self.table.name)
-        specs = []
-        for key in self.anti_probe_keys:
-            if heap.lookup_primary_key(key) is not None:
-                continue
-            fixed = dict(zip(self.table.primary_key, key))
-            specs.append((self.table, 1, fixed, None))
-        if not specs:
-            return
-        if self.batch_size <= 1:
-            results = [
-                self.context.crowd_new_tuples(
-                    self.table, 1, fixed_values=fixed
-                )
-                for _schema, _count, fixed, _known in specs
-            ]
-        else:
-            # all anti-probes go to the marketplace together and settle
-            # in one round
-            results = self.context.crowd_new_tuples_many(specs)
+        specs = [
+            (self.table, 1, dict(zip(self.table.primary_key, key)), None)
+            for key in self.anti_probe_keys
+            if heap.lookup_primary_key(key) is None
+        ]
+        results = self.context.crowd_new_tuples_many(specs)
         self.context.crowd_probe_tasks += len(specs)
         for new_tuples in results:
-            for row in new_tuples:
-                try:
-                    self.context.engine.insert(
-                        self.table.name,
-                        [row.get(c, NULL) for c in self.table.column_names],
-                        origin="crowd",
-                    )
-                except ConstraintError:
-                    continue  # lost a race with a concurrent memorization
-
-    # -- fill CNULL values --------------------------------------------------------------
-
-    def _column_positions(self, scope: Scope) -> list[tuple[str, int]]:
-        positions = []
-        for column in self.columns:
-            position = scope.try_resolve(column, self.binding)
-            if position is not None:
-                positions.append((column, position))
-        return positions
-
-    def _known_and_pk(
-        self, values: tuple, scope: Scope
-    ) -> tuple[dict, tuple]:
-        known = {}
-        for column in self.table.columns:
-            position = scope.try_resolve(column.name, self.binding)
-            if position is None:
-                continue
-            value = values[position]
-            if not is_missing(value):
-                known[column.name] = value
-        pk = tuple(
-            values[scope.resolve(c, self.binding)]
-            for c in self.table.primary_key
-        )
-        return known, pk
-
-    def _fill(
-        self,
-        values: tuple,
-        scope: Scope,
-        missing: list[str],
-    ) -> tuple:
-        known, pk = self._known_and_pk(values, scope)
-        answers = self.context.crowd_fill(
-            self.table, pk, tuple(missing), known
-        )
-        self.context.crowd_probe_tasks += 1
-        return self._apply(values, scope, pk, answers)
+            for values in new_tuples:
+                self.context.memorize_tuple(self.table, values)
 
     def _fill_window(
         self,
         window: list[tuple],
-        scope: Scope,
-        positions: list[tuple[str, int]],
-    ) -> Iterator[tuple]:
-        """Issue every CNULL row's fill task up front, settle the set in
-        one round, then emit the window in order."""
-        requests = []
-        targets = []  # (window index, primary key)
+        known: list[tuple[str, int]],
+        needed: list[tuple[str, int]],
+    ) -> list[tuple]:
+        """Fill every CNULL row of the window in one round (memorized in
+        storage); return the window in order, completed."""
+        targets = []  # window index per fill request
+        rows = []
         for i, values in enumerate(window):
-            missing = [
-                column
-                for column, position in positions
-                if is_cnull(values[position])
-            ]
-            if not missing:
-                continue
-            known, pk = self._known_and_pk(values, scope)
-            requests.append((self.table, pk, tuple(missing), known))
-            targets.append((i, pk))
-        if requests:
-            answer_lists = self.context.crowd_fill_many(requests)
-            self.context.crowd_probe_tasks += len(requests)
-            for (i, pk), answers in zip(targets, answer_lists):
-                window[i] = self._apply(window[i], scope, pk, answers)
-        yield from window
-
-    def _apply(
-        self, values: tuple, scope: Scope, pk: tuple, answers: dict
-    ) -> tuple:
-        new_values = list(values)
-        for column, answer in answers.items():
-            new_values[scope.resolve(column, self.binding)] = answer
-        self._memorize(pk, answers)
-        return tuple(new_values)
-
-    def _memorize(self, pk: tuple, answers: dict) -> None:
-        """Write crowd answers back to storage (always, per the paper)."""
-        if not self.table.primary_key:
-            return
-        heap = self.context.engine.table(self.table.name)
-        row = heap.lookup_primary_key(pk)
-        if row is None:
-            return
-        for column, answer in answers.items():
-            self.context.engine.set_value(
-                self.table.name, row.rowid, column, answer, origin="crowd"
-            )
+            missing = tuple(c for c, at in needed if is_cnull(values[at]))
+            if missing:
+                targets.append(i)
+                rows.append(({c: values[at] for c, at in known}, missing))
+        answer_lists = self.context.crowd_fill_rows(self.table, rows)
+        for i, answers in zip(targets, answer_lists):
+            filled = list(window[i])
+            for column, answer in answers.items():
+                filled[self.scope.resolve(column, self.binding)] = answer
+            window[i] = tuple(filled)
+        return window

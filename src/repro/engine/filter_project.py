@@ -30,13 +30,14 @@ class FilterOp(PhysicalOperator):
     is never short-circuited, so the window prefetch below stays exact
     and batch and per-row execution issue identical ballot sequences.
 
-    A tail containing CROWDEQUAL runs batch-at-a-time when a window is
-    configured: the operator buffers ``batch_size`` child rows, filters
-    them electronically, issues the survivors' ballots together, settles
-    them in one overlapped round, and only then evaluates the tail per
-    row — the evaluation hits the Task Manager's comparison cache and
-    never waits.  Only CASE branches are lazy, so those predicates keep
-    the per-row path.
+    A tail containing CROWDEQUAL runs batch-at-a-time: the operator
+    buffers ``batch_size`` child rows (batch size 1 is a window of one),
+    filters them electronically, issues the survivors' ballots together,
+    settles them in one overlapped round, and only then evaluates the
+    tail per row — the evaluation hits the Task Manager's comparison
+    cache and never waits.  Only CASE branches are lazy, so those
+    predicates keep the per-row path, as does a connection without a
+    crowd.
     """
 
     def __init__(
@@ -44,23 +45,17 @@ class FilterOp(PhysicalOperator):
         context: ExecutionContext,
         child: PhysicalOperator,
         predicate: ast.Expression,
-        batch_size: Optional[int] = None,
+        batch_size: int,
         correlation: Correlation = None,
     ) -> None:
         super().__init__(context, correlation)
         self.child = child
         self.predicate_expr = predicate
-        self._batch_size = batch_size
+        self.batch_size = batch_size
 
     @property
     def scope(self) -> Scope:
         return self.child.scope
-
-    @property
-    def batch_size(self) -> int:
-        if self._batch_size is not None:
-            return max(1, self._batch_size)
-        return self.context.batch_size
 
     def _partitioned_conjuncts(
         self,
@@ -87,7 +82,7 @@ class FilterOp(PhysicalOperator):
         predicate = self.compile_predicate(self.predicate_expr, child_scope)
         prefetchable = (
             self._prefetchable_equals(self.predicate_expr)
-            if self.context.task_manager is not None and self.batch_size > 1
+            if self.context.task_manager is not None
             else ()
         )
         if not prefetchable:
@@ -131,7 +126,7 @@ class FilterOp(PhysicalOperator):
         tail_predicate = conjoin(tail)
         prefetchable = (
             self._prefetchable_equals(tail_predicate)
-            if self.context.task_manager is not None and self.batch_size > 1
+            if self.context.task_manager is not None
             else ()
         )
         if not prefetchable:

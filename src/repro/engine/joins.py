@@ -7,9 +7,9 @@ from typing import Any, Iterator, Optional
 from repro.catalog.table import TableSchema
 from repro.engine.base import Correlation, PhysicalOperator
 from repro.engine.context import ExecutionContext
-from repro.errors import ConstraintError, ExecutionError
+from repro.errors import ExecutionError
 from repro.sql import ast
-from repro.sqltypes import CNULL, NULL, is_missing
+from repro.sqltypes import CNULL, NULL, is_cnull, is_missing
 from repro.storage.row import Scope
 
 
@@ -225,8 +225,8 @@ class CrowdJoinOp(PhysicalOperator):
         condition: ast.Expression,
         inner_key_columns: tuple[str, ...],
         outer_key_exprs: tuple[ast.Expression, ...],
-        needed_columns: tuple[str, ...] = (),
-        batch_size: Optional[int] = None,
+        needed_columns: tuple[str, ...],
+        batch_size: int,
         correlation: Correlation = None,
     ) -> None:
         super().__init__(context, correlation)
@@ -237,7 +237,11 @@ class CrowdJoinOp(PhysicalOperator):
         self.inner_key_columns = inner_key_columns
         self.outer_key_exprs = outer_key_exprs
         self.needed_columns = needed_columns
-        self._batch_size = batch_size
+        self._needed = [
+            (column, inner_table.column_index(column))
+            for column in needed_columns
+        ]
+        self.batch_size = batch_size
         self._inner_scope = Scope.for_table(
             inner_binding, inner_table.column_names
         )
@@ -247,12 +251,6 @@ class CrowdJoinOp(PhysicalOperator):
     @property
     def scope(self) -> Scope:
         return self._scope
-
-    @property
-    def batch_size(self) -> int:
-        if self._batch_size is not None:
-            return max(1, self._batch_size)
-        return self.context.batch_size
 
     def sources_crowd_on_pull(self) -> bool:
         return True
@@ -292,25 +290,17 @@ class CrowdJoinOp(PhysicalOperator):
             self._probed_keys.add(key)
             fixed = dict(zip(self.inner_key_columns, key))
             specs.append((self.inner_table, 1, fixed, None))
-        if crowd and specs:
+        if crowd:
             results = self.context.crowd_new_tuples_many(specs)
             self.context.crowd_join_tasks += len(specs)
             for new_tuples in results:
                 for values in new_tuples:
-                    try:
-                        self.context.engine.insert(
-                            self.inner_table.name,
-                            [
-                                values.get(c, NULL)
-                                for c in self.inner_table.column_names
-                            ],
-                            origin="crowd",
-                        )
-                    except ConstraintError:  # duplicate key: stored first
-                        continue
+                    self.context.memorize_tuple(self.inner_table, values)
         # round 2: one fill task per matched inner tuple with CNULLs
+        names = self.inner_table.column_names
+        needed = self._needed if crowd else ()
         matched: list[tuple[tuple, list[int]]] = []
-        fill_rowids: list[int] = []
+        fills = []
         seen_rowids: set[int] = set()
         for left_values, key in window:
             rowids = sorted(index.lookup(key))
@@ -319,21 +309,11 @@ class CrowdJoinOp(PhysicalOperator):
                 if rowid in seen_rowids:
                     continue
                 seen_rowids.add(rowid)
-                if self._missing_needed(heap.get(rowid).values):
-                    fill_rowids.append(rowid)
-        if crowd and fill_rowids:
-            requests = [
-                self._fill_request(heap.get(rowid).values)
-                for rowid in fill_rowids
-            ]
-            answer_lists = self.context.crowd_fill_many(requests)
-            self.context.crowd_probe_tasks += len(requests)
-            for rowid, answers in zip(fill_rowids, answer_lists):
-                for column, answer in answers.items():
-                    self.context.engine.set_value(
-                        self.inner_table.name, rowid, column, answer,
-                        origin="crowd",
-                    )
+                values = heap.get(rowid).values
+                missing = tuple(c for c, at in needed if is_cnull(values[at]))
+                if missing:
+                    fills.append((dict(zip(names, values)), missing))
+        self.context.crowd_fill_rows(self.inner_table, fills)
         # emit: probe results are memorized, so read back and join
         for left_values, rowids in matched:
             for rowid in rowids:
@@ -351,25 +331,3 @@ class CrowdJoinOp(PhysicalOperator):
                 self.inner_key_columns,
             )
         return index
-
-    def _missing_needed(self, values: tuple) -> list[str]:
-        from repro.sqltypes import is_cnull
-
-        return [
-            column
-            for column in self.needed_columns
-            if is_cnull(values[self.inner_table.column_index(column)])
-        ]
-
-    def _fill_request(self, values: tuple) -> tuple:
-        missing = self._missing_needed(values)
-        known = {
-            column.name: values[column.ordinal]
-            for column in self.inner_table.columns
-            if not is_missing(values[column.ordinal])
-        }
-        pk = tuple(
-            values[self.inner_table.column_index(c)]
-            for c in self.inner_table.primary_key
-        )
-        return (self.inner_table, pk, tuple(missing), known)

@@ -7,8 +7,6 @@ from typing import Iterator, Optional
 from repro.catalog.table import TableSchema
 from repro.engine.base import Correlation, PhysicalOperator
 from repro.engine.context import ExecutionContext
-from repro.errors import ConstraintError
-from repro.sqltypes import NULL
 from repro.storage.row import Scope
 
 
@@ -73,30 +71,16 @@ class TableScan(PhysicalOperator):
     def _source_more(self, count: int) -> Iterator[tuple]:
         """Open-world sourcing, bounded by the stop-after hint."""
         heap = self.context.engine.table(self.table.name)
-        known = _known_primary_keys(heap, self.table)
-        new_tuples = self.context.crowd_new_tuples(
-            self.table, count, known_keys=known
+        (new_tuples,) = self.context.crowd_new_tuples_many(
+            [(self.table, count, None, _known_primary_keys(heap, self.table))]
         )
         self.context.crowd_probe_tasks += len(new_tuples)
         for values in new_tuples:
-            try:
-                row = self.context.engine.insert(
-                    self.table.name,
-                    [values.get(c, NULL) for c in self.table.column_names],
-                    origin="crowd",
-                )
-            except ConstraintError:
-                # a concurrent session memorized this tuple while we were
-                # suspended on the shared crowd future: emit the stored
-                # row so identical queries return identical answers
-                pk = tuple(
-                    values.get(c, NULL) for c in self.table.primary_key
-                )
-                row = heap.lookup_primary_key(pk) if pk else None
-                if row is not None:
-                    yield row.values
-                continue
-            yield row.values
+            # a tuple a concurrent session memorized first comes back as
+            # stored, so identical queries return identical answers
+            stored = self.context.memorize_tuple(self.table, values)
+            if stored is not None:
+                yield stored
 
 
 def index_rowids(

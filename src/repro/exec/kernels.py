@@ -59,6 +59,7 @@ from repro.plan.compiled import (
     _as_string,
     _require_numbers,
     cached_like_regex,
+    rendered_position,
 )
 from repro.sql import ast
 from repro.sqltypes import CNULL, NULL, compare_values
@@ -373,6 +374,10 @@ class _VectorCompiler:
                 position = self.scope.resolve(expr.name, expr.table)
             except ExecutionError as error:
                 raise CannotVectorize(str(error))
+        else:
+            # an aggregate call or GROUP BY expression over an Aggregate
+            position = rendered_position(expr, self.scope)
+        if position is not None:
             return lambda batch: (
                 batch.columns[position],
                 batch.tags[position],

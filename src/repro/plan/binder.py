@@ -4,9 +4,8 @@ Runs after logical optimization (rule rewrites, join enumeration) and
 before physical planning.  For every node of the optimized plan it
 records a :class:`NodeBinding`: whether the node may execute on the
 columnar batch pipeline, the output :class:`Scope` mapping each column
-reference to its batch ordinal, advisory output types, and — when the
-node must stay on the row pipeline — a human-readable reason that
-EXPLAIN surfaces.
+reference to its batch ordinal (equi-join keys are extracted against
+it), and, for a filter served by an index, the index key EXPLAIN shows.
 
 A node is vector-eligible only when its entire input subtree is: the
 physical planner builds one contiguous batch region per marked node and
@@ -50,7 +49,6 @@ from repro.plan import logical
 from repro.plan.compiled import is_electronic
 from repro.sql import ast
 from repro.sql.pretty import format_expression
-from repro.sqltypes import SQLType
 from repro.storage.row import Scope
 
 #: Aggregate functions the vectorized fold implements.
@@ -64,15 +62,10 @@ class NodeBinding:
     ``scope`` maps column references to batch ordinals for vectorized
     nodes (mirroring the row operator's output scope exactly, so
     expressions compile against identical name resolution).
-    ``output_types`` is advisory — derived from the catalog where
-    possible, ``None`` per slot otherwise; kernels trust only runtime
-    cleanliness tags, never these static types.
     """
 
     vectorized: bool
-    reason: Optional[str] = None
     scope: Optional[Scope] = None
-    output_types: Optional[tuple] = None
     index_columns: Optional[tuple] = None  # key of a filter's serving index
 
 
@@ -112,28 +105,24 @@ class Binder:
             return self._bind_sort(node)
         if isinstance(node, logical.Limit):
             return self._bind_limit(node)
-        # row-only operators: still recurse so vector regions below them
-        # are discovered and bound
+        # row-only operators (crowd operators, distinct, set operations,
+        # aliases): still recurse so vector regions below them are
+        # discovered and bound
         for child in node.children():
             self._bind(child)
-        if isinstance(node, (logical.CrowdProbe, logical.CrowdJoin)):
-            reason = "crowd operator"
-        else:
-            reason = f"row-only operator {type(node).__name__}"
-        return NodeBinding(False, reason)
+        return NodeBinding(False)
 
     # -- per-node rules -----------------------------------------------------
 
     def _bind_scan(self, node: logical.Scan) -> NodeBinding:
-        if node.table.crowd:
-            return NodeBinding(False, "crowd table (open-world scan)")
-        if node.limit_hint is not None:
-            return NodeBinding(False, "stop-after bound on scan")
-        if not self.engine.has_table(node.table.name):
-            return NodeBinding(False, "table not materialized")
+        if (
+            node.table.crowd  # the open-world scan
+            or node.limit_hint is not None
+            or not self.engine.has_table(node.table.name)
+        ):
+            return NodeBinding(False)
         scope = Scope.for_table(node.binding, node.table.column_names)
-        types = tuple(column.sql_type for column in node.table.columns)
-        return NodeBinding(True, None, scope, types)
+        return NodeBinding(True, scope)
 
     def _bind_filter(self, node: logical.Filter) -> NodeBinding:
         from repro.engine.planner import match_index_access
@@ -141,160 +130,69 @@ class Binder:
         child = self._bind(node.child)
         matched = match_index_access(self.engine, node)
         if matched is not None:
-            return NodeBinding(False, "index lookup", index_columns=matched[0])
-        if not child.vectorized:
-            return NodeBinding(False, "row-pipeline input")
-        if not is_electronic(node.predicate):
-            return NodeBinding(False, "crowd or subquery predicate")
-        return NodeBinding(True, None, child.scope, child.output_types)
+            return NodeBinding(False, index_columns=matched[0])
+        if not child.vectorized or not is_electronic(node.predicate):
+            return NodeBinding(False)
+        return NodeBinding(True, child.scope)
 
     def _bind_project(self, node: logical.Project) -> NodeBinding:
         child = self._bind(node.child)
-        if not child.vectorized:
-            return NodeBinding(False, "row-pipeline input")
-        if not all(is_electronic(expr) for expr, _name in node.items):
-            return NodeBinding(False, "crowd or subquery projection")
-        scope = Scope([("", name) for _expr, name in node.items])
-        types = tuple(
-            self._expression_type(expr, child) for expr, _name in node.items
-        )
-        return NodeBinding(True, None, scope, types)
+        if not child.vectorized or not all(
+            is_electronic(expr) for expr, _name in node.items
+        ):
+            return NodeBinding(False)
+        return NodeBinding(True, Scope([("", name) for _e, name in node.items]))
 
     def _bind_sort(self, node: logical.Sort) -> NodeBinding:
         child = self._bind(node.child)
-        if not all(is_electronic(expr) for expr, _asc in node.keys):
-            return NodeBinding(False, "crowd-ordered or subquery sort key")
-        if not child.vectorized:
-            return NodeBinding(False, "row-pipeline input")
-        return NodeBinding(True, None, child.scope, child.output_types)
+        if not child.vectorized or not all(
+            is_electronic(expr) for expr, _asc in node.keys
+        ):
+            return NodeBinding(False)
+        return NodeBinding(True, child.scope)
 
     def _bind_limit(self, node: logical.Limit) -> NodeBinding:
         child = self._bind(node.child)
-        if not child.vectorized:
-            return NodeBinding(False, "row-pipeline input")
-        return NodeBinding(True, None, child.scope, child.output_types)
+        return NodeBinding(child.vectorized, child.scope)
 
     def _bind_join(self, node: logical.Join) -> NodeBinding:
-        left = self._bind(node.left)
-        right = self._bind(node.right)
-        if not (left.vectorized and right.vectorized):
-            return NodeBinding(False, "row-pipeline input")
-        if node.join_type not in ("INNER", "LEFT"):
-            return NodeBinding(False, f"{node.join_type} join")
-        if node.condition is None:
-            return NodeBinding(False, "cross join")
-        if not is_electronic(node.condition):
-            return NodeBinding(False, "crowd or subquery join condition")
         from repro.engine.planner import _extract_equi_keys
 
-        if _extract_equi_keys(node.condition, left.scope, right.scope) is None:
-            return NodeBinding(False, "no extractable equi-join keys")
-        scope = left.scope.concat(right.scope)
-        left_types = left.output_types or (None,) * len(left.scope)
-        right_types = right.output_types or (None,) * len(right.scope)
-        if node.join_type == "LEFT":
-            # unmatched probe rows pad the right side with NULL
-            right_types = (None,) * len(right_types)
-        return NodeBinding(True, None, scope, left_types + right_types)
+        left = self._bind(node.left)
+        right = self._bind(node.right)
+        if (
+            not (left.vectorized and right.vectorized)
+            or node.join_type not in ("INNER", "LEFT")
+            or node.condition is None
+            or not is_electronic(node.condition)
+            or _extract_equi_keys(node.condition, left.scope, right.scope)
+            is None
+        ):
+            return NodeBinding(False)
+        return NodeBinding(True, left.scope.concat(right.scope))
 
     def _bind_aggregate(self, node: logical.Aggregate) -> NodeBinding:
         child = self._bind(node.child)
-        if not child.vectorized:
-            return NodeBinding(False, "row-pipeline input")
-        for expr in node.group_by:
-            if not is_electronic(expr):
-                return NodeBinding(False, "crowd or subquery group key")
+        if not child.vectorized or not all(
+            is_electronic(expr) for expr in node.group_by
+        ):
+            return NodeBinding(False)
         for call in node.aggregates:
             name = call.name.upper()
-            if name not in _VECTOR_AGGREGATES:
-                return NodeBinding(False, f"aggregate {name} not vectorized")
-            if len(call.args) != 1:
-                return NodeBinding(False, f"aggregate {name} arity")
+            if name not in _VECTOR_AGGREGATES or len(call.args) != 1:
+                return NodeBinding(False)
             (argument,) = call.args
             if isinstance(argument, ast.Star):
                 if name != "COUNT":
-                    return NodeBinding(False, f"{name}(*) not supported")
+                    return NodeBinding(False)
             elif not is_electronic(argument):
-                return NodeBinding(False, "crowd or subquery aggregate input")
+                return NodeBinding(False)
         # mirror VectorAggregateOp's output scope exactly
-        entries: list[tuple[str, str]] = []
-        types: list[Optional[SQLType]] = []
-        for expr in node.group_by:
-            if isinstance(expr, ast.ColumnRef):
-                entries.append((expr.table or "", expr.name))
-            else:
-                entries.append(("", format_expression(expr)))
-            types.append(self._expression_type(expr, child))
-        for call in node.aggregates:
-            entries.append(("", format_expression(call)))
-            types.append(self._aggregate_type(call, child))
-        return NodeBinding(True, None, Scope(entries), tuple(types))
-
-    # -- advisory typing ----------------------------------------------------
-
-    def _expression_type(
-        self, expr: ast.Expression, child: NodeBinding
-    ) -> Optional[SQLType]:
-        """Best-effort static type of ``expr`` over ``child``'s output.
-
-        ``None`` means "unknown" — never wrong, only incomplete; runtime
-        tags make the actual fast-path decisions.
-        """
-        if isinstance(expr, ast.ColumnRef):
-            if child.scope is None or child.output_types is None:
-                return None
-            position = child.scope.try_resolve(expr.name, expr.table)
-            if position is None:
-                return None
-            return child.output_types[position]
-        if isinstance(expr, ast.Literal):
-            value = expr.value
-            if type(value) is bool:
-                return SQLType.BOOLEAN
-            if type(value) is int:
-                return SQLType.INTEGER
-            if type(value) is float:
-                return SQLType.FLOAT
-            if type(value) is str:
-                return SQLType.STRING
-            return None
-        if isinstance(expr, ast.BinaryOp):
-            op = expr.op
-            if op in ("AND", "OR", "=", "<>", "<", "<=", ">", ">=", "LIKE"):
-                return SQLType.BOOLEAN
-            if op == "||":
-                return SQLType.STRING
-            if op in ("+", "-", "*", "%"):
-                left = self._expression_type(expr.left, child)
-                right = self._expression_type(expr.right, child)
-                numeric = (SQLType.INTEGER, SQLType.FLOAT)
-                if left not in numeric or right not in numeric:
-                    return None
-                if left is SQLType.INTEGER and right is SQLType.INTEGER:
-                    return SQLType.INTEGER
-                return SQLType.FLOAT
-            # "/" yields int for evenly-dividing ints, float otherwise —
-            # not statically determinable
-            return None
-        if isinstance(expr, (ast.IsNull, ast.InList, ast.Between)):
-            return SQLType.BOOLEAN
-        if isinstance(expr, ast.UnaryOp):
-            if expr.op == "NOT":
-                return SQLType.BOOLEAN
-            return self._expression_type(expr.operand, child)
-        return None
-
-    def _aggregate_type(
-        self, call: ast.FunctionCall, child: NodeBinding
-    ) -> Optional[SQLType]:
-        name = call.name.upper()
-        if name == "COUNT":
-            return SQLType.INTEGER
-        (argument,) = call.args
-        if isinstance(argument, ast.Star):
-            return None
-        argument_type = self._expression_type(argument, child)
-        if name == "AVG":
-            # int/int division may stay exact; only FLOAT inputs are sure
-            return argument_type if argument_type is SQLType.FLOAT else None
-        return argument_type  # SUM/MIN/MAX preserve the input type
+        entries = [
+            (expr.table or "", expr.name)
+            if isinstance(expr, ast.ColumnRef)
+            else ("", format_expression(expr))
+            for expr in node.group_by
+        ]
+        entries += [("", format_expression(call)) for call in node.aggregates]
+        return NodeBinding(True, Scope(entries))

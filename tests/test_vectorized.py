@@ -588,10 +588,16 @@ class TestColumnPruning:
         assert rows == [(1, NULL, "x"), (2, NULL, "y")]
         assert _pivot_columns([], 3) == [(), (), ()]
 
-    def test_pruned_wide_join_aggregate_identical(self, row_engine):
+    def test_pruned_wide_join_aggregate_identical(
+        self, row_engine, monkeypatch
+    ):
         # only 1 of 9 combined columns survives to the aggregate; the
         # join/filter must prune the rest without changing results
-        script = SCRIPT
+        script = SCRIPT + """
+            CREATE TABLE t (id INTEGER PRIMARY KEY, k INTEGER);
+            INSERT INTO t VALUES (1, 1), (2, 2), (3, 1), (4, 3), (5, 2),
+                (6, 1), (7, NULL), (8, NULL);
+        """
         queries = [
             "SELECT d.region, COUNT(*) FROM emp e "
             "JOIN dept d ON e.dept = d.name "
@@ -599,8 +605,30 @@ class TestColumnPruning:
             "SELECT COUNT(*) FROM emp e LEFT JOIN dept d ON e.dept = d.name",
             "SELECT e.id FROM emp e JOIN dept d ON e.dept = d.name "
             "AND e.salary > d.floor * 10",
+            # the HAVING, ORDER BY and projection read the Aggregate's
+            # output columns by their rendered names, inside the kernels
+            "SELECT k + 1, COUNT(*) FROM t GROUP BY k + 1 "
+            "HAVING COUNT(*) > 1 ORDER BY COUNT(*) DESC",
         ]
+        fallbacks = []
+
+        def spy(compile_kernel):
+            def compile(expr, *args):
+                try:
+                    return compile_kernel(expr, *args)
+                except kernels.CannotVectorize:
+                    fallbacks.append(expr)
+                    raise
+
+            return compile
+
+        for name in ("compile_column_kernel", "compile_mask_kernel"):
+            monkeypatch.setattr(
+                vectorized_ops, name, spy(getattr(vectorized_ops, name))
+            )
         vector = run_all(script, queries)
+        assert fallbacks == []
+        assert vector[-1][1] == [(2, 3), (3, 2), (NULL, 2)]
         with row_engine():
             assert repr(vector) == repr(run_all(script, queries))
 
