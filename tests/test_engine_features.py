@@ -1,14 +1,20 @@
 """Tests for engine features beyond the core paper path: index-scan
 access-path selection, WRM-gated worker eligibility, and failure modes."""
 
+import json
+import warnings
+from pathlib import Path
+
 import pytest
 
 from repro import CrowdConfig, connect
-from repro.crowd.model import HIT, FillTask
+from repro.crowd.model import HIT, FillTask, reset_id_counters
+from repro.crowd.scripted import ScriptedPlatform, oracle_answer_fn
 from repro.crowd.sim.amt import SimulatedAMT
 from repro.crowd.sim.traces import GroundTruthOracle
 from repro.crowd.wrm import WorkerRelationshipManager
 from repro.engine.scans import IndexLookup
+from repro.errors import UnboundedQueryWarning
 
 
 class TestIndexScanSelection:
@@ -355,3 +361,162 @@ class TestFailureModes:
         db.execute("INSERT INTO Talk (title) VALUES ('X')")
         with pytest.raises(BudgetExceededError):
             db.execute("SELECT abstract FROM Talk WHERE title = 'X'")
+
+
+# -- the prepared-statement pin --------------------------------------------------
+#
+# ``tests/golden/prepared_v1.jsonl`` holds, per execution, the result (or
+# the error type and message), ``ResultSet.crowd_stats`` and the tasks
+# posted, for parameterised statements that one connection runs again and
+# again with different parameters: primary-key, composite-index and
+# ordered-prefix reads with a good, a mistyped, a NULL and a float key;
+# ``LIKE ?``, ``IN (?, ?)``, ``BETWEEN ? AND ?``; ``?`` in a projection
+# and in ORDER BY; correlated subqueries reading a ``?``; and a CrowdProbe
+# and a CROWDEQUAL filter over a scripted crowd.  Between the rounds the
+# connection inserts and updates rows, creates an index, analyzes, and
+# drops a table to create it again with other columns.  So a cached plan
+# that kept one execution's parameters, correlation row or access path
+# for the next fails here.  ``python tests/test_engine_features.py``
+# rewrites it -- only at the parent of a change meant to alter results.
+
+PREPARED_GOLDEN = Path(__file__).parent / "golden" / "prepared_v1.jsonl"
+
+PREPARED_SETUP = """
+CREATE TABLE t (id INTEGER PRIMARY KEY, a INTEGER, b STRING, c FLOAT);
+CREATE TABLE p (x INTEGER, y INTEGER, v STRING);
+CREATE INDEX p_xy ON p (x, y);
+CREATE TABLE q (g INTEGER, h INTEGER, w STRING);
+CREATE TABLE City (name STRING PRIMARY KEY, region STRING,
+    population CROWD INTEGER);
+CREATE TABLE Office (id INTEGER PRIMARY KEY, city STRING);
+INSERT INTO t VALUES (1, 1, 'apple', 0.5), (2, 2, 'banana', 1.5),
+    (3, 1, 'cherry', 2.5), (4, 3, NULL, NULL), (5, 2, 'apricot', 4.0);
+INSERT INTO p VALUES (1, 1, 'p11'), (1, 2, 'p12'), (2, 1, 'p21'),
+    (2, 2, 'p22'), (3, 3, 'p33'), (1, 2, 'p12b');
+INSERT INTO q VALUES (1, 1, 'q11'), (1, 2, 'q12'), (2, 1, 'q21'),
+    (2, 3, 'q23'), (2, 2, 'q22'), (3, 1, 'q31');
+INSERT INTO City (name, region) VALUES ('city0', 'north'),
+    ('city1', 'south'), ('city2', 'north');
+INSERT INTO Office VALUES (1, 'BER'), (2, 'Berlin'), (3, 'PAR'),
+    (4, 'Rome');
+"""
+
+#: (statement, parameter tuples); every round runs each tuple in order
+PREPARED_STATEMENTS = [
+    ("SELECT id, a, b FROM t WHERE id = ?",
+     [(3,), ("x",), (None,), (2.0,), (2.5,), (5,)]),
+    ("SELECT v FROM p WHERE x = ? AND y = ?",
+     [(1, 2), ("x", 2), (None, 1), (2.0, 1.0), (1.5, 2), (3, 3)]),
+    ("SELECT h, w FROM q WHERE g = ? ORDER BY h DESC",
+     [(2,), ("x",), (None,), (1.0,), (3,)]),
+    ("SELECT id FROM t WHERE a = ? ORDER BY id",
+     [(1,), ("x",), (None,), (2.0,), (3,)]),
+    ("SELECT id, b FROM t WHERE b LIKE ? ORDER BY id",
+     [("a%",), ("%an%",), (None,), ("_herry",)]),
+    ("SELECT id FROM t WHERE a IN (?, ?) ORDER BY id",
+     [(1, 3), (2, None), ("x", 2)]),
+    ("SELECT id, c FROM t WHERE c BETWEEN ? AND ? ORDER BY id",
+     [(0.0, 2.0), (1.5, 10), (None, 3)]),
+    ("SELECT id, a * ?, ? FROM t ORDER BY a * ?, id",
+     [(10, "tag", -1), (1, None, 1), (0.5, 7, 0)]),
+    ("SELECT id, (SELECT COUNT(*) FROM p WHERE p.x = t.a AND p.y > ?) "
+     "FROM t WHERE id < ? ORDER BY id",
+     [(0, 4), (1, 6), (5, 3)]),
+    ("SELECT id FROM t WHERE EXISTS (SELECT v FROM p "
+     "WHERE p.x = t.a AND p.v LIKE ?) ORDER BY id",
+     [("p1%",), ("%2",), ("none",)]),
+    ("SELECT name, population FROM City WHERE region = ? ORDER BY name",
+     [("north",), ("south",), ("east",)]),
+    ("SELECT name, population FROM City WHERE name = ?",
+     [("city1",), ("city9",)]),
+    ("SELECT id FROM Office WHERE CROWDEQUAL(city, ?) ORDER BY id",
+     [("Berlin",), ("Paris",)]),
+]
+
+#: what runs after each round but the last
+PREPARED_BETWEEN = [
+    [("INSERT INTO t VALUES (?, ?, ?, ?)", (6, 3, "avocado", 3.0)),
+     ("UPDATE t SET a = ? WHERE id = ?", (3, 1)),
+     ("INSERT INTO p VALUES (?, ?, ?)", (3, 4, "p34")),
+     ("INSERT INTO City (name, region) VALUES (?, ?)", ("city3", "north")),
+     ("INSERT INTO Office VALUES (?, ?)", (5, "Paris"))],
+    [("CREATE INDEX t_a ON t (a)", ()),
+     ("INSERT INTO Office VALUES (?, ?)", (6, "Munich")),
+     ("INSERT INTO q VALUES (?, ?, ?)", (2, 4, "q24"))],
+    [("ANALYZE", ()),
+     ("UPDATE t SET b = ? WHERE id = ?", ("blueberry", 4))],
+    [("DROP TABLE t", ()),
+     ("CREATE TABLE t (id INTEGER PRIMARY KEY, b INTEGER, a STRING, "
+      "c STRING)", ()),
+     ("INSERT INTO t VALUES (1, 10, 'x', 'c1'), (2, 20, '1', 'c2'), "
+      "(3, 30, 'y', NULL), (5, 50, '3', 'c5')", ()),
+     ("INSERT INTO City (name, region) VALUES (?, ?)", ("city4", "south"))],
+]
+
+
+def prepared_db():
+    reset_id_counters()
+    oracle = GroundTruthOracle()
+    for i in range(5):
+        oracle.load_fill("City", (f"city{i}",), {"population": 100 + i})
+    oracle.declare_same_entity("Berlin", "BER")
+    oracle.declare_same_entity("Paris", "PAR")
+    platform = ScriptedPlatform(oracle_answer_fn(oracle))
+    db = connect(
+        oracle=oracle,
+        platforms=(platform,),
+        default_platform="scripted",
+        crowd_config=CrowdConfig(batch_size=2),
+    )
+    db.executescript(PREPARED_SETUP)
+    db.engine.table("q").create_index("q_gh", ("g", "h"), ordered=True)
+    return db, platform
+
+
+def prepared_records() -> list[dict]:
+    records = []
+    db, platform = prepared_db()
+    posted = 0
+
+    def run(sql: str, parameters: tuple, phase: int) -> None:
+        nonlocal posted
+        try:
+            result = db.execute(sql, parameters)
+            outcome = {
+                "repr": repr((result.columns, result.rows)),
+                "stats": dict(sorted(result.crowd_stats.items())),
+            }
+        except Exception as error:  # the error is part of the contract
+            outcome = {"error": f"{type(error).__name__}: {error}"}
+        tasks = [repr(task) for task in platform.posted_tasks[posted:]]
+        posted = len(platform.posted_tasks)
+        records.append({
+            "phase": phase, "sql": sql, "params": repr(parameters),
+            **outcome, "tasks": tasks,
+        })
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UnboundedQueryWarning)
+        for phase, between in enumerate([*PREPARED_BETWEEN, []]):
+            for sql, parameter_sets in PREPARED_STATEMENTS:
+                for parameters in parameter_sets:
+                    run(sql, parameters, phase)
+            for sql, parameters in between:
+                run(sql, parameters, phase)
+    db.close()
+    return records
+
+
+def test_prepared_golden():
+    with open(PREPARED_GOLDEN, encoding="utf-8") as handle:
+        expected = [json.loads(line) for line in handle]
+    actual = prepared_records()
+    assert len(actual) == len(expected)
+    for index, (got, want) in enumerate(zip(actual, expected)):
+        assert got == want, f"record {index}: {want['sql']} {want['params']}"
+
+
+if __name__ == "__main__":
+    with open(PREPARED_GOLDEN, "w", encoding="utf-8") as handle:
+        for record in prepared_records():
+            handle.write(json.dumps(record) + "\n")
