@@ -1,17 +1,23 @@
 """Physical operator base class.
 
-Operators follow the iterator model: construct, then iterate value
-tuples; ``scope`` names the tuple positions.  ``correlation`` carries the
-outer row of a correlated subquery — expression evaluation appends the
-outer values and scope so outer column references resolve.
+Operators follow the iterator model: prepare, bind, then iterate value
+tuples; ``scope`` names the tuple positions.  A *prepared* operator tree
+is what physical planning builds once per plan-cache entry: it holds no
+execution context.  :meth:`PhysicalOperator.bind` copies it for one
+execution, attaching that execution's context and ``correlation`` -- the
+outer row of a correlated subquery, which expression evaluation appends
+(with its scope) so outer column references resolve.  A bound tree runs
+once and is dropped; the prepared one is never run, so executions never
+share operator state.
 """
 
 from __future__ import annotations
 
 import abc
-from typing import Iterator, Optional
+from typing import Any, Callable, Iterator, Optional
 
 from repro.engine.context import ExecutionContext
+from repro.plan.compiled import compile_predicate, compile_value
 from repro.sql import ast
 from repro.storage.row import Scope
 
@@ -26,6 +32,25 @@ class PhysicalOperator(abc.ABC):
     ) -> None:
         self.context = context
         self.correlation = correlation
+        # closures and kernels of static expressions, compiled at first
+        # use and shared by every copy bound from this prepared operator
+        self._prepared: dict = {}
+
+    def bind(self, planner: Any) -> "PhysicalOperator":
+        """A copy of this prepared operator, and of its inputs, for the
+        one execution ``planner`` plans: its context and correlation row
+        are the planner's, everything else is shared with the prepared
+        tree.  Operators with per-execution state reset it here."""
+        bound = object.__new__(type(self))
+        state = bound.__dict__
+        state.update(self.__dict__)
+        state["context"] = planner.context
+        state["correlation"] = planner.correlation
+        for name in ("child", "left", "right"):  # see children()
+            node = state.get(name)
+            if node is not None:
+                state[name] = node.bind(planner)
+        return bound
 
     @property
     @abc.abstractmethod
@@ -70,11 +95,34 @@ class PhysicalOperator(abc.ABC):
 
     # -- compiled expression helpers ----------------------------------------------
 
+    def prepared(
+        self,
+        kind: str,
+        expr: ast.Expression,
+        scope: Scope,
+        build: Callable[..., Any],
+    ) -> Any:
+        """``build(expr, scope, parameters)``: a closure or kernel of
+        ``expr`` over ``scope``.  A static expression (no ``?``, no crowd,
+        no subquery) outside a correlated subquery is built once, with no
+        parameters, and kept with the prepared operator; any other is
+        built for each execution with its parameters."""
+        if self.correlation is not None or not expr.facts.static:
+            return build(expr, scope, self.context.parameters)
+        key = (kind, id(expr))
+        entry = self._prepared.get(key)
+        if entry is None or entry[1] is not scope:
+            # the entry holds ``expr`` and ``scope``: their ids stay theirs
+            entry = self._prepared[key] = (expr, scope, build(expr, scope, ()))
+        return entry[2]
+
     def compile_value(self, expr: ast.Expression, scope: Scope):
-        """Plan-time compile of ``expr`` into a ``row values -> value``
-        closure; the correlated outer row, fixed per operator instance,
-        is appended inside the closure."""
+        """Compile ``expr`` into a ``row values -> value`` closure; the
+        correlated outer row, fixed per bound operator, is appended
+        inside the closure."""
         if self.correlation is None:
+            if expr.facts.static:
+                return self.prepared("value", expr, scope, _compile_value)
             return self.context.compile_value_fn(expr, scope)
         from repro.storage.row import LayeredScope
 
@@ -85,9 +133,13 @@ class PhysicalOperator(abc.ABC):
         return lambda values: fn(values + outer_values)
 
     def compile_predicate(self, expr: ast.Expression, scope: Scope):
-        """Plan-time compile of ``expr`` into a ``row values -> TriBool``
-        closure (see :meth:`compile_value`)."""
+        """Compile ``expr`` into a ``row values -> TriBool`` closure (see
+        :meth:`compile_value`)."""
         if self.correlation is None:
+            if expr.facts.static:
+                return self.prepared(
+                    "predicate", expr, scope, _compile_predicate
+                )
             return self.context.compile_predicate_fn(expr, scope)
         from repro.storage.row import LayeredScope
 
@@ -96,3 +148,13 @@ class PhysicalOperator(abc.ABC):
             expr, LayeredScope(scope, outer_scope)
         )
         return lambda values: fn(values + outer_values)
+
+
+def _compile_value(expr: ast.Expression, scope: Scope, parameters: tuple):
+    return compile_value(expr, scope, parameters=parameters)
+
+
+def _compile_predicate(
+    expr: ast.Expression, scope: Scope, parameters: tuple
+):
+    return compile_predicate(expr, scope, parameters=parameters)

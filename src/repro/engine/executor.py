@@ -32,6 +32,26 @@ from repro.storage.engine import StorageEngine
 from repro.storage.row import Row, Scope
 
 
+class StatementKey:
+    """A statement AST as a cache key, hashed once per parsed AST (the
+    parse memo hands the same object back) rather than on every lookup."""
+
+    __slots__ = ("statement", "_hash")
+
+    def __init__(self, statement: ast.Statement) -> None:
+        self.statement = statement
+        self._hash = statement.cache_hash
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is StatementKey and (
+            other.statement is self.statement
+            or other.statement == self.statement
+        )
+
+
 class PlanCache:
     """LRU memo with hit/miss counters, shareable across executors.
 
@@ -39,10 +59,12 @@ class PlanCache:
     epoch, optimizer)``; the epoch folds in the catalog version and
     every table's statistics epoch and index count, so DDL, ``ANALYZE``
     (including auto-analyze), and index creation all miss cleanly and
-    the LRU bound evicts the orphaned entries.  The concurrent query
-    server hands one instance to every session's executor, so a query
-    planned in one session is a cache hit in all of them.  The same
-    structure backs the connection's SQL-text parse memo.
+    the LRU bound evicts the orphaned entries.  An entry keeps its
+    prepared physical plans with it (``OptimizationResult.prepared``),
+    so they go when it goes.  The concurrent query server hands one
+    instance to every session's executor, so a query planned in one
+    session is a cache hit in all of them.  The same structure backs the
+    connection's SQL-text parse memo.
     """
 
     def __init__(self, size: int = 64) -> None:
@@ -195,8 +217,9 @@ class Executor:
         # advancing the simulated platform clock in place
         self.crowd_waiter: Optional[Any] = None
         # repeat queries — including every per-outer-row compilation of a
-        # correlated subquery — skip optimization entirely; pass a shared
-        # PlanCache to pool plans across executors (the query server does)
+        # correlated subquery — skip optimization and physical planning
+        # and bind the entry's prepared plan; pass a shared PlanCache to
+        # pool plans across executors (the query server does)
         self.plan_cache = (
             plan_cache if plan_cache is not None else PlanCache(plan_cache_size)
         )
@@ -299,8 +322,10 @@ class Executor:
                 # swapped optimizer (different rules/cost mode) must miss,
                 # and holding the reference keeps its identity from being
                 # recycled while the entry lives
-                key = (stmt, self.engine.plan_epoch(), self.optimizer)
-                hash(key)
+                key = (
+                    StatementKey(stmt), self.engine.plan_epoch(),
+                    self.optimizer,
+                )
             except TypeError:
                 key = None  # unhashable literal somewhere — just recompile
         if key is not None:
@@ -388,7 +413,8 @@ class Executor:
                 context,
                 profiler=profiler,
                 bindings=compiled.bindings,
-            ).plan(compiled.plan)
+                metrics=self._metrics(),
+            ).plan(compiled.plan, compiled.prepared)
             partial_reason: Optional[str] = None
             rows: list[tuple] = []
             try:
@@ -646,10 +672,15 @@ class Executor:
         )
         context = self._make_context(parameters)
         planner = PhysicalPlanner(
-            context, correlation=(outer_values, outer_scope)
+            context,
+            correlation=(outer_values, outer_scope),
+            metrics=self._metrics(),
         )
-        operator = planner.plan(compiled.plan)
-        return list(operator)
+        return list(planner.plan(compiled.plan, compiled.prepared))
+
+    def _metrics(self) -> Optional[Any]:
+        obs = self.observability
+        return obs.metrics if obs is not None else None
 
 
 def _dml_result(statement: str, targets: list, rows_scanned: int) -> ResultSet:

@@ -52,6 +52,8 @@ class FilterOp(PhysicalOperator):
         self.child = child
         self.predicate_expr = predicate
         self.batch_size = batch_size
+        self._electronic = is_electronic(predicate)
+        self._partitioned = self._partitioned_conjuncts()
 
     @property
     def scope(self) -> Scope:
@@ -75,20 +77,17 @@ class FilterOp(PhysicalOperator):
 
     def __iter__(self) -> Iterator[tuple]:
         child_scope = self.child.scope
-        partitioned = self._partitioned_conjuncts()
-        if partitioned is not None:
-            yield from self._iter_partitioned(*partitioned)
+        if self._partitioned is not None:
+            yield from self._iter_partitioned(*self._partitioned)
             return
         predicate = self.compile_predicate(self.predicate_expr, child_scope)
         prefetchable = (
             self._prefetchable_equals(self.predicate_expr)
-            if self.context.task_manager is not None
+            if self.context.task_manager is not None and not self._electronic
             else ()
         )
         if not prefetchable:
-            if is_electronic(self.predicate_expr) and not (
-                self.child.sources_crowd_on_pull()
-            ):
+            if self._electronic and not self.child.sources_crowd_on_pull():
                 yield from self._iter_chunked(predicate)
                 return
             for values in self.child:
@@ -205,10 +204,7 @@ class FilterOp(PhysicalOperator):
             yield from [v for v in chunk if predicate(v).value is True]
 
     def sources_crowd_on_pull(self) -> bool:
-        return (
-            not is_electronic(self.predicate_expr)
-            or self.child.sources_crowd_on_pull()
-        )
+        return not self._electronic or self.child.sources_crowd_on_pull()
 
     def _prefetchable_equals(
         self, predicate: ast.Expression
@@ -278,15 +274,14 @@ class ProjectOp(PhysicalOperator):
         self.child = child
         self.items = items
         self._scope = Scope([("", name) for _expr, name in items])
+        self._electronic = all(is_electronic(expr) for expr, _name in items)
 
     @property
     def scope(self) -> Scope:
         return self._scope
 
     def sources_crowd_on_pull(self) -> bool:
-        return any(
-            not is_electronic(expr) for expr, _name in self.items
-        ) or self.child.sources_crowd_on_pull()
+        return not self._electronic or self.child.sources_crowd_on_pull()
 
     def __iter__(self) -> Iterator[tuple]:
         from repro.plan.compiled import tuple_maker
@@ -298,9 +293,7 @@ class ProjectOp(PhysicalOperator):
                 for expr, _name in self.items
             ]
         )
-        if all(
-            is_electronic(expr) for expr, _name in self.items
-        ) and not self.child.sources_crowd_on_pull():
+        if self._electronic and not self.child.sources_crowd_on_pull():
             for chunk in _chunked(self.child):
                 yield from [row_fn(v) for v in chunk]
             return

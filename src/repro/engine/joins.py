@@ -248,6 +248,11 @@ class CrowdJoinOp(PhysicalOperator):
         self._scope = left.scope.concat(self._inner_scope)
         self._probed_keys: set[tuple] = set()
 
+    def bind(self, planner) -> PhysicalOperator:
+        bound = super().bind(planner)
+        bound._probed_keys = set()  # the keys this execution asked for
+        return bound
+
     @property
     def scope(self) -> Scope:
         return self._scope

@@ -1,10 +1,23 @@
-"""Physical planning: translate optimized logical plans into operators."""
+"""Physical planning: translate optimized logical plans into operators.
+
+Planning has two steps.  *Prepare* builds a plan's operator tree once per
+plan-cache entry: which operator each node gets and its scope, column
+pruning, equi-join keys, crowd batch windows, and the index access path
+(the index, its key columns and whether it is a prefix, never the key
+values).  The prepared tree holds no execution context.  *Bind* copies it
+for one execution (:meth:`~repro.engine.base.PhysicalOperator.bind`):
+the copy gets the execution's context and correlation row, and index
+keys are coerced from the execution's parameters.  Closures and kernels
+of static expressions are compiled at their first use and kept with the
+prepared tree; those reading a ``?`` or the execution context are
+compiled again in every execution.
+"""
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Any, Optional
 
-from repro.engine.base import Correlation, PhysicalOperator
+from repro.engine.base import PhysicalOperator
 from repro.engine.context import ExecutionContext
 from repro.engine.crowd_probe import CrowdProbeOp
 from repro.engine.filter_project import (
@@ -16,13 +29,18 @@ from repro.engine.filter_project import (
     SubqueryAliasOp,
 )
 from repro.engine.joins import CrowdJoinOp, HashJoinOp, NestedLoopJoinOp
-from repro.engine.scans import SingleRowOp, TableScan
+from repro.engine.scans import IndexLookup, SingleRowOp, TableScan
 from repro.engine.sort_limit import SortOp
 from repro.errors import PlanError
 from repro.exec.vectorized import (
     BatchToRowsOp,
     RowsToBatchOp,
     VectorAggregateOp,
+    VectorFilterOp,
+    VectorHashJoinOp,
+    VectorLimitOp,
+    VectorProjectOp,
+    VectorScanOp,
     VectorSortOp,
 )
 from repro.optimizer.rules import split_conjuncts
@@ -30,21 +48,28 @@ from repro.plan import logical
 from repro.sql import ast
 from repro.storage.row import Scope
 
+#: The context of a prepared operator: none until it is bound.
+UNBOUND = None
+
 
 class PhysicalPlanner:
-    """Maps each logical node to its physical operator.
+    """Maps each logical node to its physical operator: prepares a plan's
+    operator tree and binds it to one execution (see the module doc).
 
-    With a ``profiler`` (EXPLAIN ANALYZE), every operator is wrapped in
-    a transparent measuring proxy keyed by its logical node, so runtime
-    actuals join against the optimizer's compile-time annotations.
+    With a ``profiler`` (EXPLAIN ANALYZE), every operator of a freshly
+    prepared tree is wrapped in a transparent measuring proxy keyed by
+    its logical node, so runtime actuals join against the optimizer's
+    compile-time annotations.  ``metrics`` (the connection's registry)
+    counts the trees prepared and the operators built.
     """
 
     def __init__(
         self,
         context: ExecutionContext,
-        correlation: Correlation = None,
+        correlation: Optional[tuple] = None,
         profiler: Optional[object] = None,  # repro.obs.QueryProfiler
         bindings: Optional[dict] = None,  # id(node) -> plan.binder.NodeBinding
+        metrics: Optional[Any] = None,  # repro.obs.MetricsRegistry
     ) -> None:
         self.context = context
         self.correlation = correlation
@@ -52,54 +77,116 @@ class PhysicalPlanner:
         # correlated subqueries evaluate against an outer row the batch
         # kernels know nothing about — they stay on the row pipeline
         self.bindings = bindings if correlation is None else None
+        self.metrics = metrics
 
     def plan(
         self,
         node: logical.LogicalPlan,
+        prepared: Optional[dict] = None,
+    ) -> PhysicalOperator:
+        """The operator tree that runs ``node`` in this planner's
+        execution, bound and ready to iterate.
+
+        ``prepared`` is where a plan-cache entry keeps its prepared trees
+        (``OptimizationResult.prepared``): the first execution prepares
+        one, every execution binds a copy of it.  A tree is kept per
+        what preparing read from the execution: whether a correlation row
+        is bound (no vector region then) and the crowd batch window.
+        EXPLAIN ANALYZE prepares its own tree, wrapped, and keeps none.
+        """
+        keep = prepared is not None and self.profiler is None
+        key = (self.correlation is None, self.context.batch_size)
+        template = prepared.get(key) if keep else None
+        if template is None:
+            template = self._prepare(node)
+            self._count("physical_plans_prepared_total", template)
+            if keep:
+                prepared[key] = template
+        return template.bind(self)
+
+    def bind_access_path(
+        self, node: logical.Filter, row_bound: Optional[int]
+    ) -> PhysicalOperator:
+        """The access path under an index-served Filter when this
+        execution's key cannot be coerced: decided again with the
+        execution's parameters, as for a literal key -- a scan, or an
+        index on other conjuncts -- and built for this execution alone."""
+        matched = match_index_access(
+            self.context.engine, node, self.context.parameters
+        )
+        if matched is None:
+            operator = self._prepare(node.child, row_bound)
+        else:
+            operator = self._index_lookup(node, matched, row_bound)
+        self._count(None, operator)
+        return operator.bind(self)
+
+    def _count(self, plans: Optional[str], root: PhysicalOperator) -> None:
+        """Count a prepared tree (``plans`` names its counter) and the
+        operators built for it, by class."""
+        metrics = self.metrics
+        if metrics is None:
+            return
+        if plans is not None:
+            metrics.counter(
+                plans, help="physical operator trees prepared"
+            ).inc()
+        built: dict[str, int] = {}
+        stack = [root]
+        while stack:
+            operator = stack.pop()
+            # EXPLAIN ANALYZE's proxy counts as the operator it measures
+            name = type(getattr(operator, "target", operator)).__name__
+            built[name] = built.get(name, 0) + 1
+            stack.extend(operator.children())
+        for name, count in built.items():
+            metrics.counter(
+                f"operators_built.{name}",
+                help="physical operators built, by class",
+            ).inc(count)
+
+    # -- prepare ------------------------------------------------------------------
+
+    def _prepare(
+        self,
+        node: logical.LogicalPlan,
         row_bound: Optional[int] = None,
     ) -> PhysicalOperator:
-        """Translate ``node``; ``row_bound`` is the number of output rows
-        the consumer can possibly pull (an enclosing LIMIT), threaded
-        down through row-preserving operators to clamp batch windows."""
+        """Prepare ``node``'s operator; ``row_bound`` is the number of
+        output rows the consumer can possibly pull (an enclosing LIMIT),
+        threaded down through row-preserving operators to clamp batch
+        windows."""
         if self.bindings is not None:
             binding = self.bindings.get(id(node))
             if binding is not None and binding.vectorized:
                 # the transition operator is not profiler-wrapped: the
                 # vector node inside already carries this logical node's
                 # metrics (batch-aware row accounting)
-                return BatchToRowsOp(self.context, self._plan_vector(node))
-        operator = self._plan_node(node, row_bound)
+                return BatchToRowsOp(UNBOUND, self._prepare_vector(node))
+        operator = self._prepare_node(node, row_bound)
         if self.profiler is not None:
             operator = self.profiler.wrap(node, operator)
         return operator
 
-    def _plan_vector(self, node: logical.LogicalPlan) -> PhysicalOperator:
+    def _prepare_vector(self, node: logical.LogicalPlan) -> PhysicalOperator:
         """Build the batch operator for a binder-approved node (children
         included: the binder only marks a node when its whole input
         subtree is vector-eligible)."""
-        from repro.exec.vectorized import (
-            VectorFilterOp,
-            VectorHashJoinOp,
-            VectorLimitOp,
-            VectorProjectOp,
-            VectorScanOp,
-        )
-
         if isinstance(node, logical.Scan):
             operator: PhysicalOperator = VectorScanOp(
-                self.context, node.table, node.binding
+                UNBOUND, node.table, node.binding
             )
         elif isinstance(node, logical.Filter):
             operator = VectorFilterOp(
-                self.context, self._plan_vector(node.child), node.predicate
+                UNBOUND, self._prepare_vector(node.child), node.predicate
             )
         elif isinstance(node, logical.Project):
             operator = VectorProjectOp(
-                self.context, self._plan_vector(node.child), node.items
+                UNBOUND, self._prepare_vector(node.child), node.items
             )
         elif isinstance(node, logical.Join):
-            left = self._plan_vector(node.left)
-            right = self._plan_vector(node.right)
+            left = self._prepare_vector(node.left)
+            right = self._prepare_vector(node.right)
             keys = _extract_equi_keys(node.condition, left.scope, right.scope)
             if not keys:
                 raise PlanError(
@@ -107,7 +194,7 @@ class PhysicalPlanner:
                 )
             left_keys, right_keys = keys
             operator = VectorHashJoinOp(
-                self.context,
+                UNBOUND,
                 left,
                 right,
                 left_keys,
@@ -117,22 +204,22 @@ class PhysicalPlanner:
             )
         elif isinstance(node, logical.Aggregate):
             operator = VectorAggregateOp(
-                self.context,
-                self._plan_vector(node.child),
+                UNBOUND,
+                self._prepare_vector(node.child),
                 node.group_by,
                 node.aggregates,
             )
         elif isinstance(node, logical.Sort):
             operator = VectorSortOp(
-                self.context,
-                self._plan_vector(node.child),
+                UNBOUND,
+                self._prepare_vector(node.child),
                 node.keys,
                 top_k=node.top_k,
             )
         elif isinstance(node, logical.Limit):
             operator = VectorLimitOp(
-                self.context,
-                self._plan_vector(node.child),
+                UNBOUND,
+                self._prepare_vector(node.child),
                 node.limit,
                 node.offset,
             )
@@ -144,56 +231,47 @@ class PhysicalPlanner:
             operator = self.profiler.wrap(node, operator)
         return operator
 
-    def _plan_node(
+    def _prepare_node(
         self,
         node: logical.LogicalPlan,
         row_bound: Optional[int] = None,
     ) -> PhysicalOperator:
         if isinstance(node, logical.Scan):
             return TableScan(
-                self.context,
-                node.table,
-                node.binding,
-                limit_hint=node.limit_hint,
-                correlation=self.correlation,
+                UNBOUND, node.table, node.binding, limit_hint=node.limit_hint
             )
         if isinstance(node, logical.SingleRow):
-            return SingleRowOp(self.context, self.correlation)
+            return SingleRowOp(UNBOUND)
         if isinstance(node, logical.CrowdProbe):
             return CrowdProbeOp(
-                self.context,
-                self.plan(node.child, row_bound),
+                UNBOUND,
+                self._prepare(node.child, row_bound),
                 node.table,
                 node.binding,
                 node.columns,
                 anti_probe_keys=node.anti_probe_keys,
                 batch_size=self._batch_hint(node.child, row_bound),
-                correlation=self.correlation,
             )
         if isinstance(node, logical.Filter):
             indexed = self._try_index_scan(node, row_bound)
             if indexed is not None:
                 return indexed
             return FilterOp(
-                self.context,
-                self.plan(node.child, row_bound),
+                UNBOUND,
+                self._prepare(node.child, row_bound),
                 node.predicate,
                 batch_size=self._batch_hint(node.child, row_bound),
-                correlation=self.correlation,
             )
         if isinstance(node, logical.Project):
             return ProjectOp(
-                self.context,
-                self.plan(node.child, row_bound),
-                node.items,
-                correlation=self.correlation,
+                UNBOUND, self._prepare(node.child, row_bound), node.items
             )
         if isinstance(node, logical.Join):
-            return self._plan_join(node)
+            return self._prepare_join(node)
         if isinstance(node, logical.CrowdJoin):
             return CrowdJoinOp(
-                self.context,
-                self.plan(node.left, row_bound),
+                UNBOUND,
+                self._prepare(node.left, row_bound),
                 node.inner_table,
                 node.inner_binding,
                 node.condition,
@@ -201,7 +279,6 @@ class PhysicalPlanner:
                 node.outer_key_exprs,
                 node.needed_columns,
                 batch_size=self._batch_hint(node.left, row_bound),
-                correlation=self.correlation,
             )
         # aggregation and sorting consume everything: columnar over row
         # input (no batch window reaches the child) unless crowd-ordered
@@ -210,27 +287,24 @@ class PhysicalPlanner:
             for call in node.aggregates:
                 inputs.extend(call.args)
             rows = RowsToBatchOp(
-                self.context,
-                self.plan(node.child),
+                UNBOUND,
+                self._prepare(node.child),
                 per_row=not all(expr.facts.electronic for expr in inputs),
             )
-            return BatchToRowsOp(self.context, VectorAggregateOp(
-                self.context, rows, node.group_by, node.aggregates,
-                correlation=self.correlation,
+            return BatchToRowsOp(UNBOUND, VectorAggregateOp(
+                UNBOUND, rows, node.group_by, node.aggregates,
             ))
         if isinstance(node, logical.Sort) and not node.is_crowd_sort:
-            rows = RowsToBatchOp(self.context, self.plan(node.child))
-            return BatchToRowsOp(self.context, VectorSortOp(
-                self.context, rows, node.keys, top_k=node.top_k,
-                correlation=self.correlation,
+            rows = RowsToBatchOp(UNBOUND, self._prepare(node.child))
+            return BatchToRowsOp(UNBOUND, VectorSortOp(
+                UNBOUND, rows, node.keys, top_k=node.top_k,
             ))
         if isinstance(node, logical.Sort):
             return SortOp(
-                self.context,
-                self.plan(node.child),  # sorting consumes everything
+                UNBOUND,
+                self._prepare(node.child),  # sorting consumes everything
                 node.keys,
                 top_k=node.top_k,
-                correlation=self.correlation,
             )
         if isinstance(node, logical.Limit):
             bound = None
@@ -241,32 +315,23 @@ class PhysicalPlanner:
             else:
                 bound = row_bound
             return LimitOp(
-                self.context,
-                self.plan(node.child, bound),
+                UNBOUND,
+                self._prepare(node.child, bound),
                 node.limit,
                 node.offset,
-                correlation=self.correlation,
             )
         if isinstance(node, logical.Distinct):
-            return DistinctOp(
-                self.context,
-                self.plan(node.child, row_bound),
-                correlation=self.correlation,
-            )
+            return DistinctOp(UNBOUND, self._prepare(node.child, row_bound))
         if isinstance(node, logical.SubqueryAlias):
             return SubqueryAliasOp(
-                self.context,
-                self.plan(node.child, row_bound),
-                node.alias,
-                correlation=self.correlation,
+                UNBOUND, self._prepare(node.child, row_bound), node.alias
             )
         if isinstance(node, logical.SetOperation):
             return SetOpOp(
-                self.context,
-                self.plan(node.left),
-                self.plan(node.right),
+                UNBOUND,
+                self._prepare(node.left),
+                self._prepare(node.right),
                 node.op,
-                correlation=self.correlation,
             )
         raise PlanError(f"no physical operator for {type(node).__name__}")
 
@@ -305,62 +370,62 @@ class PhysicalPlanner:
         its columns (e.g. ``a = 1 AND b = 2`` against an index on
         ``(a, b)``), and an ordered index is still used when they only
         cover a key prefix.  The longest covered key wins; ties prefer
-        full-key matches over prefix scans.
+        full-key matches over prefix scans.  A ``?`` key matches whatever
+        its value: binding coerces it (see :meth:`bind_access_path`).
 
         Skipped for crowd scans carrying a limit hint (those must run the
         open-world sourcing path of :class:`TableScan`).
         """
-        from repro.engine.scans import IndexLookup
-
-        scan = node.child
-        matched = match_index_access(
-            self.context.engine, node, self.context.parameters
-        )
+        matched = match_index_access(self.context.engine, node)
         if matched is None:
             return None
+        # keep the full predicate as a residual: cheap and always safe
+        return FilterOp(
+            UNBOUND,
+            self._index_lookup(node, matched, row_bound),
+            node.predicate,
+            batch_size=self._batch_hint(node.child, row_bound),
+        )
+
+    @staticmethod
+    def _index_lookup(
+        node: logical.Filter, matched: tuple, row_bound: Optional[int]
+    ) -> IndexLookup:
         key_columns, key_values, prefix = matched
-        lookup = IndexLookup(
-            self.context,
-            scan.table,
-            scan.binding,
+        return IndexLookup(
+            UNBOUND,
+            node.child.table,
+            node.child.binding,
             key_columns,
             key_values,
             prefix=prefix,
-            correlation=self.correlation,
-        )
-        # keep the full predicate as a residual: cheap and always safe
-        return FilterOp(
-            self.context, lookup, node.predicate,
-            batch_size=self._batch_hint(scan, row_bound),
-            correlation=self.correlation,
+            access=(node, row_bound),
         )
 
     # -- join strategy ------------------------------------------------------------
 
-    def _plan_join(self, node: logical.Join) -> PhysicalOperator:
-        left = self.plan(node.left)
-        right = self.plan(node.right)
+    def _prepare_join(self, node: logical.Join) -> PhysicalOperator:
+        left = self._prepare(node.left)
+        right = self._prepare(node.right)
         if node.join_type in ("INNER", "LEFT") and node.condition is not None:
             keys = _extract_equi_keys(node.condition, left.scope, right.scope)
             if keys:
                 left_keys, right_keys = keys
                 return HashJoinOp(
-                    self.context,
+                    UNBOUND,
                     left,
                     right,
                     left_keys,
                     right_keys,
                     condition=node.condition,
                     join_type=node.join_type,
-                    correlation=self.correlation,
                 )
         return NestedLoopJoinOp(
-            self.context,
+            UNBOUND,
             left,
             right,
             join_type=node.join_type,
             condition=node.condition,
-            correlation=self.correlation,
         )
 
 
@@ -372,9 +437,10 @@ def match_index_access(
     (which read their target rows the same way) and the binder (which
     must mark index-served filters row so both stages agree).
 
-    A key is a literal or a ``?``.  The binder passes no ``parameters``:
-    a ``?`` then matches whatever its value, so one cached plan serves
-    every value; at run time the value is coerced as a literal is.
+    A key is a literal or a ``?``.  The binder and prepare pass no
+    ``parameters``: a ``?`` then matches whatever its value and stays in
+    the returned keys, so one cached plan serves every value; binding
+    coerces the value as a literal is.
 
     Returns ``(key_columns, key_values, prefix)`` when an index serves
     the filter's equality conjuncts, else ``None``.

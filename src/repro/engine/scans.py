@@ -7,6 +7,8 @@ from typing import Iterator, Optional
 from repro.catalog.table import TableSchema
 from repro.engine.base import Correlation, PhysicalOperator
 from repro.engine.context import ExecutionContext
+from repro.sql import ast
+from repro.sqltypes import coerce
 from repro.storage.row import Scope
 
 
@@ -97,7 +99,12 @@ def index_rowids(
 
 class IndexLookup(PhysicalOperator):
     """Equality lookup through an index: the access path of a filter on
-    an indexed column (see :func:`index_rowids`)."""
+    an indexed column (see :func:`index_rowids`).
+
+    A prepared lookup's ``key_values`` may hold ``?`` parameters; binding
+    coerces each to its column's type.  ``access`` -- the index-served
+    Filter and its row bound -- lets binding decide the access path again
+    when a value cannot be coerced, as it would for such a literal."""
 
     def __init__(
         self,
@@ -108,6 +115,7 @@ class IndexLookup(PhysicalOperator):
         key_values: tuple,
         prefix: bool = False,
         correlation: Correlation = None,
+        access: Optional[tuple] = None,
     ) -> None:
         super().__init__(context, correlation)
         self.table = table
@@ -115,7 +123,26 @@ class IndexLookup(PhysicalOperator):
         self.key_columns = key_columns
         self.key_values = key_values
         self.prefix = prefix
+        self.access = access
+        self._key_types = tuple(
+            table.column(column).sql_type for column in key_columns
+        )
         self._scope = Scope.for_table(binding, table.column_names)
+
+    def bind(self, planner) -> PhysicalOperator:
+        parameters = planner.context.parameters
+        try:
+            keys = tuple(
+                coerce(parameters[key.index], sql_type)
+                if type(key) is ast.Parameter else key
+                for key, sql_type in zip(self.key_values, self._key_types)
+            )
+        except Exception:
+            # mistyped or unsupplied value (see match_index_access)
+            return planner.bind_access_path(*self.access)
+        bound = super().bind(planner)
+        bound.key_values = keys
+        return bound
 
     @property
     def scope(self) -> Scope:
@@ -133,12 +160,15 @@ class IndexLookup(PhysicalOperator):
             yield heap.get(rowid).values
 
 
+_NO_COLUMNS = Scope([])
+
+
 class SingleRowOp(PhysicalOperator):
     """Produces exactly one empty tuple (SELECT without FROM)."""
 
     @property
     def scope(self) -> Scope:
-        return Scope([])
+        return _NO_COLUMNS
 
     def sources_crowd_on_pull(self) -> bool:
         return False

@@ -26,7 +26,7 @@ the row engine's connectives are deliberately non-short-circuiting.
 Anything outside the vectorizable subset raises :class:`CannotVectorize`
 at compile time (never from inside a kernel); operators then fall back
 to mapping the row-compiled closure over ``batch.rows()``, which is
-exactly the row engine's chunked loop.
+exactly the row engine's chunked loop, and count it (:func:`note_fallback`).
 """
 
 from __future__ import annotations
@@ -101,15 +101,25 @@ def set_metrics_registry(registry: Optional[Any]) -> None:
     )
 
 
-def _note_fallback(site: str, error: BaseException) -> None:
-    """Count an expected-error fallback; warn once per (site, class)."""
+def note_fallback(site: str) -> None:
+    """Count one kernel compile that fell back, in total and by site:
+    a constant fold that raised, or an expression outside the kernel
+    subset left to the row closure by the operator ``site``."""
     registry = _fallback_registry()
     if registry is not None:
         registry.counter(
             "kernel_fallbacks_total",
-            help="vectorized kernel compiles that fell back on an "
-            "expected error",
+            help="vectorized kernel compiles that fell back",
         ).inc()
+        registry.counter(
+            f"kernel_fallbacks.{site}",
+            help="vectorized kernel compiles that fell back, by site",
+        ).inc()
+
+
+def _note_fallback(site: str, error: BaseException) -> None:
+    """Count an expected-error fallback; warn once per (site, class)."""
+    note_fallback(site)
     key = (site, type(error).__name__)
     with _fallback_lock:
         if key in _warned_fallbacks:
@@ -386,8 +396,6 @@ class _VectorCompiler:
             return self._unary_column(expr)
         if isinstance(expr, ast.BinaryOp):
             op = expr.op
-            if op in ("AND", "OR", "LIKE") or op in _COMPARISON_CHECKS:
-                return self._mask_as_column(expr)
             if op == "||":
                 return self._concat(expr)
             if op == "/":
@@ -395,20 +403,7 @@ class _VectorCompiler:
             if op in _VECTOR_ARITH and op in _ARITHMETIC:
                 return self._arith(expr)
             raise CannotVectorize(f"binary operator {op!r}")
-        if isinstance(expr, (ast.IsNull, ast.InList, ast.Between)):
-            return self._mask_as_column(expr)
         raise CannotVectorize(type(expr).__name__)
-
-    def _mask_as_column(self, expr: ast.Expression) -> ColumnKernel:
-        mask_kernel = self.mask(expr)
-
-        def kernel(batch: ColumnBatch) -> tuple[list, Optional[str]]:
-            mask, clean = mask_kernel(batch)
-            if clean:
-                return _mask_list(mask), None
-            return [NULL if x is None else x for x in mask], None
-
-        return kernel
 
     def _unary_column(self, expr: ast.UnaryOp) -> ColumnKernel:
         op = expr.op
@@ -677,7 +672,7 @@ class _VectorCompiler:
                 return self._comparison(expr)
             if op == "LIKE":
                 return self._like(expr)
-            return self._column_as_mask(expr)
+            raise CannotVectorize(f"binary operator {op!r} as a predicate")
         if isinstance(expr, ast.UnaryOp) and expr.op == "NOT":
             return self._not(expr)
         if isinstance(expr, ast.IsNull):
@@ -686,28 +681,9 @@ class _VectorCompiler:
             return self._in_list(expr)
         if isinstance(expr, ast.Between):
             return self._between(expr)
-        if isinstance(
-            expr,
-            (ast.CrowdEqual, ast.CrowdOrder, ast.ScalarSubquery,
-             ast.ExistsExpr, ast.InSubquery),
-        ):
-            raise CannotVectorize(type(expr).__name__)
-        return self._column_as_mask(expr)
-
-    def _column_as_mask(self, expr: ast.Expression) -> MaskKernel:
-        column_kernel = self.column(expr)
-
-        def kernel(batch: ColumnBatch) -> tuple[list, bool]:
-            col, tag = column_kernel(batch)
-            col = as_list(col)
-            if tag is not None:
-                return [bool(v) for v in col], True
-            return (
-                [None if _is_missing_scalar(v) else bool(v) for v in col],
-                False,
-            )
-
-        return kernel
+        # a value read as a verdict (a BOOLEAN column, arithmetic, a
+        # subquery, CROWDEQUAL): the row closure decides
+        raise CannotVectorize(type(expr).__name__)
 
     def _connective(self, expr: ast.BinaryOp, conjunction: bool) -> MaskKernel:
         # Both sides always evaluate over the whole batch — the row

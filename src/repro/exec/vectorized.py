@@ -38,6 +38,7 @@ from repro.exec.kernels import (
     _ndcolumn,
     compile_column_kernel,
     compile_mask_kernel,
+    note_fallback,
 )
 from repro.exec.sort import sort_order
 from repro.exec.vector import (
@@ -167,6 +168,22 @@ class VectorOperator(PhysicalOperator):
 
     def set_live(self, live: Optional[frozenset]) -> None:
         self._live = live
+
+    def column_kernel(self, expr: ast.Expression, scope: Scope) -> tuple:
+        """``(True, column kernel)`` for ``expr`` over ``scope``, or
+        ``(False, row closure)`` when it is outside the kernel subset
+        (counted as a fallback of this operator); prepared once when
+        ``expr`` is static."""
+        return self.prepared("column", expr, scope, self._column_or_row)
+
+    def _column_or_row(
+        self, expr: ast.Expression, scope: Scope, parameters: tuple
+    ) -> tuple:
+        try:
+            return True, compile_column_kernel(expr, scope, parameters)
+        except CannotVectorize:
+            note_fallback(type(self).__name__)
+            return False, self.compile_value(expr, scope)
 
 
 class BatchToRowsOp(PhysicalOperator):
@@ -367,21 +384,25 @@ class VectorFilterOp(VectorOperator):
         live = self._live
         return column is None or (live is not None and position not in live)
 
-    def __iter__(self) -> Iterator[ColumnBatch]:
+    def _mask_or_rows(
+        self, expr: ast.Expression, scope: Scope, parameters: tuple
+    ):
         try:
-            kernel = compile_mask_kernel(
-                self.predicate_expr, self.child.scope, self.context.parameters
-            )
+            return compile_mask_kernel(expr, scope, parameters)
         except CannotVectorize:
             # whole-expression fallback: the row-compiled closure mapped
             # over the batch — exactly the row engine's chunked loop
-            row_predicate = self.compile_predicate(
-                self.predicate_expr, self.child.scope
-            )
-            kernel = lambda batch: (  # noqa: E731
+            note_fallback(type(self).__name__)
+            row_predicate = self.compile_predicate(expr, scope)
+            return lambda batch: (
                 [row_predicate(values).value for values in _pivot_rows(batch)],
                 False,
             )
+
+    def __iter__(self) -> Iterator[ColumnBatch]:
+        kernel = self.prepared(
+            "mask", self.predicate_expr, self.child.scope, self._mask_or_rows
+        )
         for batch in self.child:
             mask, clean = kernel(batch)
             if clean and type(mask) is not list:
@@ -459,22 +480,11 @@ class VectorProjectOp(VectorOperator):
     def __iter__(self) -> Iterator[ColumnBatch]:
         child_scope = self.child.scope
         live = self._live
-        kernels: list = []
-        for position, (expr, _name) in enumerate(self.items):
-            if live is not None and position not in live:
-                kernels.append((None, None))
-                continue
-            try:
-                kernels.append(
-                    (
-                        True,
-                        compile_column_kernel(
-                            expr, child_scope, self.context.parameters
-                        ),
-                    )
-                )
-            except CannotVectorize:
-                kernels.append((False, self.compile_value(expr, child_scope)))
+        kernels = [
+            (None, None) if live is not None and position not in live
+            else self.column_kernel(expr, child_scope)
+            for position, (expr, _name) in enumerate(self.items)
+        ]
         for batch in self.child:
             columns: list = []
             tags: list = []
@@ -647,7 +657,7 @@ def _concat_batches(batches: list) -> Optional[ColumnBatch]:
 
 
 def column_evaluator(
-    operator: PhysicalOperator,
+    operator: VectorOperator,
     exprs: Sequence[ast.Expression],
     scope: Scope,
 ):
@@ -655,16 +665,7 @@ def column_evaluator(
     column per expression, their tags).  An expression outside the
     kernel subset runs ``operator``'s row closure over the pivoted
     batch (tag None)."""
-    kernels = []
-    for expr in exprs:
-        try:
-            kernels.append(
-                (True, compile_column_kernel(
-                    expr, scope, operator.context.parameters
-                ))
-            )
-        except CannotVectorize:
-            kernels.append((False, operator.compile_value(expr, scope)))
+    kernels = [operator.column_kernel(expr, scope) for expr in exprs]
 
     def evaluate(batch: ColumnBatch) -> tuple[list, list]:
         columns = []
@@ -1295,19 +1296,8 @@ class VectorAggregateOp(VectorOperator):
                     raise ExecutionError(f"{name}(*) not supported")
                 kernels.append(("star", None))
                 continue
-            try:
-                kernels.append(
-                    (
-                        "vector",
-                        compile_column_kernel(
-                            argument, child_scope, self.context.parameters
-                        ),
-                    )
-                )
-            except CannotVectorize:
-                kernels.append(
-                    ("row", self.compile_value(argument, child_scope))
-                )
+            vectorized, kernel = self.column_kernel(argument, child_scope)
+            kernels.append(("vector" if vectorized else "row", kernel))
         return kernels
 
     def _fold(

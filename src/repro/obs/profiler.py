@@ -64,6 +64,11 @@ class ProfiledOperator(PhysicalOperator):
         self._task_stats = task_stats
         self._sim_clock = sim_clock
 
+    def bind(self, planner: Any) -> PhysicalOperator:
+        bound = super().bind(planner)
+        bound.target = self.target.bind(planner)
+        return bound
+
     @property
     def scope(self) -> Scope:
         return self.target.scope

@@ -93,28 +93,17 @@ class BoundednessAnalysis:
         self,
         plan: logical.LogicalPlan,
         report: BoundednessReport,
-        covered: frozenset[str] = frozenset(),
     ) -> logical.LogicalPlan:
+        # the builder puts a CrowdProbe over every CROWD-table scan and
+        # CrowdJoin replaces its inner scan: those two account for every
+        # open-world table
         if isinstance(plan, logical.CrowdProbe):
-            # scans under this probe are accounted for by the probe itself
-            child = self._rewrite(
-                plan.child, report, covered | {plan.binding.lower()}
-            )
-            plan = replace(plan, child=child)
+            plan = replace(plan, child=self._rewrite(plan.child, report))
             if plan.table.crowd:
                 return self._analyze_crowd_probe(plan, report)
             return plan
-        if (
-            isinstance(plan, logical.Scan)
-            and plan.table.crowd
-            and plan.binding.lower() not in covered
-        ):
-            # crowd-table scan without a probe above it (no crowd columns
-            # referenced) — still open-world for tuple sourcing
-            self._analyze_bare_scan(plan, report)
-            return plan
         if isinstance(plan, logical.CrowdJoin):
-            left = self._rewrite(plan.left, report, covered)
+            left = self._rewrite(plan.left, report)
             report.entries.append(
                 BoundednessEntry(
                     table=plan.inner_table.name,
@@ -128,7 +117,7 @@ class BoundednessAnalysis:
         if not children:
             return plan
         return plan.with_children(
-            *(self._rewrite(child, report, covered) for child in children)
+            *(self._rewrite(child, report) for child in children)
         )
 
     def _analyze_crowd_probe(
@@ -175,28 +164,6 @@ class BoundednessAnalysis:
             )
         )
         return probe
-
-    def _analyze_bare_scan(
-        self, scan: logical.Scan, report: BoundednessReport
-    ) -> None:
-        if scan.limit_hint is not None:
-            report.entries.append(
-                BoundednessEntry(
-                    table=scan.table.name,
-                    binding=scan.binding,
-                    bounded=True,
-                    reason=f"stop-after bounds sourcing to {scan.limit_hint} tuple(s)",
-                )
-            )
-        else:
-            report.entries.append(
-                BoundednessEntry(
-                    table=scan.table.name,
-                    binding=scan.binding,
-                    bounded=False,
-                    reason="open-world scan with no key predicate or LIMIT",
-                )
-            )
 
 
 def _find_scan(

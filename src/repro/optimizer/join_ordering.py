@@ -59,18 +59,11 @@ class JoinOrdering:
             conditions: list[ast.Expression] = []
             self._flatten(plan, relations, conditions)
             relations = [self._rewrite(r, context) for r in relations]
-            if len(relations) > 2 or (len(relations) == 2 and conditions):
-                reordered = self._order(relations, conditions, context)
-                if reordered is not None:
-                    context.record(self.name)
-                    return reordered
-            rebuilt = relations[0]
-            for right in relations[1:]:
-                rebuilt = logical.Join(rebuilt, right, "CROSS", None)
-            predicate = conjoin(conditions)
-            if predicate is not None:
-                return _attach_condition(rebuilt, predicate)
-            return rebuilt
+            if len(relations) > 2 or conditions:
+                context.record(self.name)
+                return self._order(relations, conditions, context)
+            left, right = relations
+            return logical.Join(left, right, "CROSS", None)
         children = plan.children()
         if not children:
             return plan
@@ -97,7 +90,7 @@ class JoinOrdering:
         plans: list[logical.LogicalPlan],
         conditions: list[ast.Expression],
         context: OptimizerContext,
-    ) -> logical.LogicalPlan | None:
+    ) -> logical.LogicalPlan:
         if (
             context.cost_model is not None
             and 2 <= len(plans) <= DP_MAX_RELATIONS
@@ -301,7 +294,7 @@ class JoinOrdering:
         plans: list[logical.LogicalPlan],
         conditions: list[ast.Expression],
         context: OptimizerContext,
-    ) -> logical.LogicalPlan | None:
+    ) -> logical.LogicalPlan:
         relations = [
             _Relation(
                 plan=plan,
@@ -415,28 +408,3 @@ def _is_crowd_related(plan: logical.LogicalPlan) -> bool:
         or (isinstance(node, logical.Scan) and node.table.crowd)
         for node in plan.walk()
     )
-
-
-def _attach_condition(
-    plan: logical.LogicalPlan, predicate: ast.Expression
-) -> logical.LogicalPlan:
-    if isinstance(plan, logical.Join) and plan.join_type in ("INNER", "CROSS"):
-        usable = []
-        rest = []
-        for conjunct in split_conjuncts(predicate):
-            if predicate_applies_to(conjunct, plan):
-                usable.append(conjunct)
-            else:
-                rest.append(conjunct)
-        condition = conjoin(
-            (split_conjuncts(plan.condition) if plan.condition else []) + usable
-        )
-        join_type = "INNER" if condition is not None else plan.join_type
-        result: logical.LogicalPlan = logical.Join(
-            plan.left, plan.right, join_type, condition
-        )
-        leftover = conjoin(rest)
-        if leftover is not None:
-            result = logical.Filter(result, leftover)
-        return result
-    return logical.Filter(plan, predicate)

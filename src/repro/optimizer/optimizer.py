@@ -42,6 +42,9 @@ class OptimizationResult:
     costs: dict[int, PlanCost] = field(default_factory=dict)
     #: id(node) -> repro.plan.binder.NodeBinding for every plan node
     bindings: dict[int, Any] = field(default_factory=dict)
+    #: the physical operator trees prepared for this plan, kept with it
+    #: in the plan cache (see repro.engine.planner.PhysicalPlanner.plan)
+    prepared: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def estimated_rows(self) -> float:

@@ -43,6 +43,8 @@ class ExpressionFacts(NamedTuple):
     crowd_equals: int
     #: contains EXISTS, ``IN (SELECT ...)`` or a scalar subquery
     subquery: bool
+    #: contains a ``?`` parameter (outside any subquery)
+    parameter: bool
     #: number of expression nodes
     size: int
 
@@ -50,6 +52,12 @@ class ExpressionFacts(NamedTuple):
     def electronic(self) -> bool:
         """Can never reach the crowd or run a subquery."""
         return not (self.crowd or self.subquery)
+
+    @property
+    def static(self) -> bool:
+        """Reads neither a ``?`` nor the execution context (no crowd, no
+        subquery): compiled, it is the same closure in every execution."""
+        return not (self.crowd or self.subquery or self.parameter)
 
 
 class Expression(Node):
@@ -65,7 +73,7 @@ class Expression(Node):
         """Computed on first use and kept: expressions are immutable."""
         bindings: set[str] = set()
         names: set[str] = set()
-        crowd = subquery = False
+        crowd = subquery = parameter = False
         crowd_equals = size = 0
         for node in walk_expression(self):
             size += 1
@@ -81,12 +89,15 @@ class Expression(Node):
                 crowd = True
             elif isinstance(node, (ExistsExpr, ScalarSubquery, InSubquery)):
                 subquery = True
+            elif isinstance(node, Parameter):
+                parameter = True
         return ExpressionFacts(
             bindings=frozenset(bindings) if bindings else _NO_NAMES,
             names=frozenset(names) if names else _NO_NAMES,
             crowd=crowd,
             crowd_equals=crowd_equals,
             subquery=subquery,
+            parameter=parameter,
             size=size,
         )
 
@@ -320,6 +331,12 @@ class SubqueryTable(TableRef):
 
 class Statement(Node):
     __slots__ = ()
+
+    @cached_property
+    def cache_hash(self) -> int:
+        """``hash(self)``, computed on first use and kept: statements are
+        immutable, and the plan cache looks one up per execution."""
+        return hash(self)
 
 
 @dataclass(frozen=True)

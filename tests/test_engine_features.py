@@ -233,6 +233,45 @@ class TestIndexScanSelection:
             ]
         assert fifty.executor.plan_cache.stats["misses"] == misses + 1
 
+    def test_cached_point_read_builds_its_operators_once(self, fifty):
+        """A plan-cache hit binds the entry's prepared operator tree: 50
+        executions of one point read prepare one tree, and read what a
+        connection without a plan cache (which prepares a tree for every
+        execution) reads."""
+        sql = "SELECT v, g FROM f WHERE id = ?"
+
+        def built(db):
+            return {
+                name: value
+                for name, value in db.metrics.snapshot().items()
+                if name.startswith("operators_built.")
+                or name == "physical_plans_prepared_total"
+            }
+
+        before = built(fifty)
+        rows = [fifty.query(sql, (key,)) for key in range(50)]
+        after = built(fifty)
+        assert {
+            name: value - before.get(name, 0)
+            for name, value in after.items()
+            if value != before.get(name, 0)
+        } == {
+            "physical_plans_prepared_total": 1,
+            "operators_built.IndexLookup": 1,
+            "operators_built.FilterOp": 1,
+            "operators_built.ProjectOp": 1,
+        }
+        fresh = connect(with_crowd=False, plan_cache_size=0)
+        fresh.execute(
+            "CREATE TABLE f (id INTEGER PRIMARY KEY, s STRING, g INTEGER, "
+            "h INTEGER, v STRING)"
+        )
+        for row in fifty.query("SELECT * FROM f"):
+            fresh.execute("INSERT INTO f VALUES (?, ?, ?, ?, ?)", row)
+        assert rows == [fresh.query(sql, (key,)) for key in range(50)]
+        assert rows[7] == [("v7", 2)]
+        assert built(fresh)["physical_plans_prepared_total"] == 50
+
     def test_explain_names_the_index(self, fifty):
         for predicate in ("id = 4", "id = ?", "g = ?"):
             plan = fifty.explain(f"SELECT v FROM f WHERE {predicate}")

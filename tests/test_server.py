@@ -578,6 +578,54 @@ class TestSharedParseMemo:
         server.shutdown()
 
 
+class TestPreparedPlanAcrossSessions:
+    """Sessions share the plan cache, so they share a statement's one
+    prepared operator tree -- each execution binds a copy of its own.  A
+    session suspended on a crowd wait mid-statement must therefore keep
+    its parameters while another session runs the same statement."""
+
+    SQL = "SELECT name, population, elevation FROM City WHERE name = ?"
+    KEYS = (("city1", "city4"), ("city2", "city5"), ("city3", "city1"))
+
+    @staticmethod
+    def _tasks(server) -> list[str]:
+        manager = server.connection.task_manager
+        platform = manager.platforms.get(manager.platforms.default)
+        return sorted(repr(hit.task) for hit in platform.all_hits())
+
+    def test_interleaved_sessions_read_what_serial_runs_read(self):
+        from repro.statement import Statement
+
+        server = make_server()
+        sessions = [server.open_session() for _ in self.KEYS]
+        for session, keys in zip(sessions, self.KEYS):
+            for key in keys:
+                session.submit(Statement(self.SQL, (key,)))
+        server.run()
+        assert server.stats()["scheduler"]["suspensions"] >= len(sessions)
+        serial = make_server()
+        alone = serial.open_session()
+        for keys in self.KEYS:
+            for key in keys:
+                alone.submit(Statement(self.SQL, (key,)))
+        serial.run()
+        assert [
+            [repr(result.rows) for result in session.results]
+            for session in sessions
+        ] == [
+            [repr(result.rows) for result in alone.results[i:i + 2]]
+            for i in range(0, 2 * len(self.KEYS), 2)
+        ]
+        assert sessions[0].results[0].rows == [("city1", 1001, 10)]
+        assert self._tasks(server) == self._tasks(serial)
+        # one tree prepared; every execution bound a copy of it
+        assert server.connection.metrics.snapshot()[
+            "physical_plans_prepared_total"
+        ] == 1
+        server.shutdown()
+        serial.shutdown()
+
+
 # -- golden trace: same advances, same settlements, same clock ---------------
 
 GOLDEN_SCHED = os.path.join(os.path.dirname(__file__), "golden", "sched_v1.jsonl")
