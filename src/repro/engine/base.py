@@ -19,6 +19,7 @@ from typing import Any, Callable, Iterator, Optional
 from repro.engine.context import ExecutionContext
 from repro.plan.compiled import compile_predicate, compile_value
 from repro.sql import ast
+from repro.sqltypes import NULL
 from repro.storage.row import Scope
 
 Correlation = Optional[tuple[tuple, Scope]]
@@ -95,6 +96,25 @@ class PhysicalOperator(abc.ABC):
 
     # -- compiled expression helpers ----------------------------------------------
 
+    def _once(
+        self,
+        kind: str,
+        expr: ast.Expression,
+        scope: Scope,
+        build: Callable[..., Any],
+        parameters: Optional[tuple],
+    ) -> Any:
+        """``build(expr, scope, parameters)``, built on first use and kept
+        with the prepared operator: every bound copy shares it."""
+        key = (kind, id(expr))
+        entry = self._prepared.get(key)
+        if entry is None or entry[1] is not scope:
+            # the entry holds ``expr`` and ``scope``: their ids stay theirs
+            entry = self._prepared[key] = (
+                expr, scope, build(expr, scope, parameters),
+            )
+        return entry[2]
+
     def prepared(
         self,
         kind: str,
@@ -102,27 +122,43 @@ class PhysicalOperator(abc.ABC):
         scope: Scope,
         build: Callable[..., Any],
     ) -> Any:
-        """``build(expr, scope, parameters)``: a closure or kernel of
-        ``expr`` over ``scope``.  A static expression (no ``?``, no crowd,
-        no subquery) outside a correlated subquery is built once, with no
-        parameters, and kept with the prepared operator; any other is
-        built for each execution with its parameters."""
+        """``build(expr, scope, parameters)``: a kernel of ``expr`` over
+        ``scope``.  A static expression (no ``?``, no crowd, no subquery)
+        outside a correlated subquery is built once, with no parameters;
+        any other is built for each execution with its parameters."""
         if self.correlation is not None or not expr.facts.static:
             return build(expr, scope, self.context.parameters)
-        key = (kind, id(expr))
-        entry = self._prepared.get(key)
-        if entry is None or entry[1] is not scope:
-            # the entry holds ``expr`` and ``scope``: their ids stay theirs
-            entry = self._prepared[key] = (expr, scope, build(expr, scope, ()))
-        return entry[2]
+        return self._once(kind, expr, scope, build, ())
+
+    def _row_closure(
+        self,
+        kind: str,
+        expr: ast.Expression,
+        scope: Scope,
+        compile: Callable[..., Any],
+    ) -> Any:
+        """The closure of an electronic ``expr``, compiled once: a ``?``
+        in it reads the parameters this execution appends to the row.
+        With too few parameters, it is compiled for this execution, so
+        the error naming the missing one is raised per row as before."""
+        fn = self._once(kind, expr, scope, compile, None)
+        needed = expr.facts.parameters
+        if not needed:
+            return fn
+        parameters = self.context.parameters
+        if len(parameters) < needed:
+            return compile(expr, scope, parameters)
+        # a None parameter reads as NULL, as a folded one does
+        parameters = tuple(NULL if v is None else v for v in parameters)
+        return lambda values: fn(values + parameters)
 
     def compile_value(self, expr: ast.Expression, scope: Scope):
         """Compile ``expr`` into a ``row values -> value`` closure; the
         correlated outer row, fixed per bound operator, is appended
         inside the closure."""
         if self.correlation is None:
-            if expr.facts.static:
-                return self.prepared("value", expr, scope, _compile_value)
+            if expr.facts.electronic:
+                return self._row_closure("value", expr, scope, _compile_value)
             return self.context.compile_value_fn(expr, scope)
         from repro.storage.row import LayeredScope
 
@@ -136,8 +172,8 @@ class PhysicalOperator(abc.ABC):
         """Compile ``expr`` into a ``row values -> TriBool`` closure (see
         :meth:`compile_value`)."""
         if self.correlation is None:
-            if expr.facts.static:
-                return self.prepared(
+            if expr.facts.electronic:
+                return self._row_closure(
                     "predicate", expr, scope, _compile_predicate
                 )
             return self.context.compile_predicate_fn(expr, scope)
@@ -150,11 +186,13 @@ class PhysicalOperator(abc.ABC):
         return lambda values: fn(values + outer_values)
 
 
-def _compile_value(expr: ast.Expression, scope: Scope, parameters: tuple):
+def _compile_value(
+    expr: ast.Expression, scope: Scope, parameters: Optional[tuple]
+):
     return compile_value(expr, scope, parameters=parameters)
 
 
 def _compile_predicate(
-    expr: ast.Expression, scope: Scope, parameters: tuple
+    expr: ast.Expression, scope: Scope, parameters: Optional[tuple]
 ):
     return compile_predicate(expr, scope, parameters=parameters)

@@ -262,9 +262,13 @@ def compile_value(
     expr: ast.Expression,
     scope: Scope,
     context: Optional[EvalContext] = None,
-    parameters: tuple = (),
+    parameters: Optional[tuple] = (),
 ) -> ValueFn:
-    """Compile ``expr`` to a closure evaluating it as a SQL value."""
+    """Compile ``expr`` to a closure evaluating it as a SQL value.
+
+    ``parameters`` are the ``?`` values, folded in as constants; with
+    ``None`` the closure reads ``?`` number ``i`` from the row, at
+    ``len(scope) + i``: the caller appends the parameters to each row."""
     return _Compiler(scope, context, parameters).value(expr)[0]
 
 
@@ -272,9 +276,10 @@ def compile_predicate(
     expr: ast.Expression,
     scope: Scope,
     context: Optional[EvalContext] = None,
-    parameters: tuple = (),
+    parameters: Optional[tuple] = (),
 ) -> TriFn:
-    """Compile ``expr`` to a closure evaluating it under 3VL."""
+    """Compile ``expr`` to a closure evaluating it under 3VL (see
+    :func:`compile_value` for ``parameters``)."""
     return _Compiler(scope, context, parameters).tri(expr)[0]
 
 
@@ -312,7 +317,7 @@ class _Compiler:
         self,
         scope: Scope,
         context: Optional[EvalContext] = None,
-        parameters: tuple = (),
+        parameters: Optional[tuple] = (),
     ) -> None:
         self.scope = scope
         self.context = context if context is not None else _NO_CONTEXT
@@ -348,6 +353,9 @@ class _Compiler:
         if isinstance(expr, ast.CNullLiteral):
             return _const_fn(CNULL), True
         if isinstance(expr, ast.Parameter):
+            if self.parameters is None:  # appended to the row
+                position = len(self.scope) + expr.index
+                return operator.itemgetter(position), False
             if expr.index >= len(self.parameters):
                 return (
                     _raising(

@@ -43,8 +43,9 @@ class ExpressionFacts(NamedTuple):
     crowd_equals: int
     #: contains EXISTS, ``IN (SELECT ...)`` or a scalar subquery
     subquery: bool
-    #: contains a ``?`` parameter (outside any subquery)
-    parameter: bool
+    #: one more than the highest ``?`` index outside any subquery (0:
+    #: none), the number of parameters evaluating it needs
+    parameters: int
     #: number of expression nodes
     size: int
 
@@ -57,7 +58,7 @@ class ExpressionFacts(NamedTuple):
     def static(self) -> bool:
         """Reads neither a ``?`` nor the execution context (no crowd, no
         subquery): compiled, it is the same closure in every execution."""
-        return not (self.crowd or self.subquery or self.parameter)
+        return not (self.crowd or self.subquery or self.parameters)
 
 
 class Expression(Node):
@@ -73,8 +74,8 @@ class Expression(Node):
         """Computed on first use and kept: expressions are immutable."""
         bindings: set[str] = set()
         names: set[str] = set()
-        crowd = subquery = parameter = False
-        crowd_equals = size = 0
+        crowd = subquery = False
+        crowd_equals = size = parameters = 0
         for node in walk_expression(self):
             size += 1
             if isinstance(node, ColumnRef):
@@ -90,14 +91,14 @@ class Expression(Node):
             elif isinstance(node, (ExistsExpr, ScalarSubquery, InSubquery)):
                 subquery = True
             elif isinstance(node, Parameter):
-                parameter = True
+                parameters = max(parameters, node.index + 1)
         return ExpressionFacts(
             bindings=frozenset(bindings) if bindings else _NO_NAMES,
             names=frozenset(names) if names else _NO_NAMES,
             crowd=crowd,
             crowd_equals=crowd_equals,
             subquery=subquery,
-            parameter=parameter,
+            parameters=parameters,
             size=size,
         )
 

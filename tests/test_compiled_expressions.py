@@ -151,6 +151,24 @@ class TestDifferentialCorpus:
         expected = expr_golden[f"tri {fragment} {parameters!r}"]
         check_outcomes(fn, ROWS, expected["outcomes"], fragment)
 
+    @pytest.mark.parametrize(
+        "fragment,parameters", [entry for entry in CORPUS if entry[1]]
+    )
+    def test_parameters_read_from_the_row_identical(
+        self, fragment, parameters, expr_golden
+    ):
+        # a prepared plan compiles ``?`` as a read of the parameters each
+        # execution appends to the row (None appended as NULL)
+        appended = tuple(NULL if p is None else p for p in parameters)
+        for compile, kind in ((compile_value, "value"),
+                              (compile_predicate, "tri")):
+            fn = compile(expr_of(fragment), SCOPE, parameters=None)
+            expected = expr_golden[f"{kind} {fragment} {parameters!r}"]
+            check_outcomes(
+                lambda row: fn(row + appended), ROWS,
+                expected["outcomes"], fragment,
+            )
+
 
 class TestNaNParity:
     """compare_values derives ordering 0 for NaN against anything; the
@@ -173,6 +191,11 @@ class TestNaNParity:
         )
         expected = expr_golden[f"nan {fragment}"]
         check_outcomes(fn, self.ROWS, expected["outcomes"], fragment)
+        appended = compile_predicate(expr_of(fragment), SCOPE, parameters=None)
+        check_outcomes(
+            lambda row: appended(row + (self.NAN, self.NAN)), self.ROWS,
+            expected["outcomes"], fragment,
+        )
 
     @classmethod
     def sort_rows(cls) -> str:

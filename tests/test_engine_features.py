@@ -546,6 +546,53 @@ def prepared_records() -> list[dict]:
     return records
 
 
+def _literal(value) -> str:
+    if value is None:
+        return "NULL"
+    if isinstance(value, str):
+        return "'" + value.replace("'", "''") + "'"
+    return repr(value)
+
+
+@pytest.mark.parametrize("sql, parameter_sets", [
+    ("SELECT id, b FROM t WHERE id = ? AND b LIKE ?",
+     [(1, "a%"), (2, "%an%"), (1, None), (3, "_herry"), (1, 5)]),
+    ("SELECT id FROM t WHERE id = ? AND a IN (?, ?)",
+     [(1, 1, 3), (2, None, 2), (4, 1, None), (1, "x", 1)]),
+    ("SELECT id, c FROM t WHERE id = ? AND c BETWEEN ? AND ?",
+     [(1, 0.0, 2.0), (3, 2.5, 2.5), (4, 0, 9), (2, "a", 9)]),
+    ("SELECT id, a * ?, ?, b || ? FROM t WHERE id = ?",
+     [(10, "tag", "!", 1), (0.5, None, None, 2), ("x", 1, 2, 3),
+      (2, 2.5, "", 4)]),
+    ("SELECT id FROM t WHERE id = ? AND a + ? > ? AND NOT b = ?",
+     [(1, 1, 1, "x"), (2, 0.5, 2, "banana"), (4, 1, 0, "y"),
+      (3, None, 0, "z")]),
+])
+def test_row_closures_read_parameters_like_literals(sql, parameter_sets):
+    """A prepared row closure reads each ``?`` from the row (the
+    execution appends its parameters); the same statement with the
+    values written in as literals compiles them as constants.  Both
+    must return the same rows, or raise the same error."""
+    db = connect(with_crowd=False)
+    db.executescript(PREPARED_SETUP.split("CREATE TABLE p")[0] + """
+        INSERT INTO t VALUES (1, 1, 'apple', 0.5), (2, 2, 'banana', 1.5),
+            (3, 1, 'cherry', 2.5), (4, 3, NULL, NULL);
+    """)
+
+    def run(text, parameters=()):
+        try:
+            result = db.execute(text, parameters)
+        except Exception as error:
+            return f"{type(error).__name__}: {error}"
+        return repr(result.rows)
+
+    for parameters in parameter_sets * 2:  # the second round binds a copy
+        literal = sql
+        for value in parameters:
+            literal = literal.replace("?", _literal(value), 1)
+        assert run(sql, parameters) == run(literal), (sql, parameters)
+
+
 def test_prepared_golden():
     with open(PREPARED_GOLDEN, encoding="utf-8") as handle:
         expected = [json.loads(line) for line in handle]
