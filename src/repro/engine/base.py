@@ -2,13 +2,12 @@
 
 Operators follow the iterator model: prepare, bind, then iterate value
 tuples; ``scope`` names the tuple positions.  A *prepared* operator tree
-is what physical planning builds once per plan-cache entry: it holds no
-execution context.  :meth:`PhysicalOperator.bind` copies it for one
-execution, attaching that execution's context and ``correlation`` -- the
-outer row of a correlated subquery, which expression evaluation appends
-(with its scope) so outer column references resolve.  A bound tree runs
-once and is dropped; the prepared one is never run, so executions never
-share operator state.
+is what physical planning builds: it holds no execution context until
+:meth:`PhysicalOperator.bind` attaches one execution's context and
+``correlation`` -- the outer row of a correlated subquery, which
+expression evaluation appends (with its scope) so outer column
+references resolve.  A tree a plan-cache entry keeps is never run: each
+execution binds a copy of it, so executions never share operator state.
 """
 
 from __future__ import annotations
@@ -33,24 +32,31 @@ class PhysicalOperator(abc.ABC):
     ) -> None:
         self.context = context
         self.correlation = correlation
-        # closures and kernels of static expressions, compiled at first
-        # use and shared by every copy bound from this prepared operator
-        self._prepared: dict = {}
+        # closures and kernels compiled at first use and shared by every
+        # copy bound from this prepared operator (None: bound in place)
+        self._prepared: Optional[dict] = {}
 
-    def bind(self, planner: Any) -> "PhysicalOperator":
-        """A copy of this prepared operator, and of its inputs, for the
-        one execution ``planner`` plans: its context and correlation row
-        are the planner's, everything else is shared with the prepared
-        tree.  Operators with per-execution state reset it here."""
-        bound = object.__new__(type(self))
-        state = bound.__dict__
-        state.update(self.__dict__)
+    def bind(self, planner: Any, copy: bool = True) -> "PhysicalOperator":
+        """This prepared operator, and its inputs, bound to the one
+        execution ``planner`` plans: the context and correlation row are
+        the planner's.  A kept tree is bound as a copy sharing everything
+        else with it; a tree prepared for this execution alone is bound
+        in place (``copy=False``) and compiles its closures for this
+        execution only.  Operators with per-execution state reset it."""
+        if copy:
+            bound = object.__new__(type(self))
+            state = bound.__dict__
+            state.update(self.__dict__)
+        else:
+            bound = self
+            state = self.__dict__
+            state["_prepared"] = None
         state["context"] = planner.context
         state["correlation"] = planner.correlation
         for name in ("child", "left", "right"):  # see children()
             node = state.get(name)
             if node is not None:
-                state[name] = node.bind(planner)
+                state[name] = node.bind(planner, copy)
         return bound
 
     @property
@@ -123,10 +129,15 @@ class PhysicalOperator(abc.ABC):
         build: Callable[..., Any],
     ) -> Any:
         """``build(expr, scope, parameters)``: a kernel of ``expr`` over
-        ``scope``.  A static expression (no ``?``, no crowd, no subquery)
-        outside a correlated subquery is built once, with no parameters;
-        any other is built for each execution with its parameters."""
-        if self.correlation is not None or not expr.facts.static:
+        ``scope``.  In a kept tree, a static expression (no ``?``, no
+        crowd, no subquery) outside a correlated subquery is built once,
+        with no parameters; any other is built for each execution with
+        its parameters."""
+        if (
+            self._prepared is None
+            or self.correlation is not None
+            or not expr.facts.static
+        ):
             return build(expr, scope, self.context.parameters)
         return self._once(kind, expr, scope, build, ())
 
@@ -137,8 +148,9 @@ class PhysicalOperator(abc.ABC):
         scope: Scope,
         compile: Callable[..., Any],
     ) -> Any:
-        """The closure of an electronic ``expr``, compiled once: a ``?``
-        in it reads the parameters this execution appends to the row.
+        """The closure of an electronic ``expr`` in a kept tree, compiled
+        once: a ``?`` in it reads the parameters this execution appends
+        to the row.
         With too few parameters, it is compiled for this execution, so
         the error naming the missing one is raised per row as before."""
         fn = self._once(kind, expr, scope, compile, None)
@@ -157,7 +169,7 @@ class PhysicalOperator(abc.ABC):
         correlated outer row, fixed per bound operator, is appended
         inside the closure."""
         if self.correlation is None:
-            if expr.facts.electronic:
+            if self._prepared is not None and expr.facts.electronic:
                 return self._row_closure("value", expr, scope, _compile_value)
             return self.context.compile_value_fn(expr, scope)
         from repro.storage.row import LayeredScope
@@ -172,7 +184,7 @@ class PhysicalOperator(abc.ABC):
         """Compile ``expr`` into a ``row values -> TriBool`` closure (see
         :meth:`compile_value`)."""
         if self.correlation is None:
-            if expr.facts.electronic:
+            if self._prepared is not None and expr.facts.electronic:
                 return self._row_closure(
                     "predicate", expr, scope, _compile_predicate
                 )

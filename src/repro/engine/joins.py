@@ -248,8 +248,8 @@ class CrowdJoinOp(PhysicalOperator):
         self._scope = left.scope.concat(self._inner_scope)
         self._probed_keys: set[tuple] = set()
 
-    def bind(self, planner) -> PhysicalOperator:
-        bound = super().bind(planner)
+    def bind(self, planner, copy: bool = True) -> PhysicalOperator:
+        bound = super().bind(planner, copy)
         bound._probed_keys = set()  # the keys this execution asked for
         return bound
 

@@ -87,22 +87,30 @@ class PhysicalPlanner:
         """The operator tree that runs ``node`` in this planner's
         execution, bound and ready to iterate.
 
-        ``prepared`` is where a plan-cache entry keeps its prepared trees
-        (``OptimizationResult.prepared``): the first execution prepares
-        one, every execution binds a copy of it.  A tree is kept per
-        what preparing read from the execution: whether a correlation row
-        is bound (no vector region then) and the crowd batch window.
-        EXPLAIN ANALYZE prepares its own tree, wrapped, and keeps none.
+        ``prepared`` is where a plan-cache entry keeps its prepared tree
+        (``OptimizationResult.prepared``), per what preparing read from
+        the execution: whether a correlation row is bound (no vector
+        region then) and the crowd batch window.  The entry's first
+        execution prepares a tree and runs it; the second prepares the
+        tree the entry keeps, and it and every later execution bind a
+        copy of that.  A statement that never runs twice -- most of a
+        miss-heavy stream -- keeps nothing, so the cache holds no more
+        than it did before trees were kept.  EXPLAIN ANALYZE prepares
+        its own tree, wrapped, and keeps none.
         """
         keep = prepared is not None and self.profiler is None
         key = (self.correlation is None, self.context.batch_size)
         template = prepared.get(key) if keep else None
-        if template is None:
-            template = self._prepare(node)
-            self._count("physical_plans_prepared_total", template)
-            if keep:
-                prepared[key] = template
-        return template.bind(self)
+        if template is not None:
+            return template.bind(self)
+        operator = self._prepare(node)
+        self._count("physical_plans_prepared_total", operator)
+        if keep and key in prepared:
+            prepared[key] = operator
+            return operator.bind(self)
+        if keep:
+            prepared[key] = None  # ran once
+        return operator.bind(self, copy=False)
 
     def bind_access_path(
         self, node: logical.Filter, row_bound: Optional[int]
@@ -119,7 +127,7 @@ class PhysicalPlanner:
         else:
             operator = self._index_lookup(node, matched, row_bound)
         self._count(None, operator)
-        return operator.bind(self)
+        return operator.bind(self, copy=False)
 
     def _count(self, plans: Optional[str], root: PhysicalOperator) -> None:
         """Count a prepared tree (``plans`` names its counter) and the

@@ -129,7 +129,7 @@ class IndexLookup(PhysicalOperator):
         )
         self._scope = Scope.for_table(binding, table.column_names)
 
-    def bind(self, planner) -> PhysicalOperator:
+    def bind(self, planner, copy: bool = True) -> PhysicalOperator:
         parameters = planner.context.parameters
         try:
             keys = tuple(
@@ -140,7 +140,7 @@ class IndexLookup(PhysicalOperator):
         except Exception:
             # mistyped or unsupplied value (see match_index_access)
             return planner.bind_access_path(*self.access)
-        bound = super().bind(planner)
+        bound = super().bind(planner, copy)
         bound.key_values = keys
         return bound
 

@@ -64,9 +64,9 @@ class ProfiledOperator(PhysicalOperator):
         self._task_stats = task_stats
         self._sim_clock = sim_clock
 
-    def bind(self, planner: Any) -> PhysicalOperator:
-        bound = super().bind(planner)
-        bound.target = self.target.bind(planner)
+    def bind(self, planner: Any, copy: bool = True) -> PhysicalOperator:
+        bound = super().bind(planner, copy)
+        bound.target = self.target.bind(planner, copy)
         return bound
 
     @property

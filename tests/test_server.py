@@ -618,10 +618,11 @@ class TestPreparedPlanAcrossSessions:
         ]
         assert sessions[0].results[0].rows == [("city1", 1001, 10)]
         assert self._tasks(server) == self._tasks(serial)
-        # one tree prepared; every execution bound a copy of it
+        # the first execution's tree, and the one the entry keeps, which
+        # every later execution bound a copy of
         assert server.connection.metrics.snapshot()[
             "physical_plans_prepared_total"
-        ] == 1
+        ] == 2
         server.shutdown()
         serial.shutdown()
 
