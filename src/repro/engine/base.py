@@ -34,7 +34,7 @@ class PhysicalOperator(abc.ABC):
         self.correlation = correlation
         # closures and kernels compiled at first use and shared by every
         # copy bound from this prepared operator (None: bound in place)
-        self._prepared: Optional[dict] = {}
+        self._closures: Optional[dict] = {}
 
     def bind(self, planner: Any, copy: bool = True) -> "PhysicalOperator":
         """This prepared operator, and its inputs, bound to the one
@@ -50,7 +50,7 @@ class PhysicalOperator(abc.ABC):
         else:
             bound = self
             state = self.__dict__
-            state["_prepared"] = None
+            state["_closures"] = None
         state["context"] = planner.context
         state["correlation"] = planner.correlation
         for name in ("child", "left", "right"):  # see children()
@@ -113,15 +113,15 @@ class PhysicalOperator(abc.ABC):
         """``build(expr, scope, parameters)``, built on first use and kept
         with the prepared operator: every bound copy shares it."""
         key = (kind, id(expr))
-        entry = self._prepared.get(key)
+        entry = self._closures.get(key)
         if entry is None or entry[1] is not scope:
             # the entry holds ``expr`` and ``scope``: their ids stay theirs
-            entry = self._prepared[key] = (
+            entry = self._closures[key] = (
                 expr, scope, build(expr, scope, parameters),
             )
         return entry[2]
 
-    def prepared(
+    def compile_kernel(
         self,
         kind: str,
         expr: ast.Expression,
@@ -134,7 +134,7 @@ class PhysicalOperator(abc.ABC):
         with no parameters; any other is built for each execution with
         its parameters."""
         if (
-            self._prepared is None
+            self._closures is None
             or self.correlation is not None
             or not expr.facts.static
         ):
@@ -150,9 +150,9 @@ class PhysicalOperator(abc.ABC):
     ) -> Any:
         """The closure of an electronic ``expr`` in a kept tree, compiled
         once: a ``?`` in it reads the parameters this execution appends
-        to the row.
-        With too few parameters, it is compiled for this execution, so
-        the error naming the missing one is raised per row as before."""
+        to the row.  With too few parameters it is compiled for this
+        execution, so the error naming the missing one is raised per
+        row, as from any closure."""
         fn = self._once(kind, expr, scope, compile, None)
         needed = expr.facts.parameters
         if not needed:
@@ -169,7 +169,7 @@ class PhysicalOperator(abc.ABC):
         correlated outer row, fixed per bound operator, is appended
         inside the closure."""
         if self.correlation is None:
-            if self._prepared is not None and expr.facts.electronic:
+            if self._closures is not None and expr.facts.electronic:
                 return self._row_closure("value", expr, scope, _compile_value)
             return self.context.compile_value_fn(expr, scope)
         from repro.storage.row import LayeredScope
@@ -184,7 +184,7 @@ class PhysicalOperator(abc.ABC):
         """Compile ``expr`` into a ``row values -> TriBool`` closure (see
         :meth:`compile_value`)."""
         if self.correlation is None:
-            if self._prepared is not None and expr.facts.electronic:
+            if self._closures is not None and expr.facts.electronic:
                 return self._row_closure(
                     "predicate", expr, scope, _compile_predicate
                 )

@@ -1,16 +1,17 @@
 """Physical planning: translate optimized logical plans into operators.
 
-Planning has two steps.  *Prepare* builds a plan's operator tree once per
-plan-cache entry: which operator each node gets and its scope, column
-pruning, equi-join keys, crowd batch windows, and the index access path
-(the index, its key columns and whether it is a prefix, never the key
-values).  The prepared tree holds no execution context.  *Bind* copies it
-for one execution (:meth:`~repro.engine.base.PhysicalOperator.bind`):
-the copy gets the execution's context and correlation row, and index
-keys are coerced from the execution's parameters.  Closures and kernels
-of static expressions are compiled at their first use and kept with the
-prepared tree; those reading a ``?`` or the execution context are
-compiled again in every execution.
+Planning has two steps.  *Prepare* builds a plan's operator tree: which
+operator each node gets and its scope, column pruning, equi-join keys,
+crowd batch windows, and the index access path (the index, its key
+columns and whether it is a prefix, never the key values).  The prepared
+tree holds no execution context.  *Bind* attaches one execution
+(:meth:`~repro.engine.base.PhysicalOperator.bind`): its context and
+correlation row, and index keys coerced from its parameters.  A
+plan-cache entry keeps the tree its second execution prepares, and every
+later execution binds a copy of it (see :meth:`PhysicalPlanner.plan`).
+The closures and kernels of static expressions are compiled at their
+first use and kept with that tree, as are electronic closures reading a
+``?``; the others are compiled again in every execution.
 """
 
 from __future__ import annotations

@@ -174,7 +174,7 @@ class VectorOperator(PhysicalOperator):
         ``(False, row closure)`` when it is outside the kernel subset
         (counted as a fallback of this operator); prepared once when
         ``expr`` is static."""
-        return self.prepared("column", expr, scope, self._column_or_row)
+        return self.compile_kernel("column", expr, scope, self._column_or_row)
 
     def _column_or_row(
         self, expr: ast.Expression, scope: Scope, parameters: tuple
@@ -400,7 +400,7 @@ class VectorFilterOp(VectorOperator):
             )
 
     def __iter__(self) -> Iterator[ColumnBatch]:
-        kernel = self.prepared(
+        kernel = self.compile_kernel(
             "mask", self.predicate_expr, self.child.scope, self._mask_or_rows
         )
         for batch in self.child:
