@@ -27,11 +27,9 @@ Correlation = Optional[tuple[tuple, Scope]]
 class PhysicalOperator(abc.ABC):
     """One node of a physical plan."""
 
-    def __init__(
-        self, context: ExecutionContext, correlation: Correlation = None
-    ) -> None:
+    def __init__(self, context: ExecutionContext) -> None:
         self.context = context
-        self.correlation = correlation
+        self.correlation: Correlation = None  # set by bind
         # closures and kernels compiled at first use and shared by every
         # copy bound from this prepared operator (None: bound in place)
         self._closures: Optional[dict] = {}

@@ -24,7 +24,7 @@ from __future__ import annotations
 from typing import Iterator
 
 from repro.catalog.table import TableSchema
-from repro.engine.base import Correlation, PhysicalOperator
+from repro.engine.base import PhysicalOperator
 from repro.engine.context import ExecutionContext
 from repro.sqltypes import is_cnull
 from repro.storage.row import Scope
@@ -42,9 +42,8 @@ class CrowdProbeOp(PhysicalOperator):
         columns: tuple[str, ...],
         batch_size: int,
         anti_probe_keys: tuple[tuple, ...] = (),
-        correlation: Correlation = None,
     ) -> None:
-        super().__init__(context, correlation)
+        super().__init__(context)
         self.child = child
         self.table = table
         self.binding = binding

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Iterator, Optional
 
-from repro.engine.base import Correlation, PhysicalOperator
+from repro.engine.base import PhysicalOperator
 from repro.engine.context import ExecutionContext
 from repro.exec.vector import chunked as _chunked
 from repro.plan.compiled import is_electronic
@@ -46,9 +46,8 @@ class FilterOp(PhysicalOperator):
         child: PhysicalOperator,
         predicate: ast.Expression,
         batch_size: int,
-        correlation: Correlation = None,
     ) -> None:
-        super().__init__(context, correlation)
+        super().__init__(context)
         self.child = child
         self.predicate_expr = predicate
         self.batch_size = batch_size
@@ -268,9 +267,8 @@ class ProjectOp(PhysicalOperator):
         context: ExecutionContext,
         child: PhysicalOperator,
         items: tuple[tuple[ast.Expression, str], ...],
-        correlation: Correlation = None,
     ) -> None:
-        super().__init__(context, correlation)
+        super().__init__(context)
         self.child = child
         self.items = items
         self._scope = Scope([("", name) for _expr, name in items])
@@ -308,9 +306,8 @@ class DistinctOp(PhysicalOperator):
         self,
         context: ExecutionContext,
         child: PhysicalOperator,
-        correlation: Correlation = None,
     ) -> None:
-        super().__init__(context, correlation)
+        super().__init__(context)
         self.child = child
 
     @property
@@ -336,9 +333,8 @@ class LimitOp(PhysicalOperator):
         child: PhysicalOperator,
         limit: Optional[int],
         offset: int = 0,
-        correlation: Correlation = None,
     ) -> None:
-        super().__init__(context, correlation)
+        super().__init__(context)
         self.child = child
         self.limit = limit
         self.offset = offset
@@ -370,9 +366,8 @@ class SubqueryAliasOp(PhysicalOperator):
         context: ExecutionContext,
         child: PhysicalOperator,
         alias: str,
-        correlation: Correlation = None,
     ) -> None:
-        super().__init__(context, correlation)
+        super().__init__(context)
         self.child = child
         self.alias = alias
         self._scope = child.scope.rename(alias)
@@ -398,9 +393,8 @@ class SetOpOp(PhysicalOperator):
         left: PhysicalOperator,
         right: PhysicalOperator,
         op: str,
-        correlation: Correlation = None,
     ) -> None:
-        super().__init__(context, correlation)
+        super().__init__(context)
         self.left = left
         self.right = right
         self.op = op

@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import Any, Iterator, Optional
 
 from repro.catalog.table import TableSchema
-from repro.engine.base import Correlation, PhysicalOperator
+from repro.engine.base import PhysicalOperator
 from repro.engine.context import ExecutionContext
 from repro.errors import ExecutionError
 from repro.sql import ast
@@ -23,9 +23,8 @@ class NestedLoopJoinOp(PhysicalOperator):
         right: PhysicalOperator,
         join_type: str = "INNER",
         condition: Optional[ast.Expression] = None,
-        correlation: Correlation = None,
     ) -> None:
-        super().__init__(context, correlation)
+        super().__init__(context)
         if join_type not in ("INNER", "CROSS", "LEFT"):
             raise ExecutionError(f"unsupported join type {join_type!r}")
         self.left = left
@@ -87,9 +86,8 @@ class HashJoinOp(PhysicalOperator):
         right_keys: tuple[ast.Expression, ...],
         condition: Optional[ast.Expression] = None,
         join_type: str = "INNER",
-        correlation: Correlation = None,
     ) -> None:
-        super().__init__(context, correlation)
+        super().__init__(context)
         if join_type not in ("INNER", "LEFT"):
             raise ExecutionError(f"unsupported hash join type {join_type!r}")
         self.left = left
@@ -227,9 +225,8 @@ class CrowdJoinOp(PhysicalOperator):
         outer_key_exprs: tuple[ast.Expression, ...],
         needed_columns: tuple[str, ...],
         batch_size: int,
-        correlation: Correlation = None,
     ) -> None:
-        super().__init__(context, correlation)
+        super().__init__(context)
         self.left = left
         self.inner_table = inner_table
         self.inner_binding = inner_binding

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Any, Optional
 
-from repro.engine.base import PhysicalOperator
+from repro.engine.base import Correlation, PhysicalOperator
 from repro.engine.context import ExecutionContext
 from repro.engine.crowd_probe import CrowdProbeOp
 from repro.engine.filter_project import (
@@ -67,7 +67,7 @@ class PhysicalPlanner:
     def __init__(
         self,
         context: ExecutionContext,
-        correlation: Optional[tuple] = None,
+        correlation: Correlation = None,
         profiler: Optional[object] = None,  # repro.obs.QueryProfiler
         bindings: Optional[dict] = None,  # id(node) -> plan.binder.NodeBinding
         metrics: Optional[Any] = None,  # repro.obs.MetricsRegistry

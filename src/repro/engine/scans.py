@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import Iterator, Optional
 
 from repro.catalog.table import TableSchema
-from repro.engine.base import Correlation, PhysicalOperator
+from repro.engine.base import PhysicalOperator
 from repro.engine.context import ExecutionContext
 from repro.sql import ast
 from repro.sqltypes import coerce
@@ -28,9 +28,8 @@ class TableScan(PhysicalOperator):
         table: TableSchema,
         binding: str,
         limit_hint: Optional[int] = None,
-        correlation: Correlation = None,
     ) -> None:
-        super().__init__(context, correlation)
+        super().__init__(context)
         self.table = table
         self.binding = binding
         self.limit_hint = limit_hint
@@ -114,10 +113,9 @@ class IndexLookup(PhysicalOperator):
         key_columns: tuple[str, ...],
         key_values: tuple,
         prefix: bool = False,
-        correlation: Correlation = None,
         access: Optional[tuple] = None,
     ) -> None:
-        super().__init__(context, correlation)
+        super().__init__(context)
         self.table = table
         self.binding = binding
         self.key_columns = key_columns

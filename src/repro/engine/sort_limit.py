@@ -21,7 +21,7 @@ from __future__ import annotations
 import functools
 from typing import Iterator, Optional
 
-from repro.engine.base import Correlation, PhysicalOperator
+from repro.engine.base import PhysicalOperator
 from repro.engine.context import ExecutionContext
 from repro.exec.sort import missing_aware_compare
 from repro.sql import ast
@@ -38,9 +38,8 @@ class SortOp(PhysicalOperator):
         child: PhysicalOperator,
         keys: tuple[tuple[ast.Expression, bool], ...],
         top_k: Optional[int] = None,
-        correlation: Correlation = None,
     ) -> None:
-        super().__init__(context, correlation)
+        super().__init__(context)
         self.child = child
         self.keys = keys
         self.top_k = top_k

@@ -30,7 +30,7 @@ from operator import add as _add, itemgetter
 from typing import Any, Iterator, Optional, Sequence
 
 from repro.catalog.table import TableSchema
-from repro.engine.base import Correlation, PhysicalOperator
+from repro.engine.base import PhysicalOperator
 from repro.engine.context import ExecutionContext
 from repro.errors import ExecutionError
 from repro.exec.kernels import (
@@ -523,9 +523,8 @@ class VectorSortOp(VectorOperator):
         child: VectorOperator,
         keys: tuple[tuple[ast.Expression, bool], ...],
         top_k: Optional[int] = None,
-        correlation: Correlation = None,
     ) -> None:
-        super().__init__(context, correlation)
+        super().__init__(context)
         self.child = child
         self.keys = keys
         self.top_k = top_k
@@ -1255,9 +1254,8 @@ class VectorAggregateOp(VectorOperator):
         child: VectorOperator,
         group_by: tuple[ast.Expression, ...],
         aggregates: tuple[ast.FunctionCall, ...],
-        correlation: Correlation = None,
     ) -> None:
-        super().__init__(context, correlation)
+        super().__init__(context)
         self.child = child
         self.group_by = group_by
         self.aggregates = aggregates

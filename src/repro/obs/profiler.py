@@ -58,7 +58,7 @@ class ProfiledOperator(PhysicalOperator):
         task_stats: Optional[Any] = None,      # TaskManagerStats
         sim_clock: Optional[Callable[[], float]] = None,
     ) -> None:
-        super().__init__(target.context, target.correlation)
+        super().__init__(target.context)
         self.target = target
         self.metrics = metrics
         self._task_stats = task_stats
