@@ -105,7 +105,7 @@ class PhysicalPlanner:
         if template is not None:
             return template.bind(self)
         operator = self._prepare(node)
-        self._count("physical_plans_prepared_total", operator)
+        self._count(operator)
         if keep and key in prepared:
             prepared[key] = operator
             return operator.bind(self)
@@ -127,32 +127,30 @@ class PhysicalPlanner:
             operator = self._prepare(node.child, row_bound)
         else:
             operator = self._index_lookup(node, matched, row_bound)
-        self._count(None, operator)
+        self._count(operator, tree=False)
         return operator.bind(self, copy=False)
 
-    def _count(self, plans: Optional[str], root: PhysicalOperator) -> None:
-        """Count a prepared tree (``plans`` names its counter) and the
-        operators built for it, by class."""
+    def _count(self, root: PhysicalOperator, tree: bool = True) -> None:
+        """Count a prepared tree (not when ``tree`` is false: a subtree
+        built at bind) and the operators built for it, by class."""
         metrics = self.metrics
         if metrics is None:
             return
-        if plans is not None:
+        if tree:
             metrics.counter(
-                plans, help="physical operator trees prepared"
+                "physical_plans_prepared_total",
+                help="physical operator trees prepared",
             ).inc()
-        built: dict[str, int] = {}
         stack = [root]
         while stack:
             operator = stack.pop()
             # EXPLAIN ANALYZE's proxy counts as the operator it measures
             name = type(getattr(operator, "target", operator)).__name__
-            built[name] = built.get(name, 0) + 1
-            stack.extend(operator.children())
-        for name, count in built.items():
             metrics.counter(
                 f"operators_built.{name}",
                 help="physical operators built, by class",
-            ).inc(count)
+            ).inc()
+            stack.extend(operator.children())
 
     # -- prepare ------------------------------------------------------------------
 
