@@ -141,16 +141,22 @@ class PhysicalPlanner:
                 "physical_plans_prepared_total",
                 help="physical operator trees prepared",
             ).inc()
+        built: dict[type, int] = {}
         stack = [root]
         while stack:
             operator = stack.pop()
             # EXPLAIN ANALYZE's proxy counts as the operator it measures
-            name = type(getattr(operator, "target", operator)).__name__
+            operator = operator.__dict__.get("target", operator)
+            built[type(operator)] = built.get(type(operator), 0) + 1
+            state = operator.__dict__
+            for name in ("child", "left", "right"):  # see bind()
+                if state.get(name) is not None:
+                    stack.append(state[name])
+        for kind, count in built.items():
             metrics.counter(
-                f"operators_built.{name}",
+                f"operators_built.{kind.__name__}",
                 help="physical operators built, by class",
-            ).inc()
-            stack.extend(operator.children())
+            ).inc(count)
 
     # -- prepare ------------------------------------------------------------------
 
