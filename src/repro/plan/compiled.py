@@ -7,7 +7,9 @@ physical plan** into a tree of Python closures over a row's value tuple:
 * column ordinals are resolved against the operator's scope at compile
   time, so a column reference becomes ``values[i]``;
 * constant subtrees (literals, parameters, pure functions of them) are
-  folded to a single captured value;
+  folded to a single captured value -- except that a closure a prepared
+  plan keeps reads its parameters from the row, after the scope's
+  columns (``parameters=None``), so every execution can share it;
 * LIKE patterns that are constant compile their regex at plan time (and
   dynamic patterns share the process-wide pattern cache);
 * three-valued logic and NULL/CNULL handling are specialized per node, so
