@@ -27,12 +27,14 @@ Correlation = Optional[tuple[tuple, Scope]]
 class PhysicalOperator(abc.ABC):
     """One node of a physical plan."""
 
+    #: closures and kernels compiled at first use and shared by every
+    #: copy bound from a kept tree; None in any other tree, whose one
+    #: execution compiles its own (see PhysicalPlanner.plan)
+    _closures: Optional[dict] = None
+
     def __init__(self, context: ExecutionContext) -> None:
         self.context = context
         self.correlation: Correlation = None  # set by bind
-        # closures and kernels compiled at first use and shared by every
-        # copy bound from this prepared operator (None: bound in place)
-        self._closures: Optional[dict] = {}
 
     def bind(self, planner: Any, copy: bool = True) -> "PhysicalOperator":
         """This prepared operator, and its inputs, bound to the one
@@ -48,7 +50,6 @@ class PhysicalOperator(abc.ABC):
         else:
             bound = self
             state = self.__dict__
-            state["_closures"] = None
         state["context"] = planner.context
         state["correlation"] = planner.correlation
         for name in ("child", "left", "right"):  # see children()

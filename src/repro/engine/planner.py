@@ -107,6 +107,8 @@ class PhysicalPlanner:
         operator = self._prepare(node)
         self._count(operator)
         if keep and key in prepared:
+            for each in _operators(operator):
+                each._closures = {}
             prepared[key] = operator
             return operator.bind(self)
         if keep:
@@ -142,16 +144,8 @@ class PhysicalPlanner:
                 help="physical operator trees prepared",
             ).inc()
         built: dict[type, int] = {}
-        stack = [root]
-        while stack:
-            operator = stack.pop()
-            # EXPLAIN ANALYZE's proxy counts as the operator it measures
-            operator = operator.__dict__.get("target", operator)
+        for operator in _operators(root):
             built[type(operator)] = built.get(type(operator), 0) + 1
-            state = operator.__dict__
-            for name in ("child", "left", "right"):  # see bind()
-                if state.get(name) is not None:
-                    stack.append(state[name])
         for kind, count in built.items():
             metrics.counter(
                 f"operators_built.{kind.__name__}",
@@ -440,6 +434,20 @@ class PhysicalPlanner:
             join_type=node.join_type,
             condition=node.condition,
         )
+
+
+def _operators(root: PhysicalOperator):
+    """Every operator of a tree; EXPLAIN ANALYZE's proxy stands for the
+    operator it measures."""
+    stack = [root]
+    while stack:
+        operator = stack.pop()
+        operator = operator.__dict__.get("target", operator)
+        yield operator
+        state = operator.__dict__
+        for name in ("child", "left", "right"):  # see bind()
+            if state.get(name) is not None:
+                stack.append(state[name])
 
 
 def match_index_access(
