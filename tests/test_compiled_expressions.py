@@ -15,6 +15,7 @@ only at the parent of a change meant to alter expression results.
 
 from __future__ import annotations
 
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -168,6 +169,45 @@ class TestDifferentialCorpus:
                 lambda row: fn(row + appended), ROWS,
                 expected["outcomes"], fragment,
             )
+
+
+#: fragments whose ``?`` a prepared plan reads from the row, checked
+#: against the closure that folds the same values in (every combination
+#: of ``PARAMETER_VALUES``)
+PARAMETER_FRAGMENTS = [
+    "a = ?", "? = a", "a < ?", "s LIKE ?", "? LIKE s", "a IN (?, ?)",
+    "? IN (a, b)", "a BETWEEN ? AND ?", "? BETWEEN a AND b", "a + ?",
+    "? / a", "a / ?", "s || ?", "-?", "NOT ?", "? AND flag", "? IS NULL",
+    "? IS CNULL", "CASE WHEN ? THEN a ELSE b END",
+    "CASE a WHEN ? THEN 'hit' END", "COALESCE(?, a)", "NULLIF(a, ?)",
+    "LOWER(?)", "ABS(?)", "SUBSTR(s, ?)", "(? + ?) * a",
+]
+PARAMETER_VALUES = [1, 2.5, float("nan"), "a%", None, True]
+
+
+def any_outcome(fn) -> list:
+    """:func:`outcome`, for any exception (a raw ``TypeError`` too)."""
+    try:
+        value = fn()
+    except Exception as error:
+        return ["error", type(error).__name__, str(error)]
+    return ["ok", type(value).__name__, repr(value)]
+
+
+@pytest.mark.parametrize("fragment", PARAMETER_FRAGMENTS)
+def test_parameters_read_from_the_row_fold_alike(fragment):
+    expr = expr_of(fragment)
+    for parameters in itertools.product(
+        PARAMETER_VALUES, repeat=expr.facts.parameters
+    ):
+        appended = tuple(NULL if p is None else p for p in parameters)
+        for compile in (compile_value, compile_predicate):
+            folded = compile(expr, SCOPE, parameters=parameters)
+            read = compile(expr, SCOPE, parameters=None)
+            for row in ROWS:
+                assert any_outcome(lambda: read(row + appended)) == (
+                    any_outcome(lambda: folded(row))
+                ), (fragment, parameters, row)
 
 
 class TestNaNParity:
