@@ -140,6 +140,25 @@ def row_engine():
 EXPR_GOLDEN = Path(__file__).parent / "golden" / "expr_v1.jsonl"
 
 
+#: What the row join operators returned, captured before they left
+#: ``src/``: the records of ``tests/golden/rowjoin_v1.jsonl`` with a
+#: ``suite`` (see ``tests/test_rowagg.py``, which rewrites the file).
+ROWJOIN_GOLDEN = Path(__file__).parent / "golden" / "rowjoin_v1.jsonl"
+
+
+@pytest.fixture(scope="session")
+def row_joins():
+    """``{suite: {sql: repr of (columns, rows)}}`` from the row joins."""
+    suites: dict = {}
+    with open(ROWJOIN_GOLDEN, encoding="utf-8") as handle:
+        for record in map(json.loads, handle):
+            if "suite" in record:
+                suites.setdefault(record["suite"], {})[record["sql"]] = (
+                    record["repr"]
+                )
+    return suites
+
+
 @pytest.fixture(scope="session")
 def expr_golden():
     """The records of ``tests/golden/expr_v1.jsonl`` by name."""

@@ -149,6 +149,15 @@ def crowd_oracle() -> GroundTruthOracle:
     oracle.declare_same_entity("IBM", "I.B.M.", "ibm corp")
     oracle.declare_same_entity("SAP", "S.A.P.")
     oracle.declare_same_entity("city03", "City Three")
+    for name, manager in [("b0", "Mia"), ("b1", "Noa"), ("b2", "Oli"),
+                          ("b3", "Pat"), ("b4", "Ray")]:
+        oracle.load_fill("Branch", (name,), {"manager": manager})
+    oracle.load_new_tuples(
+        "Branch",
+        [{"name": "b2", "city": "city06"}, {"name": "b3", "city": "city06"},
+         {"name": "b4", "city": "city09"}],
+        fixed_columns=("city",),
+    )
     return oracle
 
 
@@ -257,10 +266,207 @@ def rowagg_records() -> list[dict]:
     return records
 
 
-def test_rowagg_golden():
+def test_rowagg_golden(row_joins):
     with open(ROWAGG_GOLDEN, encoding="utf-8") as handle:
         expected = [json.loads(line) for line in handle]
     actual = rowagg_records()
+    assert len(actual) == len(expected)
+    for index, (got, want) in enumerate(zip(actual, expected)):
+        assert got == want, f"record {index}: {want['sql']}"
+    # the join statements also equal what the row joins returned
+    joins = row_joins["rowagg"]
+    assert joins and set(joins) <= set(ELECTRONIC_QUERIES)
+    for record in actual[:len(ELECTRONIC_QUERIES)]:
+        if record["sql"] in joins:
+            assert record["repr"] == joins[record["sql"]], record["sql"]
+
+
+# -- the row-join golden ------------------------------------------------------
+#
+# ``tests/golden/rowjoin_v1.jsonl`` pins what a join returns when an input
+# comes from row operators (an index lookup, a CrowdProbe, a CrowdJoin, a
+# correlated subquery), when it has no equi key (CROSS and theta joins),
+# and when its condition asks the crowd.  It was written while those
+# joins ran on the row join operators, which read their probe side one
+# row at a time and asked a crowd condition once per candidate, yielding
+# each match as it was decided.  Two parts:
+#
+# * records with a ``suite`` are the row operators' answers to every join
+#   statement the differential suites of ``tests/test_vectorized.py`` (and
+#   this file's ``ELECTRONIC_QUERIES``) compare against the ``row_engine``
+#   seam; those suites assert the default path against them, since the
+#   seam no longer reaches a row join;
+# * the others are :data:`JOIN_QUERIES` at ``batch_size`` 1 and 16 over
+#   the scripted crowd, with every task posted in order, and
+#   :data:`ELECTRONIC_JOIN_QUERIES` over :func:`electronic_db`.
+#
+# ``python tests/test_rowagg.py`` rewrites it (and ``rowagg_v1``) -- only
+# at the parent of a change meant to alter join results or crowd traffic.
+
+ROWJOIN_GOLDEN = Path(__file__).parent / "golden" / "rowjoin_v1.jsonl"
+
+#: A CROWD table for CrowdJoins: the crowd knows b2 and b3 in city06 and
+#: b4 in city09, and every branch's manager.
+BRANCH_SCRIPT = (
+    "CREATE CROWD TABLE Branch (name STRING PRIMARY KEY, city STRING, "
+    "manager CROWD STRING)",
+    "INSERT INTO Branch (name, city) VALUES ('b0', 'city00'), "
+    "('b1', 'city03')",
+)
+
+#: Joins over crowd input, each with and without a LIMIT: a CrowdProbe
+#: (``population``/``elevation``) or a CrowdJoin (``Branch``) as the
+#: build or the probe side, index lookups, CROSS and theta joins, a crowd
+#: condition with and without equi keys, and joins inside correlated
+#: subqueries.
+JOIN_QUERIES = [
+    # CrowdProbe as the build side, then as the probe side
+    "SELECT c.name, c.population, o.id FROM City c "
+    "JOIN Office o ON o.city = c.name",
+    "SELECT c.name, c.population, o.id FROM City c "
+    "JOIN Office o ON o.city = c.name LIMIT 1",
+    "SELECT o.id, c.name, c.population FROM Office o "
+    "JOIN City c ON c.region = o.region",
+    "SELECT o.id, c.name, c.population FROM Office o "
+    "JOIN City c ON c.region = o.region LIMIT 3",
+    # index lookups
+    "SELECT o.id, c.name, c.population FROM Office o "
+    "JOIN City c ON c.name = o.city WHERE o.id = 3",
+    "SELECT o.id, co.name FROM Office o JOIN Company co "
+    "ON co.region = o.region WHERE o.id = 3 LIMIT 1",
+    # CrowdJoin as the build side, then as the (LEFT) probe side
+    "SELECT o.id, b.name, b.manager, co.name FROM Office o "
+    "JOIN Branch b ON b.city = o.city JOIN Company co ON co.region = o.region",
+    "SELECT o.id, b.name, b.manager, co.name FROM Office o "
+    "JOIN Branch b ON b.city = o.city JOIN Company co ON co.region = o.region "
+    "LIMIT 3",
+    "SELECT o.id, b.name, c.name FROM Office o JOIN Branch b "
+    "ON b.city = o.city LEFT JOIN City c ON c.region = o.region",
+    "SELECT o.id, b.name, c.name FROM Office o JOIN Branch b "
+    "ON b.city = o.city LEFT JOIN City c ON c.region = o.region LIMIT 1",
+    # CROSS, theta INNER and theta LEFT
+    "SELECT c.name, c.elevation, co.name FROM City c CROSS JOIN Company co",
+    "SELECT c.name, c.elevation, co.name FROM City c "
+    "CROSS JOIN Company co LIMIT 3",
+    "SELECT c.name, o.id FROM City c JOIN Office o "
+    "ON o.id * 200 > c.population",
+    "SELECT c.name, o.id FROM City c JOIN Office o "
+    "ON o.id * 200 > c.population LIMIT 3",
+    "SELECT c.name, o.id FROM City c LEFT JOIN Office o "
+    "ON o.id > c.elevation",
+    "SELECT c.name, o.id FROM City c LEFT JOIN Office o "
+    "ON o.id > c.elevation LIMIT 5",
+    # a crowd condition
+    "SELECT a.name, b.name FROM Company a JOIN Company b "
+    "ON CROWDEQUAL(a.name, b.name) AND a.name <> b.name LIMIT 2",
+    "SELECT a.name, b.name FROM Company a LEFT JOIN Company b "
+    "ON CROWDEQUAL(a.name, b.name) AND a.name < b.name LIMIT 4",
+    "SELECT a.name, b.name FROM Company a LEFT JOIN Company b "
+    "ON CROWDEQUAL(a.name, b.name) AND a.name < b.name",
+    "SELECT c.name, co.name FROM City c JOIN Company co "
+    "ON CROWDEQUAL(c.name, co.name) AND c.population > 1000 LIMIT 1",
+    "SELECT a.name, b.name FROM Company a JOIN Company b "
+    "ON a.region = b.region AND CROWDEQUAL(a.name, b.name) "
+    "AND a.name <> b.name LIMIT 1",
+    # joins inside correlated subqueries
+    "SELECT o.id FROM Office o WHERE EXISTS (SELECT 1 FROM City c "
+    "JOIN Company co ON co.region = c.region "
+    "WHERE c.name = o.city AND c.population > 1050)",
+    "SELECT o.id, (SELECT COUNT(*) FROM City c JOIN Company co "
+    "ON co.region = c.region WHERE c.region = o.region) FROM Office o",
+    "SELECT o.id, (SELECT MAX(c.population) FROM City c JOIN Office x "
+    "ON x.id > o.id WHERE c.name = x.city) FROM Office o",
+]
+
+#: Electronic joins whose input is an index lookup (``k`` has a
+#: non-unique index, ``id`` the primary key), and keyless ones.
+ELECTRONIC_JOIN_QUERIES = [
+    "SELECT a.id, b.id, b.w FROM a JOIN b ON b.w = a.n WHERE a.k = 1",
+    "SELECT a.id, b.s FROM a JOIN b ON b.w = a.n WHERE a.k = 1 LIMIT 2",
+    "SELECT a.id, b.id FROM a JOIN b ON b.w > a.k WHERE a.id = 5",
+    "SELECT a.id, b.id FROM a LEFT JOIN b ON b.w < a.n WHERE a.k = 2",
+    "SELECT a.id, b.id FROM b, a WHERE a.k = 3 LIMIT 5",
+    "SELECT x.id, y.id FROM a x JOIN a y ON y.n = x.n "
+    "WHERE x.k = 1 AND y.k = 2",
+    "SELECT a.id, b.id, a.v FROM a LEFT JOIN b ON b.w = a.k "
+    "AND a.v > b.w WHERE a.k = 0",
+]
+
+
+def rowjoin_db(batch_size: int):
+    """:func:`crowd_db` with the ``Branch`` CROWD table."""
+    db, platform = crowd_db(batch_size)
+    for statement in BRANCH_SCRIPT:
+        db.execute(statement)
+    return db, platform
+
+
+def rowjoin_records() -> list[dict]:
+    """The golden's records without a ``suite``, in a fixed order."""
+    records = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UnboundedQueryWarning)
+        db = electronic_db()
+        for sql in ELECTRONIC_JOIN_QUERIES:
+            records.append({"sql": sql, **_outcome(db, sql)})
+        db.close()
+        for batch_size in (1, 16):
+            for sql in JOIN_QUERIES:
+                db, platform = rowjoin_db(batch_size)
+                record = {"sql": sql, "batch": batch_size,
+                          **_outcome(db, sql)}
+                record["tasks"] = [repr(task) for task in platform.posted_tasks]
+                records.append(record)
+                db.close()
+    return records
+
+
+def reference_join_records() -> list[dict]:
+    """The golden's records with a ``suite``: the row engine's result of
+    every statement of a differential suite whose plan holds a join."""
+    from conftest import ORDER_BOOK_QUERY, _row_engine, load_order_book
+    import test_vectorized as differential
+
+    def script(text):
+        def load():
+            db = connect(with_crowd=False)
+            db.executescript(text)
+            return db
+        return load
+
+    def order_book():
+        db = connect(with_crowd=False)
+        load_order_book(db)
+        return db
+
+    suites = [
+        ("QUERIES", script(differential.SCRIPT), differential.QUERIES),
+        ("ORDER_BOOK_QUERIES", order_book, differential.ORDER_BOOK_QUERIES),
+        ("pipeline", order_book, [ORDER_BOOK_QUERY]),
+        ("empty", script(differential.EMPTY_SCRIPT),
+         differential.EMPTY_QUERIES),
+        ("rowagg", electronic_db, ELECTRONIC_QUERIES),
+    ]
+    records = []
+    with warnings.catch_warnings(), _row_engine():
+        warnings.simplefilter("ignore", UnboundedQueryWarning)
+        for suite, load, queries in suites:
+            db = load()
+            for sql in queries:
+                if "Join" in db.explain(sql):
+                    records.append({"suite": suite, "sql": sql,
+                                    **_outcome(db, sql)})
+            db.close()
+    return records
+
+
+def test_rowjoin_golden():
+    with open(ROWJOIN_GOLDEN, encoding="utf-8") as handle:
+        expected = [
+            record for record in map(json.loads, handle)
+            if "suite" not in record
+        ]
+    actual = rowjoin_records()
     assert len(actual) == len(expected)
     for index, (got, want) in enumerate(zip(actual, expected)):
         assert got == want, f"record {index}: {want['sql']}"
@@ -269,4 +475,7 @@ def test_rowagg_golden():
 if __name__ == "__main__":
     with open(ROWAGG_GOLDEN, "w", encoding="utf-8") as handle:
         for record in rowagg_records():
+            handle.write(json.dumps(record) + "\n")
+    with open(ROWJOIN_GOLDEN, "w", encoding="utf-8") as handle:
+        for record in reference_join_records() + rowjoin_records():
             handle.write(json.dumps(record) + "\n")

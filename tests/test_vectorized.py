@@ -158,6 +158,29 @@ ORDER_BOOK_QUERIES = [
 ]
 
 
+EMPTY_SCRIPT = """
+    CREATE TABLE a (x INTEGER PRIMARY KEY);
+    CREATE TABLE b (y INTEGER PRIMARY KEY);
+"""
+
+EMPTY_QUERIES = [
+    "SELECT * FROM a",
+    "SELECT * FROM a JOIN b ON a.x = b.y",
+    "SELECT COUNT(*), SUM(x) FROM a",
+    "SELECT x, COUNT(*) FROM a GROUP BY x",
+]
+
+
+def assert_row_joins(joins: dict, queries: list, results: list) -> None:
+    """``results`` (``(columns, rows)`` per statement of ``queries``) equal
+    what the row join operators returned for each join statement among
+    them (``joins``: sql -> the ``repr`` the golden holds)."""
+    assert joins and set(joins) <= set(queries)
+    for query, got in zip(queries, results):
+        if query in joins:
+            assert repr(got) == joins[query], query
+
+
 def run_all(script=SCRIPT, queries=QUERIES):
     db = connect(with_crowd=False)
     db.executescript(script)
@@ -177,8 +200,9 @@ def run_order_book(load, queries=ORDER_BOOK_QUERIES):
 
 
 class TestDifferentialStatements:
-    def test_vectorized_matches_row_engine(self, row_engine):
+    def test_vectorized_matches_row_engine(self, row_engine, row_joins):
         vector = run_all()
+        assert_row_joins(row_joins["QUERIES"], QUERIES, vector)
         with row_engine():
             row = run_all()
         for query, got, want in zip(QUERIES, vector, row):
@@ -186,17 +210,20 @@ class TestDifferentialStatements:
             assert repr(got) == repr(want), query
 
     def test_order_book_statements_match_row_engine(
-        self, order_book, row_engine
+        self, order_book, row_engine, row_joins
     ):
         load, _query = order_book
         vector = run_order_book(load)
+        assert_row_joins(
+            row_joins["ORDER_BOOK_QUERIES"], ORDER_BOOK_QUERIES, vector
+        )
         with row_engine():
             row = run_order_book(load)
         for query, got, want in zip(ORDER_BOOK_QUERIES, vector, row):
             assert repr(got) == repr(want), query
 
     def test_order_book_pipeline_matches_row_engine(
-        self, order_book, row_engine
+        self, order_book, row_engine, row_joins
     ):
         """5,000 rows through scan, filter, hash join, aggregate and sort
         at once.  ``repr`` equality catches type drift (1 vs 1.0 vs True,
@@ -210,6 +237,9 @@ class TestDifferentialStatements:
                 runs.append((db.execute(query), db.explain(query)))
         (vector, vector_plan), (row, row_plan) = runs
         assert len(vector.rows) == 5  # one group per region
+        assert_row_joins(
+            row_joins["pipeline"], [query], [(vector.columns, vector.rows)]
+        )
         assert vector.columns == row.columns
         assert vector.rows == row.rows
         assert repr(vector.rows) == repr(row.rows)
@@ -264,20 +294,11 @@ class TestDifferentialStatements:
         with row_engine():
             assert repr(vector) == repr(run())
 
-    def test_empty_tables(self, row_engine):
-        script = """
-            CREATE TABLE a (x INTEGER PRIMARY KEY);
-            CREATE TABLE b (y INTEGER PRIMARY KEY);
-        """
-        queries = [
-            "SELECT * FROM a",
-            "SELECT * FROM a JOIN b ON a.x = b.y",
-            "SELECT COUNT(*), SUM(x) FROM a",
-            "SELECT x, COUNT(*) FROM a GROUP BY x",
-        ]
-        vector = run_all(script, queries)
+    def test_empty_tables(self, row_engine, row_joins):
+        vector = run_all(EMPTY_SCRIPT, EMPTY_QUERIES)
+        assert_row_joins(row_joins["empty"], EMPTY_QUERIES, vector)
         with row_engine():
-            assert vector == run_all(script, queries)
+            assert vector == run_all(EMPTY_SCRIPT, EMPTY_QUERIES)
 
     def test_result_value_types_are_plain_python(self):
         # ndarray lanes must never leak np scalars into results
