@@ -1,201 +1,18 @@
-"""Join operators: block nested-loop, hash equi-join, and the CrowdJoin."""
+"""The CrowdJoin: the one join that runs on rows.
+
+Every other join runs on :class:`~repro.exec.vectorized.VectorHashJoinOp`.
+"""
 
 from __future__ import annotations
 
-from typing import Any, Iterator, Optional
+from typing import Iterator
 
 from repro.catalog.table import TableSchema
 from repro.engine.base import PhysicalOperator
 from repro.engine.context import ExecutionContext
-from repro.errors import ExecutionError
 from repro.sql import ast
-from repro.sqltypes import CNULL, NULL, is_cnull, is_missing
+from repro.sqltypes import is_cnull, is_missing
 from repro.storage.row import Scope
-
-
-class NestedLoopJoinOp(PhysicalOperator):
-    """Materializing nested-loop join supporting INNER, CROSS, and LEFT."""
-
-    def __init__(
-        self,
-        context: ExecutionContext,
-        left: PhysicalOperator,
-        right: PhysicalOperator,
-        join_type: str = "INNER",
-        condition: Optional[ast.Expression] = None,
-    ) -> None:
-        super().__init__(context)
-        if join_type not in ("INNER", "CROSS", "LEFT"):
-            raise ExecutionError(f"unsupported join type {join_type!r}")
-        self.left = left
-        self.right = right
-        self.join_type = join_type
-        self.condition = condition
-        self._scope = left.scope.concat(right.scope)
-
-    @property
-    def scope(self) -> Scope:
-        return self._scope
-
-    def sources_crowd_on_pull(self) -> bool:
-        # the right side is materialized on first pull either way; the
-        # streamed left side — and a condition with crowd constructs,
-        # evaluated per emitted row — react to extra pulls
-        from repro.plan.compiled import is_electronic
-
-        return (
-            self.condition is not None and not is_electronic(self.condition)
-        ) or self.left.sources_crowd_on_pull()
-
-    def __iter__(self) -> Iterator[tuple]:
-        right_rows = list(self.right)
-        right_width = len(self.right.scope)
-        condition = (
-            self.compile_predicate(self.condition, self._scope)
-            if self.condition is not None
-            else None
-        )
-        for left_values in self.left:
-            matched = False
-            for right_values in right_rows:
-                combined = left_values + right_values
-                if condition is not None and condition(combined).value is not True:
-                    continue
-                matched = True
-                yield combined
-            if not matched and self.join_type == "LEFT":
-                yield left_values + (NULL,) * right_width
-
-
-class HashJoinOp(PhysicalOperator):
-    """Hash equi-join for INNER and LEFT joins with extractable key pairs.
-
-    ``left_keys``/``right_keys`` are parallel expression lists; a residual
-    condition (the full original one) is re-checked on each candidate to
-    keep semantics identical to the nested-loop plan.  LEFT joins build
-    on the right side as usual and pad unmatched (or missing-key) outer
-    rows with NULLs.
-    """
-
-    def __init__(
-        self,
-        context: ExecutionContext,
-        left: PhysicalOperator,
-        right: PhysicalOperator,
-        left_keys: tuple[ast.Expression, ...],
-        right_keys: tuple[ast.Expression, ...],
-        condition: Optional[ast.Expression] = None,
-        join_type: str = "INNER",
-    ) -> None:
-        super().__init__(context)
-        if join_type not in ("INNER", "LEFT"):
-            raise ExecutionError(f"unsupported hash join type {join_type!r}")
-        self.left = left
-        self.right = right
-        self.left_keys = left_keys
-        self.right_keys = right_keys
-        self.condition = condition
-        self.join_type = join_type
-        self._scope = left.scope.concat(right.scope)
-
-    @property
-    def scope(self) -> Scope:
-        return self._scope
-
-    def sources_crowd_on_pull(self) -> bool:
-        # the build side is materialized on first pull either way; the
-        # streamed probe side — and a residual condition with crowd
-        # constructs, evaluated per emitted row — react to extra pulls
-        from repro.plan.compiled import is_electronic
-
-        return (
-            self.condition is not None and not is_electronic(self.condition)
-        ) or self.left.sources_crowd_on_pull()
-
-    def __iter__(self) -> Iterator[tuple]:
-        condition = (
-            self.compile_predicate(self.condition, self._scope)
-            if self.condition is not None
-            else None
-        )
-        if len(self.left_keys) == 1:
-            yield from self._iter_single_key(condition)
-            return
-        from repro.plan.compiled import tuple_maker
-
-        table: dict[tuple, list[tuple]] = {}
-        build_key = tuple_maker(
-            [
-                self.compile_value(expr, self.right.scope)
-                for expr in self.right_keys
-            ]
-        )
-        probe_key = tuple_maker(
-            [
-                self.compile_value(expr, self.left.scope)
-                for expr in self.left_keys
-            ]
-        )
-        setdefault = table.setdefault
-        for right_values in self.right:
-            key = build_key(right_values)
-            if any(is_missing(part) for part in key):
-                continue
-            setdefault(key, []).append(right_values)
-        get_bucket = table.get
-        left_outer = self.join_type == "LEFT"
-        padding = (NULL,) * len(self.right.scope)
-        for left_values in self.left:
-            key = probe_key(left_values)
-            matched = False
-            if not any(is_missing(part) for part in key):
-                for right_values in get_bucket(key, ()):
-                    combined = left_values + right_values
-                    if condition is not None and condition(combined).value is not True:
-                        continue
-                    matched = True
-                    yield combined
-            if left_outer and not matched:
-                yield left_values + padding
-
-    def _iter_single_key(self, condition) -> Iterator[tuple]:
-        """The common one-key equi-join, with scalar hash keys and inline
-        missing checks."""
-        build_key = self.compile_value(self.right_keys[0], self.right.scope)
-        probe_key = self.compile_value(self.left_keys[0], self.left.scope)
-        table: dict = {}
-        setdefault = table.setdefault
-        for right_values in self.right:
-            key = build_key(right_values)
-            if key is NULL or key is None or key is CNULL:
-                continue
-            setdefault(key, []).append(right_values)
-        get_bucket = table.get
-        empty = ()
-        left_outer = self.join_type == "LEFT"
-        padding = (NULL,) * len(self.right.scope)
-        for left_values in self.left:
-            key = probe_key(left_values)
-            if key is NULL or key is None or key is CNULL:
-                bucket = empty
-            else:
-                bucket = get_bucket(key, empty)
-            if not bucket:
-                if left_outer:
-                    yield left_values + padding
-                continue
-            if condition is None:
-                for right_values in bucket:
-                    yield left_values + right_values
-                continue
-            matched = False
-            for right_values in bucket:
-                combined = left_values + right_values
-                if condition(combined).value is True:
-                    matched = True
-                    yield combined
-            if left_outer and not matched:
-                yield left_values + padding
 
 
 class CrowdJoinOp(PhysicalOperator):

@@ -29,7 +29,7 @@ from repro.engine.filter_project import (
     SetOpOp,
     SubqueryAliasOp,
 )
-from repro.engine.joins import CrowdJoinOp, HashJoinOp, NestedLoopJoinOp
+from repro.engine.joins import CrowdJoinOp
 from repro.engine.scans import IndexLookup, SingleRowOp, TableScan
 from repro.engine.sort_limit import SortOp
 from repro.errors import PlanError
@@ -42,6 +42,7 @@ from repro.exec.vectorized import (
     VectorLimitOp,
     VectorProjectOp,
     VectorScanOp,
+    VectorOperator,
     VectorSortOp,
 )
 from repro.optimizer.rules import split_conjuncts
@@ -171,9 +172,50 @@ class PhysicalPlanner:
                 # metrics (batch-aware row accounting)
                 return BatchToRowsOp(UNBOUND, self._prepare_vector(node))
         operator = self._prepare_node(node, row_bound)
+        vector = isinstance(operator, VectorOperator)
         if self.profiler is not None:
             operator = self.profiler.wrap(node, operator)
+        if vector:
+            # a join, aggregate or electronic sort the binder left
+            # unmarked: its batch operator meets row parents here
+            operator = BatchToRowsOp(UNBOUND, operator)
         return operator
+
+    def _batches(
+        self, node: logical.LogicalPlan, per_row: Optional[bool] = False
+    ) -> VectorOperator:
+        """``node``'s operator as the input of a batch operator: a vector
+        child's batches as they are, a row operator's rows through a
+        ``RowsToBatchOp``.  ``per_row`` asks for one row per batch even
+        from a vector child (a consumer that evaluates crowd work per
+        row); None asks for it when the rows source crowd work on pull
+        (a join's probe side)."""
+        operator = self._prepare(node)
+        if type(operator) is BatchToRowsOp and not per_row:
+            return operator.child
+        if per_row is None:
+            per_row = operator.sources_crowd_on_pull()
+        return RowsToBatchOp(UNBOUND, operator, per_row=per_row)
+
+    def _join(
+        self,
+        node: logical.Join,
+        left: VectorOperator,
+        right: VectorOperator,
+    ) -> VectorHashJoinOp:
+        keys = None
+        if node.condition is not None:
+            keys = _extract_equi_keys(node.condition, left.scope, right.scope)
+        left_keys, right_keys = keys or ((), ())
+        return VectorHashJoinOp(
+            UNBOUND,
+            left,
+            right,
+            left_keys,
+            right_keys,
+            condition=node.condition,
+            join_type=node.join_type,
+        )
 
     def _prepare_vector(self, node: logical.LogicalPlan) -> PhysicalOperator:
         """Build the batch operator for a binder-approved node (children
@@ -192,22 +234,10 @@ class PhysicalPlanner:
                 UNBOUND, self._prepare_vector(node.child), node.items
             )
         elif isinstance(node, logical.Join):
-            left = self._prepare_vector(node.left)
-            right = self._prepare_vector(node.right)
-            keys = _extract_equi_keys(node.condition, left.scope, right.scope)
-            if not keys:
-                raise PlanError(
-                    "binder marked a join without extractable equi keys"
-                )
-            left_keys, right_keys = keys
-            operator = VectorHashJoinOp(
-                UNBOUND,
-                left,
-                right,
-                left_keys,
-                right_keys,
-                condition=node.condition,
-                join_type=node.join_type,
+            operator = self._join(
+                node,
+                self._prepare_vector(node.left),
+                self._prepare_vector(node.right),
             )
         elif isinstance(node, logical.Aggregate):
             operator = VectorAggregateOp(
@@ -274,7 +304,11 @@ class PhysicalPlanner:
                 UNBOUND, self._prepare(node.child, row_bound), node.items
             )
         if isinstance(node, logical.Join):
-            return self._prepare_join(node)
+            # the build side is read whole; the probe side one row per
+            # batch when its rows source crowd work on pull
+            return self._join(
+                node, self._batches(node.left, None), self._batches(node.right)
+            )
         if isinstance(node, logical.CrowdJoin):
             return CrowdJoinOp(
                 UNBOUND,
@@ -293,19 +327,20 @@ class PhysicalPlanner:
             inputs = [*node.group_by]
             for call in node.aggregates:
                 inputs.extend(call.args)
-            rows = RowsToBatchOp(
+            return VectorAggregateOp(
                 UNBOUND,
-                self._prepare(node.child),
-                per_row=not all(expr.facts.electronic for expr in inputs),
+                self._batches(
+                    node.child,
+                    not all(expr.facts.electronic for expr in inputs),
+                ),
+                node.group_by,
+                node.aggregates,
             )
-            return BatchToRowsOp(UNBOUND, VectorAggregateOp(
-                UNBOUND, rows, node.group_by, node.aggregates,
-            ))
         if isinstance(node, logical.Sort) and not node.is_crowd_sort:
-            rows = RowsToBatchOp(UNBOUND, self._prepare(node.child))
-            return BatchToRowsOp(UNBOUND, VectorSortOp(
-                UNBOUND, rows, node.keys, top_k=node.top_k,
-            ))
+            return VectorSortOp(
+                UNBOUND, self._batches(node.child), node.keys,
+                top_k=node.top_k,
+            )
         if isinstance(node, logical.Sort):
             return SortOp(
                 UNBOUND,
@@ -407,32 +442,6 @@ class PhysicalPlanner:
             key_values,
             prefix=prefix,
             access=(node, row_bound),
-        )
-
-    # -- join strategy ------------------------------------------------------------
-
-    def _prepare_join(self, node: logical.Join) -> PhysicalOperator:
-        left = self._prepare(node.left)
-        right = self._prepare(node.right)
-        if node.join_type in ("INNER", "LEFT") and node.condition is not None:
-            keys = _extract_equi_keys(node.condition, left.scope, right.scope)
-            if keys:
-                left_keys, right_keys = keys
-                return HashJoinOp(
-                    UNBOUND,
-                    left,
-                    right,
-                    left_keys,
-                    right_keys,
-                    condition=node.condition,
-                    join_type=node.join_type,
-                )
-        return NestedLoopJoinOp(
-            UNBOUND,
-            left,
-            right,
-            join_type=node.join_type,
-            condition=node.condition,
         )
 
 

@@ -204,11 +204,7 @@ def missing_aware_compare(left: Any, right: Any) -> int:
     """SQL sort order: missing values (NULL/CNULL) sort last."""
     left_missing = is_missing(left)
     right_missing = is_missing(right)
-    if left_missing and right_missing:
-        return 0
-    if left_missing:
-        return 1
-    if right_missing:
-        return -1
+    if left_missing or right_missing:
+        return left_missing - right_missing
     ordering = compare_values(left, right)
     return 0 if ordering is None else ordering

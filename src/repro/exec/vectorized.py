@@ -1,16 +1,17 @@
-"""Batch operators: binder-approved plan regions, and every aggregate
-and electronic sort.
+"""Batch operators: binder-approved plan regions, and every join,
+aggregate and electronic sort.
 
-The scan, filter, project, join and limit mirror the row operators in
+The scan, filter, project and limit mirror the row operators in
 :mod:`repro.engine` exactly — same scopes, same missing-key/NULL-padding/
 insertion-order semantics, same errors — but exchange
 :class:`~repro.exec.vector.ColumnBatch`es instead of row tuples.  The
 physical planner instantiates them only for nodes the binder marked
-vector-eligible (pure electronic, no crowd hazard).  Aggregation and
-sorts with no CROWDORDER key have no row operator: over input the
-binder left on rows they read it through :class:`RowsToBatchOp`.  Every
-region is capped with :class:`BatchToRowsOp`, so row-only parents and
-the executor see ordinary tuples.
+vector-eligible (pure electronic, no crowd hazard).  Joins without a
+CROWD inner, aggregation and sorts with no CROWDORDER key have no row
+operator: over input the binder left on rows they read it through
+:class:`RowsToBatchOp`.  Every region is capped with
+:class:`BatchToRowsOp`, so row-only parents and the executor see
+ordinary tuples.
 
 Exactness strategy: every fast path is gated on runtime column
 cleanliness tags; anything unclean (possible NULL/CNULL/bools/mixed
@@ -146,10 +147,14 @@ def _pivot_rows(batch: ColumnBatch) -> list:
 class VectorOperator(PhysicalOperator):
     """Base for operators yielding ColumnBatches.
 
-    Vector regions are pure electronic by construction (the binder
-    rejects anything else), so eager batch pulls can never issue crowd
-    work; above a :class:`RowsToBatchOp` sits an operator that reads its
-    whole input anyway.
+    A region the binder marks is pure electronic, so eager batch pulls
+    there can never issue crowd work.  Row input enters through a
+    :class:`RowsToBatchOp`, under an operator that reads it whole
+    (aggregate, sort, a join's build side) or one row per batch where
+    the rows below source crowd work on pull (a join's probe side).
+    ``sources_crowd_on_pull`` relays through the transitions and the
+    join; a scan answers False, and so do the aggregate and the sort,
+    which consume their input entirely either way.
 
     Column pruning: a consumer that knows which of this operator's
     output positions it reads calls :meth:`set_live` with that set;
@@ -162,9 +167,6 @@ class VectorOperator(PhysicalOperator):
     expressions read."""
 
     _live: Optional[frozenset] = None  # None = every position live
-
-    def sources_crowd_on_pull(self) -> bool:
-        return False
 
     def set_live(self, live: Optional[frozenset]) -> None:
         self._live = live
@@ -206,9 +208,6 @@ class BatchToRowsOp(PhysicalOperator):
     def scope(self) -> Scope:
         return self.child.scope
 
-    def sources_crowd_on_pull(self) -> bool:
-        return False
-
     def __iter__(self) -> Iterator[tuple]:
         # lazy per batch, no Python frame per row: a consumer that drains
         # the region (the executor's ``extend``) pays one pivot per batch
@@ -216,16 +215,19 @@ class BatchToRowsOp(PhysicalOperator):
 
 
 class RowsToBatchOp(VectorOperator):
-    """The row→batch transition under an Aggregate, or a Sort with no
-    CROWDORDER key, whose input the vector region does not reach (crowd
-    operators, index lookups, nested-loop joins, correlated subqueries).
+    """The row→batch transition under a batch operator whose input the
+    vector region does not reach (crowd operators, index lookups,
+    correlated subqueries).
 
     Rows become untagged list columns, so every kernel takes its exact
-    element-wise path.  Both consumers read their whole input whichever
-    way it is cut, so the pull changes no crowd work below.  A consumer
-    that evaluates CROWDEQUAL or a subquery per row asks for one row per
-    batch (``per_row``): those calls then interleave with the rows pulled
-    from below as in a row-at-a-time loop, key before arguments."""
+    element-wise path.  An aggregate, a sort and a join's build side read
+    their whole input whichever way it is cut, so the pull changes no
+    crowd work below.  One row per batch (``per_row``) serves a join's
+    probe side over rows that source crowd work on pull -- a LIMIT above
+    then pulls no more of it than a row-at-a-time loop would -- and a
+    consumer that evaluates CROWDEQUAL or a subquery per row: those calls
+    then interleave with the rows pulled from below as in a row-at-a-time
+    loop, key before arguments."""
 
     def __init__(
         self,
@@ -274,6 +276,9 @@ class VectorScanOp(VectorOperator):
     @property
     def scope(self) -> Scope:
         return self._scope
+
+    def sources_crowd_on_pull(self) -> bool:
+        return False  # stored tuples of an electronic table only
 
     def __iter__(self) -> Iterator[ColumnBatch]:
         heap = self.context.engine.table(self.table.name)
@@ -536,6 +541,9 @@ class VectorSortOp(VectorOperator):
     def scope(self) -> Scope:
         return self.child.scope
 
+    def sources_crowd_on_pull(self) -> bool:
+        return False  # the input is read whole on first pull
+
     def set_live(self, live: Optional[frozenset]) -> None:
         # relay, widened by what the keys read
         self._live = live
@@ -686,15 +694,25 @@ def column_evaluator(
 
 
 class VectorHashJoinOp(VectorOperator):
-    """Hash equi-join over batches, mirroring ``HashJoinOp`` exactly.
+    """The one electronic join: INNER, LEFT and CROSS, over batches.
 
-    Build/probe keys come from column kernels; candidate emission order,
-    missing-key skips, LEFT padding, and the residual-condition check are
-    byte-compatible with the row operator, whether a probe looks its keys
-    up in the build dict or searches a :class:`_SortedKeys`.  The residual is skipped only
-    when it *is* the single extracted key equality and both key columns
-    are clean (no bools/missing — then bucket equality and the compiled
-    ``=`` agree, including the NaN identity-bucket corner).
+    Build/probe keys come from column kernels over the extracted equi
+    keys; a join without one (CROSS, or a theta condition) has a single
+    bucket, every build row.  Each probe row's candidates come in build
+    order -- left-major, right-minor output -- with missing keys skipped,
+    the condition checked on each candidate and unmatched LEFT rows
+    padded with NULLs, whether a probe looks its keys up in the build
+    dict or searches a :class:`_SortedKeys`.  The condition is skipped
+    only when there is none, or when it *is* the single extracted key
+    equality and both key columns are clean (no bools/missing -- then
+    bucket equality and the compiled ``=`` agree, including the NaN
+    identity-bucket corner).
+
+    The build side is read whole before the first probe.  A condition
+    holding CROWDEQUAL or a subquery runs per candidate, and each row it
+    decides (or each LEFT pad) is yielded at once, in a batch of its own:
+    a consumer that stops never has the crowd asked about a candidate it
+    would not read.
     """
 
     def __init__(
@@ -708,6 +726,8 @@ class VectorHashJoinOp(VectorOperator):
         join_type: str = "INNER",
     ) -> None:
         super().__init__(context)
+        if join_type not in ("INNER", "CROSS", "LEFT"):
+            raise ExecutionError(f"unsupported join type {join_type!r}")
         self.left = left
         self.right = right
         self.left_keys = left_keys
@@ -717,6 +737,15 @@ class VectorHashJoinOp(VectorOperator):
         self._scope = left.scope.concat(right.scope)
         self._left_out: Optional[frozenset] = None
         self._right_out: Optional[frozenset] = None
+
+    def sources_crowd_on_pull(self) -> bool:
+        # the build side is read whole on first pull either way; the
+        # probe side -- and a crowd condition, asked per candidate --
+        # react to extra pulls
+        return (
+            self.condition is not None
+            and not self.condition.facts.electronic
+        ) or self.left.sources_crowd_on_pull()
 
     @property
     def scope(self) -> Scope:
@@ -762,6 +791,7 @@ class VectorHashJoinOp(VectorOperator):
         )
 
     def __iter__(self) -> Iterator[ColumnBatch]:
+        keyed = bool(self.left_keys)
         single = len(self.left_keys) == 1
         build_keys = column_evaluator(self, self.right_keys, self.right.scope)
         probe_keys = column_evaluator(self, self.left_keys, self.left.scope)
@@ -770,6 +800,7 @@ class VectorHashJoinOp(VectorOperator):
             if self.condition is not None
             else None
         )
+        stream = condition is not None and not self.condition.facts.electronic
         # residual ≡ the key equality itself → skippable on clean keys
         condition_is_key_equality = (
             single
@@ -786,8 +817,15 @@ class VectorHashJoinOp(VectorOperator):
         right_tags: Optional[list] = None
         built: list[tuple] = []  # (batch, its keys, first key's tag)
         for batch in self.right:
-            key_columns, key_tags = build_keys(batch)
-            build_clean = build_clean and None not in key_tags
+            keys = tag = None
+            if keyed:
+                key_columns, key_tags = build_keys(batch)
+                build_clean = build_clean and None not in key_tags
+                keys = (
+                    key_columns[0] if single
+                    else list(zip(*map(as_list, key_columns)))
+                )
+                tag = key_tags[0]
             if right_tags is None:
                 right_tags = list(batch.tags)
             elif right_tags != batch.tags:
@@ -795,11 +833,7 @@ class VectorHashJoinOp(VectorOperator):
                     a if a == b else None
                     for a, b in zip(right_tags, batch.tags)
                 ]
-            keys = (
-                key_columns[0] if single
-                else list(zip(*map(as_list, key_columns)))
-            )
-            built.append((batch, keys, key_tags[0]))
+            built.append((batch, keys, tag))
         table: Optional[dict] = {}
         searchable: Optional[_SortedKeys] = None
         build: Optional[ColumnBatch] = None
@@ -810,7 +844,9 @@ class VectorHashJoinOp(VectorOperator):
             # gathers)
             build, keys, tag = built[0]
             right_columns: list = build.columns
-            if single:
+            if not keyed:
+                unique_build = False
+            elif single:
                 index = _single_key_index(build, keys, tag)
                 if type(index) is _SortedKeys:
                     searchable, table = index, None
@@ -821,13 +857,15 @@ class VectorHashJoinOp(VectorOperator):
                 unique_build = _add_build_rows(table, keys, 0, False)
             offset = build.num_rows
         else:
-            unique_build = True
+            unique_build = keyed
             offset = 0
             right_columns = [[] for _ in range(right_width)]
             for batch, keys, _tag in built:
-                unique_build = _add_build_rows(
-                    table, as_list(keys) if single else keys, offset, single
-                ) and unique_build
+                if keyed:
+                    unique_build = _add_build_rows(
+                        table, as_list(keys) if single else keys, offset,
+                        single,
+                    ) and unique_build
                 offset += batch.num_rows
                 for j, column in enumerate(batch.columns):
                     if column is None:
@@ -835,6 +873,8 @@ class VectorHashJoinOp(VectorOperator):
                     elif right_columns[j] is not None:
                         right_columns[j].extend(as_list(column))
         del built
+        # a keyless join's one bucket: every build row, in build order
+        everything = None if keyed or not offset else list(range(offset))
         left_outer = self.join_type == "LEFT"
         padding = (NULL,) * right_width
         width = len(self._scope)
@@ -938,31 +978,27 @@ class VectorHashJoinOp(VectorOperator):
             if table is None:
                 table = searchable.table()
             get_entry = table.get
-            if single:
-                probe_column = as_list(key_columns[0])
+            # Resolve every probe key to its table entry (None, a build
+            # row index, or a bucket list) in one C map() pass.  Missing
+            # single keys need no pre-check: the build side never stored
+            # a missing key, so the singleton lookup just misses.
+            if not keyed:
+                entries = [everything] * batch.num_rows
+            elif single:
+                entries = list(map(get_entry, as_list(key_columns[0])))
             else:
-                probe_column = list(zip(*map(as_list, key_columns)))
+                # an unhashable part beside a missing part must not raise
+                # -- keep the per-row pre-check for tuple keys
+                entries = [
+                    None
+                    if any(is_missing(part) for part in key)
+                    else get_entry(key)
+                    for key in zip(*map(as_list, key_columns))
+                ]
             if skip_residual:
-                # Gather path: resolve every probe key to its table entry
-                # in one C map() pass, then slice output columns straight
-                # from the probe batch and the build-side column store —
-                # no per-row tuple concatenation or re-pivot.  Missing
-                # single keys need no pre-check: the build side never
-                # stored a missing key, so the singleton lookup just
-                # misses (same outcome, same TypeError on unhashables as
-                # the row operator's ``table.get``).
-                if single:
-                    entries = list(map(get_entry, probe_column))
-                else:
-                    # an unhashable part beside a missing part must not
-                    # raise (the row operator checks missing first) —
-                    # keep the per-row pre-check for tuple keys
-                    entries = [
-                        None
-                        if any(is_missing(part) for part in key)
-                        else get_entry(key)
-                        for key in probe_column
-                    ]
+                # Gather path: slice output columns straight from the
+                # probe batch and the build-side column store — no
+                # per-row tuple concatenation or re-pivot.
                 if unique_build:
                     misses = entries.count(None)
                     if misses == 0 or left_outer:
@@ -1016,34 +1052,40 @@ class VectorHashJoinOp(VectorOperator):
                 continue
             if right_rows is None:
                 right_rows = _pivot_columns(right_columns, offset)
-            rows = _pivot_rows(batch)
-            out_rows: list = []
-            emit = out_rows.append
-            for key, left_values in zip(probe_column, rows):
-                if single:
-                    missing = key is NULL or key is None or key is CNULL
-                else:
-                    missing = any(is_missing(part) for part in key)
-                entry = None if missing else get_entry(key)
-                if entry is None:
-                    if left_outer:
-                        emit(left_values + padding)
-                    continue
-                candidates = (entry,) if type(entry) is int else entry
-                matched = False
-                for e in candidates:
-                    combined = left_values + right_rows[e]
-                    if condition(combined).value is True:
-                        matched = True
-                        emit(combined)
-                if left_outer and not matched:
-                    emit(left_values + padding)
-            if not out_rows:
-                continue
-            yield ColumnBatch.from_rows(
-                out_rows, width,
-                list(batch.tags) + (no_tags if left_outer else right_tags),
+            tags = list(batch.tags) + (no_tags if left_outer else right_tags)
+            decided = _checked_rows(
+                entries, _pivot_rows(batch), right_rows, condition,
+                padding if left_outer else None,
             )
+            if stream:
+                # a crowd condition: each decided row at once, in a batch
+                # of its own
+                for row in decided:
+                    yield ColumnBatch.from_rows([row], width, tags)
+                continue
+            out_rows = list(decided)
+            if out_rows:
+                yield ColumnBatch.from_rows(out_rows, width, tags)
+
+
+def _checked_rows(
+    entries: list, rows: list, right_rows: list, condition,
+    padding: Optional[tuple],
+) -> Iterator[tuple]:
+    """The rows a join emits for probe ``rows``: each one's candidates
+    (``entries``: None, a build row index or a list of them) joined in
+    order and kept where ``condition`` is TRUE; with ``padding`` (LEFT),
+    a row with no candidate kept is padded instead."""
+    for entry, left_values in zip(entries, rows):
+        matched = False
+        if entry is not None:
+            for e in (entry,) if type(entry) is int else entry:
+                combined = left_values + right_rows[e]
+                if condition(combined).value is True:
+                    matched = True
+                    yield combined
+        if padding is not None and not matched:
+            yield left_values + padding
 
 
 def _take_columns(
@@ -1281,6 +1323,9 @@ class VectorAggregateOp(VectorOperator):
     @property
     def scope(self) -> Scope:
         return self._scope
+
+    def sources_crowd_on_pull(self) -> bool:
+        return False  # the input is read whole on first pull
 
     def _input_kernels(self, child_scope: Scope) -> list:
         """Per aggregate: ("star", None) | ("vector", kernel) |

@@ -15,9 +15,9 @@ flat :meth:`snapshot` dict backs programmatic inspection and the shell's
 
 from __future__ import annotations
 
-import bisect
 import re
 import threading
+from collections import deque
 from typing import Any, Callable, Optional
 
 _NAME_RE = re.compile(r"[^a-zA-Z0-9_]")
@@ -80,14 +80,16 @@ class Gauge:
 class Histogram:
     """Streaming distribution with percentile summaries.
 
-    Exact count/sum/min/max plus a bounded sorted reservoir of the most
-    recent ``reservoir`` observations for percentile queries — enough
-    for latency summaries without unbounded memory.
+    Exact count/sum/min/max plus a bounded reservoir of the most recent
+    ``reservoir`` observations, in arrival order, for percentile queries
+    — enough for latency summaries without unbounded memory.  Observing
+    is an append; a percentile sorts a copy of the reservoir, which only
+    expositions ask for.
     """
 
     __slots__ = (
-        "name", "help", "count", "total", "min", "max",
-        "_reservoir", "_recent", "_capacity", "_lock",
+        "name", "help", "count", "total", "min", "max", "_reservoir",
+        "_lock",
     )
 
     def __init__(self, name: str, help: str = "", reservoir: int = 512) -> None:
@@ -97,9 +99,7 @@ class Histogram:
         self.total = 0.0
         self.min: Optional[float] = None
         self.max: Optional[float] = None
-        self._capacity = max(1, reservoir)
-        self._reservoir: list[float] = []  # kept sorted
-        self._recent: list[float] = []     # insertion order, for eviction
+        self._reservoir: deque = deque(maxlen=max(1, reservoir))
         self._lock = threading.Lock()
 
     def observe(self, value: float) -> None:
@@ -110,13 +110,7 @@ class Histogram:
                 self.min = value
             if self.max is None or value > self.max:
                 self.max = value
-            if len(self._recent) >= self._capacity:
-                oldest = self._recent.pop(0)
-                index = bisect.bisect_left(self._reservoir, oldest)
-                if index < len(self._reservoir):
-                    self._reservoir.pop(index)
-            self._recent.append(value)
-            bisect.insort(self._reservoir, value)
+            self._reservoir.append(value)  # the oldest drops out
 
     @property
     def mean(self) -> float:
@@ -125,13 +119,13 @@ class Histogram:
     def percentile(self, q: float) -> float:
         """The ``q``-quantile (0..1) over the retained reservoir."""
         with self._lock:
-            if not self._reservoir:
-                return 0.0
-            rank = min(
-                len(self._reservoir) - 1,
-                max(0, int(round(q * (len(self._reservoir) - 1)))),
-            )
-            return self._reservoir[rank]
+            values = sorted(self._reservoir)
+        if not values:
+            return 0.0
+        rank = min(
+            len(values) - 1, max(0, int(round(q * (len(values) - 1))))
+        )
+        return values[rank]
 
     def summary(self) -> dict[str, float]:
         return {

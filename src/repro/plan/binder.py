@@ -25,19 +25,20 @@ Eligibility is deliberately conservative:
   only when the access-path selector would *not* serve the filter from
   an index (the shared :func:`~repro.engine.planner.match_index_access`
   keeps binder and planner agreeing).
-* Joins: INNER/LEFT hash joins with extractable equi keys — the same
-  test the row planner applies, via the same helper.
+* Joins: INNER, LEFT and CROSS joins with an electronic condition (or
+  none), with or without equi keys.
 * Aggregates: the five classic functions over electronic arguments.
 * Sorts: electronic keys only (no CROWDORDER, no subquery), top-k or
   full; stop-after bounds and projections over a vectorized child.
 
 Everything else (crowd-ordered sorts, distinct, set ops, crowd
 operators, derived-table aliases) falls back to rows, with the vector
-region — if any — ending below it.  An unmarked Aggregate, or Sort with
-no CROWDORDER key, still runs on the batch operator, which reads its
-row input through a ``RowsToBatchOp`` (there is no row aggregate and no
-electronic row sort); its mark, and EXPLAIN's ``execution:`` tag, say
-whether its input arrives as batches or as rows.
+region — if any — ending below it.  An unmarked Join, Aggregate, or
+Sort with no CROWDORDER key, still runs on the batch operator (there is
+no row join, no row aggregate and no electronic row sort): it takes a
+vector child's batches as they are and a row child's rows through a
+``RowsToBatchOp``.  Its mark, and EXPLAIN's ``execution:`` tag, say
+whether the whole subtree below runs on batches.
 """
 
 from __future__ import annotations
@@ -156,17 +157,10 @@ class Binder:
         return NodeBinding(child.vectorized, child.scope)
 
     def _bind_join(self, node: logical.Join) -> NodeBinding:
-        from repro.engine.planner import _extract_equi_keys
-
         left = self._bind(node.left)
         right = self._bind(node.right)
-        if (
-            not (left.vectorized and right.vectorized)
-            or node.join_type not in ("INNER", "LEFT")
-            or node.condition is None
-            or not is_electronic(node.condition)
-            or _extract_equi_keys(node.condition, left.scope, right.scope)
-            is None
+        if not (left.vectorized and right.vectorized) or (
+            node.condition is not None and not is_electronic(node.condition)
         ):
             return NodeBinding(False)
         return NodeBinding(True, left.scope.concat(right.scope))

@@ -343,23 +343,44 @@ class TestCrowdHybrid:
         # a join whose condition asks the crowd per emitted row must not
         # be buffered ahead of its consumer (stop-after cost guarantee)
         from repro.engine.context import ExecutionContext
-        from repro.engine.joins import HashJoinOp, NestedLoopJoinOp
         from repro.engine.scans import SingleRowOp
+        from repro.exec.vectorized import RowsToBatchOp, VectorHashJoinOp
         from repro.storage.engine import StorageEngine
 
         context = ExecutionContext(StorageEngine())
-        left, right = SingleRowOp(context), SingleRowOp(context)
+        left, right = (
+            RowsToBatchOp(context, SingleRowOp(context)) for _ in range(2)
+        )
         crowd_condition = expr_of("CROWDEQUAL('a', 'b')")
         electronic_condition = expr_of("1 = 1")
-        assert NestedLoopJoinOp(
-            context, left, right, condition=crowd_condition
-        ).sources_crowd_on_pull()
-        assert not NestedLoopJoinOp(
-            context, left, right, condition=electronic_condition
-        ).sources_crowd_on_pull()
-        assert HashJoinOp(
+        key = (expr_of("1"),)
+        assert VectorHashJoinOp(
             context, left, right, (), (), condition=crowd_condition
         ).sources_crowd_on_pull()
+        assert not VectorHashJoinOp(
+            context, left, right, (), (), condition=electronic_condition
+        ).sources_crowd_on_pull()
+        assert VectorHashJoinOp(
+            context, left, right, key, key, condition=crowd_condition
+        ).sources_crowd_on_pull()
+
+    def test_transitions_relay_sources_crowd_on_pull(self):
+        # a row operator that sources crowd work on pull stays visible
+        # through a round trip to batches and back
+        from repro.engine.context import ExecutionContext
+        from repro.engine.scans import SingleRowOp
+        from repro.exec.vectorized import BatchToRowsOp, RowsToBatchOp
+        from repro.storage.engine import StorageEngine
+
+        class Sourcing(SingleRowOp):
+            def sources_crowd_on_pull(self) -> bool:
+                return True
+
+        context = ExecutionContext(StorageEngine())
+        for rows, sources in ((Sourcing(context), True),
+                              (SingleRowOp(context), False)):
+            pair = BatchToRowsOp(context, RowsToBatchOp(context, rows))
+            assert pair.sources_crowd_on_pull() is sources
 
 
 class TestCorrelatedReferences:

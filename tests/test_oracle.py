@@ -12,7 +12,8 @@ numeric columns have array lanes and its few-valued strings (``status``,
 
 Statements mix filters (comparisons, BETWEEN, IN, LIKE, IS [NOT] NULL
 under AND/OR/NOT, over clean, nullable and dictionary-lane columns),
-inner and LEFT equi-joins, GROUP BY/HAVING over the five aggregates (keys
+inner and LEFT equi-joins, theta INNER and LEFT joins and a CROSS join,
+GROUP BY/HAVING over the five aggregates (keys
 are columns or arithmetic of one, like ``i.volume * 3``) and ORDER BY with one to three keys plus the primary keys as a tiebreaker,
 with LIMIT/OFFSET.  Over a join, group keys often come from the joined
 side (columns the join gathered, padded under LEFT) and aggregates
@@ -151,6 +152,12 @@ FROMS = [
      ("j", "a")),
     ("issues i LEFT JOIN articles a ON a.article_id = i.issue_id * 12",
      ("i", "a")),
+    # no equi key: theta INNER and LEFT joins (journals past 23 padded)
+    # and a CROSS join
+    ("journals j JOIN issues i ON i.volume > j.journal_id", ("j", "i")),
+    ("journals j LEFT JOIN issues i ON i.volume * 2 > j.journal_id",
+     ("j", "i")),
+    ("journals j CROSS JOIN issues i", ("j", "i")),
 ]
 
 LITERALS = {

@@ -1,8 +1,8 @@
 """The row-input aggregate golden: GROUP BY and ORDER BY over row operators.
 
 ``tests/golden/rowagg_v1.jsonl`` pins what an Aggregate or an electronic
-Sort returns when its input comes from row operators the vector region
-does not reach: an index lookup, a cross (nested-loop) join, a correlated
+Sort returns when its input came from row operators when it was
+written: an index lookup, a keyless join, a correlated
 subquery, a CrowdProbe, and aggregate arguments, group keys or sort keys
 that hold CROWDEQUAL or a scalar subquery.  Each record holds the
 ``repr`` of the result (or the error) and, for crowd statements, the
@@ -55,7 +55,7 @@ def a_row(i: int) -> list:
 
 
 #: Statements over electronic row input: index lookups (``k`` has a
-#: non-unique index, ``id`` the primary key), nested-loop joins, and
+#: non-unique index, ``id`` the primary key), keyless joins, and
 #: correlated subqueries whose aggregate arguments, group keys and sort
 #: keys read the outer row.
 ELECTRONIC_QUERIES = [
@@ -79,7 +79,7 @@ ELECTRONIC_QUERIES = [
     "ORDER BY COUNT(*) DESC, g",
     "SELECT SUM(s) FROM a WHERE k = 1",
     "SELECT g, AVG(s) FROM a WHERE k = 2 GROUP BY g",
-    # nested-loop joins
+    # keyless joins
     "SELECT a.g, b.s, COUNT(*), SUM(a.v * b.w), MAX(a.n) FROM a, b "
     "GROUP BY a.g, b.s ORDER BY a.g, b.s",
     "SELECT a.id, b.w FROM a, b WHERE a.id < 4 "
@@ -470,6 +470,22 @@ def test_rowjoin_golden():
     assert len(actual) == len(expected)
     for index, (got, want) in enumerate(zip(actual, expected)):
         assert got == want, f"record {index}: {want['sql']}"
+
+
+def test_index_served_join_builds_one_vector_join():
+    """A join over an index lookup runs on the vector join, the lookup's
+    rows entering through one ``RowsToBatchOp``; no row join is built."""
+    db = electronic_db()
+    db.execute("SELECT a.id, b.w FROM a JOIN b ON b.w = a.n WHERE a.k = 1")
+
+    def built(kind: str) -> int:
+        return db.metrics.counter(f"operators_built.{kind}").value
+
+    assert built("IndexLookup") == 1
+    assert built("VectorHashJoinOp") == 1
+    assert built("RowsToBatchOp") == 1
+    assert built("HashJoinOp") == built("NestedLoopJoinOp") == 0
+    db.close()
 
 
 if __name__ == "__main__":
