@@ -40,9 +40,9 @@ from repro.exec.vectorized import (
     VectorFilterOp,
     VectorHashJoinOp,
     VectorLimitOp,
+    VectorOperator,
     VectorProjectOp,
     VectorScanOp,
-    VectorOperator,
     VectorSortOp,
 )
 from repro.optimizer.rules import split_conjuncts

@@ -54,6 +54,9 @@ _TAG_OF_TYPES = {
 
 _INT64_MIN = -(1 << 63)
 
+#: Value types two of which, of one type, compare as raw Python values.
+_PLAIN = (int, float, str)
+
 
 def sort_order(
     columns: Sequence,
@@ -202,6 +205,9 @@ class SortKey:
 
 def missing_aware_compare(left: Any, right: Any) -> int:
     """SQL sort order: missing values (NULL/CNULL) sort last."""
+    kind = type(left)
+    if kind is type(right) and kind in _PLAIN:
+        return (left > right) - (left < right)  # as compare_values does
     left_missing = is_missing(left)
     right_missing = is_missing(right)
     if left_missing or right_missing:

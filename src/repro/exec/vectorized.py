@@ -726,8 +726,6 @@ class VectorHashJoinOp(VectorOperator):
         join_type: str = "INNER",
     ) -> None:
         super().__init__(context)
-        if join_type not in ("INNER", "CROSS", "LEFT"):
-            raise ExecutionError(f"unsupported join type {join_type!r}")
         self.left = left
         self.right = right
         self.left_keys = left_keys

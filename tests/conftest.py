@@ -114,13 +114,14 @@ def order_book():
 # operators, statements outside it the default path.  Build a fresh
 # connection inside the block — a plan cached outside it keeps its
 # bindings.  (The AST interpreter, the reference for compiled
-# expressions, is gone; ``expr_golden`` below holds what it returned.)
+# expressions, is gone; ``expr_golden`` below holds what it returned.
+# So are the row joins; ``row_joins`` holds what they returned.)
 
 
 @contextlib.contextmanager
 def _row_engine():
-    # the binder marks no node, so every plan outside an Aggregate or an
-    # electronic Sort runs on the row operators
+    # the binder marks no node, so every plan outside a join, an
+    # Aggregate or an electronic Sort runs on the row operators
     with mock.patch.object(Binder, "bind", lambda self, plan: {}):
         yield
 

@@ -7,7 +7,10 @@ Every statement of the corpus runs on the default path and inside the
 ndarray scalars), not just equality.  Crowd-touching plans must issue
 the exact same HIT sequence, because vector regions are pure-electronic
 by construction and the batch→row cap must leave crowd batching windows
-untouched.
+untouched.  Joins have no row operator (the seam runs them on the vector
+join over row input), so each join statement is also compared with what
+the row joins returned, ``tests/golden/rowjoin_v1.jsonl`` (the
+``row_joins`` fixture).
 
 ``exec/kernels.py`` and ``exec/vectorized.py`` take ndarray lanes when
 ``numpy`` imports and list lanes when it does not.  With numpy present,
