@@ -54,7 +54,8 @@ _TAG_OF_TYPES = {
 
 _INT64_MIN = -(1 << 63)
 
-#: Value types two of which, of one type, compare as raw Python values.
+#: Types whose values, two of the same type, ``compare_values`` compares
+#: by raw Python comparison.
 _PLAIN = (int, float, str)
 
 
