@@ -698,11 +698,12 @@ class VectorHashJoinOp(VectorOperator):
 
     Build/probe keys come from column kernels over the extracted equi
     keys; a join without one (CROSS, or a theta condition) has a single
-    bucket, every build row.  Each probe row's candidates come in build
-    order -- left-major, right-minor output -- with missing keys skipped,
-    the condition checked on each candidate and unmatched LEFT rows
-    padded with NULLs, whether a probe looks its keys up in the build
-    dict or searches a :class:`_SortedKeys`.  The condition is skipped
+    bucket, every build row, and probes in slices of about
+    ``VECTOR_ROWS`` candidate pairs.  Each probe row's candidates come in
+    build order -- left-major, right-minor output -- with missing keys
+    skipped, the condition checked on each candidate and unmatched LEFT
+    rows padded with NULLs, whether a probe looks its keys up in the
+    build dict or searches a :class:`_SortedKeys`.  The condition is skipped
     only when there is none, or when it *is* the single extracted key
     equality and both key columns are clean (no bools/missing -- then
     bucket equality and the compiled ``=`` agree, including the NaN
@@ -957,7 +958,14 @@ class VectorHashJoinOp(VectorOperator):
                 out_batch.lanes = batch.lanes  # probe columns as-is
             return out_batch
 
-        for batch in self.left:
+        probe = self.left
+        if everything is not None:
+            # each probe row pairs with every build row: probe in slices
+            # of about VECTOR_ROWS pairs, so one step's index vectors and
+            # condition checks stay batch-sized, and a consumer that stops
+            # stops the pairing with it
+            probe = _sliced(self.left, max(1, VECTOR_ROWS // offset))
+        for batch in probe:
             key_columns, probe_tags = probe_keys(batch)
             skip_residual = condition is None or (
                 condition_is_key_equality
@@ -1064,6 +1072,33 @@ class VectorHashJoinOp(VectorOperator):
             out_rows = list(decided)
             if out_rows:
                 yield ColumnBatch.from_rows(out_rows, width, tags)
+
+
+def _sliced(batches, rows: int) -> Iterator[ColumnBatch]:
+    """``batches`` in windows of at most ``rows`` rows: a batch that fits
+    as it is, a longer one as slices of its columns (without its lanes,
+    which belong to the whole window)."""
+    for batch in batches:
+        total = batch.num_rows
+        if total <= rows:
+            yield batch
+            continue
+        for start in range(0, total, rows):
+            stop = min(start + rows, total)
+            part = ColumnBatch(
+                [_rows_of(column, start, stop) for column in batch.columns],
+                stop - start,
+                batch.tags,
+            )
+            part.pad_tags = batch.pad_tags
+            yield part
+
+
+def _rows_of(column, start: int, stop: int):
+    """Rows ``start:stop`` of a batch column, in its form."""
+    if type(column) is Coded:
+        return Coded(column.codes[start:stop], column.values)
+    return None if column is None else column[start:stop]
 
 
 def _checked_rows(

@@ -23,11 +23,15 @@ import json
 import warnings
 from pathlib import Path
 
+import pytest
+
 from repro import CrowdConfig, connect
 from repro.crowd.model import reset_id_counters
 from repro.crowd.scripted import ScriptedPlatform, oracle_answer_fn
 from repro.crowd.sim.traces import GroundTruthOracle
 from repro.errors import UnboundedQueryWarning
+from repro.exec import vectorized as vectorized_ops
+from repro.exec.vectorized import VectorHashJoinOp
 
 ROWAGG_GOLDEN = Path(__file__).parent / "golden" / "rowagg_v1.jsonl"
 
@@ -295,12 +299,14 @@ def test_rowagg_golden(row_joins):
 #   statement the differential suites of ``tests/test_vectorized.py`` (and
 #   this file's ``ELECTRONIC_QUERIES``) compare against the ``row_engine``
 #   seam; those suites assert the default path against them, since the
-#   seam no longer reaches a row join;
+#   seam no longer reaches a row join.  No engine left can recompute
+#   them, so they are frozen: nothing rewrites them;
 # * the others are :data:`JOIN_QUERIES` at ``batch_size`` 1 and 16 over
 #   the scripted crowd, with every task posted in order, and
 #   :data:`ELECTRONIC_JOIN_QUERIES` over :func:`electronic_db`.
 #
-# ``python tests/test_rowagg.py`` rewrites it (and ``rowagg_v1``) -- only
+# ``python tests/test_rowagg.py`` rewrites the records without a
+# ``suite`` (and ``rowagg_v1``) and keeps the others as they are -- only
 # at the parent of a change meant to alter join results or crowd traffic.
 
 ROWJOIN_GOLDEN = Path(__file__).parent / "golden" / "rowjoin_v1.jsonl"
@@ -421,45 +427,6 @@ def rowjoin_records() -> list[dict]:
     return records
 
 
-def reference_join_records() -> list[dict]:
-    """The golden's records with a ``suite``: the row engine's result of
-    every statement of a differential suite whose plan holds a join."""
-    from conftest import ORDER_BOOK_QUERY, _row_engine, load_order_book
-    import test_vectorized as differential
-
-    def script(text):
-        def load():
-            db = connect(with_crowd=False)
-            db.executescript(text)
-            return db
-        return load
-
-    def order_book():
-        db = connect(with_crowd=False)
-        load_order_book(db)
-        return db
-
-    suites = [
-        ("QUERIES", script(differential.SCRIPT), differential.QUERIES),
-        ("ORDER_BOOK_QUERIES", order_book, differential.ORDER_BOOK_QUERIES),
-        ("pipeline", order_book, [ORDER_BOOK_QUERY]),
-        ("empty", script(differential.EMPTY_SCRIPT),
-         differential.EMPTY_QUERIES),
-        ("rowagg", electronic_db, ELECTRONIC_QUERIES),
-    ]
-    records = []
-    with warnings.catch_warnings(), _row_engine():
-        warnings.simplefilter("ignore", UnboundedQueryWarning)
-        for suite, load, queries in suites:
-            db = load()
-            for sql in queries:
-                if "Join" in db.explain(sql):
-                    records.append({"suite": suite, "sql": sql,
-                                    **_outcome(db, sql)})
-            db.close()
-    return records
-
-
 def test_rowjoin_golden():
     with open(ROWJOIN_GOLDEN, encoding="utf-8") as handle:
         expected = [
@@ -488,10 +455,86 @@ def test_index_served_join_builds_one_vector_join():
     db.close()
 
 
+#: Rows of each side of :func:`keyless_db`: far more candidate pairs
+#: than one (patched) ``VECTOR_ROWS`` window.
+KEYLESS_ROWS = 2000
+
+
+def keyless_db():
+    db = connect(with_crowd=False)
+    db.execute("CREATE TABLE l (id INTEGER PRIMARY KEY, x INTEGER)")
+    db.execute("CREATE TABLE r (id INTEGER PRIMARY KEY, y INTEGER)")
+    for i in range(KEYLESS_ROWS):
+        db.engine.insert("l", [i, i])
+        db.engine.insert("r", [i, i])
+    return db
+
+
+@pytest.mark.parametrize("sql, expected", [
+    ("SELECT l.id, r.id FROM l JOIN r ON r.y > l.x AND r.y < l.x + 3 "
+     "LIMIT 1",
+     [(0, 1)]),
+    ("SELECT l.id, r.id FROM l LEFT JOIN r ON r.y > l.x AND r.y < l.x + 3 "
+     "LIMIT 5",
+     [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)]),
+])
+def test_keyless_condition_is_checked_a_window_at_a_time(
+    monkeypatch, sql, expected
+):
+    """A theta join under a LIMIT checks its condition on about one
+    ``VECTOR_ROWS`` window of candidate pairs, not on every pair of the
+    probe batch, before its first rows come out."""
+    monkeypatch.setattr(vectorized_ops, "VECTOR_ROWS", 1024)
+    checks = [0]
+    compile_predicate = VectorHashJoinOp.compile_predicate
+
+    def counted(self, expr, scope):
+        predicate = compile_predicate(self, expr, scope)
+
+        def check(row):
+            checks[0] += 1
+            return predicate(row)
+        return check
+
+    monkeypatch.setattr(VectorHashJoinOp, "compile_predicate", counted)
+    db = keyless_db()
+    assert db.execute(sql).rows == expected
+    # one probe row's candidates per window (build rows > VECTOR_ROWS),
+    # and a few probe rows fill the LIMIT; a whole 1024-row probe batch
+    # would check 1024 * 2000 pairs
+    assert 0 < checks[0] <= 5 * KEYLESS_ROWS
+    db.close()
+
+
+def test_cross_join_pairs_a_window_at_a_time(monkeypatch):
+    """A CROSS join under a LIMIT gathers about one ``VECTOR_ROWS``
+    window of pairs per batch, not probe batch x build side."""
+    monkeypatch.setattr(vectorized_ops, "VECTOR_ROWS", 1024)
+    sizes = []
+    join = VectorHashJoinOp.__iter__
+
+    def counted(self):
+        for batch in join(self):
+            sizes.append(batch.num_rows)
+            yield batch
+
+    monkeypatch.setattr(VectorHashJoinOp, "__iter__", counted)
+    db = keyless_db()
+    rows = db.execute("SELECT l.id, r.id FROM l CROSS JOIN r LIMIT 5").rows
+    assert rows == [(0, 0), (0, 1), (0, 2), (0, 3), (0, 4)]
+    assert sizes == [KEYLESS_ROWS]
+    db.close()
+
+
 if __name__ == "__main__":
     with open(ROWAGG_GOLDEN, "w", encoding="utf-8") as handle:
         for record in rowagg_records():
             handle.write(json.dumps(record) + "\n")
+    # the records with a ``suite`` are the row joins' answers, which no
+    # engine since can compute: they are kept as they are
+    with open(ROWJOIN_GOLDEN, encoding="utf-8") as handle:
+        kept = [line for line in handle if "suite" in json.loads(line)]
     with open(ROWJOIN_GOLDEN, "w", encoding="utf-8") as handle:
-        for record in reference_join_records() + rowjoin_records():
+        handle.writelines(kept)
+        for record in rowjoin_records():
             handle.write(json.dumps(record) + "\n")
