@@ -182,19 +182,15 @@ class PhysicalPlanner:
         return operator
 
     def _batches(
-        self, node: logical.LogicalPlan, per_row: Optional[bool] = False
+        self, operator: PhysicalOperator, per_row: bool = False
     ) -> VectorOperator:
-        """``node``'s operator as the input of a batch operator: a vector
-        child's batches as they are, a row operator's rows through a
-        ``RowsToBatchOp``.  ``per_row`` asks for one row per batch even
+        """A prepared ``operator`` as the input of a batch operator: a
+        vector child's batches as they are, a row operator's rows through
+        a ``RowsToBatchOp``.  ``per_row`` asks for one row per batch even
         from a vector child (a consumer that evaluates crowd work per
-        row); None asks for it when the rows source crowd work on pull
-        (a join's probe side)."""
-        operator = self._prepare(node)
+        row, or a join probing rows that source crowd work on pull)."""
         if type(operator) is BatchToRowsOp and not per_row:
             return operator.child
-        if per_row is None:
-            per_row = operator.sources_crowd_on_pull()
         return RowsToBatchOp(UNBOUND, operator, per_row=per_row)
 
     def _join(
@@ -306,8 +302,11 @@ class PhysicalPlanner:
         if isinstance(node, logical.Join):
             # the build side is read whole; the probe side one row per
             # batch when its rows source crowd work on pull
+            left = self._prepare(node.left)
             return self._join(
-                node, self._batches(node.left, None), self._batches(node.right)
+                node,
+                self._batches(left, left.sources_crowd_on_pull()),
+                self._batches(self._prepare(node.right)),
             )
         if isinstance(node, logical.CrowdJoin):
             return CrowdJoinOp(
@@ -330,7 +329,7 @@ class PhysicalPlanner:
             return VectorAggregateOp(
                 UNBOUND,
                 self._batches(
-                    node.child,
+                    self._prepare(node.child),
                     not all(expr.facts.electronic for expr in inputs),
                 ),
                 node.group_by,
@@ -338,7 +337,7 @@ class PhysicalPlanner:
             )
         if isinstance(node, logical.Sort) and not node.is_crowd_sort:
             return VectorSortOp(
-                UNBOUND, self._batches(node.child), node.keys,
+                UNBOUND, self._batches(self._prepare(node.child)), node.keys,
                 top_k=node.top_k,
             )
         if isinstance(node, logical.Sort):
