@@ -10,18 +10,18 @@ whole order, so DESC puts them first; NaN derives ordering 0 against
 anything (``compare_values``), and ties keep input order.  A key column
 whose values are all of one comparison class -- ints, floats and ints,
 strings, bools -- with no missing value and no NaN collates exactly
-like :class:`SortKey` under raw Python comparison, so such keys sort by
-value: numpy ``lexsort`` over int64/float64 lanes at ``LANE_ROWS`` rows
-and more, one stable index sort per key (last key first) otherwise.  A
-key with a missing value, a NaN or mixed classes sorts every key
-through :class:`SortKey`, whose comparisons raise ``compare_values``'
-errors for incomparable values.
+as :func:`missing_aware_compare` orders it under raw Python
+comparison, so such keys sort by value: numpy ``lexsort`` over
+int64/float64 lanes at ``LANE_ROWS`` rows and more, one stable index
+sort per key (last key first) otherwise.  A key with a missing value,
+a NaN or mixed classes sorts every key through
+:func:`missing_aware_compare`, which raises ``compare_values``' errors
+for incomparable values.
 """
 
 from __future__ import annotations
 
 import functools
-from operator import itemgetter
 from typing import Any, Optional, Sequence
 
 from repro.exec.vector import (
@@ -54,10 +54,6 @@ _TAG_OF_TYPES = {
 
 _INT64_MIN = -(1 << 63)
 
-#: Types whose values, two of the same type, ``compare_values`` compares
-#: by raw Python comparison.
-_PLAIN = (int, float, str)
-
 
 def sort_order(
     columns: Sequence,
@@ -79,7 +75,7 @@ def sort_order(
     ]
     tags = [arrays.clean_tag(column, tag) for column, tag in zip(columns, tags)]
     if None in tags:
-        order = _decorated_order(
+        order = _compared_order(
             [as_list(column) for column in columns], ascending, count
         )
     else:
@@ -121,8 +117,9 @@ class _Arrays:
 
     def clean_tag(self, column, tag: Optional[str]) -> Optional[str]:
         """The column's tag (or the tag its value types show) when it
-        sorts by raw comparison; None when it needs :class:`SortKey`
-        (missing values, NaN, mixed comparison classes)."""
+        sorts by raw comparison; None when it needs
+        :func:`missing_aware_compare` (missing values, NaN, mixed
+        comparison classes)."""
         if tag is None:
             tag = _TAG_OF_TYPES.get(frozenset(map(type, column)))
             if tag is None:
@@ -137,16 +134,21 @@ class _Arrays:
         return tag
 
 
-def _decorated_order(
+def _compared_order(
     columns: Sequence[list], ascending: Sequence[bool], count: int
 ) -> list[int]:
+    """The order by :func:`missing_aware_compare` over the keys in turn,
+    each compared once per pair of rows; DESC negates a key's order."""
     keyed = tuple(zip(columns, ascending))
-    decorated = [
-        (tuple(SortKey(column[i], up) for column, up in keyed), i)
-        for i in range(count)
-    ]
-    decorated.sort(key=itemgetter(0))
-    return [index for _key, index in decorated]
+
+    def compare(left: int, right: int) -> int:
+        for column, up in keyed:
+            ordering = missing_aware_compare(column[left], column[right])
+            if ordering:
+                return ordering if up else -ordering
+        return 0
+
+    return sorted(range(count), key=functools.cmp_to_key(compare))
 
 
 def _lexsort_order(
@@ -182,33 +184,8 @@ def _lexsort_order(
     return _np.lexsort(lanes[::-1]).tolist()
 
 
-@functools.total_ordering
-class SortKey:
-    """Wrap a value so missing sorts last and DESC flips the order."""
-
-    __slots__ = ("value", "ascending")
-
-    def __init__(self, value: Any, ascending: bool) -> None:
-        self.value = value
-        self.ascending = ascending
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SortKey):
-            return NotImplemented
-        return missing_aware_compare(self.value, other.value) == 0
-
-    def __lt__(self, other: "SortKey") -> bool:
-        ordering = missing_aware_compare(self.value, other.value)
-        if not self.ascending:
-            ordering = -ordering
-        return ordering < 0
-
-
 def missing_aware_compare(left: Any, right: Any) -> int:
     """SQL sort order: missing values (NULL/CNULL) sort last."""
-    kind = type(left)
-    if kind is type(right) and kind in _PLAIN:
-        return (left > right) - (left < right)  # as compare_values does
     left_missing = is_missing(left)
     right_missing = is_missing(right)
     if left_missing or right_missing:

@@ -77,7 +77,7 @@ def is_cnull(value: Any) -> bool:
 
 def is_missing(value: Any) -> bool:
     """True for either NULL or CNULL — any value unknown to 3VL."""
-    return value is NULL or value is None or value is CNULL
+    return is_null(value) or is_cnull(value)
 
 
 def has_missing(values: tuple) -> bool:
