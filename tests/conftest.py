@@ -115,7 +115,9 @@ def order_book():
 # connection inside the block — a plan cached outside it keeps its
 # bindings.  (The AST interpreter, the reference for compiled
 # expressions, is gone; ``expr_golden`` below holds what it returned.
-# So are the row joins; ``row_joins`` holds what they returned.)
+# So are the row joins, and the row DISTINCT, set operation and
+# derived-table operators; ``row_joins`` and ``row_sets`` hold what they
+# returned.)
 
 
 @contextlib.contextmanager
@@ -146,18 +148,36 @@ EXPR_GOLDEN = Path(__file__).parent / "golden" / "expr_v1.jsonl"
 #: ``suite`` (see ``tests/test_rowagg.py``, which rewrites the file).
 ROWJOIN_GOLDEN = Path(__file__).parent / "golden" / "rowjoin_v1.jsonl"
 
+#: What the row DISTINCT, set operation and derived-table operators
+#: returned: the records of ``tests/golden/rowset_v1.jsonl`` with a
+#: ``suite`` (see ``tests/test_rowagg.py``).
+ROWSET_GOLDEN = Path(__file__).parent / "golden" / "rowset_v1.jsonl"
 
-@pytest.fixture(scope="session")
-def row_joins():
-    """``{suite: {sql: repr of (columns, rows)}}`` from the row joins."""
+
+def frozen_suites(path: Path) -> dict:
+    """``{suite: {sql: repr}}`` from the records of ``path`` with a
+    ``suite``."""
     suites: dict = {}
-    with open(ROWJOIN_GOLDEN, encoding="utf-8") as handle:
+    with open(path, encoding="utf-8") as handle:
         for record in map(json.loads, handle):
             if "suite" in record:
                 suites.setdefault(record["suite"], {})[record["sql"]] = (
                     record["repr"]
                 )
     return suites
+
+
+@pytest.fixture(scope="session")
+def row_joins():
+    """``{suite: {sql: repr of (columns, rows)}}`` from the row joins."""
+    return frozen_suites(ROWJOIN_GOLDEN)
+
+
+@pytest.fixture(scope="session")
+def row_sets():
+    """``{suite: {sql: repr}}`` from the row DISTINCT, set operation and
+    derived-table operators."""
+    return frozen_suites(ROWSET_GOLDEN)
 
 
 @pytest.fixture(scope="session")

@@ -270,19 +270,20 @@ def rowagg_records() -> list[dict]:
     return records
 
 
-def test_rowagg_golden(row_joins):
+def test_rowagg_golden(row_joins, row_sets):
     with open(ROWAGG_GOLDEN, encoding="utf-8") as handle:
         expected = [json.loads(line) for line in handle]
     actual = rowagg_records()
     assert len(actual) == len(expected)
     for index, (got, want) in enumerate(zip(actual, expected)):
         assert got == want, f"record {index}: {want['sql']}"
-    # the join statements also equal what the row joins returned
-    joins = row_joins["rowagg"]
-    assert joins and set(joins) <= set(ELECTRONIC_QUERIES)
-    for record in actual[:len(ELECTRONIC_QUERIES)]:
-        if record["sql"] in joins:
-            assert record["repr"] == joins[record["sql"]], record["sql"]
+    # the join and DISTINCT statements also equal what the row operators
+    # returned
+    for frozen in (row_joins["rowagg"], row_sets["rowagg"]):
+        assert frozen and set(frozen) <= set(ELECTRONIC_QUERIES)
+        for record in actual[:len(ELECTRONIC_QUERIES)]:
+            if record["sql"] in frozen:
+                assert record["repr"] == frozen[record["sql"]], record["sql"]
 
 
 # -- the row-join golden ------------------------------------------------------
@@ -526,15 +527,159 @@ def test_cross_join_pairs_a_window_at_a_time(monkeypatch):
     db.close()
 
 
+# -- the row set-operation golden ---------------------------------------------
+#
+# ``tests/golden/rowset_v1.jsonl`` pins what DISTINCT, UNION, UNION ALL,
+# EXCEPT, INTERSECT and derived tables return when an input comes from
+# row operators (an index lookup, a CrowdProbe, a CrowdJoin, a crowd
+# filter), with and without a LIMIT above.  It was written while they ran
+# on the row operators, which pulled their input one row at a time,
+# yielded each row as soon as it was first seen, and read the right side
+# of EXCEPT and INTERSECT whole before the first left row.  Two parts, as
+# in ``rowjoin_v1``:
+#
+# * records with a ``suite`` are the row operators' answers to every
+#   DISTINCT, set operation and derived-table statement of the
+#   differential suites (``QUERIES`` and ``test_nan_parity`` of
+#   ``tests/test_vectorized.py``, ``STATEMENTS`` of
+#   ``tests/test_set_operations.py``, this file's ``ELECTRONIC_QUERIES``);
+#   they are frozen: nothing rewrites them;
+# * the others are :data:`SET_QUERIES` at ``batch_size`` 1 and 16 over the
+#   scripted crowd, with every task posted in order, and
+#   :data:`ELECTRONIC_SET_QUERIES` over :func:`electronic_db`.
+
+ROWSET_GOLDEN = Path(__file__).parent / "golden" / "rowset_v1.jsonl"
+
+#: DISTINCT, set operations and derived tables over crowd input, each with
+#: and without a LIMIT: CrowdProbe output (``population``/``elevation``),
+#: CrowdJoin output (``Branch``), a CROWDEQUAL filter and index lookups.
+SET_QUERIES = [
+    # DISTINCT
+    "SELECT DISTINCT elevation FROM City",
+    "SELECT DISTINCT elevation FROM City LIMIT 2",
+    "SELECT DISTINCT o.region, b.manager FROM Office o "
+    "JOIN Branch b ON b.city = o.city",
+    "SELECT DISTINCT o.region, b.manager FROM Office o "
+    "JOIN Branch b ON b.city = o.city LIMIT 2",
+    "SELECT DISTINCT region FROM Company WHERE CROWDEQUAL(name, 'IBM')",
+    "SELECT DISTINCT region FROM Company WHERE CROWDEQUAL(name, 'IBM') "
+    "LIMIT 1",
+    # UNION and UNION ALL
+    "SELECT elevation FROM City WHERE region = 'north' "
+    "UNION SELECT elevation FROM City WHERE region = 'east'",
+    "SELECT elevation FROM City WHERE region = 'north' "
+    "UNION SELECT elevation FROM City WHERE region = 'east' LIMIT 2",
+    "SELECT population FROM City WHERE region = 'south' "
+    "UNION ALL SELECT population FROM City WHERE region = 'east'",
+    "SELECT population FROM City WHERE region = 'south' "
+    "UNION ALL SELECT population FROM City WHERE region = 'east' LIMIT 5",
+    "SELECT b.manager FROM Office o JOIN Branch b ON b.city = o.city "
+    "UNION SELECT region FROM Office WHERE id = 3",
+    "SELECT b.manager FROM Office o JOIN Branch b ON b.city = o.city "
+    "UNION SELECT region FROM Office WHERE id = 3 LIMIT 1",
+    # EXCEPT and INTERSECT: the right side is read first
+    "SELECT population FROM City WHERE region = 'north' "
+    "EXCEPT SELECT population FROM City WHERE region = 'south'",
+    "SELECT population FROM City WHERE region = 'north' "
+    "EXCEPT SELECT population FROM City WHERE region = 'south' LIMIT 1",
+    "SELECT elevation FROM City WHERE region = 'north' "
+    "INTERSECT SELECT elevation FROM City WHERE region = 'east'",
+    "SELECT elevation FROM City WHERE region = 'north' "
+    "INTERSECT SELECT elevation FROM City WHERE region = 'east' LIMIT 1",
+    "SELECT c.name FROM City c WHERE c.population > 1050 "
+    "EXCEPT SELECT o.city FROM Office o JOIN Branch b ON b.city = o.city",
+    "SELECT c.name FROM City c WHERE c.population > 1050 "
+    "EXCEPT SELECT o.city FROM Office o JOIN Branch b ON b.city = o.city "
+    "LIMIT 2",
+    "SELECT region FROM City WHERE name = 'city03' "
+    "INTERSECT SELECT region FROM City WHERE elevation > 0",
+    "SELECT region FROM City WHERE name = 'city03' "
+    "INTERSECT SELECT region FROM City WHERE elevation > 0 LIMIT 1",
+    # derived tables
+    "SELECT d.name, d.population FROM (SELECT name, population FROM City) d "
+    "WHERE d.population > 1050",
+    "SELECT d.name, d.population FROM (SELECT name, population FROM City) d "
+    "WHERE d.population > 1050 LIMIT 2",
+    "SELECT d.manager FROM (SELECT b.name, b.manager FROM Office o "
+    "JOIN Branch b ON b.city = o.city) d",
+    "SELECT d.manager FROM (SELECT b.name, b.manager FROM Office o "
+    "JOIN Branch b ON b.city = o.city) d LIMIT 1",
+    "SELECT d.name, o.id FROM (SELECT name, elevation FROM City "
+    "WHERE region = 'north') d JOIN Office o ON o.city = d.name",
+    "SELECT d.name, o.id FROM (SELECT name, elevation FROM City "
+    "WHERE region = 'north') d JOIN Office o ON o.city = d.name LIMIT 1",
+    "SELECT d.region FROM (SELECT DISTINCT region, elevation FROM City) d",
+    "SELECT d.region FROM (SELECT DISTINCT region, elevation FROM City) d "
+    "LIMIT 2",
+]
+
+#: DISTINCT, set operations and derived tables over index lookups
+#: (``k`` has a non-unique index, ``id`` the primary key).
+ELECTRONIC_SET_QUERIES = [
+    "SELECT DISTINCT g, s FROM a WHERE k = 1",
+    "SELECT DISTINCT v FROM a WHERE k = 2 LIMIT 2",
+    "SELECT g FROM a WHERE k = 1 UNION SELECT s FROM a WHERE k = 2",
+    "SELECT v FROM a WHERE k = 1 UNION ALL SELECT v FROM a WHERE k = 3 "
+    "LIMIT 12",
+    "SELECT n FROM a WHERE k = 1 UNION SELECT w FROM b",
+    "SELECT g FROM a WHERE k = 1 EXCEPT SELECT g FROM a WHERE k = 2",
+    "SELECT v FROM a WHERE k = 0 INTERSECT SELECT v FROM a WHERE k = 2",
+    "SELECT s FROM b EXCEPT SELECT s FROM a WHERE id = 7",
+    "SELECT d.g, d.v FROM (SELECT g, v, n FROM a WHERE k = 3) d "
+    "WHERE d.n > 0",
+    "SELECT d.id, b.s FROM (SELECT id, n FROM a WHERE k = 2) d "
+    "JOIN b ON b.w = d.n LIMIT 3",
+    "SELECT d.g FROM (SELECT DISTINCT g, k FROM a WHERE k = 1) d",
+]
+
+
+def rowset_records() -> list[dict]:
+    """The golden's records without a ``suite``, in a fixed order."""
+    records = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UnboundedQueryWarning)
+        db = electronic_db()
+        for sql in ELECTRONIC_SET_QUERIES:
+            records.append({"sql": sql, **_outcome(db, sql)})
+        db.close()
+        for batch_size in (1, 16):
+            for sql in SET_QUERIES:
+                db, platform = rowjoin_db(batch_size)
+                record = {"sql": sql, "batch": batch_size,
+                          **_outcome(db, sql)}
+                record["tasks"] = [repr(task) for task in platform.posted_tasks]
+                records.append(record)
+                db.close()
+    return records
+
+
+def test_rowset_golden():
+    with open(ROWSET_GOLDEN, encoding="utf-8") as handle:
+        expected = [
+            record for record in map(json.loads, handle)
+            if "suite" not in record
+        ]
+    actual = rowset_records()
+    assert len(actual) == len(expected)
+    for index, (got, want) in enumerate(zip(actual, expected)):
+        assert got == want, f"record {index}: {want['sql']}"
+
+
+def _rewrite(path: Path, records: list[dict]) -> None:
+    """Write ``records`` to ``path`` after its records with a ``suite``:
+    the row operators' answers, which no engine since can compute, are
+    kept as they are."""
+    with open(path, encoding="utf-8") as handle:
+        kept = [line for line in handle if "suite" in json.loads(line)]
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.writelines(kept)
+        for record in records:
+            handle.write(json.dumps(record) + "\n")
+
+
 if __name__ == "__main__":
     with open(ROWAGG_GOLDEN, "w", encoding="utf-8") as handle:
         for record in rowagg_records():
             handle.write(json.dumps(record) + "\n")
-    # the records with a ``suite`` are the row joins' answers, which no
-    # engine since can compute: they are kept as they are
-    with open(ROWJOIN_GOLDEN, encoding="utf-8") as handle:
-        kept = [line for line in handle if "suite" in json.loads(line)]
-    with open(ROWJOIN_GOLDEN, "w", encoding="utf-8") as handle:
-        handle.writelines(kept)
-        for record in rowjoin_records():
-            handle.write(json.dumps(record) + "\n")
+    _rewrite(ROWJOIN_GOLDEN, rowjoin_records())
+    _rewrite(ROWSET_GOLDEN, rowset_records())

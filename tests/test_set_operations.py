@@ -8,6 +8,36 @@ from repro.sql.parser import parse
 from repro.sql.pretty import format_statement
 
 
+#: Statements over the ``db`` fixture's rows whose answers the row set
+#: operators gave (``tests/golden/rowset_v1.jsonl``, suite
+#: ``set_operations``): first-seen order without ORDER BY, an int column
+#: against a float one, NULLs on both sides, and a derived table.
+STATEMENTS = [
+    "SELECT x FROM a UNION SELECT x FROM b ORDER BY x",
+    "SELECT x FROM a UNION SELECT x FROM b",
+    "SELECT x FROM a UNION SELECT x FROM b LIMIT 3",
+    "SELECT x FROM a UNION ALL SELECT x FROM b",
+    "SELECT x, tag FROM a UNION ALL SELECT x, tag FROM b LIMIT 4 OFFSET 2",
+    "SELECT x FROM a EXCEPT SELECT x FROM b ORDER BY x",
+    "SELECT x FROM b EXCEPT SELECT x FROM a",
+    "SELECT x FROM a INTERSECT SELECT x FROM b ORDER BY x",
+    "SELECT tag FROM b INTERSECT SELECT tag FROM a LIMIT 1",
+    "SELECT tag FROM a UNION SELECT tag FROM b",
+    "SELECT x, tag FROM a UNION SELECT x, tag FROM b ORDER BY 1 DESC LIMIT 2",
+    "SELECT x, tag FROM a INTERSECT SELECT x, tag FROM b",
+    "SELECT x FROM a UNION SELECT x FROM b EXCEPT SELECT 4 ORDER BY x",
+    "SELECT x AS left_name FROM a UNION SELECT x FROM b",
+    "SELECT 1 UNION SELECT 1 UNION SELECT 2",
+    "SELECT x * 1.0 FROM b UNION SELECT x FROM a",
+    "SELECT x FROM a INTERSECT SELECT x / 1.0 FROM b",
+    "SELECT NULL UNION SELECT x FROM a UNION SELECT NULL",
+    "SELECT NULL INTERSECT SELECT NULL",
+    "SELECT DISTINCT tag FROM a",
+    "SELECT d.x, b.tag FROM (SELECT x, tag FROM a WHERE x > 1) d "
+    "JOIN b ON b.x = d.x",
+]
+
+
 @pytest.fixture
 def db(plain_db):
     plain_db.executescript(
@@ -53,6 +83,13 @@ class TestParsing:
 
 
 class TestExecution:
+    def test_statements_match_row_operators(self, db, row_sets):
+        frozen = row_sets["set_operations"]
+        assert set(frozen) == set(STATEMENTS)
+        for sql in STATEMENTS:
+            result = db.execute(sql)
+            assert repr((result.columns, result.rows)) == frozen[sql], sql
+
     def test_union_removes_duplicates(self, db):
         rows = db.query("SELECT x FROM a UNION SELECT x FROM b ORDER BY x")
         assert rows == [(1,), (2,), (3,), (4,)]

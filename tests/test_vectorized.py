@@ -7,10 +7,11 @@ Every statement of the corpus runs on the default path and inside the
 ndarray scalars), not just equality.  Crowd-touching plans must issue
 the exact same HIT sequence, because vector regions are pure-electronic
 by construction and the batch→row cap must leave crowd batching windows
-untouched.  Joins have no row operator (the seam runs them on the vector
-join over row input), so each join statement is also compared with what
-the row joins returned, ``tests/golden/rowjoin_v1.jsonl`` (the
-``row_joins`` fixture).
+untouched.  Joins, DISTINCT, set operations and derived tables have no
+row operator (the seam runs them on the batch operators over row input),
+so each such statement is also compared with what the row operators
+returned: ``tests/golden/rowjoin_v1.jsonl`` and ``rowset_v1.jsonl`` (the
+``row_joins`` and ``row_sets`` fixtures).
 
 ``exec/kernels.py`` and ``exec/vectorized.py`` take ndarray lanes when
 ``numpy`` imports and list lanes when it does not.  With numpy present,
@@ -119,6 +120,14 @@ QUERIES = [
     "(SELECT name FROM dept WHERE region = 'west')",
 ]
 
+#: Derived tables over :data:`SCRIPT` (outside the lanes golden's
+#: corpus): the consumer reads one of the columns the DISTINCT compares.
+DERIVED_QUERIES = [
+    "SELECT d.dept FROM (SELECT DISTINCT dept, level FROM emp) d",
+    "SELECT d.level FROM (SELECT DISTINCT dept, level FROM emp "
+    "WHERE salary > 60) d WHERE d.level > 1",
+]
+
 
 #: Statements over the 5,000-row order book (``conftest.load_order_book``),
 #: large enough for every per-version lane: ndarray lanes of the numeric
@@ -174,14 +183,14 @@ EMPTY_QUERIES = [
 ]
 
 
-def assert_row_joins(joins: dict, queries: list, results: list) -> None:
-    """``results`` (``(columns, rows)`` per statement of ``queries``) equal
-    what the row join operators returned for each join statement among
-    them (``joins``: sql -> the ``repr`` the golden holds)."""
-    assert joins and set(joins) <= set(queries)
+def assert_frozen(frozen: dict, queries: list, results: list) -> None:
+    """``results`` (one per statement of ``queries``) equal what the row
+    operators returned for each statement ``frozen`` holds (sql -> the
+    ``repr`` the golden holds)."""
+    assert frozen and set(frozen) <= set(queries)
     for query, got in zip(queries, results):
-        if query in joins:
-            assert repr(got) == joins[query], query
+        if query in frozen:
+            assert repr(got) == frozen[query], query
 
 
 def run_all(script=SCRIPT, queries=QUERIES):
@@ -203,12 +212,16 @@ def run_order_book(load, queries=ORDER_BOOK_QUERIES):
 
 
 class TestDifferentialStatements:
-    def test_vectorized_matches_row_engine(self, row_engine, row_joins):
-        vector = run_all()
-        assert_row_joins(row_joins["QUERIES"], QUERIES, vector)
+    def test_vectorized_matches_row_engine(
+        self, row_engine, row_joins, row_sets
+    ):
+        queries = QUERIES + DERIVED_QUERIES
+        vector = run_all(queries=queries)
+        assert_frozen(row_joins["QUERIES"], queries, vector)
+        assert_frozen(row_sets["QUERIES"], queries, vector)
         with row_engine():
-            row = run_all()
-        for query, got, want in zip(QUERIES, vector, row):
+            row = run_all(queries=queries)
+        for query, got, want in zip(queries, vector, row):
             assert got == want, query
             assert repr(got) == repr(want), query
 
@@ -217,7 +230,7 @@ class TestDifferentialStatements:
     ):
         load, _query = order_book
         vector = run_order_book(load)
-        assert_row_joins(
+        assert_frozen(
             row_joins["ORDER_BOOK_QUERIES"], ORDER_BOOK_QUERIES, vector
         )
         with row_engine():
@@ -240,7 +253,7 @@ class TestDifferentialStatements:
                 runs.append((db.execute(query), db.explain(query)))
         (vector, vector_plan), (row, row_plan) = runs
         assert len(vector.rows) == 5  # one group per region
-        assert_row_joins(
+        assert_frozen(
             row_joins["pipeline"], [query], [(vector.columns, vector.rows)]
         )
         assert vector.columns == row.columns
@@ -264,7 +277,7 @@ class TestDifferentialStatements:
         if kernels._np is not None:
             assert evals == []
 
-    def test_nan_parity(self, row_engine):
+    def test_nan_parity(self, row_engine, row_sets):
         # NaN breaks min/max and comparison fast paths unless the
         # kernels reproduce compare_values semantics exactly
         script = """
@@ -282,6 +295,8 @@ class TestDifferentialStatements:
             "SELECT i, SUM(x * 1e308 * 10), "
             "MAX(x * 1e308 - x * 1e308) FROM t GROUP BY i",
             "SELECT SUM(x * 1e308 * 10), MIN(x / 1e-308) FROM t",
+            # NaN equals only itself: the two NaNs inserted stay two rows
+            "SELECT DISTINCT x FROM t",
         ]
 
         def run():
@@ -294,12 +309,13 @@ class TestDifferentialStatements:
                 return [db.execute(q).rows for q in queries]
 
         vector = run()
+        assert_frozen(row_sets["nan"], queries, vector)
         with row_engine():
             assert repr(vector) == repr(run())
 
     def test_empty_tables(self, row_engine, row_joins):
         vector = run_all(EMPTY_SCRIPT, EMPTY_QUERIES)
-        assert_row_joins(row_joins["empty"], EMPTY_QUERIES, vector)
+        assert_frozen(row_joins["empty"], EMPTY_QUERIES, vector)
         with row_engine():
             assert vector == run_all(EMPTY_SCRIPT, EMPTY_QUERIES)
 
