@@ -34,6 +34,7 @@ from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from repro.errors import LowQualityWarning, QualityControlError
+from repro.sqltypes import group_key
 
 _WHITESPACE = re.compile(r"\s+")
 _PUNCTUATION = re.compile(r"[.,;:!?'\"()\[\]]")
@@ -136,7 +137,7 @@ class MajorityVote:
                 weight = self.reputation.weight(ballot.worker_id)
             weights_by_class.setdefault(key, []).append(weight)
             counts[key] = counts.get(key, 0) + 1
-            raw_by_class.setdefault(key, Counter())[_hashable(ballot.value)] += 1
+            raw_by_class.setdefault(key, Counter())[group_key(ballot.value)] += 1
             workers_by_class.setdefault(key, []).append(ballot.worker_id)
         # per-class score summed over *sorted* weights (math.fsum): the
         # total is exact and independent of ballot arrival order, so the
@@ -239,11 +240,3 @@ class MajorityVote:
     ) -> VoteResult:
         """Specialized vote for COMPARE_EQUAL ballots."""
         return self.vote([bool(a) for a in answers], quiet=quiet)
-
-
-def _hashable(value: Any) -> Any:
-    try:
-        hash(value)
-        return value
-    except TypeError:
-        return repr(value)

@@ -1,4 +1,7 @@
-"""Filter, projection, distinct, limit, and alias operators."""
+"""The row filter, projection and limit: point reads, and the parts of a
+plan above crowd operators, which need tuples one at a time.  Every
+other electronic operator runs on batches (:mod:`repro.exec.vectorized`).
+"""
 
 from __future__ import annotations
 
@@ -299,31 +302,6 @@ class ProjectOp(PhysicalOperator):
             yield row_fn(values)
 
 
-class DistinctOp(PhysicalOperator):
-    """Hash-based duplicate elimination."""
-
-    def __init__(
-        self,
-        context: ExecutionContext,
-        child: PhysicalOperator,
-    ) -> None:
-        super().__init__(context)
-        self.child = child
-
-    @property
-    def scope(self) -> Scope:
-        return self.child.scope
-
-    def __iter__(self) -> Iterator[tuple]:
-        seen: set = set()
-        for values in self.child:
-            key = tuple(_hashable(v) for v in values)
-            if key in seen:
-                continue
-            seen.add(key)
-            yield values
-
-
 class LimitOp(PhysicalOperator):
     """Stop-after: skip ``offset`` rows, then yield at most ``limit``."""
 
@@ -356,90 +334,3 @@ class LimitOp(PhysicalOperator):
             yield values
             if self.limit is not None and emitted >= self.limit:
                 return
-
-
-class SubqueryAliasOp(PhysicalOperator):
-    """Re-bind a derived table's columns under its alias."""
-
-    def __init__(
-        self,
-        context: ExecutionContext,
-        child: PhysicalOperator,
-        alias: str,
-    ) -> None:
-        super().__init__(context)
-        self.child = child
-        self.alias = alias
-        self._scope = child.scope.rename(alias)
-
-    @property
-    def scope(self) -> Scope:
-        return self._scope
-
-    def __iter__(self) -> Iterator[tuple]:
-        yield from self.child
-
-
-class SetOpOp(PhysicalOperator):
-    """UNION [ALL] / EXCEPT / INTERSECT with SQL set semantics.
-
-    UNION, EXCEPT, and INTERSECT eliminate duplicates (per the SQL
-    standard); UNION ALL concatenates.
-    """
-
-    def __init__(
-        self,
-        context: ExecutionContext,
-        left: PhysicalOperator,
-        right: PhysicalOperator,
-        op: str,
-    ) -> None:
-        super().__init__(context)
-        self.left = left
-        self.right = right
-        self.op = op
-
-    @property
-    def scope(self) -> Scope:
-        return self.left.scope
-
-    def __iter__(self) -> Iterator[tuple]:
-        if self.op == "UNION ALL":
-            yield from self.left
-            yield from self.right
-            return
-        if self.op == "UNION":
-            seen: set = set()
-            for values in self.left:
-                key = tuple(_hashable(v) for v in values)
-                if key not in seen:
-                    seen.add(key)
-                    yield values
-            for values in self.right:
-                key = tuple(_hashable(v) for v in values)
-                if key not in seen:
-                    seen.add(key)
-                    yield values
-            return
-        right_keys = {
-            tuple(_hashable(v) for v in values) for values in self.right
-        }
-        emitted: set = set()
-        for values in self.left:
-            key = tuple(_hashable(v) for v in values)
-            if key in emitted:
-                continue
-            if self.op == "EXCEPT" and key in right_keys:
-                continue
-            if self.op == "INTERSECT" and key not in right_keys:
-                continue
-            emitted.add(key)
-            yield values
-
-
-def _hashable(value):
-    try:
-        hash(value)
-        return value
-    except TypeError:
-        return repr(value)

@@ -21,14 +21,7 @@ from typing import Any, Optional
 from repro.engine.base import Correlation, PhysicalOperator
 from repro.engine.context import ExecutionContext
 from repro.engine.crowd_probe import CrowdProbeOp
-from repro.engine.filter_project import (
-    DistinctOp,
-    FilterOp,
-    LimitOp,
-    ProjectOp,
-    SetOpOp,
-    SubqueryAliasOp,
-)
+from repro.engine.filter_project import FilterOp, LimitOp, ProjectOp
 from repro.engine.joins import CrowdJoinOp
 from repro.engine.scans import IndexLookup, SingleRowOp, TableScan
 from repro.engine.sort_limit import SortOp
@@ -37,12 +30,14 @@ from repro.exec.vectorized import (
     BatchToRowsOp,
     RowsToBatchOp,
     VectorAggregateOp,
+    VectorAliasOp,
     VectorFilterOp,
     VectorHashJoinOp,
     VectorLimitOp,
     VectorOperator,
     VectorProjectOp,
     VectorScanOp,
+    VectorSetOp,
     VectorSortOp,
 )
 from repro.optimizer.rules import split_conjuncts
@@ -176,8 +171,8 @@ class PhysicalPlanner:
         if self.profiler is not None:
             operator = self.profiler.wrap(node, operator)
         if vector:
-            # a join, aggregate or electronic sort the binder left
-            # unmarked: its batch operator meets row parents here
+            # a batch operator the binder left unmarked meets row
+            # parents here
             operator = BatchToRowsOp(UNBOUND, operator)
         return operator
 
@@ -188,35 +183,26 @@ class PhysicalPlanner:
         vector child's batches as they are, a row operator's rows through
         a ``RowsToBatchOp``.  ``per_row`` asks for one row per batch even
         from a vector child (a consumer that evaluates crowd work per
-        row, or a join probing rows that source crowd work on pull)."""
+        row, or one streaming rows that source crowd work on pull)."""
         if type(operator) is BatchToRowsOp and not per_row:
             return operator.child
         return RowsToBatchOp(UNBOUND, operator, per_row=per_row)
 
-    def _join(
-        self,
-        node: logical.Join,
-        left: VectorOperator,
-        right: VectorOperator,
-    ) -> VectorHashJoinOp:
-        keys = None
-        if node.condition is not None:
-            keys = _extract_equi_keys(node.condition, left.scope, right.scope)
-        left_keys, right_keys = keys or ((), ())
-        return VectorHashJoinOp(
-            UNBOUND,
-            left,
-            right,
-            left_keys,
-            right_keys,
-            condition=node.condition,
-            join_type=node.join_type,
-        )
+    def _streamed(
+        self, node: logical.LogicalPlan, row_bound: Optional[int] = None
+    ) -> VectorOperator:
+        """``node`` prepared as the input of a batch operator that
+        streams it: one row per batch when its rows source crowd work on
+        pull."""
+        operator = self._prepare(node, row_bound)
+        return self._batches(operator, operator.sources_crowd_on_pull())
 
     def _prepare_vector(self, node: logical.LogicalPlan) -> PhysicalOperator:
         """Build the batch operator for a binder-approved node (children
         included: the binder only marks a node when its whole input
-        subtree is vector-eligible)."""
+        subtree is vector-eligible).  A node with a row operator too gets
+        its batch operator here; any other is built as when unmarked, its
+        inputs' batches taken as they are."""
         if isinstance(node, logical.Scan):
             operator: PhysicalOperator = VectorScanOp(
                 UNBOUND, node.table, node.binding
@@ -229,26 +215,6 @@ class PhysicalPlanner:
             operator = VectorProjectOp(
                 UNBOUND, self._prepare_vector(node.child), node.items
             )
-        elif isinstance(node, logical.Join):
-            operator = self._join(
-                node,
-                self._prepare_vector(node.left),
-                self._prepare_vector(node.right),
-            )
-        elif isinstance(node, logical.Aggregate):
-            operator = VectorAggregateOp(
-                UNBOUND,
-                self._prepare_vector(node.child),
-                node.group_by,
-                node.aggregates,
-            )
-        elif isinstance(node, logical.Sort):
-            operator = VectorSortOp(
-                UNBOUND,
-                self._prepare_vector(node.child),
-                node.keys,
-                top_k=node.top_k,
-            )
         elif isinstance(node, logical.Limit):
             operator = VectorLimitOp(
                 UNBOUND,
@@ -257,9 +223,7 @@ class PhysicalPlanner:
                 node.offset,
             )
         else:
-            raise PlanError(
-                f"no vectorized operator for {type(node).__name__}"
-            )
+            operator = self._prepare_node(node)
         if self.profiler is not None:
             operator = self.profiler.wrap(node, operator)
         return operator
@@ -300,13 +264,23 @@ class PhysicalPlanner:
                 UNBOUND, self._prepare(node.child, row_bound), node.items
             )
         if isinstance(node, logical.Join):
-            # the build side is read whole; the probe side one row per
-            # batch when its rows source crowd work on pull
-            left = self._prepare(node.left)
-            return self._join(
-                node,
-                self._batches(left, left.sources_crowd_on_pull()),
-                self._batches(self._prepare(node.right)),
+            # the build side is read whole; the probe side streams
+            left = self._streamed(node.left)
+            right = self._batches(self._prepare(node.right))
+            keys = None
+            if node.condition is not None:
+                keys = _extract_equi_keys(
+                    node.condition, left.scope, right.scope
+                )
+            left_keys, right_keys = keys or ((), ())
+            return VectorHashJoinOp(
+                UNBOUND,
+                left,
+                right,
+                left_keys,
+                right_keys,
+                condition=node.condition,
+                join_type=node.join_type,
             )
         if isinstance(node, logical.CrowdJoin):
             return CrowdJoinOp(
@@ -362,16 +336,18 @@ class PhysicalPlanner:
                 node.offset,
             )
         if isinstance(node, logical.Distinct):
-            return DistinctOp(UNBOUND, self._prepare(node.child, row_bound))
+            return VectorSetOp(
+                UNBOUND, self._streamed(node.child, row_bound), None, "UNION"
+            )
         if isinstance(node, logical.SubqueryAlias):
-            return SubqueryAliasOp(
-                UNBOUND, self._prepare(node.child, row_bound), node.alias
+            return VectorAliasOp(
+                UNBOUND, self._streamed(node.child, row_bound), node.alias
             )
         if isinstance(node, logical.SetOperation):
-            return SetOpOp(
+            return VectorSetOp(
                 UNBOUND,
-                self._prepare(node.left),
-                self._prepare(node.right),
+                self._streamed(node.left),
+                self._streamed(node.right),
                 node.op,
             )
         raise PlanError(f"no physical operator for {type(node).__name__}")

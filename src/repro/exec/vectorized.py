@@ -1,5 +1,5 @@
 """Batch operators: binder-approved plan regions, and every join,
-aggregate and electronic sort.
+aggregate, electronic sort, DISTINCT, set operation and derived table.
 
 The scan, filter, project and limit mirror the row operators in
 :mod:`repro.engine` exactly — same scopes, same missing-key/NULL-padding/
@@ -7,11 +7,11 @@ insertion-order semantics, same errors — but exchange
 :class:`~repro.exec.vector.ColumnBatch`es instead of row tuples.  The
 physical planner instantiates them only for nodes the binder marked
 vector-eligible (pure electronic, no crowd hazard).  Joins without a
-CROWD inner, aggregation and sorts with no CROWDORDER key have no row
-operator: over input the binder left on rows they read it through
-:class:`RowsToBatchOp`.  Every region is capped with
-:class:`BatchToRowsOp`, so row-only parents and the executor see
-ordinary tuples.
+CROWD inner, aggregation, sorts with no CROWDORDER key, DISTINCT, set
+operations and derived tables have no row operator: over input the
+binder left on rows they read it through :class:`RowsToBatchOp`.  Every
+region is capped with :class:`BatchToRowsOp`, so row-only parents and
+the executor see ordinary tuples.
 
 Exactness strategy: every fast path is gated on runtime column
 cleanliness tags; anything unclean (possible NULL/CNULL/bools/mixed
@@ -59,7 +59,7 @@ from repro.exec.vector import (
 from repro.plan.compiled import rendered_position
 from repro.sql import ast
 from repro.sql.pretty import format_expression
-from repro.sqltypes import CNULL, NULL, SQLType, is_missing
+from repro.sqltypes import CNULL, NULL, SQLType, group_key, is_missing
 from repro.storage.row import Scope
 
 try:  # index-lane accelerations are optional, like the kernel lanes
@@ -151,10 +151,12 @@ class VectorOperator(PhysicalOperator):
     there can never issue crowd work.  Row input enters through a
     :class:`RowsToBatchOp`, under an operator that reads it whole
     (aggregate, sort, a join's build side) or one row per batch where
-    the rows below source crowd work on pull (a join's probe side).
-    ``sources_crowd_on_pull`` relays through the transitions and the
-    join; a scan answers False, and so do the aggregate and the sort,
-    which consume their input entirely either way.
+    the rows below source crowd work on pull (a join's probe side, the
+    inputs of a DISTINCT, a set operation or a derived table).
+    ``sources_crowd_on_pull`` relays through the transitions, the join,
+    the set operations and the alias; a scan answers False, and so do
+    the aggregate and the sort, which consume their input entirely
+    either way.
 
     Column pruning: a consumer that knows which of this operator's
     output positions it reads calls :meth:`set_live` with that set;
@@ -163,8 +165,9 @@ class VectorOperator(PhysicalOperator):
     all-live, so the region cap (:class:`BatchToRowsOp`) always sees
     fully materialized batches.  Operators that narrow their input on
     their own (aggregate, project) seed the propagation; pass-through
-    operators (filter, join) relay, widening by whatever their own
-    expressions read."""
+    operators (filter, join, alias) relay, widening by whatever their
+    own expressions read; a DISTINCT or set operation, which compares
+    every column, stops it."""
 
     _live: Optional[frozenset] = None  # None = every position live
 
@@ -222,12 +225,13 @@ class RowsToBatchOp(VectorOperator):
     Rows become untagged list columns, so every kernel takes its exact
     element-wise path.  An aggregate, a sort and a join's build side read
     their whole input whichever way it is cut, so the pull changes no
-    crowd work below.  One row per batch (``per_row``) serves a join's
-    probe side over rows that source crowd work on pull -- a LIMIT above
-    then pulls no more of it than a row-at-a-time loop would -- and a
-    consumer that evaluates CROWDEQUAL or a subquery per row: those calls
-    then interleave with the rows pulled from below as in a row-at-a-time
-    loop, key before arguments."""
+    crowd work below.  One row per batch (``per_row``) serves an input
+    that streams rows sourcing crowd work on pull -- a join's probe side,
+    a DISTINCT's, a set operation's or a derived table's input: a LIMIT
+    above then pulls no more of it than a row-at-a-time loop would --
+    and a consumer that evaluates CROWDEQUAL or a subquery per row: those
+    calls then interleave with the rows pulled from below as in a
+    row-at-a-time loop, key before arguments."""
 
     def __init__(
         self,
@@ -691,6 +695,114 @@ def column_evaluator(
         return columns, tags
 
     return evaluate
+
+
+class VectorSetOp(VectorOperator):
+    """DISTINCT and UNION [ALL] / EXCEPT / INTERSECT over batches, with
+    SQL set semantics: DISTINCT is a UNION of one input (``right`` None),
+    and UNION ALL concatenates its inputs' batches.
+
+    The others stream: the rows of each input batch not seen before come
+    out, in input order, as one gathered batch before the next batch is
+    pulled.  Over rows that source crowd work on pull the planner feeds
+    one row per batch, so a LIMIT above pulls no more than a
+    row-at-a-time loop would.  EXCEPT and INTERSECT read the right
+    input's rows whole before the first left batch.  Rows compare as
+    tuples, a value that cannot be hashed by its ``repr``
+    (:func:`group_key`), as GROUP BY compares its keys.  The keys span
+    every column, so a consumer's :meth:`set_live` goes no further.
+    """
+
+    def __init__(
+        self,
+        context: ExecutionContext,
+        left: VectorOperator,
+        right: Optional[VectorOperator],
+        op: str,
+    ) -> None:
+        super().__init__(context)
+        self.left = left
+        self.right = right
+        self.op = op
+
+    @property
+    def scope(self) -> Scope:
+        return self.left.scope
+
+    def __iter__(self) -> Iterator[ColumnBatch]:
+        if self.op == "UNION ALL":
+            yield from self.left
+            yield from self.right
+            return
+        seen: set = set()
+        wanted: Optional[set] = None  # INTERSECT: the right side's rows
+        inputs = [self.left]
+        if self.op == "UNION":
+            if self.right is not None:
+                inputs.append(self.right)
+        else:
+            right = {
+                _row_key(row)
+                for batch in self.right
+                for row in _pivot_rows(batch)
+            }
+            if self.op == "EXCEPT":
+                seen = right
+            else:
+                wanted = right
+        for batch in chain.from_iterable(inputs):
+            keep = []
+            for index, row in enumerate(_pivot_rows(batch)):
+                key = _row_key(row)
+                if key in seen or (wanted is not None and key not in wanted):
+                    continue
+                seen.add(key)
+                keep.append(index)
+            if len(keep) == batch.num_rows:
+                yield batch
+            elif keep:
+                yield ColumnBatch(
+                    [
+                        None if column is None else take(column, keep)
+                        for column in batch.columns
+                    ],
+                    len(keep),
+                    batch.tags,
+                )
+
+
+def _row_key(row: tuple) -> tuple:
+    """``row`` as a set member: as it is, or with each value
+    :func:`group_key` normalized when the row cannot be hashed."""
+    try:
+        hash(row)
+    except TypeError:
+        return tuple(map(group_key, row))
+    return row
+
+
+class VectorAliasOp(VectorOperator):
+    """A derived table: its input's batches as they are, under the scope
+    its alias renames."""
+
+    def __init__(
+        self, context: ExecutionContext, child: VectorOperator, alias: str
+    ) -> None:
+        super().__init__(context)
+        self.child = child
+        self.alias = alias
+        self._scope = child.scope.rename(alias)
+
+    @property
+    def scope(self) -> Scope:
+        return self._scope
+
+    def set_live(self, live: Optional[frozenset]) -> None:
+        self._live = live
+        self.child.set_live(live)
+
+    def __iter__(self) -> Iterator[ColumnBatch]:
+        return iter(self.child)
 
 
 class VectorHashJoinOp(VectorOperator):
@@ -1266,7 +1378,7 @@ class _Accumulator:
         if value is NULL or value is None or value is CNULL:
             return
         if self.distinct:
-            key = value if _hashable(value) else repr(value)
+            key = group_key(value)
             if key in self._seen:
                 return
             self._seen.add(key)
@@ -1295,14 +1407,6 @@ class _Accumulator:
         if self.name in ("MIN", "MAX"):
             return NULL if self.extreme is None else self.extreme
         raise ExecutionError(f"unknown aggregate {self.name!r}")
-
-
-def _hashable(value: Any) -> bool:
-    try:
-        hash(value)
-        return True
-    except TypeError:
-        return False
 
 
 class VectorAggregateOp(VectorOperator):
@@ -1535,15 +1639,10 @@ class VectorAggregateOp(VectorOperator):
                         try:
                             gid = get_group(key)
                         except TypeError:
-                            if single:
-                                normalized = (
-                                    key if _hashable(key) else repr(key)
-                                )
-                            else:
-                                normalized = tuple(
-                                    part if _hashable(part) else repr(part)
-                                    for part in key
-                                )
+                            normalized = (
+                                group_key(key) if single
+                                else tuple(map(group_key, key))
+                            )
                             gid = get_group(normalized)
                             if gid is None:
                                 gid = len(key_tuples)

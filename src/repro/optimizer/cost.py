@@ -270,7 +270,7 @@ class CostModel:
         if isinstance(plan, (logical.Scan, logical.SingleRow)):
             return self._rows(plan)
         if isinstance(plan, logical.Join):
-            # hash/nested-loop: read both inputs, materialize the output
+            # the one join reads both inputs, materializes the output
             return (
                 self._rows(plan.left)
                 + self._rows(plan.right)

@@ -3,18 +3,19 @@
 Runs after logical optimization (rule rewrites, join enumeration) and
 before physical planning.  For every node of the optimized plan it
 records a :class:`NodeBinding`: whether the node may execute on the
-columnar batch pipeline, the output :class:`Scope` mapping each column
-reference to its batch ordinal (equi-join keys are extracted against
-it), and, for a filter served by an index, the index key EXPLAIN shows.
+columnar batch pipeline and, for a filter served by an index, the index
+key EXPLAIN shows.  Scopes are the operators' own: each batch operator
+is built, and names its output, in one place, the physical planner.
 
 A node is vector-eligible only when its entire input subtree is: the
 physical planner builds one contiguous batch region per marked node and
-caps it with a ``BatchToRowsOp`` transition, so crowd operators,
-crowd-ordered sorts and set operations above the region consume
-ordinary row tuples and keep their semantics (crowd batching windows,
-open-world sourcing, 3VL verdicts) bit-identical to the row engine.  A
-query of scans, filters, joins, aggregates, sorts and limits over stored
-electronic tables runs in the vector region up to its root.
+caps it with a ``BatchToRowsOp`` transition, so crowd operators and
+crowd-ordered sorts above the region consume ordinary row tuples and
+keep their semantics (crowd batching windows, open-world sourcing, 3VL
+verdicts) bit-identical to the row engine.  A query of scans, filters,
+joins, aggregates, sorts, DISTINCT, set operations, derived tables and
+limits over stored electronic tables runs in the vector region up to
+its root.
 
 Eligibility is deliberately conservative:
 
@@ -29,16 +30,19 @@ Eligibility is deliberately conservative:
   none), with or without equi keys.
 * Aggregates: the five classic functions over electronic arguments.
 * Sorts: electronic keys only (no CROWDORDER, no subquery), top-k or
-  full; stop-after bounds and projections over a vectorized child.
+  full.
+* Stop-after bounds, DISTINCT and derived-table aliases over a
+  vectorized child, set operations over two, and electronic
+  projections.
 
-Everything else (crowd-ordered sorts, distinct, set ops, crowd
-operators, derived-table aliases) falls back to rows, with the vector
-region — if any — ending below it.  An unmarked Join, Aggregate, or
-Sort with no CROWDORDER key, still runs on the batch operator (there is
-no row join, no row aggregate and no electronic row sort): it takes a
-vector child's batches as they are and a row child's rows through a
-``RowsToBatchOp``.  Its mark, and EXPLAIN's ``execution:`` tag, say
-whether the whole subtree below runs on batches.
+Everything else (crowd-ordered sorts, crowd operators, SELECT without
+FROM) falls back to rows, with the vector region — if any — ending
+below it.  An unmarked Join, Aggregate, Sort with no CROWDORDER key,
+DISTINCT, set operation or alias still runs on its batch operator
+(none has a row operator): it takes a vector child's batches as they
+are and a row child's rows through a ``RowsToBatchOp``.  Its mark, and
+EXPLAIN's ``execution:`` tag, say whether the whole subtree below runs
+on batches.
 """
 
 from __future__ import annotations
@@ -49,8 +53,6 @@ from typing import Optional
 from repro.plan import logical
 from repro.plan.compiled import is_electronic
 from repro.sql import ast
-from repro.sql.pretty import format_expression
-from repro.storage.row import Scope
 
 #: Aggregate functions the vectorized fold implements.
 _VECTOR_AGGREGATES = frozenset({"COUNT", "SUM", "AVG", "MIN", "MAX"})
@@ -58,15 +60,9 @@ _VECTOR_AGGREGATES = frozenset({"COUNT", "SUM", "AVG", "MIN", "MAX"})
 
 @dataclass
 class NodeBinding:
-    """Per-node decision produced by :class:`Binder`.
-
-    ``scope`` maps column references to batch ordinals for vectorized
-    nodes (mirroring the row operator's output scope exactly, so
-    expressions compile against identical name resolution).
-    """
+    """Per-node decision produced by :class:`Binder`."""
 
     vectorized: bool
-    scope: Optional[Scope] = None
     index_columns: Optional[tuple] = None  # key of a filter's serving index
 
 
@@ -93,37 +89,38 @@ class Binder:
 
     def _bind_node(self, node: logical.LogicalPlan) -> NodeBinding:
         if isinstance(node, logical.Scan):
-            return self._bind_scan(node)
+            return NodeBinding(
+                not node.table.crowd  # the open-world scan
+                and node.limit_hint is None
+                and self.engine.has_table(node.table.name)
+            )
         if isinstance(node, logical.Filter):
             return self._bind_filter(node)
+        # every input is bound (a list, not a short-circuit), so vector
+        # regions below a row node are discovered too
+        inputs = all([
+            self._bind(child).vectorized for child in node.children()
+        ])
         if isinstance(node, logical.Project):
-            return self._bind_project(node)
+            return NodeBinding(inputs and all(
+                is_electronic(expr) for expr, _name in node.items
+            ))
         if isinstance(node, logical.Join):
-            return self._bind_join(node)
+            return NodeBinding(inputs and (
+                node.condition is None or is_electronic(node.condition)
+            ))
         if isinstance(node, logical.Aggregate):
-            return self._bind_aggregate(node)
+            return NodeBinding(inputs and self._vector_aggregate(node))
         if isinstance(node, logical.Sort):
-            return self._bind_sort(node)
-        if isinstance(node, logical.Limit):
-            return self._bind_limit(node)
-        # row-only operators (crowd operators, distinct, set operations,
-        # aliases): still recurse so vector regions below them are
-        # discovered and bound
-        for child in node.children():
-            self._bind(child)
-        return NodeBinding(False)
+            return NodeBinding(inputs and all(
+                is_electronic(expr) for expr, _asc in node.keys
+            ))
+        if isinstance(node, (logical.Limit, logical.Distinct,
+                             logical.SubqueryAlias, logical.SetOperation)):
+            return NodeBinding(inputs)
+        return NodeBinding(False)  # crowd operators and SingleRow
 
     # -- per-node rules -----------------------------------------------------
-
-    def _bind_scan(self, node: logical.Scan) -> NodeBinding:
-        if (
-            node.table.crowd  # the open-world scan
-            or node.limit_hint is not None
-            or not self.engine.has_table(node.table.name)
-        ):
-            return NodeBinding(False)
-        scope = Scope.for_table(node.binding, node.table.column_names)
-        return NodeBinding(True, scope)
 
     def _bind_filter(self, node: logical.Filter) -> NodeBinding:
         from repro.engine.planner import match_index_access
@@ -132,61 +129,22 @@ class Binder:
         matched = match_index_access(self.engine, node)
         if matched is not None:
             return NodeBinding(False, index_columns=matched[0])
-        if not child.vectorized or not is_electronic(node.predicate):
-            return NodeBinding(False)
-        return NodeBinding(True, child.scope)
+        return NodeBinding(
+            child.vectorized and is_electronic(node.predicate)
+        )
 
-    def _bind_project(self, node: logical.Project) -> NodeBinding:
-        child = self._bind(node.child)
-        if not child.vectorized or not all(
-            is_electronic(expr) for expr, _name in node.items
-        ):
-            return NodeBinding(False)
-        return NodeBinding(True, Scope([("", name) for _e, name in node.items]))
-
-    def _bind_sort(self, node: logical.Sort) -> NodeBinding:
-        child = self._bind(node.child)
-        if not child.vectorized or not all(
-            is_electronic(expr) for expr, _asc in node.keys
-        ):
-            return NodeBinding(False)
-        return NodeBinding(True, child.scope)
-
-    def _bind_limit(self, node: logical.Limit) -> NodeBinding:
-        child = self._bind(node.child)
-        return NodeBinding(child.vectorized, child.scope)
-
-    def _bind_join(self, node: logical.Join) -> NodeBinding:
-        left = self._bind(node.left)
-        right = self._bind(node.right)
-        if not (left.vectorized and right.vectorized) or (
-            node.condition is not None and not is_electronic(node.condition)
-        ):
-            return NodeBinding(False)
-        return NodeBinding(True, left.scope.concat(right.scope))
-
-    def _bind_aggregate(self, node: logical.Aggregate) -> NodeBinding:
-        child = self._bind(node.child)
-        if not child.vectorized or not all(
-            is_electronic(expr) for expr in node.group_by
-        ):
-            return NodeBinding(False)
+    @staticmethod
+    def _vector_aggregate(node: logical.Aggregate) -> bool:
+        if not all(is_electronic(expr) for expr in node.group_by):
+            return False
         for call in node.aggregates:
             name = call.name.upper()
             if name not in _VECTOR_AGGREGATES or len(call.args) != 1:
-                return NodeBinding(False)
+                return False
             (argument,) = call.args
             if isinstance(argument, ast.Star):
                 if name != "COUNT":
-                    return NodeBinding(False)
+                    return False
             elif not is_electronic(argument):
-                return NodeBinding(False)
-        # mirror VectorAggregateOp's output scope exactly
-        entries = [
-            (expr.table or "", expr.name)
-            if isinstance(expr, ast.ColumnRef)
-            else ("", format_expression(expr))
-            for expr in node.group_by
-        ]
-        entries += [("", format_expression(call)) for call in node.aggregates]
-        return NodeBinding(True, Scope(entries))
+                return False
+        return True

@@ -122,8 +122,10 @@ def order_book():
 
 @contextlib.contextmanager
 def _row_engine():
-    # the binder marks no node, so every plan outside a join, an
-    # Aggregate or an electronic Sort runs on the row operators
+    # the binder marks no node, so every scan, filter, projection and
+    # limit runs on the row operators; a join, an Aggregate, an
+    # electronic Sort, a DISTINCT, a set operation or a derived table
+    # has none and runs on its batch operator over their rows
     with mock.patch.object(Binder, "bind", lambda self, plan: {}):
         yield
 

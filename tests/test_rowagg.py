@@ -456,6 +456,30 @@ def test_index_served_join_builds_one_vector_join():
     db.close()
 
 
+@pytest.mark.parametrize("sql", [
+    "SELECT DISTINCT g, k FROM a",
+    "SELECT g FROM a UNION SELECT s FROM b",
+    "SELECT g FROM a UNION ALL SELECT s FROM b",
+    "SELECT s FROM a EXCEPT SELECT s FROM b",
+    "SELECT s FROM a INTERSECT SELECT s FROM b",
+    "SELECT d.g, b.w FROM (SELECT g, n FROM a WHERE v > 0) d "
+    "JOIN b ON b.w = d.n",
+])
+def test_set_operations_build_only_vector_operators(sql):
+    """DISTINCT, set operations and a derived table over electronic
+    tables run on batch operators, capped once by ``BatchToRowsOp``."""
+    db = electronic_db()
+    db.execute(sql)
+    built = {
+        name.split(".", 1)[1]: count
+        for name, count in db.metrics.snapshot().items()
+        if name.startswith("operators_built.")
+    }
+    assert built.pop("BatchToRowsOp") == 1
+    assert built and all(name.startswith("Vector") for name in built), built
+    db.close()
+
+
 #: Rows of each side of :func:`keyless_db`: far more candidate pairs
 #: than one (patched) ``VECTOR_ROWS`` window.
 KEYLESS_ROWS = 2000
