@@ -160,7 +160,14 @@ class PlanBuilder:
             plan = logical.Project(plan, tuple(select_items))
             plan = logical.Distinct(plan)
             if order_keys:
-                plan = logical.Sort(plan, tuple(order_keys))
+                # above the projection, a key that is a select item reads
+                # its output column (``t.s`` is no longer in scope there)
+                outputs = {expr: name for expr, name in select_items}
+                plan = logical.Sort(plan, tuple(
+                    (ast.ColumnRef(outputs[expr]) if expr in outputs
+                     else expr, ascending)
+                    for expr, ascending in order_keys
+                ))
             if limit_value is not None or offset_value:
                 plan = logical.Limit(plan, limit_value, offset_value)
         else:

@@ -17,8 +17,13 @@ GROUP BY/HAVING over the five aggregates (keys
 are columns or arithmetic of one, like ``i.volume * 3``) and ORDER BY with one to three keys plus the primary keys as a tiebreaker,
 with LIMIT/OFFSET.  Over a join, group keys often come from the joined
 side (columns the join gathered, padded under LEFT) and aggregates
-often fold arithmetic of columns from both sides.  Rows compare with ``perf.twin.same_rows`` (floats to
-a relative 1e-9).  :data:`DIALECT` lists where the sqlite text differs.
+often fold arithmetic of columns from both sides.  A statement in
+eight is a SELECT DISTINCT, one a UNION, UNION ALL, INTERSECT or EXCEPT
+of two single-table SELECTs (an int column meeting a float one, NULLs
+on both sides), and one a derived table in FROM, filtered and joined to
+a table; each is unordered, or ordered by every output column under a
+LIMIT.  Rows compare with ``perf.twin.same_rows`` (floats to a relative
+1e-9).  :data:`DIALECT` lists where the sqlite text differs.
 """
 
 from __future__ import annotations
@@ -302,6 +307,103 @@ def select(c: Choices) -> Sql:
     return Sql(engine + order_engine + bound, twin + order_twin + bound, True)
 
 
+def distinct(c: Choices) -> Sql:
+    """SELECT DISTINCT, unordered or ordered by every output column."""
+    source, aliases = c.pick(FROMS)
+    where = f" WHERE {predicate(c, aliases)}" if c.chance(70) else ""
+    listed = [item(c, aliases) for _ in range(1 + c.below(3))]
+    engine = (
+        f"SELECT DISTINCT {', '.join(e for e, _ in listed)} FROM {source}"
+        f"{where}"
+    )
+    twin = (
+        f"SELECT DISTINCT {', '.join(t for _, t in listed)} FROM {source}"
+        f"{where}"
+    )
+    return _ordered_by_position(c, engine, twin, len(listed))
+
+
+#: Single-table sides of a set operation: each output column is one plain
+#: column, so equal values compare equal in both engines.
+SIDES = [("articles a", ("a",)), ("issues i", ("i",)),
+         ("journals j", ("j",))]
+
+
+def compound(c: Choices) -> Sql:
+    """Two SELECTs under UNION, UNION ALL, INTERSECT or EXCEPT.  A numeric
+    column meets any numeric one (an int column a float one), a NULL
+    literal stands in for a column now and then, and the nullable
+    columns put NULLs on both sides."""
+    op = c.pick(["UNION", "UNION ALL", "INTERSECT", "EXCEPT"])
+    kinds = [
+        c.pick([NUMBERS, ("str", "text", "date")])
+        for _ in range(1 + c.below(2))
+    ]
+    sides = []
+    for _ in range(2):
+        source, aliases = c.pick(SIDES)
+        items = [
+            "NULL" if c.chance(10) else column(c, aliases, kind)[0]
+            for kind in kinds
+        ]
+        where = f" WHERE {predicate(c, aliases)}" if c.chance(70) else ""
+        sides.append(f"SELECT {', '.join(items)} FROM {source}{where}")
+    text = f" {op} ".join(sides)
+    return _ordered_by_position(c, text, text, len(kinds))
+
+
+def derived(c: Choices) -> Sql:
+    """A derived table (DISTINCT or not) in FROM, filtered on its columns
+    and joined to a table on one of them."""
+    source, aliases = c.pick(FROMS)
+    columns = list(dict.fromkeys(
+        column(c, aliases) for _ in range(1 + c.below(3))
+    ))
+    inner = (
+        f"SELECT {'DISTINCT ' if c.chance(40) else ''}"
+        + ", ".join(f"{name} AS c{n}" for n, (name, _) in enumerate(columns))
+        + f" FROM {source}"
+        + (f" WHERE {predicate(c, aliases)}" if c.chance(60) else "")
+    )
+    outputs = [f"d.c{n}" for n in range(len(columns))]
+    tail = ""
+    numeric = [n for n, (_, kind) in enumerate(columns) if kind in NUMBERS]
+    if numeric and c.chance(70):
+        tail += f" JOIN issues x ON x.issue_id = d.c{c.pick(numeric)}"
+        outputs.append("x.volume")
+    n = c.below(len(columns))
+    if c.chance(70):
+        tail += (
+            f" WHERE d.c{n} {c.pick(COMPARISONS)} "
+            f"{_literal(c.pick(LITERALS[columns[n][1]]))}"
+        )
+    text = f"SELECT {', '.join(outputs)} FROM ({inner}) d{tail}"
+    return _ordered_by_position(c, text, text, len(outputs))
+
+
+def _ordered_by_position(c: Choices, engine: str, twin: str, width: int) -> Sql:
+    """Unordered, or ordered by every output column (a total order up to
+    identical rows) and bounded by a LIMIT."""
+    if c.chance(50):
+        return Sql(engine, twin, ordered=False)
+    order_engine, order_twin = _order_by(
+        [(str(position), c.chance(50)) for position in range(1, width + 1)]
+    )
+    bound = limit(c)
+    return Sql(engine + order_engine + bound, twin + order_twin + bound, True)
+
+
+def statement(c: Choices) -> Sql:
+    shape = c.below(8)
+    if shape == 0:
+        return distinct(c)
+    if shape == 1:
+        return compound(c)
+    if shape == 2:
+        return derived(c)
+    return select(c)
+
+
 def joined_arithmetic(c: Choices, aliases) -> str:
     """Arithmetic of a numeric column of the first table and one of a
     table joined to it."""
@@ -386,7 +488,7 @@ def _check(databases, examples: int) -> None:
     )
     @given(st.binary(min_size=64, max_size=64))
     def agree(data: bytes) -> None:
-        sql = select(Choices(data))
+        sql = statement(Choices(data))
         ours = db.execute(sql.engine).rows
         theirs = twin.execute(sql.twin).fetchall()
         assert same_rows(ours, theirs, sql.ordered), (

@@ -90,6 +90,15 @@ class TestExecution:
             result = db.execute(sql)
             assert repr((result.columns, result.rows)) == frozen[sql], sql
 
+    def test_distinct_orders_by_qualified_columns(self, db):
+        # the keys read the DISTINCT's output columns, where ``a.tag``
+        # has no table
+        for order in ("a.tag DESC", "2 DESC"):
+            rows = db.query(
+                f"SELECT DISTINCT a.x * 2, a.tag FROM a ORDER BY {order}"
+            )
+            assert rows == [(4, "two"), (6, "three"), (2, "one")]
+
     def test_union_removes_duplicates(self, db):
         rows = db.query("SELECT x FROM a UNION SELECT x FROM b ORDER BY x")
         assert rows == [(1,), (2,), (3,), (4,)]
