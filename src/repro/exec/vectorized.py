@@ -708,10 +708,10 @@ class VectorSetOp(VectorOperator):
     one row per batch, so a LIMIT above pulls no more than a
     row-at-a-time loop would.  EXCEPT and INTERSECT read the right
     input's rows whole before the first left batch.  Rows compare as
-    tuples, a value that cannot be hashed by its ``repr``
-    (:func:`group_key`), as GROUP BY compares its keys.  The keys span
-    every column, so a consumer's :meth:`set_live` goes no further.
-    """
+    tuples of values, a value that cannot be hashed by its ``repr``
+    (:func:`~repro.sqltypes.group_key`), as GROUP BY compares its keys.
+    The keys span every column, so a consumer's :meth:`set_live` goes no
+    further."""
 
     def __init__(
         self,
@@ -772,8 +772,8 @@ class VectorSetOp(VectorOperator):
 
 
 def _row_key(row: tuple) -> tuple:
-    """``row`` as a set member: as it is, or with each value
-    :func:`group_key` normalized when the row cannot be hashed."""
+    """``row`` as a set member: as it is, or each value through
+    :func:`~repro.sqltypes.group_key` when the row cannot be hashed."""
     try:
         hash(row)
     except TypeError:
