@@ -790,7 +790,6 @@ class VectorAliasOp(VectorOperator):
     ) -> None:
         super().__init__(context)
         self.child = child
-        self.alias = alias
         self._scope = child.scope.rename(alias)
 
     @property
