@@ -192,7 +192,7 @@ class PlanBuilder:
                 self._reject_crowdorder(ref.condition, "JOIN ... ON")
             return logical.Join(left, right, ref.join_type, ref.condition)
         if isinstance(ref, ast.SubqueryTable):
-            inner = self.build_select(ref.query)
+            inner = self.build_statement(ref.query)
             names = output_names(inner)
             scope.add(ref.alias, names)
             return logical.SubqueryAlias(inner, ref.alias)

@@ -319,9 +319,9 @@ class Join(TableRef):
 
 @dataclass(frozen=True)
 class SubqueryTable(TableRef):
-    """``FROM (SELECT ...) AS alias``."""
+    """``FROM (SELECT ...) AS alias``: a SELECT or a set operation."""
 
-    query: "Select"
+    query: "Statement"
     alias: str
 
 

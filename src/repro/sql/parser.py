@@ -112,7 +112,7 @@ class Parser:
 
     def _parse_statement(self) -> ast.Statement:
         if self._at_keyword("SELECT"):
-            return self._parse_select_compound()
+            return self._parse_guard_tail(self._parse_query())
         if self._at_keyword("CREATE"):
             return self._parse_create()
         if self._at_keyword("DROP"):
@@ -150,25 +150,23 @@ class Parser:
 
     # -- SELECT --------------------------------------------------------------
 
-    def _parse_select_compound(self) -> ast.Statement:
+    def _parse_query(self) -> ast.Statement:
         """A query block, possibly UNION/EXCEPT/INTERSECT-combined."""
         left: ast.Statement = self._parse_select(allow_tail=False)
         if not self._at_keyword("UNION", "EXCEPT", "INTERSECT"):
             # no set operator: the tail belongs to the single block
             order_by, limit, offset = self._parse_order_limit_tail()
             assert isinstance(left, ast.Select)
-            return self._parse_guard_tail(
-                ast.Select(
-                    items=left.items,
-                    from_clause=left.from_clause,
-                    where=left.where,
-                    group_by=left.group_by,
-                    having=left.having,
-                    order_by=order_by,
-                    limit=limit,
-                    offset=offset,
-                    distinct=left.distinct,
-                )
+            return ast.Select(
+                items=left.items,
+                from_clause=left.from_clause,
+                where=left.where,
+                group_by=left.group_by,
+                having=left.having,
+                order_by=order_by,
+                limit=limit,
+                offset=offset,
+                distinct=left.distinct,
             )
         while self._at_keyword("UNION", "EXCEPT", "INTERSECT"):
             op = self._advance().value
@@ -187,7 +185,7 @@ class Parser:
                 limit=limit,
                 offset=offset,
             )
-        return self._parse_guard_tail(left)
+        return left
 
     def _parse_order_limit_tail(
         self,
@@ -371,7 +369,7 @@ class Parser:
     def _parse_table_primary(self) -> ast.TableRef:
         if self._accept(TokenType.PUNCTUATION, "("):
             if self._at_keyword("SELECT"):
-                query = self._parse_select()
+                query = self._parse_query()
                 self._expect(TokenType.PUNCTUATION, ")")
                 self._accept(TokenType.KEYWORD, "AS")
                 alias = self._expect_identifier("subquery alias")

@@ -20,8 +20,8 @@ side (columns the join gathered, padded under LEFT) and aggregates
 often fold arithmetic of columns from both sides.  A statement in
 eight is a SELECT DISTINCT, one a UNION, UNION ALL, INTERSECT or EXCEPT
 of two single-table SELECTs (an int column meeting a float one, NULLs
-on both sides), and one a derived table in FROM, filtered and joined to
-a table; each is unordered, or ordered by every output column under a
+on both sides), and one a derived table in FROM (now and then itself a
+set operation), filtered and joined to a table; each is unordered, or ordered by every output column under a
 LIMIT.  Rows compare with ``perf.twin.same_rows`` (floats to a relative
 1e-9).  :data:`DIALECT` lists where the sqlite text differs.
 """
@@ -330,52 +330,74 @@ SIDES = [("articles a", ("a",)), ("issues i", ("i",)),
 
 
 def compound(c: Choices) -> Sql:
-    """Two SELECTs under UNION, UNION ALL, INTERSECT or EXCEPT.  A numeric
+    """Two SELECTs under UNION, UNION ALL, INTERSECT or EXCEPT."""
+    text, width, _kinds = _set_operation(c)
+    return _ordered_by_position(c, text, text, width)
+
+
+def _set_operation(c: Choices, named: bool = False) -> tuple[str, int, list]:
+    """Two SELECTs under UNION, UNION ALL, INTERSECT or EXCEPT, their
+    width, and the kind of each ``named`` output column.  A numeric
     column meets any numeric one (an int column a float one), a NULL
     literal stands in for a column now and then, and the nullable
-    columns put NULLs on both sides."""
+    columns put NULLs on both sides.  A ``named`` left side (a derived
+    table's) names its columns ``c0``, ``c1``, ... and holds no NULL
+    literal, so each output column has a kind."""
     op = c.pick(["UNION", "UNION ALL", "INTERSECT", "EXCEPT"])
     kinds = [
         c.pick([NUMBERS, ("str", "text", "date")])
         for _ in range(1 + c.below(2))
     ]
     sides = []
-    for _ in range(2):
+    named_kinds = []
+    for side in range(2):
         source, aliases = c.pick(SIDES)
-        items = [
-            "NULL" if c.chance(10) else column(c, aliases, kind)[0]
-            for kind in kinds
-        ]
+        items = []
+        for n, kind in enumerate(kinds):
+            if named and not side:
+                name, picked = column(c, aliases, kind)
+                items.append(f"{name} AS c{n}")
+                named_kinds.append(picked)
+            else:
+                items.append(
+                    "NULL" if c.chance(10) else column(c, aliases, kind)[0]
+                )
         where = f" WHERE {predicate(c, aliases)}" if c.chance(70) else ""
         sides.append(f"SELECT {', '.join(items)} FROM {source}{where}")
-    text = f" {op} ".join(sides)
-    return _ordered_by_position(c, text, text, len(kinds))
+    return f" {op} ".join(sides), len(kinds), named_kinds
 
 
 def derived(c: Choices) -> Sql:
-    """A derived table (DISTINCT or not) in FROM, filtered on its columns
-    and joined to a table on one of them."""
-    source, aliases = c.pick(FROMS)
-    columns = list(dict.fromkeys(
-        column(c, aliases) for _ in range(1 + c.below(3))
-    ))
-    inner = (
-        f"SELECT {'DISTINCT ' if c.chance(40) else ''}"
-        + ", ".join(f"{name} AS c{n}" for n, (name, _) in enumerate(columns))
-        + f" FROM {source}"
-        + (f" WHERE {predicate(c, aliases)}" if c.chance(60) else "")
-    )
-    outputs = [f"d.c{n}" for n in range(len(columns))]
+    """A derived table (DISTINCT or not, or now and then a set
+    operation) in FROM, filtered on its columns and joined to a table on
+    one of them."""
+    if c.chance(25):
+        inner, _width, kinds = _set_operation(c, named=True)
+    else:
+        source, aliases = c.pick(FROMS)
+        columns = list(dict.fromkeys(
+            column(c, aliases) for _ in range(1 + c.below(3))
+        ))
+        inner = (
+            f"SELECT {'DISTINCT ' if c.chance(40) else ''}"
+            + ", ".join(
+                f"{name} AS c{n}" for n, (name, _) in enumerate(columns)
+            )
+            + f" FROM {source}"
+            + (f" WHERE {predicate(c, aliases)}" if c.chance(60) else "")
+        )
+        kinds = [kind for _, kind in columns]
+    outputs = [f"d.c{n}" for n in range(len(kinds))]
     tail = ""
-    numeric = [n for n, (_, kind) in enumerate(columns) if kind in NUMBERS]
+    numeric = [n for n, kind in enumerate(kinds) if kind in NUMBERS]
     if numeric and c.chance(70):
         tail += f" JOIN issues x ON x.issue_id = d.c{c.pick(numeric)}"
         outputs.append("x.volume")
-    n = c.below(len(columns))
+    n = c.below(len(kinds))
     if c.chance(70):
         tail += (
             f" WHERE d.c{n} {c.pick(COMPARISONS)} "
-            f"{_literal(c.pick(LITERALS[columns[n][1]]))}"
+            f"{_literal(c.pick(LITERALS[kinds[n]]))}"
         )
     text = f"SELECT {', '.join(outputs)} FROM ({inner}) d{tail}"
     return _ordered_by_position(c, text, text, len(outputs))

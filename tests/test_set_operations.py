@@ -2,6 +2,7 @@
 
 import pytest
 
+from perf.twin import open_twin, same_rows
 from repro.errors import ParseError, PlanError
 from repro.sql import ast
 from repro.sql.parser import parse
@@ -37,6 +38,28 @@ STATEMENTS = [
     "JOIN b ON b.x = d.x",
 ]
 
+#: Derived tables that are set operations, checked against ``sqlite3``
+#: over the same rows (the frozen answers above predate them).
+DERIVED_SET_OPERATIONS = [
+    "SELECT * FROM (SELECT x FROM a UNION SELECT x FROM b) d",
+    "SELECT d.x, a.tag FROM (SELECT x FROM a EXCEPT SELECT x FROM b) d "
+    "JOIN a ON a.x = d.x",
+    "SELECT d.x, b.tag FROM (SELECT x FROM a INTERSECT SELECT x FROM b) d "
+    "JOIN b ON b.x = d.x",
+    "SELECT d.t FROM (SELECT tag AS t FROM a UNION ALL SELECT tag FROM b) d "
+    "WHERE d.t <> 'two'",
+    "SELECT COUNT(*), MAX(d.x) FROM "
+    "(SELECT x FROM a UNION ALL SELECT x FROM b) d",
+    "SELECT d.x FROM "
+    "(SELECT x FROM a UNION SELECT x FROM b ORDER BY x DESC LIMIT 2) d",
+    "SELECT d.x FROM (SELECT x FROM a UNION SELECT x FROM b EXCEPT SELECT 4) d",
+]
+
+ROWS = {
+    "a": [(1, "one"), (2, "two"), (3, "three")],
+    "b": [(2, "two"), (3, "three"), (4, "four")],
+}
+
 
 @pytest.fixture
 def db(plain_db):
@@ -44,10 +67,11 @@ def db(plain_db):
         """
         CREATE TABLE a (x INTEGER PRIMARY KEY, tag STRING);
         CREATE TABLE b (x INTEGER PRIMARY KEY, tag STRING);
-        INSERT INTO a VALUES (1, 'one'), (2, 'two'), (3, 'three');
-        INSERT INTO b VALUES (2, 'two'), (3, 'three'), (4, 'four');
         """
     )
+    for name, rows in ROWS.items():
+        for row in rows:
+            plain_db.execute(f"INSERT INTO {name} VALUES (?, ?)", row)
     return plain_db
 
 
@@ -76,6 +100,13 @@ class TestParsing:
         sql = "SELECT x FROM a UNION ALL SELECT x FROM b ORDER BY x DESC LIMIT 3"
         assert parse(format_statement(parse(sql))) == parse(sql)
 
+    def test_derived_table_holds_a_set_operation(self):
+        sql = "SELECT d.x FROM (SELECT x FROM a UNION SELECT x FROM b) AS d"
+        stmt = parse(sql)
+        assert isinstance(stmt.from_clause, ast.SubqueryTable)
+        assert isinstance(stmt.from_clause.query, ast.SetOp)
+        assert parse(format_statement(stmt)) == stmt
+
     def test_plain_select_unchanged(self):
         stmt = parse("SELECT x FROM a ORDER BY x LIMIT 1")
         assert isinstance(stmt, ast.Select)
@@ -89,6 +120,18 @@ class TestExecution:
         for sql in STATEMENTS:
             result = db.execute(sql)
             assert repr((result.columns, result.rows)) == frozen[sql], sql
+
+    @pytest.mark.parametrize("sql", DERIVED_SET_OPERATIONS)
+    def test_derived_set_operation_matches_sqlite(self, db, sql):
+        twin = open_twin(
+            [f"CREATE TABLE {name} (x INTEGER PRIMARY KEY, tag TEXT)"
+             for name in ROWS],
+            ROWS,
+        )
+        theirs = twin.execute(sql).fetchall()
+        twin.close()
+        assert theirs  # every statement has an answer to compare
+        assert same_rows(db.query(sql), theirs, ordered=False)
 
     def test_distinct_orders_by_qualified_columns(self, db):
         # the keys read the DISTINCT's output columns, where ``a.tag``
