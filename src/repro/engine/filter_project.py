@@ -5,6 +5,7 @@ other electronic operator runs on batches (:mod:`repro.exec.vectorized`).
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Iterator, Optional
 
 from repro.engine.base import PhysicalOperator
@@ -322,15 +323,7 @@ class LimitOp(PhysicalOperator):
         return self.child.scope
 
     def __iter__(self) -> Iterator[tuple]:
-        skipped = 0
-        emitted = 0
-        for values in self.child:
-            if skipped < self.offset:
-                skipped += 1
-                continue
-            if self.limit is not None and emitted >= self.limit:
-                return
-            emitted += 1
-            yield values
-            if self.limit is not None and emitted >= self.limit:
-                return
+        # islice pulls no row past the last one it yields, and none at
+        # all for LIMIT 0
+        stop = None if self.limit is None else self.offset + self.limit
+        return islice(self.child, self.offset, stop)

@@ -480,6 +480,31 @@ def test_set_operations_build_only_vector_operators(sql):
     db.close()
 
 
+@pytest.mark.parametrize("batch_size", [1, 16])
+@pytest.mark.parametrize(
+    "where", ["", " WHERE population > 0"], ids=["probe", "crowd_filter"]
+)
+@pytest.mark.parametrize("stop, rows, tasks", [
+    (" LIMIT 0", [], 0),
+    (" LIMIT 2 OFFSET 1", [("city01", 1037), ("city02", 1074)], 3),
+], ids=["limit_0", "limit_2_offset_1"])
+def test_limit_over_crowd_probe_pulls_only_what_it_yields(
+    batch_size, where, stop, rows, tasks
+):
+    """The row ``LimitOp`` above a CrowdProbe pulls the OFFSET rows and
+    the LIMIT rows and no more: LIMIT 0 posts no task at any batch
+    size."""
+    db, platform = crowd_db(batch_size)
+    sql = f"SELECT name, population FROM City{where}{stop}"
+    result = db.execute(sql)
+    assert result.rows == rows
+    assert result.crowd_stats["probe_tasks"] == tasks
+    assert len(platform.posted_tasks) == tasks
+    if tasks:
+        assert "StopAfter(limit=2, offset=1)" in db.explain(sql)
+    db.close()
+
+
 #: Rows of each side of :func:`keyless_db`: far more candidate pairs
 #: than one (patched) ``VECTOR_ROWS`` window.
 KEYLESS_ROWS = 2000
