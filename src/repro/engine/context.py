@@ -135,13 +135,12 @@ class ExecutionContext:
         ``hit_extensions``, ``gold_hits``, ``mean_confidence`` (0.0 when
         no verdict settled during the statement).
 
-        With a :class:`CrowdLedger` attached (the executor always
-        attaches one for SELECTs), figures are summed over the futures
-        *this* statement waited on — exact even when concurrent server
+        Figures are summed over the futures *this* statement waited on,
+        from the :class:`CrowdLedger` the executor attaches whenever
+        there is a task manager — exact even when concurrent server
         sessions spend in between.  Gold probes are charged via the
         gold-only counters (probes shadow whole marketplace rounds, not
-        individual futures).  Without a ledger, figures fall back to
-        global counter deltas (single-statement contexts).
+        individual futures).
         """
         if self.task_manager is None:
             return {}
@@ -151,36 +150,20 @@ class ExecutionContext:
         def delta(key: str) -> float:
             return after.get(key, 0) - before.get(key, 0)
 
-        if self.crowd_ledger is not None:
-            summary = self.crowd_ledger.summary()
-            verdicts = summary["confidence_count"]
-            mean_confidence = (
-                summary["confidence_sum"] / verdicts if verdicts else 0.0
-            )
-            return {
-                "hits_posted": int(
-                    summary["hits"] + delta("gold_hits_posted")
-                ),
-                "assignments": int(
-                    summary["assignments"]
-                    + delta("gold_assignments_received")
-                ),
-                "cost_cents": int(
-                    summary["cost_cents"] + delta("gold_cost_cents")
-                ),
-                "hit_extensions": int(summary["extension_assignments"]),
-                "gold_hits": int(delta("gold_hits_posted")),
-                "mean_confidence": round(mean_confidence, 4),
-            }
-        verdicts = delta("confidence_count")
+        summary = self.crowd_ledger.summary()
+        verdicts = summary["confidence_count"]
         mean_confidence = (
-            delta("confidence_sum") / verdicts if verdicts else 0.0
+            summary["confidence_sum"] / verdicts if verdicts else 0.0
         )
         return {
-            "hits_posted": int(delta("hits_posted")),
-            "assignments": int(delta("assignments_received")),
-            "cost_cents": int(delta("cost_cents")),
-            "hit_extensions": int(delta("hit_extensions")),
+            "hits_posted": int(summary["hits"] + delta("gold_hits_posted")),
+            "assignments": int(
+                summary["assignments"] + delta("gold_assignments_received")
+            ),
+            "cost_cents": int(
+                summary["cost_cents"] + delta("gold_cost_cents")
+            ),
+            "hit_extensions": int(summary["extension_assignments"]),
             "gold_hits": int(delta("gold_hits_posted")),
             "mean_confidence": round(mean_confidence, 4),
         }
