@@ -34,10 +34,20 @@ from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from repro.errors import LowQualityWarning, QualityControlError
-from repro.sqltypes import group_key
 
 _WHITESPACE = re.compile(r"\s+")
 _PUNCTUATION = re.compile(r"[.,;:!?'\"()\[\]]")
+
+
+def group_key(value: Any) -> Any:
+    """``value`` as a tally key: itself, or its ``repr`` when it cannot
+    be hashed.  Ballot values are platform answers, outside input that
+    no parameter check has seen."""
+    try:
+        hash(value)
+    except TypeError:
+        return repr(value)
+    return value
 
 
 def normalize_answer(value: Any) -> Any:

@@ -19,7 +19,12 @@ from repro.engine.context import CrowdLedger, ExecutionContext
 from repro.engine.guard import StatementGuard
 from repro.engine.planner import PhysicalPlanner, match_index_access
 from repro.engine.scans import index_rowids
-from repro.errors import ExecutionError, PartialResultStop, PlanError
+from repro.errors import (
+    ExecutionError,
+    PartialResultStop,
+    PlanError,
+    TypeError_,
+)
 from repro.obs import QueryProfiler, render_analyze
 from repro.optimizer.optimizer import OptimizationResult, Optimizer
 from repro.plan import logical
@@ -27,9 +32,36 @@ from repro.plan.builder import PlanBuilder
 from repro.plan.compiled import compile_value
 from repro.sql import ast
 from repro.sql.pretty import format_statement
-from repro.sqltypes import NULL, is_missing
+from repro.sqltypes import CNULL, NULL, is_missing
 from repro.storage.engine import StorageEngine
 from repro.storage.row import Row, Scope
+
+
+_SCALAR_TYPES = (str, int, float)
+
+
+def _checked_parameters(parameters: Sequence[Any]) -> tuple:
+    """``parameters`` as a tuple, once each is known to be a SQL scalar.
+
+    A ``?`` value must be None, NULL, CNULL, or a ``str``, ``int``
+    (``bool`` included) or ``float``: the types
+    :func:`~repro.sqltypes.coerce` stores.  Past this check every value
+    a query sees hashes, so operators, statistics and the plan cache
+    need no fallback for one that does not.  Anything else raises
+    :class:`~repro.errors.TypeError_` naming the parameter ``#N``,
+    counted from 1.
+    """
+    parameters = tuple(parameters)
+    for number, value in enumerate(parameters, 1):
+        if not (
+            isinstance(value, _SCALAR_TYPES)
+            or value is None or value is NULL or value is CNULL
+        ):
+            raise TypeError_(
+                f"parameter #{number} has type {type(value).__name__!r}: "
+                "a parameter must be None, NULL, CNULL, str, int or float"
+            )
+    return parameters
 
 
 class StatementKey:
@@ -229,7 +261,7 @@ class Executor:
     def execute(
         self, stmt: ast.Statement, parameters: Sequence[Any] = ()
     ) -> ResultSet:
-        parameters = tuple(parameters)
+        parameters = _checked_parameters(parameters)
         obs = self.observability
         if obs is None or not obs.enabled:
             return self._dispatch(stmt, parameters)
@@ -317,17 +349,13 @@ class Executor:
         """
         key: Optional[tuple] = None
         if self.plan_cache.size:
-            try:
-                # the optimizer object itself is part of the key: a
-                # swapped optimizer (different rules/cost mode) must miss,
-                # and holding the reference keeps its identity from being
-                # recycled while the entry lives
-                key = (
-                    StatementKey(stmt), self.engine.plan_epoch(),
-                    self.optimizer,
-                )
-            except TypeError:
-                key = None  # unhashable literal somewhere — just recompile
+            # the optimizer object itself is part of the key: a swapped
+            # optimizer (different rules/cost mode) must miss, and holding
+            # the reference keeps its identity from being recycled while
+            # the entry lives
+            key = (
+                StatementKey(stmt), self.engine.plan_epoch(), self.optimizer
+            )
         if key is not None:
             cached = self.plan_cache.lookup(key)
             if cached is not None:

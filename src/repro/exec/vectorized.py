@@ -59,7 +59,7 @@ from repro.exec.vector import (
 from repro.plan.compiled import rendered_position
 from repro.sql import ast
 from repro.sql.pretty import format_expression
-from repro.sqltypes import CNULL, NULL, SQLType, group_key, is_missing
+from repro.sqltypes import CNULL, NULL, SQLType, is_missing
 from repro.storage.row import Scope
 
 try:  # index-lane accelerations are optional, like the kernel lanes
@@ -708,10 +708,8 @@ class VectorSetOp(VectorOperator):
     one row per batch, so a LIMIT above pulls no more than a
     row-at-a-time loop would.  EXCEPT and INTERSECT read the right
     input's rows whole before the first left batch.  Rows compare as
-    tuples of values, a value that cannot be hashed by its ``repr``
-    (:func:`~repro.sqltypes.group_key`), as GROUP BY compares its keys.
-    The keys span every column, so a consumer's :meth:`set_live` goes no
-    further."""
+    tuples of values, as GROUP BY compares its keys.  The keys span
+    every column, so a consumer's :meth:`set_live` goes no further."""
 
     def __init__(
         self,
@@ -742,9 +740,7 @@ class VectorSetOp(VectorOperator):
                 inputs.append(self.right)
         else:
             right = {
-                _row_key(row)
-                for batch in self.right
-                for row in _pivot_rows(batch)
+                row for batch in self.right for row in _pivot_rows(batch)
             }
             if self.op == "EXCEPT":
                 seen = right
@@ -753,10 +749,9 @@ class VectorSetOp(VectorOperator):
         for batch in chain.from_iterable(inputs):
             keep = []
             for index, row in enumerate(_pivot_rows(batch)):
-                key = _row_key(row)
-                if key in seen or (wanted is not None and key not in wanted):
+                if row in seen or (wanted is not None and row not in wanted):
                     continue
-                seen.add(key)
+                seen.add(row)
                 keep.append(index)
             if len(keep) == batch.num_rows:
                 yield batch
@@ -769,16 +764,6 @@ class VectorSetOp(VectorOperator):
                     len(keep),
                     batch.tags,
                 )
-
-
-def _row_key(row: tuple) -> tuple:
-    """``row`` as a set member: as it is, or each value through
-    :func:`~repro.sqltypes.group_key` when the row cannot be hashed."""
-    try:
-        hash(row)
-    except TypeError:
-        return tuple(map(group_key, row))
-    return row
 
 
 class VectorAliasOp(VectorOperator):
@@ -1097,21 +1082,16 @@ class VectorHashJoinOp(VectorOperator):
             get_entry = table.get
             # Resolve every probe key to its table entry (None, a build
             # row index, or a bucket list) in one C map() pass.  Missing
-            # single keys need no pre-check: the build side never stored
-            # a missing key, so the singleton lookup just misses.
+            # keys need no pre-check: the build side never stored a key
+            # with a missing part, so their lookup just misses.
             if not keyed:
                 entries = [everything] * batch.num_rows
             elif single:
                 entries = list(map(get_entry, as_list(key_columns[0])))
             else:
-                # an unhashable part beside a missing part must not raise
-                # -- keep the per-row pre-check for tuple keys
-                entries = [
-                    None
-                    if any(is_missing(part) for part in key)
-                    else get_entry(key)
-                    for key in zip(*map(as_list, key_columns))
-                ]
+                entries = list(
+                    map(get_entry, zip(*map(as_list, key_columns)))
+                )
             if skip_residual:
                 # Gather path: slice output columns straight from the
                 # probe batch and the build-side column store — no
@@ -1377,10 +1357,9 @@ class _Accumulator:
         if value is NULL or value is None or value is CNULL:
             return
         if self.distinct:
-            key = group_key(value)
-            if key in self._seen:
+            if value in self._seen:
                 return
-            self._seen.add(key)
+            self._seen.add(value)
         self.count += 1
         if self._sums:
             value_type = type(value)
@@ -1416,9 +1395,9 @@ class VectorAggregateOp(VectorOperator):
     original table for plain column refs, so upstream references still
     resolve) followed by one column per aggregate, named by its rendered
     SQL (``COUNT(*)``), which upper expressions resolve.  Group keys
-    resolve through a dict with TypeError→repr normalization, groups in
-    first-seen order; aggregate inputs are computed as columns and folded
-    per group in row order — in numpy (:func:`_nd_fold`) for a clean
+    resolve through a dict, groups in first-seen order; aggregate inputs
+    are computed as columns and folded per group in row order — in
+    numpy (:func:`_nd_fold`) for a clean
     column of ``LANE_ROWS`` rows or more, else with C-level
     ``reduce``/``min``/``max``/``len`` over each group's buffer when the
     input column is clean, or element-wise through ``_Accumulator``
@@ -1607,14 +1586,12 @@ class VectorAggregateOp(VectorOperator):
             rows: Optional[list] = None
             key_columns, _key_tags = evaluate_keys(batch)
 
-            # resolve group ids (one dict, TypeError→repr normalization,
-            # groups in first-seen order on every path).  A single coded
-            # key numbers this batch's groups in numpy and looks up only
-            # each group's first row; other keys register this batch's
-            # distinct keys via dict.fromkeys (first-occurrence order, one
-            # C pass) and map every key to its id in a second C pass; the
-            # first unhashable key raises out of fromkeys before
-            # group_index is touched, landing in the row-exact loop.
+            # resolve group ids (one dict, groups in first-seen order on
+            # every path).  A single coded key numbers this batch's groups
+            # in numpy and looks up only each group's first row; other
+            # keys register this batch's distinct keys via dict.fromkeys
+            # (first-occurrence order, one C pass) and map every key to
+            # its id in a second C pass.
             typed = _coded_groups(key_columns[0]) if single else None
             if typed is not None:
                 firsts, local = typed
@@ -1627,33 +1604,9 @@ class VectorAggregateOp(VectorOperator):
                     batch_keys = as_list(key_columns[0])
                 else:
                     batch_keys = list(zip(*map(as_list, key_columns)))
-                try:
-                    for key in dict.fromkeys(batch_keys):
-                        group_of(key)
-                    group_ids = list(map(group_index.__getitem__, batch_keys))
-                except TypeError:
-                    group_ids = []
-                    record = group_ids.append
-                    for key in batch_keys:
-                        try:
-                            gid = get_group(key)
-                        except TypeError:
-                            normalized = (
-                                group_key(key) if single
-                                else tuple(map(group_key, key))
-                            )
-                            gid = get_group(normalized)
-                            if gid is None:
-                                gid = len(key_tuples)
-                                group_index[normalized] = gid
-                                key_tuples.append((key,) if single else key)
-                                group_accumulators.append(
-                                    [_Accumulator(call)
-                                     for call in self.aggregates]
-                                )
-                            record(gid)
-                            continue
-                        record(gid if gid is not None else group_of(key))
+                for key in dict.fromkeys(batch_keys):
+                    group_of(key)
+                group_ids = list(map(group_index.__getitem__, batch_keys))
 
             partition = _Partition(group_ids, len(key_tuples))
             for index, ((kind, kernel), call, position) in enumerate(
@@ -1714,8 +1667,7 @@ def _coded_groups(column):
     """``(firsts, local)`` for a coded group key: ``local`` numbers each
     row's group (an intp ndarray), groups in first-appearance order, and
     ``firsts`` is each group's first row.  None when ``column`` is not a
-    :class:`Coded` column with no more values than rows whose values all
-    hash.
+    :class:`Coded` column with no more values than rows.
 
     Rows group as the group dict groups them: by the dict-deduplicated
     values their codes point at.  Group order never
@@ -1727,10 +1679,7 @@ def _coded_groups(column):
     if len(values) > rows:
         return None
     index: dict = {}
-    try:
-        ids = [index.setdefault(value, len(index)) for value in values]
-    except TypeError:
-        return None
+    ids = [index.setdefault(value, len(index)) for value in values]
     dense = _np.array(ids, _np.intp)[column.codes]
     first = _np.full(len(index), rows, _np.intp)
     _np.minimum.at(first, dense, _np.arange(rows))

@@ -272,14 +272,6 @@ class CardinalityEstimator:
         if found is None:
             return EQUALITY_SELECTIVITY_DEFAULT
         column_stats, sql_type = found
-        if column_stats.distinct_is_lower_bound:
-            # the recorded NDV only bounds the true NDV from below, so
-            # 1/NDV only bounds selectivity from above: use the textbook
-            # guess, clamped by that bound, instead of trusting the
-            # coarse statistic as exact
-            return min(
-                column_stats.selectivity_equals(), EQUALITY_SELECTIVITY_DEFAULT
-            )
         if literal is not None:
             value = _coerced(literal, sql_type)
             if value is not None:

@@ -251,17 +251,6 @@ def tri_from(value: Any) -> TriBool:
     return TRI_TRUE if bool(value) else TRI_FALSE
 
 
-def group_key(value: Any) -> Any:
-    """``value`` as a dict or set key, as GROUP BY, DISTINCT, set
-    operations and vote tallies compare values: itself, or its ``repr``
-    when it cannot be hashed."""
-    try:
-        hash(value)
-    except TypeError:
-        return repr(value)
-    return value
-
-
 def compare_values(left: Any, right: Any) -> int | None:
     """SQL comparison: returns -1/0/1, or None when either side is missing.
 

@@ -177,11 +177,6 @@ class ColumnStatistics:
         self.null_count = 0
         self.cnull_count = 0
         self._value_counts: Counter[Any] = Counter()
-        #: set once an unhashable value had to be counted under its repr:
-        #: distinct reprs can collapse distinct values, so from then on
-        #: ``distinct_count`` is only a *lower bound* on the true NDV and
-        #: consumers (cardinality estimation) must not treat it as exact
-        self.distinct_is_lower_bound = False
         # analyzed statistics (rebuilt by ANALYZE / auto-analyze)
         self.histogram: Optional[EquiDepthHistogram] = None
         self.mcv: dict[Any, int] = {}
@@ -205,11 +200,7 @@ class ColumnStatistics:
             self.cnull_count += 1
         else:
             counts = self._value_counts
-            try:
-                counts[value] = counts.get(value, 0) + 1
-            except TypeError:  # unhashable — statistics stay coarse
-                counts[repr(value)] += 1
-                self.distinct_is_lower_bound = True
+            counts[value] = counts.get(value, 0) + 1
 
     def remove(self, value: Any) -> None:
         if value is NULL or value is None:
@@ -217,28 +208,19 @@ class ColumnStatistics:
         elif value is CNULL:
             self.cnull_count = max(0, self.cnull_count - 1)
         else:
-            try:
-                key = value
-                count = self._value_counts.get(key)
-            except TypeError:
-                key = repr(value)
-                count = self._value_counts.get(key)
+            count = self._value_counts.get(value)
             if count:
                 if count == 1:
-                    del self._value_counts[key]
+                    del self._value_counts[value]
                 else:
-                    self._value_counts[key] = count - 1
+                    self._value_counts[value] = count - 1
 
     # -- analysis ---------------------------------------------------------------
 
     def analyze(self) -> None:
         """Rebuild the histogram and MCV list from the live counters."""
         self.mcv = dict(self._value_counts.most_common(MCV_TARGET))
-        if self.distinct_is_lower_bound:
-            # repr-collapsed values would produce a garbage ordering
-            self.histogram = None
-        else:
-            self.histogram = EquiDepthHistogram.build(self._value_counts)
+        self.histogram = EquiDepthHistogram.build(self._value_counts)
 
     # -- selectivity ------------------------------------------------------------
 
@@ -259,7 +241,7 @@ class ColumnStatistics:
         total = self.total_count
         if total == 0 or self.distinct_count == 0:
             return 0.1  # textbook default guess
-        if value is not None and not self.distinct_is_lower_bound:
+        if value is not None:
             return self.frequency(value) / total
         return max(1.0 / self.distinct_count, 1.0 / max(total, 1))
 
@@ -280,10 +262,7 @@ class ColumnStatistics:
 
     def frequency(self, value: Any) -> int:
         """Exact count of rows storing ``value`` (0 for missing values)."""
-        try:
-            return self._value_counts.get(value, 0)
-        except TypeError:
-            return self._value_counts.get(repr(value), 0)
+        return self._value_counts.get(value, 0)
 
 
 class TableStatistics:
@@ -352,11 +331,9 @@ class TableStatistics:
             if value is NULL or value is None or value is CNULL:
                 column.add(value)
                 continue
+            # ColumnStatistics.add's common case, without the call
             counts = column._value_counts
-            try:  # ColumnStatistics.add's common case, without the call
-                counts[value] = counts.get(value, 0) + 1
-            except TypeError:
-                column.add(value)
+            counts[value] = counts.get(value, 0) + 1
         self._on_mutation()
 
     def on_delete(self, values: tuple[Any, ...]) -> None:

@@ -1,10 +1,17 @@
 """Tests for the public API surface (connect, Connection, scripts)."""
 
+import math
+
 import pytest
 
 from repro import CNULL, NULL, Connection, CrowdConfig, connect
 from repro.crowd.scripted import ScriptedPlatform
-from repro.errors import BudgetExceededError, ExecutionError, ParseError
+from repro.errors import (
+    BudgetExceededError,
+    ExecutionError,
+    ParseError,
+    TypeError_,
+)
 
 
 class TestConnect:
@@ -123,6 +130,76 @@ class TestExecuteHelpers:
 
     def test_crowd_stats_empty_without_crowd(self, plain_db):
         assert plain_db.crowd_stats == {}
+
+
+class _Text(str):
+    pass
+
+
+# statements that hash their one parameter: as a group key, a DISTINCT
+# or set-operation row, a COUNT(DISTINCT) value and a join key
+PARAMETER_STATEMENTS = {
+    "select": "SELECT ?",
+    "group_by": "SELECT x, COUNT(*) FROM (SELECT ? AS x FROM t) d GROUP BY x",
+    "distinct": "SELECT DISTINCT x FROM (SELECT ? AS x FROM t) d",
+    "union": "SELECT ? FROM t UNION SELECT v FROM t",
+    "count_distinct": "SELECT COUNT(DISTINCT x) FROM (SELECT ? AS x FROM t) d",
+    "join": "SELECT a.k FROM t a JOIN (SELECT ? AS x, k FROM t) d "
+            "ON d.x = a.v",
+}
+
+
+def _expected_rows(statement: str, value) -> list:
+    out = NULL if value is None else value
+    missing = value is None or value is NULL or value is CNULL
+    return {
+        "select": [(out,)],
+        "group_by": [(out, 3)],
+        "distinct": [(out,)],
+        "union": [(out,)] + [(v,) for v in ("a", "b") if v != out],
+        "count_distinct": [(0 if missing else 1,)],
+        "join": [(1,), (3,)] * 3 if value == "a" else [],
+    }[statement]
+
+
+def _typed(rows: list) -> list:
+    return [tuple((type(v), repr(v)) for v in row) for row in rows]
+
+
+class TestParameterTypes:
+    """A ``?`` value is a SQL scalar: anything else is refused where it
+    enters, before a query hashes it."""
+
+    @pytest.fixture
+    def db(self, plain_db):
+        plain_db.execute("CREATE TABLE t (k INTEGER PRIMARY KEY, v STRING)")
+        for k, v in [(1, "a"), (2, "b"), (3, "a")]:
+            plain_db.execute("INSERT INTO t VALUES (?, ?)", (k, v))
+        return plain_db
+
+    @pytest.mark.parametrize("statement", sorted(PARAMETER_STATEMENTS))
+    @pytest.mark.parametrize(
+        "value", [[1], {"a": 1}, {1}, b"x", object()],
+        ids=["list", "dict", "set", "bytes", "object"],
+    )
+    def test_non_scalar_parameter_is_refused(self, db, statement, value):
+        with pytest.raises(TypeError_, match="parameter #1 has type"):
+            db.execute(PARAMETER_STATEMENTS[statement], (value,))
+
+    @pytest.mark.parametrize("statement", sorted(PARAMETER_STATEMENTS))
+    @pytest.mark.parametrize(
+        "value",
+        [None, NULL, CNULL, True, 1, 1.5, math.nan, "a", _Text("a")],
+        ids=["none", "null", "cnull", "bool", "int", "float", "nan", "str",
+             "str_subclass"],
+    )
+    def test_scalar_parameter_runs(self, db, statement, value):
+        rows = db.execute(PARAMETER_STATEMENTS[statement], (value,)).rows
+        assert _typed(rows) == _typed(_expected_rows(statement, value))
+
+    def test_error_numbers_the_parameter(self, db):
+        with pytest.raises(TypeError_, match="parameter #2 has type 'list'"):
+            db.execute("SELECT ?, ?", (1, [2]))
 
 
 class TestValuesExposed:

@@ -241,17 +241,6 @@ class TestStatistics:
         assert title_sel == pytest.approx(0.1)
         assert abstract_sel > title_sel  # fewer distinct values
 
-    def test_unhashable_values_mark_ndv_as_lower_bound(self):
-        from repro.storage.statistics import ColumnStatistics
-
-        stats = ColumnStatistics("c")
-        stats.add("hashable")
-        assert not stats.distinct_is_lower_bound
-        stats.add(["un", "hashable"])
-        stats.add(["un", "hashable"])  # same repr: collapses
-        assert stats.distinct_is_lower_bound
-        assert stats.distinct_count == 2  # a lower bound, not exact
-
 
 class TestStorageEngine:
     def test_foreign_key_enforced(self):
@@ -628,7 +617,6 @@ def _column_stats_dump(column) -> dict:
             [repr(value), count]
             for value, count in column._value_counts.items()
         ),
-        "distinct_is_lower_bound": column.distinct_is_lower_bound,
         "mcv": [[repr(value), count] for value, count in column.mcv.items()],
         "histogram": None if histogram is None else {
             "total": histogram.total,
