@@ -80,7 +80,6 @@ class Connection:
         observability: bool = True,
         slow_query_seconds: Optional[float] = None,
         trace_capacity: int = 2048,
-        misestimate_ratio: float = 4.0,
         path: Optional[str] = None,
         wal_sync: str = "commit",
         checkpoint_interval: Optional[int] = 1024,
@@ -124,7 +123,6 @@ class Connection:
             enabled=observability,
             trace=TraceSink(capacity=trace_capacity),
             slow_log=SlowQueryLog(threshold_seconds=slow_query_seconds),
-            misestimate_ratio=misestimate_ratio,
         )
         self.metrics: MetricsRegistry = self.observability.metrics
         self.task_manager: Optional[TaskManager] = None
@@ -414,7 +412,6 @@ def connect(
     crowd_config: Optional[CrowdConfig] = None,
     strict_boundedness: bool = False,
     amt_population: int = 200,
-    mobile_population: int = 60,
     platforms: Optional[Iterable[CrowdPlatform]] = None,
     default_platform: Optional[str] = None,
     with_crowd: bool = True,
@@ -424,7 +421,6 @@ def connect(
     observability: bool = True,
     slow_query_seconds: Optional[float] = None,
     trace_capacity: int = 2048,
-    misestimate_ratio: float = 4.0,
     path: Optional[str] = None,
     wal_sync: str = "commit",
     checkpoint_interval: Optional[int] = 1024,
@@ -451,8 +447,7 @@ def connect(
     and the slow-query log (EXPLAIN ANALYZE still works — its profiling
     is always per-request).  ``slow_query_seconds`` sets the slow-query
     log threshold (``None`` leaves it off); ``trace_capacity`` bounds the
-    HIT trace ring; ``misestimate_ratio`` is the estimate-vs-actual ratio
-    at which EXPLAIN ANALYZE flags a plan node.
+    HIT trace ring.
 
     ``path`` makes the instance durable: state is recovered from the
     directory on open (checkpoint + WAL tail, including every paid crowd
@@ -470,7 +465,6 @@ def connect(
         observability=observability,
         slow_query_seconds=slow_query_seconds,
         trace_capacity=trace_capacity,
-        misestimate_ratio=misestimate_ratio,
         path=path,
         wal_sync=wal_sync,
         checkpoint_interval=checkpoint_interval,
@@ -485,9 +479,7 @@ def connect(
     if platforms is None:
         platforms = (
             SimulatedAMT(oracle, population=amt_population, seed=seed),
-            SimulatedMobilePlatform(
-                oracle, population=mobile_population, seed=seed
-            ),
+            SimulatedMobilePlatform(oracle, seed=seed),
         )
     for platform in platforms:
         registry.register(platform)

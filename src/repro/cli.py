@@ -43,8 +43,10 @@ Dot-commands:
     .templates           generated UI template ids
     .form TEMPLATE_ID    print a template's HTML
     .load TABLE FILE     import a CSV file
-    .save FILE           write a JSON snapshot
-    .open FILE           load a JSON snapshot
+    .save DIR            write the database, paid crowd answers included,
+                         as a new checkpoint directory (what --db writes)
+    .open DIR            close this database and open DIR as --db DIR
+                         does, on the same platforms and crowd policy
     .checkpoint          write a durable checkpoint and truncate the WAL
     .quit                exit
 
@@ -62,6 +64,7 @@ scheduler (shared crowd-task pool, overlapping crowd waits):
 
 from __future__ import annotations
 
+import os
 import signal
 import sys
 import threading
@@ -70,7 +73,9 @@ from typing import Callable, Optional, TextIO
 from repro.api import Connection, connect, serve
 from repro.crowd.task_manager import CrowdConfig
 from repro.errors import CrowdDBError
-from repro.io_utils import dump_csv, load_csv, load_snapshot, save_snapshot
+from repro.io_utils import load_csv
+from repro.storage.ledger import CrowdState
+from repro.storage.recovery import save_image
 
 
 class Shell:
@@ -345,17 +350,44 @@ class Shell:
 
     def _cmd_save(self, argument: str) -> None:
         if not argument:
-            self._print("usage: .save FILE")
+            self._print("usage: .save DIR")
             return
-        save_snapshot(self.connection, argument)
-        self._print(f"snapshot written to {argument}")
+        db = self.connection
+        crowd = CrowdState.gather(
+            db.storage.crowd if db.storage is not None else None,
+            db.task_manager,
+            db.reputation,
+        )
+        path = save_image(argument, db.engine, crowd)
+        self._print(f"database written to {path}")
 
     def _cmd_open(self, argument: str) -> None:
         if not argument:
-            self._print("usage: .open FILE")
+            self._print("usage: .open DIR")
             return
-        created = load_snapshot(self.connection, argument)
-        self._print(f"loaded tables: {', '.join(created)}")
+        old = self.connection
+        if old.storage is not None and os.path.realpath(
+            old.storage.directory
+        ) == os.path.realpath(argument):
+            self._print(f"{argument} is already open")
+            return
+        registry = old.platforms
+        names = registry.names() if registry else []
+        platforms = [registry.get(name) for name in names]
+        self.connection = connect(
+            path=argument,
+            with_crowd=registry is not None,
+            platforms=platforms,
+            default_platform=registry.default if registry else None,
+            crowd_config=getattr(old.task_manager, "config", None),
+        )
+        # the platforms now pay into the new connection's WRM alone
+        for platform in platforms:
+            hooks = getattr(platform, "on_assignment", [])
+            if old.wrm.on_assignment in hooks:
+                hooks.remove(old.wrm.on_assignment)
+        old.close()
+        self._print(f"opened {argument}")
 
     def _cmd_checkpoint(self, _argument: str) -> None:
         storage = self.connection.storage
@@ -422,6 +454,12 @@ class ServeShell(Shell):
         with open(path) as handle:
             self.server.sessions[self.current].submit(handle.read())
         self._cmd_run("")
+
+    def _cmd_open(self, _argument: str) -> None:
+        self._print(
+            ".open is not available in serve mode: the sessions hold the "
+            "server's connection — start with --serve --db DIR"
+        )
 
     def _cmd_newsession(self, _argument: str) -> None:
         session = self.server.open_session()

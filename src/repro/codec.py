@@ -1,10 +1,10 @@
 """JSON encoding of stored values: the ``{"$": "null"|"cnull"}`` scheme.
 
-Storage tuples, snapshots and parked crowd work hold JSON-native scalars
-plus the NULL/CNULL singletons; the singletons are encoded as one-key
-tagged dicts (a scalar column can never legitimately store a dict, so the
-tag is unambiguous).  The WAL, checkpoints, ``io_utils`` snapshots and the
-crowd retry queue all write this format; ``tests/golden/wal_v1.jsonl``
+Storage tuples and parked crowd work hold JSON-native scalars plus the
+NULL/CNULL singletons; the singletons are encoded as one-key tagged dicts
+(a scalar column can never legitimately store a dict, so the tag is
+unambiguous).  The WAL, checkpoints (a saved database image is one) and
+the crowd retry queue all write this format; ``tests/golden/wal_v1.jsonl``
 pins its bytes.  The wire protocol's ``$crowddb`` tags are a different
 format with its own codec (:mod:`repro.net.protocol`).
 """

@@ -514,17 +514,8 @@ class Executor:
             compiled, parameters, profiler=profiler
         )
         total_seconds = perf_counter() - started
-        flag_ratio = (
-            self.observability.misestimate_ratio
-            if self.observability is not None
-            else 4.0
-        )
         lines = render_analyze(
-            compiled,
-            profiler,
-            total_seconds,
-            crowd_stats=crowd_stats,
-            flag_ratio=flag_ratio,
+            compiled, profiler, total_seconds, crowd_stats=crowd_stats
         ).splitlines()
         if partial_reason:
             lines.append(f"-- partial: {partial_reason}")

@@ -346,7 +346,7 @@ class PhysicalPlanner:
         if isinstance(node, logical.SetOperation):
             return VectorSetOp(
                 UNBOUND,
-                self._streamed(node.left),
+                self._streamed(node.left, row_bound),
                 self._streamed(node.right),
                 node.op,
             )

@@ -1,20 +1,18 @@
-"""Bulk data I/O: CSV import/export and whole-database snapshots.
+"""Bulk data I/O: CSV import and export.
 
 The demo "pre-load[s] different tables, such as VLDB talks, restaurants
 or companies near the VLDB conference location, into CrowdDB" (paper §4)
-— these helpers are that loading path.  Snapshots serialize catalog +
-data (including CNULL markers) to JSON so a crowd-enriched database —
-every memorized answer included — can be saved and reopened.
+— these helpers are that loading path.  A whole database, every paid
+crowd answer included, is saved and reopened as a checkpoint directory
+(:func:`repro.storage.recovery.save_image`, ``connect(path=...)``).
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import json
-from typing import TYPE_CHECKING, Any, Optional
+from typing import TYPE_CHECKING, Any
 
-from repro.codec import decode_value, encode_value
 from repro.errors import StorageError
 from repro.sqltypes import CNULL, NULL, SQLType, parse_literal
 
@@ -127,87 +125,3 @@ def _cell(value: Any) -> str:
     if isinstance(value, bool):
         return "TRUE" if value else "FALSE"
     return str(value)
-
-
-# -- JSON snapshots -------------------------------------------------------------
-
-
-_SNAPSHOT_VERSION = 1
-
-
-def save_snapshot(connection: "Connection", target: str | io.TextIOBase) -> None:
-    """Serialize catalog + all rows (crowd answers included) to JSON."""
-    tables = []
-    for schema in connection.catalog:
-        heap = connection.engine.table(schema.name)
-        tables.append(
-            {
-                "ddl": _schema_to_ddl(schema),
-                "name": schema.name,
-                "columns": list(schema.column_names),
-                "rows": [
-                    [encode_value(value) for value in row.values]
-                    for row in heap.scan()
-                ],
-            }
-        )
-    payload = {"version": _SNAPSHOT_VERSION, "tables": tables}
-    if isinstance(target, str):
-        with open(target, "w") as handle:
-            json.dump(payload, handle, indent=1)
-    else:
-        json.dump(payload, target, indent=1)
-
-
-def load_snapshot(connection: "Connection", source: str | io.TextIOBase) -> list[str]:
-    """Recreate every table of a snapshot in ``connection``.
-
-    Returns the created table names.  Fails if any table already exists.
-    """
-    if isinstance(source, str):
-        with open(source) as handle:
-            payload = json.load(handle)
-    else:
-        payload = json.load(source)
-    if payload.get("version") != _SNAPSHOT_VERSION:
-        raise StorageError(
-            f"unsupported snapshot version {payload.get('version')!r}"
-        )
-    created = []
-    for table in payload["tables"]:
-        connection.execute(table["ddl"])
-        for row in table["rows"]:
-            connection.engine.insert(
-                table["name"],
-                [decode_value(value, StorageError) for value in row],
-                tuple(table["columns"]),
-            )
-        created.append(table["name"])
-    return created
-
-
-def _schema_to_ddl(schema) -> str:
-    """Render a TableSchema back to CREATE [CROWD] TABLE source."""
-    parts = []
-    for column in schema.columns:
-        bits = [column.name]
-        if column.crowd:
-            bits.append("CROWD")
-        bits.append(str(column.sql_type))
-        if column.not_null and not column.primary_key:
-            bits.append("NOT NULL")
-        if column.unique and not column.primary_key:
-            bits.append("UNIQUE")
-        parts.append(" ".join(bits))
-    if schema.primary_key:
-        parts.append("PRIMARY KEY (" + ", ".join(schema.primary_key) + ")")
-    for fk in schema.foreign_keys:
-        parts.append(
-            "FOREIGN KEY ("
-            + ", ".join(fk.columns)
-            + f") REFERENCES {fk.ref_table}("
-            + ", ".join(fk.ref_columns)
-            + ")"
-        )
-    crowd = "CROWD " if schema.crowd else ""
-    return f"CREATE {crowd}TABLE {schema.name} ({', '.join(parts)})"

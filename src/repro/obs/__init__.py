@@ -58,9 +58,6 @@ class Observability:
     metrics: MetricsRegistry = field(default_factory=MetricsRegistry)
     trace: TraceSink = field(default_factory=TraceSink)
     slow_log: SlowQueryLog = field(default_factory=SlowQueryLog)
-    # EXPLAIN ANALYZE flags a node when max(est, act)+1 / min(est, act)+1
-    # reaches this ratio
-    misestimate_ratio: float = 4.0
 
     def observe_statement(
         self,

@@ -148,6 +148,10 @@ class QueryProfiler:
         return self.nodes.get(id(logical_node))
 
 
+#: EXPLAIN ANALYZE flags a node whose :func:`misestimate_ratio` reaches this
+MISESTIMATE_FLAG_RATIO = 4.0
+
+
 def misestimate_ratio(estimated: float, actual: float) -> float:
     """Smoothed estimate-vs-actual ratio (symmetric, >= 1.0).
 
@@ -164,11 +168,10 @@ def render_analyze(
     profiler: QueryProfiler,
     total_seconds: float,
     crowd_stats: Optional[dict[str, Any]] = None,
-    flag_ratio: float = 4.0,
 ) -> str:
     """The ``EXPLAIN ANALYZE`` report: one line per plan node with
     estimated vs actual rows/cents/rounds, per-node wall time, and
-    misestimate flags above ``flag_ratio``."""
+    misestimate flags at :data:`MISESTIMATE_FLAG_RATIO`."""
     lines: list[str] = []
     flagged = 0
 
@@ -197,7 +200,7 @@ def render_analyze(
                 parts.append(f"sim {metrics.sim_seconds:.0f} s")
         text += "  -- " + " / ".join(parts)
         ratio = misestimate_ratio(est_rows, float(act_rows))
-        if ratio >= flag_ratio:
+        if ratio >= MISESTIMATE_FLAG_RATIO:
             flagged += 1
             text += f"  !! rows misestimate {ratio:.1f}x"
         lines.append(text)
@@ -214,8 +217,11 @@ def render_analyze(
     lines.append("-- actual: " + ", ".join(actual))
     if flagged:
         lines.append(
-            f"-- misestimates: {flagged} node(s) at or above {flag_ratio:g}x"
+            f"-- misestimates: {flagged} node(s) at or above "
+            f"{MISESTIMATE_FLAG_RATIO:g}x"
         )
     else:
-        lines.append(f"-- misestimates: none above {flag_ratio:g}x")
+        lines.append(
+            f"-- misestimates: none above {MISESTIMATE_FLAG_RATIO:g}x"
+        )
     return "\n".join(lines)

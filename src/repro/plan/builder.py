@@ -404,22 +404,14 @@ def _join_conditions(ref: ast.TableRef):
 
 
 def output_names(plan: logical.LogicalPlan) -> tuple[str, ...]:
-    """Column names a logical plan produces (used for derived tables)."""
+    """Column names a query's plan produces (used for derived tables):
+    its top is what :meth:`PlanBuilder.build_statement` builds, a
+    Project under any Sort, Limit, Distinct or SetOperation."""
     if isinstance(plan, logical.Project):
         return tuple(name for _expr, name in plan.items)
     if isinstance(plan, (logical.Limit, logical.Sort, logical.Distinct,
                          logical.Filter)):
         return output_names(plan.children()[0])
-    if isinstance(plan, logical.SubqueryAlias):
-        return output_names(plan.child)
-    if isinstance(plan, logical.Scan):
-        return plan.table.column_names
-    if isinstance(plan, logical.CrowdProbe):
-        return output_names(plan.child)
-    if isinstance(plan, logical.Aggregate):
-        names = [format_expression(e) for e in plan.group_by]
-        names.extend(format_expression(a) for a in plan.aggregates)
-        return tuple(names)
     if isinstance(plan, logical.SetOperation):
         return output_names(plan.left)
     raise PlanError(

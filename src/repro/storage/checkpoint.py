@@ -21,6 +21,7 @@ import json
 import os
 from typing import Any, Optional
 
+from repro.errors import StorageError
 from repro.storage.index import OrderedIndex
 from repro.storage.wal import (
     decode_row,
@@ -166,9 +167,20 @@ def write_checkpoint(directory: str, state: dict) -> str:
 
 
 def load_checkpoint(directory: str) -> Optional[dict]:
-    """Read the current checkpoint, or None when there is none yet."""
+    """Read the current checkpoint, or None when there is none yet; a
+    file of any other format raises :class:`StorageError`."""
+    path = checkpoint_path(directory)
     try:
-        with open(checkpoint_path(directory), "r", encoding="utf-8") as handle:
-            return json.load(handle)
+        with open(path, "r", encoding="utf-8") as handle:
+            state = json.load(handle)
     except FileNotFoundError:
         return None
+    except ValueError as error:
+        raise StorageError(f"{path} is not a checkpoint: {error}") from None
+    found = state.get("format") if isinstance(state, dict) else None
+    if found != CHECKPOINT_FORMAT:
+        raise StorageError(
+            f"{path} has checkpoint format {found!r}; "
+            f"this build reads format {CHECKPOINT_FORMAT}"
+        )
+    return state

@@ -280,11 +280,3 @@ class StorageEngine:
             )
         elif entry.op is LogOp.ANALYZE:
             self.analyze(None if entry.table == "*" else entry.table)
-
-    @staticmethod
-    def recover(path: str, **kwargs: Any) -> "StorageEngine":
-        """Recover an engine from a durable storage directory: load the
-        last checkpoint (if any) and replay the WAL tail past it."""
-        from repro.storage.recovery import recover_storage  # avoid cycle
-
-        return recover_storage(path, **kwargs).engine

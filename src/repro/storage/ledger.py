@@ -94,6 +94,28 @@ class CrowdState:
         #: worker_id -> (observed_weight, correct_weight)
         self.reputation: dict[str, tuple[float, float]] = dict(reputation or {})
 
+    @classmethod
+    def gather(
+        cls,
+        base: Optional["CrowdState"] = None,
+        task_manager: Any = None,
+        reputation: Any = None,
+    ) -> "CrowdState":
+        """What a checkpoint carries: ``base`` (recovered state) overlaid
+        with a Task Manager's caches and a ReputationStore's posteriors."""
+        base = base or cls()
+        state = cls(base.equal, base.order, base.reputation)
+        if task_manager is not None:
+            state.equal.update(task_manager._equal_cache)
+            state.order.update(task_manager._order_cache)
+        if reputation is not None:
+            for worker, observed in reputation._observed.items():
+                state.reputation[worker] = (
+                    observed,
+                    reputation._correct.get(worker, 0.0),
+                )
+        return state
+
     def apply_record(self, record: dict) -> bool:
         """Fold one WAL record in; True when it was a crowd-ledger record."""
         op = record.get("op")

@@ -21,8 +21,9 @@ import warnings
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
-from repro.errors import RecoveryWarning
+from repro.errors import RecoveryWarning, StorageError
 from repro.storage.checkpoint import (
+    CHECKPOINT_NAME,
     build_checkpoint_state,
     load_checkpoint,
     restore_engine,
@@ -148,6 +149,24 @@ def recover_storage(
     return RecoveredState(engine=engine, crowd=crowd, report=report)
 
 
+def save_image(
+    directory: str, engine: StorageEngine, crowd: CrowdState
+) -> str:
+    """Write ``engine`` and ``crowd`` as the checkpoint of a new database
+    directory (``last_lsn`` -1, no WAL) that ``connect(path=directory)``
+    opens.  A directory already holding a checkpoint or a WAL is refused:
+    recovery would replay that WAL on top of the image."""
+    os.makedirs(directory, exist_ok=True)
+    for name in (CHECKPOINT_NAME, WAL_NAME):
+        if os.path.exists(os.path.join(directory, name)):
+            raise StorageError(
+                f"{directory} already holds a database ({name}); "
+                "save into a new directory"
+            )
+    state = build_checkpoint_state(engine, crowd=crowd.to_checkpoint())
+    return write_checkpoint(directory, state)
+
+
 class DurableStorage:
     """One durable CrowdDB instance rooted at a directory.
 
@@ -217,25 +236,6 @@ class DurableStorage:
             reputation.ledger = self.ledger
             self._reputation = reputation
 
-    def _crowd_snapshot(self) -> dict:
-        """Current crowd state for a checkpoint (live caches when bound,
-        otherwise whatever recovery carried over)."""
-        state = CrowdState(
-            equal=dict(self.crowd.equal),
-            order=dict(self.crowd.order),
-            reputation=dict(self.crowd.reputation),
-        )
-        if self._task_manager is not None:
-            state.equal.update(self._task_manager._equal_cache)
-            state.order.update(self._task_manager._order_cache)
-        if self._reputation is not None:
-            for worker, observed in self._reputation._observed.items():
-                state.reputation[worker] = (
-                    observed,
-                    self._reputation._correct.get(worker, 0.0),
-                )
-        return state.to_checkpoint()
-
     # -- checkpointing ----------------------------------------------------------
 
     def checkpoint(self) -> int:
@@ -244,8 +244,11 @@ class DurableStorage:
         last_lsn = self.wal.next_lsn - 1
         # WAL first: the snapshot must never get ahead of durable records
         self.wal.flush(fsync=True)
+        crowd = CrowdState.gather(
+            self.crowd, self._task_manager, self._reputation
+        )
         state = build_checkpoint_state(
-            self.engine, crowd=self._crowd_snapshot(), last_lsn=last_lsn
+            self.engine, crowd=crowd.to_checkpoint(), last_lsn=last_lsn
         )
         write_checkpoint(self.directory, state)
         # only now is the old WAL redundant

@@ -1,11 +1,13 @@
 """Tests for the interactive CrowdSQL shell."""
 
 import io
+import os
 
 import pytest
 
-from repro import connect
+from repro import CNULL, connect
 from repro.cli import Shell
+from repro.crowd.scripted import ScriptedPlatform, oracle_answer_fn
 
 
 @pytest.fixture
@@ -107,18 +109,138 @@ class TestDotCommands:
         csv_path.write_text("title\nImported\n")
         shell.handle_line(f".load Talk {csv_path}")
         assert "loaded 1 row(s)" in output_of(shell)
-        snap = tmp_path / "snap.json"
-        shell.handle_line(f".save {snap}")
-        assert snap.exists()
+        image = tmp_path / "image"
+        shell.handle_line(f".save {image}")
+        assert (image / "checkpoint.json").exists()
 
         fresh = Shell(connect(with_crowd=False), stdout=io.StringIO())
-        fresh.handle_line(f".open {snap}")
-        assert "Talk" in output_of(fresh)
+        fresh.handle_line(f".open {image}")
+        fresh.handle_line("SELECT title FROM Talk;")
+        assert "Imported" in output_of(fresh)
+        fresh.close()
 
     def test_usage_messages(self, shell):
         for cmd in (".schema", ".explain", ".form", ".load", ".save", ".open"):
             shell.handle_line(cmd)
         assert output_of(shell).count("usage:") == 6
+
+
+def scripted_shell(oracle, database=None):
+    """A shell over the scripted crowd, in memory or on ``database``."""
+    platform = ScriptedPlatform(oracle_answer_fn(oracle))
+    return Shell(
+        connect(
+            oracle=oracle, platforms=(platform,), default_platform="scripted",
+            path=database,
+        ),
+        stdout=io.StringIO(),
+    )
+
+
+class TestDatabaseImage:
+    """``.save DIR`` writes the checkpoint ``--db DIR`` opens, and ``.open
+    DIR`` opens it: a reopened database buys none of its crowd answers
+    again, and keeps its indexes and rowids."""
+
+    QUERIES = (
+        "SELECT title, abstract FROM Talk",
+        "SELECT name, region FROM Company WHERE CROWDEQUAL(name, 'IBM')",
+        "SELECT title FROM Talk "
+        "ORDER BY CROWDORDER(title, 'Which talk did you like better')",
+    )
+
+    def test_reopened_image_buys_no_crowd_answer_again(
+        self, shell, demo_oracle, tmp_path
+    ):
+        db = shell.connection
+        for sql in (
+            "INSERT INTO Talk (title) VALUES ('Gone'), ('Qurk'), ('PIQL')",
+            "DELETE FROM Talk WHERE title = 'Gone'",
+            "CREATE TABLE Company (name STRING PRIMARY KEY, region STRING)",
+            "INSERT INTO Company VALUES ('I.B.M.', 'us'), ('SAP', 'eu'), "
+            "('IBM', 'us')",
+            "CREATE INDEX c_name ON Company (region)",
+        ):
+            db.execute(sql)
+        answers = [db.query(sql) for sql in self.QUERIES]
+        assert db.crowd_stats["hits_posted"] > 0
+        shell.handle_line(f".save {tmp_path / 'image'}")
+
+        fresh = scripted_shell(demo_oracle)
+        fresh.handle_line(f".open {tmp_path / 'image'}")
+        reopened = fresh.connection
+        assert reopened is not db
+        assert [reopened.query(sql) for sql in self.QUERIES] == answers
+        assert reopened.crowd_stats["hits_posted"] == 0
+        assert "c_name" in reopened.engine.table("Company").indexes
+        for table in ("Talk", "Company"):
+            assert (
+                reopened.engine.table(table)._rows
+                == db.engine.table(table)._rows
+            )
+        fresh.close()
+
+    def test_image_keeps_schemas_and_markers(self, tmp_path):
+        shell = Shell(connect(with_crowd=False), stdout=io.StringIO())
+        for sql in (
+            "CREATE TABLE Talk (title STRING PRIMARY KEY, "
+            "abstract CROWD STRING, nb_attendees CROWD INTEGER);",
+            "CREATE CROWD TABLE n (name STRING PRIMARY KEY, title STRING, "
+            "FOREIGN KEY (title) REF Talk(title));",
+            "INSERT INTO Talk VALUES ('A', 'abs', CNULL);",
+            "INSERT INTO n VALUES ('Mike', 'A');",
+            f".save {tmp_path / 'image'}",
+            f".open {tmp_path / 'image'}",
+        ):
+            shell.handle_line(sql)
+        reopened = shell.connection
+        assert reopened.storage is not None
+        assert reopened.query("SELECT * FROM Talk") == [("A", "abs", CNULL)]
+        talk = reopened.catalog.table("Talk")
+        assert [c.crowd for c in talk.columns] == [False, True, True]
+        assert talk.primary_key == ("title",)
+        assert reopened.catalog.table("n").crowd
+        assert reopened.catalog.table("n").foreign_keys[0].ref_table == "Talk"
+        shell.close()
+
+    def test_open_moves_the_platforms_to_the_new_connection(self, tmp_path):
+        shell = Shell(connect(seed=3), stdout=io.StringIO())
+        old = shell.connection
+        shell.handle_line(".platform mobile")
+        shell.handle_line(f".open {tmp_path}")
+        new = shell.connection
+        assert new.platforms.names() == old.platforms.names()
+        assert new.platforms.default == "mobile"
+        for name in new.platforms.names():
+            platform = new.platforms.get(name)
+            assert platform is old.platforms.get(name)
+            assert platform.on_assignment == [new.wrm.on_assignment]
+            assert platform.wrm is new.wrm
+        shell.close()
+
+    def test_save_refuses_a_directory_holding_a_database(self, shell, tmp_path):
+        for name in ("wal.jsonl", "checkpoint.json"):
+            directory = tmp_path / name.split(".")[0]
+            directory.mkdir()
+            (directory / name).write_text("kept")
+            shell.handle_line(f".save {directory}")
+            assert f"already holds a database ({name})" in output_of(shell)
+            assert os.listdir(directory) == [name]
+            assert (directory / name).read_text() == "kept"
+
+    def test_open_of_a_foreign_directory_keeps_the_connection(
+        self, shell, tmp_path
+    ):
+        (tmp_path / "checkpoint.json").write_text('{"format": 2}')
+        db = shell.connection
+        shell.handle_line(f".open {tmp_path}")
+        assert "error:" in output_of(shell)
+        assert "format 2" in output_of(shell)
+        assert shell.connection is db
+        shell.handle_line(f".open {tmp_path / 'db'}")
+        shell.handle_line(f".open {tmp_path / 'db'}")
+        assert f"{tmp_path / 'db'} is already open" in output_of(shell)
+        shell.close()
 
 
 class TestRunLoop:
@@ -184,6 +306,11 @@ class TestServeShell:
         serve_shell.handle_line("SELECT nope FROM Missing;")
         serve_shell.handle_line(".run")
         assert "error:" in output_of(serve_shell)
+
+    def test_open_is_refused(self, serve_shell, tmp_path):
+        serve_shell.handle_line(f".open {tmp_path}")
+        assert "start with --serve --db DIR" in output_of(serve_shell)
+        assert os.listdir(tmp_path) == []
 
     def test_run_script_goes_through_sessions(self, serve_shell, tmp_path):
         script = tmp_path / "script.sql"

@@ -28,6 +28,7 @@ from repro.errors import (
     CrowdDBError,
     ExecutionError,
     RecoveryWarning,
+    StorageError,
     TransientPlatformError,
     WALError,
 )
@@ -243,6 +244,46 @@ class TestCheckpointRecover:
         assert any(value is CNULL for value in values)
         assert 2**64 in values and 5e-324 in values
         assert state["crowd"]["equal"] and state["crowd"]["reputation"]
+
+    def test_saved_image_is_the_checkpoint_without_its_wal(self, tmp_path):
+        """``.save DIR`` writes the bytes a durable instance checkpoints,
+        with ``last_lsn`` -1 and no WAL, under any string hash seed."""
+        golden = golden_checkpoint_bytes(tmp_path / "db")
+        shell = cli.Shell(
+            connection=connect(path=str(tmp_path / "db"), with_crowd=False),
+            stdout=io.StringIO(),
+        )
+        shell.handle_line(f".save {tmp_path / 'image'}")
+        shell.close()
+        assert os.listdir(tmp_path / "image") == ["checkpoint.json"]
+        head = b'{"format":1,"last_lsn":19,'
+        assert golden.startswith(head)
+        with open(checkpoint_path(str(tmp_path / "image")), "rb") as handle:
+            image = handle.read()
+        assert image == b'{"format":1,"last_lsn":-1,' + golden[len(head):]
+
+    @pytest.mark.parametrize(
+        "text, found",
+        [
+            ('{"version": 1, "tables": []}', "format None"),
+            ('{"format": 2, "last_lsn": -1, "catalog": [], "tables": {}}',
+             "format 2"),
+            ('{"format": 1, "last_lsn"', "is not a checkpoint"),
+        ],
+        ids=["snapshot", "format2", "torn"],
+    )
+    def test_foreign_checkpoint_is_refused_and_left_as_is(
+        self, tmp_path, text, found
+    ):
+        path = checkpoint_path(str(tmp_path))
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        with pytest.raises(StorageError, match=found) as excinfo:
+            connect(path=str(tmp_path), with_crowd=False)
+        assert path in str(excinfo.value)
+        with open(path, encoding="utf-8") as handle:
+            assert handle.read() == text
+        assert os.listdir(tmp_path) == ["checkpoint.json"]
 
     def test_recover_without_checkpoint(self, tmp_path):
         storage = DurableStorage(str(tmp_path), wal_sync="off")

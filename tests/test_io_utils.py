@@ -1,4 +1,4 @@
-"""Tests for CSV import/export and JSON snapshots."""
+"""Tests for CSV import and export."""
 
 import io
 
@@ -6,7 +6,7 @@ import pytest
 
 from repro import CNULL, NULL, connect
 from repro.errors import CatalogError, StorageError
-from repro.io_utils import dump_csv, load_csv, load_snapshot, save_snapshot
+from repro.io_utils import dump_csv, load_csv
 
 TALK_DDL = (
     "CREATE TABLE Talk (title STRING PRIMARY KEY, "
@@ -98,43 +98,3 @@ class TestDumpCSV:
         path = tmp_path / "out.csv"
         dump_csv(db, "Talk", str(path))
         assert path.read_text().startswith("title,abstract,nb_attendees")
-
-
-class TestSnapshots:
-    def test_snapshot_round_trip(self, db, tmp_path):
-        db.execute(
-            "CREATE CROWD TABLE n (name STRING PRIMARY KEY, title STRING, "
-            "FOREIGN KEY (title) REF Talk(title))"
-        )
-        db.execute("INSERT INTO Talk VALUES ('A', 'abs', CNULL)")
-        db.execute("INSERT INTO n VALUES ('Mike', 'A')")
-        path = tmp_path / "snap.json"
-        save_snapshot(db, str(path))
-
-        other = connect(with_crowd=False)
-        created = load_snapshot(other, str(path))
-        assert created == ["Talk", "n"]
-        assert other.query("SELECT * FROM Talk") == [("A", "abs", CNULL)]
-        assert other.catalog.table("n").crowd
-        assert other.catalog.table("n").foreign_keys[0].ref_table == "Talk"
-
-    def test_snapshot_preserves_crowd_annotations(self, db, tmp_path):
-        path = tmp_path / "snap.json"
-        save_snapshot(db, str(path))
-        other = connect(with_crowd=False)
-        load_snapshot(other, str(path))
-        schema = other.catalog.table("Talk")
-        assert [c.crowd for c in schema.columns] == [False, True, True]
-        assert schema.primary_key == ("title",)
-
-    def test_bad_version_rejected(self, db):
-        buffer = io.StringIO('{"version": 99, "tables": []}')
-        with pytest.raises(StorageError, match="version"):
-            load_snapshot(db, buffer)
-
-    def test_snapshot_into_buffer(self, db):
-        buffer = io.StringIO()
-        save_snapshot(db, buffer)
-        buffer.seek(0)
-        other = connect(with_crowd=False)
-        assert load_snapshot(other, buffer) == ["Talk"]

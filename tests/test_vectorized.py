@@ -120,12 +120,22 @@ QUERIES = [
     "(SELECT name FROM dept WHERE region = 'west')",
 ]
 
-#: Derived tables over :data:`SCRIPT` (outside the lanes golden's
-#: corpus): the consumer reads one of the columns the DISTINCT compares.
+#: Statements over :data:`SCRIPT` outside the lanes golden's corpus:
+#: derived tables whose consumer reads one of the columns the DISTINCT
+#: compares, and the value kernels no other statement reaches.
 DERIVED_QUERIES = [
     "SELECT d.dept FROM (SELECT DISTINCT dept, level FROM emp) d",
     "SELECT d.level FROM (SELECT DISTINCT dept, level FROM emp "
     "WHERE salary > 60) d WHERE d.level > 1",
+    # division by a column, by a constant on either side, and by zero
+    "SELECT name, salary / level, 100 / level, level / 0, id / 2, "
+    "salary / 2.5 FROM emp",
+    # a float column over an int constant and over a float one
+    "SELECT id, id * 1.5 / 2, id / 2.5 FROM emp",
+    # NOT as a value, over a clean and a nullable comparison
+    "SELECT name, NOT id > 3, NOT salary > 80 FROM emp",
+    # unary sign and concatenation over typed and nullable columns
+    "SELECT -id, +level, -bonus, name || name, name || id FROM emp",
 ]
 
 
