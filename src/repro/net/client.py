@@ -126,20 +126,7 @@ class NetClient:
             if budget_cents is not None
             else self.default_budget_cents,
         )
-        try:
-            self._send(
-                protocol.statement_frame(
-                    state.statement_id,
-                    state.sql,
-                    deadline_ms=state.deadline_ms,
-                    budget_cents=state.budget_cents,
-                )
-            )
-        except socket.timeout:
-            raise
-        except (ConnectionError, OSError) as error:
-            raise self._lost(state, error) from error
-        return self._await_result(state)
+        return self._submit(state)
 
     def resume_execute(self, lost: ConnectionLostError) -> ResultSet:
         """Finish the statement a previous connection lost.
@@ -161,42 +148,49 @@ class NetClient:
         self._next_statement_id = max(
             self._next_statement_id, lost.statement_id + 1
         )
-        try:
-            self._send(
-                protocol.statement_frame(
-                    state.statement_id,
-                    state.sql,
-                    deadline_ms=state.deadline_ms,
-                    budget_cents=state.budget_cents,
-                )
-            )
-        except socket.timeout:
-            raise
-        except (ConnectionError, OSError) as error:
-            raise self._lost(state, error) from error
-        return self._await_result(state)
+        return self._submit(state)
 
-    def _await_result(self, state: _StatementState) -> ResultSet:
+    def _submit(self, state: _StatementState) -> ResultSet:
+        """Send ``state``'s statement frame and read its reply.  The id is
+        published before the frame leaves, so a :meth:`cancel` from
+        another thread that sees the statement running server-side
+        always finds it."""
         self._current_statement = state.statement_id
         try:
-            while True:
-                try:
-                    frame = protocol.read_frame_blocking(self._sock)
-                except socket.timeout:
-                    raise  # a slow server is not a dead connection
-                except (ConnectionError, OSError) as error:
-                    raise self._lost(state, error) from error
-                except NetworkProtocolError as error:
-                    # torn frame / length desync: this byte stream is
-                    # unusable, but the session is resumable elsewhere
-                    raise self._lost(state, error) from error
-                if frame is None:
-                    raise self._lost(state, None)
-                outcome = self._consume(state, frame)
-                if outcome is not None:
-                    return outcome
+            try:
+                self._send(
+                    protocol.statement_frame(
+                        state.statement_id,
+                        state.sql,
+                        deadline_ms=state.deadline_ms,
+                        budget_cents=state.budget_cents,
+                    )
+                )
+            except socket.timeout:
+                raise
+            except (ConnectionError, OSError) as error:
+                raise self._lost(state, error) from error
+            return self._await_result(state)
         finally:
             self._current_statement = None
+
+    def _await_result(self, state: _StatementState) -> ResultSet:
+        while True:
+            try:
+                frame = protocol.read_frame_blocking(self._sock)
+            except socket.timeout:
+                raise  # a slow server is not a dead connection
+            except (ConnectionError, OSError) as error:
+                raise self._lost(state, error) from error
+            except NetworkProtocolError as error:
+                # torn frame / length desync: this byte stream is
+                # unusable, but the session is resumable elsewhere
+                raise self._lost(state, error) from error
+            if frame is None:
+                raise self._lost(state, None)
+            outcome = self._consume(state, frame)
+            if outcome is not None:
+                return outcome
 
     def _consume(
         self, state: _StatementState, frame: dict

@@ -1,4 +1,4 @@
-"""Tests for CSV import and export."""
+"""Tests for CSV import and export, and for saving a database image."""
 
 import io
 
@@ -7,6 +7,8 @@ import pytest
 from repro import CNULL, NULL, connect
 from repro.errors import CatalogError, StorageError
 from repro.io_utils import dump_csv, load_csv
+from repro.storage.ledger import CrowdState
+from repro.storage.recovery import save_image
 
 TALK_DDL = (
     "CREATE TABLE Talk (title STRING PRIMARY KEY, "
@@ -98,3 +100,33 @@ class TestDumpCSV:
         path = tmp_path / "out.csv"
         dump_csv(db, "Talk", str(path))
         assert path.read_text().startswith("title,abstract,nb_attendees")
+
+
+def reopen_image(db, directory):
+    """Save ``db`` as a checkpoint directory and open it anew."""
+    save_image(str(directory), db.engine, CrowdState())
+    return connect(with_crowd=False, path=str(directory))
+
+
+class TestSnapshots:
+    def test_snapshot_round_trip(self, db, tmp_path):
+        db.execute(
+            "CREATE CROWD TABLE n (name STRING PRIMARY KEY, title STRING, "
+            "FOREIGN KEY (title) REF Talk(title))"
+        )
+        db.execute("INSERT INTO Talk VALUES ('A', 'abs', CNULL)")
+        db.execute("INSERT INTO n VALUES ('Mike', 'A')")
+        other = reopen_image(db, tmp_path / "image")
+        assert sorted(other.catalog.table_names()) == ["Talk", "n"]
+        assert other.query("SELECT * FROM Talk") == [("A", "abs", CNULL)]
+        assert other.query("SELECT * FROM n") == [("Mike", "A")]
+        assert other.catalog.table("n").crowd
+        assert other.catalog.table("n").foreign_keys[0].ref_table == "Talk"
+        other.close()
+
+    def test_snapshot_preserves_crowd_annotations(self, db, tmp_path):
+        other = reopen_image(db, tmp_path / "image")
+        schema = other.catalog.table("Talk")
+        assert [c.crowd for c in schema.columns] == [False, True, True]
+        assert schema.primary_key == ("title",)
+        other.close()

@@ -370,6 +370,37 @@ def test_cancel_frame_aborts_a_parked_crowd_statement():
         server.close()
 
 
+def test_cancel_as_soon_as_the_statement_frame_is_sent_is_honoured():
+    # another thread may see the statement running server-side before
+    # the executing thread reaches its receive loop: cancel() must
+    # already know which statement to abort
+    server = serve(seed=11)
+    net = serve_tcp(server=server)
+    client = connect_tcp(net.host, net.port)
+    send = client._send
+
+    def send_then_cancel(frame, **kwargs):
+        send(frame, **kwargs)
+        if frame["type"] == "statement":
+            client.cancel()
+
+    try:
+        client.execute(
+            "CREATE TABLE slow (name TEXT PRIMARY KEY, city CROWD TEXT);"
+        )
+        client.execute("INSERT INTO slow (name) VALUES ('x');")
+        client._send = send_then_cancel
+        with pytest.raises(RemoteError) as caught:
+            client.execute("SELECT name, city FROM slow;")
+        assert caught.value.remote_type == "StatementCancelled"
+        client._send = send
+        assert client.execute("SELECT name FROM slow;").rows == [("x",)]
+    finally:
+        client.close()
+        net.close()
+        server.close()
+
+
 # -- admission over the wire --------------------------------------------------
 
 
